@@ -97,6 +97,10 @@ def read_checkpoint(path):
             fields[name] = np.frombuffer(raw, dtype="<f8").reshape(
                 grid.n_z, grid.n_rho
             ).T.copy()
+            if not np.all(np.isfinite(fields[name])):
+                raise ConfigurationError(
+                    f"{path}: non-finite samples in field {name}"
+                )
     state = zero_state(grid).replace_fields(time=header["time"], **fields)
     return state
 
@@ -123,6 +127,13 @@ def _number(section, key, path, default=None, allow_none=False):
     return float(val)
 
 
+def _integer(section, key, path, default):
+    val = float(_number(section, key, path, default))
+    if not val.is_integer():
+        raise SchemaError(f"{path}.{key}", f"expected an integer, got {val!r}")
+    return int(val)
+
+
 _INITIAL_KINDS = ("zero", "rigid_rotation", "taylor_vortex_swirl",
                   "decaying_swirl", "file")
 _FORCING_KINDS = ("zero", "manufactured")
@@ -139,8 +150,8 @@ def validate_scenario(doc) -> dict:
 
     grid = _expect(doc.get("grid", {}), "$.grid", dict)
     out["grid"] = {
-        "n_rho": int(_number(grid, "n_rho", "$.grid", 32)),
-        "n_z": int(_number(grid, "n_z", "$.grid", 32)),
+        "n_rho": _integer(grid, "n_rho", "$.grid", 32),
+        "n_z": _integer(grid, "n_z", "$.grid", 32),
         "rho_max": _number(grid, "rho_max", "$.grid", 2.0),
         "z_min": _number(grid, "z_min", "$.grid", 0.0),
         "z_max": _number(grid, "z_max", "$.grid", 1.0),
@@ -155,11 +166,11 @@ def validate_scenario(doc) -> dict:
         "t_end": _number(sv, "t_end", "$.solver", 0.1),
         "dt": _number(sv, "dt", "$.solver", allow_none=True),
         "cfl_safety": _number(sv, "cfl_safety", "$.solver", 0.4),
-        "checkpoint_stride": int(_number(sv, "checkpoint_stride", "$.solver", 1)),
+        "checkpoint_stride": _integer(sv, "checkpoint_stride", "$.solver", 1),
+        # accepted for schema-v1 compatibility; the direct solve ignores both
         "projection_tol": _number(sv, "projection_tol", "$.solver", 1e-10),
-        "projection_max_iter": int(
-            _number(sv, "projection_max_iter", "$.solver", 20000)
-        ),
+        "projection_max_iter": _integer(sv, "projection_max_iter", "$.solver",
+                                        20000),
     }
     if not out["solver"]["nu"] > 0:
         raise SchemaError("$.solver.nu", "must be positive")
@@ -192,7 +203,7 @@ def validate_scenario(doc) -> dict:
     eps = mo.get("epsilon_list", [0.4, 0.2, 0.1, 0.04, 0.0])
     _expect(eps, "$.monitor.epsilon_list", list)
     out["monitor"] = {
-        "q": int(_number(mo, "q", "$.monitor", 4)),
+        "q": _integer(mo, "q", "$.monitor", 4),
         "epsilon_list": [float(e) for e in eps],
         "c_grow": _number(mo, "c_grow", "$.monitor", allow_none=True),
         "c_sob": _number(mo, "c_sob", "$.monitor", allow_none=True),

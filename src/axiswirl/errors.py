@@ -21,15 +21,6 @@ class InadmissibleExponents(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-class SolverError(RuntimeError):
-    """Iterative solver failed to converge."""
-
-    def __init__(self, message, iterations=None, residual=None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual
-
-
 class CflViolation(RuntimeError):
     """Time step exceeds the stability limit."""
 

@@ -169,8 +169,8 @@ def divergence(v: VelocityState) -> ScalarSample:
     Radial face values are the averages of the two adjacent cells; the
     axis face carries zero flux exactly and the no-slip wall face zero
     flux as well, so no radial ghosts enter.  This form has an exact
-    discrete adjoint gradient, which lets the pressure projection drive
-    the residual to the iteration tolerance.
+    discrete adjoint gradient, which lets the pressure projection remove
+    the residual down to rounding.
     """
     g = v.grid
     div = div_from_components(v.u_rho.values, v.u_z.values, g)
@@ -178,26 +178,36 @@ def divergence(v: VelocityState) -> ScalarSample:
 
 
 def div_from_components(u_rho, u_z, grid: CylGrid):
+    return radial_div(u_rho, grid) + d_z(u_z, grid)
+
+
+def radial_div(u_rho, grid: CylGrid):
+    """Radial part of the divergence, (1/rho) d_rho(rho u_rho) in face-flux
+    form.  Acts along axis 0 only, so any array of n_rho rows is accepted
+    (the pressure solver applies it to the columns of an identity matrix)."""
     faces = (np.arange(grid.n_rho - 1) + 1.0) * grid.d_rho  # interior faces
     flux = faces[:, None] * 0.5 * (u_rho[:-1] + u_rho[1:])
     zero = np.zeros_like(u_rho[0:1])
     flux = np.concatenate([zero, flux, zero], axis=0)  # axis and wall faces
-    radial = np.diff(flux, axis=0) / (grid.rho * grid.d_rho)
-    return radial + d_z(u_z, grid)
+    return np.diff(flux, axis=0) / (grid.rho * grid.d_rho)
 
 
 def div_adjoint(phi, grid: CylGrid):
     """(c_rho, c_z) = D* phi, the exact rho-weighted adjoint of
     div_from_components; c_rho is a consistent approximation of -d_rho phi
     away from the boundary rows."""
-    d_rho_, d_z_ = grid.d_rho, grid.d_z
-    faces = (np.arange(grid.n_rho - 1) + 1.0) * d_rho_
+    c_z = -(np.roll(phi, -1, axis=1) - np.roll(phi, 1, axis=1)) / (2.0 * grid.d_z)
+    return radial_div_adjoint(phi, grid), c_z
+
+
+def radial_div_adjoint(phi, grid: CylGrid):
+    """Radial component of D*, the rho-weighted adjoint of radial_div;
+    acts along axis 0 only, like radial_div."""
+    faces = (np.arange(grid.n_rho - 1) + 1.0) * grid.d_rho
     dphi = faces[:, None] * (phi[1:] - phi[:-1])
     zero = np.zeros_like(phi[0:1])
     dphi = np.concatenate([zero, dphi, zero], axis=0)
-    c_rho = -(dphi[1:] + dphi[:-1]) / (2.0 * grid.rho * d_rho_)
-    c_z = -(np.roll(phi, -1, axis=1) - np.roll(phi, 1, axis=1)) / (2.0 * d_z_)
-    return c_rho, c_z
+    return -(dphi[1:] + dphi[:-1]) / (2.0 * grid.rho * grid.d_rho)
 
 
 def curl_axisym(v: VelocityState) -> VorticityFields:

@@ -2,27 +2,38 @@
 
 The projection removes the divergence through the exact adjoint pair
 (D, D*): with D the face-flux divergence and D* its rho-weighted adjoint
-(a consistent gradient away from the boundary rows), the normal system
-D D* phi = D u* is symmetric positive semidefinite in the rho-weighted
-inner product and its right-hand side always lies in the range, so
-conjugate-direction iteration converges unconditionally.  The correction
-u* - D* phi is the rho-weighted least-norm divergence remover, i.e. the
-orthogonal projection onto the discretely divergence-free space.
+(a consistent gradient away from the boundary rows), the correction
+u* - D* phi with D D* phi = D u* is the rho-weighted least-norm
+divergence remover, i.e. the orthogonal projection onto the discretely
+divergence-free space.
+
+D D* is periodic and constant-coefficient in z, so an rfft along z
+splits it into one pentadiagonal radial system per z-mode k: the radial
+block of D D* plus sin^2(2 pi k / n_z) / d_z^2 on the diagonal.  Each
+system is similar to a symmetric positive (semi)definite one through
+diag(sqrt(rho)), so banded LU without pivoting is stable; the factors
+of all modes are computed once per grid and the solve is direct
+(Hockney 1965; Swarztrauber 1977, SIAM Rev. 19).  The two singular
+modes, k = 0 and the Nyquist mode of even n_z, carry the null space of
+D* (constants and the z-checkerboard).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CflViolation, ConfigurationError, SolverError
+from .errors import CflViolation, ConfigurationError
 from .fields import (
     VelocityState,
     div_adjoint,
     div_from_components,
     momentum_rhs,
+    radial_div,
+    radial_div_adjoint,
     zero_forcing,
 )
 from .grid import CylGrid, ScalarSample, integrate
@@ -30,6 +41,12 @@ from .grid import CylGrid, ScalarSample, integrate
 
 @dataclass
 class SimConfig:
+    """Grid, viscosity and time-stepping settings of one run.
+
+    projection_tol and projection_max_iter are accepted for scenario
+    compatibility and ignored: the pressure solve is direct.
+    """
+
     n_rho: int = 32
     n_z: int = 32
     rho_max: float = 2.0
@@ -57,6 +74,11 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
+    """Checkpoints of one run.  projection_info holds the (iterations,
+    rel_residual) of the initial projection and of every step, so
+    step_count + 1 entries; a step that blew up before its projection
+    records (0, nan)."""
+
     checkpoints: list[VelocityState]
     config: SimConfig
     failed: bool = False
@@ -79,12 +101,6 @@ class Trajectory:
 
 # --- pressure Poisson ---------------------------------------------------
 
-def _apply_normal(phi, grid: CylGrid):
-    """D D* phi: symmetric positive semidefinite in the rho-weighted product."""
-    cr, cz = div_adjoint(phi, grid)
-    return div_from_components(cr, cz, grid)
-
-
 def _remove_null(b, grid: CylGrid):
     """Project out the rho-weighted null space of D*: constants and the
     z-checkerboard (only present for even n_z)."""
@@ -98,86 +114,105 @@ def _remove_null(b, grid: CylGrid):
     return b
 
 
-def solve_pressure_poisson(b, grid: CylGrid, tol=1e-10, max_iter=20000,
-                           ref_scale=None):
-    """Conjugate-gradient solve of D D* phi = b in the rho-weighted
-    inner product.
+@functools.lru_cache(maxsize=16)
+def _mode_factors(n_rho, n_z, rho_max, z_min, z_max):
+    """Banded LU factors, without pivoting, of D D* for every rfft z-mode.
 
-    b is the divergence to remove; it lies in range(D) = range(D D*) by
-    construction, so the system is always consistent.  ref_scale, when
-    given, sets an absolute rounding floor (1e-13 * ref_scale) below
-    which b counts as already zero (keeps re-projection of a projected
-    field from chasing rounding noise).  Returns
-    (phi, iterations, rel_residual).
+    Returns (l1, l2, u1, u2, dinv), arrays of shape (n_rho, n_z//2 + 1):
+    the first and second subdiagonals of the unit lower factor, the first
+    and second superdiagonals of the upper factor and its inverse
+    pivots.  On the null modes the last pivot vanishes; its inverse is
+    set to zero, which pins phi's outer row to zero on those modes.
+    Keyed on the grid parameters because CylGrid holds arrays.
     """
-    w = grid.rho
-    b = _remove_null(b, grid)
-    bnorm = float(np.sqrt(np.sum(w * b * b)))
-    phi = np.zeros_like(b)
-    floor = 1e-13 * ref_scale if ref_scale else 0.0
-    if bnorm <= floor or bnorm == 0.0:
-        return phi, 0, 0.0
-    target = max(tol * bnorm, floor)
-    r = b.copy()
-    p = r.copy()
-    rs = float(np.sum(w * r * r))
-    best_phi, best_rs = phi, rs
-    for it in range(1, max_iter + 1):
-        ap = _apply_normal(p, grid)
-        denom = float(np.sum(w * p * ap))
-        if denom <= 0.0:
-            break  # search direction hit the null space (rounding)
-        alpha = rs / denom
-        phi = phi + alpha * p
-        r = r - alpha * ap
-        if it % 50 == 0:
-            # strip accumulated null-space drift
-            r = _remove_null(r, grid)
-        rs_new = float(np.sum(w * r * r))
-        if rs_new < best_rs:
-            best_phi, best_rs = phi, rs_new
-        if np.sqrt(rs_new) <= target:
-            return phi, it, float(np.sqrt(rs_new) / bnorm)
-        if rs_new > 1e6 * best_rs:
-            break  # rounding-dominated stagnation; keep the best iterate
-        beta = rs_new / rs
-        rs = rs_new
-        p = r + beta * p
-    rel = float(np.sqrt(best_rs) / bnorm)
-    if np.sqrt(best_rs) <= max(10.0 * target, floor):
-        return best_phi, max_iter, rel
-    raise SolverError(
-        f"pressure Poisson did not converge: rel residual {rel:.3e} after "
-        f"{max_iter} iterations", iterations=max_iter, residual=rel,
+    grid = CylGrid(n_rho, n_z, rho_max, z_min, z_max)
+    a = radial_div(radial_div_adjoint(np.eye(n_rho), grid), grid)
+    k = np.arange(n_z // 2 + 1)
+    shift = np.sin(2.0 * np.pi * k / n_z) ** 2 / grid.d_z**2
+    sub2 = np.diagonal(a, -2)
+    sub1 = np.diagonal(a, -1)
+    sup1 = np.diagonal(a, 1)
+    l1 = np.zeros((n_rho, k.size))
+    l2 = np.zeros((n_rho, k.size))
+    u1 = np.zeros((n_rho, k.size))
+    u2 = np.zeros((n_rho, k.size))
+    u2[:-2] = np.diagonal(a, 2)[:, None]
+    piv = np.diagonal(a)[:, None] + shift
+    # rows i - 1, i - 2 < 0 index the last rows of u1 and u2, which stay zero
+    for i in range(n_rho):
+        if i >= 2:
+            l2[i] = sub2[i - 2] / piv[i - 2]
+        if i >= 1:
+            l1[i] = (sub1[i - 1] - l2[i] * u1[i - 2]) / piv[i - 1]
+            piv[i] = piv[i] - l1[i] * u1[i - 1] - l2[i] * u2[i - 2]
+        if i + 1 < n_rho:
+            u1[i] = sup1[i] - l1[i] * u2[i - 1]
+    # the singular modes: k = 0 (constants) and, for even n_z, the Nyquist
+    # mode k = n_z / 2 (the z-checkerboard)
+    null = [0, n_z // 2] if n_z % 2 == 0 else [0]
+    piv[-1, null] = 1.0
+    dinv = 1.0 / piv
+    dinv[-1, null] = 0.0
+    for f in (l1, l2, u1, u2, dinv):
+        f.setflags(write=False)
+    return l1, l2, u1, u2, dinv
+
+
+def solve_pressure_poisson(b, grid: CylGrid):
+    """Direct solve of D D* phi = b, phi in the rho-weighted range of D D*.
+
+    b is the divergence to remove; its null-space part (rounding only,
+    since b lies in range(D)) is stripped first so that every mode's
+    system is consistent.  Cost: one rfft/irfft pair and a forward and a
+    back substitution over the n_rho rows, each row a vector over the
+    z-modes.
+    """
+    l1, l2, u1, u2, dinv = _mode_factors(
+        grid.n_rho, grid.n_z, grid.rho_max, grid.z_min, grid.z_max
     )
+    y = np.fft.rfft(_remove_null(b, grid), axis=1)
+    n = grid.n_rho
+    for i in range(1, n):
+        y[i] -= l1[i] * y[i - 1]
+        if i >= 2:
+            y[i] -= l2[i] * y[i - 2]
+    for i in range(n - 1, -1, -1):
+        if i + 1 < n:
+            y[i] -= u1[i] * y[i + 1]
+        if i + 2 < n:
+            y[i] -= u2[i] * y[i + 2]
+        y[i] *= dinv[i]
+    phi = np.fft.irfft(y, n=grid.n_z, axis=1)
+    return _remove_null(phi, grid)
 
 
-def project(v: VelocityState, tol=1e-10, max_iter=20000, dt=None):
+def project(v: VelocityState, dt=None):
     """Project the state onto the discretely divergence-free space.
 
     The correction D* phi is the rho-weighted least-norm field removing
     the divergence, so the projection is orthogonal: it never increases
-    kinetic energy.  Returns (state, info) with info = (iterations,
-    rel_residual).  With dt given, the pressure field is incremented by
-    -phi/dt (D* phi plays the role of -grad phi).
+    kinetic energy.  Returns (state, info) with info = (1, rel_residual),
+    rel_residual = ||b - D D* phi|| / ||b|| in the rho-weighted norm for
+    b = D u, i.e. the relative divergence left; info is (0, 0.0) when the
+    state is exactly divergence-free already.  With dt given, the
+    pressure field is incremented by -phi/dt (D* phi plays the role of
+    -grad phi).
     """
     g = v.grid
     b = div_from_components(v.u_rho.values, v.u_z.values, g)
-    w = g.rho
-    uscale = float(
-        np.sqrt(np.sum(w * (v.u_rho.values**2 + v.u_z.values**2)))
-    ) / min(g.d_rho, g.d_z)
-    phi, iters, rel = solve_pressure_poisson(
-        b, g, tol=tol, max_iter=max_iter, ref_scale=uscale
-    )
+    bnorm = float(np.sqrt(np.sum(g.rho * b * b)))
+    if bnorm == 0.0:
+        return v, (0, 0.0)
+    phi = solve_pressure_poisson(b, g)
     cr, cz = div_adjoint(phi, g)
     p = v.pressure.values
     if dt is not None:
         p = p - phi / dt
-    out = v.replace_fields(
-        u_rho=v.u_rho.values - cr, u_z=v.u_z.values - cz, pressure=p
-    )
-    return out, (iters, rel)
+    u_rho = v.u_rho.values - cr
+    u_z = v.u_z.values - cz
+    left = div_from_components(u_rho, u_z, g)
+    rel = float(np.sqrt(np.sum(g.rho * left * left))) / bnorm
+    return v.replace_fields(u_rho=u_rho, u_z=u_z, pressure=p), (1, rel)
 
 
 # --- time stepping -------------------------------------------------------
@@ -196,13 +231,13 @@ def cfl_limits(v: VelocityState, nu: float):
     return adv, dif
 
 
-def step(state: VelocityState, cfg: SimConfig, dt: float,
-         forcing_at=None) -> VelocityState:
+def step(state: VelocityState, cfg: SimConfig, dt: float, forcing_at=None):
     """One Heun (RK2) advance of the momentum equations plus projection.
 
-    forcing_at(t) -> ForcingFields; defaults to zero forcing.  Raises
-    CflViolation when dt exceeds the stability contract.  A non-finite
-    result is returned as-is; the caller treats it as blow-up data.
+    forcing_at(t) -> ForcingFields; defaults to zero forcing.  Returns
+    (state, projection info).  Raises CflViolation when dt exceeds the
+    stability contract.  A non-finite result is returned unprojected with
+    info (0, nan); the caller treats it as blow-up data.
     """
     g = state.grid
     if forcing_at is None:
@@ -237,11 +272,8 @@ def step(state: VelocityState, cfg: SimConfig, dt: float,
     if not all(
         np.all(np.isfinite(f.values)) for f in (star.u_rho, star.u_phi, star.u_z)
     ):
-        return star  # blow-up: caller truncates
-    out, _info = project(
-        star, tol=cfg.projection_tol, max_iter=cfg.projection_max_iter, dt=dt
-    )
-    return out
+        return star, (0, np.nan)  # blow-up: caller truncates
+    return project(star, dt=dt)
 
 
 def _is_finite(state: VelocityState) -> bool:
@@ -258,12 +290,9 @@ def run(cfg: SimConfig, initial: VelocityState, forcing_at=None) -> Trajectory:
     CFL rejection truncate the trajectory with a failure marker instead
     of raising.
     """
-    g = initial.grid
     state = initial.replace_fields(time=cfg.t_start)
     # enforce the divergence invariant on the initial checkpoint
-    state, info = project(
-        state, tol=cfg.projection_tol, max_iter=cfg.projection_max_iter
-    )
+    state, info = project(state)
     if cfg.dt is not None:
         dt = cfg.dt
     else:
@@ -275,12 +304,13 @@ def run(cfg: SimConfig, initial: VelocityState, forcing_at=None) -> Trajectory:
     traj = Trajectory([state], cfg, dt=dt, projection_info=[info])
     for i in range(n_steps):
         try:
-            state = step(state, cfg, dt, forcing_at=forcing_at)
-        except (CflViolation, SolverError) as exc:
+            state, info = step(state, cfg, dt, forcing_at=forcing_at)
+        except CflViolation as exc:
             traj.failed = True
             traj.failure_reason = str(exc)
             break
         traj.step_count = i + 1
+        traj.projection_info.append(info)
         if not _is_finite(state):
             traj.failed = True
             traj.failure_reason = f"blow-up: non-finite fields at t = {state.time}"

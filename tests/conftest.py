@@ -6,12 +6,19 @@ same computations.
 """
 
 import pytest
+from hypothesis import settings
 
 from axiswirl import mms
 from axiswirl.exponents import derive_exponents
 from axiswirl.grid import build_grid
 from axiswirl.monitor import collect_diagnostics, monitor_for
 from axiswirl.solver import SimConfig, run
+
+# Property tests draw from a fixed seed and carry no per-example deadline,
+# so the suite gives the same verdict on every run and on a loaded machine.
+settings.register_profile("axiswirl", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("axiswirl")
 
 NU = 0.1
 

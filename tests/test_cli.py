@@ -105,6 +105,24 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         read_checkpoint(str(p))
 
 
+def test_checkpoint_rejects_non_finite_samples(tmp_path, monkeypatch, capsys):
+    g = build_grid(8, 8)
+    state = mms.sample_state(mms.make_solution("taylor_vortex_swirl", {}), g, 0.0)
+    u_z = state.u_z.values.copy()
+    u_z[2, 3] = np.nan
+    path = str(tmp_path / "nan.bin")
+    write_checkpoint(path, state.replace_fields(u_z=u_z))
+    with pytest.raises(ConfigurationError) as exc:
+        read_checkpoint(path)
+    assert path in str(exc.value) and "u_z" in str(exc.value)
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    scenario = _write(tmp_path, _scenario(
+        grid={"n_rho": 8, "n_z": 8},
+        initial_data={"kind": "file", "path": path}))
+    assert run_scenario(scenario) == 2
+    assert "non-finite samples in field u_z" in capsys.readouterr().err
+
+
 # --- scenario runs ------------------------------------------------------------
 
 def test_run_scenario_success(tmp_path, monkeypatch, capsys):
@@ -151,6 +169,27 @@ def test_run_scenario_exit_codes(tmp_path, monkeypatch, capsys):
     assert run_scenario(inadmissible) == 2
     err = capsys.readouterr().err
     assert "$.exponents" in err
+
+
+@pytest.mark.parametrize("section,key", [
+    ("grid", "n_rho"), ("grid", "n_z"), ("solver", "checkpoint_stride"),
+    ("monitor", "q"),
+])
+def test_run_scenario_rejects_non_integer_counts(tmp_path, monkeypatch, capsys,
+                                                 section, key):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    doc = _scenario()
+    doc[section] = {**doc.get(section, {}), key: 16.7}
+    assert run_scenario(_write(tmp_path, doc)) == 2
+    assert f"$.{section}.{key}" in capsys.readouterr().err
+
+
+def test_run_scenario_ignores_projection_knobs(tmp_path, monkeypatch):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    doc = _scenario(solver={"nu": 0.1, "t_end": 0.01, "dt": 1e-3,
+                            "projection_max_iter": 1},
+                    initial_data={"kind": "taylor_vortex_swirl"})
+    assert run_scenario(_write(tmp_path, doc)) == 0
 
 
 def test_sweep(tmp_path, monkeypatch, capsys):

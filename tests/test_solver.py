@@ -4,16 +4,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from axiswirl.errors import CflViolation, ConfigurationError
-from axiswirl.fields import div_adjoint, divergence, zero_state, ForcingFields
+from axiswirl.fields import (
+    div_adjoint,
+    div_from_components,
+    divergence,
+    zero_state,
+    ForcingFields,
+)
 from axiswirl.grid import ScalarSample, build_grid
 from axiswirl.solver import (
     SimConfig,
+    _remove_null,
     cfl_limits,
     kinetic_energy,
     project,
     run,
+    solve_pressure_poisson,
     step,
 )
 from axiswirl import mms
@@ -141,3 +150,77 @@ def test_kinetic_energy_scaling():
     # constant swirl magnitude c: E = c^2/2 * V with V = 4*pi exactly
     assert kinetic_energy(v) == pytest.approx(0.125 * 4.0 * math.pi, rel=1e-13)
     assert kinetic_energy(zero_state(g)) == 0.0
+
+
+def test_run_records_every_projection():
+    sol = mms.make_solution("taylor_vortex_swirl", {})
+    g = build_grid(12, 8)
+    cfg = SimConfig(n_rho=12, n_z=8, nu=0.1, t_end=0.01, dt=1e-3,
+                    checkpoint_stride=4)
+    traj = run(cfg, mms.sample_state(sol, g, 0.0))
+    assert not traj.failed and traj.step_count == 10
+    assert len(traj.projection_info) == traj.step_count + 1
+    assert all(it == 1 and rel <= 1e-10 for it, rel in traj.projection_info)
+
+
+# --- properties on random grids ---------------------------------------------
+
+@st.composite
+def grids(draw, max_cells=24):
+    z_min = draw(st.floats(-2.0, 2.0))
+    return build_grid(
+        draw(st.integers(2, max_cells)), draw(st.integers(2, max_cells)),
+        draw(st.floats(0.25, 4.0)), z_min, z_min + draw(st.floats(0.25, 4.0)),
+    )
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _random(g, seed, count):
+    return np.random.default_rng(seed).standard_normal((count,) + g.shape)
+
+
+@given(grids(), seeds)
+def test_projection_properties(g, seed):
+    u_rho, u_phi, u_z = _random(g, seed, 3)
+    v = zero_state(g).replace_fields(u_rho=u_rho, u_phi=u_phi, u_z=u_z)
+    once, (iters, rel) = project(v)
+    assert _div_norm(once) <= 1e-10 * _div_norm(v)
+    assert iters == 1 and rel <= 1e-10
+    assert kinetic_energy(once) <= kinetic_energy(v) * (1 + 1e-13)
+    twice, _ = project(once)
+    scale = max(np.max(np.abs(once.u_rho.values)), np.max(np.abs(once.u_z.values)))
+    drift = max(
+        np.max(np.abs(twice.u_rho.values - once.u_rho.values)),
+        np.max(np.abs(twice.u_z.values - once.u_z.values)),
+    )
+    assert drift <= 1e-12 * scale
+
+
+@given(grids(), seeds)
+def test_projection_annihilates_random_gradients(g, seed):
+    cr, cz = div_adjoint(_random(g, seed, 1)[0], g)
+    scale = max(np.max(np.abs(cr)), np.max(np.abs(cz)))
+    projected, _ = project(zero_state(g).replace_fields(u_rho=cr, u_z=cz))
+    residual = max(
+        np.max(np.abs(projected.u_rho.values)),
+        np.max(np.abs(projected.u_z.values)),
+    )
+    assert residual <= 1e-10 * scale
+
+
+@given(grids(max_cells=8), seeds)
+def test_pressure_solve_matches_dense_reference(g, seed):
+    def normal(phi):
+        return div_from_components(*div_adjoint(phi, g), g)
+
+    size = g.n_rho * g.n_z
+    dense = np.stack(
+        [normal(e.reshape(g.shape)).ravel() for e in np.eye(size)], axis=1
+    )
+    b = normal(_random(g, seed, 1)[0])
+    ref = np.linalg.lstsq(dense, b.ravel(), rcond=None)[0].reshape(g.shape)
+    ref = _remove_null(ref, g)
+    phi = solve_pressure_poisson(b, g)
+    assert np.max(np.abs(phi - ref)) <= 1e-9 * np.max(np.abs(ref))
