@@ -76,21 +76,59 @@ def write_checkpoint(path, state):
             fh.write(np.ascontiguousarray(arr.T, dtype="<f8").tobytes())
 
 
+def _read_header(path, line):
+    """Parse a checkpoint header line into (grid, time, field names).
+
+    Any malformed header raises ConfigurationError naming the file and
+    the offending key.
+    """
+    try:
+        header = json.loads(line)
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or header.get("format") != "axiswirl-checkpoint":
+        raise ConfigurationError(f"{path}: not a checkpoint file")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise ConfigurationError(
+            f"{path}: unsupported checkpoint version {header.get('version')}"
+        )
+
+    def key(section, name, where):
+        if not isinstance(section, dict) or name not in section:
+            raise ConfigurationError(f"{path}: header key {where} is missing")
+        return section[name]
+
+    gd = key(header, "grid", "grid")
+    args = [key(gd, k, f"grid.{k}")
+            for k in ("n_rho", "n_z", "rho_max", "z_min", "z_max")]
+    try:
+        grid = build_grid(*args)
+    except (ConfigurationError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: header key grid: {exc}") from None
+    time = key(header, "time", "time")
+    try:
+        finite = not isinstance(time, bool) and math.isfinite(time)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise ConfigurationError(
+            f"{path}: header key time: expected a finite number, got {time!r}"
+        )
+    names = key(header, "fields", "fields")
+    if not isinstance(names, list) or any(n not in _FIELD_NAMES for n in names):
+        raise ConfigurationError(
+            f"{path}: header key fields: expected names from {_FIELD_NAMES}, "
+            f"got {names!r}"
+        )
+    return grid, time, names
+
+
 def read_checkpoint(path):
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != "axiswirl-checkpoint":
-            raise ConfigurationError(f"{path}: not a checkpoint file")
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ConfigurationError(
-                f"{path}: unsupported checkpoint version {header.get('version')}"
-            )
-        gd = header["grid"]
-        grid = build_grid(gd["n_rho"], gd["n_z"], gd["rho_max"],
-                          gd["z_min"], gd["z_max"])
+        grid, time, names = _read_header(path, fh.readline())
         n = grid.n_rho * grid.n_z
         fields = {}
-        for name in header["fields"]:
+        for name in names:
             raw = fh.read(8 * n)
             if len(raw) != 8 * n:
                 raise ConfigurationError(f"{path}: truncated field {name}")
@@ -101,8 +139,7 @@ def read_checkpoint(path):
                 raise ConfigurationError(
                     f"{path}: non-finite samples in field {name}"
                 )
-    state = zero_state(grid).replace_fields(time=header["time"], **fields)
-    return state
+    return zero_state(grid).replace_fields(time=time, **fields)
 
 
 # --- scenario schema --------------------------------------------------------
@@ -174,8 +211,17 @@ def validate_scenario(doc) -> dict:
     }
     if not out["solver"]["nu"] > 0:
         raise SchemaError("$.solver.nu", "must be positive")
+    for key in ("t_start", "t_end"):
+        if not math.isfinite(out["solver"][key]):
+            raise SchemaError(f"$.solver.{key}", "must be finite")
     if not out["solver"]["t_end"] > out["solver"]["t_start"]:
         raise SchemaError("$.solver.t_end", "must exceed t_start")
+    if out["solver"]["dt"] is not None and not out["solver"]["dt"] > 0:
+        raise SchemaError("$.solver.dt", "must be positive")
+    if not out["solver"]["cfl_safety"] > 0:
+        raise SchemaError("$.solver.cfl_safety", "must be positive")
+    if out["solver"]["checkpoint_stride"] < 1:
+        raise SchemaError("$.solver.checkpoint_stride", "must be >= 1")
 
     ex = _expect(doc.get("exponents", {}), "$.exponents", dict)
     b_raw = ex.get("b", 4)

@@ -5,16 +5,27 @@ plus the forcing that makes them solve the momentum equations exactly.
 Radial profiles are stored as numpy Polynomials (derivatives are exact
 coefficient manipulations) or as Bessel functions with hand-coded
 derivative identities; no symbolic-differentiation dependency.
+
+J0 and J1 are Bessel's integrals, J0(x) = (1/pi) int_0^pi cos(x sin t) dt
+and J1(x) = (1/pi) int_0^pi sin t sin(x sin t) dt, by the midpoint rule on
+32 nodes: the integrands are smooth and periodic, so the rule converges
+exponentially and is exact to rounding for |x| <= 12 (Trefethen & Weideman
+2014, SIAM Rev. 56).  No scipy at run time.
+
+Every term is coef * exp(-mu t) * F(rho) * G(z), so fields are evaluated
+on the separable pair rho (n_rho, 1), z (1, n_z): each profile is sampled
+once per radius and once per height, and only the products take the
+grid shape.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.special import j0, j1, jn_zeros
 
 from .errors import ConfigurationError
 from .fields import (
@@ -30,6 +41,29 @@ from .solver import SimConfig, run
 
 
 # --- analytic building blocks --------------------------------------------
+
+_BESSEL_SIN = np.sin((np.arange(32) + 0.5) * (math.pi / 32))
+
+
+def J0(x):
+    """Bessel J0 by the 32-node midpoint rule on Bessel's integral."""
+    return np.mean(np.cos(np.multiply.outer(x, _BESSEL_SIN)), axis=-1)
+
+
+def J1(x):
+    """Bessel J1 in its sine form, free of cancellation at small x."""
+    return np.mean(_BESSEL_SIN * np.sin(np.multiply.outer(x, _BESSEL_SIN)),
+                   axis=-1)
+
+
+def _j1_first_zero():
+    """j_{1,1} by Newton's method from 3.83, with J1' = J0 - J1/x; the
+    third step is already stationary in double precision."""
+    x = 3.83
+    for _ in range(5):
+        x -= float(J1(x) / (J0(x) - J1(x) / x))
+    return x
+
 
 class RadialProfile:
     """A radial factor with exact first and second derivatives."""
@@ -53,16 +87,17 @@ def _bessel_j1_profile(lam):
     """J1(lam*rho) with derivatives from J1' = J0 - J1/x and the Bessel ODE."""
 
     def f(rho):
-        return j1(lam * rho)
+        return J1(lam * rho)
 
     def df(rho):
         x = lam * rho
-        return lam * (j0(x) - j1(x) / x)
+        return lam * (J0(x) - J1(x) / x)
 
     def d2f(rho):
         x = lam * rho
-        jp = j0(x) - j1(x) / x
-        return lam**2 * ((1.0 - x**2) * j1(x) - x * jp) / x**2
+        j1x = J1(x)
+        jp = J0(x) - j1x / x
+        return lam**2 * ((1.0 - x**2) * j1x - x * jp) / x**2
 
     return RadialProfile(f, df, d2f)
 
@@ -147,7 +182,8 @@ class SwirlPressure:
     """Centrifugal pressure of a z-independent swirl: d_rho p = u_phi^2 / rho.
 
     Values come from fixed Gauss-Legendre quadrature of the defining
-    integral; only the derivatives enter the forcing assembly.
+    integral at each entry of rho (the field is z-independent, so a rho
+    column suffices); only the derivatives enter the forcing assembly.
     """
 
     _NODES = 96
@@ -216,7 +252,7 @@ def make_solution(kind, params=None) -> ManufacturedSolution:
         amp = params.setdefault("amplitude", 1.0)
         nu = params.setdefault("nu", 0.1)
         rho_max = params.setdefault("rho_max", 2.0)
-        lam = float(jn_zeros(1, 1)[0]) / rho_max
+        lam = _j1_first_zero() / rho_max
         mu = nu * lam**2
         profile = _bessel_j1_profile(lam)
         u_phi = AnalyticField([Term(profile, mu=mu, coef=amp)])
@@ -267,8 +303,14 @@ def make_solution(kind, params=None) -> ManufacturedSolution:
 
 # --- sampling and forcing -------------------------------------------------
 
+def _axes(grid: CylGrid):
+    """The separable sample points rho (n_rho, 1) and z (1, n_z); every
+    term ends in a rho-by-z product, so fields come out in grid shape."""
+    return grid.rho, grid.z_centers[None, :]
+
+
 def sample_state(sol: ManufacturedSolution, grid: CylGrid, t) -> VelocityState:
-    rho, z = grid.meshgrid()
+    rho, z = _axes(grid)
     return VelocityState(
         ScalarSample(sol.u_rho.val(rho, z, t), grid),
         ScalarSample(sol.u_phi.val(rho, z, t), grid),
@@ -322,15 +364,22 @@ def forcing_for(sol: ManufacturedSolution, nu, grid: CylGrid, t) -> ForcingField
         math.isinf(sol.homogeneous_nu) or math.isclose(sol.homogeneous_nu, nu)
     ):
         return zero_forcing(grid)
-    rho, z = grid.meshgrid()
-    h_rho, h_phi, h_z = forcing_components(sol, nu, rho, z, t)
+    h_rho, h_phi, h_z = forcing_components(sol, nu, *_axes(grid), t)
     return ForcingFields(
         ScalarSample(h_rho, grid), ScalarSample(h_phi, grid), ScalarSample(h_z, grid)
     )
 
 
 def forcing_callable(sol: ManufacturedSolution, nu, grid: CylGrid):
-    return lambda t: forcing_for(sol, nu, grid, t)
+    """forcing_at(t) for the solver and the monitor.
+
+    Remembers its last two times (the returned fields are shared, not
+    copied): each Heun step asks again for the t + dt of the step before,
+    and a caller may go back and forth between the two ends of a step.
+    """
+    return functools.lru_cache(maxsize=2)(
+        lambda t: forcing_for(sol, nu, grid, t)
+    )
 
 
 # --- convergence studies --------------------------------------------------
@@ -388,7 +437,7 @@ def convergence_order(sol: ManufacturedSolution, grids, dt_rule=None,
         dt_rule = default_dt_rule(nu)
     errors = []
     for grid in grids:
-        rho, z = grid.meshgrid()
+        rho, z = _axes(grid)
         if quantity == "solver":
             dt = dt_rule(grid)
             cfg = SimConfig(

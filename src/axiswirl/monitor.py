@@ -592,9 +592,10 @@ def collect_diagnostics(checkpoints, m: MonitorConfig, forcing_at=None):
     """Assemble the time-ordered DiagnosticsRecord sequence for a list of
     checkpoints.
 
-    forcing_at(t) -> ForcingFields; defaults to zero forcing.  Margins
-    for the interval (t_i, t_{i+1}) are stored on the later record.  A
-    non-finite checkpoint produces a terminal truncated record.
+    forcing_at(t) -> ForcingFields, called once per checkpoint; defaults
+    to zero forcing.  Margins for the interval (t_i, t_{i+1}) are stored
+    on the later record.  A non-finite checkpoint produces a terminal
+    truncated record.
     """
     if not checkpoints:
         return []
@@ -651,7 +652,6 @@ def collect_diagnostics(checkpoints, m: MonitorConfig, forcing_at=None):
             f_indicator=1.0 / (2.0 * m.nu**2) * q2 + wv,
         )
         if prev is not None:
-            fp = forcing_at(prev.time)
             sb = swirl_lq_budget(prev, v, fp, m)
             qb = quartic_swirl_budget(prev, v, fp, m)
             rec.margins["swirl_budget"] = sb.margin
@@ -663,7 +663,7 @@ def collect_diagnostics(checkpoints, m: MonitorConfig, forcing_at=None):
             for vb in vorticity_margin_sequence(prev, v, fp, m):
                 rec.margins[f"vorticity_budget_eps_{vb.eps:g}"] = vb.margin
         records.append(rec)
-        prev = v
+        prev, fp = v, f
     env = gronwall_envelope([r for r in records if not r.truncated], m)
     for r, val in zip(records, env):
         r.gronwall_envelope = val

@@ -82,6 +82,22 @@ def test_validate_rejects(doc, path_fragment):
     assert path_fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("solver,path", [
+    ({"dt": 0.0}, "$.solver.dt"),
+    ({"dt": -1.0}, "$.solver.dt"),
+    ({"cfl_safety": 0.0}, "$.solver.cfl_safety"),
+    ({"cfl_safety": -1.0}, "$.solver.cfl_safety"),
+    ({"checkpoint_stride": 0}, "$.solver.checkpoint_stride"),
+    ({"t_end": math.inf}, "$.solver.t_end"),
+    ({"t_start": -math.inf}, "$.solver.t_start"),
+], ids=["dt_zero", "dt_negative", "cfl_zero", "cfl_negative", "stride_zero",
+        "t_end_infinite", "t_start_infinite"])
+def test_validate_rejects_solver_numbers(solver, path):
+    with pytest.raises(SchemaError) as exc:
+        validate_scenario(_scenario(solver={"nu": 0.1, "t_end": 0.01, **solver}))
+    assert exc.value.path == path
+
+
 # --- checkpoints --------------------------------------------------------------
 
 def test_checkpoint_round_trip(tmp_path):
@@ -121,6 +137,38 @@ def test_checkpoint_rejects_non_finite_samples(tmp_path, monkeypatch, capsys):
         initial_data={"kind": "file", "path": path}))
     assert run_scenario(scenario) == 2
     assert "non-finite samples in field u_z" in capsys.readouterr().err
+
+
+def _edit_header(path, edit):
+    """Rewrite the JSON header line of a checkpoint file through edit()."""
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        payload = fh.read()
+    edit(header)
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n" + payload)
+
+
+@pytest.mark.parametrize("edit,key", [
+    (lambda h: h.update(fields=["u_rho", "vorticity"]), "fields"),
+    (lambda h: h["grid"].pop("n_z"), "grid.n_z"),
+    (lambda h: h.update(time="abc"), "time"),
+], ids=["unknown_field", "missing_n_z", "non_numeric_time"])
+def test_checkpoint_rejects_malformed_header(tmp_path, monkeypatch, capsys,
+                                             edit, key):
+    path = str(tmp_path / "bad.bin")
+    write_checkpoint(path, mms.sample_state(
+        mms.make_solution("taylor_vortex_swirl", {}), build_grid(8, 8), 0.0))
+    _edit_header(path, edit)
+    with pytest.raises(ConfigurationError) as exc:
+        read_checkpoint(path)
+    assert path in str(exc.value) and f"header key {key}" in str(exc.value)
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    scenario = _write(tmp_path, _scenario(
+        grid={"n_rho": 8, "n_z": 8},
+        initial_data={"kind": "file", "path": path}))
+    assert run_scenario(scenario) == 2
+    assert f"header key {key}" in capsys.readouterr().err
 
 
 # --- scenario runs ------------------------------------------------------------
@@ -184,6 +232,17 @@ def test_run_scenario_rejects_non_integer_counts(tmp_path, monkeypatch, capsys,
     assert f"$.{section}.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("cfl_safety", 0), ("cfl_safety", -1), ("checkpoint_stride", 0), ("dt", -1),
+])
+def test_run_scenario_rejects_bad_solver_numbers(tmp_path, monkeypatch, capsys,
+                                                 key, value):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    doc = _scenario(solver={"nu": 0.1, "t_end": 0.01, "dt": None, key: value})
+    assert run_scenario(_write(tmp_path, doc)) == 2
+    assert f"$.solver.{key}" in capsys.readouterr().err
+
+
 def test_run_scenario_ignores_projection_knobs(tmp_path, monkeypatch):
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
     doc = _scenario(solver={"nu": 0.1, "t_end": 0.01, "dt": 1e-3,
@@ -204,6 +263,22 @@ def test_sweep(tmp_path, monkeypatch, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert sweep_cmd(str(empty)) == 2
+
+
+def test_sweep_reports_every_scenario(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    sweep_dir = tmp_path / "sweep"
+    sweep_dir.mkdir()
+    _write(sweep_dir, _scenario(output={"directory": "good"}), "good.json")
+    _write(sweep_dir, _scenario(
+        solver={"nu": 0.1, "t_end": 0.01, "checkpoint_stride": 0},
+        output={"directory": "bad"}), "bad.json")
+    assert sweep_cmd(str(sweep_dir)) == 2
+    captured = capsys.readouterr()
+    assert "good.json: exit 0" in captured.out
+    assert "bad.json: exit 2" in captured.out
+    assert "$.solver.checkpoint_stride" in captured.err
+    assert (tmp_path / "good" / "diagnostics.csv").is_file()
 
 
 # --- exponent and convergence subcommands --------------------------------------

@@ -1,6 +1,9 @@
 """Manufactured solutions and refinement studies."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from axiswirl.errors import ConfigurationError
 from axiswirl.fields import divergence
 from axiswirl.grid import build_grid
+from axiswirl.monitor import collect_diagnostics
 from axiswirl import mms
 
 
@@ -110,3 +114,88 @@ def test_sampled_state_matches_analytic_curl_refinement():
     g = build_grid(64, 64)
     v = mms.sample_state(sol, g, 0.0)
     assert np.max(np.abs(divergence(v).values[:-1])) <= 0.05
+
+
+# --- Bessel quadrature, separable sampling, forcing memo ----------------------
+
+def test_bessel_quadrature_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    x = np.linspace(0.0, 12.0, 4801)
+    assert np.max(np.abs(mms.J0(x) - special.j0(x))) <= 1e-15
+    assert np.max(np.abs(mms.J1(x) - special.j1(x))) <= 1e-15
+    # the swirl profile is J1 between the axis and its first zero
+    x = np.concatenate([np.geomspace(1e-300, 1e-3, 200),
+                        np.linspace(1e-3, 3.5, 3501)])
+    assert np.max(np.abs(mms.J1(x) / special.j1(x) - 1.0)) <= 1e-14
+    lam = mms.make_solution("decaying_swirl", {"rho_max": 1.0}).meta["lambda"]
+    assert lam == pytest.approx(special.jn_zeros(1, 1)[0], rel=1e-15)
+
+
+def _assert_same(actual, expected, rtol):
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= rtol * scale
+
+
+@pytest.mark.parametrize("kind", mms.KINDS)
+def test_separable_sampling_matches_meshgrid(kind):
+    # bit-equal for the polynomial kinds: the per-point arithmetic is the
+    # same, only broadcast; the Bessel sums may reassociate
+    rtol = 1e-15 if kind == "decaying_swirl" else 0.0
+    sol = mms.make_solution(kind, {})
+    g = build_grid(12, 10)
+    rho, z = g.meshgrid()
+    t, nu = 0.3, 0.05
+    state = mms.sample_state(sol, g, t)
+    for name, fld in (("u_rho", sol.u_rho), ("u_phi", sol.u_phi),
+                      ("u_z", sol.u_z), ("pressure", sol.p)):
+        _assert_same(getattr(state, name).values, fld.val(rho, z, t), rtol)
+    forcing = mms.forcing_for(sol, nu, g, t)
+    if sol.homogeneous_nu is not None and math.isinf(sol.homogeneous_nu):
+        reference = (np.zeros(g.shape),) * 3
+    else:
+        reference = mms.forcing_components(sol, nu, rho, z, t)
+    for comp, ref in zip((forcing.h_rho, forcing.h_phi, forcing.h_z), reference):
+        _assert_same(comp.values, ref, rtol)
+
+
+def test_forcing_callable_remembers_two_times(monkeypatch):
+    calls = []
+    real = mms.forcing_for
+
+    def counted(sol, nu, grid, t):
+        calls.append(t)
+        return real(sol, nu, grid, t)
+
+    monkeypatch.setattr(mms, "forcing_for", counted)
+    sol = mms.make_solution("taylor_vortex_swirl", {})
+    forcing_at = mms.forcing_callable(sol, 0.1, build_grid(8, 8))
+    # the Heun pattern: t, t + dt, then t + dt again on the next step
+    for t in (0.0, 0.1, 0.1, 0.2, 0.2, 0.3):
+        forcing_at(t)
+    assert calls == [0.0, 0.1, 0.2, 0.3]
+    # back to the start of the last step, then on
+    for t in (0.2, 0.3, 0.4, 0.2):
+        forcing_at(t)
+    assert calls == [0.0, 0.1, 0.2, 0.3, 0.4, 0.2]
+    assert forcing_at(0.2) is forcing_at(0.2)
+
+
+def test_monitor_evaluates_forcing_once_per_checkpoint(forced_taylor):
+    times = []
+
+    def forcing_at(t):
+        times.append(t)
+        return forced_taylor["forcing"](t)
+
+    checkpoints = forced_taylor["traj"].checkpoints[:4]
+    collect_diagnostics(checkpoints, forced_taylor["monitor"],
+                        forcing_at=forcing_at)
+    assert times == [v.time for v in checkpoints]
+
+
+def test_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(mms.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, axiswirl.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode == 0
