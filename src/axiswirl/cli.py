@@ -19,7 +19,6 @@ float64 arrays in rho-fastest row-major order.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -32,8 +31,17 @@ from .errors import ConfigurationError, InadmissibleExponents
 from .exponents import check_admissible, derive_exponents, holder_young_pairs
 from .fields import zero_state
 from .grid import CylGrid, build_grid
-from .monitor import MonitorConfig, calibrate_sobolev, collect_diagnostics
-from .solver import SimConfig, Trajectory, run
+from .monitor import (
+    DEFAULT_EPSILON_LIST,
+    MonitorConfig,
+    blowup_indicator,
+    collect_diagnostics,
+    epsilon_sequence,
+    evaluate_checks,
+    margin_columns,
+    monitor_for,
+)
+from .solver import SimConfig, run
 from . import mms
 
 SCHEMA_VERSION = 1
@@ -159,9 +167,16 @@ def _number(section, key, path, default=None, allow_none=False):
     val = section[key]
     if val is None and allow_none:
         return None
+    return _as_float(val, f"{path}.{key}")
+
+
+def _as_float(val, path):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise SchemaError(f"{path}.{key}", f"expected a number, got {val!r}")
-    return float(val)
+        raise SchemaError(path, f"expected a number, got {val!r}")
+    try:
+        return float(val)
+    except OverflowError:
+        raise SchemaError(path, f"number out of range: {val!r}") from None
 
 
 def _integer(section, key, path, default):
@@ -225,14 +240,10 @@ def validate_scenario(doc) -> dict:
 
     ex = _expect(doc.get("exponents", {}), "$.exponents", dict)
     b_raw = ex.get("b", 4)
-    if isinstance(b_raw, str):
-        if b_raw not in ("inf", "Infinity"):
-            raise SchemaError("$.exponents.b", f"expected a number or 'inf', got {b_raw!r}")
+    if b_raw in ("inf", "Infinity"):
         b_val = math.inf
-    elif isinstance(b_raw, bool) or not isinstance(b_raw, (int, float)):
-        raise SchemaError("$.exponents.b", f"expected a number or 'inf', got {b_raw!r}")
     else:
-        b_val = float(b_raw)
+        b_val = _as_float(b_raw, "$.exponents.b")
     out["exponents"] = {
         "a": _number(ex, "a", "$.exponents", 6.0),
         "b": b_val,
@@ -246,17 +257,26 @@ def validate_scenario(doc) -> dict:
         raise SchemaError("$.exponents", "; ".join(violations))
 
     mo = _expect(doc.get("monitor", {}), "$.monitor", dict)
-    eps = mo.get("epsilon_list", [0.4, 0.2, 0.1, 0.04, 0.0])
-    _expect(eps, "$.monitor.epsilon_list", list)
+    eps = _expect(mo.get("epsilon_list", list(DEFAULT_EPSILON_LIST)),
+                  "$.monitor.epsilon_list", list)
+    eps = [_as_float(e, f"$.monitor.epsilon_list[{i}]") for i, e in enumerate(eps)]
+    try:
+        epsilon_sequence(eps)
+    except ConfigurationError as exc:
+        raise SchemaError("$.monitor.epsilon_list", str(exc)) from None
     out["monitor"] = {
         "q": _integer(mo, "q", "$.monitor", 4),
-        "epsilon_list": [float(e) for e in eps],
+        "epsilon_list": eps,
         "c_grow": _number(mo, "c_grow", "$.monitor", allow_none=True),
         "c_sob": _number(mo, "c_sob", "$.monitor", allow_none=True),
         "c3": _number(mo, "c3", "$.monitor", 0.0),
     }
     if out["monitor"]["q"] < 2 or out["monitor"]["q"] % 2:
         raise SchemaError("$.monitor.q", "must be an even integer >= 2")
+    for key in ("c_grow", "c_sob"):
+        val = out["monitor"][key]
+        if val is not None and not (math.isfinite(val) and val > 0):
+            raise SchemaError(f"$.monitor.{key}", "must be a finite positive number")
 
     init = _expect(doc.get("initial_data", {"kind": "zero"}),
                    "$.initial_data", dict)
@@ -264,14 +284,16 @@ def validate_scenario(doc) -> dict:
     if kind not in _INITIAL_KINDS:
         raise SchemaError("$.initial_data.kind",
                           f"must be one of {_INITIAL_KINDS}, got {kind!r}")
-    out["initial_data"] = {
-        "kind": kind,
-        "params": _expect(init.get("params", {}), "$.initial_data.params", dict),
-    }
+    params = _expect(init.get("params", {}), "$.initial_data.params", dict)
+    for key, val in params.items():
+        if not math.isfinite(_as_float(val, f"$.initial_data.params.{key}")):
+            raise SchemaError(f"$.initial_data.params.{key}", "must be finite")
+    out["initial_data"] = {"kind": kind, "params": params}
     if kind == "file":
         path = init.get("path")
-        if not isinstance(path, str) or not path:
-            raise SchemaError("$.initial_data.path", "required for kind 'file'")
+        if not isinstance(path, str) or not path or "\0" in path:
+            raise SchemaError("$.initial_data.path", "a non-empty path without "
+                              "NUL characters is required for kind 'file'")
         out["initial_data"]["path"] = path
 
     forcing = _expect(doc.get("forcing", {"kind": "zero"}), "$.forcing", dict)
@@ -286,8 +308,9 @@ def validate_scenario(doc) -> dict:
 
     outp = _expect(doc.get("output", {}), "$.output", dict)
     directory = outp.get("directory", "axiswirl-run")
-    if not isinstance(directory, str) or not directory:
-        raise SchemaError("$.output.directory", "must be a non-empty string")
+    if not isinstance(directory, str) or not directory or "\0" in directory:
+        raise SchemaError("$.output.directory",
+                          "must be a non-empty string without NUL characters")
     out["output"] = {
         "directory": directory,
         "write_checkpoints": bool(outp.get("write_checkpoints", False)),
@@ -303,7 +326,12 @@ def _initial_state_and_forcing(cfg: dict, grid: CylGrid, nu: float):
     if kind == "zero":
         return zero_state(grid), None, None
     if kind == "file":
-        return read_checkpoint(cfg["initial_data"]["path"]), None, None
+        path = cfg["initial_data"]["path"]
+        state = read_checkpoint(path)
+        if state.grid != grid:
+            raise SchemaError("$.initial_data.path",
+                              f"{path} holds {state.grid}, but $.grid is {grid}")
+        return state, None, None
     sol = mms.make_solution(kind, dict(params))
     state = zero_state(grid).replace_fields(
         **{k: getattr(mms.sample_state(sol, grid, 0.0), k).values
@@ -323,17 +351,6 @@ _BASE_COLUMNS = (
     "transport_cancellation", "f_indicator", "truncated",
 )
 
-_SUB_CHECKS = ("young_forcing", "holder_p", "young_eps1", "holder_s_half",
-               "holder_inner", "young_eps2")
-
-
-def _margin_columns(m: MonitorConfig):
-    cols = ["swirl_budget"]
-    cols += list(_SUB_CHECKS)
-    cols += ["quartic_budget", "quartic_identity_residual"]
-    cols += [f"vorticity_budget_eps_{e:g}" for e in m.epsilon_list]
-    return cols
-
 
 def _fmt(x) -> str:
     if isinstance(x, bool):
@@ -344,107 +361,14 @@ def _fmt(x) -> str:
 
 
 def write_diagnostics_csv(path, records, m: MonitorConfig):
-    cols = list(_BASE_COLUMNS) + _margin_columns(m)
-    lines = [",".join(cols)]
+    margins = margin_columns(m)
+    lines = [",".join([*_BASE_COLUMNS, *margins])]
     for r in records:
-        vals = []
-        for c in _BASE_COLUMNS:
-            vals.append(_fmt(getattr(r, c)))
-        for c in _margin_columns(m):
-            vals.append(_fmt(r.margins.get(c, math.nan)))
+        vals = [_fmt(getattr(r, c)) for c in _BASE_COLUMNS]
+        vals += [_fmt(r.margins.get(c, math.nan)) for c in margins]
         lines.append(",".join(vals))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def evaluate_checks(records, m: MonitorConfig, traj: Trajectory,
-                    grid: CylGrid) -> list[dict]:
-    """Aggregate per-record margins into PASS / FAIL / REPORT-ONLY checks.
-
-    Asserted: the exact Holder/Young sub-steps (margin >= -tol * scale),
-    the quartic identity residual (O(dt + Delta^2) band), and transport
-    cancellation (O(Delta^2) band).  Everything involving c_grow, c_sob,
-    or c3 is report-only.
-    """
-    checks = []
-    live = [r for r in records if not r.truncated and r.margins]
-    tol = m.tolerances.get("sub_margin_rel", 1e-12)
-    for name in _SUB_CHECKS:
-        worst = 0.0
-        ok = True
-        for r in live:
-            mg = r.margins[name]
-            sc = r.margins[name + "_scale"]
-            worst = min(worst, mg)
-            if mg < -tol * max(sc, 1e-300):
-                ok = False
-        checks.append({
-            "name": name, "status": "PASS" if ok else "FAIL",
-            "margin": worst, "tolerance": tol, "asserted": True,
-        })
-
-    delta = min(grid.d_rho, grid.d_z)
-    band = (m.tolerances.get("identity_band", 100.0)
-            * (traj.dt + delta**2))
-    worst = 0.0
-    ok = True
-    for r in live:
-        res = abs(r.margins["quartic_identity_residual"])
-        scale = max(r.quartic_swirl_r2, 1.0)
-        worst = max(worst, res / scale)
-        if res > band * scale:
-            ok = False
-    checks.append({
-        "name": "quartic_identity", "status": "PASS" if ok else "FAIL",
-        "margin": worst, "tolerance": band, "asserted": True,
-    })
-
-    tband = m.tolerances.get("transport_band", 100.0) * delta**2
-    worst = 0.0
-    ok = True
-    for r in records:
-        if r.truncated:
-            continue
-        val = abs(r.transport_cancellation)
-        scale = (1.0 + r.grad_u_l2) * (1.0 + r.swirl_q_norm ** m.q)
-        worst = max(worst, val / scale)
-        if val > tband * scale:
-            ok = False
-    checks.append({
-        "name": "transport_cancellation", "status": "PASS" if ok else "FAIL",
-        "margin": worst, "tolerance": tband, "asserted": True,
-    })
-
-    for name in ["swirl_budget", "quartic_budget"] + [
-        f"vorticity_budget_eps_{e:g}" for e in m.epsilon_list
-    ]:
-        worst = min((r.margins[name] for r in live), default=math.nan)
-        checks.append({
-            "name": name, "status": "REPORT-ONLY", "margin": worst,
-            "tolerance": None, "asserted": False,
-        })
-
-    # Gronwall dominance: asserted only when its premise (all swirl
-    # margins nonnegative) holds on the run
-    premise = all(r.margins["swirl_budget"] >= 0.0 for r in live) and live
-    env_tol = m.tolerances.get("envelope_rel", 1e-6)
-    worst = math.inf
-    ok = True
-    for r in records:
-        if r.truncated or math.isnan(r.gronwall_envelope):
-            continue
-        nq = r.swirl_q_norm ** m.q
-        slack = r.gronwall_envelope - nq * (1.0 - env_tol)
-        worst = min(worst, slack)
-        if slack < 0.0:
-            ok = False
-    checks.append({
-        "name": "gronwall_dominance",
-        "status": ("PASS" if ok else "FAIL") if premise else "REPORT-ONLY",
-        "margin": worst if worst is not math.inf else math.nan,
-        "tolerance": env_tol, "asserted": bool(premise),
-    })
-    return checks
 
 
 def run_scenario(path) -> int:
@@ -455,7 +379,7 @@ def run_scenario(path) -> int:
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 3
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also undecodable text and oversized integers
         print(f"error: $.: invalid JSON: {exc}", file=sys.stderr)
         return 2
     try:
@@ -489,24 +413,18 @@ def run_scenario(path) -> int:
     except OSError as exc:
         print(f"error: cannot read initial data: {exc}", file=sys.stderr)
         return 3
+    except SchemaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ConfigurationError as exc:
         print(f"error: $.initial_data: {exc}", file=sys.stderr)
         return 2
 
     traj = run(sim, state, forcing_at=forcing)
 
-    c_sob = cfg["monitor"]["c_sob"]
-    if c_sob is None:
-        c_sob = calibrate_sobolev(g, cfg["monitor"]["q"])
-    mcfg = MonitorConfig(
-        exponents=exps, nu=sim.nu, c_sob=c_sob, q=cfg["monitor"]["q"],
-        epsilon_list=tuple(cfg["monitor"]["epsilon_list"]),
-        c_grow=cfg["monitor"]["c_grow"], c3=cfg["monitor"]["c3"],
-    )
+    mcfg = monitor_for(g, exps, sim.nu, **cfg["monitor"])
     records = collect_diagnostics(traj.checkpoints, mcfg, forcing_at=forcing)
-    checks = evaluate_checks(records, mcfg, traj, g)
-    from .monitor import blowup_indicator
-
+    checks = evaluate_checks(records, mcfg, g, traj.dt)
     blowup = blowup_indicator(records)
 
     try:
@@ -671,10 +589,7 @@ def sweep_cmd(directory) -> int:
     if not names:
         print("error: no scenario files in sweep directory", file=sys.stderr)
         return 2
-    paths = [os.path.join(directory, n) for n in names]
-    workers = min(4, len(paths))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        codes = list(pool.map(run_scenario, paths))
+    codes = [run_scenario(os.path.join(directory, n)) for n in names]
     for name, code in zip(names, codes):
         print(f"{name}: exit {code}")
     return 0 if all(c == 0 for c in codes) else max(codes)

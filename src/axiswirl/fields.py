@@ -104,23 +104,21 @@ def _pad_rho(f, parity, wall):
         lo = f[0:1]
     else:
         raise ContractViolation(f"unknown axis parity {parity!r}")
+    return np.concatenate([lo, f, _wall_ghost(f, wall)], axis=0)
+
+
+def _wall_ghost(f, wall):
+    """Ghost row half a cell past the wall face.  NOSLIP evaluates the
+    quadratic through the last two cells and the zero wall value: third
+    order in the ghost value, so wall-adjacent derivative rows stay second
+    order."""
     if wall == NOSLIP:
-        hi = _noslip_ghost(f)
-    elif wall == NEUMANN:
-        hi = f[-1:]
-    elif wall == EXTRAP:
-        hi = 2.0 * f[-1:] - f[-2:-1]
-    else:
-        raise ContractViolation(f"unknown wall mode {wall!r}")
-    return np.concatenate([lo, f, hi], axis=0)
-
-
-def _noslip_ghost(f):
-    """Ghost value past the wall for a field vanishing at rho = rho_max:
-    the quadratic through the last two cells and the zero wall value,
-    evaluated half a cell outside.  Third-order accurate in the ghost
-    value, which keeps wall-adjacent derivative rows second order."""
-    return f[-2:-1] / 3.0 - 2.0 * f[-1:]
+        return f[-2:-1] / 3.0 - 2.0 * f[-1:]
+    if wall == NEUMANN:
+        return f[-1:]
+    if wall == EXTRAP:
+        return 2.0 * f[-1:] - f[-2:-1]
+    raise ContractViolation(f"unknown wall mode {wall!r}")
 
 
 def d_rho(f, grid: CylGrid, parity, wall=NOSLIP):
@@ -143,13 +141,7 @@ def radial_diffusion(f, grid: CylGrid, wall=NOSLIP):
     is needed; the wall face flux uses the wall ghost.
     """
     faces = np.arange(grid.n_rho + 1) * grid.d_rho  # face radii, axis..wall
-    if wall == NOSLIP:
-        ghost = _noslip_ghost(f)
-    elif wall == NEUMANN:
-        ghost = f[-1:]
-    else:
-        raise ContractViolation(f"unsupported wall mode {wall!r} for diffusion")
-    fx = np.concatenate([f, ghost], axis=0)
+    fx = np.concatenate([f, _wall_ghost(f, wall)], axis=0)
     diffs = np.diff(fx, axis=0)
     flux = np.concatenate([np.zeros_like(f[0:1]), faces[1:, None] * diffs], axis=0)
     return np.diff(flux, axis=0) / (grid.rho * grid.d_rho**2)
@@ -276,10 +268,10 @@ def vorticity_transport_residual(v: VelocityState, w: VorticityFields,
         return d_rho(fv, g, parity, EXTRAP)
 
     def visc_odd(fv):
-        return radial_diffusion_extrap(fv, g) + d_zz(fv, g) - fv / rho**2
+        return radial_diffusion(fv, g, EXTRAP) + d_zz(fv, g) - fv / rho**2
 
     def visc_even(fv):
-        return radial_diffusion_extrap(fv, g) + d_zz(fv, g)
+        return radial_diffusion(fv, g, EXTRAP) + d_zz(fv, g)
 
     r_rho = (
         dw_dt.w_rho.values + ur * drho(wr, ODD) + uz * d_z(wr, g)
@@ -299,16 +291,6 @@ def vorticity_transport_residual(v: VelocityState, w: VorticityFields,
     return (
         ScalarSample(r_rho, g), ScalarSample(r_phi, g), ScalarSample(r_z, g)
     )
-
-
-def radial_diffusion_extrap(f, grid: CylGrid):
-    """Flux-form radial diffusion with a linearly extrapolated wall ghost."""
-    faces = np.arange(grid.n_rho + 1) * grid.d_rho
-    ghost = 2.0 * f[-1:] - f[-2:-1]
-    fx = np.concatenate([f, ghost], axis=0)
-    diffs = np.diff(fx, axis=0)
-    flux = np.concatenate([np.zeros_like(f[0:1]), faces[1:, None] * diffs], axis=0)
-    return np.diff(flux, axis=0) / (grid.rho * grid.d_rho**2)
 
 
 def grad_squared(f, grid: CylGrid, parity, wall=NOSLIP):

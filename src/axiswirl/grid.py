@@ -31,10 +31,11 @@ class CylGrid:
     rho_max: float
     z_min: float
     z_max: float
-    d_rho: float = field(init=False)
-    d_z: float = field(init=False)
-    rho_centers: np.ndarray = field(init=False, repr=False)
-    z_centers: np.ndarray = field(init=False, repr=False)
+    # derived from the five parameters above; equality and hash ignore them
+    d_rho: float = field(init=False, repr=False, compare=False)
+    d_z: float = field(init=False, repr=False, compare=False)
+    rho_centers: np.ndarray = field(init=False, repr=False, compare=False)
+    z_centers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "d_rho", self.rho_max / self.n_rho)

@@ -6,7 +6,9 @@ built from the negative part of the radial velocity, the weighted
 swirl-norm budget with all of its intermediate Holder/Young steps, the
 epsilon-weighted azimuthal-vorticity budget and its epsilon -> 0 limit,
 the quartic swirl identity and its Young-absorbed inequality, the
-Gronwall envelope, and the blow-up indicator time series.
+Gronwall envelope, and the blow-up indicator time series.  Each
+checkpoint is evaluated once (CheckpointView); evaluate_checks turns
+the margins into the PASS / FAIL / REPORT-ONLY checks of a run.
 
 Two classes of checks are distinguished throughout:
 
@@ -34,11 +36,13 @@ from .fields import (
     ODD,
     ForcingFields,
     VelocityState,
+    VorticityFields,
     curl_axisym,
     d_rho,
     d_z,
     grad_squared,
     velocity_grad_l2,
+    zero_forcing,
 )
 from .grid import CylGrid, ScalarSample, serrin_accumulate, weighted_lq_norm
 
@@ -46,6 +50,19 @@ from .grid import CylGrid, ScalarSample, serrin_accumulate, weighted_lq_norm
 # --- configuration --------------------------------------------------------
 
 DEFAULT_EPSILON_LIST = (0.4, 0.2, 0.1, 0.04, 0.0)
+
+
+def epsilon_sequence(values) -> tuple:
+    """values as floats, strictly decreasing in [0, 1) to the limit 0 (or
+    empty); ConfigurationError otherwise."""
+    eps = tuple(float(e) for e in values)
+    if any(not (0.0 <= e < 1.0) for e in eps):
+        raise ConfigurationError("every epsilon must lie in [0, 1)")
+    if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
+        raise ConfigurationError("epsilon_list must be strictly decreasing")
+    if eps and eps[-1] != 0.0:
+        raise ConfigurationError("epsilon_list must end with the limit value 0")
+    return eps
 
 
 @dataclass
@@ -80,14 +97,7 @@ class MonitorConfig:
             raise ConfigurationError(f"nu must be positive, got {self.nu}")
         if not (self.c_sob > 0.0):
             raise ConfigurationError(f"c_sob must be positive, got {self.c_sob}")
-        eps = tuple(float(e) for e in self.epsilon_list)
-        if any(not (0.0 <= e < 1.0) for e in eps):
-            raise ConfigurationError("every epsilon must lie in [0, 1)")
-        if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
-            raise ConfigurationError("epsilon_list must be strictly decreasing")
-        if eps and eps[-1] != 0.0:
-            raise ConfigurationError("epsilon_list must end with the limit value 0")
-        self.epsilon_list = eps
+        self.epsilon_list = epsilon_sequence(self.epsilon_list)
         if self.c_grow is None:
             self.c_grow = self.default_c_grow()
         if not (self.c_grow > 0.0):
@@ -106,6 +116,11 @@ class MonitorConfig:
         p, s, q = e.p_hold, e.s, float(self.q)
         return (2.0 * self.nu * (q - 1.0) / q) * s * p \
             * self.eps1 ** (1.0 / (p - 1.0)) / (3.0 * (p - 1.0) * q * self.c_sob)
+
+    def growth(self, serrin: float) -> float:
+        """d(t) = q + c_grow * serrin^theta for the Serrin integrand
+        serrin = integral (u_rho^-)^alpha rho^beta dx."""
+        return float(self.q) + self.c_grow * serrin ** self.exponents.theta
 
     def default_c_grow(self) -> float:
         """Coefficient of the Serrin-integrand growth term after both
@@ -137,7 +152,7 @@ def calibrate_sobolev(grid: CylGrid, q: int = 4) -> float:
     fixed probe family (reported, not proven)."""
     if q < 2 or q % 2 != 0:
         raise ConfigurationError(f"q must be an even integer >= 2, got {q}")
-    parity = ODD if (q // 2) % 2 == 1 else EVEN
+    parity = _swirl_power_parity(q // 2)
     best = 0.0
     for u in probe_fields(grid):
         w = u ** (q // 2)
@@ -179,8 +194,7 @@ def serrin_integrand(v: VelocityState, e: ExponentSet) -> float:
 def d_of_t(v: VelocityState, m: MonitorConfig) -> float:
     """Growth coefficient d(t) = q + c_grow * (integral (u_rho^-)^alpha
     rho^beta dx)^theta; equals q exactly when u_rho >= 0 everywhere."""
-    s_int = serrin_integrand(v, m.exponents)
-    return float(m.q) + m.c_grow * s_int ** m.exponents.theta
+    return m.growth(serrin_integrand(v, m.exponents))
 
 
 def transport_cancellation(v: VelocityState, q: int) -> float:
@@ -199,17 +213,79 @@ def _swirl_power_parity(q_half: int):
     return ODD if q_half % 2 == 1 else EVEN
 
 
-def swirl_gradient_dissipation(v: VelocityState, q: int) -> float:
-    """integral |grad(u_phi^{q/2})|^2 dx."""
-    g = v.grid
-    w = v.u_phi.values ** (q // 2)
-    return _integ(grad_squared(w, g, _swirl_power_parity(q // 2), NOSLIP), g)
+# --- per-checkpoint view --------------------------------------------------
+
+@dataclass(frozen=True)
+class CheckpointView:
+    """Every per-state quantity the records and budgets read, evaluated
+    once per checkpoint by checkpoint_view.  vort_energy and vort_diss map
+    each configured epsilon (0 for an empty list) to (1/2) integral
+    omega_phi^2 / rho^{2-eps} and integral |grad(omega_phi / rho^{1-eps})|^2
+    rho^{-eps}."""
+
+    state: VelocityState
+    time: float
+    u_neg: np.ndarray  # u_rho^-
+    curl: VorticityFields
+    swirl_q_norm: float  # ||u_phi||_q
+    swirl_power: float  # integral u_phi^q
+    serrin: float  # integral (u_rho^-)^alpha rho^beta
+    d_t: float
+    swirl_grad_diss: float  # integral |grad(u_phi^{q/2})|^2
+    swirl_axis_diss: float  # integral u_phi^q / rho^2
+    quartic_r2: float  # integral u_phi^4 / rho^2
+    quartic_r4: float  # integral u_phi^4 / rho^4
+    quartic_diss: float  # integral |grad(u_phi^2 / rho)|^2
+    vort_energy: dict
+    vort_diss: dict
+    vort_l2: float
+    grad_u_l2: float
+    transport: float
 
 
-def swirl_axis_dissipation(v: VelocityState, q: int) -> float:
-    """integral u_phi^q / rho^2 dx."""
+def checkpoint_view(v: VelocityState, m: MonitorConfig) -> CheckpointView:
+    """Evaluate the derived fields and integrals of one finite state."""
     g = v.grid
-    return _integ(v.u_phi.values ** q / g.rho**2, g)
+    q = m.q
+    uh = v.u_phi.values
+    w = curl_axisym(v)
+    wh = w.w_phi.values
+    serrin = serrin_integrand(v, m.exponents)
+    vort_energy, vort_diss = {}, {}
+    for eps in m.epsilon_list or (0.0,):
+        vort_energy[eps] = 0.5 * _integ(wh**2 / g.rho ** (2.0 - eps), g)
+        fld = wh / g.rho ** (1.0 - eps)  # odd/odd-like: even across the axis
+        vort_diss[eps] = _integ(grad_squared(fld, g, EVEN, EXTRAP)
+                                * g.rho ** (-eps), g)
+    return CheckpointView(
+        state=v,
+        time=v.time,
+        u_neg=negative_part(v.u_rho.values),
+        curl=w,
+        swirl_q_norm=weighted_lq_norm(v.u_phi, q),
+        swirl_power=_integ(uh**q, g),
+        serrin=serrin,
+        d_t=m.growth(serrin),
+        swirl_grad_diss=_integ(grad_squared(
+            uh ** (q // 2), g, _swirl_power_parity(q // 2), NOSLIP), g),
+        swirl_axis_diss=_integ(uh**q / g.rho**2, g),
+        quartic_r2=_integ(uh**4 / g.rho**2, g),
+        quartic_r4=_integ(uh**4 / g.rho**4, g),
+        # u_phi^2 / rho is odd^2 / odd: odd across the axis
+        quartic_diss=_integ(grad_squared(uh**2 / g.rho, g, ODD, NOSLIP), g),
+        vort_energy=vort_energy,
+        vort_diss=vort_diss,
+        vort_l2=math.sqrt(_integ(w.w_rho.values**2 + wh**2 + w.w_z.values**2,
+                                 g)),
+        grad_u_l2=velocity_grad_l2(v),
+        transport=transport_cancellation(v, q),
+    )
+
+
+def _pair_dt(prev, nxt) -> float:
+    if nxt.time <= prev.time:
+        raise ContractViolation("checkpoints must be in increasing time order")
+    return nxt.time - prev.time
 
 
 # --- Step-1 budget --------------------------------------------------------
@@ -221,16 +297,11 @@ class SwirlBudget:
     Holder/Young step, each of which is an exact discrete inequality."""
 
     margin: float
-    d_t: float
-    swirl_q_norm: float
-    forcing_q_norm: float
-    gradient_dissipation: float
-    axis_dissipation: float
     sub_margins: dict
     sub_scales: dict
 
 
-def swirl_lq_budget(prev: VelocityState, nxt: VelocityState,
+def swirl_lq_budget(prev: CheckpointView, nxt: CheckpointView,
                     f: ForcingFields, m: MonitorConfig) -> SwirlBudget:
     """Margin of the q-norm growth inequality across one checkpoint pair.
 
@@ -239,28 +310,22 @@ def swirl_lq_budget(prev: VelocityState, nxt: VelocityState,
     is reported; the six sub-margins are exact and must be >=
     -tolerance * scale.
     """
-    g = prev.grid
-    if nxt.time <= prev.time:
-        raise ContractViolation("checkpoints must be in increasing time order")
-    dt = nxt.time - prev.time
+    dt = _pair_dt(prev, nxt)
+    g = prev.state.grid
     q = m.q
     e = m.exponents
     p, s = e.p_hold, e.s
     nu = m.nu
 
-    uh = prev.u_phi.values
+    uh = prev.state.u_phi.values
     h = f.h_phi.values
-    n_prev = _integ(uh**q, g)
-    n_next = _integ(nxt.u_phi.values**q, g)
+    n_prev = prev.swirl_power
     h_q = _integ(np.abs(h) ** q, g)
-    grad_diss = swirl_gradient_dissipation(prev, q)
-    axis_diss = swirl_axis_dissipation(prev, q)
-    d_t = d_of_t(prev, m)
 
-    margin = (h_q + d_t * n_prev) - (
-        (n_next - n_prev) / dt
-        + nu * (2.0 * (q - 1.0) / q) * grad_diss
-        + nu * q / 2.0 * axis_diss
+    margin = (h_q + prev.d_t * n_prev) - (
+        (nxt.swirl_power - n_prev) / dt
+        + nu * (2.0 * (q - 1.0) / q) * prev.swirl_grad_diss
+        + nu * q / 2.0 * prev.swirl_axis_diss
     )
 
     # exact intermediate inequalities, evaluated on the earlier state
@@ -276,12 +341,12 @@ def swirl_lq_budget(prev: VelocityState, nxt: VelocityState,
     rhs = (1.0 / q) * ((q - 1.0) / q) ** (q - 1) * h_q + n_prev
     record("young_forcing", lhs, rhs)
 
-    un = negative_part(prev.u_rho.values)
+    un = prev.u_neg
     t1 = _integ(un / g.rho * uh**q, g)
     y1 = _integ(
         un ** (p / (p - 1.0)) * uh**q * g.rho ** ((2.0 - p) / (p - 1.0)), g
     )
-    i2 = axis_diss
+    i2 = prev.swirl_axis_diss
     record("holder_p", t1, y1 ** ((p - 1.0) / p) * i2 ** (1.0 / p))
 
     eps1 = m.eps1
@@ -291,7 +356,7 @@ def swirl_lq_budget(prev: VelocityState, nxt: VelocityState,
         p / (p - 1.0) * eps1 ** (1.0 / (1.0 - p)) * y1 + eps1 / p * i2,
     )
 
-    s_int = serrin_integrand(prev, e)
+    s_int = prev.serrin
     mid = _integ(np.abs(uh) ** (q * s / (s - 2.0)), g) ** ((s - 2.0) / s)
     record("holder_s_half", y1, s_int ** (2.0 / s) * mid)
 
@@ -311,34 +376,10 @@ def swirl_lq_budget(prev: VelocityState, nxt: VelocityState,
         * s_int ** (2.0 / (s - 3.0)) * n_prev,
     )
 
-    return SwirlBudget(
-        margin=margin,
-        d_t=d_t,
-        swirl_q_norm=n_prev ** (1.0 / q),
-        forcing_q_norm=h_q ** (1.0 / q),
-        gradient_dissipation=grad_diss,
-        axis_dissipation=axis_diss,
-        sub_margins=sub_m,
-        sub_scales=sub_s,
-    )
+    return SwirlBudget(margin=margin, sub_margins=sub_m, sub_scales=sub_s)
 
 
 # --- Step-2 budget --------------------------------------------------------
-
-def weighted_vorticity_energy(v: VelocityState, eps: float = 0.0) -> float:
-    """(1/2) integral omega_phi^2 / rho^{2-eps} dx."""
-    g = v.grid
-    wh = curl_axisym(v).w_phi.values
-    return 0.5 * _integ(wh**2 / g.rho ** (2.0 - eps), g)
-
-
-def vorticity_dissipation(v: VelocityState, eps: float = 0.0) -> float:
-    """integral |grad(omega_phi / rho^{1-eps})|^2 rho^{-eps} dx."""
-    g = v.grid
-    wh = curl_axisym(v).w_phi.values
-    fld = wh / g.rho ** (1.0 - eps)  # odd/odd-like: even across the axis
-    return _integ(grad_squared(fld, g, EVEN, EXTRAP) * g.rho ** (-eps), g)
-
 
 @dataclass(frozen=True)
 class VorticityBudget:
@@ -352,12 +393,12 @@ class VorticityBudget:
     forcing_pairing: float
 
 
-def weighted_vorticity_budget(prev: VelocityState, nxt: VelocityState,
+def weighted_vorticity_budget(prev: CheckpointView, nxt: CheckpointView,
                               g_force: ForcingFields, m: MonitorConfig,
                               eps: float) -> VorticityBudget:
     """Signed margin of the eps-weighted azimuthal-vorticity inequality;
     eps = 0 evaluates the limit form directly (all weights finite on the
-    axis-offset grid).
+    axis-offset grid).  eps must be one of the views' epsilons.
 
     The vorticity forcing enters the inequality only through the
     absorbed constant c3; its raw pairing integral |g_phi| |omega| /
@@ -365,18 +406,15 @@ def weighted_vorticity_budget(prev: VelocityState, nxt: VelocityState,
     """
     if not (0.0 <= eps < 1.0):
         raise ContractViolation(f"eps must lie in [0, 1), got {eps}")
-    if nxt.time <= prev.time:
-        raise ContractViolation("checkpoints must be in increasing time order")
-    g = prev.grid
-    dt = nxt.time - prev.time
+    dt = _pair_dt(prev, nxt)
+    g = prev.state.grid
     nu = m.nu
 
-    rate = (weighted_vorticity_energy(nxt, eps)
-            - weighted_vorticity_energy(prev, eps)) / dt
-    diss = vorticity_dissipation(prev, eps)
-    wh = curl_axisym(prev).w_phi.values
-    uh = prev.u_phi.values
-    ur = prev.u_rho.values
+    rate = (nxt.vort_energy[eps] - prev.vort_energy[eps]) / dt
+    diss = prev.vort_diss[eps]
+    wh = prev.curl.w_phi.values
+    uh = prev.state.u_phi.values
+    ur = prev.state.u_rho.values
     quartic = 1.0 / (2.0 * nu) * _integ(uh**4 / g.rho ** (4.0 - eps), g)
     radial = eps / 2.0 * _integ(
         np.abs(ur) / g.rho * wh**2 / g.rho ** (2.0 - eps), g
@@ -408,36 +446,14 @@ def vorticity_margin_sequence(prev, nxt, g_force, m: MonitorConfig):
 
 # --- Step-3 budget --------------------------------------------------------
 
-def quartic_swirl_energy(v: VelocityState) -> float:
-    """integral u_phi^4 / rho^2 dx."""
-    g = v.grid
-    return _integ(v.u_phi.values**4 / g.rho**2, g)
-
-
-def quartic_axis_energy(v: VelocityState) -> float:
-    """integral u_phi^4 / rho^4 dx."""
-    g = v.grid
-    return _integ(v.u_phi.values**4 / g.rho**4, g)
-
-
-def quartic_gradient_dissipation(v: VelocityState) -> float:
-    """integral |grad(u_phi^2 / rho)|^2 dx."""
-    g = v.grid
-    fld = v.u_phi.values**2 / g.rho  # odd^2 / odd: odd across the axis
-    return _integ(grad_squared(fld, g, ODD, NOSLIP), g)
-
-
 @dataclass(frozen=True)
 class QuarticBudget:
     margin: float
     identity_residual: float
     identity_scale: float
-    quartic_energy: float
-    axis_energy: float
-    gradient_dissipation: float
 
 
-def quartic_swirl_budget(prev: VelocityState, nxt: VelocityState,
+def quartic_swirl_budget(prev: CheckpointView, nxt: CheckpointView,
                          f: ForcingFields, m: MonitorConfig) -> QuarticBudget:
     """Quartic swirl balance across one checkpoint pair.
 
@@ -455,18 +471,14 @@ def quartic_swirl_budget(prev: VelocityState, nxt: VelocityState,
         - [(1/4) d/dt int u^4/rho^2 + (3/4) nu int |grad(u^2/rho)|^2
            + (nu/2) int u^4/rho^4].
     """
-    if nxt.time <= prev.time:
-        raise ContractViolation("checkpoints must be in increasing time order")
-    g = prev.grid
-    dt = nxt.time - prev.time
+    dt = _pair_dt(prev, nxt)
+    g = prev.state.grid
     nu = m.nu
-    uh = prev.u_phi.values
-    ur = prev.u_rho.values
+    uh = prev.state.u_phi.values
+    ur = prev.state.u_rho.values
     h = f.h_phi.values
 
-    q2_prev = quartic_swirl_energy(prev)
-    q2_next = quartic_swirl_energy(nxt)
-    rate = 0.25 * (q2_next - q2_prev) / dt
+    rate = 0.25 * (nxt.quartic_r2 - prev.quartic_r2) / dt
     transport = 1.5 * _integ(ur * uh**4 / g.rho**3, g)
     grad_term = 3.0 * nu * _integ(
         (d_rho(uh, g, ODD, NOSLIP) ** 2 + d_z(uh, g) ** 2) * uh**2 / g.rho**2, g
@@ -475,21 +487,13 @@ def quartic_swirl_budget(prev: VelocityState, nxt: VelocityState,
     residual = rate + transport + grad_term - forcing
     scale = max(abs(rate), abs(transport), abs(grad_term), abs(forcing), 1e-300)
 
-    un = negative_part(ur)
-    source = 1.5 * _integ(uh**4 * un / g.rho**3, g)
+    source = 1.5 * _integ(uh**4 * prev.u_neg / g.rho**3, g)
     young = 27.0 / (4.0 * nu**3) * _integ(g.rho**4 * h**4, g)
     margin = (source + young) - (
-        rate + 0.75 * nu * quartic_gradient_dissipation(prev)
-        + 0.5 * nu * quartic_axis_energy(prev)
+        rate + 0.75 * nu * prev.quartic_diss + 0.5 * nu * prev.quartic_r4
     )
-    return QuarticBudget(
-        margin=margin,
-        identity_residual=residual,
-        identity_scale=scale,
-        quartic_energy=q2_prev,
-        axis_energy=quartic_axis_energy(prev),
-        gradient_dissipation=quartic_gradient_dissipation(prev),
-    )
+    return QuarticBudget(margin=margin, identity_residual=residual,
+                         identity_scale=scale)
 
 
 # --- Gronwall envelope and records ----------------------------------------
@@ -593,16 +597,15 @@ def collect_diagnostics(checkpoints, m: MonitorConfig, forcing_at=None):
     checkpoints.
 
     forcing_at(t) -> ForcingFields, called once per checkpoint; defaults
-    to zero forcing.  Margins for the interval (t_i, t_{i+1}) are stored
-    on the later record.  A non-finite checkpoint produces a terminal
-    truncated record.
+    to zero forcing.  Each checkpoint is evaluated once (checkpoint_view);
+    its record and the budgets of both pairs it belongs to read that
+    view.  Margins for the interval (t_i, t_{i+1}) are stored on the later
+    record.  A non-finite checkpoint produces a terminal truncated record.
     """
     if not checkpoints:
         return []
     g = checkpoints[0].grid
     if forcing_at is None:
-        from .fields import zero_forcing
-
         zf = zero_forcing(g)
         forcing_at = lambda t: zf  # noqa: E731
     e = m.exponents
@@ -623,48 +626,144 @@ def collect_diagnostics(checkpoints, m: MonitorConfig, forcing_at=None):
             ))
             break
         f = forcing_at(v.time)
-        w = curl_axisym(v)
-        vort_l2 = math.sqrt(_integ(
-            w.w_rho.values**2 + w.w_phi.values**2 + w.w_z.values**2, g
-        ))
+        view = checkpoint_view(v, m)
+        margins = {}
         if prev is not None:
-            dt = v.time - prev.time
-            neg = ScalarSample(negative_part(prev.u_rho.values), g)
-            serrin = serrin_accumulate(serrin, neg, e.a, e.b, e.gamma, dt)
-        wv = weighted_vorticity_energy(v)
-        q2 = quartic_swirl_energy(v)
+            neg = ScalarSample(prev.u_neg, g)
+            serrin = serrin_accumulate(serrin, neg, e.a, e.b, e.gamma,
+                                       view.time - prev.time)
+            sb = swirl_lq_budget(prev, view, fp, m)
+            qb = quartic_swirl_budget(prev, view, fp, m)
+            margins["swirl_budget"] = sb.margin
+            for name, val in sb.sub_margins.items():
+                margins[name] = val
+                margins[name + "_scale"] = sb.sub_scales[name]
+            margins["quartic_budget"] = qb.margin
+            margins["quartic_identity_residual"] = qb.identity_residual
+            for vb in vorticity_margin_sequence(prev, view, fp, m):
+                margins[_vorticity_column(vb.eps)] = vb.margin
+        wv = view.vort_energy[0.0]
         rec = DiagnosticsRecord(
-            time=v.time,
-            swirl_q_norm=weighted_lq_norm(v.u_phi, m.q),
-            d_t=d_of_t(v, m),
+            time=view.time,
+            swirl_q_norm=view.swirl_q_norm,
+            d_t=view.d_t,
             serrin_running=serrin,
             forcing_q_norm=weighted_lq_norm(f.h_phi, m.q),
             weighted_vort_energy=wv,
-            quartic_swirl_r2=q2,
-            quartic_swirl_r4=quartic_axis_energy(v),
-            dissipation_swirl_grad=swirl_gradient_dissipation(v, m.q),
-            dissipation_swirl_axis=swirl_axis_dissipation(v, m.q),
-            dissipation_vort=vorticity_dissipation(v),
-            dissipation_quartic=quartic_gradient_dissipation(v),
-            grad_u_l2=velocity_grad_l2(v),
-            vort_l2=vort_l2,
-            transport_cancellation=transport_cancellation(v, m.q),
-            f_indicator=1.0 / (2.0 * m.nu**2) * q2 + wv,
+            quartic_swirl_r2=view.quartic_r2,
+            quartic_swirl_r4=view.quartic_r4,
+            dissipation_swirl_grad=view.swirl_grad_diss,
+            dissipation_swirl_axis=view.swirl_axis_diss,
+            dissipation_vort=view.vort_diss[0.0],
+            dissipation_quartic=view.quartic_diss,
+            grad_u_l2=view.grad_u_l2,
+            vort_l2=view.vort_l2,
+            transport_cancellation=view.transport,
+            f_indicator=1.0 / (2.0 * m.nu**2) * view.quartic_r2 + wv,
+            margins=margins,
         )
-        if prev is not None:
-            sb = swirl_lq_budget(prev, v, fp, m)
-            qb = quartic_swirl_budget(prev, v, fp, m)
-            rec.margins["swirl_budget"] = sb.margin
-            for name, val in sb.sub_margins.items():
-                rec.margins[name] = val
-                rec.margins[name + "_scale"] = sb.sub_scales[name]
-            rec.margins["quartic_budget"] = qb.margin
-            rec.margins["quartic_identity_residual"] = qb.identity_residual
-            for vb in vorticity_margin_sequence(prev, v, fp, m):
-                rec.margins[f"vorticity_budget_eps_{vb.eps:g}"] = vb.margin
         records.append(rec)
-        prev, fp = v, f
+        prev, fp = view, f
     env = gronwall_envelope([r for r in records if not r.truncated], m)
     for r, val in zip(records, env):
         r.gronwall_envelope = val
     return records
+
+
+# --- check aggregation ----------------------------------------------------
+
+_SUB_CHECKS = ("young_forcing", "holder_p", "young_eps1", "holder_s_half",
+               "holder_inner", "young_eps2")
+
+
+def _vorticity_column(eps: float) -> str:
+    return f"vorticity_budget_eps_{eps:g}"
+
+
+def margin_columns(m: MonitorConfig) -> list[str]:
+    """Names of the per-record margins, in diagnostics.csv column order."""
+    return (["swirl_budget", *_SUB_CHECKS, "quartic_budget",
+             "quartic_identity_residual"]
+            + [_vorticity_column(e) for e in m.epsilon_list])
+
+
+def _asserted_check(name, samples, worst_of, start, tolerance) -> dict:
+    """PASS when every (value, passed) sample passed; the reported margin
+    folds the values with worst_of (min or max), starting from start."""
+    worst, ok = start, True
+    for value, passed in samples:
+        worst = worst_of(worst, value)
+        ok = ok and passed
+    return {"name": name, "status": "PASS" if ok else "FAIL",
+            "margin": worst, "tolerance": tolerance, "asserted": True}
+
+
+def evaluate_checks(records, m: MonitorConfig, grid: CylGrid,
+                    dt: float) -> list[dict]:
+    """Aggregate per-record margins into PASS / FAIL / REPORT-ONLY checks.
+
+    Asserted: the exact Holder/Young sub-steps (margin >= -tol * scale),
+    the quartic identity residual (O(dt + Delta^2) band), and transport
+    cancellation (O(Delta^2) band).  Everything involving c_grow, c_sob,
+    or c3 is report-only.  dt is the solver step.
+    """
+    finite = [r for r in records if not r.truncated]
+    live = [r for r in finite if r.margins]
+    tol = m.tolerances.get("sub_margin_rel", 1e-12)
+
+    def sub_step(r, name):
+        mg, sc = r.margins[name], r.margins[name + "_scale"]
+        return mg, not mg < -tol * max(sc, 1e-300)
+
+    checks = [_asserted_check(name, (sub_step(r, name) for r in live),
+                              min, 0.0, tol) for name in _SUB_CHECKS]
+
+    delta = min(grid.d_rho, grid.d_z)
+    band = m.tolerances.get("identity_band", 100.0) * (dt + delta**2)
+
+    def identity(r):
+        res = abs(r.margins["quartic_identity_residual"])
+        scale = max(r.quartic_swirl_r2, 1.0)
+        return res / scale, not res > band * scale
+
+    checks.append(_asserted_check("quartic_identity", map(identity, live),
+                                  max, 0.0, band))
+
+    tband = m.tolerances.get("transport_band", 100.0) * delta**2
+
+    def transport(r):
+        val = abs(r.transport_cancellation)
+        scale = (1.0 + r.grad_u_l2) * (1.0 + r.swirl_q_norm ** m.q)
+        return val / scale, not val > tband * scale
+
+    checks.append(_asserted_check("transport_cancellation",
+                                  map(transport, finite), max, 0.0, tband))
+
+    for name in ["swirl_budget", "quartic_budget"] + [
+        _vorticity_column(e) for e in m.epsilon_list
+    ]:
+        worst = min((r.margins[name] for r in live), default=math.nan)
+        checks.append({
+            "name": name, "status": "REPORT-ONLY", "margin": worst,
+            "tolerance": None, "asserted": False,
+        })
+
+    # Gronwall dominance: asserted only when its premise (all swirl
+    # margins nonnegative) holds on the run
+    env_tol = m.tolerances.get("envelope_rel", 1e-6)
+
+    def dominance(r):
+        slack = r.gronwall_envelope - r.swirl_q_norm ** m.q * (1.0 - env_tol)
+        return slack, not slack < 0.0
+
+    gronwall = _asserted_check(
+        "gronwall_dominance",
+        (dominance(r) for r in finite if not math.isnan(r.gronwall_envelope)),
+        min, math.inf, env_tol,
+    )
+    if gronwall["margin"] == math.inf:
+        gronwall["margin"] = math.nan
+    if not (live and all(r.margins["swirl_budget"] >= 0.0 for r in live)):
+        gronwall.update(status="REPORT-ONLY", asserted=False)
+    checks.append(gronwall)
+    return checks

@@ -115,7 +115,7 @@ def _remove_null(b, grid: CylGrid):
 
 
 @functools.lru_cache(maxsize=16)
-def _mode_factors(n_rho, n_z, rho_max, z_min, z_max):
+def _mode_factors(grid: CylGrid):
     """Banded LU factors, without pivoting, of D D* for every rfft z-mode.
 
     Returns (l1, l2, u1, u2, dinv), arrays of shape (n_rho, n_z//2 + 1):
@@ -123,9 +123,8 @@ def _mode_factors(n_rho, n_z, rho_max, z_min, z_max):
     and second superdiagonals of the upper factor and its inverse
     pivots.  On the null modes the last pivot vanishes; its inverse is
     set to zero, which pins phi's outer row to zero on those modes.
-    Keyed on the grid parameters because CylGrid holds arrays.
     """
-    grid = CylGrid(n_rho, n_z, rho_max, z_min, z_max)
+    n_rho, n_z = grid.shape
     a = radial_div(radial_div_adjoint(np.eye(n_rho), grid), grid)
     k = np.arange(n_z // 2 + 1)
     shift = np.sin(2.0 * np.pi * k / n_z) ** 2 / grid.d_z**2
@@ -167,9 +166,7 @@ def solve_pressure_poisson(b, grid: CylGrid):
     back substitution over the n_rho rows, each row a vector over the
     z-modes.
     """
-    l1, l2, u1, u2, dinv = _mode_factors(
-        grid.n_rho, grid.n_z, grid.rho_max, grid.z_min, grid.z_max
-    )
+    l1, l2, u1, u2, dinv = _mode_factors(grid)
     y = np.fft.rfft(_remove_null(b, grid), axis=1)
     n = grid.n_rho
     for i in range(1, n):

@@ -2,9 +2,12 @@
 
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axiswirl.cli import (
     OUTPUT_ROOT_ENV,
@@ -326,3 +329,159 @@ def test_main_dispatch(capsys):
     capsys.readouterr()
     with pytest.raises(SystemExit):
         main(["unknown-command"])
+
+
+# --- exit-code contract -----------------------------------------------------------
+
+@pytest.mark.parametrize("over,path", [
+    ({"monitor": {"epsilon_list": ["a"]}}, "$.monitor.epsilon_list[0]"),
+    ({"monitor": {"epsilon_list": [0.1, 0.2, 0.0]}}, "$.monitor.epsilon_list"),
+    ({"monitor": {"epsilon_list": [0.4, 0.1]}}, "$.monitor.epsilon_list"),
+    ({"monitor": {"epsilon_list": [1e400, 0.0]}}, "$.monitor.epsilon_list"),
+    ({"monitor": {"c_sob": -1}}, "$.monitor.c_sob"),
+    ({"monitor": {"c_grow": 0}}, "$.monitor.c_grow"),
+    ({"monitor": {"c_grow": math.inf}}, "$.monitor.c_grow"),
+    ({"grid": {"n_rho": 10**400}}, "$.grid.n_rho"),
+    ({"exponents": {"a": 6, "b": 10**400, "gamma": 0}}, "$.exponents.b"),
+    ({"initial_data": {"kind": "decaying_swirl", "params": {"amplitude": "x"}}},
+     "$.initial_data.params.amplitude"),
+    ({"initial_data": {"kind": "decaying_swirl", "params": {"nu": math.nan}}},
+     "$.initial_data.params.nu"),
+    ({"initial_data": {"kind": "file", "path": "a\0b"}}, "$.initial_data.path"),
+    ({"output": {"directory": "a\0b"}}, "$.output.directory"),
+], ids=["eps_not_number", "eps_increasing", "eps_no_limit", "eps_infinite",
+        "c_sob_negative", "c_grow_zero", "c_grow_infinite", "n_rho_overflow",
+        "b_overflow", "param_not_number", "param_nan", "path_nul", "directory_nul"])
+def test_run_scenario_rejects_before_solving(tmp_path, monkeypatch, capsys,
+                                             over, path):
+    with pytest.raises(SchemaError) as exc:
+        validate_scenario(_scenario(**over))
+    assert exc.value.path.startswith(path)
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    assert run_scenario(_write(tmp_path, _scenario(**over))) == 2
+    assert path in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before any output
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",
+    b'{"schema_version": ' + b"1" * 5000 + b"}",
+], ids=["not_utf8", "integer_too_long"])
+def test_run_scenario_rejects_unreadable_json(tmp_path, capsys, content):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    assert run_scenario(str(path)) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_sweep_reports_every_scenario_on_monitor_errors(tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    sweep_dir = tmp_path / "sweep"
+    sweep_dir.mkdir()
+    _write(sweep_dir, _scenario(monitor={"c_sob": -1},
+                                output={"directory": "bad"}), "a_bad.json")
+    _write(sweep_dir, _scenario(output={"directory": "good"}), "b_good.json")
+    assert sweep_cmd(str(sweep_dir)) == 2
+    captured = capsys.readouterr()
+    assert "a_bad.json: exit 2" in captured.out
+    assert "b_good.json: exit 0" in captured.out
+    assert "$.monitor.c_sob" in captured.err
+    assert (tmp_path / "good" / "diagnostics.csv").is_file()
+
+
+def test_file_initial_state_must_match_the_scenario_grid(tmp_path, monkeypatch,
+                                                          capsys):
+    path = str(tmp_path / "small.bin")
+    small = build_grid(8, 8)
+    write_checkpoint(path, mms.sample_state(
+        mms.make_solution("taylor_vortex_swirl", {}), small, 0.0))
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    scenario = _write(tmp_path, _scenario(
+        grid={"n_rho": 16, "n_z": 8},
+        initial_data={"kind": "file", "path": path}))
+    assert run_scenario(scenario) == 2
+    err = capsys.readouterr().err
+    assert "$.initial_data.path" in err and path in err
+    assert repr(small) in err and repr(build_grid(16, 8)) in err
+    assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+# --- fuzzing: only the documented errors escape ------------------------------------
+
+_SECTIONS = {
+    "grid": ("n_rho", "n_z", "rho_max", "z_min", "z_max"),
+    "solver": ("nu", "t_start", "t_end", "dt", "cfl_safety",
+               "checkpoint_stride", "projection_tol", "projection_max_iter"),
+    "exponents": ("a", "b", "gamma", "delta"),
+    "monitor": ("q", "epsilon_list", "c_grow", "c_sob", "c3"),
+    "initial_data": ("kind", "params", "path"),
+    "forcing": ("kind",),
+    "output": ("directory", "write_checkpoints"),
+}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# values a scenario field plausibly holds, besides arbitrary JSON
+_PLAUSIBLE = (
+    st.integers(-3, 40) | st.floats(-2.0, 8.0) | st.just(math.inf)
+    | st.sampled_from(["inf", "x", "file", "zero", "decaying_swirl",
+                       "taylor_vortex_swirl", "rigid_rotation", "manufactured"])
+    | st.lists(st.floats(-0.5, 1.5) | st.just(0.0) | _JSON, max_size=4)
+    | st.dictionaries(st.sampled_from(["nu", "amplitude", "rho_max"]),
+                      st.floats() | _JSON, max_size=2)
+)
+
+
+@pytest.mark.parametrize("section,key", [
+    (name, key) for name, keys in _SECTIONS.items() for key in (None, *keys)
+])
+@given(value=_PLAUSIBLE | _JSON)
+@settings(max_examples=40)
+def test_validate_scenario_fuzz(section, key, value):
+    # one field (key None: the whole section) of a valid scenario replaced
+    doc = _scenario()
+    doc[section] = value if key is None else {**doc.get(section, {}), key: value}
+    try:
+        validate_scenario(doc)
+    except ConfigurationError:  # SchemaError included
+        pass
+
+
+def _checkpoint_bytes():
+    state = mms.sample_state(mms.make_solution("taylor_vortex_swirl", {}),
+                             build_grid(4, 4), 0.25)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ck.bin")
+        write_checkpoint(path, state)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+_CHECKPOINT = _checkpoint_bytes()
+_HEADER_LEN = _CHECKPOINT.index(b"\n") + 1
+
+
+@given(
+    edits=st.lists(st.tuples(
+        st.integers(0, _HEADER_LEN - 1) | st.integers(0, len(_CHECKPOINT) - 1),
+        st.integers(0, 255) | st.sampled_from(list(b'0129e.-,:"[]{}\n ')),
+    ), max_size=4),
+    keep=st.integers(0, len(_CHECKPOINT)),
+)
+@settings(max_examples=400)
+def test_read_checkpoint_fuzz(edits, keep):
+    data = bytearray(_CHECKPOINT)
+    for pos, byte in edits:
+        data[pos] = byte
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ck.bin")
+        with open(path, "wb") as fh:
+            fh.write(bytes(data[:keep]))
+        try:
+            read_checkpoint(path)
+        except (ConfigurationError, OSError):
+            pass

@@ -8,6 +8,7 @@ import pytest
 from axiswirl.errors import ContractViolation
 from axiswirl.fields import (
     EVEN,
+    EXTRAP,
     ODD,
     ForcingFields,
     VorticityFields,
@@ -166,3 +167,15 @@ def test_velocity_grad_l2():
         u_rho=2 * v.u_rho.values, u_phi=2 * v.u_phi.values, u_z=2 * v.u_z.values
     )
     assert velocity_grad_l2(doubled) == pytest.approx(2.0 * val, rel=1e-12)
+
+
+def test_radial_diffusion_extrap_exact():
+    # the linearly extrapolated wall ghost reproduces any linear field, so
+    # f = 1 + 3 rho gives 3/rho on every row, the wall row included; on
+    # rho^2 the interior rows are exact as in the no-slip mode
+    g = build_grid(64, 4)
+    r = np.broadcast_to(g.rho, g.shape)
+    got = radial_diffusion(1.0 + 3.0 * r, g, EXTRAP)
+    assert np.max(np.abs(got - 3.0 / r)) <= 1e-11 * np.max(3.0 / r)
+    got = radial_diffusion(r**2, g, EXTRAP)
+    assert np.max(np.abs(got[:-1] - 4.0)) <= 1e-11

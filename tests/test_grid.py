@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from axiswirl.errors import ConfigurationError, ContractViolation, NumericError
+from axiswirl.fields import VelocityState
 from axiswirl.grid import (
     ScalarSample,
     build_grid,
@@ -28,6 +29,17 @@ def test_grid_geometry():
     assert g.rho.shape == (8, 1)
     rho, z = g.meshgrid()
     assert rho.shape == g.shape and z.shape == g.shape
+
+
+def test_equal_grids_compare_and_hash_on_their_parameters():
+    a, b = build_grid(4, 4), build_grid(4, 4)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != build_grid(4, 4, rho_max=1.0)
+    # states may mix samples on distinct but equal grids
+    z = np.zeros(a.shape)
+    state = VelocityState(ScalarSample(z, a), ScalarSample(z, b),
+                          ScalarSample(z, a), ScalarSample(z, b), 0.0)
+    assert state.grid == b
 
 
 @pytest.mark.parametrize("bad", [

@@ -12,7 +12,7 @@ from axiswirl.errors import ConfigurationError
 from axiswirl.fields import divergence
 from axiswirl.grid import build_grid
 from axiswirl.monitor import collect_diagnostics
-from axiswirl import mms
+from axiswirl import mms, monitor
 
 
 def test_known_kinds():
@@ -191,6 +191,21 @@ def test_monitor_evaluates_forcing_once_per_checkpoint(forced_taylor):
     collect_diagnostics(checkpoints, forced_taylor["monitor"],
                         forcing_at=forcing_at)
     assert times == [v.time for v in checkpoints]
+
+
+def test_monitor_evaluates_curl_once_per_checkpoint(forced_taylor, monkeypatch):
+    calls = []
+    real = monitor.curl_axisym
+
+    def counted(v):
+        calls.append(v.time)
+        return real(v)
+
+    monkeypatch.setattr(monitor, "curl_axisym", counted)
+    checkpoints = forced_taylor["traj"].checkpoints[:4]
+    collect_diagnostics(checkpoints, forced_taylor["monitor"],
+                        forcing_at=forced_taylor["forcing"])
+    assert calls == [v.time for v in checkpoints]
 
 
 def test_import_leaves_scipy_out():
