@@ -84,11 +84,12 @@ def write_checkpoint(path, state):
             fh.write(np.ascontiguousarray(arr.T, dtype="<f8").tobytes())
 
 
-def _read_header(path, line):
+def _read_header(path, line, payload):
     """Parse a checkpoint header line into (grid, time, field names).
 
-    Any malformed header raises ConfigurationError naming the file and
-    the offending key.
+    payload is the number of bytes after the header line.  Any malformed
+    header, or one declaring more samples than the payload holds, raises
+    ConfigurationError naming the file and the offending key.
     """
     try:
         header = json.loads(line)
@@ -106,9 +107,27 @@ def _read_header(path, line):
             raise ConfigurationError(f"{path}: header key {where} is missing")
         return section[name]
 
+    names = key(header, "fields", "fields")
+    if (not isinstance(names, list) or not names
+            or any(n not in _FIELD_NAMES for n in names)):
+        raise ConfigurationError(
+            f"{path}: header key fields: expected names from {_FIELD_NAMES}, "
+            f"got {names!r}"
+        )
     gd = key(header, "grid", "grid")
     args = [key(gd, k, f"grid.{k}")
             for k in ("n_rho", "n_z", "rho_max", "z_min", "z_max")]
+    # compare the declared sample count with the file before the grid
+    # allocates anything; non-integral counts are left to build_grid
+    counts = [int(n) if isinstance(n, float) and n.is_integer() else n
+              for n in args[:2]]
+    if all(type(n) is int for n in counts):
+        declared = 8 * counts[0] * counts[1] * len(names)
+        if declared > payload:
+            raise ConfigurationError(
+                f"{path}: header key grid: {counts[0]} x {counts[1]} cells "
+                f"need {declared} bytes of samples, the file holds {payload}"
+            )
     try:
         grid = build_grid(*args)
     except (ConfigurationError, TypeError, ValueError) as exc:
@@ -122,18 +141,14 @@ def _read_header(path, line):
         raise ConfigurationError(
             f"{path}: header key time: expected a finite number, got {time!r}"
         )
-    names = key(header, "fields", "fields")
-    if not isinstance(names, list) or any(n not in _FIELD_NAMES for n in names):
-        raise ConfigurationError(
-            f"{path}: header key fields: expected names from {_FIELD_NAMES}, "
-            f"got {names!r}"
-        )
     return grid, time, names
 
 
 def read_checkpoint(path):
     with open(path, "rb") as fh:
-        grid, time, names = _read_header(path, fh.readline())
+        line = fh.readline()
+        payload = os.fstat(fh.fileno()).st_size - len(line)
+        grid, time, names = _read_header(path, line, payload)
         n = grid.n_rho * grid.n_z
         fields = {}
         for name in names:
@@ -210,6 +225,10 @@ def validate_scenario(doc) -> dict:
     }
     if out["grid"]["n_rho"] < 2 or out["grid"]["n_z"] < 2:
         raise SchemaError("$.grid", "cell counts must be >= 2")
+    if not out["grid"]["rho_max"] > 0:
+        raise SchemaError("$.grid.rho_max", "must be positive")
+    if not out["grid"]["z_max"] > out["grid"]["z_min"]:
+        raise SchemaError("$.grid.z_max", "must exceed z_min")
 
     sv = _expect(doc.get("solver", {}), "$.solver", dict)
     out["solver"] = {
@@ -288,6 +307,10 @@ def validate_scenario(doc) -> dict:
     for key, val in params.items():
         if not math.isfinite(_as_float(val, f"$.initial_data.params.{key}")):
             raise SchemaError(f"$.initial_data.params.{key}", "must be finite")
+    if not params.get("rho_max", 1.0) > 0:
+        raise SchemaError("$.initial_data.params.rho_max", "must be positive")
+    if not params.get("z_max", 1.0) > params.get("z_min", 0.0):
+        raise SchemaError("$.initial_data.params.z_max", "must exceed z_min")
     out["initial_data"] = {"kind": kind, "params": params}
     if kind == "file":
         path = init.get("path")
@@ -458,7 +481,7 @@ def run_scenario(path) -> int:
         report = {
             "checks": checks,
             "blowup_indicator": blowup,
-            "truncated": bool(traj.failed),
+            "truncated": bool(traj.failed or blowup["truncated"]),
             "failure_reason": traj.failure_reason,
         }
         with open(os.path.join(outdir, "report.json"), "w") as fh:

@@ -213,35 +213,51 @@ def curl_axisym(v: VelocityState) -> VorticityFields:
     )
 
 
-def momentum_rhs(v: VelocityState, f: ForcingFields, nu: float):
-    """Tendencies (du_rho/dt, du_phi/dt, du_z/dt) of the cylindrical system.
-
-    Includes advection, the swirl terms +-u_phi^2/rho and u_phi*u_rho/rho,
-    the pressure gradient of the stored pressure field, forcing, and the
-    cylindrical viscous operators with their -u/rho^2 corrections.
-    """
-    if not nu > 0.0:
-        raise ContractViolation(f"nu must be positive, got {nu}")
+def explicit_rhs(v: VelocityState, f: ForcingFields):
+    """The tendencies (du_rho/dt, du_phi/dt, du_z/dt) the time step treats
+    explicitly, apart from the pressure gradient: advection, the swirl
+    terms +-u_phi^2/rho and u_phi*u_rho/rho, and the forcing.  The step
+    adds the pressure gradient in the form its projection removes
+    (solver.step)."""
     g = v.grid
     rho = g.rho
-    ur, uh, uz, p = (v.u_rho.values, v.u_phi.values, v.u_z.values, v.pressure.values)
-
-    adv_r = ur * d_rho(ur, g, ODD) + uz * d_z(ur, g)
-    adv_h = ur * d_rho(uh, g, ODD) + uz * d_z(uh, g)
-    adv_z = ur * d_rho(uz, g, EVEN) + uz * d_z(uz, g)
-
-    du_rho = (
-        -adv_r + uh**2 / rho - d_rho(p, g, EVEN, NEUMANN) + f.h_rho.values
-        + nu * swirl_laplacian(ur, g)
-    )
-    du_phi = -adv_h - uh * ur / rho + f.h_phi.values + nu * swirl_laplacian(uh, g)
-    du_z = (
-        -adv_z - d_z(p, g) + f.h_z.values
-        + nu * (radial_diffusion(uz, g, NOSLIP) + d_zz(uz, g))
-    )
+    ur, uh, uz = v.u_rho.values, v.u_phi.values, v.u_z.values
+    du_rho = (-(ur * d_rho(ur, g, ODD) + uz * d_z(ur, g)) + uh**2 / rho
+              + f.h_rho.values)
+    du_phi = (-(ur * d_rho(uh, g, ODD) + uz * d_z(uh, g)) - uh * ur / rho
+              + f.h_phi.values)
+    du_z = -(ur * d_rho(uz, g, EVEN) + uz * d_z(uz, g)) + f.h_z.values
     return (
         ScalarSample(du_rho, g), ScalarSample(du_phi, g), ScalarSample(du_z, g)
     )
+
+
+def viscous_rhs(v: VelocityState, nu: float):
+    """nu times the cylindrical viscous operators: swirl_laplacian for the
+    odd components u_rho and u_phi, radial diffusion + d_zz for u_z.  The
+    time step treats these implicitly (solver.viscous_solve inverts
+    I - c L for exactly this L)."""
+    if not nu > 0.0:
+        raise ContractViolation(f"nu must be positive, got {nu}")
+    g = v.grid
+    uz = v.u_z.values
+    return (
+        ScalarSample(nu * swirl_laplacian(v.u_rho.values, g), g),
+        ScalarSample(nu * swirl_laplacian(v.u_phi.values, g), g),
+        ScalarSample(nu * (radial_diffusion(uz, g, NOSLIP) + d_zz(uz, g)), g),
+    )
+
+
+def momentum_rhs(v: VelocityState, f: ForcingFields, nu: float):
+    """Full tendencies of the cylindrical system, for operator studies:
+    explicit_rhs plus viscous_rhs plus the centred gradient of the stored
+    pressure field."""
+    g = v.grid
+    p = v.pressure.values
+    grad_p = (d_rho(p, g, EVEN, NEUMANN), np.zeros_like(p), d_z(p, g))
+    return tuple(ScalarSample(e.values + d.values - gp, g)
+                 for e, d, gp in zip(explicit_rhs(v, f), viscous_rhs(v, nu),
+                                     grad_p))
 
 
 def vorticity_transport_residual(v: VelocityState, w: VorticityFields,
@@ -280,7 +296,7 @@ def vorticity_transport_residual(v: VelocityState, w: VorticityFields,
     )
     r_phi = (
         dw_dt.w_phi.values + ur * drho(wh, ODD) + uz * d_z(wh, g)
-        - (ur / rho) * wh - 2.0 * (uh / rho) * wr
+        - (ur / rho) * wh + 2.0 * (uh / rho) * wr
         - gh - nu * visc_odd(wh)
     )
     r_z = (

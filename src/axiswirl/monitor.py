@@ -23,11 +23,11 @@ Two classes of checks are distinguished throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation
+from .errors import ConfigurationError, ContractViolation, NumericError
 from .exponents import ExponentSet
 from .fields import (
     EVEN,
@@ -536,6 +536,9 @@ class DiagnosticsRecord:
                 raise ContractViolation(f"{name} must be nonnegative, got {val}")
 
 
+_EXP_MAX = math.log(np.finfo(float).max)  # math.exp overflows beyond it
+
+
 def gronwall_envelope(records, m: MonitorConfig):
     """Pointwise envelope exp(int d) * ||u_phi(t_start)||_q^q +
     (t - t_start) * sup_s ||h_phi(s)||_q^q * exp(int d), with the d(t)
@@ -552,8 +555,14 @@ def gronwall_envelope(records, m: MonitorConfig):
         if prev is not None:
             int_d += 0.5 * (prev.d_t + r.d_t) * (r.time - prev.time)
         sup_h = max(sup_h, r.forcing_q_norm ** m.q)
-        grow = math.exp(int_d)
-        out.append(grow * n0 + (r.time - t0) * sup_h * grow)
+        base = n0 + (r.time - t0) * sup_h
+        # a zero base (no swirl, no forcing) gives 0 even when exp(int d)
+        # overflows to inf, where the product would be nan
+        if base == 0.0:
+            out.append(0.0)
+        else:
+            grow = math.exp(int_d) if int_d < _EXP_MAX else math.inf
+            out.append(grow * base)
         prev = r
     return out
 
@@ -586,10 +595,20 @@ def blowup_indicator(records) -> dict:
     return report
 
 
-def _finite_state(v: VelocityState) -> bool:
-    return all(
-        np.all(np.isfinite(s.values)) for s in (v.u_rho, v.u_phi, v.u_z)
-    )
+def _view_or_blowup(v: VelocityState, m: MonitorConfig):
+    """checkpoint_view of v, or None when v is blow-up data: non-finite
+    fields, or finite fields whose squares and powers overflow in the
+    monitored integrals."""
+    if not all(np.all(np.isfinite(s.values)) for s in (v.u_rho, v.u_phi, v.u_z)):
+        return None
+    try:
+        view = checkpoint_view(v, m)
+    except NumericError:  # grid.integrate met an overflowed integrand
+        return None
+    values = [getattr(view, f.name) for f in fields(view)]
+    numbers = [x for x in values if isinstance(x, float)]
+    numbers += [x for d in values if isinstance(d, dict) for x in d.values()]
+    return view if all(map(math.isfinite, numbers)) else None
 
 
 def collect_diagnostics(checkpoints, m: MonitorConfig, forcing_at=None):
@@ -600,7 +619,8 @@ def collect_diagnostics(checkpoints, m: MonitorConfig, forcing_at=None):
     to zero forcing.  Each checkpoint is evaluated once (checkpoint_view);
     its record and the budgets of both pairs it belongs to read that
     view.  Margins for the interval (t_i, t_{i+1}) are stored on the later
-    record.  A non-finite checkpoint produces a terminal truncated record.
+    record.  A checkpoint that is blow-up data (non-finite, or with
+    overflowing integrals) produces a terminal truncated record.
     """
     if not checkpoints:
         return []
@@ -613,7 +633,8 @@ def collect_diagnostics(checkpoints, m: MonitorConfig, forcing_at=None):
     serrin = 0.0
     prev = None
     for v in checkpoints:
-        if not _finite_state(v):
+        view = _view_or_blowup(v, m)
+        if view is None:
             records.append(DiagnosticsRecord(
                 time=v.time, swirl_q_norm=math.nan, d_t=math.nan,
                 serrin_running=serrin, forcing_q_norm=math.nan,
@@ -626,7 +647,6 @@ def collect_diagnostics(checkpoints, m: MonitorConfig, forcing_at=None):
             ))
             break
         f = forcing_at(v.time)
-        view = checkpoint_view(v, m)
         margins = {}
         if prev is not None:
             neg = ScalarSample(prev.u_neg, g)

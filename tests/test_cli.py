@@ -1,9 +1,12 @@
 """Command-line surface: schema validation, artifacts, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -485,3 +488,132 @@ def test_read_checkpoint_fuzz(edits, keep):
             read_checkpoint(path)
         except (ConfigurationError, OSError):
             pass
+
+
+# --- exit-code contract: extents, oversized headers, overflow ------------------------
+
+@pytest.mark.parametrize("kind,params,path", [
+    ("decaying_swirl", {"rho_max": 0}, "$.initial_data.params.rho_max"),
+    ("decaying_swirl", {"rho_max": -1.5}, "$.initial_data.params.rho_max"),
+    ("taylor_vortex_swirl", {"z_max": 0}, "$.initial_data.params.z_max"),
+    ("taylor_vortex_swirl", {"z_min": 2.0}, "$.initial_data.params.z_max"),
+])
+def test_manufactured_extents_are_validated(tmp_path, monkeypatch, capsys,
+                                            kind, params, path):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    doc = _scenario(initial_data={"kind": kind, "params": params})
+    assert main(["run", _write(tmp_path, doc)]) == 2
+    assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid,path", [
+    ({"rho_max": 0}, "$.grid.rho_max"),
+    ({"z_min": 1.0, "z_max": 1.0}, "$.grid.z_max"),
+])
+def test_grid_extents_are_validated(grid, path):
+    with pytest.raises(SchemaError) as exc:
+        validate_scenario(_scenario(grid={"n_rho": 16, "n_z": 8, **grid}))
+    assert exc.value.path == path
+
+
+def test_checkpoint_header_larger_than_its_file(tmp_path, monkeypatch, capsys):
+    path = str(tmp_path / "huge.bin")
+    header = {"format": "axiswirl-checkpoint", "version": 1,
+              "grid": {"n_rho": 10**6, "n_z": 10**6, "rho_max": 2.0,
+                       "z_min": 0.0, "z_max": 1.0},
+              "time": 0.0, "fields": ["u_rho"]}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n" + bytes(64))
+    with pytest.raises(ConfigurationError) as exc:
+        read_checkpoint(path)
+    assert path in str(exc.value) and "header key grid" in str(exc.value)
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    doc = _scenario(initial_data={"kind": "file", "path": path})
+    assert main(["run", _write(tmp_path, doc)]) == 2
+    assert "header key grid" in capsys.readouterr().err
+
+
+def test_overflowing_state_is_blow_up(tmp_path, monkeypatch, capsys):
+    # finite samples whose squares overflow: a truncated record, exit 0
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    doc = _scenario(grid={"n_rho": 8, "n_z": 8}, solver={"t_end": 0.01},
+                    initial_data={"kind": "taylor_vortex_swirl",
+                                  "params": {"amplitude": 1e300}})
+    with np.errstate(all="ignore"):
+        assert main(["run", _write(tmp_path, doc)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["truncated"] is True
+    rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    assert rows[-1].split(",")[header.index("truncated")] == "1"
+
+
+# A short run (16 x 8, ten steps) with one field replaced, as in
+# test_validate_scenario_fuzz, optionally started from a checkpoint with
+# the byte edits of test_read_checkpoint_fuzz.  The replaced fields leave
+# the step count, the grid size and the output location alone, so each
+# example is a bounded run inside the test's directory.
+_RUN_FIELDS = [
+    ("grid", "rho_max"), ("grid", "z_min"), ("grid", "z_max"),
+    ("solver", "nu"), ("solver", "cfl_safety"), ("solver", "checkpoint_stride"),
+    ("output", "write_checkpoints"),
+] + [(name, key) for name in ("exponents", "monitor", "initial_data", "forcing")
+     for key in (None, *_SECTIONS[name])]
+_CHECKPOINT_EDIT = st.tuples(
+    st.lists(st.tuples(
+        st.integers(0, _HEADER_LEN - 1) | st.integers(0, len(_CHECKPOINT) - 1),
+        st.integers(0, 255) | st.sampled_from(list(b'0129e.-,:"[]{}\n ')),
+    ), max_size=4),
+    st.integers(0, len(_CHECKPOINT)) | st.just(len(_CHECKPOINT)),
+)
+
+
+@given(field=st.sampled_from(_RUN_FIELDS), value=_PLAUSIBLE | _JSON,
+       checkpoint=st.none() | _CHECKPOINT_EDIT)
+@settings(max_examples=100)
+def test_main_exit_code_fuzz(field, value, checkpoint):
+    section, key = field
+    doc = _scenario()
+    with tempfile.TemporaryDirectory() as tmp:
+        if checkpoint is not None:
+            edits, keep = checkpoint
+            data = bytearray(_CHECKPOINT)
+            for pos, byte in edits:
+                data[pos] = byte
+            path = os.path.join(tmp, "ck.bin")
+            with open(path, "wb") as fh:
+                fh.write(bytes(data[:keep]))
+            doc.update(grid={"n_rho": 4, "n_z": 4},
+                       initial_data={"kind": "file", "path": path})
+        doc[section] = value if key is None else {**doc.get(section, {}),
+                                                  key: value}
+        scenario = os.path.join(tmp, "scenario.json")
+        with open(scenario, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with mock.patch.dict(os.environ, {OUTPUT_ROOT_ENV: tmp}), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+            code = main(["run", scenario])
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+def test_growth_integral_overflow_is_not_an_error(tmp_path, monkeypatch, capsys):
+    # finite fields whose Serrin integral makes d(t) ~ 1e51: the Gronwall
+    # envelope's exponent overflows to an infinite envelope, not an error
+    # (the run exits 4: the quartic identity's band does not grow with
+    # the velocity scale)
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    doc = _scenario(grid={"n_rho": 8, "n_z": 8}, solver={"t_end": 1e-13},
+                    initial_data={"kind": "taylor_vortex_swirl",
+                                  "params": {"amplitude": 1e12}})
+    with np.errstate(all="ignore"):
+        assert main(["run", _write(tmp_path, doc)]) in (0, 4)
+    assert "Traceback" not in capsys.readouterr().err
+    rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    envelope = [float(r.split(",")[header.index("gronwall_envelope")])
+                for r in rows[1:]]
+    assert len(envelope) > 2 and envelope[-1] == math.inf

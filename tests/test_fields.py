@@ -179,3 +179,48 @@ def test_radial_diffusion_extrap_exact():
     assert np.max(np.abs(got - 3.0 / r)) <= 1e-11 * np.max(3.0 / r)
     got = radial_diffusion(r**2, g, EXTRAP)
     assert np.max(np.abs(got[:-1] - 4.0)) <= 1e-11
+
+
+def test_vorticity_transport_residual_converges_on_forced_taylor():
+    """Forced Taylor vortex with swirl: omega_rho = -d_z u_phi is nonzero,
+    so the swirl-stretching term 2 (u_phi / rho) omega_rho of the
+    omega_phi equation is exercised.  With the analytic rate (centred in
+    time) and g = discrete curl of the forcing, the relative residual of
+    the omega_phi equation falls at second order on all but the two wall
+    rows (a wrong sign leaves it at an O(1) fraction)."""
+    nu, t, dt = 0.1, 0.1, 1e-4
+    sol = mms.make_solution("taylor_vortex_swirl", {})
+    rows = slice(0, -2)
+    res = []
+    for n in (16, 32, 64):
+        g = build_grid(n, n)
+        w0, w, w1 = (curl_axisym(mms.sample_state(sol, g, s))
+                     for s in (t - dt, t, t + dt))
+        rate = VorticityFields(*(
+            ScalarSample((getattr(w1, c).values - getattr(w0, c).values)
+                         / (2.0 * dt), g)
+            for c in ("w_rho", "w_phi", "w_z")))
+        h = mms.forcing_for(sol, nu, g, t)
+        gc = curl_axisym(zero_state(g).replace_fields(
+            u_rho=h.h_rho.values, u_phi=h.h_phi.values, u_z=h.h_z.values))
+        force = ForcingFields(h.h_rho, h.h_phi, h.h_z,
+                              gc.w_rho, gc.w_phi, gc.w_z)
+        r_phi = vorticity_transport_residual(
+            mms.sample_state(sol, g, t), w, rate, force, nu)[1].values
+        wt = g.cell_weight[rows]
+        res.append(math.sqrt(np.sum(wt * r_phi[rows] ** 2)
+                             / np.sum(wt * rate.w_phi.values[rows] ** 2)))
+    orders = [math.log2(res[i] / res[i + 1]) for i in range(2)]
+    assert all(o >= 1.8 for o in orders), (res, orders)
+
+
+def test_momentum_rhs_balances_rigid_rotation():
+    # u_phi = rho with p = rho^2 / 2 is steady: the centred pressure
+    # gradient of momentum_rhs matches the centrifugal term exactly, and
+    # the swirl Laplacian of rho vanishes (the wall row, whose no-slip
+    # ghost this flow does not satisfy, excluded)
+    g = build_grid(16, 8)
+    rho = np.broadcast_to(g.rho, g.shape)
+    v = zero_state(g).replace_fields(u_phi=rho.copy(), pressure=0.5 * rho**2)
+    for comp in momentum_rhs(v, zero_forcing(g), 0.1):
+        assert np.max(np.abs(comp.values[:-1])) <= 1e-12

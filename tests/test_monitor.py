@@ -189,6 +189,19 @@ def test_gronwall_envelope_closed_form(m640):
         assert val == pytest.approx(2.0 * math.exp(4.0 * 0.1 * i), rel=1e-12)
 
 
+def test_gronwall_envelope_of_a_swirl_free_state_is_zero(m640):
+    # no swirl and no forcing, with exp(int d) overflowing: the envelope
+    # is 0 * inf, whose value is 0, not nan
+    records = [DiagnosticsRecord(
+        time=0.1 * i, swirl_q_norm=0.0, d_t=1e308, serrin_running=0.0,
+        forcing_q_norm=0.0, weighted_vort_energy=0.0, quartic_swirl_r2=0.0,
+        quartic_swirl_r4=0.0, dissipation_swirl_grad=0.0,
+        dissipation_swirl_axis=0.0, dissipation_vort=0.0,
+        dissipation_quartic=0.0, grad_u_l2=0.0, vort_l2=0.0,
+        transport_cancellation=0.0, f_indicator=0.0,
+    ) for i in range(3)]
+    assert gronwall_envelope(records, m640) == [0.0, 0.0, 0.0]
+
 def test_records_reject_negative_norms():
     with pytest.raises(ContractViolation):
         DiagnosticsRecord(

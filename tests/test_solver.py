@@ -11,6 +11,7 @@ from axiswirl.fields import (
     div_adjoint,
     div_from_components,
     divergence,
+    viscous_rhs,
     zero_state,
     ForcingFields,
 )
@@ -24,6 +25,8 @@ from axiswirl.solver import (
     run,
     solve_pressure_poisson,
     step,
+    viscous_dt_limit,
+    viscous_solve,
 )
 from axiswirl import mms
 
@@ -224,3 +227,118 @@ def test_pressure_solve_matches_dense_reference(g, seed):
     ref = _remove_null(ref, g)
     phi = solve_pressure_poisson(b, g)
     assert np.max(np.abs(phi - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+# --- implicit viscous terms and the time step ----------------------------------
+
+@pytest.mark.parametrize("kind", ["decaying_swirl", "taylor_vortex_swirl"])
+def test_time_order_on_a_fixed_grid(kind):
+    # on one 32^2 grid the spatial error cancels between runs, so the
+    # differences to a T/128 reference measure the time error alone; the
+    # largest step, T/4, is about twice the explicit diffusive limit
+    sol = mms.make_solution(kind, {"nu": 0.1} if kind == "decaying_swirl" else {})
+    g = build_grid(32, 32)
+    T = 0.02
+
+    def final(dt):
+        cfg = SimConfig(n_rho=32, n_z=32, nu=0.1, t_end=T, dt=dt,
+                        checkpoint_stride=10**9)
+        traj = run(cfg, mms.sample_state(sol, g, 0.0),
+                   forcing_at=mms.forcing_callable(sol, 0.1, g))
+        assert not traj.failed, traj.failure_reason
+        s = traj.checkpoints[-1]
+        return np.stack([s.u_rho.values, s.u_phi.values, s.u_z.values])
+
+    ref = final(T / 128)
+    errs = [float(np.max(np.abs(final(T / m) - ref))) for m in (4, 8, 16)]
+    orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+    assert all(o >= 1.8 for o in orders), (errs, orders)
+
+
+@given(grids(), st.floats(1e-4, 10.0), seeds)
+def test_viscous_solve_inverts_the_implicit_operator(g, c, seed):
+    b = _random(g, seed, 3)
+    x = viscous_solve(np.stack(list(b), axis=1), g, c)
+    v = zero_state(g).replace_fields(u_rho=x[:, 0], u_phi=x[:, 1], u_z=x[:, 2])
+    # viscous_rhs(v, c) is c L x for the L the step treats implicitly
+    for i, cl in enumerate(viscous_rhs(v, c)):
+        residual = x[:, i] - cl.values - b[i]
+        assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(b[i]))
+
+
+def test_cfl_limits_are_advective_and_swirl_source():
+    g = build_grid(16, 8)
+    rho = np.broadcast_to(g.rho, g.shape)
+    # rigid rotation: no advection, u_phi / rho = 1 everywhere
+    adv, src = cfl_limits(zero_state(g).replace_fields(u_phi=rho.copy()))
+    assert adv == np.inf and src == pytest.approx(0.5, rel=1e-15)
+    u = np.full(g.shape, -4.0)
+    adv, src = cfl_limits(zero_state(g).replace_fields(u_z=u))
+    assert adv == pytest.approx(0.5 * g.d_z / 4.0, rel=1e-15) and src == np.inf
+
+
+def test_slow_decaying_swirl_follows_the_analytic_decay():
+    # nu t lam^2 = 3.67 over t_end 10: at amplitude 0.01 the advective and
+    # swirl-source limits allow one step, in which Crank-Nicolson would
+    # multiply the swirl by -0.29 instead of exp(-3.67) = 0.025; the
+    # viscous accuracy limit sets the same dt for both amplitudes
+    g = build_grid(16, 16)
+    assert viscous_dt_limit(g, 0.1) == viscous_dt_limit(build_grid(64, 8), 0.1)
+    steps = set()
+    for amplitude in (0.01, 1.0):
+        sol = mms.make_solution("decaying_swirl",
+                                {"nu": 0.1, "amplitude": amplitude})
+        traj = run(SimConfig(n_rho=16, n_z=16, nu=0.1, t_end=10.0,
+                             checkpoint_stride=10**9),
+                   mms.sample_state(sol, g, 0.0))
+        assert not traj.failed, traj.failure_reason
+        assert traj.dt <= 0.4 * viscous_dt_limit(g, 0.1)
+        steps.add(traj.step_count)
+        s = traj.checkpoints[-1]
+        exact = sol.u_phi.val(g.rho, g.z_centers[None, :], s.time)
+        err = np.max(np.abs(s.u_phi.values - exact))
+        assert err <= 0.02 * np.max(np.abs(exact)), (amplitude, err)
+    assert len(steps) == 1
+
+
+@pytest.mark.parametrize("kind,n,t_end,min_ratio", [
+    ("decaying_swirl", 16, 2.0, 4.0),
+    ("decaying_swirl", 48, 2.0, 40.0),
+    ("taylor_vortex_swirl", 32, 0.3, 2.0),
+])
+def test_energy_nonincreasing_at_the_automatic_dt(kind, n, t_end, min_ratio):
+    sol = mms.make_solution(kind, {"nu": 0.1} if kind == "decaying_swirl" else {})
+    g = build_grid(n, n)
+    traj = run(SimConfig(n_rho=n, n_z=n, nu=0.1, t_end=t_end),
+               mms.sample_state(sol, g, 0.0))
+    assert not traj.failed and traj.step_count >= 10
+    # beyond the explicit diffusive limit, which shrinks as 1/n^2 while the
+    # automatic dt does not (4.7x at 16^2 and 42x at 48^2 for swirl)
+    diffusive = 0.25 * min(g.d_rho, g.d_z) ** 2 / 0.1
+    assert traj.dt > min_ratio * diffusive
+    energies = [kinetic_energy(s) for s in traj.checkpoints]
+    assert len(energies) == traj.step_count + 1
+    for e0, e1 in zip(energies, energies[1:]):
+        assert e1 - e0 <= 1e-10 * e0
+
+
+def test_stage_projection_makes_the_step_insensitive_to_the_initial_pressure():
+    # decaying swirl at 64^2 in one automatic step from a zero pressure:
+    # the stored pressure does not balance the centrifugal source, and
+    # only the projection of the first stage keeps its splitting error
+    # off the increment (62 h^2 without it, beyond the benchmark's
+    # 25 h^2 bound; 14.5 h^2 with it, as from the analytic pressure)
+    sol = mms.make_solution("decaying_swirl", {"nu": 0.1})
+    g = build_grid(64, 64)
+    s0 = mms.sample_state(sol, g, 0.0).replace_fields(pressure=np.zeros(g.shape))
+    traj = run(SimConfig(n_rho=64, n_z=64, nu=0.1, t_end=0.012), s0)
+    assert traj.step_count == 1
+    t = traj.checkpoints[-1].time
+    exact = sol.u_phi.val(g.rho, g.z_centers[None, :], t)
+    increment = exact - s0.u_phi.values
+    got = traj.checkpoints[-1].u_phi.values - s0.u_phi.values
+    others = max(np.max(np.abs(traj.checkpoints[-1].u_rho.values)),
+                 np.max(np.abs(traj.checkpoints[-1].u_z.values)))
+    worst = max(np.max(np.abs(got - increment)), others)
+    h = 1.0 / 64  # the benchmark's h = 1/n
+    assert worst <= 25.0 * h**2 * np.max(np.abs(increment))
