@@ -36,16 +36,19 @@ class CylGrid:
     d_z: float = field(init=False, repr=False, compare=False)
     rho_centers: np.ndarray = field(init=False, repr=False, compare=False)
     z_centers: np.ndarray = field(init=False, repr=False, compare=False)
+    # quadrature weight 2*pi*rho_j*d_rho*d_z per cell, shape (n_rho, 1)
+    cell_weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "d_rho", self.rho_max / self.n_rho)
         object.__setattr__(self, "d_z", (self.z_max - self.z_min) / self.n_z)
         rho = (np.arange(self.n_rho) + 0.5) * self.d_rho
         zc = self.z_min + (np.arange(self.n_z) + 0.5) * self.d_z
-        rho.setflags(write=False)
-        zc.setflags(write=False)
-        object.__setattr__(self, "rho_centers", rho)
-        object.__setattr__(self, "z_centers", zc)
+        weight = TWO_PI * rho[:, None] * self.d_rho * self.d_z
+        for name, arr in (("rho_centers", rho), ("z_centers", zc),
+                          ("cell_weight", weight)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def shape(self):
@@ -55,11 +58,6 @@ class CylGrid:
     def rho(self):
         """rho broadcast to grid shape, column vector (n_rho, 1)."""
         return self.rho_centers[:, None]
-
-    @property
-    def cell_weight(self):
-        """Quadrature weight 2*pi*rho_j*d_rho*d_z per cell, shape (n_rho, 1)."""
-        return TWO_PI * self.rho * self.d_rho * self.d_z
 
     @property
     def volume(self):

@@ -6,9 +6,11 @@ built from the negative part of the radial velocity, the weighted
 swirl-norm budget with all of its intermediate Holder/Young steps, the
 epsilon-weighted azimuthal-vorticity budget and its epsilon -> 0 limit,
 the quartic swirl identity and its Young-absorbed inequality, the
-Gronwall envelope, and the blow-up indicator time series.  Each
-checkpoint is evaluated once (CheckpointView); evaluate_checks turns
-the margins into the PASS / FAIL / REPORT-ONLY checks of a run.
+Gronwall envelope, and the blow-up indicator time series.  Every
+monitored integral is computed once per checkpoint (CheckpointView), as
+a radial moment of z-sums; the budgets are arithmetic on two views, and
+evaluate_checks turns their margins into the PASS / FAIL / REPORT-ONLY
+checks of a run.
 
 Two classes of checks are distinguished throughout:
 
@@ -22,6 +24,7 @@ Two classes of checks are distinguished throughout:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -36,7 +39,6 @@ from .fields import (
     ODD,
     ForcingFields,
     VelocityState,
-    VorticityFields,
     curl_axisym,
     d_rho,
     d_z,
@@ -44,7 +46,7 @@ from .fields import (
     velocity_grad_l2,
     zero_forcing,
 )
-from .grid import CylGrid, ScalarSample, serrin_accumulate, weighted_lq_norm
+from .grid import CylGrid, ScalarSample, serrin_accumulate
 
 
 # --- configuration --------------------------------------------------------
@@ -174,8 +176,12 @@ def monitor_for(grid: CylGrid, exponents: ExponentSet, nu: float, q: int = 4,
 
 # --- basic functionals ----------------------------------------------------
 
-def _integ(vals, grid: CylGrid) -> float:
-    return float(np.sum(vals * grid.cell_weight))
+def _integ(vals, grid: CylGrid, k: float = 0.0) -> float:
+    """Midpoint integral of vals * rho^k over the cylinder: the z-sums of
+    vals, then one dot product with the radial cell weight times rho^k.
+    vals is a grid field or its z-sums (shape (n_rho,))."""
+    col = vals.sum(axis=1) if vals.ndim == 2 else vals
+    return float(col @ (grid.cell_weight[:, 0] * grid.rho_centers ** k))
 
 
 def negative_part(u_rho: np.ndarray) -> np.ndarray:
@@ -186,9 +192,7 @@ def negative_part(u_rho: np.ndarray) -> np.ndarray:
 def serrin_integrand(v: VelocityState, e: ExponentSet) -> float:
     """integral (u_rho^-)^alpha rho^beta dx, the spatial factor of both
     d(t) and the running Serrin accumulator."""
-    g = v.grid
-    un = negative_part(v.u_rho.values)
-    return _integ(un ** e.alpha * g.rho ** e.beta, g)
+    return _integ(negative_part(v.u_rho.values) ** e.alpha, v.grid, e.beta)
 
 
 def d_of_t(v: VelocityState, m: MonitorConfig) -> float:
@@ -217,66 +221,99 @@ def _swirl_power_parity(q_half: int):
 
 @dataclass(frozen=True)
 class CheckpointView:
-    """Every per-state quantity the records and budgets read, evaluated
-    once per checkpoint by checkpoint_view.  vort_energy and vort_diss map
-    each configured epsilon (0 for an empty list) to (1/2) integral
-    omega_phi^2 / rho^{2-eps} and integral |grad(omega_phi / rho^{1-eps})|^2
-    rho^{-eps}."""
+    """Every integral that the record of one checkpoint and the budgets of
+    the pair starting at it read, evaluated once by checkpoint_view from
+    the state and the forcing h at the checkpoint's time (u = u_phi).  The
+    eps-keyed dicts hold one entry per configured epsilon (0 for an empty
+    list)."""
 
-    state: VelocityState
     time: float
     u_neg: np.ndarray  # u_rho^-
-    curl: VorticityFields
-    swirl_q_norm: float  # ||u_phi||_q
-    swirl_power: float  # integral u_phi^q
+    swirl_power: float  # integral u^q
+    forcing_power: float  # integral |h|^q
     serrin: float  # integral (u_rho^-)^alpha rho^beta
     d_t: float
-    swirl_grad_diss: float  # integral |grad(u_phi^{q/2})|^2
-    swirl_axis_diss: float  # integral u_phi^q / rho^2
-    quartic_r2: float  # integral u_phi^4 / rho^2
-    quartic_r4: float  # integral u_phi^4 / rho^4
-    quartic_diss: float  # integral |grad(u_phi^2 / rho)|^2
-    vort_energy: dict
-    vort_diss: dict
+    swirl_grad_diss: float  # integral |grad(u^{q/2})|^2
+    swirl_axis_diss: float  # integral u^q / rho^2
+    young_forcing_lhs: float  # integral |h| |u|^{q-1}
+    holder_lhs: float  # integral u_rho^- u^q / rho
+    holder_y1: float  # integral (u_rho^-)^{p/(p-1)} u^q rho^{(2-p)/(p-1)}
+    swirl_mid_power: float  # integral |u|^{qs/(s-2)}
+    swirl_3q_power: float  # integral |u|^{3q}
+    quartic_r2: float  # integral u^4 / rho^2
+    quartic_r4: float  # integral u^4 / rho^4
+    quartic_diss: float  # integral |grad(u^2 / rho)|^2
+    quartic_transport: float  # integral u_rho u^4 / rho^3
+    quartic_grad: float  # integral |grad u|^2 u^2 / rho^2
+    quartic_forcing: float  # integral h u^3 / rho^2
+    quartic_source: float  # integral u_rho^- u^4 / rho^3
+    quartic_young: float  # integral rho^4 h^4
+    vort_energy: dict  # (1/2) integral omega_phi^2 / rho^{2-eps}
+    vort_diss: dict  # integral |grad(omega_phi / rho^{1-eps})|^2 rho^{-eps}
+    vort_quartic: dict  # integral u^4 / rho^{4-eps}
+    vort_radial: dict  # integral |u_rho| omega_phi^2 / rho^{3-eps}
+    vort_curvature: dict  # integral omega_phi^2 / rho^{4-eps}
     vort_l2: float
     grad_u_l2: float
     transport: float
 
 
-def checkpoint_view(v: VelocityState, m: MonitorConfig) -> CheckpointView:
-    """Evaluate the derived fields and integrals of one finite state."""
+def checkpoint_view(v: VelocityState, f: ForcingFields,
+                    m: MonitorConfig) -> CheckpointView:
+    """Evaluate every monitored integral of one finite state and the
+    forcing at its time.  Each distinct power of u_phi is summed over z
+    once; an integral of that power against rho^k is then one length-n_rho
+    dot product, shared by all its readers."""
     g = v.grid
-    q = m.q
-    uh = v.u_phi.values
+    q, e = m.q, m.exponents
+    p, s = e.p_hold, e.s
+    ur, uh, h = v.u_rho.values, v.u_phi.values, f.h_phi.values
+    un = negative_part(ur)
+    u_abs = np.abs(uh)
+    powers = {j: u_abs**j for j in {q, 4, q * s / (s - 2.0), 3 * q}}
+    power_sums = {j: x.sum(axis=1) for j, x in powers.items()}
+    power_moment = functools.cache(lambda j, k: _integ(power_sums[j], g, k))
+    uq, u4, u2 = powers[q], powers[4], uh**2
     w = curl_axisym(v)
     wh = w.w_phi.values
-    serrin = serrin_integrand(v, m.exponents)
-    vort_energy, vort_diss = {}, {}
-    for eps in m.epsilon_list or (0.0,):
-        vort_energy[eps] = 0.5 * _integ(wh**2 / g.rho ** (2.0 - eps), g)
-        fld = wh / g.rho ** (1.0 - eps)  # odd/odd-like: even across the axis
-        vort_diss[eps] = _integ(grad_squared(fld, g, EVEN, EXTRAP)
-                                * g.rho ** (-eps), g)
+    w2 = wh**2
+    w2_sums, ur_w2_sums = w2.sum(axis=1), (np.abs(ur) * w2).sum(axis=1)
+    h_abs = np.abs(h)
+    epsilons = m.epsilon_list or (0.0,)
+    serrin = serrin_integrand(v, e)
     return CheckpointView(
-        state=v,
         time=v.time,
-        u_neg=negative_part(v.u_rho.values),
-        curl=w,
-        swirl_q_norm=weighted_lq_norm(v.u_phi, q),
-        swirl_power=_integ(uh**q, g),
+        u_neg=un,
+        swirl_power=power_moment(q, 0.0),
+        forcing_power=_integ(h_abs**q, g),
         serrin=serrin,
         d_t=m.growth(serrin),
         swirl_grad_diss=_integ(grad_squared(
             uh ** (q // 2), g, _swirl_power_parity(q // 2), NOSLIP), g),
-        swirl_axis_diss=_integ(uh**q / g.rho**2, g),
-        quartic_r2=_integ(uh**4 / g.rho**2, g),
-        quartic_r4=_integ(uh**4 / g.rho**4, g),
+        swirl_axis_diss=power_moment(q, -2.0),
+        young_forcing_lhs=_integ(h_abs * u_abs ** (q - 1), g),
+        holder_lhs=_integ(un * uq, g, -1.0),
+        holder_y1=_integ(un ** (p / (p - 1.0)) * uq, g, (2.0 - p) / (p - 1.0)),
+        swirl_mid_power=power_moment(q * s / (s - 2.0), 0.0),
+        swirl_3q_power=power_moment(3 * q, 0.0),
+        quartic_r2=power_moment(4, -2.0),
+        quartic_r4=power_moment(4, -4.0),
         # u_phi^2 / rho is odd^2 / odd: odd across the axis
-        quartic_diss=_integ(grad_squared(uh**2 / g.rho, g, ODD, NOSLIP), g),
-        vort_energy=vort_energy,
-        vort_diss=vort_diss,
-        vort_l2=math.sqrt(_integ(w.w_rho.values**2 + wh**2 + w.w_z.values**2,
-                                 g)),
+        quartic_diss=_integ(grad_squared(u2 / g.rho, g, ODD, NOSLIP), g),
+        quartic_transport=_integ(ur * u4, g, -3.0),
+        quartic_grad=_integ(grad_squared(uh, g, ODD, NOSLIP) * u2, g, -2.0),
+        quartic_forcing=_integ(h * uh**3, g, -2.0),
+        quartic_source=_integ(u4 * un, g, -3.0),
+        quartic_young=_integ(h**4, g, 4.0),
+        vort_energy={x: 0.5 * _integ(w2_sums, g, x - 2.0) for x in epsilons},
+        # omega_phi / rho^{1-eps} is odd/odd-like: even across the axis
+        vort_diss={x: _integ(grad_squared(wh / g.rho ** (1.0 - x), g, EVEN,
+                                          EXTRAP), g, -x) for x in epsilons},
+        vort_quartic={x: power_moment(4, x - 4.0) for x in epsilons},
+        vort_radial={x: _integ(ur_w2_sums, g, x - 3.0) for x in epsilons},
+        vort_curvature={x: _integ(w2_sums, g, x - 4.0) for x in epsilons},
+        vort_l2=math.sqrt(_integ(w.w_rho.values**2 + w.w_z.values**2, g)
+                          + _integ(w2_sums, g)),
         grad_u_l2=velocity_grad_l2(v),
         transport=transport_cancellation(v, q),
     )
@@ -290,77 +327,52 @@ def _pair_dt(prev, nxt) -> float:
 
 # --- Step-1 budget --------------------------------------------------------
 
-@dataclass(frozen=True)
-class SwirlBudget:
-    """Signed margin of the weighted swirl-norm inequality plus the
-    margins (and scales, for relative tolerance) of every intermediate
-    Holder/Young step, each of which is an exact discrete inequality."""
-
-    margin: float
-    sub_margins: dict
-    sub_scales: dict
-
-
 def swirl_lq_budget(prev: CheckpointView, nxt: CheckpointView,
-                    f: ForcingFields, m: MonitorConfig) -> SwirlBudget:
-    """Margin of the q-norm growth inequality across one checkpoint pair.
+                    m: MonitorConfig) -> dict:
+    """Margin of the q-norm growth inequality across one checkpoint pair,
+    as margin columns: swirl_budget plus, for every intermediate
+    Holder/Young step, its margin and its scale (<name>_scale, for the
+    relative tolerance).
 
-    Instantaneous terms are evaluated on the earlier state (forward
+    Instantaneous terms are those of the earlier state (forward
     difference in time).  The final margin depends on c_grow/c_sob and
     is reported; the six sub-margins are exact and must be >=
     -tolerance * scale.
     """
     dt = _pair_dt(prev, nxt)
-    g = prev.state.grid
-    q = m.q
-    e = m.exponents
-    p, s = e.p_hold, e.s
-    nu = m.nu
-
-    uh = prev.state.u_phi.values
-    h = f.h_phi.values
-    n_prev = prev.swirl_power
-    h_q = _integ(np.abs(h) ** q, g)
-
-    margin = (h_q + prev.d_t * n_prev) - (
+    q, nu = m.q, m.nu
+    p, s = m.exponents.p_hold, m.exponents.s
+    n_prev, h_q, s_int = prev.swirl_power, prev.forcing_power, prev.serrin
+    out = {"swirl_budget": (h_q + prev.d_t * n_prev) - (
         (nxt.swirl_power - n_prev) / dt
         + nu * (2.0 * (q - 1.0) / q) * prev.swirl_grad_diss
         + nu * q / 2.0 * prev.swirl_axis_diss
-    )
-
-    # exact intermediate inequalities, evaluated on the earlier state
-    sub_m, sub_s = {}, {}
+    )}
 
     def record(name, lhs, rhs):
-        sub_m[name] = rhs - lhs
-        sub_s[name] = max(abs(lhs), abs(rhs))
+        out[name] = rhs - lhs
+        out[name + "_scale"] = max(abs(lhs), abs(rhs))
 
     # forcing Young step: int |h| |u|^{q-1} against (1/q)((q-1)/q)^{q-1}
     # ||h||_q^q + ||u||_q^q
-    lhs = _integ(np.abs(h) * np.abs(uh) ** (q - 1), g)
-    rhs = (1.0 / q) * ((q - 1.0) / q) ** (q - 1) * h_q + n_prev
-    record("young_forcing", lhs, rhs)
+    record("young_forcing", prev.young_forcing_lhs,
+           (1.0 / q) * ((q - 1.0) / q) ** (q - 1) * h_q + n_prev)
 
-    un = prev.u_neg
-    t1 = _integ(un / g.rho * uh**q, g)
-    y1 = _integ(
-        un ** (p / (p - 1.0)) * uh**q * g.rho ** ((2.0 - p) / (p - 1.0)), g
-    )
-    i2 = prev.swirl_axis_diss
-    record("holder_p", t1, y1 ** ((p - 1.0) / p) * i2 ** (1.0 / p))
+    y1, i2 = prev.holder_y1, prev.swirl_axis_diss
+    holder = y1 ** ((p - 1.0) / p) * i2 ** (1.0 / p)
+    record("holder_p", prev.holder_lhs, holder)
 
     eps1 = m.eps1
     record(
         "young_eps1",
-        y1 ** ((p - 1.0) / p) * i2 ** (1.0 / p),
+        holder,
         p / (p - 1.0) * eps1 ** (1.0 / (1.0 - p)) * y1 + eps1 / p * i2,
     )
 
-    s_int = prev.serrin
-    mid = _integ(np.abs(uh) ** (q * s / (s - 2.0)), g) ** ((s - 2.0) / s)
+    mid = prev.swirl_mid_power ** ((s - 2.0) / s)
     record("holder_s_half", y1, s_int ** (2.0 / s) * mid)
 
-    n_3q = _integ(np.abs(uh) ** (3 * q), g) ** (1.0 / 3.0)  # ||u||_{3q}^q
+    n_3q = prev.swirl_3q_power ** (1.0 / 3.0)  # ||u||_{3q}^q
     record(
         "holder_inner",
         mid,
@@ -375,125 +387,73 @@ def swirl_lq_budget(prev: CheckpointView, nxt: CheckpointView,
         + (s - 3.0) / s * eps2 ** (3.0 / (3.0 - s))
         * s_int ** (2.0 / (s - 3.0)) * n_prev,
     )
-
-    return SwirlBudget(margin=margin, sub_margins=sub_m, sub_scales=sub_s)
+    return out
 
 
 # --- Step-2 budget --------------------------------------------------------
 
-@dataclass(frozen=True)
-class VorticityBudget:
-    margin: float
-    eps: float
-    energy_rate: float
-    dissipation: float
-    quartic_source: float
-    radial_source: float
-    curvature_term: float
-    forcing_pairing: float
-
-
 def weighted_vorticity_budget(prev: CheckpointView, nxt: CheckpointView,
-                              g_force: ForcingFields, m: MonitorConfig,
-                              eps: float) -> VorticityBudget:
-    """Signed margin of the eps-weighted azimuthal-vorticity inequality;
-    eps = 0 evaluates the limit form directly (all weights finite on the
-    axis-offset grid).  eps must be one of the views' epsilons.
-
-    The vorticity forcing enters the inequality only through the
-    absorbed constant c3; its raw pairing integral |g_phi| |omega| /
-    rho^{2-eps} is reported alongside so the adequacy of c3 is visible.
+                              m: MonitorConfig, eps: float) -> dict:
+    """Signed margin of the eps-weighted azimuthal-vorticity inequality,
+    as its margin column; eps = 0 evaluates the limit form directly (all
+    weights finite on the axis-offset grid).  eps must be one of the
+    views' epsilons.  The vorticity forcing enters only through the
+    absorbed constant c3.
     """
     if not (0.0 <= eps < 1.0):
         raise ContractViolation(f"eps must lie in [0, 1), got {eps}")
     dt = _pair_dt(prev, nxt)
-    g = prev.state.grid
     nu = m.nu
-
     rate = (nxt.vort_energy[eps] - prev.vort_energy[eps]) / dt
-    diss = prev.vort_diss[eps]
-    wh = prev.curl.w_phi.values
-    uh = prev.state.u_phi.values
-    ur = prev.state.u_rho.values
-    quartic = 1.0 / (2.0 * nu) * _integ(uh**4 / g.rho ** (4.0 - eps), g)
-    radial = eps / 2.0 * _integ(
-        np.abs(ur) / g.rho * wh**2 / g.rho ** (2.0 - eps), g
-    )
-    curvature = nu * eps / 2.0 * (eps - 2.0) * _integ(
-        wh**2 / g.rho ** (4.0 - eps), g
-    )
-    if g_force.g_phi is not None:
-        pairing = _integ(
-            np.abs(g_force.g_phi.values) * np.abs(wh) / g.rho ** (2.0 - eps), g
-        )
-    else:
-        pairing = 0.0
-    margin = (quartic + radial + curvature + m.c3) - (rate + nu / 4.0 * diss)
-    return VorticityBudget(
-        margin=margin, eps=eps, energy_rate=rate, dissipation=diss,
-        quartic_source=quartic, radial_source=radial,
-        curvature_term=curvature, forcing_pairing=pairing,
-    )
+    quartic = 1.0 / (2.0 * nu) * prev.vort_quartic[eps]
+    radial = eps / 2.0 * prev.vort_radial[eps]
+    curvature = nu * eps / 2.0 * (eps - 2.0) * prev.vort_curvature[eps]
+    margin = (quartic + radial + curvature + m.c3) - (
+        rate + nu / 4.0 * prev.vort_diss[eps])
+    return {_vorticity_column(eps): margin}
 
 
-def vorticity_margin_sequence(prev, nxt, g_force, m: MonitorConfig):
-    """Margins over the configured epsilon list, ending at the limit 0."""
-    return [
-        weighted_vorticity_budget(prev, nxt, g_force, m, eps)
-        for eps in m.epsilon_list
-    ]
+def vorticity_margin_sequence(prev, nxt, m: MonitorConfig) -> dict:
+    """Margin columns over the configured epsilon list, ending at the
+    limit 0."""
+    out = {}
+    for eps in m.epsilon_list:
+        out.update(weighted_vorticity_budget(prev, nxt, m, eps))
+    return out
 
 
 # --- Step-3 budget --------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuarticBudget:
-    margin: float
-    identity_residual: float
-    identity_scale: float
-
-
 def quartic_swirl_budget(prev: CheckpointView, nxt: CheckpointView,
-                         f: ForcingFields, m: MonitorConfig) -> QuarticBudget:
-    """Quartic swirl balance across one checkpoint pair.
+                         m: MonitorConfig) -> dict:
+    """Quartic swirl balance across one checkpoint pair, as margin
+    columns.
 
-    identity_residual is the defect of the exact quartic identity
+    quartic_identity_residual is the defect of the exact quartic identity
     (an equality up to O(Delta_t + Delta^2) on smooth trajectories):
 
         (1/4) d/dt int u^4/rho^2 + (3/2) int u_rho u^4/rho^3
         + 3 nu int [(d_rho u)^2 + (d_z u)^2] u^2/rho^2
         = int h u^3/rho^2.
 
-    margin is the signed Young-absorbed inequality with the explicit
-    constant 27/(4 nu^3) on the forcing term (reported, not asserted):
+    quartic_budget is the signed Young-absorbed inequality with the
+    explicit constant 27/(4 nu^3) on the forcing term (reported, not
+    asserted):
 
         [(3/2) int u^4 u_rho^- /rho^3 + 27/(4 nu^3) int rho^4 h^4]
         - [(1/4) d/dt int u^4/rho^2 + (3/4) nu int |grad(u^2/rho)|^2
            + (nu/2) int u^4/rho^4].
     """
     dt = _pair_dt(prev, nxt)
-    g = prev.state.grid
     nu = m.nu
-    uh = prev.state.u_phi.values
-    ur = prev.state.u_rho.values
-    h = f.h_phi.values
-
     rate = 0.25 * (nxt.quartic_r2 - prev.quartic_r2) / dt
-    transport = 1.5 * _integ(ur * uh**4 / g.rho**3, g)
-    grad_term = 3.0 * nu * _integ(
-        (d_rho(uh, g, ODD, NOSLIP) ** 2 + d_z(uh, g) ** 2) * uh**2 / g.rho**2, g
-    )
-    forcing = _integ(h * uh**3 / g.rho**2, g)
-    residual = rate + transport + grad_term - forcing
-    scale = max(abs(rate), abs(transport), abs(grad_term), abs(forcing), 1e-300)
-
-    source = 1.5 * _integ(uh**4 * prev.u_neg / g.rho**3, g)
-    young = 27.0 / (4.0 * nu**3) * _integ(g.rho**4 * h**4, g)
-    margin = (source + young) - (
+    residual = (rate + 1.5 * prev.quartic_transport
+                + 3.0 * nu * prev.quartic_grad - prev.quartic_forcing)
+    margin = (1.5 * prev.quartic_source
+              + 27.0 / (4.0 * nu**3) * prev.quartic_young) - (
         rate + 0.75 * nu * prev.quartic_diss + 0.5 * nu * prev.quartic_r4
     )
-    return QuarticBudget(margin=margin, identity_residual=residual,
-                         identity_scale=scale)
+    return {"quartic_budget": margin, "quartic_identity_residual": residual}
 
 
 # --- Gronwall envelope and records ----------------------------------------
@@ -504,25 +464,25 @@ class DiagnosticsRecord:
 
     Pair-based quantities (margins, rates) describe the interval ending
     at this checkpoint and are absent (NaN / empty) on the first record
-    of a trajectory.
+    of a trajectory; a truncated record leaves its values at NaN.
     """
 
     time: float
-    swirl_q_norm: float
-    d_t: float
-    serrin_running: float
-    forcing_q_norm: float
-    weighted_vort_energy: float
-    quartic_swirl_r2: float
-    quartic_swirl_r4: float
-    dissipation_swirl_grad: float
-    dissipation_swirl_axis: float
-    dissipation_vort: float
-    dissipation_quartic: float
-    grad_u_l2: float
-    vort_l2: float
-    transport_cancellation: float
-    f_indicator: float
+    swirl_q_norm: float = math.nan
+    d_t: float = math.nan
+    serrin_running: float = math.nan
+    forcing_q_norm: float = math.nan
+    weighted_vort_energy: float = math.nan
+    quartic_swirl_r2: float = math.nan
+    quartic_swirl_r4: float = math.nan
+    dissipation_swirl_grad: float = math.nan
+    dissipation_swirl_axis: float = math.nan
+    dissipation_vort: float = math.nan
+    dissipation_quartic: float = math.nan
+    grad_u_l2: float = math.nan
+    vort_l2: float = math.nan
+    transport_cancellation: float = math.nan
+    f_indicator: float = math.nan
     gronwall_envelope: float = math.nan
     margins: dict = field(default_factory=dict)
     truncated: bool = False
@@ -595,20 +555,20 @@ def blowup_indicator(records) -> dict:
     return report
 
 
-def _view_or_blowup(v: VelocityState, m: MonitorConfig):
+def _view_or_blowup(v: VelocityState, f: ForcingFields, m: MonitorConfig):
     """checkpoint_view of v, or None when v is blow-up data: non-finite
-    fields, or finite fields whose squares and powers overflow in the
-    monitored integrals."""
+    fields, or finite fields whose squares and powers overflow in any
+    number the view holds."""
     if not all(np.all(np.isfinite(s.values)) for s in (v.u_rho, v.u_phi, v.u_z)):
         return None
     try:
-        view = checkpoint_view(v, m)
+        view = checkpoint_view(v, f, m)
     except NumericError:  # grid.integrate met an overflowed integrand
         return None
-    values = [getattr(view, f.name) for f in fields(view)]
-    numbers = [x for x in values if isinstance(x, float)]
-    numbers += [x for d in values if isinstance(d, dict) for x in d.values()]
-    return view if all(map(math.isfinite, numbers)) else None
+    values = [getattr(view, fd.name) for fd in fields(view)]
+    values = [x for val in values
+              for x in (val.values() if isinstance(val, dict) else (val,))]
+    return view if all(np.all(np.isfinite(x)) for x in values) else None
 
 
 def collect_diagnostics(checkpoints, m: MonitorConfig, forcing_at=None):
@@ -633,42 +593,26 @@ def collect_diagnostics(checkpoints, m: MonitorConfig, forcing_at=None):
     serrin = 0.0
     prev = None
     for v in checkpoints:
-        view = _view_or_blowup(v, m)
+        view = _view_or_blowup(v, forcing_at(v.time), m)
         if view is None:
-            records.append(DiagnosticsRecord(
-                time=v.time, swirl_q_norm=math.nan, d_t=math.nan,
-                serrin_running=serrin, forcing_q_norm=math.nan,
-                weighted_vort_energy=math.nan, quartic_swirl_r2=math.nan,
-                quartic_swirl_r4=math.nan, dissipation_swirl_grad=math.nan,
-                dissipation_swirl_axis=math.nan, dissipation_vort=math.nan,
-                dissipation_quartic=math.nan, grad_u_l2=math.nan,
-                vort_l2=math.nan, transport_cancellation=math.nan,
-                f_indicator=math.nan, truncated=True,
-            ))
+            records.append(DiagnosticsRecord(time=v.time, serrin_running=serrin,
+                                             truncated=True))
             break
-        f = forcing_at(v.time)
         margins = {}
         if prev is not None:
             neg = ScalarSample(prev.u_neg, g)
             serrin = serrin_accumulate(serrin, neg, e.a, e.b, e.gamma,
                                        view.time - prev.time)
-            sb = swirl_lq_budget(prev, view, fp, m)
-            qb = quartic_swirl_budget(prev, view, fp, m)
-            margins["swirl_budget"] = sb.margin
-            for name, val in sb.sub_margins.items():
-                margins[name] = val
-                margins[name + "_scale"] = sb.sub_scales[name]
-            margins["quartic_budget"] = qb.margin
-            margins["quartic_identity_residual"] = qb.identity_residual
-            for vb in vorticity_margin_sequence(prev, view, fp, m):
-                margins[_vorticity_column(vb.eps)] = vb.margin
+            margins = {**swirl_lq_budget(prev, view, m),
+                       **quartic_swirl_budget(prev, view, m),
+                       **vorticity_margin_sequence(prev, view, m)}
         wv = view.vort_energy[0.0]
-        rec = DiagnosticsRecord(
+        records.append(DiagnosticsRecord(
             time=view.time,
-            swirl_q_norm=view.swirl_q_norm,
+            swirl_q_norm=view.swirl_power ** (1.0 / m.q),
             d_t=view.d_t,
             serrin_running=serrin,
-            forcing_q_norm=weighted_lq_norm(f.h_phi, m.q),
+            forcing_q_norm=view.forcing_power ** (1.0 / m.q),
             weighted_vort_energy=wv,
             quartic_swirl_r2=view.quartic_r2,
             quartic_swirl_r4=view.quartic_r4,
@@ -681,9 +625,8 @@ def collect_diagnostics(checkpoints, m: MonitorConfig, forcing_at=None):
             transport_cancellation=view.transport,
             f_indicator=1.0 / (2.0 * m.nu**2) * view.quartic_r2 + wv,
             margins=margins,
-        )
-        records.append(rec)
-        prev, fp = view, f
+        ))
+        prev = view
     env = gronwall_envelope([r for r in records if not r.truncated], m)
     for r, val in zip(records, env):
         r.gronwall_envelope = val
@@ -709,13 +652,16 @@ def margin_columns(m: MonitorConfig) -> list[str]:
 
 def _asserted_check(name, samples, worst_of, start, tolerance) -> dict:
     """PASS when every (value, passed) sample passed; the reported margin
-    folds the values with worst_of (min or max), starting from start."""
-    worst, ok = start, True
+    folds start and the values with worst_of (np.min or np.max), so a NaN
+    value is the reported margin.  Each predicate is written so that a
+    NaN fails it."""
+    values, ok = [start], True
     for value, passed in samples:
-        worst = worst_of(worst, value)
+        values.append(value)
         ok = ok and passed
     return {"name": name, "status": "PASS" if ok else "FAIL",
-            "margin": worst, "tolerance": tolerance, "asserted": True}
+            "margin": float(worst_of(values)), "tolerance": tolerance,
+            "asserted": True}
 
 
 def evaluate_checks(records, m: MonitorConfig, grid: CylGrid,
@@ -733,10 +679,10 @@ def evaluate_checks(records, m: MonitorConfig, grid: CylGrid,
 
     def sub_step(r, name):
         mg, sc = r.margins[name], r.margins[name + "_scale"]
-        return mg, not mg < -tol * max(sc, 1e-300)
+        return mg, mg >= -tol * max(sc, 1e-300)
 
     checks = [_asserted_check(name, (sub_step(r, name) for r in live),
-                              min, 0.0, tol) for name in _SUB_CHECKS]
+                              np.min, 0.0, tol) for name in _SUB_CHECKS]
 
     delta = min(grid.d_rho, grid.d_z)
     band = m.tolerances.get("identity_band", 100.0) * (dt + delta**2)
@@ -744,25 +690,26 @@ def evaluate_checks(records, m: MonitorConfig, grid: CylGrid,
     def identity(r):
         res = abs(r.margins["quartic_identity_residual"])
         scale = max(r.quartic_swirl_r2, 1.0)
-        return res / scale, not res > band * scale
+        return res / scale, res <= band * scale
 
     checks.append(_asserted_check("quartic_identity", map(identity, live),
-                                  max, 0.0, band))
+                                  np.max, 0.0, band))
 
     tband = m.tolerances.get("transport_band", 100.0) * delta**2
 
     def transport(r):
         val = abs(r.transport_cancellation)
         scale = (1.0 + r.grad_u_l2) * (1.0 + r.swirl_q_norm ** m.q)
-        return val / scale, not val > tband * scale
+        return val / scale, val <= tband * scale
 
     checks.append(_asserted_check("transport_cancellation",
-                                  map(transport, finite), max, 0.0, tband))
+                                  map(transport, finite), np.max, 0.0, tband))
 
     for name in ["swirl_budget", "quartic_budget"] + [
         _vorticity_column(e) for e in m.epsilon_list
     ]:
-        worst = min((r.margins[name] for r in live), default=math.nan)
+        worst = float(np.min([r.margins[name] for r in live])) \
+            if live else math.nan
         checks.append({
             "name": name, "status": "REPORT-ONLY", "margin": worst,
             "tolerance": None, "asserted": False,
@@ -774,12 +721,12 @@ def evaluate_checks(records, m: MonitorConfig, grid: CylGrid,
 
     def dominance(r):
         slack = r.gronwall_envelope - r.swirl_q_norm ** m.q * (1.0 - env_tol)
-        return slack, not slack < 0.0
+        return slack, slack >= 0.0
 
     gronwall = _asserted_check(
         "gronwall_dominance",
         (dominance(r) for r in finite if not math.isnan(r.gronwall_envelope)),
-        min, math.inf, env_tol,
+        np.min, math.inf, env_tol,
     )
     if gronwall["margin"] == math.inf:
         gronwall["margin"] = math.nan

@@ -61,11 +61,7 @@ from .grid import CylGrid, ScalarSample, integrate
 
 @dataclass
 class SimConfig:
-    """Grid, viscosity and time-stepping settings of one run.
-
-    projection_tol and projection_max_iter are accepted for scenario
-    compatibility and ignored: the pressure solve is direct.
-    """
+    """Grid, viscosity and time-stepping settings of one run."""
 
     n_rho: int = 32
     n_z: int = 32
@@ -78,8 +74,6 @@ class SimConfig:
     dt: float | None = None
     cfl_safety: float = 0.4
     checkpoint_stride: int = 1
-    projection_tol: float = 1e-10
-    projection_max_iter: int = 20000
 
     def __post_init__(self):
         if not (self.t_end > self.t_start):
@@ -225,13 +219,12 @@ def project(v: VelocityState, dt=None):
 
 # --- time stepping -------------------------------------------------------
 
-def cfl_limits(v: VelocityState, _nu=None):
+def cfl_limits(v: VelocityState):
     """Return (advective_dt_max, swirl_source_dt_max) per the stability
     contract: 0.5 Delta / max(|u_rho|, |u_z|) and 0.5 / max(|u_phi| / rho).
     u_phi does not advect in axisymmetric flow but drives the explicit
     u_phi^2/rho and u_phi u_rho/rho sources.  The viscous terms are
-    implicit and set no stability limit; the second argument is unused
-    and kept for the older call cfl_limits(v, nu)."""
+    implicit and set no stability limit."""
     g = v.grid
     delta = min(g.d_rho, g.d_z)
     umax = max(float(np.max(np.abs(v.u_rho.values))),

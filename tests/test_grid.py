@@ -42,6 +42,15 @@ def test_equal_grids_compare_and_hash_on_their_parameters():
     assert state.grid == b
 
 
+def test_cell_weight_is_built_once_and_read_only():
+    g = build_grid(8, 4)
+    assert g.cell_weight is g.cell_weight
+    assert np.array_equal(g.cell_weight,
+                          2.0 * math.pi * g.rho * g.d_rho * g.d_z)
+    with pytest.raises(ValueError):
+        g.cell_weight[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("bad", [
     dict(n_rho=1, n_z=4),
     dict(n_rho=4, n_z=1),

@@ -4,18 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from axiswirl.errors import ConfigurationError, ContractViolation
-from axiswirl.fields import zero_forcing, zero_state
+from axiswirl.fields import zero_state
 from axiswirl.grid import build_grid
 from axiswirl.monitor import (
     DiagnosticsRecord,
     MonitorConfig,
+    _integ,
     blowup_indicator,
     calibrate_sobolev,
     collect_diagnostics,
     d_of_t,
+    evaluate_checks,
     gronwall_envelope,
+    margin_columns,
     monitor_for,
     negative_part,
     serrin_integrand,
@@ -91,6 +95,20 @@ def test_serrin_integrand_only_sees_negative_part(exp640):
     )
 
 
+@given(n_rho=st.integers(2, 24), n_z=st.integers(2, 24),
+       rho_max=st.floats(0.1, 10.0), z_len=st.floats(0.1, 10.0),
+       k=st.floats(-4.0, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_moment_quadrature_is_the_2d_midpoint_sum(n_rho, n_z, rho_max, z_len,
+                                                  k, seed):
+    # z-sums, then one dot product with the radial weight times rho^k
+    g = build_grid(n_rho, n_z, rho_max=rho_max, z_min=-1.0, z_max=z_len - 1.0)
+    vals = np.random.default_rng(seed).standard_normal(g.shape)
+    direct = np.sum(vals * g.rho**k * g.cell_weight)
+    scale = np.sum(np.abs(vals) * g.rho**k * g.cell_weight)
+    assert abs(_integ(vals, g, k) - direct) <= 1e-13 * scale
+    assert _integ(vals.sum(axis=1), g, k) == _integ(vals, g, k)
+
+
 def test_negative_part():
     x = np.array([-2.0, 0.0, 3.0])
     assert np.array_equal(negative_part(x), [2.0, 0.0, 0.0])
@@ -136,11 +154,10 @@ def test_swirl_budget_nonnegative_on_reference_runs(audit_run, forced_taylor):
 def test_vorticity_budget_validation(audit_run):
     ck = audit_run["traj"].checkpoints
     m = audit_run["monitor"]
-    zf = zero_forcing(audit_run["grid"])
     with pytest.raises(ContractViolation):
-        weighted_vorticity_budget(ck[0], ck[1], zf, m, eps=1.5)
+        weighted_vorticity_budget(ck[0], ck[1], m, eps=1.5)
     with pytest.raises(ContractViolation):
-        weighted_vorticity_budget(ck[1], ck[0], zf, m, eps=0.1)
+        weighted_vorticity_budget(ck[1], ck[0], m, eps=0.1)
 
 
 def test_vorticity_eps_gaps_shrink(audit_run):
@@ -212,6 +229,34 @@ def test_records_reject_negative_norms():
             dissipation_quartic=0.0, grad_u_l2=0.0, vort_l2=0.0,
             transport_cancellation=0.0, f_indicator=0.0,
         )
+
+
+def _checks_of(m, grid, nan_field=None):
+    # a first record and one pair record, all margins 0 and scales 1,
+    # with the named record field or margin set to nan
+    margins = {name: 0.0 for name in margin_columns(m)}
+    margins.update({name + "_scale": 1.0 for name in SUB_CHECKS})
+    values = dict(swirl_q_norm=1.0, grad_u_l2=0.0, quartic_swirl_r2=0.0,
+                  transport_cancellation=0.0, gronwall_envelope=1.0)
+    if nan_field is not None:
+        (margins if nan_field in margins else values)[nan_field] = math.nan
+    records = [DiagnosticsRecord(time=0.0, **values),
+               DiagnosticsRecord(time=0.1, margins=margins, **values)]
+    return {c["name"]: c for c in evaluate_checks(records, m, grid, 0.01)}
+
+
+@pytest.mark.parametrize("nan_field,check", [
+    *((name, name) for name in SUB_CHECKS),
+    ("quartic_identity_residual", "quartic_identity"),
+    ("quartic_swirl_r2", "quartic_identity"),
+    ("transport_cancellation", "transport_cancellation"),
+    ("grad_u_l2", "transport_cancellation"),
+])
+def test_nan_margin_fails_its_check(m640, nan_field, check):
+    g = build_grid(8, 8)
+    assert all(c["status"] != "FAIL" for c in _checks_of(m640, g).values())
+    c = _checks_of(m640, g, nan_field)[check]
+    assert c["status"] == "FAIL" and math.isnan(c["margin"])
 
 
 def test_collect_diagnostics_structure(audit_run):

@@ -89,7 +89,7 @@ def test_projection_preserves_swirl(taylor_state):
 
 def test_cfl_limits_and_violation(taylor_state):
     cfg = SimConfig(n_rho=32, n_z=32, nu=0.1)
-    adv, dif = cfl_limits(taylor_state, cfg.nu)
+    adv, dif = cfl_limits(taylor_state)
     assert adv > 0 and dif > 0
     with pytest.raises(CflViolation) as exc:
         step(taylor_state, cfg, 10.0 * min(adv, dif))
