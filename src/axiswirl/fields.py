@@ -147,9 +147,9 @@ def radial_diffusion(f, grid: CylGrid, wall=NOSLIP):
     return np.diff(flux, axis=0) / (grid.rho * grid.d_rho**2)
 
 
-def swirl_laplacian(f, grid: CylGrid, wall=NOSLIP):
+def swirl_laplacian(f, grid: CylGrid):
     """Viscous operator for odd-parity components: radial diffusion + d_zz - f/rho^2."""
-    return radial_diffusion(f, grid, wall) + d_zz(f, grid) - f / grid.rho**2
+    return radial_diffusion(f, grid) + d_zz(f, grid) - f / grid.rho**2
 
 
 # --- spec operators -----------------------------------------------------

@@ -37,7 +37,7 @@ from .fields import (
     zero_forcing,
 )
 from .grid import CylGrid, ScalarSample, build_grid
-from .solver import SimConfig, run
+from .solver import J11, SimConfig, run
 
 
 # --- analytic building blocks --------------------------------------------
@@ -56,15 +56,6 @@ def J1(x):
                    axis=-1)
 
 
-def _j1_first_zero():
-    """j_{1,1} by Newton's method from 3.83, with J1' = J0 - J1/x; the
-    third step is already stationary in double precision."""
-    x = 3.83
-    for _ in range(5):
-        x -= float(J1(x) / (J0(x) - J1(x) / x))
-    return x
-
-
 class RadialProfile:
     """A radial factor with exact first and second derivatives."""
 
@@ -76,11 +67,6 @@ class RadialProfile:
         d1 = poly.deriv()
         d2 = d1.deriv()
         return cls(poly, d1, d2)
-
-    @classmethod
-    def zero(cls):
-        z = lambda rho: np.zeros_like(rho)  # noqa: E731
-        return cls(z, z, z)
 
 
 def _bessel_j1_profile(lam):
@@ -218,8 +204,6 @@ class ManufacturedSolution:
     u_phi: AnalyticField
     u_z: AnalyticField
     p: object
-    steady: bool = False
-    noslip: bool = True
     homogeneous_nu: float | None = None  # nu for which the forcing vanishes
     meta: dict = field(default_factory=dict)
 
@@ -245,21 +229,20 @@ def make_solution(kind, params=None) -> ManufacturedSolution:
         )
         return ManufacturedSolution(
             kind, params, AnalyticField(), u_phi, AnalyticField(), p,
-            steady=True, noslip=False, homogeneous_nu=math.inf,
-            meta={"rho_max": rho_max},
+            homogeneous_nu=math.inf, meta={"rho_max": rho_max},
         )
     if kind == "decaying_swirl":
         amp = params.setdefault("amplitude", 1.0)
         nu = params.setdefault("nu", 0.1)
         rho_max = params.setdefault("rho_max", 2.0)
-        lam = _j1_first_zero() / rho_max
+        lam = J11 / rho_max
         mu = nu * lam**2
         profile = _bessel_j1_profile(lam)
         u_phi = AnalyticField([Term(profile, mu=mu, coef=amp)])
         return ManufacturedSolution(
             kind, params, AnalyticField(), u_phi, AnalyticField(),
-            SwirlPressure(u_phi), steady=False, noslip=True,
-            homogeneous_nu=nu, meta={"lambda": lam, "rho_max": rho_max},
+            SwirlPressure(u_phi), homogeneous_nu=nu,
+            meta={"lambda": lam, "rho_max": rho_max},
         )
     if kind == "taylor_vortex_swirl":
         amp = params.setdefault("amplitude", 0.3)
@@ -295,8 +278,8 @@ def make_solution(kind, params=None) -> ManufacturedSolution:
                   z_kind="cos", k=k, coef=p_amp)]
         )
         return ManufacturedSolution(
-            kind, params, u_rho, u_phi, u_z, p, steady=False, noslip=True,
-            homogeneous_nu=None, meta={"k": k, "rho_max": rho_max},
+            kind, params, u_rho, u_phi, u_z, p, homogeneous_nu=None,
+            meta={"k": k, "rho_max": rho_max},
         )
     raise ConfigurationError(f"unknown manufactured solution kind {kind!r}")
 
@@ -412,20 +395,14 @@ def _l2_err(a, b, grid: CylGrid):
     return float(np.sqrt(np.sum(w * d * d)))
 
 
-def default_dt_rule(nu, safety=0.1):
-    def rule(grid: CylGrid):
-        delta = min(grid.d_rho, grid.d_z)
-        return safety * delta**2 / nu
-
-    return rule
-
-
-def convergence_order(sol: ManufacturedSolution, grids, dt_rule=None,
-                      quantity="solver", nu=0.1, t0=0.0, t_end=0.05):
+def convergence_order(sol: ManufacturedSolution, grids, quantity="solver",
+                      nu=0.1, t_end=0.05):
     """Refinement study; returns {"errors": [...], "orders": [...], ...}.
 
-    quantity selects what is measured:
-      solver        end-time velocity error of a forced solver run
+    quantity selects what is measured, at t = 0 unless stated:
+      solver        end-time velocity error of a forced solver run from
+                    t = 0 with dt = 0.1 Delta^2 / nu: dt ~ Delta^2 keeps
+                    the time error of higher order than the space error
       operator      momentum_rhs tendency against the analytic d_t u
       curl          discrete curl against the analytic curl
       divergence    max |div| of the sampled field
@@ -433,20 +410,14 @@ def convergence_order(sol: ManufacturedSolution, grids, dt_rule=None,
     """
     if len(grids) < 2:
         raise ConfigurationError("need at least two grid levels")
-    if dt_rule is None:
-        dt_rule = default_dt_rule(nu)
     errors = []
     for grid in grids:
         rho, z = _axes(grid)
+        state = sample_state(sol, grid, 0.0)
         if quantity == "solver":
-            dt = dt_rule(grid)
-            cfg = SimConfig(
-                n_rho=grid.n_rho, n_z=grid.n_z, rho_max=grid.rho_max,
-                z_min=grid.z_min, z_max=grid.z_max, nu=nu,
-                t_start=t0, t_end=t_end, dt=dt, checkpoint_stride=10**9,
-            )
-            traj = run(cfg, sample_state(sol, grid, t0),
-                       forcing_at=forcing_callable(sol, nu, grid))
+            dt = 0.1 * min(grid.d_rho, grid.d_z) ** 2 / nu
+            cfg = SimConfig(nu=nu, t_end=t_end, dt=dt, checkpoint_stride=10**9)
+            traj = run(cfg, state, forcing_at=forcing_callable(sol, nu, grid))
             if traj.failed:
                 raise ConfigurationError(f"solver failed: {traj.failure_reason}")
             final = traj.checkpoints[-1]
@@ -457,31 +428,27 @@ def convergence_order(sol: ManufacturedSolution, grids, dt_rule=None,
                 _max_err(final.u_z.values, sol.u_z.val(rho, z, t)),
             )
         elif quantity == "operator":
-            state = sample_state(sol, grid, t0)
-            f = forcing_for(sol, nu, grid, t0)
+            f = forcing_for(sol, nu, grid, 0.0)
             tend = momentum_rhs(state, f, nu)
             # volume-weighted L2: single boundary-adjacent rows carry
             # vanishing measure, matching the norm the time integration sees
             err = max(
-                _l2_err(tend[0].values, sol.u_rho.d_t(rho, z, t0), grid),
-                _l2_err(tend[1].values, sol.u_phi.d_t(rho, z, t0), grid),
-                _l2_err(tend[2].values, sol.u_z.d_t(rho, z, t0), grid),
+                _l2_err(tend[0].values, sol.u_rho.d_t(rho, z, 0.0), grid),
+                _l2_err(tend[1].values, sol.u_phi.d_t(rho, z, 0.0), grid),
+                _l2_err(tend[2].values, sol.u_z.d_t(rho, z, 0.0), grid),
             )
         elif quantity == "curl":
-            state = sample_state(sol, grid, t0)
             w = curl_axisym(state)
-            wr, wh, wz = sol.curl(rho, z, t0)
+            wr, wh, wz = sol.curl(rho, z, 0.0)
             err = max(
                 _max_err(w.w_rho.values, wr),
                 _max_err(w.w_phi.values, wh),
                 _max_err(w.w_z.values, wz),
             )
         elif quantity == "divergence":
-            state = sample_state(sol, grid, t0)
             err = float(np.max(np.abs(_interior(divergence(state).values))))
         elif quantity == "lopsided_curl":
-            state = sample_state(sol, grid, t0)
-            _, _, wz = sol.curl(rho, z, t0)
+            _, _, wz = sol.curl(rho, z, 0.0)
             err = _max_err(lopsided_curl(state), wz)
         else:
             raise ConfigurationError(f"unknown quantity {quantity!r}")
@@ -493,8 +460,6 @@ def convergence_order(sol: ManufacturedSolution, grids, dt_rule=None,
     return {"quantity": quantity, "errors": errors, "orders": orders}
 
 
-def grid_levels(base, levels, rho_max=2.0, z_min=0.0, z_max=1.0):
-    return [
-        build_grid(base * 2**i, base * 2**i, rho_max, z_min, z_max)
-        for i in range(levels)
-    ]
+def grid_levels(base, levels):
+    """levels default-domain grids of base * 2**i cells per direction."""
+    return [build_grid(base * 2**i, base * 2**i) for i in range(levels)]

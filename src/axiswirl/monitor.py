@@ -86,11 +86,6 @@ class MonitorConfig:
     epsilon_list: tuple = DEFAULT_EPSILON_LIST
     c_grow: float | None = None
     c3: float = 0.0
-    tolerances: dict = field(default_factory=lambda: {
-        "sub_margin_rel": 1e-12,
-        "envelope_rel": 1e-6,
-        "serrin_rel": 1e-10,
-    })
 
     def __post_init__(self):
         if self.q < 2 or self.q % 2 != 0:
@@ -471,6 +466,7 @@ class DiagnosticsRecord:
     swirl_q_norm: float = math.nan
     d_t: float = math.nan
     serrin_running: float = math.nan
+    gronwall_envelope: float = math.nan
     forcing_q_norm: float = math.nan
     weighted_vort_energy: float = math.nan
     quartic_swirl_r2: float = math.nan
@@ -483,9 +479,8 @@ class DiagnosticsRecord:
     vort_l2: float = math.nan
     transport_cancellation: float = math.nan
     f_indicator: float = math.nan
-    gronwall_envelope: float = math.nan
-    margins: dict = field(default_factory=dict)
     truncated: bool = False
+    margins: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("swirl_q_norm", "serrin_running", "weighted_vort_energy",
@@ -635,12 +630,27 @@ def collect_diagnostics(checkpoints, m: MonitorConfig, forcing_at=None):
 
 # --- check aggregation ----------------------------------------------------
 
+# Tolerances of the asserted checks: the relative rounding allowance of
+# the exact Holder/Young sub-steps, the constants c of the O(dt + Delta^2)
+# quartic-identity band and of the O(Delta^2) transport band, and the
+# relative slack of Gronwall dominance.
+SUB_MARGIN_REL = 1e-12
+IDENTITY_BAND = 100.0
+TRANSPORT_BAND = 100.0
+ENVELOPE_REL = 1e-6
+
 _SUB_CHECKS = ("young_forcing", "holder_p", "young_eps1", "holder_s_half",
                "holder_inner", "young_eps2")
 
 
 def _vorticity_column(eps: float) -> str:
     return f"vorticity_budget_eps_{eps:g}"
+
+
+def record_columns() -> list[str]:
+    """Names of the DiagnosticsRecord fields written to diagnostics.csv,
+    in column order; the margin columns follow them."""
+    return [f.name for f in fields(DiagnosticsRecord) if f.name != "margins"]
 
 
 def margin_columns(m: MonitorConfig) -> list[str]:
@@ -668,24 +678,24 @@ def evaluate_checks(records, m: MonitorConfig, grid: CylGrid,
                     dt: float) -> list[dict]:
     """Aggregate per-record margins into PASS / FAIL / REPORT-ONLY checks.
 
-    Asserted: the exact Holder/Young sub-steps (margin >= -tol * scale),
-    the quartic identity residual (O(dt + Delta^2) band), and transport
-    cancellation (O(Delta^2) band).  Everything involving c_grow, c_sob,
-    or c3 is report-only.  dt is the solver step.
+    Asserted: the exact Holder/Young sub-steps (margin >= -SUB_MARGIN_REL
+    * scale), the quartic identity residual (O(dt + Delta^2) band), and
+    transport cancellation (O(Delta^2) band).  Everything involving
+    c_grow, c_sob, or c3 is report-only.  dt is the solver step.
     """
     finite = [r for r in records if not r.truncated]
     live = [r for r in finite if r.margins]
-    tol = m.tolerances.get("sub_margin_rel", 1e-12)
 
     def sub_step(r, name):
         mg, sc = r.margins[name], r.margins[name + "_scale"]
-        return mg, mg >= -tol * max(sc, 1e-300)
+        return mg, mg >= -SUB_MARGIN_REL * max(sc, 1e-300)
 
     checks = [_asserted_check(name, (sub_step(r, name) for r in live),
-                              np.min, 0.0, tol) for name in _SUB_CHECKS]
+                              np.min, 0.0, SUB_MARGIN_REL)
+              for name in _SUB_CHECKS]
 
     delta = min(grid.d_rho, grid.d_z)
-    band = m.tolerances.get("identity_band", 100.0) * (dt + delta**2)
+    band = IDENTITY_BAND * (dt + delta**2)
 
     def identity(r):
         res = abs(r.margins["quartic_identity_residual"])
@@ -695,7 +705,7 @@ def evaluate_checks(records, m: MonitorConfig, grid: CylGrid,
     checks.append(_asserted_check("quartic_identity", map(identity, live),
                                   np.max, 0.0, band))
 
-    tband = m.tolerances.get("transport_band", 100.0) * delta**2
+    tband = TRANSPORT_BAND * delta**2
 
     def transport(r):
         val = abs(r.transport_cancellation)
@@ -717,16 +727,14 @@ def evaluate_checks(records, m: MonitorConfig, grid: CylGrid,
 
     # Gronwall dominance: asserted only when its premise (all swirl
     # margins nonnegative) holds on the run
-    env_tol = m.tolerances.get("envelope_rel", 1e-6)
-
     def dominance(r):
-        slack = r.gronwall_envelope - r.swirl_q_norm ** m.q * (1.0 - env_tol)
+        slack = r.gronwall_envelope - r.swirl_q_norm ** m.q * (1.0 - ENVELOPE_REL)
         return slack, slack >= 0.0
 
     gronwall = _asserted_check(
         "gronwall_dominance",
         (dominance(r) for r in finite if not math.isnan(r.gronwall_envelope)),
-        np.min, math.inf, env_tol,
+        np.min, math.inf, ENVELOPE_REL,
     )
     if gronwall["margin"] == math.inf:
         gronwall["margin"] = math.nan

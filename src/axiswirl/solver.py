@@ -61,13 +61,9 @@ from .grid import CylGrid, ScalarSample, integrate
 
 @dataclass
 class SimConfig:
-    """Grid, viscosity and time-stepping settings of one run."""
+    """Viscosity and time-stepping settings of one run; the grid is the
+    initial state's."""
 
-    n_rho: int = 32
-    n_z: int = 32
-    rho_max: float = 2.0
-    z_min: float = 0.0
-    z_max: float = 1.0
     nu: float = 0.1
     t_start: float = 0.0
     t_end: float = 0.1
@@ -94,16 +90,11 @@ class Trajectory:
     records (0, nan)."""
 
     checkpoints: list[VelocityState]
-    config: SimConfig
     failed: bool = False
     failure_reason: str | None = None
     step_count: int = 0
     dt: float = 0.0
     projection_info: list[tuple[int, float]] = field(default_factory=list)
-
-    @property
-    def times(self):
-        return [s.time for s in self.checkpoints]
 
     def checkpoint_hash(self, i):
         s = self.checkpoints[i]
@@ -235,7 +226,7 @@ def cfl_limits(v: VelocityState):
     return adv, src
 
 
-_J11 = 3.8317059702075125  # first positive zero of J1
+J11 = 3.8317059702075125  # first positive zero of J1
 
 
 def viscous_dt_limit(grid: CylGrid, nu: float) -> float:
@@ -255,7 +246,7 @@ def viscous_dt_limit(grid: CylGrid, nu: float) -> float:
     default cfl_safety 0.4, it is 0.07% below.  The limit depends on the
     domain, not on the grid spacing."""
     k_z = 2.0 * np.pi / (grid.z_max - grid.z_min)
-    lam1_sq = (_J11 / grid.rho_max) ** 2 + k_z**2
+    lam1_sq = (J11 / grid.rho_max) ** 2 + k_z**2
     return 0.5 / (nu * lam1_sq)
 
 
@@ -338,7 +329,7 @@ def run(cfg: SimConfig, initial: VelocityState, forcing_at=None) -> Trajectory:
         n = max(1, int(np.ceil((cfg.t_end - cfg.t_start) / dt)))
         dt = (cfg.t_end - cfg.t_start) / n
     n_steps = max(1, int(round((cfg.t_end - cfg.t_start) / dt)))
-    traj = Trajectory([state], cfg, dt=dt, projection_info=[info])
+    traj = Trajectory([state], dt=dt, projection_info=[info])
     for i in range(n_steps):
         try:
             state, info = step(state, cfg, dt, forcing_at=forcing_at)

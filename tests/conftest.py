@@ -46,7 +46,7 @@ def audit_run(decaying_sol, exp640):
     """Unforced 200-step swirl run with full monitor diagnostics."""
     grid = build_grid(32, 8)
     dt = 9e-4
-    cfg = SimConfig(n_rho=32, n_z=8, nu=NU, t_start=0.0, t_end=200 * dt,
+    cfg = SimConfig(nu=NU, t_start=0.0, t_end=200 * dt,
                     dt=dt, checkpoint_stride=1)
     traj = run(cfg, mms.sample_state(decaying_sol, grid, 0.0))
     assert not traj.failed, traj.failure_reason
@@ -61,7 +61,7 @@ def forced_taylor(taylor_sol, exp640):
     """Forced 50-step vortex-with-swirl run with full diagnostics."""
     grid = build_grid(24, 24)
     dt = 0.1 * min(grid.d_rho, grid.d_z) ** 2 / NU
-    cfg = SimConfig(n_rho=24, n_z=24, nu=NU, t_start=0.0, t_end=50 * dt,
+    cfg = SimConfig(nu=NU, t_start=0.0, t_end=50 * dt,
                     dt=dt, checkpoint_stride=1)
     forcing = mms.forcing_callable(taylor_sol, NU, grid)
     traj = run(cfg, mms.sample_state(taylor_sol, grid, 0.0), forcing_at=forcing)

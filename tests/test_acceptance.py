@@ -251,7 +251,7 @@ def test_criterion_12_eps_sequence_and_quartic_identity(audit_run, exp640):
     for n in (16, 32, 64):
         g = build_grid(n, n)
         dt = 0.1 * min(g.d_rho, g.d_z) ** 2 / NU
-        cfg = SimConfig(n_rho=n, n_z=n, nu=NU, t_end=5 * dt, dt=dt)
+        cfg = SimConfig(nu=NU, t_end=5 * dt, dt=dt)
         traj = run(cfg, mms.sample_state(sol, g, 0.0))
         records = collect_diagnostics(
             traj.checkpoints, monitor_for(g, exp640, NU))

@@ -1,6 +1,7 @@
 """Command-line surface: schema validation, artifacts, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -27,6 +28,7 @@ from axiswirl.cli import (
 )
 from axiswirl.errors import ConfigurationError
 from axiswirl.grid import build_grid
+from axiswirl.solver import SimConfig
 from axiswirl import mms
 
 
@@ -60,6 +62,12 @@ def test_validate_fills_defaults():
     assert cfg["initial_data"]["kind"] == "zero"
     assert cfg["forcing"]["kind"] == "zero"
     assert cfg["output"]["write_checkpoints"] is False
+
+
+def test_solver_section_is_the_simconfig_fields():
+    # run_scenario builds SimConfig(**cfg["solver"])
+    cfg = validate_scenario({"schema_version": SCHEMA_VERSION})
+    assert [f.name for f in dataclasses.fields(SimConfig)] == list(cfg["solver"])
 
 
 def test_validate_accepts_inf_b():
@@ -201,6 +209,24 @@ def test_run_scenario_success(tmp_path, monkeypatch, capsys):
     assert header.startswith("time,swirl_q_norm,d_t,serrin_running")
 
 
+def test_diagnostics_header(tmp_path, monkeypatch):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    assert run_scenario(_write(tmp_path, _scenario())) == 0
+    header = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()[0]
+    assert header == ",".join([
+        "time", "swirl_q_norm", "d_t", "serrin_running", "gronwall_envelope",
+        "forcing_q_norm", "weighted_vort_energy", "quartic_swirl_r2",
+        "quartic_swirl_r4", "dissipation_swirl_grad", "dissipation_swirl_axis",
+        "dissipation_vort", "dissipation_quartic", "grad_u_l2", "vort_l2",
+        "transport_cancellation", "f_indicator", "truncated", "swirl_budget",
+        "young_forcing", "holder_p", "young_eps1", "holder_s_half",
+        "holder_inner", "young_eps2", "quartic_budget",
+        "quartic_identity_residual", "vorticity_budget_eps_0.4",
+        "vorticity_budget_eps_0.2", "vorticity_budget_eps_0.1",
+        "vorticity_budget_eps_0.04", "vorticity_budget_eps_0",
+    ])
+
+
 def test_run_scenario_deterministic(tmp_path, monkeypatch):
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
     for name in ("r1", "r2"):
@@ -312,6 +338,16 @@ def test_check_exponents_inadmissible(capsys):
     assert check_exponents_cmd("6", "nope", "0") == 2
 
 
+def test_check_exponents_unsupported_infinite_a(capsys):
+    # admissible for the criterion, rejected by the d(t) construction
+    assert check_exponents_cmd("inf", "4", "0") == 0
+    out = capsys.readouterr().out
+    assert "verdict: inadmissible" in out
+    block = json.loads(out.strip().splitlines()[-1])
+    assert block["admissible"] is False
+    assert block["violations"]
+
+
 def test_mms_cmd_validation(capsys):
     assert mms_cmd("bogus", [8, 16, 32]) == 2
     assert mms_cmd("rigid_rotation", [8, 16]) == 2
@@ -352,9 +388,19 @@ def test_main_dispatch(capsys):
      "$.initial_data.params.nu"),
     ({"initial_data": {"kind": "file", "path": "a\0b"}}, "$.initial_data.path"),
     ({"output": {"directory": "a\0b"}}, "$.output.directory"),
+    ({"solver": {"nu": math.inf}}, "$.solver.nu"),
+    ({"solver": {"dt": math.inf}}, "$.solver.dt"),
+    ({"grid": {"rho_max": math.inf}}, "$.grid.rho_max"),
+    ({"exponents": {"a": 6, "b": math.inf, "gamma": 0}}, "$.exponents.b"),
+    ({"exponents": {"a": 6, "b": 4, "gamma": -math.inf}}, "$.exponents.gamma"),
+    ({"monitor": {"c3": math.inf}}, "$.monitor.c3"),
+    ({"output": {"directory": "out", "write_checkpoints": "false"}},
+     "$.output.write_checkpoints"),
 ], ids=["eps_not_number", "eps_increasing", "eps_no_limit", "eps_infinite",
         "c_sob_negative", "c_grow_zero", "c_grow_infinite", "n_rho_overflow",
-        "b_overflow", "param_not_number", "param_nan", "path_nul", "directory_nul"])
+        "b_overflow", "param_not_number", "param_nan", "path_nul", "directory_nul",
+        "nu_infinite", "dt_infinite", "rho_max_infinite", "b_infinite_number",
+        "gamma_infinite", "c3_infinite", "write_checkpoints_string"])
 def test_run_scenario_rejects_before_solving(tmp_path, monkeypatch, capsys,
                                              over, path):
     with pytest.raises(SchemaError) as exc:

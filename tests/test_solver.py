@@ -88,7 +88,7 @@ def test_projection_preserves_swirl(taylor_state):
 
 
 def test_cfl_limits_and_violation(taylor_state):
-    cfg = SimConfig(n_rho=32, n_z=32, nu=0.1)
+    cfg = SimConfig(nu=0.1)
     adv, dif = cfl_limits(taylor_state)
     assert adv > 0 and dif > 0
     with pytest.raises(CflViolation) as exc:
@@ -110,7 +110,7 @@ def test_sim_config_validation():
 def test_run_deterministic():
     sol = mms.make_solution("decaying_swirl", {"nu": 0.1})
     g = build_grid(16, 8)
-    cfg = SimConfig(n_rho=16, n_z=8, nu=0.1, t_end=0.02, dt=1e-3)
+    cfg = SimConfig(nu=0.1, t_end=0.02, dt=1e-3)
     t1 = run(cfg, mms.sample_state(sol, g, 0.0))
     t2 = run(cfg, mms.sample_state(sol, g, 0.0))
     assert len(t1.checkpoints) == len(t2.checkpoints)
@@ -130,7 +130,7 @@ def test_run_truncates_on_blowup():
             ScalarSample(h, g), ScalarSample(h, g), ScalarSample(h, g)
         )
 
-    cfg = SimConfig(n_rho=12, n_z=8, nu=0.1, t_end=0.05, dt=1e-3)
+    cfg = SimConfig(nu=0.1, t_end=0.05, dt=1e-3)
     traj = run(cfg, mms.sample_state(sol, g, 0.0), forcing_at=poisoned)
     assert traj.failed
     assert "blow-up" in traj.failure_reason
@@ -158,7 +158,7 @@ def test_kinetic_energy_scaling():
 def test_run_records_every_projection():
     sol = mms.make_solution("taylor_vortex_swirl", {})
     g = build_grid(12, 8)
-    cfg = SimConfig(n_rho=12, n_z=8, nu=0.1, t_end=0.01, dt=1e-3,
+    cfg = SimConfig(nu=0.1, t_end=0.01, dt=1e-3,
                     checkpoint_stride=4)
     traj = run(cfg, mms.sample_state(sol, g, 0.0))
     assert not traj.failed and traj.step_count == 10
@@ -241,7 +241,7 @@ def test_time_order_on_a_fixed_grid(kind):
     T = 0.02
 
     def final(dt):
-        cfg = SimConfig(n_rho=32, n_z=32, nu=0.1, t_end=T, dt=dt,
+        cfg = SimConfig(nu=0.1, t_end=T, dt=dt,
                         checkpoint_stride=10**9)
         traj = run(cfg, mms.sample_state(sol, g, 0.0),
                    forcing_at=mms.forcing_callable(sol, 0.1, g))
@@ -288,7 +288,7 @@ def test_slow_decaying_swirl_follows_the_analytic_decay():
     for amplitude in (0.01, 1.0):
         sol = mms.make_solution("decaying_swirl",
                                 {"nu": 0.1, "amplitude": amplitude})
-        traj = run(SimConfig(n_rho=16, n_z=16, nu=0.1, t_end=10.0,
+        traj = run(SimConfig(nu=0.1, t_end=10.0,
                              checkpoint_stride=10**9),
                    mms.sample_state(sol, g, 0.0))
         assert not traj.failed, traj.failure_reason
@@ -309,7 +309,7 @@ def test_slow_decaying_swirl_follows_the_analytic_decay():
 def test_energy_nonincreasing_at_the_automatic_dt(kind, n, t_end, min_ratio):
     sol = mms.make_solution(kind, {"nu": 0.1} if kind == "decaying_swirl" else {})
     g = build_grid(n, n)
-    traj = run(SimConfig(n_rho=n, n_z=n, nu=0.1, t_end=t_end),
+    traj = run(SimConfig(nu=0.1, t_end=t_end),
                mms.sample_state(sol, g, 0.0))
     assert not traj.failed and traj.step_count >= 10
     # beyond the explicit diffusive limit, which shrinks as 1/n^2 while the
@@ -331,7 +331,7 @@ def test_stage_projection_makes_the_step_insensitive_to_the_initial_pressure():
     sol = mms.make_solution("decaying_swirl", {"nu": 0.1})
     g = build_grid(64, 64)
     s0 = mms.sample_state(sol, g, 0.0).replace_fields(pressure=np.zeros(g.shape))
-    traj = run(SimConfig(n_rho=64, n_z=64, nu=0.1, t_end=0.012), s0)
+    traj = run(SimConfig(nu=0.1, t_end=0.012), s0)
     assert traj.step_count == 1
     t = traj.checkpoints[-1].time
     exact = sol.u_phi.val(g.rho, g.z_centers[None, :], t)
