@@ -407,14 +407,6 @@ def run_scenario(path) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    root = os.environ.get(OUTPUT_ROOT_ENV, ".")
-    outdir = os.path.join(root, cfg["output"]["directory"])
-    try:
-        os.makedirs(outdir, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return 3
-
     g = build_grid(**cfg["grid"])
     sim = SimConfig(**cfg["solver"])
     try:
@@ -432,13 +424,32 @@ def run_scenario(path) -> int:
     # overflow in a blowing-up run is an expected outcome (a truncated
     # trajectory or record), not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = run(sim, state, forcing_at=forcing)
-        mcfg = monitor_for(g, exps, sim.nu, **cfg["monitor"])
+        try:
+            traj = run(sim, state, forcing_at=forcing)
+        except ConfigurationError as exc:  # a step count run refuses
+            print(f"error: $.solver: {exc}", file=sys.stderr)
+            return 2
+        try:
+            mcfg = monitor_for(g, exps, sim.nu, **cfg["monitor"])
+        except ConfigurationError as exc:
+            # validate_scenario has checked every $.monitor value; what is
+            # left are the constants that follow from nu (nu^-3, c_grow)
+            print(f"error: $.solver.nu: {exc}", file=sys.stderr)
+            return 2
         records = collect_diagnostics(traj.checkpoints, mcfg,
                                       forcing_at=forcing)
         checks = evaluate_checks(records, mcfg, g, traj.dt)
         blowup = blowup_indicator(records)
 
+    # created only now, so that a scenario rejected at any stage writes
+    # nothing
+    outdir = os.path.join(os.environ.get(OUTPUT_ROOT_ENV, "."),
+                          cfg["output"]["directory"])
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return 3
     try:
         write_diagnostics_csv(os.path.join(outdir, "diagnostics.csv"),
                               records, mcfg)

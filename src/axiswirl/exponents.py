@@ -23,24 +23,20 @@ equality exactly on the boundary 3/a + 2/b + gamma = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InadmissibleExponents
+from .records import Frozen
 
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class ExponentSet:
-    a: float
-    b: float
-    gamma: float
-    p_hold: float
-    s: float
-    alpha: float
-    beta: float
-    theta: float
-    delta: float | None = None
+class ExponentSet(Frozen):
+    __slots__ = ("a", "b", "gamma", "p_hold", "s", "alpha", "beta", "theta",
+                 "delta")
+
+    def __init__(self, a, b, gamma, p_hold, s, alpha, beta, theta,
+                 delta=None):
+        self._freeze(a, b, gamma, p_hold, s, alpha, beta, theta, delta)
 
     def as_dict(self):
         return {

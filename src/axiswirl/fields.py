@@ -8,12 +8,11 @@ rho = rho_max via mirror-zero ghosts.  z is periodic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractViolation
 from .grid import CylGrid, ScalarSample
+from .records import Frozen
 
 ODD = "odd"
 EVEN = "even"
@@ -25,19 +24,16 @@ NEUMANN = "neumann"
 EXTRAP = "extrap"
 
 
-@dataclass(frozen=True)
-class VelocityState:
-    u_rho: ScalarSample
-    u_phi: ScalarSample
-    u_z: ScalarSample
-    pressure: ScalarSample
-    time: float
+class VelocityState(Frozen):
+    __slots__ = ("u_rho", "u_phi", "u_z", "pressure", "time")
 
-    def __post_init__(self):
-        g = self.u_rho.grid
-        for f in (self.u_phi, self.u_z, self.pressure):
+    def __init__(self, u_rho: ScalarSample, u_phi: ScalarSample,
+                 u_z: ScalarSample, pressure: ScalarSample, time: float):
+        g = u_rho.grid
+        for f in (u_phi, u_z, pressure):
             if f.grid is not g and f.grid != g:
                 raise ContractViolation("all state fields must share one grid")
+        self._freeze(u_rho, u_phi, u_z, pressure, time)
 
     @property
     def grid(self) -> CylGrid:
@@ -54,25 +50,26 @@ class VelocityState:
         )
 
 
-@dataclass(frozen=True)
-class VorticityFields:
-    w_rho: ScalarSample
-    w_phi: ScalarSample
-    w_z: ScalarSample
+class VorticityFields(Frozen):
+    __slots__ = ("w_rho", "w_phi", "w_z")
+
+    def __init__(self, w_rho: ScalarSample, w_phi: ScalarSample,
+                 w_z: ScalarSample):
+        self._freeze(w_rho, w_phi, w_z)
 
     @property
     def grid(self) -> CylGrid:
         return self.w_rho.grid
 
 
-@dataclass(frozen=True)
-class ForcingFields:
-    h_rho: ScalarSample
-    h_phi: ScalarSample
-    h_z: ScalarSample
-    g_rho: ScalarSample | None = None
-    g_phi: ScalarSample | None = None
-    g_z: ScalarSample | None = None
+class ForcingFields(Frozen):
+    __slots__ = ("h_rho", "h_phi", "h_z", "g_rho", "g_phi", "g_z")
+
+    def __init__(self, h_rho: ScalarSample, h_phi: ScalarSample,
+                 h_z: ScalarSample, g_rho: ScalarSample | None = None,
+                 g_phi: ScalarSample | None = None,
+                 g_z: ScalarSample | None = None):
+        self._freeze(h_rho, h_phi, h_z, g_rho, g_phi, g_z)
 
     @property
     def grid(self) -> CylGrid:

@@ -10,45 +10,52 @@ All volume integrals use the midpoint rule with the cylindrical measure
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, NumericError
+from .records import Frozen
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class CylGrid:
+class CylGrid(Frozen):
     """Axis-offset cylindrical mesh.
 
     Arrays over the grid have shape (n_rho, n_z); axis 0 is radial.
+    Equality, hash and repr use the five parameters only; the fields
+    after them are derived.  cell_weight is the quadrature weight
+    2*pi*rho_j*d_rho*d_z per cell, shape (n_rho, 1).
     """
 
-    n_rho: int
-    n_z: int
-    rho_max: float
-    z_min: float
-    z_max: float
-    # derived from the five parameters above; equality and hash ignore them
-    d_rho: float = field(init=False, repr=False, compare=False)
-    d_z: float = field(init=False, repr=False, compare=False)
-    rho_centers: np.ndarray = field(init=False, repr=False, compare=False)
-    z_centers: np.ndarray = field(init=False, repr=False, compare=False)
-    # quadrature weight 2*pi*rho_j*d_rho*d_z per cell, shape (n_rho, 1)
-    cell_weight: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("n_rho", "n_z", "rho_max", "z_min", "z_max",
+                 "d_rho", "d_z", "rho_centers", "z_centers", "cell_weight")
 
-    def __post_init__(self):
-        object.__setattr__(self, "d_rho", self.rho_max / self.n_rho)
-        object.__setattr__(self, "d_z", (self.z_max - self.z_min) / self.n_z)
-        rho = (np.arange(self.n_rho) + 0.5) * self.d_rho
-        zc = self.z_min + (np.arange(self.n_z) + 0.5) * self.d_z
-        weight = TWO_PI * rho[:, None] * self.d_rho * self.d_z
-        for name, arr in (("rho_centers", rho), ("z_centers", zc),
-                          ("cell_weight", weight)):
+    def __init__(self, n_rho, n_z, rho_max, z_min, z_max):
+        d_rho = rho_max / n_rho
+        d_z = (z_max - z_min) / n_z
+        rho = (np.arange(n_rho) + 0.5) * d_rho
+        zc = z_min + (np.arange(n_z) + 0.5) * d_z
+        weight = TWO_PI * rho[:, None] * d_rho * d_z
+        for arr in (rho, zc, weight):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self._freeze(n_rho, n_z, rho_max, z_min, z_max, d_rho, d_z, rho, zc,
+                     weight)
+
+    def _params(self):
+        return (self.n_rho, self.n_z, self.rho_max, self.z_min, self.z_max)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._params() == other._params()
+
+    def __hash__(self):
+        return hash(self._params())
+
+    def __repr__(self):
+        return ("CylGrid(n_rho={!r}, n_z={!r}, rho_max={!r}, z_min={!r}, "
+                "z_max={!r})".format(*self._params()))
 
     @property
     def shape(self):
@@ -71,20 +78,18 @@ class CylGrid:
         return np.meshgrid(self.rho_centers, self.z_centers, indexing="ij")
 
 
-@dataclass(frozen=True)
-class ScalarSample:
+class ScalarSample(Frozen):
     """A scalar field sampled at cell centers of a CylGrid."""
 
-    values: np.ndarray
-    grid: CylGrid
+    __slots__ = ("values", "grid")
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.shape:
+    def __init__(self, values, grid: CylGrid):
+        v = np.asarray(values, dtype=float)
+        if v.shape != grid.shape:
             raise ConfigurationError(
-                f"sample shape {v.shape} does not match grid {self.grid.shape}"
+                f"sample shape {v.shape} does not match grid {grid.shape}"
             )
-        object.__setattr__(self, "values", v)
+        self._freeze(v, grid)
 
 
 def build_grid(n_rho, n_z, rho_max=2.0, z_min=0.0, z_max=1.0) -> CylGrid:

@@ -2,19 +2,22 @@
 
 Each solution is a set of closed-form cylindrical velocity components
 plus the forcing that makes them solve the momentum equations exactly.
-Radial profiles are stored as numpy Polynomials (derivatives are exact
-coefficient manipulations) or as Bessel functions with hand-coded
-derivative identities; no symbolic-differentiation dependency.
+Radial profiles are polynomials, held as coefficient arrays and evaluated
+with np.polyval (derivatives by np.polyder), or Bessel functions with
+hand-coded derivative identities; no symbolic-differentiation dependency.
 
 J0 and J1 are Bessel's integrals, J0(x) = (1/pi) int_0^pi cos(x sin t) dt
 and J1(x) = (1/pi) int_0^pi sin t sin(x sin t) dt, by the midpoint rule on
 32 nodes: the integrands are smooth and periodic, so the rule converges
 exponentially and is exact to rounding for |x| <= 12 (Trefethen & Weideman
-2014, SIAM Rev. 56).  No scipy at run time.
+2014, SIAM Rev. 56).  No scipy at run time.  The decaying swirl's
+pressure is in closed form in J0 and J1 (SwirlPressure).
 
-Every term is coef * exp(-mu t) * F(rho) * G(z), so fields are evaluated
-on the separable pair rho (n_rho, 1), z (1, n_z): each profile is sampled
-once per radius and once per height, and only the products take the
+Every term is coef * exp(-mu t) * F(rho) * G(z).  On a grid, F and its
+derivatives are sampled once on the radial axis rho (n_rho, 1) and G and
+its derivatives once on z (1, n_z), the first time the solution meets
+that grid (ManufacturedSolution.on_grid); every later state or forcing
+on it is (coef * exp(-mu t) * F) * G, and only that product takes the
 grid shape.
 """
 
@@ -22,10 +25,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .errors import ConfigurationError
 from .fields import (
@@ -59,14 +60,20 @@ def J1(x):
 class RadialProfile:
     """A radial factor with exact first and second derivatives."""
 
+    __slots__ = ("f", "df", "d2f")
+
     def __init__(self, f, df, d2f):
         self.f, self.df, self.d2f = f, df, d2f
 
     @classmethod
-    def from_poly(cls, poly: Polynomial):
-        d1 = poly.deriv()
-        d2 = d1.deriv()
-        return cls(poly, d1, d2)
+    def from_coef(cls, coef):
+        """The polynomial sum_j coef[j] rho^j.  The coefficients are lowest
+        power first, the order in which np.convolve multiplies two
+        polynomials; np.polyval takes them highest first."""
+        c = np.asarray(coef, dtype=float)[::-1]
+        d1 = np.polyder(c)
+        return cls(*(functools.partial(np.polyval, p)
+                     for p in (c, d1, np.polyder(d1))))
 
 
 def _bessel_j1_profile(lam):
@@ -88,15 +95,21 @@ def _bessel_j1_profile(lam):
     return RadialProfile(f, df, d2f)
 
 
-@dataclass
 class Term:
     """coef * exp(-mu t) * F(rho) * G(z), G in {1, sin(k z), cos(k z)}."""
 
-    radial: RadialProfile
-    mu: float = 0.0
-    z_kind: str = "const"
-    k: float = 0.0
-    coef: float = 1.0
+    __slots__ = ("radial", "mu", "z_kind", "k", "coef")
+
+    def __init__(self, radial: RadialProfile, mu: float = 0.0,
+                 z_kind: str = "const", k: float = 0.0, coef: float = 1.0):
+        self.radial = radial
+        self.mu = mu
+        self.z_kind = z_kind
+        self.k = k
+        self.coef = coef
+
+    def _f(self, rho, order):
+        return (self.radial.f, self.radial.df, self.radial.d2f)[order](rho)
 
     def _g(self, z, order):
         if self.z_kind == "const":
@@ -112,8 +125,11 @@ class Term:
         return seq[order]
 
     def _parts(self, rho, z, t, r_order=0, z_order=0):
-        rfun = (self.radial.f, self.radial.df, self.radial.d2f)[r_order]
-        return self.coef * math.exp(-self.mu * t) * rfun(rho) * self._g(z, z_order)
+        return (self.coef * math.exp(-self.mu * t) * self._f(rho, r_order)
+                * self._g(z, z_order))
+
+    def on(self, rho, z) -> SampledTerm:
+        return SampledTerm(self, rho, z)
 
     def val(self, rho, z, t):
         return self._parts(rho, z, t)
@@ -134,11 +150,34 @@ class Term:
         return self._parts(rho, z, t, z_order=2)
 
 
+class SampledTerm(Term):
+    """A Term with F, G and their first two derivatives sampled once on
+    the axes rho, z.  Its methods take the same arguments as a Term's but
+    answer for those axes whatever rho and z they are given."""
+
+    __slots__ = ("_fs", "_gs")
+
+    def __init__(self, term: Term, rho, z):
+        super().__init__(term.radial, term.mu, term.z_kind, term.k, term.coef)
+        self._fs = tuple(term._f(rho, order) for order in range(3))
+        self._gs = tuple(term._g(z, order) for order in range(3))
+
+    def _f(self, rho, order):
+        return self._fs[order]
+
+    def _g(self, z, order):
+        return self._gs[order]
+
+
 class AnalyticField:
     """Sum of separable terms, with all partials used by the assembly."""
 
     def __init__(self, terms=()):
         self.terms = list(terms)
+
+    def on(self, rho, z) -> AnalyticField:
+        """This field with every term sampled on the axes rho, z."""
+        return AnalyticField(term.on(rho, z) for term in self.terms)
 
     def _sum(self, name, rho, z, t):
         if not self.terms:
@@ -165,29 +204,30 @@ class AnalyticField:
 
 
 class SwirlPressure:
-    """Centrifugal pressure of a z-independent swirl: d_rho p = u_phi^2 / rho.
+    """Centrifugal pressure of the decaying swirl u_phi = A e^{-mu t}
+    J1(lam rho): d_rho p = u_phi^2 / rho and p = 0 on the axis.  Since
+    d/dx (J0^2 + J1^2) = -2 J1^2 / x (Watson 1944, A Treatise on the
+    Theory of Bessel Functions, 2nd ed.), in closed form
 
-    Values come from fixed Gauss-Legendre quadrature of the defining
-    integral at each entry of rho (the field is z-independent, so a rho
-    column suffices); only the derivatives enter the forcing assembly.
+        p = A^2 e^{-2 mu t} (1 - J0(lam rho)^2 - J1(lam rho)^2) / 2.
+
+    The field is z-independent; only its rho-derivative enters the
+    forcing assembly.
     """
 
-    _NODES = 96
-
-    def __init__(self, swirl: AnalyticField):
+    def __init__(self, swirl: AnalyticField, amplitude, lam, mu):
         self.swirl = swirl
-        self._x, self._w = np.polynomial.legendre.leggauss(self._NODES)
+        self.amplitude, self.lam, self.mu = amplitude, lam, mu
+
+    def on(self, rho, z) -> SwirlPressure:
+        return SwirlPressure(self.swirl.on(rho, z), self.amplitude, self.lam,
+                             self.mu)
 
     def val(self, rho, z, t):
-        rho = np.asarray(rho, dtype=float)
-        flat = rho.reshape(-1)
-        # map [-1, 1] -> [tiny, rho] per target point
-        half = 0.5 * flat[:, None]
-        r = half * (self._x[None, :] + 1.0)
-        r = np.maximum(r, 1e-300)
-        integrand = self.swirl.val(r, np.zeros_like(r), t) ** 2 / r
-        vals = np.sum(integrand * self._w[None, :], axis=1) * half[:, 0]
-        return np.broadcast_to(vals.reshape(rho.shape), np.broadcast(rho, z).shape).copy()
+        x = self.lam * rho
+        col = (0.5 * self.amplitude**2 * math.exp(-2.0 * self.mu * t)
+               * (1.0 - J0(x) ** 2 - J1(x) ** 2))
+        return np.broadcast_to(col, np.broadcast(rho, z).shape).copy()
 
     def d_rho(self, rho, z, t):
         return self.swirl.val(rho, z, t) ** 2 / rho
@@ -196,16 +236,37 @@ class SwirlPressure:
         return np.zeros(np.broadcast(rho, z).shape)
 
 
-@dataclass
 class ManufacturedSolution:
-    kind: str
-    params: dict
-    u_rho: AnalyticField
-    u_phi: AnalyticField
-    u_z: AnalyticField
-    p: object
-    homogeneous_nu: float | None = None  # nu for which the forcing vanishes
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("kind", "params", "u_rho", "u_phi", "u_z", "p",
+                 "homogeneous_nu", "meta", "_on_grid")
+
+    def __init__(self, kind: str, params: dict, u_rho: AnalyticField,
+                 u_phi: AnalyticField, u_z: AnalyticField, p,
+                 homogeneous_nu: float | None = None, meta: dict | None = None):
+        self.kind = kind
+        self.params = params
+        self.u_rho = u_rho
+        self.u_phi = u_phi
+        self.u_z = u_z
+        self.p = p
+        self.homogeneous_nu = homogeneous_nu  # nu for which the forcing vanishes
+        self.meta = {} if meta is None else meta
+        self._on_grid = {}
+
+    def on_grid(self, grid: CylGrid) -> ManufacturedSolution:
+        """This solution with every profile sampled on the grid's axes,
+        built the first time a grid (by equality) is asked for and then
+        kept.  Its fields answer for those axes only."""
+        sampled = self._on_grid.get(grid)
+        if sampled is None:
+            rho, z = _axes(grid)
+            sampled = self._on_grid[grid] = ManufacturedSolution(
+                self.kind, self.params,
+                *(f.on(rho, z) for f in (self.u_rho, self.u_phi, self.u_z,
+                                         self.p)),
+                homogeneous_nu=self.homogeneous_nu, meta=self.meta,
+            )
+        return sampled
 
     def curl(self, rho, z, t):
         """Analytic vorticity components."""
@@ -217,16 +278,19 @@ class ManufacturedSolution:
 
 KINDS = ("rigid_rotation", "decaying_swirl", "taylor_vortex_swirl")
 
+# the polynomial rho; coefficient arrays are lowest power first, and
+# np.convolve multiplies two of them
+_RHO = np.array([0.0, 1.0])
+
 
 def make_solution(kind, params=None) -> ManufacturedSolution:
     params = dict(params or {})
     if kind == "rigid_rotation":
         omega = params.setdefault("omega", 1.0)
         rho_max = params.setdefault("rho_max", 2.0)
-        u_phi = AnalyticField([Term(RadialProfile.from_poly(Polynomial([0.0, omega])))])
+        u_phi = AnalyticField([Term(RadialProfile.from_coef([0.0, omega]))])
         p = AnalyticField(
-            [Term(RadialProfile.from_poly(Polynomial([0.0, 0.0, 0.5 * omega**2])))]
-        )
+            [Term(RadialProfile.from_coef([0.0, 0.0, 0.5 * omega**2]))])
         return ManufacturedSolution(
             kind, params, AnalyticField(), u_phi, AnalyticField(), p,
             homogeneous_nu=math.inf, meta={"rho_max": rho_max},
@@ -241,7 +305,7 @@ def make_solution(kind, params=None) -> ManufacturedSolution:
         u_phi = AnalyticField([Term(profile, mu=mu, coef=amp)])
         return ManufacturedSolution(
             kind, params, AnalyticField(), u_phi, AnalyticField(),
-            SwirlPressure(u_phi), homogeneous_nu=nu,
+            SwirlPressure(u_phi, amp, lam, mu), homogeneous_nu=nu,
             meta={"lambda": lam, "rho_max": rho_max},
         )
     if kind == "taylor_vortex_swirl":
@@ -256,27 +320,24 @@ def make_solution(kind, params=None) -> ManufacturedSolution:
         k = 2.0 * math.pi / (z_max - z_min)
         # w(rho) = (1 - (rho/R)^2)^3: triple zero at the wall keeps the
         # mirror-zero ghosts fourth-order accurate there
-        w = Polynomial([1.0, 0.0, -1.0 / rho_max**2]) ** 3
-        rho_poly = Polynomial([0.0, 1.0])
-        rho_w = rho_poly * w
-        uz_profile = 2.0 * w + rho_poly * w.deriv()
-        u_rho = AnalyticField(
-            [Term(RadialProfile.from_poly(-k * rho_w), mu=mu, z_kind="cos", k=k, coef=amp)]
-        )
-        u_z = AnalyticField(
-            [Term(RadialProfile.from_poly(uz_profile), mu=mu, z_kind="sin", k=k, coef=amp)]
-        )
-        u_phi = AnalyticField(
-            [
-                Term(RadialProfile.from_poly(rho_w), mu=mu, coef=swirl),
-                Term(RadialProfile.from_poly(rho_w), mu=mu, z_kind="cos", k=k,
-                     coef=swirl * swirl_z),
-            ]
-        )
-        p = AnalyticField(
-            [Term(RadialProfile.from_poly(rho_poly**2 * w), mu=2.0 * mu,
-                  z_kind="cos", k=k, coef=p_amp)]
-        )
+        base = np.array([1.0, 0.0, -1.0 / rho_max**2])
+        w = np.convolve(np.convolve(base, base), base)
+        dw = w[1:] * np.arange(1, w.size)
+        rho_w = RadialProfile.from_coef(np.convolve(_RHO, w))
+        u_rho = AnalyticField([Term(
+            RadialProfile.from_coef(np.convolve([-k], np.convolve(_RHO, w))),
+            mu=mu, z_kind="cos", k=k, coef=amp)])
+        u_z = AnalyticField([Term(
+            RadialProfile.from_coef(np.convolve([2.0], w)
+                                    + np.convolve(_RHO, dw)),
+            mu=mu, z_kind="sin", k=k, coef=amp)])
+        u_phi = AnalyticField([
+            Term(rho_w, mu=mu, coef=swirl),
+            Term(rho_w, mu=mu, z_kind="cos", k=k, coef=swirl * swirl_z),
+        ])
+        p = AnalyticField([Term(
+            RadialProfile.from_coef(np.convolve(np.convolve(_RHO, _RHO), w)),
+            mu=2.0 * mu, z_kind="cos", k=k, coef=p_amp)])
         return ManufacturedSolution(
             kind, params, u_rho, u_phi, u_z, p, homogeneous_nu=None,
             meta={"k": k, "rho_max": rho_max},
@@ -293,12 +354,13 @@ def _axes(grid: CylGrid):
 
 
 def sample_state(sol: ManufacturedSolution, grid: CylGrid, t) -> VelocityState:
+    on = sol.on_grid(grid)
     rho, z = _axes(grid)
     return VelocityState(
-        ScalarSample(sol.u_rho.val(rho, z, t), grid),
-        ScalarSample(sol.u_phi.val(rho, z, t), grid),
-        ScalarSample(sol.u_z.val(rho, z, t), grid),
-        ScalarSample(sol.p.val(rho, z, t), grid),
+        ScalarSample(on.u_rho.val(rho, z, t), grid),
+        ScalarSample(on.u_phi.val(rho, z, t), grid),
+        ScalarSample(on.u_z.val(rho, z, t), grid),
+        ScalarSample(on.p.val(rho, z, t), grid),
         float(t),
     )
 
@@ -347,7 +409,7 @@ def forcing_for(sol: ManufacturedSolution, nu, grid: CylGrid, t) -> ForcingField
         math.isinf(sol.homogeneous_nu) or math.isclose(sol.homogeneous_nu, nu)
     ):
         return zero_forcing(grid)
-    h_rho, h_phi, h_z = forcing_components(sol, nu, *_axes(grid), t)
+    h_rho, h_phi, h_z = forcing_components(sol.on_grid(grid), nu, *_axes(grid), t)
     return ForcingFields(
         ScalarSample(h_rho, grid), ScalarSample(h_phi, grid), ScalarSample(h_z, grid)
     )

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,6 +46,7 @@ from .fields import (
     zero_forcing,
 )
 from .grid import CylGrid, ScalarSample, serrin_accumulate
+from .records import Frozen
 
 
 # --- configuration --------------------------------------------------------
@@ -67,7 +67,6 @@ def epsilon_sequence(values) -> tuple:
     return eps
 
 
-@dataclass
 class MonitorConfig:
     """Constants and exponents for the estimate monitor.
 
@@ -79,26 +78,38 @@ class MonitorConfig:
     unforced vorticity).
     """
 
-    exponents: ExponentSet
-    nu: float
-    c_sob: float
-    q: int = 4
-    epsilon_list: tuple = DEFAULT_EPSILON_LIST
-    c_grow: float | None = None
-    c3: float = 0.0
+    __slots__ = ("exponents", "nu", "c_sob", "q", "epsilon_list", "c_grow",
+                 "c3")
 
-    def __post_init__(self):
+    def __init__(self, exponents: ExponentSet, nu: float, c_sob: float,
+                 q: int = 4, epsilon_list: tuple = DEFAULT_EPSILON_LIST,
+                 c_grow: float | None = None, c3: float = 0.0):
+        self.exponents = exponents
+        self.nu = nu
+        self.c_sob = c_sob
+        self.q = q
+        self.c3 = c3
         if self.q < 2 or self.q % 2 != 0:
             raise ConfigurationError(f"q must be an even integer >= 2, got {self.q}")
-        if not (self.nu > 0.0):
-            raise ConfigurationError(f"nu must be positive, got {self.nu}")
+        # the quartic budget divides by nu**3, a float power that raises
+        # where it overflows
+        if not (self.nu > 0.0 and 0.0 < self.nu * self.nu * self.nu < math.inf):
+            raise ConfigurationError(
+                f"nu must be positive with nu^3 a positive finite number, "
+                f"got {self.nu}")
         if not (self.c_sob > 0.0):
             raise ConfigurationError(f"c_sob must be positive, got {self.c_sob}")
-        self.epsilon_list = epsilon_sequence(self.epsilon_list)
-        if self.c_grow is None:
-            self.c_grow = self.default_c_grow()
-        if not (self.c_grow > 0.0):
-            raise ConfigurationError(f"c_grow must be positive, got {self.c_grow}")
+        self.epsilon_list = epsilon_sequence(epsilon_list)
+        if c_grow is None:
+            try:
+                c_grow = self.default_c_grow()
+            except (OverflowError, ZeroDivisionError):  # powers of eps1, eps2
+                c_grow = math.inf
+        if not (0.0 < c_grow < math.inf):
+            raise ConfigurationError(
+                f"c_grow must be positive and finite, got {c_grow} "
+                f"(nu = {self.nu}, c_sob = {self.c_sob})")
+        self.c_grow = c_grow
 
     @property
     def eps1(self) -> float:
@@ -214,43 +225,50 @@ def _swirl_power_parity(q_half: int):
 
 # --- per-checkpoint view --------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckpointView:
+class CheckpointView(Frozen):
     """Every integral that the record of one checkpoint and the budgets of
     the pair starting at it read, evaluated once by checkpoint_view from
     the state and the forcing h at the checkpoint's time (u = u_phi).  The
     eps-keyed dicts hold one entry per configured epsilon (0 for an empty
-    list)."""
+    list).  Built with one keyword argument per field."""
 
-    time: float
-    u_neg: np.ndarray  # u_rho^-
-    swirl_power: float  # integral u^q
-    forcing_power: float  # integral |h|^q
-    serrin: float  # integral (u_rho^-)^alpha rho^beta
-    d_t: float
-    swirl_grad_diss: float  # integral |grad(u^{q/2})|^2
-    swirl_axis_diss: float  # integral u^q / rho^2
-    young_forcing_lhs: float  # integral |h| |u|^{q-1}
-    holder_lhs: float  # integral u_rho^- u^q / rho
-    holder_y1: float  # integral (u_rho^-)^{p/(p-1)} u^q rho^{(2-p)/(p-1)}
-    swirl_mid_power: float  # integral |u|^{qs/(s-2)}
-    swirl_3q_power: float  # integral |u|^{3q}
-    quartic_r2: float  # integral u^4 / rho^2
-    quartic_r4: float  # integral u^4 / rho^4
-    quartic_diss: float  # integral |grad(u^2 / rho)|^2
-    quartic_transport: float  # integral u_rho u^4 / rho^3
-    quartic_grad: float  # integral |grad u|^2 u^2 / rho^2
-    quartic_forcing: float  # integral h u^3 / rho^2
-    quartic_source: float  # integral u_rho^- u^4 / rho^3
-    quartic_young: float  # integral rho^4 h^4
-    vort_energy: dict  # (1/2) integral omega_phi^2 / rho^{2-eps}
-    vort_diss: dict  # integral |grad(omega_phi / rho^{1-eps})|^2 rho^{-eps}
-    vort_quartic: dict  # integral u^4 / rho^{4-eps}
-    vort_radial: dict  # integral |u_rho| omega_phi^2 / rho^{3-eps}
-    vort_curvature: dict  # integral omega_phi^2 / rho^{4-eps}
-    vort_l2: float
-    grad_u_l2: float
-    transport: float
+    __slots__ = (
+        "time",
+        "u_neg",  # u_rho^-
+        "swirl_power",  # integral u^q
+        "forcing_power",  # integral |h|^q
+        "serrin",  # integral (u_rho^-)^alpha rho^beta
+        "d_t",
+        "swirl_grad_diss",  # integral |grad(u^{q/2})|^2
+        "swirl_axis_diss",  # integral u^q / rho^2
+        "young_forcing_lhs",  # integral |h| |u|^{q-1}
+        "holder_lhs",  # integral u_rho^- u^q / rho
+        "holder_y1",  # integral (u_rho^-)^{p/(p-1)} u^q rho^{(2-p)/(p-1)}
+        "swirl_mid_power",  # integral |u|^{qs/(s-2)}
+        "swirl_3q_power",  # integral |u|^{3q}
+        "quartic_r2",  # integral u^4 / rho^2
+        "quartic_r4",  # integral u^4 / rho^4
+        "quartic_diss",  # integral |grad(u^2 / rho)|^2
+        "quartic_transport",  # integral u_rho u^4 / rho^3
+        "quartic_grad",  # integral |grad u|^2 u^2 / rho^2
+        "quartic_forcing",  # integral h u^3 / rho^2
+        "quartic_source",  # integral u_rho^- u^4 / rho^3
+        "quartic_young",  # integral rho^4 h^4
+        "vort_energy",  # (1/2) integral omega_phi^2 / rho^{2-eps}
+        "vort_diss",  # integral |grad(omega_phi / rho^{1-eps})|^2 rho^{-eps}
+        "vort_quartic",  # integral u^4 / rho^{4-eps}
+        "vort_radial",  # integral |u_rho| omega_phi^2 / rho^{3-eps}
+        "vort_curvature",  # integral omega_phi^2 / rho^{4-eps}
+        "vort_l2",
+        "grad_u_l2",
+        "transport",
+    )
+
+    def __init__(self, **values):
+        if values.keys() != set(self.__slots__):
+            raise TypeError("CheckpointView fields differ in "
+                            f"{sorted(values.keys() ^ set(self.__slots__))}")
+        self._freeze(*(values[name] for name in self.__slots__))
 
 
 def checkpoint_view(v: VelocityState, f: ForcingFields,
@@ -453,36 +471,58 @@ def quartic_swirl_budget(prev: CheckpointView, nxt: CheckpointView,
 
 # --- Gronwall envelope and records ----------------------------------------
 
-@dataclass
 class DiagnosticsRecord:
     """One row of monitor output per checkpoint.
 
     Pair-based quantities (margins, rates) describe the interval ending
     at this checkpoint and are absent (NaN / empty) on the first record
     of a trajectory; a truncated record leaves its values at NaN.
+    __slots__ lists the fields in constructor order, which is the
+    diagnostics.csv column order.
     """
 
-    time: float
-    swirl_q_norm: float = math.nan
-    d_t: float = math.nan
-    serrin_running: float = math.nan
-    gronwall_envelope: float = math.nan
-    forcing_q_norm: float = math.nan
-    weighted_vort_energy: float = math.nan
-    quartic_swirl_r2: float = math.nan
-    quartic_swirl_r4: float = math.nan
-    dissipation_swirl_grad: float = math.nan
-    dissipation_swirl_axis: float = math.nan
-    dissipation_vort: float = math.nan
-    dissipation_quartic: float = math.nan
-    grad_u_l2: float = math.nan
-    vort_l2: float = math.nan
-    transport_cancellation: float = math.nan
-    f_indicator: float = math.nan
-    truncated: bool = False
-    margins: dict = field(default_factory=dict)
+    __slots__ = ("time", "swirl_q_norm", "d_t", "serrin_running",
+                 "gronwall_envelope", "forcing_q_norm", "weighted_vort_energy",
+                 "quartic_swirl_r2", "quartic_swirl_r4",
+                 "dissipation_swirl_grad", "dissipation_swirl_axis",
+                 "dissipation_vort", "dissipation_quartic", "grad_u_l2",
+                 "vort_l2", "transport_cancellation", "f_indicator",
+                 "truncated", "margins")
 
-    def __post_init__(self):
+    def __init__(self, time: float, swirl_q_norm: float = math.nan,
+                 d_t: float = math.nan, serrin_running: float = math.nan,
+                 gronwall_envelope: float = math.nan,
+                 forcing_q_norm: float = math.nan,
+                 weighted_vort_energy: float = math.nan,
+                 quartic_swirl_r2: float = math.nan,
+                 quartic_swirl_r4: float = math.nan,
+                 dissipation_swirl_grad: float = math.nan,
+                 dissipation_swirl_axis: float = math.nan,
+                 dissipation_vort: float = math.nan,
+                 dissipation_quartic: float = math.nan,
+                 grad_u_l2: float = math.nan, vort_l2: float = math.nan,
+                 transport_cancellation: float = math.nan,
+                 f_indicator: float = math.nan, truncated: bool = False,
+                 margins: dict | None = None):
+        self.time = time
+        self.swirl_q_norm = swirl_q_norm
+        self.d_t = d_t
+        self.serrin_running = serrin_running
+        self.gronwall_envelope = gronwall_envelope
+        self.forcing_q_norm = forcing_q_norm
+        self.weighted_vort_energy = weighted_vort_energy
+        self.quartic_swirl_r2 = quartic_swirl_r2
+        self.quartic_swirl_r4 = quartic_swirl_r4
+        self.dissipation_swirl_grad = dissipation_swirl_grad
+        self.dissipation_swirl_axis = dissipation_swirl_axis
+        self.dissipation_vort = dissipation_vort
+        self.dissipation_quartic = dissipation_quartic
+        self.grad_u_l2 = grad_u_l2
+        self.vort_l2 = vort_l2
+        self.transport_cancellation = transport_cancellation
+        self.f_indicator = f_indicator
+        self.truncated = truncated
+        self.margins = {} if margins is None else margins
         for name in ("swirl_q_norm", "serrin_running", "weighted_vort_energy",
                      "quartic_swirl_r2", "quartic_swirl_r4", "grad_u_l2",
                      "vort_l2"):
@@ -560,7 +600,7 @@ def _view_or_blowup(v: VelocityState, f: ForcingFields, m: MonitorConfig):
         view = checkpoint_view(v, f, m)
     except NumericError:  # grid.integrate met an overflowed integrand
         return None
-    values = [getattr(view, fd.name) for fd in fields(view)]
+    values = [getattr(view, name) for name in view.__slots__]
     values = [x for val in values
               for x in (val.values() if isinstance(val, dict) else (val,))]
     return view if all(np.all(np.isfinite(x)) for x in values) else None
@@ -650,7 +690,7 @@ def _vorticity_column(eps: float) -> str:
 def record_columns() -> list[str]:
     """Names of the DiagnosticsRecord fields written to diagnostics.csv,
     in column order; the margin columns follow them."""
-    return [f.name for f in fields(DiagnosticsRecord) if f.name != "margins"]
+    return [name for name in DiagnosticsRecord.__slots__ if name != "margins"]
 
 
 def margin_columns(m: MonitorConfig) -> list[str]:

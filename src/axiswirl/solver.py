@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
@@ -59,19 +59,22 @@ from .fields import (
 from .grid import CylGrid, ScalarSample, integrate
 
 
-@dataclass
 class SimConfig:
     """Viscosity and time-stepping settings of one run; the grid is the
-    initial state's."""
+    initial state's.  __slots__ lists the fields in constructor order."""
 
-    nu: float = 0.1
-    t_start: float = 0.0
-    t_end: float = 0.1
-    dt: float | None = None
-    cfl_safety: float = 0.4
-    checkpoint_stride: int = 1
+    __slots__ = ("nu", "t_start", "t_end", "dt", "cfl_safety",
+                 "checkpoint_stride")
 
-    def __post_init__(self):
+    def __init__(self, nu: float = 0.1, t_start: float = 0.0,
+                 t_end: float = 0.1, dt: float | None = None,
+                 cfl_safety: float = 0.4, checkpoint_stride: int = 1):
+        self.nu = nu
+        self.t_start = t_start
+        self.t_end = t_end
+        self.dt = dt
+        self.cfl_safety = cfl_safety
+        self.checkpoint_stride = checkpoint_stride
         if not (self.t_end > self.t_start):
             raise ConfigurationError("t_end must exceed t_start")
         if self.dt is not None and not (self.dt > 0.0):
@@ -82,19 +85,25 @@ class SimConfig:
             raise ConfigurationError("checkpoint_stride must be >= 1")
 
 
-@dataclass
 class Trajectory:
     """Checkpoints of one run.  projection_info holds the (iterations,
     rel_residual) of the initial projection and of every step, so
     step_count + 1 entries; a step that blew up before its projection
     records (0, nan)."""
 
-    checkpoints: list[VelocityState]
-    failed: bool = False
-    failure_reason: str | None = None
-    step_count: int = 0
-    dt: float = 0.0
-    projection_info: list[tuple[int, float]] = field(default_factory=list)
+    __slots__ = ("checkpoints", "failed", "failure_reason", "step_count",
+                 "dt", "projection_info")
+
+    def __init__(self, checkpoints: list[VelocityState], failed: bool = False,
+                 failure_reason: str | None = None, step_count: int = 0,
+                 dt: float = 0.0,
+                 projection_info: list[tuple[int, float]] | None = None):
+        self.checkpoints = checkpoints
+        self.failed = failed
+        self.failure_reason = failure_reason
+        self.step_count = step_count
+        self.dt = dt
+        self.projection_info = [] if projection_info is None else projection_info
 
     def checkpoint_hash(self, i):
         s = self.checkpoints[i]
@@ -309,6 +318,18 @@ def _is_finite(state: VelocityState) -> bool:
     )
 
 
+# Most steps a run takes.  A step costs about 1.6 ms even on an 8^2 grid
+# (2-vCPU VM), so 10^7 steps run for hours, and at checkpoint_stride 1
+# they keep 10^7 states (20 GB of samples at 8^2): a longer run comes from
+# a dt far below any accuracy or stability need (a huge nu, a tiny
+# cfl_safety or dt), not from a computation someone wants.
+MAX_STEPS = 10**7
+
+
+def _step_count(span, dt):
+    return span / dt if dt > 0.0 else math.inf
+
+
 def run(cfg: SimConfig, initial: VelocityState, forcing_at=None) -> Trajectory:
     """Integrate from t_start to t_end, checkpointing every stride steps.
 
@@ -317,18 +338,36 @@ def run(cfg: SimConfig, initial: VelocityState, forcing_at=None) -> Trajectory:
     Deterministic for a fixed config.  Blow-up (non-finite fields) and
     CFL rejection truncate the trajectory with a failure marker instead
     of raising.
+
+    No run takes more than MAX_STEPS steps.  When the settings alone (the
+    given dt, or cfl_safety times viscous_dt_limit) need more, run raises
+    ConfigurationError; when the flow's CFL limits need more, the
+    trajectory is truncated before the first step, like a blow-up.
     """
     state = initial.replace_fields(time=cfg.t_start)
     # enforce the divergence invariant on the initial checkpoint
     state, info = project(state)
+    span = cfg.t_end - cfg.t_start
     if cfg.dt is not None:
-        dt = cfg.dt
+        dt = least = cfg.dt
     else:
-        dt = cfg.cfl_safety * min(*cfl_limits(state),
-                                  viscous_dt_limit(state.grid, cfg.nu))
-        n = max(1, int(np.ceil((cfg.t_end - cfg.t_start) / dt)))
-        dt = (cfg.t_end - cfg.t_start) / n
-    n_steps = max(1, int(round((cfg.t_end - cfg.t_start) / dt)))
+        limit = viscous_dt_limit(state.grid, cfg.nu)
+        least = cfg.cfl_safety * limit
+        dt = cfg.cfl_safety * min(*cfl_limits(state), limit)
+    if not _step_count(span, least) <= MAX_STEPS:
+        raise ConfigurationError(
+            f"the solver settings give dt = {least:.6g}, "
+            f"{_step_count(span, least):.6g} steps from t_start to t_end, "
+            f"more than {MAX_STEPS}")
+    steps = _step_count(span, dt)
+    if not steps <= MAX_STEPS:
+        return Trajectory(
+            [state], failed=True, dt=dt, projection_info=[info],
+            failure_reason=f"the flow's CFL limits give dt = {dt:.6g}, "
+                           f"{steps:.6g} steps, more than {MAX_STEPS}")
+    if cfg.dt is None:
+        dt = span / max(1, int(np.ceil(steps)))
+    n_steps = max(1, int(round(span / dt)))
     traj = Trajectory([state], dt=dt, projection_info=[info])
     for i in range(n_steps):
         try:

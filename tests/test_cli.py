@@ -1,7 +1,6 @@
 """Command-line surface: schema validation, artifacts, exit codes."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -67,7 +66,7 @@ def test_validate_fills_defaults():
 def test_solver_section_is_the_simconfig_fields():
     # run_scenario builds SimConfig(**cfg["solver"])
     cfg = validate_scenario({"schema_version": SCHEMA_VERSION})
-    assert [f.name for f in dataclasses.fields(SimConfig)] == list(cfg["solver"])
+    assert list(SimConfig.__slots__) == list(cfg["solver"])
 
 
 def test_validate_accepts_inf_b():
@@ -409,6 +408,28 @@ def test_run_scenario_rejects_before_solving(tmp_path, monkeypatch, capsys,
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
     assert run_scenario(_write(tmp_path, _scenario(**over))) == 2
     assert path in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before any output
+
+
+# Valid to the schema, so validate_scenario passes them: the step count
+# depends on the initial state, and the monitor's constants on the
+# calibrated c_sob.  Rejected once the solver or the monitor meets them.
+@pytest.mark.parametrize("solver,monitor,path", [
+    ({"nu": 1e300}, {}, "$.solver"),
+    ({"cfl_safety": 1e-320}, {}, "$.solver"),
+    ({"dt": 1e-320}, {}, "$.solver"),
+    ({"nu": 1e-320}, {}, "$.solver.nu"),
+    ({"nu": 1e-320, "dt": 1e-3}, {"c_grow": 1.0}, "$.solver.nu"),
+], ids=["nu_huge", "cfl_safety_tiny", "dt_tiny", "nu_tiny",
+        "nu_tiny_given_c_grow"])
+def test_run_scenario_rejects_unrunnable_solver_settings(
+        tmp_path, monkeypatch, capsys, solver, monitor, path):
+    doc = _scenario(grid={"n_rho": 8, "n_z": 8},
+                    solver={"t_end": 0.01, **solver}, monitor=monitor)
+    validate_scenario(doc)
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    assert run_scenario(_write(tmp_path, doc)) == 2
+    assert f"error: {path}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()  # rejected before any output
 
 

@@ -42,6 +42,19 @@ def test_equal_grids_compare_and_hash_on_their_parameters():
     assert state.grid == b
 
 
+def test_grid_repr_and_immutability():
+    g = build_grid(4, 6, rho_max=1.5)
+    assert repr(g) == "CylGrid(n_rho=4, n_z=6, rho_max=1.5, z_min=0.0, z_max=1.0)"
+    with pytest.raises(AttributeError):
+        g.n_rho = 8
+    with pytest.raises(AttributeError):
+        del g.d_rho
+    sample = ScalarSample(np.zeros(g.shape), g)
+    with pytest.raises(AttributeError):
+        sample.values = np.ones(g.shape)
+    assert g != (4, 6, 1.5, 0.0, 1.0)
+
+
 def test_cell_weight_is_built_once_and_read_only():
     g = build_grid(8, 4)
     assert g.cell_weight is g.cell_weight

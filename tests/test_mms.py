@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from axiswirl.errors import ConfigurationError
 from axiswirl.fields import divergence
@@ -131,6 +132,44 @@ def test_bessel_quadrature_matches_scipy():
     assert lam == pytest.approx(special.jn_zeros(1, 1)[0], rel=1e-15)
 
 
+@given(amplitude=st.floats(1e-3, 1e3), rho_max=st.floats(0.1, 10.0))
+def test_swirl_pressure_closed_form_matches_quadrature(amplitude, rho_max):
+    # p(rho) = integral_0^rho u_phi^2 / r dr, the defining integral
+    integrate = pytest.importorskip("scipy.integrate")
+    sol = mms.make_solution("decaying_swirl", {"amplitude": amplitude,
+                                               "rho_max": rho_max})
+    t = 0.7
+    rho = np.linspace(0.0, rho_max, 9)[1:]
+    zero = np.zeros(1)
+    closed = sol.p.val(rho[:, None], zero[None, :], t)[:, 0]
+
+    def integrand(r):
+        return float(sol.u_phi.val(np.array([[r]]), zero[None, :], t)[0, 0]) ** 2 / r
+
+    ref = [integrate.quad(integrand, 0.0, r, epsabs=0.0, epsrel=1e-13)[0]
+           for r in rho]
+    scale = amplitude**2 * math.exp(-2.0 * sol.u_phi.terms[0].mu * t)
+    assert np.max(np.abs(closed - ref)) <= 1e-14 * scale
+    # p(0) = 0, the lower limit of the integral
+    assert sol.p.val(np.array([[0.0]]), zero[None, :], t)[0, 0] == 0.0
+
+
+def test_forcing_on_a_second_grid_matches_its_reference():
+    # forcing_for samples the profiles once per grid: a second grid must get
+    # its own samples, not the first grid's
+    sol = mms.make_solution("taylor_vortex_swirl", {})
+    nu, t = 0.05, 0.3
+    for g in (build_grid(12, 10), build_grid(8, 6), build_grid(12, 10)):
+        rho, z = g.meshgrid()
+        forcing = mms.forcing_for(sol, nu, g, t)
+        reference = mms.forcing_components(sol, nu, rho, z, t)
+        for comp, ref in zip((forcing.h_rho, forcing.h_phi, forcing.h_z),
+                             reference):
+            assert np.array_equal(comp.values, ref)
+        state = mms.sample_state(sol, g, t)
+        assert np.array_equal(state.u_phi.values, sol.u_phi.val(rho, z, t))
+
+
 def _assert_same(actual, expected, rtol):
     scale = np.max(np.abs(expected))
     assert np.max(np.abs(actual - expected)) <= rtol * scale
@@ -206,6 +245,19 @@ def test_monitor_evaluates_curl_once_per_checkpoint(forced_taylor, monkeypatch):
     collect_diagnostics(checkpoints, forced_taylor["monitor"],
                         forcing_at=forced_taylor["forcing"])
     assert calls == [v.time for v in checkpoints]
+
+
+def test_import_generates_no_code():
+    # the records are plain classes and the profiles coefficient arrays, so
+    # importing the command line loads neither of these modules
+    src = os.path.dirname(os.path.dirname(mms.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, axiswirl.cli; "
+            "print(sorted({'dataclasses', 'numpy.polynomial'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_import_leaves_scipy_out():

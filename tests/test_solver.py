@@ -28,7 +28,7 @@ from axiswirl.solver import (
     viscous_dt_limit,
     viscous_solve,
 )
-from axiswirl import mms
+from axiswirl import mms, solver
 
 
 def _div_norm(v):
@@ -137,6 +137,29 @@ def test_run_truncates_on_blowup():
     # the truncated checkpoint is kept as blow-up data
     last = traj.checkpoints[-1]
     assert not np.all(np.isfinite(last.u_phi.values))
+
+
+def test_run_bounds_the_step_count(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_STEPS", 10)
+    g = build_grid(8, 8)
+    state = mms.sample_state(mms.make_solution("taylor_vortex_swirl", {}), g,
+                             0.0)
+    # ten steps of a given dt run; eleven are refused before the first
+    dt = 2.0**-10
+    assert run(SimConfig(t_end=10 * dt, dt=dt), state).step_count == 10
+    with pytest.raises(ConfigurationError, match="more than 10"):
+        run(SimConfig(t_end=11 * dt, dt=dt), state)
+    # the automatic dt: cfl_safety times the viscous limit alone needs
+    # more than ten steps
+    limit = viscous_dt_limit(g, 0.1)
+    with pytest.raises(ConfigurationError):
+        run(SimConfig(t_end=0.4 * limit * 10.5), state)
+    # the flow's CFL limit needs more: truncated before the first step
+    fast = state.replace_fields(u_rho=state.u_rho.values * 1e6,
+                                u_z=state.u_z.values * 1e6)
+    traj = run(SimConfig(t_end=0.4 * limit), fast)
+    assert traj.failed and traj.step_count == 0
+    assert len(traj.checkpoints) == 1 and "CFL" in traj.failure_reason
 
 
 def test_energy_nonincreasing_unforced(audit_run):
