@@ -123,12 +123,34 @@ def d_rho(f, grid: CylGrid, parity, wall=NOSLIP):
     return (fp[2:] - fp[:-2]) / (2.0 * grid.d_rho)
 
 
+# The periodic z differences slice f, with the wrap columns apart, and
+# keep the operation order of the np.roll forms, (f[j + 1] - f[j - 1]) / h
+# and (f[j + 1] - 2 f[j] + f[j - 1]) / h^2, so their values are the same
+# bits without the two rolled copies.  n_z >= 2.
+
+def _z_diff(f):
+    """f[:, j + 1] - f[:, j - 1]."""
+    out = np.empty(f.shape)
+    np.subtract(f[:, 2:], f[:, :-2], out=out[:, 1:-1])
+    np.subtract(f[:, 1], f[:, -1], out=out[:, 0])
+    np.subtract(f[:, 0], f[:, -2], out=out[:, -1])
+    return out
+
+
 def d_z(f, grid: CylGrid):
-    return (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * grid.d_z)
+    out = _z_diff(f)
+    out /= 2.0 * grid.d_z
+    return out
 
 
 def d_zz(f, grid: CylGrid):
-    return (np.roll(f, -1, axis=1) - 2.0 * f + np.roll(f, 1, axis=1)) / grid.d_z**2
+    out = -2.0 * f
+    out[:, :-1] += f[:, 1:]
+    out[:, -1] += f[:, 0]
+    out[:, 1:] += f[:, :-1]
+    out[:, 0] += f[:, -1]
+    out /= grid.d_z**2
+    return out
 
 
 def radial_diffusion(f, grid: CylGrid, wall=NOSLIP):
@@ -185,7 +207,8 @@ def div_adjoint(phi, grid: CylGrid):
     """(c_rho, c_z) = D* phi, the exact rho-weighted adjoint of
     div_from_components; c_rho is a consistent approximation of -d_rho phi
     away from the boundary rows."""
-    c_z = -(np.roll(phi, -1, axis=1) - np.roll(phi, 1, axis=1)) / (2.0 * grid.d_z)
+    c_z = _z_diff(phi)
+    c_z /= -2.0 * grid.d_z
     return radial_div_adjoint(phi, grid), c_z
 
 

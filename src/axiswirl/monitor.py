@@ -154,10 +154,13 @@ def probe_fields(grid: CylGrid):
     return probes
 
 
+@functools.lru_cache(maxsize=16)
 def calibrate_sobolev(grid: CylGrid, q: int = 4) -> float:
     """Empirical constant c_sob with ||u||_{3q}^q <= c_sob * integral
     |grad(u^{q/2})|^2, taken as the max Rayleigh quotient over the
-    fixed probe family (reported, not proven)."""
+    fixed probe family (reported, not proven).  Memoised per (grid, q),
+    since a sweep calibrates the same grid once per scenario; a bad q
+    raises on every call (lru_cache keeps no exceptions)."""
     if q < 2 or q % 2 != 0:
         raise ConfigurationError(f"q must be an even integer >= 2, got {q}")
     parity = _swirl_power_parity(q // 2)

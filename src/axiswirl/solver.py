@@ -17,15 +17,22 @@ keeps a centrifugal source that the stored pressure does not balance (a
 zero initial pressure, say) from leaving a first-order splitting error.
 
 D D* and the viscous operator L are periodic and constant-coefficient
-in z, so an rfft along z splits each into one radial band system per
-z-mode (Hockney 1965; Swarztrauber 1977, SIAM Rev. 19), solved directly
-by `zbanded`: D D* is pentadiagonal, the radial block plus
-sin^2(2 pi k / n_z) / d_z^2 on the diagonal; I - c L (c = nu dt / 2) is
-tridiagonal, with d_zz's symbol -4 sin^2(pi k / n_z) / d_z^2 and the
--1/rho^2 of u_rho and u_phi on the diagonal.  The factors are cached
-per grid and per (grid, c).  The two singular modes of D D*, k = 0 and
-the Nyquist mode of even n_z, carry the null space of D* (constants and
-the z-checkerboard).
+in z: each is a radial block plus a shift that depends only on the
+z-mode.  So one eigenbasis per grid diagonalises both (the
+matrix-diagonalisation method of Lynch, Rice & Thomas 1964, Numer.
+Math. 6): the radial block's eigenvectors from `eigh` on its
+diagonally symmetrised form, and in z a real orthonormal Fourier basis
+Q, which diagonalises d_zz and d_z^T d_z.  A solve is two matrix
+products into the basis, one elementwise divide and two products back.
+D D*'s radial block is the pentadiagonal radial_div(radial_div_adjoint),
+shifted by sin^2(2 pi k / n_z) / d_z^2; I - c L (c = nu dt / 2) has the
+tridiagonal radial diffusion, with -1/rho^2 for u_rho and u_phi, and
+d_zz's -4 sin^2(pi k / n_z) / d_z^2, so c enters the divide only.  The
+bases are cached per grid.  The two singular pairs of D D*, the radial
+eigenvector constant in rho with the z-modes k = 0 and k = n_z / 2
+(even n_z), carry the null space of D* (constants and the
+z-checkerboard); their reciprocals are zero, so the solve is the
+rho-weighted pseudo-inverse.
 
 With viscosity implicit, the step is limited for stability only by
 advection and by the swirl sources (cfl_limits), not by the diffusive
@@ -42,7 +49,6 @@ import math
 
 import numpy as np
 
-from . import zbanded
 from .errors import CflViolation, ConfigurationError
 from .fields import (
     NOSLIP,
@@ -113,79 +119,103 @@ class Trajectory:
         return h.hexdigest()
 
 
-# --- pressure Poisson ---------------------------------------------------
+# --- direct solves in a per-grid eigenbasis -----------------------------
 
-def _remove_null(b, grid: CylGrid):
-    """Project out the rho-weighted null space of D*: constants and the
-    z-checkerboard (only present for even n_z)."""
-    w = np.broadcast_to(grid.rho, b.shape)
-    b = b - np.sum(w * b) / np.sum(w)
-    if grid.n_z % 2 == 0:
-        cb = np.ones(grid.n_z)
-        cb[1::2] = -1.0
-        mode = np.broadcast_to(cb, b.shape)
-        b = b - mode * (np.sum(w * b * mode) / np.sum(w))
-    return b
+def _read_only(*arrays):
+    """The cached bases are shared by every caller: none may write them."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _radial_basis(a, d):
+    """(w, w_inv, lam) with a = w diag(lam) w_inv, for a radial block a
+    that diag(d) a diag(1/d) makes symmetric: w = diag(1/d) v and
+    w_inv = v^T diag(d), v the orthonormal eigenvectors of that form."""
+    s = d[:, None] * a / d
+    # eigh reads one triangle only, so a wrong d would solve a different
+    # system without any error
+    assert np.max(np.abs(s - s.T)) <= 1e-13 * np.max(np.abs(s)), \
+        "radial block is not symmetric under the given scaling"
+    lam, v = np.linalg.eigh(s)
+    return v / d[:, None], v.T * d, lam
 
 
 @functools.lru_cache(maxsize=16)
-def _pressure_factors(grid: CylGrid):
-    """Band LU factors of D D* for every rfft z-mode.  Each system is
-    similar to a symmetric positive (semi)definite one through
-    diag(sqrt(rho)).
+def _z_basis(n):
+    """(q, k): a real orthonormal basis of periodic sequences of length n,
+    the columns cos(2 pi k j / n) for k = 0..n/2 and sin(2 pi k j / n) for
+    k = 1..(n-1)/2, and each column's wavenumber k.  q^T C q is diagonal
+    for every symmetric circulant C, so for d_zz and d_z^T d_z."""
+    k = np.concatenate([np.arange(n // 2 + 1), np.arange(1, (n + 1) // 2)])
+    # the phase reduced mod n in integers keeps the angles in [0, 2 pi)
+    theta = (2.0 * np.pi / n) * (np.outer(np.arange(n), k) % n)
+    m = n // 2 + 1
+    q = np.concatenate([np.cos(theta[:, :m]), np.sin(theta[:, m:])], axis=1)
+    # the constant and checkerboard columns have norm sqrt(n), the others
+    # sqrt(n / 2)
+    q *= np.where((k == 0) | (2 * k == n), np.sqrt(1.0 / n), np.sqrt(2.0 / n))
+    return _read_only(q, k)
 
-    On the null modes the last diagonal entry is doubled.  For a
-    consistent right-hand side (b orthogonal to the rho-weighted left
-    null vector, whose last entry is nonzero) this pins phi's outer row
-    to zero and leaves the other rows' equations unchanged.
-    """
+
+@functools.lru_cache(maxsize=16)
+def _pressure_basis(grid: CylGrid):
+    """(w, w_inv, q, recip) with phi = w ((w_inv b q) * recip) q^T the
+    solution of D D* phi = b; recip holds the reciprocal eigenvalue of
+    every (radial, z) pair.  The radial block is symmetric under
+    diag(sqrt(rho)), and positive semidefinite.
+
+    The singular pairs get a zero reciprocal: the radial eigenvector
+    constant in rho (picked by its vector, not by its place in the order)
+    with the z-modes k = 0 and k = n_z / 2, picked by wavenumber (the
+    shift sin^2(pi) is 1.5e-32, not 0).  b's part along them is rounding
+    only, since b lies in range(D)."""
     n_rho, n_z = grid.shape
     a = radial_div(radial_div_adjoint(np.eye(n_rho), grid), grid)
-    k = np.arange(n_z // 2 + 1)
-    diag = np.tile(np.sin(2.0 * np.pi * k / n_z) ** 2 / grid.d_z**2, (n_rho, 1))
-    # the singular modes: k = 0 (constants) and, for even n_z, the Nyquist
-    # mode k = n_z / 2 (the z-checkerboard)
-    null = [0, n_z // 2] if n_z % 2 == 0 else [0]
-    diag[-1, null] += a[-1, -1]
-    return zbanded.factor(a, diag)
+    w, w_inv, lam = _radial_basis(a, np.sqrt(grid.rho_centers))
+    q, k = _z_basis(n_z)
+    denom = lam[:, None] + np.sin(2.0 * np.pi * k / n_z) ** 2 / grid.d_z**2
+    # w_inv @ 1 holds the coordinates of the constant vector
+    const = np.argmax(np.abs(w_inv.sum(axis=1)))
+    denom[const, (k == 0) | (2 * k == n_z)] = np.inf
+    return _read_only(w, w_inv, q, 1.0 / denom)
 
 
 def solve_pressure_poisson(b, grid: CylGrid):
-    """Direct solve of D D* phi = b, phi in the rho-weighted range of D D*.
-
-    b is the divergence to remove; its null-space part (rounding only,
-    since b lies in range(D)) is stripped first so that every mode's
-    system is consistent.  Cost: one rfft/irfft pair and a forward and a
-    back substitution over the n_rho rows, each row a vector over the
-    z-modes.
-    """
-    y = np.fft.rfft(_remove_null(b, grid), axis=-1)
-    y = zbanded.solve(_pressure_factors(grid), y)
-    phi = np.fft.irfft(y, n=grid.n_z, axis=-1)
-    return _remove_null(phi, grid)
+    """Direct solve of D D* phi = b, phi in the rho-weighted range of D D*
+    (the rho-weighted pseudo-inverse applied to b)."""
+    w, w_inv, q, recip = _pressure_basis(grid)
+    return w @ ((w_inv @ b @ q) * recip) @ q.T
 
 
 @functools.lru_cache(maxsize=16)
-def _viscous_factors(grid: CylGrid, c: float):
-    """Band LU factors of I - c L for u_rho, u_phi and u_z (batch axis 1)
-    and every rfft z-mode (batch axis 2).  L is viscous_rhs / nu: the
-    3-point radial diffusion with the no-slip wall ghost, d_zz, and
-    -1/rho^2 for the odd components u_rho and u_phi.  Every system is
-    strictly diagonally dominant for c > 0."""
+def _viscous_basis(grid: CylGrid):
+    """(w, w_inv, q, lam) with L x = w ((w_inv x q) * lam) q^T for u_rho,
+    u_phi and u_z (axis 0 of w, w_inv and lam).  L is viscous_rhs / nu:
+    the 3-point radial diffusion with the no-slip wall ghost, d_zz, and
+    -1/rho^2 for the odd components u_rho and u_phi.  The tridiagonal
+    radial block is symmetric under d_0 = 1,
+    d_{i+1} = d_i sqrt(a_{i,i+1} / a_{i+1,i}); the wall ghost makes its
+    last row differ from the sqrt(rho) scaling.  lam <= 0, so
+    1 - c lam >= 1 for c > 0."""
     n_rho, n_z = grid.shape
-    a = -c * radial_diffusion(np.eye(n_rho), grid, NOSLIP)
-    k = np.arange(n_z // 2 + 1)
+    a = radial_diffusion(np.eye(n_rho), grid, NOSLIP)
+    d = np.cumprod(np.concatenate(
+        [[1.0], np.sqrt(np.diagonal(a, 1) / np.diagonal(a, -1))]))
+    odd = _radial_basis(a - np.diag(1.0 / grid.rho_centers**2), d)
+    even = _radial_basis(a, d)
+    w, w_inv, lam = (np.stack(x) for x in zip(odd, odd, even))
+    q, k = _z_basis(n_z)
     d_zz = -4.0 * np.sin(np.pi * k / n_z) ** 2 / grid.d_z**2
-    odd = np.array([1.0, 1.0, 0.0])[:, None]
-    diag = 1.0 + c * (odd / grid.rho[:, :, None] ** 2 - d_zz)
-    return zbanded.factor(a, diag)
+    return _read_only(w, w_inv, q, lam[:, :, None] + d_zz)
 
 
 def viscous_solve(rhs, grid: CylGrid, c: float):
     """Solve (I - c L) x = rhs for the three velocity components at once;
     rhs and x have shape (n_rho, 3, n_z), components u_rho, u_phi, u_z."""
-    y = zbanded.solve(_viscous_factors(grid, c), np.fft.rfft(rhs, axis=-1))
-    return np.fft.irfft(y, n=grid.n_z, axis=-1)
+    w, w_inv, q, lam = _viscous_basis(grid)
+    y = (w_inv @ rhs.transpose(1, 0, 2) @ q) / (1.0 - c * lam)
+    return (w @ y @ q.T).transpose(1, 0, 2)
 
 
 def project(v: VelocityState, dt=None):

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -367,6 +369,23 @@ def test_main_dispatch(capsys):
     capsys.readouterr()
     with pytest.raises(SystemExit):
         main(["unknown-command"])
+
+
+def test_import_freezes_the_import_heap_once():
+    # importing the command line moves what its imports left to the
+    # permanent generation, which no collection walks; main() freezes
+    # nothing more, so an in-process caller's garbage stays collectable
+    src = os.path.dirname(os.path.dirname(mms.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import gc, axiswirl.cli as cli; n = gc.get_freeze_count(); "
+            "assert n > 0, n; "
+            "codes = [cli.main(['check-exponents', '6', '4', '0']) "
+            "for _ in range(2)]; "
+            "assert codes == [0, 0], codes; "
+            "assert gc.get_freeze_count() == n, (n, gc.get_freeze_count())")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
 
 
 # --- exit-code contract -----------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from axiswirl.errors import ContractViolation
 from axiswirl.fields import (
@@ -61,6 +62,20 @@ def test_d_z_trig_accuracy():
     assert err <= k**3 * g.d_z**2 / 6.0 * 1.01
     err2 = np.max(np.abs(d_zz(f, g) + k**2 * np.sin(k * z)))
     assert err2 <= k**4 * g.d_z**2 / 12.0 * 1.01
+
+
+@given(st.integers(2, 6), st.integers(2, 40), st.floats(0.1, 10.0),
+       st.integers(0, 2**32 - 1))
+def test_z_differences_equal_the_rolled_formulas(n_rho, n_z, length, seed):
+    # the sliced periodic differences give the same bits as the np.roll
+    # forms, wrap columns included
+    g = build_grid(n_rho, n_z, 2.0, 0.0, length)
+    f = np.random.default_rng(seed).standard_normal(g.shape)
+    up, down = np.roll(f, -1, axis=1), np.roll(f, 1, axis=1)
+    assert np.array_equal(d_z(f, g), (up - down) / (2.0 * g.d_z))
+    assert np.array_equal(d_zz(f, g), (up - 2.0 * f + down) / g.d_z**2)
+    assert np.array_equal(div_adjoint(f, g)[1],
+                          -(up - down) / (2.0 * g.d_z))
 
 
 def test_rigid_rotation_curl_exact():

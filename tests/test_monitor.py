@@ -122,6 +122,19 @@ def test_calibrate_sobolev_positive():
         calibrate_sobolev(g, 5)
 
 
+def test_calibrate_sobolev_is_memoised_per_grid_and_q():
+    calibrate_sobolev.cache_clear()
+    c = calibrate_sobolev(build_grid(24, 12), 4)
+    # an equal grid built anew hits the cache and gets the same bits
+    assert calibrate_sobolev(build_grid(24, 12), 4) == c
+    assert calibrate_sobolev.cache_info().hits == 1
+    assert calibrate_sobolev.__wrapped__(build_grid(24, 12), 4) == c
+    assert calibrate_sobolev(build_grid(24, 12), 2) != c
+    for _ in range(2):
+        with pytest.raises(ConfigurationError):
+            calibrate_sobolev(build_grid(24, 12), 3)
+
+
 def test_transport_cancellation_small_on_projected_states(forced_taylor):
     for r in forced_taylor["records"]:
         delta = min(forced_taylor["grid"].d_rho, forced_taylor["grid"].d_z)
