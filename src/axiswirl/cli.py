@@ -237,12 +237,14 @@ def validate_scenario(doc) -> dict:
         "z_min": _number(grid, "z_min", "$.grid", 0.0),
         "z_max": _number(grid, "z_max", "$.grid", 1.0),
     }
-    if out["grid"]["n_rho"] < 2 or out["grid"]["n_z"] < 2:
-        raise SchemaError("$.grid", "cell counts must be >= 2")
     if not out["grid"]["rho_max"] > 0:
         raise SchemaError("$.grid.rho_max", "must be positive")
     if not out["grid"]["z_max"] > out["grid"]["z_min"]:
         raise SchemaError("$.grid.z_max", "must exceed z_min")
+    try:  # build_grid holds the bounds on the cell counts
+        build_grid(**out["grid"])
+    except ConfigurationError as exc:
+        raise SchemaError("$.grid", str(exc)) from None
 
     sv = _expect(doc.get("solver", {}), "$.solver", dict)
     out["solver"] = {
@@ -440,9 +442,13 @@ def run_scenario(path) -> int:
             return 2
         try:
             mcfg = monitor_for(g, exps, sim.nu, **cfg["monitor"])
+        except InadmissibleExponents as exc:  # the absorption constants
+            print(f"error: $.exponents: {'; '.join(exc.violations)}",
+                  file=sys.stderr)
+            return 2
         except ConfigurationError as exc:
             # validate_scenario has checked every $.monitor value; what is
-            # left are the constants that follow from nu (nu^-3, c_grow)
+            # left is nu^3, which the quartic budget divides by
             print(f"error: $.solver.nu: {exc}", file=sys.stderr)
             return 2
         records = collect_diagnostics(traj.checkpoints, mcfg,
@@ -579,6 +585,10 @@ def mms_cmd(kind, levels, nu=0.1, outdir=None) -> int:
     if len(levels) < 3:
         print("error: need at least 3 refinement levels", file=sys.stderr)
         return 2
+    if any(coarse >= fine for coarse, fine in zip(levels, levels[1:])):
+        print(f"error: refinement levels must strictly increase, got {levels}",
+              file=sys.stderr)
+        return 2
     sol_kind = "taylor_vortex_swirl" if kind == "lopsided_curl" else kind
     sol = mms.make_solution(sol_kind, {})
     grids = [build_grid(n, n) for n in levels]
@@ -659,10 +669,7 @@ def main(argv=None) -> int:
                            outdir=args.outdir)
         if args.command == "sweep":
             return sweep_cmd(args.directory)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigurationError as exc:
+    except ConfigurationError as exc:  # SchemaError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
-from .grid import CylGrid, ScalarSample
+from .grid import CylGrid, ScalarSample, moment
 from .records import Frozen
 
 ODD = "odd"
@@ -338,7 +338,7 @@ def velocity_grad_l2(v: VelocityState) -> float:
     """L2 norm of the axisymmetric velocity gradient tensor.
 
     |Du|^2 = sum of squared component derivatives plus the curvature
-    terms (u_rho^2 + u_phi^2)/rho^2.
+    terms (u_rho^2 + u_phi^2)/rho^2.  inf where the squares overflow.
     """
     g = v.grid
     ur, uh, uz = v.u_rho.values, v.u_phi.values, v.u_z.values
@@ -346,6 +346,4 @@ def velocity_grad_l2(v: VelocityState) -> float:
         grad_squared(ur, g, ODD) + grad_squared(uh, g, ODD)
         + grad_squared(uz, g, EVEN) + (ur**2 + uh**2) / g.rho**2
     )
-    from .grid import integrate
-
-    return integrate(ScalarSample(sq, g)) ** 0.5
+    return moment(sq, g) ** 0.5

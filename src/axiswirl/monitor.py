@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation, NumericError
+from .errors import ConfigurationError, ContractViolation, InadmissibleExponents
 from .exponents import ExponentSet
 from .fields import (
     EVEN,
@@ -45,7 +45,8 @@ from .fields import (
     velocity_grad_l2,
     zero_forcing,
 )
-from .grid import CylGrid, ScalarSample, serrin_accumulate
+from .grid import CylGrid, power, serrin_advance
+from .grid import moment as _integ  # the package's one midpoint rule
 from .records import Frozen
 
 
@@ -72,14 +73,17 @@ class MonitorConfig:
 
     c_sob is the empirical embedding constant in
     ||u_phi||_{3q}^q <= c_sob * integral |grad(u_phi^{q/2})|^2 (see
-    calibrate_sobolev).  c_grow defaults to the coefficient the
-    absorption steps produce for the d(t) growth term; c3 bounds the
-    absorbed vorticity-forcing term and defaults to 0 (exact for
-    unforced vorticity).
+    calibrate_sobolev).  eps1 and eps2 are the two absorption parameters,
+    and young1 = eps1^{1/(1-p)} and young2 = eps2^{3/(3-s)} the weights
+    the two Young steps put on their conjugate terms; all four are fixed
+    by the exponents, nu and c_sob, so they are computed here, once.
+    c_grow defaults to the coefficient the absorption steps produce for
+    the d(t) growth term; c3 bounds the absorbed vorticity-forcing term
+    and defaults to 0 (exact for unforced vorticity).
     """
 
     __slots__ = ("exponents", "nu", "c_sob", "q", "epsilon_list", "c_grow",
-                 "c3")
+                 "c3", "eps1", "eps2", "young1", "young2")
 
     def __init__(self, exponents: ExponentSet, nu: float, c_sob: float,
                  q: int = 4, epsilon_list: tuple = DEFAULT_EPSILON_LIST,
@@ -100,43 +104,35 @@ class MonitorConfig:
         if not (self.c_sob > 0.0):
             raise ConfigurationError(f"c_sob must be positive, got {self.c_sob}")
         self.epsilon_list = epsilon_sequence(epsilon_list)
+        p, s, qf = exponents.p_hold, exponents.s, float(q)
+        # eps1: q*eps1/p eats half of nu*q*I2; eps2: the Sobolev-embedded
+        # term eats half of the nu*4(q-1)/q gradient dissipation
+        self.eps1 = nu * p / 2.0
+        self.eps2 = (2.0 * nu * (qf - 1.0) / qf) * s * p \
+            * power(self.eps1, 1.0 / (p - 1.0)) / (3.0 * (p - 1.0) * qf * c_sob)
+        self.young1 = power(self.eps1, 1.0 / (1.0 - p))
+        self.young2 = power(self.eps2, 3.0 / (3.0 - s))
+        constants = {"eps1^(1/(1-p))": self.young1,
+                     "eps2^(3/(3-s))": self.young2}
         if c_grow is None:
-            try:
-                c_grow = self.default_c_grow()
-            except (OverflowError, ZeroDivisionError):  # powers of eps1, eps2
-                c_grow = math.inf
+            # after both absorptions, scaled by q from the q-fold norm
+            # estimate
+            c_grow = constants["c_grow"] = qf * (p - 1.0) * (s - 3.0) \
+                / (s * p) * self.young1 * self.young2
+        if not all(0.0 < x < math.inf for x in constants.values()):
+            raise InadmissibleExponents([
+                "the absorption constants must be positive and finite, got "
+                + ", ".join(f"{k} = {x}" for k, x in constants.items())
+                + f" for p = {p}, s = {s}, nu = {nu} and c_sob = {c_sob}"])
         if not (0.0 < c_grow < math.inf):
             raise ConfigurationError(
-                f"c_grow must be positive and finite, got {c_grow} "
-                f"(nu = {self.nu}, c_sob = {self.c_sob})")
+                f"c_grow must be positive and finite, got {c_grow}")
         self.c_grow = c_grow
 
-    @property
-    def eps1(self) -> float:
-        """First absorption parameter: q*eps1/p eats half of nu*q*I2."""
-        return self.nu * self.exponents.p_hold / 2.0
-
-    @property
-    def eps2(self) -> float:
-        """Second absorption parameter: the Sobolev-embedded term eats
-        half of the nu*4(q-1)/q gradient dissipation."""
-        e = self.exponents
-        p, s, q = e.p_hold, e.s, float(self.q)
-        return (2.0 * self.nu * (q - 1.0) / q) * s * p \
-            * self.eps1 ** (1.0 / (p - 1.0)) / (3.0 * (p - 1.0) * q * self.c_sob)
-
-    def growth(self, serrin: float) -> float:
-        """d(t) = q + c_grow * serrin^theta for the Serrin integrand
-        serrin = integral (u_rho^-)^alpha rho^beta dx."""
-        return float(self.q) + self.c_grow * serrin ** self.exponents.theta
-
-    def default_c_grow(self) -> float:
-        """Coefficient of the Serrin-integrand growth term after both
-        absorptions, scaled by q from the q-fold norm estimate."""
-        e = self.exponents
-        p, s, q = e.p_hold, e.s, float(self.q)
-        return q * (p - 1.0) * (s - 3.0) / (s * p) \
-            * self.eps1 ** (1.0 / (1.0 - p)) * self.eps2 ** (3.0 / (3.0 - s))
+    def growth(self, serrin_theta: float) -> float:
+        """d(t) = q + c_grow * serrin_theta for serrin_theta =
+        (integral (u_rho^-)^alpha rho^beta dx)^theta."""
+        return float(self.q) + self.c_grow * serrin_theta
 
 
 def probe_fields(grid: CylGrid):
@@ -185,29 +181,31 @@ def monitor_for(grid: CylGrid, exponents: ExponentSet, nu: float, q: int = 4,
 
 # --- basic functionals ----------------------------------------------------
 
-def _integ(vals, grid: CylGrid, k: float = 0.0) -> float:
-    """Midpoint integral of vals * rho^k over the cylinder: the z-sums of
-    vals, then one dot product with the radial cell weight times rho^k.
-    vals is a grid field or its z-sums (shape (n_rho,))."""
-    col = vals.sum(axis=1) if vals.ndim == 2 else vals
-    return float(col @ (grid.cell_weight[:, 0] * grid.rho_centers ** k))
-
-
 def negative_part(u_rho: np.ndarray) -> np.ndarray:
     """u_rho^-(x) = max(-u_rho(x), 0) >= 0."""
     return np.maximum(-u_rho, 0.0)
 
 
+def serrin_factors(u_neg: np.ndarray, grid: CylGrid, e: ExponentSet):
+    """(S, S^theta, spatial) for u_neg = u_rho^-: S = integral
+    u_neg^alpha rho^beta dx, the factor of d(t), and spatial = integral
+    (u_neg rho^gamma)^a dx, the running integral's.  Since alpha = a, one
+    z-sum of u_neg^alpha gives both.  A power that overflows is inf."""
+    sums = (u_neg ** e.alpha).sum(axis=1)
+    serrin = _integ(sums, grid, e.beta)
+    return serrin, power(serrin, e.theta), _integ(sums, grid, e.a * e.gamma)
+
+
 def serrin_integrand(v: VelocityState, e: ExponentSet) -> float:
-    """integral (u_rho^-)^alpha rho^beta dx, the spatial factor of both
-    d(t) and the running Serrin accumulator."""
-    return _integ(negative_part(v.u_rho.values) ** e.alpha, v.grid, e.beta)
+    """integral (u_rho^-)^alpha rho^beta dx, the spatial factor of d(t)."""
+    return serrin_factors(negative_part(v.u_rho.values), v.grid, e)[0]
 
 
 def d_of_t(v: VelocityState, m: MonitorConfig) -> float:
     """Growth coefficient d(t) = q + c_grow * (integral (u_rho^-)^alpha
     rho^beta dx)^theta; equals q exactly when u_rho >= 0 everywhere."""
-    return m.growth(serrin_integrand(v, m.exponents))
+    return m.growth(serrin_factors(negative_part(v.u_rho.values), v.grid,
+                                   m.exponents)[1])
 
 
 def transport_cancellation(v: VelocityState, q: int) -> float:
@@ -237,10 +235,11 @@ class CheckpointView(Frozen):
 
     __slots__ = (
         "time",
-        "u_neg",  # u_rho^-
         "swirl_power",  # integral u^q
         "forcing_power",  # integral |h|^q
-        "serrin",  # integral (u_rho^-)^alpha rho^beta
+        "serrin",  # S = integral (u_rho^-)^alpha rho^beta
+        "serrin_theta",  # S^theta
+        "serrin_spatial",  # integral (u_rho^- rho^gamma)^a
         "d_t",
         "swirl_grad_diss",  # integral |grad(u^{q/2})|^2
         "swirl_axis_diss",  # integral u^q / rho^2
@@ -279,7 +278,8 @@ def checkpoint_view(v: VelocityState, f: ForcingFields,
     """Evaluate every monitored integral of one finite state and the
     forcing at its time.  Each distinct power of u_phi is summed over z
     once; an integral of that power against rho^k is then one length-n_rho
-    dot product, shared by all its readers."""
+    dot product, shared by all its readers.  A power that overflows is
+    inf, never an exception."""
     g = v.grid
     q, e = m.q, m.exponents
     p, s = e.p_hold, e.s
@@ -296,14 +296,15 @@ def checkpoint_view(v: VelocityState, f: ForcingFields,
     w2_sums, ur_w2_sums = w2.sum(axis=1), (np.abs(ur) * w2).sum(axis=1)
     h_abs = np.abs(h)
     epsilons = m.epsilon_list or (0.0,)
-    serrin = serrin_integrand(v, e)
+    serrin, serrin_theta, serrin_spatial = serrin_factors(un, g, e)
     return CheckpointView(
         time=v.time,
-        u_neg=un,
         swirl_power=power_moment(q, 0.0),
         forcing_power=_integ(h_abs**q, g),
         serrin=serrin,
-        d_t=m.growth(serrin),
+        serrin_theta=serrin_theta,
+        serrin_spatial=serrin_spatial,
+        d_t=m.growth(serrin_theta),
         swirl_grad_diss=_integ(grad_squared(
             uh ** (q // 2), g, _swirl_power_parity(q // 2), NOSLIP), g),
         swirl_axis_diss=power_moment(q, -2.0),
@@ -358,7 +359,8 @@ def swirl_lq_budget(prev: CheckpointView, nxt: CheckpointView,
     dt = _pair_dt(prev, nxt)
     q, nu = m.q, m.nu
     p, s = m.exponents.p_hold, m.exponents.s
-    n_prev, h_q, s_int = prev.swirl_power, prev.forcing_power, prev.serrin
+    n_prev, h_q = prev.swirl_power, prev.forcing_power
+    s_pow = prev.serrin ** (2.0 / s)  # S^{2/s}
     out = {"swirl_budget": (h_q + prev.d_t * n_prev) - (
         (nxt.swirl_power - n_prev) / dt
         + nu * (2.0 * (q - 1.0) / q) * prev.swirl_grad_diss
@@ -378,15 +380,11 @@ def swirl_lq_budget(prev: CheckpointView, nxt: CheckpointView,
     holder = y1 ** ((p - 1.0) / p) * i2 ** (1.0 / p)
     record("holder_p", prev.holder_lhs, holder)
 
-    eps1 = m.eps1
-    record(
-        "young_eps1",
-        holder,
-        p / (p - 1.0) * eps1 ** (1.0 / (1.0 - p)) * y1 + eps1 / p * i2,
-    )
+    record("young_eps1", holder,
+           p / (p - 1.0) * m.young1 * y1 + m.eps1 / p * i2)
 
     mid = prev.swirl_mid_power ** ((s - 2.0) / s)
-    record("holder_s_half", y1, s_int ** (2.0 / s) * mid)
+    record("holder_s_half", y1, s_pow * mid)
 
     n_3q = prev.swirl_3q_power ** (1.0 / 3.0)  # ||u||_{3q}^q
     record(
@@ -395,13 +393,11 @@ def swirl_lq_budget(prev: CheckpointView, nxt: CheckpointView,
         n_prev ** ((s - 3.0) / s) * n_3q ** (3.0 / s),
     )
 
-    eps2 = m.eps2
     record(
         "young_eps2",
-        s_int ** (2.0 / s) * n_prev ** ((s - 3.0) / s) * n_3q ** (3.0 / s),
-        3.0 / s * eps2 * n_3q
-        + (s - 3.0) / s * eps2 ** (3.0 / (3.0 - s))
-        * s_int ** (2.0 / (s - 3.0)) * n_prev,
+        s_pow * n_prev ** ((s - 3.0) / s) * n_3q ** (3.0 / s),
+        3.0 / s * m.eps2 * n_3q
+        + (s - 3.0) / s * m.young2 * prev.serrin_theta * n_prev,
     )
     return out
 
@@ -480,8 +476,8 @@ class DiagnosticsRecord:
     Pair-based quantities (margins, rates) describe the interval ending
     at this checkpoint and are absent (NaN / empty) on the first record
     of a trajectory; a truncated record leaves its values at NaN.
-    __slots__ lists the fields in constructor order, which is the
-    diagnostics.csv column order.
+    Built with keyword arguments; a value not given is NaN.  __slots__
+    lists the fields in diagnostics.csv column order.
     """
 
     __slots__ = ("time", "swirl_q_norm", "d_t", "serrin_running",
@@ -492,38 +488,14 @@ class DiagnosticsRecord:
                  "vort_l2", "transport_cancellation", "f_indicator",
                  "truncated", "margins")
 
-    def __init__(self, time: float, swirl_q_norm: float = math.nan,
-                 d_t: float = math.nan, serrin_running: float = math.nan,
-                 gronwall_envelope: float = math.nan,
-                 forcing_q_norm: float = math.nan,
-                 weighted_vort_energy: float = math.nan,
-                 quartic_swirl_r2: float = math.nan,
-                 quartic_swirl_r4: float = math.nan,
-                 dissipation_swirl_grad: float = math.nan,
-                 dissipation_swirl_axis: float = math.nan,
-                 dissipation_vort: float = math.nan,
-                 dissipation_quartic: float = math.nan,
-                 grad_u_l2: float = math.nan, vort_l2: float = math.nan,
-                 transport_cancellation: float = math.nan,
-                 f_indicator: float = math.nan, truncated: bool = False,
-                 margins: dict | None = None):
+    def __init__(self, time: float, truncated: bool = False,
+                 margins: dict | None = None, **values):
+        unknown = values.keys() - set(self.__slots__)
+        if unknown:
+            raise TypeError(f"DiagnosticsRecord has no fields {sorted(unknown)}")
         self.time = time
-        self.swirl_q_norm = swirl_q_norm
-        self.d_t = d_t
-        self.serrin_running = serrin_running
-        self.gronwall_envelope = gronwall_envelope
-        self.forcing_q_norm = forcing_q_norm
-        self.weighted_vort_energy = weighted_vort_energy
-        self.quartic_swirl_r2 = quartic_swirl_r2
-        self.quartic_swirl_r4 = quartic_swirl_r4
-        self.dissipation_swirl_grad = dissipation_swirl_grad
-        self.dissipation_swirl_axis = dissipation_swirl_axis
-        self.dissipation_vort = dissipation_vort
-        self.dissipation_quartic = dissipation_quartic
-        self.grad_u_l2 = grad_u_l2
-        self.vort_l2 = vort_l2
-        self.transport_cancellation = transport_cancellation
-        self.f_indicator = f_indicator
+        for name in self.__slots__[1:-2]:  # between time and truncated
+            setattr(self, name, values.get(name, math.nan))
         self.truncated = truncated
         self.margins = {} if margins is None else margins
         for name in ("swirl_q_norm", "serrin_running", "weighted_vort_energy",
@@ -544,7 +516,7 @@ def gronwall_envelope(records, m: MonitorConfig):
     if not records:
         return []
     t0 = records[0].time
-    n0 = records[0].swirl_q_norm ** m.q
+    n0 = power(records[0].swirl_q_norm, m.q)
     out = []
     int_d = 0.0
     sup_h = 0.0
@@ -552,7 +524,7 @@ def gronwall_envelope(records, m: MonitorConfig):
     for r in records:
         if prev is not None:
             int_d += 0.5 * (prev.d_t + r.d_t) * (r.time - prev.time)
-        sup_h = max(sup_h, r.forcing_q_norm ** m.q)
+        sup_h = max(sup_h, power(r.forcing_q_norm, m.q))
         base = n0 + (r.time - t0) * sup_h
         # a zero base (no swirl, no forcing) gives 0 even when exp(int d)
         # overflows to inf, where the product would be nan
@@ -599,14 +571,11 @@ def _view_or_blowup(v: VelocityState, f: ForcingFields, m: MonitorConfig):
     number the view holds."""
     if not all(np.all(np.isfinite(s.values)) for s in (v.u_rho, v.u_phi, v.u_z)):
         return None
-    try:
-        view = checkpoint_view(v, f, m)
-    except NumericError:  # grid.integrate met an overflowed integrand
-        return None
+    view = checkpoint_view(v, f, m)
     values = [getattr(view, name) for name in view.__slots__]
     values = [x for val in values
               for x in (val.values() if isinstance(val, dict) else (val,))]
-    return view if all(np.all(np.isfinite(x)) for x in values) else None
+    return view if all(math.isfinite(x) for x in values) else None
 
 
 def collect_diagnostics(checkpoints, m: MonitorConfig, forcing_at=None):
@@ -622,9 +591,8 @@ def collect_diagnostics(checkpoints, m: MonitorConfig, forcing_at=None):
     """
     if not checkpoints:
         return []
-    g = checkpoints[0].grid
     if forcing_at is None:
-        zf = zero_forcing(g)
+        zf = zero_forcing(checkpoints[0].grid)
         forcing_at = lambda t: zf  # noqa: E731
     e = m.exponents
     records = []
@@ -638,9 +606,8 @@ def collect_diagnostics(checkpoints, m: MonitorConfig, forcing_at=None):
             break
         margins = {}
         if prev is not None:
-            neg = ScalarSample(prev.u_neg, g)
-            serrin = serrin_accumulate(serrin, neg, e.a, e.b, e.gamma,
-                                       view.time - prev.time)
+            serrin = serrin_advance(serrin, prev.serrin_spatial, e.a, e.b,
+                                    view.time - prev.time)
             margins = {**swirl_lq_budget(prev, view, m),
                        **quartic_swirl_budget(prev, view, m),
                        **vorticity_margin_sequence(prev, view, m)}
@@ -752,7 +719,7 @@ def evaluate_checks(records, m: MonitorConfig, grid: CylGrid,
 
     def transport(r):
         val = abs(r.transport_cancellation)
-        scale = (1.0 + r.grad_u_l2) * (1.0 + r.swirl_q_norm ** m.q)
+        scale = (1.0 + r.grad_u_l2) * (1.0 + power(r.swirl_q_norm, m.q))
         return val / scale, val <= tband * scale
 
     checks.append(_asserted_check("transport_cancellation",
@@ -771,7 +738,8 @@ def evaluate_checks(records, m: MonitorConfig, grid: CylGrid,
     # Gronwall dominance: asserted only when its premise (all swirl
     # margins nonnegative) holds on the run
     def dominance(r):
-        slack = r.gronwall_envelope - r.swirl_q_norm ** m.q * (1.0 - ENVELOPE_REL)
+        slack = (r.gronwall_envelope
+                 - power(r.swirl_q_norm, m.q) * (1.0 - ENVELOPE_REL))
         return slack, slack >= 0.0
 
     gronwall = _asserted_check(

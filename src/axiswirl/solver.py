@@ -419,6 +419,5 @@ def run(cfg: SimConfig, initial: VelocityState, forcing_at=None) -> Trajectory:
 
 
 def kinetic_energy(v: VelocityState) -> float:
-    g = v.grid
     sq = v.u_rho.values**2 + v.u_phi.values**2 + v.u_z.values**2
-    return 0.5 * integrate(ScalarSample(sq, g))
+    return 0.5 * integrate(ScalarSample(sq, v.grid))

@@ -28,7 +28,7 @@ from axiswirl.cli import (
     write_checkpoint,
 )
 from axiswirl.errors import ConfigurationError
-from axiswirl.grid import build_grid
+from axiswirl.grid import MAX_CELLS, build_grid
 from axiswirl.solver import SimConfig
 from axiswirl import mms
 
@@ -720,3 +720,64 @@ def test_growth_integral_overflow_is_not_an_error(tmp_path, monkeypatch, capsys)
     envelope = [float(r.split(",")[header.index("gronwall_envelope")])
                 for r in rows[1:]]
     assert len(envelope) > 2 and envelope[-1] == math.inf
+
+
+@pytest.mark.parametrize("exponents,initial_data", [
+    # theta = b/a = 25: S^theta overflows a float on a finite state
+    ({"a": 4, "b": 100, "gamma": 0},
+     {"kind": "taylor_vortex_swirl", "params": {"amplitude": 1000}}),
+    # amplitude^2 overflows in the pressure's coefficient: an infinite
+    # initial pressure
+    ({"a": 6, "b": 4, "gamma": 0},
+     {"kind": "decaying_swirl", "params": {"amplitude": 1e300}}),
+], ids=["serrin_power", "swirl_pressure"])
+def test_overflowing_powers_are_blow_up(tmp_path, monkeypatch, capsys,
+                                        exponents, initial_data):
+    # a truncated report and exit 0, not an OverflowError
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    doc = _scenario(grid={"n_rho": 8, "n_z": 8}, solver={"t_end": 1e-6},
+                    exponents=exponents, initial_data=initial_data)
+    assert main(["run", _write(tmp_path, doc)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["truncated"] is True
+
+
+@pytest.mark.parametrize("monitor", [{}, {"c_grow": 1.0}],
+                         ids=["default_c_grow", "given_c_grow"])
+def test_absorption_constant_overflow_names_the_exponents(
+        tmp_path, monkeypatch, capsys, monitor):
+    # a = b = 1000 is admissible, but eps1^(1/(1-p)) = 0.05^-399 overflows
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    doc = _scenario(grid={"n_rho": 8, "n_z": 8},
+                    exponents={"a": 1000, "b": 1000, "gamma": 0},
+                    monitor=monitor)
+    validate_scenario(doc)
+    assert main(["run", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: $.exponents:") and "Traceback" not in err
+    assert all(f"{name} = " in err for name in ("p", "s", "nu"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_cell_counts_beyond_the_bound_are_rejected(tmp_path, monkeypatch,
+                                                   capsys):
+    doc = _scenario(grid={"n_rho": 10**6, "n_z": 10**6})
+    with pytest.raises(SchemaError) as exc:
+        validate_scenario(doc)
+    assert exc.value.path == "$.grid" and str(MAX_CELLS) in str(exc.value)
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    assert main(["run", _write(tmp_path, doc)]) == 2
+    assert "error: $.grid:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # mms builds every level's grid before it samples any
+    assert main(["mms", "rigid_rotation", "8", "16", str(10**6)]) == 2
+    assert str(MAX_CELLS) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", [["8", "8", "8"], ["8", "16", "16"],
+                                    ["16", "8", "32"]])
+def test_mms_levels_must_strictly_increase(capsys, levels):
+    assert main(["mms", "decaying_swirl", *levels]) == 2
+    captured = capsys.readouterr()
+    assert "strictly increase" in captured.err and captured.out == ""

@@ -8,9 +8,11 @@ import pytest
 from axiswirl.errors import ConfigurationError, ContractViolation, NumericError
 from axiswirl.fields import VelocityState
 from axiswirl.grid import (
+    MAX_CELLS,
     ScalarSample,
     build_grid,
     integrate,
+    moment,
     serrin_accumulate,
     weighted_lq_norm,
 )
@@ -164,3 +166,32 @@ def test_serrin_accumulate_contracts():
     with pytest.raises(ContractViolation):
         serrin_accumulate(0.0, ScalarSample(np.ones(g.shape), g),
                           6.0, 4.0, 0.0, -0.1)
+
+
+def test_cell_counts_are_bounded():
+    # rejected before any array of the grid is made
+    for counts in ((MAX_CELLS + 1, 8), (8, MAX_CELLS + 1), (10**6, 10**6)):
+        with pytest.raises(ConfigurationError, match=str(MAX_CELLS)):
+            build_grid(*counts)
+    assert build_grid(MAX_CELLS, 2).shape == (MAX_CELLS, 2)
+
+
+def test_every_quadrature_is_the_radial_moment():
+    g = build_grid(12, 6)
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=g.shape)
+    f = ScalarSample(v, g)
+    assert integrate(f) == moment(v, g)
+    assert weighted_lq_norm(f, 3.0, gamma=0.5) \
+        == moment(np.abs(v) ** 3.0, g, 1.5) ** (1.0 / 3.0)
+    neg = ScalarSample(np.abs(v), g)
+    assert serrin_accumulate(1.0, neg, 6.0, 4.0, 0.5, 0.1) \
+        == 1.0 + 0.1 * moment(np.abs(v) ** 6.0, g, 3.0) ** (4.0 / 6.0)
+
+
+def test_serrin_accumulate_overflow_is_inf():
+    # (integral f^a)^(b/a) with b/a = 25 overflows a float: the running
+    # integral is inf, for the monitor to read as blow-up, not an error
+    g = build_grid(8, 4)
+    f = ScalarSample(np.full(g.shape, 1e20), g)
+    assert serrin_accumulate(0.0, f, 4.0, 100.0, 0.0, 1e-6) == math.inf

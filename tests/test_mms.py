@@ -154,6 +154,23 @@ def test_swirl_pressure_closed_form_matches_quadrature(amplitude, rho_max):
     assert sol.p.val(np.array([[0.0]]), zero[None, :], t)[0, 0] == 0.0
 
 
+def test_swirl_pressure_balances_the_centrifugal_force():
+    # one separable term: d_rho p = u_phi^2 / rho, p'' by central
+    # differences of p', and no z-dependence
+    sol = mms.make_solution("decaying_swirl", {"amplitude": 1.3})
+    g = build_grid(16, 8)
+    on = sol.on_grid(g)
+    rho, z = g.rho, g.z_centers[None, :]
+    for t in (0.0, 0.4):
+        centrifugal = on.u_phi.val(rho, z, t) ** 2 / rho
+        assert np.max(np.abs(on.p.d_rho(rho, z, t) - centrifugal)) \
+            <= 1e-15 * np.max(centrifugal)
+        assert np.max(np.abs(on.p.d_z(rho, z, t))) == 0.0
+    r, h = np.linspace(0.05, 2.0, 40)[:, None], 1e-5
+    fd = (sol.p.d_rho(r + h, z, 0.0) - sol.p.d_rho(r - h, z, 0.0)) / (2 * h)
+    assert np.max(np.abs(sol.p.d2_rho(r, z, 0.0) - fd)) <= 1e-8
+
+
 def test_forcing_on_a_second_grid_matches_its_reference():
     # forcing_for samples the profiles once per grid: a second grid must get
     # its own samples, not the first grid's

@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from axiswirl.errors import ConfigurationError, ContractViolation
-from axiswirl.fields import zero_state
-from axiswirl.grid import build_grid
+from axiswirl.errors import (
+    ConfigurationError,
+    ContractViolation,
+    InadmissibleExponents,
+)
+from axiswirl.exponents import derive_exponents
+from axiswirl.fields import velocity_grad_l2, zero_state
+from axiswirl.grid import ScalarSample, build_grid, serrin_accumulate
 from axiswirl.monitor import (
     DiagnosticsRecord,
     MonitorConfig,
@@ -306,3 +311,66 @@ def test_blowup_indicator_on_regular_run(audit_run):
     assert report["f_max"] >= report["f_final"] > 0.0
     assert report["vort_l2_time_integral"] > 0.0
     assert report["grad_u_l2_max"] > 0.0
+
+
+@pytest.mark.parametrize("triple", [(6.0, 4.0, 0.0), (8.0, 8.0, 0.0)],
+                         ids=["beta_is_a_gamma", "beta_3_a_gamma_0"])
+def test_serrin_running_is_serrin_accumulate(forced_taylor, triple):
+    # the view's one z-sum of (u_rho^-)^alpha feeds the running integral;
+    # it must agree with serrin_accumulate on the same checkpoints, both
+    # where the d(t) moment beta equals a*gamma and where it does not
+    e = derive_exponents(*triple)
+    g, traj = forced_taylor["grid"], forced_taylor["traj"]
+    m = monitor_for(g, e, 0.1)
+    records = collect_diagnostics(traj.checkpoints, m,
+                                  forcing_at=forced_taylor["forcing"])
+    acc, expected = 0.0, [0.0]
+    for prev, nxt in zip(traj.checkpoints, traj.checkpoints[1:]):
+        neg = ScalarSample(negative_part(prev.u_rho.values), g)
+        acc = serrin_accumulate(acc, neg, e.a, e.b, e.gamma,
+                                nxt.time - prev.time)
+        expected.append(acc)
+    assert expected[-1] > 0.0
+    assert len(records) == len(expected)
+    for r, x in zip(records, expected):
+        assert abs(r.serrin_running - x) <= 1e-13 * x
+
+
+def test_d_of_t_is_the_monitors_d_t(forced_taylor):
+    # d_of_t and serrin_integrand are the functions the monitor's records
+    # are made of, exactly, on states with a negative radial part
+    g, traj = forced_taylor["grid"], forced_taylor["traj"]
+    m = monitor_for(g, derive_exponents(8.0, 8.0, 0.0), 0.1)
+    records = collect_diagnostics(traj.checkpoints, m,
+                                  forcing_at=forced_taylor["forcing"])
+    assert all(serrin_integrand(v, m.exponents) > 0.0
+               for v in traj.checkpoints)
+    assert [r.d_t for r in records] == [d_of_t(v, m) for v in traj.checkpoints]
+
+
+def test_gradient_overflow_is_a_truncated_record(exp640):
+    # u_rho = 1e154 > 0: finite, with finite squares, no negative part and
+    # no vorticity, but (d_rho u_rho)^2 ~ 16e308 overflows, and only in
+    # |grad u|^2
+    g = build_grid(8, 8)
+    v = zero_state(g).replace_fields(u_rho=g.zeros() + 1e154, time=0.0)
+    m = monitor_for(g, exp640, 0.1)
+    with np.errstate(over="ignore"):
+        assert velocity_grad_l2(v) == math.inf
+        records = collect_diagnostics([v], m)
+    assert len(records) == 1 and records[0].truncated
+    assert math.isnan(records[0].grad_u_l2)
+
+
+def test_absorption_constants_once_per_config(exp640):
+    m = MonitorConfig(exponents=exp640, nu=0.1, c_sob=0.09)
+    p, s = exp640.p_hold, exp640.s
+    assert m.young1 == m.eps1 ** (1.0 / (1.0 - p))
+    assert m.young2 == m.eps2 ** (3.0 / (3.0 - s))
+    # a = b = 1000: p - 1 = 1/399, so eps1^(1/(1-p)) = 0.05^-399 overflows,
+    # with or without a given c_grow
+    e = derive_exponents(1000.0, 1000.0, 0.0)
+    for c_grow in (None, 1.0):
+        with pytest.raises(InadmissibleExponents) as exc:
+            MonitorConfig(exponents=e, nu=0.1, c_sob=0.09, c_grow=c_grow)
+        assert f"p = {e.p_hold}, s = {e.s}, nu = 0.1" in str(exc.value)
