@@ -4,12 +4,11 @@ trajectories."""
 
 __version__ = "0.1.0"
 
-from .grid import CylGrid, ScalarSample, build_grid, integrate, weighted_lq_norm, serrin_accumulate
+from .grid import CylGrid, build_grid, integrate, weighted_lq_norm, serrin_accumulate
 from .exponents import ExponentSet, check_admissible, derive_exponents, holder_young_pairs
 
 __all__ = [
     "CylGrid",
-    "ScalarSample",
     "build_grid",
     "integrate",
     "weighted_lq_norm",

@@ -88,7 +88,7 @@ def write_checkpoint(path, state):
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         for name in _FIELD_NAMES:
-            arr = getattr(state, name).values
+            arr = getattr(state, name)
             # arrays are (n_rho, n_z); rho-fastest means rho varies within
             # a row of the serialized stream
             fh.write(np.ascontiguousarray(arr.T, dtype="<f8").tobytes())
@@ -587,6 +587,10 @@ def mms_cmd(kind, levels, nu=0.1, outdir=None) -> int:
         return 2
     if any(coarse >= fine for coarse, fine in zip(levels, levels[1:])):
         print(f"error: refinement levels must strictly increase, got {levels}",
+              file=sys.stderr)
+        return 2
+    if not (math.isfinite(nu) and nu > 0.0):
+        print(f"error: --nu must be a positive finite number, got {nu}",
               file=sys.stderr)
         return 2
     sol_kind = "taylor_vortex_swirl" if kind == "lopsided_curl" else kind

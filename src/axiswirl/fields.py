@@ -1,6 +1,7 @@
 """Velocity/vorticity fields and the cylindrical differential operators.
 
-Fields are cell-centered on a CylGrid, shape (n_rho, n_z), axis 0 radial.
+Fields are plain float64 arrays, cell-centered on a CylGrid, shape
+(n_rho, n_z), axis 0 radial; the records that group them hold the grid.
 Radial ghosts encode the axis regularity parities (u_rho, u_phi, w_rho,
 w_phi odd across rho = 0; u_z, p, w_z even) and the no-slip wall at
 rho = rho_max via mirror-zero ghosts.  z is periodic.
@@ -10,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolation
-from .grid import CylGrid, ScalarSample, moment
+from .errors import ConfigurationError, ContractViolation
+from .grid import CylGrid, moment
 from .records import Frozen
 
 ODD = "odd"
@@ -24,71 +25,65 @@ NEUMANN = "neumann"
 EXTRAP = "extrap"
 
 
+def _sample(values, grid: CylGrid):
+    """values as a float64 array of the grid's shape; ConfigurationError
+    for any other shape."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != grid.shape:
+        raise ConfigurationError(
+            f"sample shape {v.shape} does not match grid {grid.shape}"
+        )
+    return v
+
+
 class VelocityState(Frozen):
-    __slots__ = ("u_rho", "u_phi", "u_z", "pressure", "time")
+    """The velocity components and the pressure at one time."""
 
-    def __init__(self, u_rho: ScalarSample, u_phi: ScalarSample,
-                 u_z: ScalarSample, pressure: ScalarSample, time: float):
-        g = u_rho.grid
-        for f in (u_phi, u_z, pressure):
-            if f.grid is not g and f.grid != g:
-                raise ContractViolation("all state fields must share one grid")
-        self._freeze(u_rho, u_phi, u_z, pressure, time)
+    __slots__ = ("grid", "u_rho", "u_phi", "u_z", "pressure", "time")
 
-    @property
-    def grid(self) -> CylGrid:
-        return self.u_rho.grid
+    def __init__(self, grid: CylGrid, u_rho, u_phi, u_z, pressure,
+                 time: float):
+        self._freeze(grid, *(_sample(f, grid)
+                             for f in (u_rho, u_phi, u_z, pressure)), time)
 
     def replace_fields(self, u_rho=None, u_phi=None, u_z=None, pressure=None, time=None):
-        g = self.grid
         return VelocityState(
-            ScalarSample(u_rho if u_rho is not None else self.u_rho.values, g),
-            ScalarSample(u_phi if u_phi is not None else self.u_phi.values, g),
-            ScalarSample(u_z if u_z is not None else self.u_z.values, g),
-            ScalarSample(pressure if pressure is not None else self.pressure.values, g),
+            self.grid,
+            self.u_rho if u_rho is None else u_rho,
+            self.u_phi if u_phi is None else u_phi,
+            self.u_z if u_z is None else u_z,
+            self.pressure if pressure is None else pressure,
             self.time if time is None else float(time),
         )
 
 
 class VorticityFields(Frozen):
-    __slots__ = ("w_rho", "w_phi", "w_z")
+    __slots__ = ("grid", "w_rho", "w_phi", "w_z")
 
-    def __init__(self, w_rho: ScalarSample, w_phi: ScalarSample,
-                 w_z: ScalarSample):
-        self._freeze(w_rho, w_phi, w_z)
-
-    @property
-    def grid(self) -> CylGrid:
-        return self.w_rho.grid
+    def __init__(self, grid: CylGrid, w_rho, w_phi, w_z):
+        self._freeze(grid, *(_sample(f, grid) for f in (w_rho, w_phi, w_z)))
 
 
 class ForcingFields(Frozen):
-    __slots__ = ("h_rho", "h_phi", "h_z", "g_rho", "g_phi", "g_z")
+    """The momentum forcing h and, where given, the vorticity forcing g."""
 
-    def __init__(self, h_rho: ScalarSample, h_phi: ScalarSample,
-                 h_z: ScalarSample, g_rho: ScalarSample | None = None,
-                 g_phi: ScalarSample | None = None,
-                 g_z: ScalarSample | None = None):
-        self._freeze(h_rho, h_phi, h_z, g_rho, g_phi, g_z)
+    __slots__ = ("grid", "h_rho", "h_phi", "h_z", "g_rho", "g_phi", "g_z")
 
-    @property
-    def grid(self) -> CylGrid:
-        return self.h_rho.grid
+    def __init__(self, grid: CylGrid, h_rho, h_phi, h_z, g_rho=None,
+                 g_phi=None, g_z=None):
+        self._freeze(grid, *(_sample(f, grid) for f in (h_rho, h_phi, h_z)),
+                     *(None if f is None else _sample(f, grid)
+                       for f in (g_rho, g_phi, g_z)))
 
 
 def zero_state(grid: CylGrid, time=0.0) -> VelocityState:
     z = grid.zeros()
-    return VelocityState(
-        ScalarSample(z, grid), ScalarSample(z.copy(), grid),
-        ScalarSample(z.copy(), grid), ScalarSample(z.copy(), grid), time,
-    )
+    return VelocityState(grid, z, z.copy(), z.copy(), z.copy(), time)
 
 
 def zero_forcing(grid: CylGrid) -> ForcingFields:
     z = grid.zeros()
-    return ForcingFields(
-        ScalarSample(z, grid), ScalarSample(z.copy(), grid), ScalarSample(z.copy(), grid)
-    )
+    return ForcingFields(grid, z, z.copy(), z.copy())
 
 
 # --- ghost construction -------------------------------------------------
@@ -173,7 +168,7 @@ def swirl_laplacian(f, grid: CylGrid):
 
 # --- spec operators -----------------------------------------------------
 
-def divergence(v: VelocityState) -> ScalarSample:
+def divergence(v: VelocityState) -> np.ndarray:
     """Discrete continuity residual, the finite-volume face-flux form of
     (1/rho) d_rho(rho u_rho) + d_z(u_z).
 
@@ -183,9 +178,7 @@ def divergence(v: VelocityState) -> ScalarSample:
     discrete adjoint gradient, which lets the pressure projection remove
     the residual down to rounding.
     """
-    g = v.grid
-    div = div_from_components(v.u_rho.values, v.u_z.values, g)
-    return ScalarSample(div, g)
+    return div_from_components(v.u_rho, v.u_z, v.grid)
 
 
 def div_from_components(u_rho, u_z, grid: CylGrid):
@@ -225,12 +218,10 @@ def radial_div_adjoint(phi, grid: CylGrid):
 def curl_axisym(v: VelocityState) -> VorticityFields:
     """w_rho = -d_z u_phi, w_phi = d_z u_rho - d_rho u_z, w_z = (1/rho) d_rho(rho u_phi)."""
     g = v.grid
-    w_rho = -d_z(v.u_phi.values, g)
-    w_phi = d_z(v.u_rho.values, g) - d_rho(v.u_z.values, g, EVEN, NOSLIP)
-    w_z = d_rho(v.u_phi.values, g, ODD, NOSLIP) + v.u_phi.values / g.rho
-    return VorticityFields(
-        ScalarSample(w_rho, g), ScalarSample(w_phi, g), ScalarSample(w_z, g)
-    )
+    w_rho = -d_z(v.u_phi, g)
+    w_phi = d_z(v.u_rho, g) - d_rho(v.u_z, g, EVEN, NOSLIP)
+    w_z = d_rho(v.u_phi, g, ODD, NOSLIP) + v.u_phi / g.rho
+    return VorticityFields(g, w_rho, w_phi, w_z)
 
 
 def explicit_rhs(v: VelocityState, f: ForcingFields):
@@ -241,15 +232,13 @@ def explicit_rhs(v: VelocityState, f: ForcingFields):
     (solver.step)."""
     g = v.grid
     rho = g.rho
-    ur, uh, uz = v.u_rho.values, v.u_phi.values, v.u_z.values
+    ur, uh, uz = v.u_rho, v.u_phi, v.u_z
     du_rho = (-(ur * d_rho(ur, g, ODD) + uz * d_z(ur, g)) + uh**2 / rho
-              + f.h_rho.values)
+              + f.h_rho)
     du_phi = (-(ur * d_rho(uh, g, ODD) + uz * d_z(uh, g)) - uh * ur / rho
-              + f.h_phi.values)
-    du_z = -(ur * d_rho(uz, g, EVEN) + uz * d_z(uz, g)) + f.h_z.values
-    return (
-        ScalarSample(du_rho, g), ScalarSample(du_phi, g), ScalarSample(du_z, g)
-    )
+              + f.h_phi)
+    du_z = -(ur * d_rho(uz, g, EVEN) + uz * d_z(uz, g)) + f.h_z
+    return du_rho, du_phi, du_z
 
 
 def viscous_rhs(v: VelocityState, nu: float):
@@ -260,11 +249,11 @@ def viscous_rhs(v: VelocityState, nu: float):
     if not nu > 0.0:
         raise ContractViolation(f"nu must be positive, got {nu}")
     g = v.grid
-    uz = v.u_z.values
+    uz = v.u_z
     return (
-        ScalarSample(nu * swirl_laplacian(v.u_rho.values, g), g),
-        ScalarSample(nu * swirl_laplacian(v.u_phi.values, g), g),
-        ScalarSample(nu * (radial_diffusion(uz, g, NOSLIP) + d_zz(uz, g)), g),
+        nu * swirl_laplacian(v.u_rho, g),
+        nu * swirl_laplacian(v.u_phi, g),
+        nu * (radial_diffusion(uz, g, NOSLIP) + d_zz(uz, g)),
     )
 
 
@@ -273,9 +262,9 @@ def momentum_rhs(v: VelocityState, f: ForcingFields, nu: float):
     explicit_rhs plus viscous_rhs plus the centred gradient of the stored
     pressure field."""
     g = v.grid
-    p = v.pressure.values
+    p = v.pressure
     grad_p = (d_rho(p, g, EVEN, NEUMANN), np.zeros_like(p), d_z(p, g))
-    return tuple(ScalarSample(e.values + d.values - gp, g)
+    return tuple(e + d - gp
                  for e, d, gp in zip(explicit_rhs(v, f), viscous_rhs(v, nu),
                                      grad_p))
 
@@ -294,11 +283,10 @@ def vorticity_transport_residual(v: VelocityState, w: VorticityFields,
         raise ContractViolation("dw_dt is required (difference consecutive states)")
     g = v.grid
     rho = g.rho
-    ur, uh, uz = v.u_rho.values, v.u_phi.values, v.u_z.values
-    wr, wh, wz = w.w_rho.values, w.w_phi.values, w.w_z.values
-    gr = g_force.g_rho.values if g_force.g_rho is not None else 0.0
-    gh = g_force.g_phi.values if g_force.g_phi is not None else 0.0
-    gz = g_force.g_z.values if g_force.g_z is not None else 0.0
+    ur, uh, uz = v.u_rho, v.u_phi, v.u_z
+    wr, wh, wz = w.w_rho, w.w_phi, w.w_z
+    gr, gh, gz = (0.0 if x is None else x
+                  for x in (g_force.g_rho, g_force.g_phi, g_force.g_z))
 
     def drho(fv, parity):
         return d_rho(fv, g, parity, EXTRAP)
@@ -310,23 +298,21 @@ def vorticity_transport_residual(v: VelocityState, w: VorticityFields,
         return radial_diffusion(fv, g, EXTRAP) + d_zz(fv, g)
 
     r_rho = (
-        dw_dt.w_rho.values + ur * drho(wr, ODD) + uz * d_z(wr, g)
+        dw_dt.w_rho + ur * drho(wr, ODD) + uz * d_z(wr, g)
         - wr * d_rho(ur, g, ODD) - wz * d_z(ur, g)
         - gr - nu * visc_odd(wr)
     )
     r_phi = (
-        dw_dt.w_phi.values + ur * drho(wh, ODD) + uz * d_z(wh, g)
+        dw_dt.w_phi + ur * drho(wh, ODD) + uz * d_z(wh, g)
         - (ur / rho) * wh + 2.0 * (uh / rho) * wr
         - gh - nu * visc_odd(wh)
     )
     r_z = (
-        dw_dt.w_z.values + ur * drho(wz, EVEN) + uz * d_z(wz, g)
+        dw_dt.w_z + ur * drho(wz, EVEN) + uz * d_z(wz, g)
         - wr * d_rho(uz, g, EVEN) - wz * d_z(uz, g)
         - gz - nu * visc_even(wz)
     )
-    return (
-        ScalarSample(r_rho, g), ScalarSample(r_phi, g), ScalarSample(r_z, g)
-    )
+    return r_rho, r_phi, r_z
 
 
 def grad_squared(f, grid: CylGrid, parity, wall=NOSLIP):
@@ -341,7 +327,7 @@ def velocity_grad_l2(v: VelocityState) -> float:
     terms (u_rho^2 + u_phi^2)/rho^2.  inf where the squares overflow.
     """
     g = v.grid
-    ur, uh, uz = v.u_rho.values, v.u_phi.values, v.u_z.values
+    ur, uh, uz = v.u_rho, v.u_phi, v.u_z
     sq = (
         grad_squared(ur, g, ODD) + grad_squared(uh, g, ODD)
         + grad_squared(uz, g, EVEN) + (ur**2 + uh**2) / g.rho**2

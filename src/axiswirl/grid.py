@@ -79,20 +79,6 @@ class CylGrid(Frozen):
         return np.meshgrid(self.rho_centers, self.z_centers, indexing="ij")
 
 
-class ScalarSample(Frozen):
-    """A scalar field sampled at cell centers of a CylGrid."""
-
-    __slots__ = ("values", "grid")
-
-    def __init__(self, values, grid: CylGrid):
-        v = np.asarray(values, dtype=float)
-        if v.shape != grid.shape:
-            raise ConfigurationError(
-                f"sample shape {v.shape} does not match grid {grid.shape}"
-            )
-        self._freeze(v, grid)
-
-
 # Most cells along either axis.  The solver keeps dense per-grid bases of
 # 8 n_rho^2 + n_z^2 doubles, built with eigh in O(n^3) time.  Measured at
 # 1024 x 1024 on a 2-vCPU VM: the bases take 0.68 s and 215 MB peak RSS,
@@ -139,28 +125,33 @@ def power(x: float, y: float) -> float:
         return math.inf
 
 
-def _values(f):
-    if isinstance(f, ScalarSample):
-        return f.values, f.grid
-    raise ContractViolation("expected a ScalarSample")
+def _integrand(values, grid: CylGrid):
+    """values as an array, which a quadrature needs in the grid's shape."""
+    v = np.asarray(values)
+    if v.shape != grid.shape:
+        raise ContractViolation(
+            f"integrand shape {v.shape} does not match grid {grid.shape}")
+    return v
 
 
-def integrate(f: ScalarSample) -> float:
+def integrate(values, grid: CylGrid) -> float:
     """Midpoint-rule integral over the cylinder, measure 2*pi*rho drho dz."""
-    v, g = _values(f)
+    v = _integrand(values, grid)
     if not np.all(np.isfinite(v)):
         raise NumericError("non-finite samples in integrand")
-    return moment(v, g)
+    return moment(v, grid)
 
 
-def weighted_lq_norm(f: ScalarSample, q: float, gamma: float = 0.0) -> float:
-    """(integral |f * rho^gamma|^q dx)^(1/q); gamma = 0 is the plain Lq norm."""
+def weighted_lq_norm(values, grid: CylGrid, q: float,
+                     gamma: float = 0.0) -> float:
+    """(integral |f * rho^gamma|^q dx)^(1/q) of the field values;
+    gamma = 0 is the plain Lq norm."""
     if q < 1.0:
         raise ContractViolation(f"q must be >= 1, got {q}")
-    v, g = _values(f)
+    v = _integrand(values, grid)
     if not np.all(np.isfinite(v)):
         raise NumericError("non-finite samples")
-    return moment(np.abs(v) ** q, g, q * gamma) ** (1.0 / q)
+    return moment(np.abs(v) ** q, grid, q * gamma) ** (1.0 / q)
 
 
 def serrin_advance(prev, spatial, a, b, dt) -> float:
@@ -175,15 +166,16 @@ def serrin_advance(prev, spatial, a, b, dt) -> float:
     return float(prev) + float(dt) * power(spatial, b / a)
 
 
-def serrin_accumulate(prev, f_neg: ScalarSample, a, b, gamma, dt) -> float:
-    """Advance the running weighted Serrin integral by one interval.
+def serrin_accumulate(prev, f_neg, grid: CylGrid, a, b, gamma, dt) -> float:
+    """Advance the running weighted Serrin integral by one interval; f_neg
+    is the field of the negative part, values >= 0.
 
     For finite b this accumulates dt * (integral |f * rho^gamma|^a dx)^(b/a);
     for b = inf it keeps the running supremum of the spatial norm
     (integral ...)^(1/a).  The finished accumulator raised to 1/b is the
     weighted space-time norm.
     """
-    v, g = _values(f_neg)
+    v = _integrand(f_neg, grid)
     if np.any(v < 0.0):
         raise ContractViolation("negative entries in the negative-part field")
-    return serrin_advance(prev, moment(v**a, g, a * gamma), a, b, dt)
+    return serrin_advance(prev, moment(v**a, grid, a * gamma), a, b, dt)

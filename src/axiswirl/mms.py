@@ -37,7 +37,7 @@ from .fields import (
     momentum_rhs,
     zero_forcing,
 )
-from .grid import CylGrid, ScalarSample, build_grid, moment
+from .grid import CylGrid, build_grid, moment
 from .solver import J11, SimConfig, run
 
 
@@ -347,11 +347,8 @@ def sample_state(sol: ManufacturedSolution, grid: CylGrid, t) -> VelocityState:
     on = sol.on_grid(grid)
     rho, z = _axes(grid)
     return VelocityState(
-        ScalarSample(on.u_rho.val(rho, z, t), grid),
-        ScalarSample(on.u_phi.val(rho, z, t), grid),
-        ScalarSample(on.u_z.val(rho, z, t), grid),
-        ScalarSample(on.p.val(rho, z, t), grid),
-        float(t),
+        grid, on.u_rho.val(rho, z, t), on.u_phi.val(rho, z, t),
+        on.u_z.val(rho, z, t), on.p.val(rho, z, t), float(t),
     )
 
 
@@ -399,10 +396,8 @@ def forcing_for(sol: ManufacturedSolution, nu, grid: CylGrid, t) -> ForcingField
         math.isinf(sol.homogeneous_nu) or math.isclose(sol.homogeneous_nu, nu)
     ):
         return zero_forcing(grid)
-    h_rho, h_phi, h_z = forcing_components(sol.on_grid(grid), nu, *_axes(grid), t)
     return ForcingFields(
-        ScalarSample(h_rho, grid), ScalarSample(h_phi, grid), ScalarSample(h_z, grid)
-    )
+        grid, *forcing_components(sol.on_grid(grid), nu, *_axes(grid), t))
 
 
 def forcing_callable(sol: ManufacturedSolution, nu, grid: CylGrid):
@@ -425,7 +420,7 @@ def lopsided_curl(v: VelocityState) -> np.ndarray:
     First-order by construction; convergence studies must detect it.
     """
     g = v.grid
-    uh = v.u_phi.values
+    uh = v.u_phi
     ghost = -uh[-1:]
     fwd = (np.concatenate([uh[1:], ghost], axis=0) - uh) / g.d_rho
     return fwd + uh / g.rho
@@ -447,6 +442,9 @@ def _l2_err(a, b, grid: CylGrid):
     return math.sqrt(moment(d * d, grid))
 
 
+_VELOCITY = ("u_rho", "u_phi", "u_z")
+
+
 def convergence_order(sol: ManufacturedSolution, grids, quantity="solver",
                       nu=0.1, t_end=0.05):
     """Refinement study; returns {"errors": [...], "orders": [...], ...}.
@@ -459,9 +457,17 @@ def convergence_order(sol: ManufacturedSolution, grids, quantity="solver",
       curl          discrete curl against the analytic curl
       divergence    max |div| of the sampled field
       lopsided_curl the first-order negative-control stencil
+
+    The order of a pair of levels is p for errors that scale as Delta^p,
+    Delta = min(d_rho, d_z): log2 of the error ratio over log2 of the
+    Delta ratio, which is exactly 1 on a doubling.
     """
     if len(grids) < 2:
         raise ConfigurationError("need at least two grid levels")
+    deltas = [min(g.d_rho, g.d_z) for g in grids]
+    if any(not fine < coarse for coarse, fine in zip(deltas, deltas[1:])):
+        raise ConfigurationError("every grid level must be finer than the "
+                                 "one before it")
     errors = []
     for grid in grids:
         rho, z = _axes(grid)
@@ -473,32 +479,21 @@ def convergence_order(sol: ManufacturedSolution, grids, quantity="solver",
             if traj.failed:
                 raise ConfigurationError(f"solver failed: {traj.failure_reason}")
             final = traj.checkpoints[-1]
-            t = final.time
-            err = max(
-                _max_err(final.u_rho.values, sol.u_rho.val(rho, z, t)),
-                _max_err(final.u_phi.values, sol.u_phi.val(rho, z, t)),
-                _max_err(final.u_z.values, sol.u_z.val(rho, z, t)),
-            )
+            err = max(_max_err(getattr(final, c),
+                               getattr(sol, c).val(rho, z, final.time))
+                      for c in _VELOCITY)
         elif quantity == "operator":
-            f = forcing_for(sol, nu, grid, 0.0)
-            tend = momentum_rhs(state, f, nu)
+            tend = momentum_rhs(state, forcing_for(sol, nu, grid, 0.0), nu)
             # volume-weighted L2: single boundary-adjacent rows carry
             # vanishing measure, matching the norm the time integration sees
-            err = max(
-                _l2_err(tend[0].values, sol.u_rho.d_t(rho, z, 0.0), grid),
-                _l2_err(tend[1].values, sol.u_phi.d_t(rho, z, 0.0), grid),
-                _l2_err(tend[2].values, sol.u_z.d_t(rho, z, 0.0), grid),
-            )
+            err = max(_l2_err(x, getattr(sol, c).d_t(rho, z, 0.0), grid)
+                      for x, c in zip(tend, _VELOCITY))
         elif quantity == "curl":
             w = curl_axisym(state)
-            wr, wh, wz = sol.curl(rho, z, 0.0)
-            err = max(
-                _max_err(w.w_rho.values, wr),
-                _max_err(w.w_phi.values, wh),
-                _max_err(w.w_z.values, wz),
-            )
+            err = max(map(_max_err, (w.w_rho, w.w_phi, w.w_z),
+                          sol.curl(rho, z, 0.0)))
         elif quantity == "divergence":
-            err = float(np.max(np.abs(_interior(divergence(state).values))))
+            err = float(np.max(np.abs(_interior(divergence(state)))))
         elif quantity == "lopsided_curl":
             _, _, wz = sol.curl(rho, z, 0.0)
             err = _max_err(lopsided_curl(state), wz)
@@ -506,7 +501,8 @@ def convergence_order(sol: ManufacturedSolution, grids, quantity="solver",
             raise ConfigurationError(f"unknown quantity {quantity!r}")
         errors.append(err)
     orders = [
-        math.log2(errors[i] / errors[i + 1]) if errors[i + 1] > 0 else math.inf
+        math.log2(errors[i] / errors[i + 1]) / math.log2(deltas[i] / deltas[i + 1])
+        if errors[i + 1] > 0 else math.inf
         for i in range(len(errors) - 1)
     ]
     return {"quantity": quantity, "errors": errors, "orders": orders}

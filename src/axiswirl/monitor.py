@@ -198,13 +198,13 @@ def serrin_factors(u_neg: np.ndarray, grid: CylGrid, e: ExponentSet):
 
 def serrin_integrand(v: VelocityState, e: ExponentSet) -> float:
     """integral (u_rho^-)^alpha rho^beta dx, the spatial factor of d(t)."""
-    return serrin_factors(negative_part(v.u_rho.values), v.grid, e)[0]
+    return serrin_factors(negative_part(v.u_rho), v.grid, e)[0]
 
 
 def d_of_t(v: VelocityState, m: MonitorConfig) -> float:
     """Growth coefficient d(t) = q + c_grow * (integral (u_rho^-)^alpha
     rho^beta dx)^theta; equals q exactly when u_rho >= 0 everywhere."""
-    return m.growth(serrin_factors(negative_part(v.u_rho.values), v.grid,
+    return m.growth(serrin_factors(negative_part(v.u_rho), v.grid,
                                    m.exponents)[1])
 
 
@@ -215,8 +215,8 @@ def transport_cancellation(v: VelocityState, q: int) -> float:
     if q < 2 or q % 2 != 0:
         raise ContractViolation(f"q must be an even integer >= 2, got {q}")
     g = v.grid
-    uq = v.u_phi.values ** q  # even power: even across the axis, 0 at wall
-    val = v.u_rho.values * d_rho(uq, g, EVEN, NOSLIP) + v.u_z.values * d_z(uq, g)
+    uq = v.u_phi ** q  # even power: even across the axis, 0 at wall
+    val = v.u_rho * d_rho(uq, g, EVEN, NOSLIP) + v.u_z * d_z(uq, g)
     return _integ(val, g)
 
 
@@ -283,7 +283,7 @@ def checkpoint_view(v: VelocityState, f: ForcingFields,
     g = v.grid
     q, e = m.q, m.exponents
     p, s = e.p_hold, e.s
-    ur, uh, h = v.u_rho.values, v.u_phi.values, f.h_phi.values
+    ur, uh, h = v.u_rho, v.u_phi, f.h_phi
     un = negative_part(ur)
     u_abs = np.abs(uh)
     powers = {j: u_abs**j for j in {q, 4, q * s / (s - 2.0), 3 * q}}
@@ -291,7 +291,7 @@ def checkpoint_view(v: VelocityState, f: ForcingFields,
     power_moment = functools.cache(lambda j, k: _integ(power_sums[j], g, k))
     uq, u4, u2 = powers[q], powers[4], uh**2
     w = curl_axisym(v)
-    wh = w.w_phi.values
+    wh = w.w_phi
     w2 = wh**2
     w2_sums, ur_w2_sums = w2.sum(axis=1), (np.abs(ur) * w2).sum(axis=1)
     h_abs = np.abs(h)
@@ -329,7 +329,7 @@ def checkpoint_view(v: VelocityState, f: ForcingFields,
         vort_quartic={x: power_moment(4, x - 4.0) for x in epsilons},
         vort_radial={x: _integ(ur_w2_sums, g, x - 3.0) for x in epsilons},
         vort_curvature={x: _integ(w2_sums, g, x - 4.0) for x in epsilons},
-        vort_l2=math.sqrt(_integ(w.w_rho.values**2 + w.w_z.values**2, g)
+        vort_l2=math.sqrt(_integ(w.w_rho**2 + w.w_z**2, g)
                           + _integ(w2_sums, g)),
         grad_u_l2=velocity_grad_l2(v),
         transport=transport_cancellation(v, q),
@@ -569,7 +569,7 @@ def _view_or_blowup(v: VelocityState, f: ForcingFields, m: MonitorConfig):
     """checkpoint_view of v, or None when v is blow-up data: non-finite
     fields, or finite fields whose squares and powers overflow in any
     number the view holds."""
-    if not all(np.all(np.isfinite(s.values)) for s in (v.u_rho, v.u_phi, v.u_z)):
+    if not all(np.all(np.isfinite(s)) for s in (v.u_rho, v.u_phi, v.u_z)):
         return None
     view = checkpoint_view(v, f, m)
     values = [getattr(view, name) for name in view.__slots__]

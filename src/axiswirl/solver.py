@@ -62,7 +62,7 @@ from .fields import (
     viscous_rhs,
     zero_forcing,
 )
-from .grid import CylGrid, ScalarSample, integrate
+from .grid import CylGrid, integrate
 
 
 class SimConfig:
@@ -115,7 +115,7 @@ class Trajectory:
         s = self.checkpoints[i]
         h = hashlib.sha256()
         for f in (s.u_rho, s.u_phi, s.u_z, s.pressure):
-            h.update(np.ascontiguousarray(f.values).tobytes())
+            h.update(np.ascontiguousarray(f).tobytes())
         return h.hexdigest()
 
 
@@ -231,17 +231,17 @@ def project(v: VelocityState, dt=None):
     -grad phi).
     """
     g = v.grid
-    b = div_from_components(v.u_rho.values, v.u_z.values, g)
+    b = div_from_components(v.u_rho, v.u_z, g)
     bnorm = float(np.sqrt(np.sum(g.rho * b * b)))
     if bnorm == 0.0:
         return v, (0, 0.0)
     phi = solve_pressure_poisson(b, g)
     cr, cz = div_adjoint(phi, g)
-    p = v.pressure.values
+    p = v.pressure
     if dt is not None:
         p = p - phi / dt
-    u_rho = v.u_rho.values - cr
-    u_z = v.u_z.values - cz
+    u_rho = v.u_rho - cr
+    u_z = v.u_z - cz
     left = div_from_components(u_rho, u_z, g)
     rel = float(np.sqrt(np.sum(g.rho * left * left))) / bnorm
     return v.replace_fields(u_rho=u_rho, u_z=u_z, pressure=p), (1, rel)
@@ -257,9 +257,8 @@ def cfl_limits(v: VelocityState):
     implicit and set no stability limit."""
     g = v.grid
     delta = min(g.d_rho, g.d_z)
-    umax = max(float(np.max(np.abs(v.u_rho.values))),
-               float(np.max(np.abs(v.u_z.values))))
-    rate = float(np.max(np.abs(v.u_phi.values) / g.rho))
+    umax = max(float(np.max(np.abs(v.u_rho))), float(np.max(np.abs(v.u_z))))
+    rate = float(np.max(np.abs(v.u_phi) / g.rho))
     adv = 0.5 * delta / umax if umax > 0.0 else np.inf
     src = 0.5 / rate if rate > 0.0 else np.inf
     return adv, src
@@ -287,11 +286,6 @@ def viscous_dt_limit(grid: CylGrid, nu: float) -> float:
     k_z = 2.0 * np.pi / (grid.z_max - grid.z_min)
     lam1_sq = (J11 / grid.rho_max) ** 2 + k_z**2
     return 0.5 / (nu * lam1_sq)
-
-
-def _stack(components):
-    """Three (rho, phi, z) ScalarSamples as one (n_rho, 3, n_z) array."""
-    return np.stack([f.values for f in components], axis=1)
 
 
 def _with_velocity(v: VelocityState, u, time):
@@ -323,17 +317,19 @@ def step(state: VelocityState, cfg: SimConfig, dt: float, forcing_at=None):
         )
     t = state.time
     c = 0.5 * cfg.nu * dt
-    u0 = _stack((state.u_rho, state.u_phi, state.u_z))
+    # components stacked on axis 1: the (n_rho, 3, n_z) layout of
+    # viscous_solve
+    u0 = np.stack((state.u_rho, state.u_phi, state.u_z), axis=1)
     # the pressure gradient is D* p, the form the projection removes: the
     # centred gradient of momentum_rhs leaves forced flows first order in
     # time
-    cr, cz = div_adjoint(state.pressure.values, g)
-    common = _stack(viscous_rhs(state, cfg.nu)) + np.stack(
+    cr, cz = div_adjoint(state.pressure, g)
+    common = np.stack(viscous_rhs(state, cfg.nu), axis=1) + np.stack(
         [cr, np.zeros_like(cr), cz], axis=1)
-    e0 = _stack(explicit_rhs(state, forcing_at(t)))
+    e0 = np.stack(explicit_rhs(state, forcing_at(t)), axis=1)
     mid, _ = project(_with_velocity(
         state, u0 + viscous_solve(dt * (e0 + common), g, c), t + dt))
-    e1 = _stack(explicit_rhs(mid, forcing_at(t + dt)))
+    e1 = np.stack(explicit_rhs(mid, forcing_at(t + dt)), axis=1)
     u = u0 + viscous_solve(dt * (0.5 * (e0 + e1) + common), g, c)
     star = _with_velocity(state, u, t + dt)
     if not np.all(np.isfinite(u)):
@@ -343,7 +339,7 @@ def step(state: VelocityState, cfg: SimConfig, dt: float, forcing_at=None):
 
 def _is_finite(state: VelocityState) -> bool:
     return all(
-        np.all(np.isfinite(f.values))
+        np.all(np.isfinite(f))
         for f in (state.u_rho, state.u_phi, state.u_z, state.pressure)
     )
 
@@ -419,5 +415,5 @@ def run(cfg: SimConfig, initial: VelocityState, forcing_at=None) -> Trajectory:
 
 
 def kinetic_energy(v: VelocityState) -> float:
-    sq = v.u_rho.values**2 + v.u_phi.values**2 + v.u_z.values**2
-    return 0.5 * integrate(ScalarSample(sq, v.grid))
+    sq = v.u_rho**2 + v.u_phi**2 + v.u_z**2
+    return 0.5 * integrate(sq, v.grid)

@@ -12,7 +12,7 @@ import numpy as np
 from axiswirl.cli import OUTPUT_ROOT_ENV, SCHEMA_VERSION, run_scenario
 from axiswirl.exponents import check_admissible, derive_exponents, holder_young_pairs
 from axiswirl.fields import div_adjoint, divergence, curl_axisym, zero_state
-from axiswirl.grid import ScalarSample, build_grid, integrate, serrin_accumulate
+from axiswirl.grid import build_grid, integrate, serrin_accumulate
 from axiswirl.monitor import MonitorConfig, d_of_t, monitor_for, collect_diagnostics, transport_cancellation
 from axiswirl.solver import SimConfig, kinetic_energy, project, run
 from axiswirl import mms
@@ -95,14 +95,13 @@ def test_criterion_03_quadrature():
     ok = True
     for n_rho, n_z in ((2, 2), (9, 5), (32, 32), (128, 128), (77, 13)):
         g = build_grid(n_rho, n_z)
-        vol = integrate(ScalarSample(np.ones(g.shape), g))
+        vol = integrate(np.ones(g.shape), g)
         ok &= abs(vol - FOUR_PI) <= 1e-12 * FOUR_PI
     exact = 2.0 * math.pi * 8.0 / 3.0
     errs = []
     for n in (8, 16, 32):
         g = build_grid(n, 4)
-        errs.append(abs(integrate(
-            ScalarSample(np.broadcast_to(g.rho, g.shape), g)) - exact))
+        errs.append(abs(integrate(np.broadcast_to(g.rho, g.shape), g) - exact))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     ok &= all(o >= 1.9 for o in orders)
     _verdict(3, ok, "volume 4*pi within 1e-12 on any grid; "
@@ -115,9 +114,9 @@ def test_criterion_04_operator_correctness():
     rho = np.broadcast_to(g.rho, g.shape)
     rot = zero_state(g).replace_fields(u_phi=rho)
     ok &= float(np.max(np.abs(
-        curl_axisym(rot).w_z.values[:-1] - 2.0))) <= 1e-12
+        curl_axisym(rot).w_z[:-1] - 2.0))) <= 1e-12
     rad = zero_state(g).replace_fields(u_rho=rho.copy())
-    ok &= float(np.max(np.abs(divergence(rad).values[:-1] - 2.0))) <= 1e-12
+    ok &= float(np.max(np.abs(divergence(rad)[:-1] - 2.0))) <= 1e-12
     sol = mms.make_solution("taylor_vortex_swirl", {})
     grids = mms.grid_levels(12, 3)
     curl_orders = mms.convergence_order(sol, grids, quantity="curl")["orders"]
@@ -133,17 +132,17 @@ def test_criterion_05_projection():
     v = mms.sample_state(sol, g, 0.0)
 
     def div_norm(s):
-        return float(np.sqrt(np.sum(g.rho * divergence(s).values ** 2)))
+        return float(np.sqrt(np.sum(g.rho * divergence(s) ** 2)))
 
     before = div_norm(v)
     once, _ = project(v)
     ok = div_norm(once) <= 1e-8 * before
 
     twice, _ = project(once)
-    scale = max(np.max(np.abs(once.u_rho.values)), np.max(np.abs(once.u_z.values)))
+    scale = max(np.max(np.abs(once.u_rho)), np.max(np.abs(once.u_z)))
     drift = max(
-        np.max(np.abs(twice.u_rho.values - once.u_rho.values)),
-        np.max(np.abs(twice.u_z.values - once.u_z.values)),
+        np.max(np.abs(twice.u_rho - once.u_rho)),
+        np.max(np.abs(twice.u_z - once.u_z)),
     )
     ok &= drift <= 1e-12 * scale
 
@@ -152,8 +151,8 @@ def test_criterion_05_projection():
     cr, cz = div_adjoint(phi, g)
     gscale = max(np.max(np.abs(cr)), np.max(np.abs(cz)))
     gp, _ = project(zero_state(g).replace_fields(u_rho=cr, u_z=cz))
-    ok &= max(np.max(np.abs(gp.u_rho.values)),
-              np.max(np.abs(gp.u_z.values))) <= 1e-8 * gscale
+    ok &= max(np.max(np.abs(gp.u_rho)),
+              np.max(np.abs(gp.u_z))) <= 1e-8 * gscale
     _verdict(5, ok, "projection: relative divergence <= 1e-8, idempotent "
                     "within 1e-12, gradient inputs map to zero within 1e-8")
 
@@ -214,10 +213,10 @@ def test_criterion_10_growth_coefficient_contract(exp640):
             u_rho=amp * rho * (1.0 - (rho / 2.0) ** 2) * (1.1 + np.cos(z)))
         ok &= d_of_t(v, m) == float(m.q)
     c = 0.7
-    f = ScalarSample(np.full(g.shape, c), g)
+    f = np.full(g.shape, c)
     acc = 0.0
     for _ in range(40):
-        acc = serrin_accumulate(acc, f, 6.0, 4.0, 0.0, 0.005)
+        acc = serrin_accumulate(acc, f, g, 6.0, 4.0, 0.0, 0.005)
     exact = 0.2 * (c**6 * FOUR_PI) ** (4.0 / 6.0)
     ok &= abs(acc - exact) <= 1e-10 * exact
     _verdict(10, ok, "d(t) = q exactly for nonnegative radial flow; constant-"

@@ -125,8 +125,8 @@ def test_checkpoint_round_trip(tmp_path):
     assert back.time == state.time
     assert back.grid.shape == g.shape
     for name in ("u_rho", "u_phi", "u_z", "pressure"):
-        assert np.array_equal(getattr(back, name).values,
-                              getattr(state, name).values)
+        assert np.array_equal(getattr(back, name),
+                              getattr(state, name))
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):
@@ -139,7 +139,7 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
 def test_checkpoint_rejects_non_finite_samples(tmp_path, monkeypatch, capsys):
     g = build_grid(8, 8)
     state = mms.sample_state(mms.make_solution("taylor_vortex_swirl", {}), g, 0.0)
-    u_z = state.u_z.values.copy()
+    u_z = state.u_z.copy()
     u_z[2, 3] = np.nan
     path = str(tmp_path / "nan.bin")
     write_checkpoint(path, state.replace_fields(u_z=u_z))
@@ -352,6 +352,17 @@ def test_check_exponents_unsupported_infinite_a(capsys):
 def test_mms_cmd_validation(capsys):
     assert mms_cmd("bogus", [8, 16, 32]) == 2
     assert mms_cmd("rigid_rotation", [8, 16]) == 2
+
+
+@pytest.mark.parametrize("kind,nu", [
+    ("decaying_swirl", "0"), ("decaying_swirl", "inf"),
+    ("rigid_rotation", "0"), ("rigid_rotation", "-1"), ("rigid_rotation", "nan"),
+    ("taylor_vortex_swirl", "-1"), ("lopsided_curl", "0"),
+])
+def test_mms_nu_must_be_positive_and_finite(capsys, kind, nu):
+    assert main(["mms", kind, "8", "16", "32", f"--nu={nu}"]) == 2
+    captured = capsys.readouterr()
+    assert "--nu" in captured.err and captured.out == ""
 
 
 def test_mms_cmd_negative_control(tmp_path, capsys):

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from axiswirl.errors import ContractViolation
+from axiswirl.errors import ConfigurationError, ContractViolation
 from axiswirl.fields import (
     EVEN,
     EXTRAP,
     ODD,
     ForcingFields,
+    VelocityState,
     VorticityFields,
     curl_axisym,
     d_rho,
@@ -27,7 +28,7 @@ from axiswirl.fields import (
     zero_forcing,
     zero_state,
 )
-from axiswirl.grid import ScalarSample, build_grid
+from axiswirl.grid import build_grid
 from axiswirl import mms
 
 
@@ -85,16 +86,16 @@ def test_rigid_rotation_curl_exact():
     v = zero_state(g).replace_fields(u_phi=u_phi)
     w = curl_axisym(v)
     # interior cells (the wall row uses the homogeneous-Dirichlet ghost)
-    assert np.max(np.abs(w.w_z.values[:-1] - 2.0 * omega)) <= 1e-12
-    assert np.max(np.abs(w.w_rho.values)) <= 1e-13
-    assert np.max(np.abs(w.w_phi.values)) <= 1e-13
+    assert np.max(np.abs(w.w_z[:-1] - 2.0 * omega)) <= 1e-12
+    assert np.max(np.abs(w.w_rho)) <= 1e-13
+    assert np.max(np.abs(w.w_phi)) <= 1e-13
 
 
 def test_divergence_of_linear_radial_field():
     g = build_grid(32, 8)
     u_rho = np.broadcast_to(g.rho, g.shape).copy()
     v = zero_state(g).replace_fields(u_rho=u_rho)
-    div = divergence(v).values
+    div = divergence(v)
     # exact away from the wall cell (its outer face carries the no-slip
     # zero flux)
     assert np.max(np.abs(div[:-1] - 2.0)) <= 1e-12
@@ -132,14 +133,25 @@ def test_momentum_rhs_requires_positive_nu():
         momentum_rhs(v, zero_forcing(g), 0.0)
 
 
+def test_mis_shaped_components_are_rejected():
+    g = build_grid(4, 4)
+    ok, bad = np.zeros(g.shape), np.ones((3, 3))
+    for make in (lambda: VelocityState(g, ok, ok, bad, ok, 0.0),
+                 lambda: zero_state(g).replace_fields(pressure=bad),
+                 lambda: ForcingFields(g, ok, bad, ok),
+                 lambda: ForcingFields(g, ok, ok, ok, g_z=bad)):
+        with pytest.raises(ConfigurationError, match="does not match grid"):
+            make()
+
+
 def test_momentum_rhs_forcing_passthrough():
     g = build_grid(8, 8)
     v = zero_state(g)
     h = np.full(g.shape, 2.5)
-    f = ForcingFields(ScalarSample(h, g), ScalarSample(h, g), ScalarSample(h, g))
+    f = ForcingFields(g, h, h, h)
     du = momentum_rhs(v, f, 0.1)
     for comp in du:
-        assert np.max(np.abs(comp.values - 2.5)) <= 1e-13
+        assert np.max(np.abs(comp - 2.5)) <= 1e-13
 
 
 def test_vorticity_transport_requires_rate():
@@ -160,16 +172,17 @@ def test_vorticity_transport_residual_small_on_analytic_flow():
     v1 = mms.sample_state(sol, g, dt)
     w0, w1 = curl_axisym(v0), curl_axisym(v1)
     rate = VorticityFields(
-        ScalarSample((w1.w_rho.values - w0.w_rho.values) / dt, g),
-        ScalarSample((w1.w_phi.values - w0.w_phi.values) / dt, g),
-        ScalarSample((w1.w_z.values - w0.w_z.values) / dt, g),
+        g,
+        (w1.w_rho - w0.w_rho) / dt,
+        (w1.w_phi - w0.w_phi) / dt,
+        (w1.w_z - w0.w_z) / dt,
     )
     res = vorticity_transport_residual(v0, w0, rate, zero_forcing(g), nu)
     # interior rows; the residual stacks two second-order stencils so the
     # band is a generous multiple of Delta^2
     interior = slice(1, -2)
     for comp in res:
-        assert np.max(np.abs(comp.values[interior])) <= 50.0 * g.d_rho**2
+        assert np.max(np.abs(comp[interior])) <= 50.0 * g.d_rho**2
 
 
 def test_velocity_grad_l2():
@@ -179,7 +192,7 @@ def test_velocity_grad_l2():
     val = velocity_grad_l2(v)
     assert val > 0.0
     doubled = v.replace_fields(
-        u_rho=2 * v.u_rho.values, u_phi=2 * v.u_phi.values, u_z=2 * v.u_z.values
+        u_rho=2 * v.u_rho, u_phi=2 * v.u_phi, u_z=2 * v.u_z
     )
     assert velocity_grad_l2(doubled) == pytest.approx(2.0 * val, rel=1e-12)
 
@@ -211,20 +224,19 @@ def test_vorticity_transport_residual_converges_on_forced_taylor():
         g = build_grid(n, n)
         w0, w, w1 = (curl_axisym(mms.sample_state(sol, g, s))
                      for s in (t - dt, t, t + dt))
-        rate = VorticityFields(*(
-            ScalarSample((getattr(w1, c).values - getattr(w0, c).values)
-                         / (2.0 * dt), g)
+        rate = VorticityFields(g, *(
+            (getattr(w1, c) - getattr(w0, c)) / (2.0 * dt)
             for c in ("w_rho", "w_phi", "w_z")))
         h = mms.forcing_for(sol, nu, g, t)
         gc = curl_axisym(zero_state(g).replace_fields(
-            u_rho=h.h_rho.values, u_phi=h.h_phi.values, u_z=h.h_z.values))
-        force = ForcingFields(h.h_rho, h.h_phi, h.h_z,
+            u_rho=h.h_rho, u_phi=h.h_phi, u_z=h.h_z))
+        force = ForcingFields(g, h.h_rho, h.h_phi, h.h_z,
                               gc.w_rho, gc.w_phi, gc.w_z)
         r_phi = vorticity_transport_residual(
-            mms.sample_state(sol, g, t), w, rate, force, nu)[1].values
+            mms.sample_state(sol, g, t), w, rate, force, nu)[1]
         wt = g.cell_weight[rows]
         res.append(math.sqrt(np.sum(wt * r_phi[rows] ** 2)
-                             / np.sum(wt * rate.w_phi.values[rows] ** 2)))
+                             / np.sum(wt * rate.w_phi[rows] ** 2)))
     orders = [math.log2(res[i] / res[i + 1]) for i in range(2)]
     assert all(o >= 1.8 for o in orders), (res, orders)
 
@@ -238,4 +250,4 @@ def test_momentum_rhs_balances_rigid_rotation():
     rho = np.broadcast_to(g.rho, g.shape)
     v = zero_state(g).replace_fields(u_phi=rho.copy(), pressure=0.5 * rho**2)
     for comp in momentum_rhs(v, zero_forcing(g), 0.1):
-        assert np.max(np.abs(comp.values[:-1])) <= 1e-12
+        assert np.max(np.abs(comp[:-1])) <= 1e-12

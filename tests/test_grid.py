@@ -5,17 +5,20 @@ import math
 import numpy as np
 import pytest
 
+from axiswirl import mms
 from axiswirl.errors import ConfigurationError, ContractViolation, NumericError
-from axiswirl.fields import VelocityState
+from axiswirl.exponents import derive_exponents
+from axiswirl.fields import zero_state
 from axiswirl.grid import (
     MAX_CELLS,
-    ScalarSample,
     build_grid,
     integrate,
     moment,
     serrin_accumulate,
     weighted_lq_norm,
 )
+from axiswirl.monitor import checkpoint_view, monitor_for
+from axiswirl.solver import SimConfig, step
 
 FOUR_PI = 4.0 * math.pi
 
@@ -37,11 +40,15 @@ def test_equal_grids_compare_and_hash_on_their_parameters():
     a, b = build_grid(4, 4), build_grid(4, 4)
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != build_grid(4, 4, rho_max=1.0)
-    # states may mix samples on distinct but equal grids
-    z = np.zeros(a.shape)
-    state = VelocityState(ScalarSample(z, a), ScalarSample(z, b),
-                          ScalarSample(z, a), ScalarSample(z, b), 0.0)
-    assert state.grid == b
+    # a state on one grid may be stepped and monitored with a forcing on
+    # a distinct but equal grid
+    sol = mms.make_solution("taylor_vortex_swirl", {})
+    forcing = mms.forcing_for(sol, 0.1, b, 0.0)
+    state, _ = step(mms.sample_state(sol, a, 0.0), SimConfig(nu=0.1), 1e-3,
+                    forcing_at=lambda t: forcing)
+    assert state.grid == b and np.all(np.isfinite(state.u_phi))
+    m = monitor_for(a, derive_exponents(6.0, 4.0, 0.0), 0.1)
+    assert math.isfinite(checkpoint_view(state, forcing, m).forcing_power)
 
 
 def test_grid_repr_and_immutability():
@@ -51,9 +58,9 @@ def test_grid_repr_and_immutability():
         g.n_rho = 8
     with pytest.raises(AttributeError):
         del g.d_rho
-    sample = ScalarSample(np.zeros(g.shape), g)
+    state = zero_state(g)
     with pytest.raises(AttributeError):
-        sample.values = np.ones(g.shape)
+        state.u_rho = np.ones(g.shape)
     assert g != (4, 6, 1.5, 0.0, 1.0)
 
 
@@ -82,8 +89,7 @@ def test_grid_validation(bad):
 @pytest.mark.parametrize("n_rho,n_z", [(2, 2), (5, 3), (16, 16), (128, 128), (7, 31)])
 def test_volume_exact_on_any_grid(n_rho, n_z):
     g = build_grid(n_rho, n_z, rho_max=2.0, z_min=0.0, z_max=1.0)
-    one = ScalarSample(np.ones(g.shape), g)
-    assert abs(integrate(one) - FOUR_PI) <= 1e-12 * FOUR_PI
+    assert abs(integrate(np.ones(g.shape), g) - FOUR_PI) <= 1e-12 * FOUR_PI
     assert abs(g.volume - FOUR_PI) <= 1e-12 * FOUR_PI
 
 
@@ -93,7 +99,7 @@ def test_integral_of_rho_second_order():
     errs = []
     for n in (8, 16, 32):
         g = build_grid(n, 4)
-        val = integrate(ScalarSample(np.broadcast_to(g.rho, g.shape), g))
+        val = integrate(np.broadcast_to(g.rho, g.shape), g)
         errs.append(abs(val - exact))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(o >= 1.9 for o in orders), orders
@@ -102,45 +108,43 @@ def test_integral_of_rho_second_order():
 def test_integrate_rejects_bad_input():
     g = build_grid(4, 4)
     with pytest.raises(ContractViolation):
-        integrate(np.ones(g.shape))
+        integrate(np.ones((3, 3)), g)
     bad = np.ones(g.shape)
     bad[1, 1] = np.nan
     with pytest.raises(NumericError):
-        integrate(ScalarSample(bad, g))
-    with pytest.raises(ConfigurationError):
-        ScalarSample(np.ones((3, 3)), g)
+        integrate(bad, g)
 
 
 def test_weighted_lq_norm_constant():
     g = build_grid(16, 8)
-    f = ScalarSample(np.full(g.shape, 3.0), g)
+    f = np.full(g.shape, 3.0)
     # plain Lq of a constant: c * V^{1/q}
     for q in (2.0, 4.0):
-        assert weighted_lq_norm(f, q) == pytest.approx(
+        assert weighted_lq_norm(f, g, q) == pytest.approx(
             3.0 * FOUR_PI ** (1.0 / q), rel=1e-13
         )
     with pytest.raises(ContractViolation):
-        weighted_lq_norm(f, 0.5)
+        weighted_lq_norm(f, g, 0.5)
 
 
 def test_weighted_lq_norm_gamma_consistency():
     g = build_grid(16, 8)
     rng = np.random.default_rng(7)
     v = rng.normal(size=g.shape)
-    lhs = weighted_lq_norm(ScalarSample(v, g), 3.0, gamma=1.5)
-    rhs = weighted_lq_norm(ScalarSample(np.abs(v) * g.rho**1.5, g), 3.0)
+    lhs = weighted_lq_norm(v, g, 3.0, gamma=1.5)
+    rhs = weighted_lq_norm(np.abs(v) * g.rho**1.5, g, 3.0)
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 def test_serrin_accumulate_finite_b_closed_form():
     g = build_grid(16, 8)
     c = 0.7
-    f = ScalarSample(np.full(g.shape, c), g)
+    f = np.full(g.shape, c)
     a, b = 6.0, 4.0
     acc = 0.0
     dt = 0.01
     for _ in range(25):
-        acc = serrin_accumulate(acc, f, a, b, 0.0, dt)
+        acc = serrin_accumulate(acc, f, g, a, b, 0.0, dt)
     # gamma = 0: the quadrature of a constant is exact, so the closed form
     # T * (c^a * V)^{b/a} must be met to rounding
     exact = 0.25 * (c**a * FOUR_PI) ** (b / a)
@@ -149,22 +153,22 @@ def test_serrin_accumulate_finite_b_closed_form():
 
 def test_serrin_accumulate_sup_branch():
     g = build_grid(8, 4)
-    small = ScalarSample(np.full(g.shape, 0.5), g)
-    big = ScalarSample(np.full(g.shape, 2.0), g)
+    small = np.full(g.shape, 0.5)
+    big = np.full(g.shape, 2.0)
     a = 6.0
-    acc = serrin_accumulate(0.0, small, a, math.inf, 0.0, 0.1)
-    acc = serrin_accumulate(acc, big, a, math.inf, 0.0, 0.1)
-    acc = serrin_accumulate(acc, small, a, math.inf, 0.0, 0.1)
+    acc = serrin_accumulate(0.0, small, g, a, math.inf, 0.0, 0.1)
+    acc = serrin_accumulate(acc, big, g, a, math.inf, 0.0, 0.1)
+    acc = serrin_accumulate(acc, small, g, a, math.inf, 0.0, 0.1)
     assert acc == pytest.approx((2.0**a * FOUR_PI) ** (1.0 / a), rel=1e-12)
 
 
 def test_serrin_accumulate_contracts():
     g = build_grid(8, 4)
     with pytest.raises(ContractViolation):
-        serrin_accumulate(0.0, ScalarSample(np.full(g.shape, -1.0), g),
+        serrin_accumulate(0.0, np.full(g.shape, -1.0), g,
                           6.0, 4.0, 0.0, 0.1)
     with pytest.raises(ContractViolation):
-        serrin_accumulate(0.0, ScalarSample(np.ones(g.shape), g),
+        serrin_accumulate(0.0, np.ones(g.shape), g,
                           6.0, 4.0, 0.0, -0.1)
 
 
@@ -180,12 +184,10 @@ def test_every_quadrature_is_the_radial_moment():
     g = build_grid(12, 6)
     rng = np.random.default_rng(3)
     v = rng.normal(size=g.shape)
-    f = ScalarSample(v, g)
-    assert integrate(f) == moment(v, g)
-    assert weighted_lq_norm(f, 3.0, gamma=0.5) \
+    assert integrate(v, g) == moment(v, g)
+    assert weighted_lq_norm(v, g, 3.0, gamma=0.5) \
         == moment(np.abs(v) ** 3.0, g, 1.5) ** (1.0 / 3.0)
-    neg = ScalarSample(np.abs(v), g)
-    assert serrin_accumulate(1.0, neg, 6.0, 4.0, 0.5, 0.1) \
+    assert serrin_accumulate(1.0, np.abs(v), g, 6.0, 4.0, 0.5, 0.1) \
         == 1.0 + 0.1 * moment(np.abs(v) ** 6.0, g, 3.0) ** (4.0 / 6.0)
 
 
@@ -193,5 +195,5 @@ def test_serrin_accumulate_overflow_is_inf():
     # (integral f^a)^(b/a) with b/a = 25 overflows a float: the running
     # integral is inf, for the monitor to read as blow-up, not an error
     g = build_grid(8, 4)
-    f = ScalarSample(np.full(g.shape, 1e20), g)
-    assert serrin_accumulate(0.0, f, 4.0, 100.0, 0.0, 1e-6) == math.inf
+    f = np.full(g.shape, 1e20)
+    assert serrin_accumulate(0.0, f, g, 4.0, 100.0, 0.0, 1e-6) == math.inf

@@ -29,16 +29,16 @@ def test_rigid_rotation_is_unforced():
     g = build_grid(16, 8)
     f = mms.forcing_for(sol, 0.05, g, 0.0)
     for comp in (f.h_rho, f.h_phi, f.h_z):
-        assert np.max(np.abs(comp.values)) == 0.0
+        assert np.max(np.abs(comp)) == 0.0
 
 
 def test_decaying_swirl_forcing_matches_viscosity():
     sol = mms.make_solution("decaying_swirl", {"nu": 0.1})
     g = build_grid(16, 8)
     matched = mms.forcing_for(sol, 0.1, g, 0.0)
-    assert np.max(np.abs(matched.h_phi.values)) == 0.0
+    assert np.max(np.abs(matched.h_phi)) == 0.0
     mismatched = mms.forcing_for(sol, 0.2, g, 0.0)
-    assert np.max(np.abs(mismatched.h_phi.values)) > 0.0
+    assert np.max(np.abs(mismatched.h_phi)) > 0.0
 
 
 def test_decaying_swirl_wall_and_decay():
@@ -82,6 +82,13 @@ def test_negative_control_first_order(lopsided_study):
     assert all(0.7 <= o <= 1.3 for o in lopsided_study["orders"]), lopsided_study
 
 
+def test_negative_control_first_order_on_non_doubling_levels(taylor_sol):
+    # levels 8, 12, 16 refine by 3/2 and 4/3, not by 2
+    grids = [build_grid(n, n) for n in (8, 12, 16)]
+    study = mms.convergence_order(taylor_sol, grids, quantity="lopsided_curl")
+    assert all(0.7 <= o <= 1.3 for o in study["orders"]), study
+
+
 def test_taylor_divergence_free_analytically():
     # the stream-function construction makes (u_rho, u_z) exactly
     # divergence-free in the continuum; check the analytic identity
@@ -100,6 +107,8 @@ def test_convergence_study_validation():
         mms.convergence_order(sol, mms.grid_levels(8, 1))
     with pytest.raises(ConfigurationError):
         mms.convergence_order(sol, mms.grid_levels(8, 2), quantity="bogus")
+    with pytest.raises(ConfigurationError, match="finer"):
+        mms.convergence_order(sol, [build_grid(8, 8), build_grid(8, 8)])
 
 
 def test_grid_levels():
@@ -114,7 +123,7 @@ def test_sampled_state_matches_analytic_curl_refinement():
     sol = mms.make_solution("taylor_vortex_swirl", {})
     g = build_grid(64, 64)
     v = mms.sample_state(sol, g, 0.0)
-    assert np.max(np.abs(divergence(v).values[:-1])) <= 0.05
+    assert np.max(np.abs(divergence(v)[:-1])) <= 0.05
 
 
 # --- Bessel quadrature, separable sampling, forcing memo ----------------------
@@ -182,9 +191,9 @@ def test_forcing_on_a_second_grid_matches_its_reference():
         reference = mms.forcing_components(sol, nu, rho, z, t)
         for comp, ref in zip((forcing.h_rho, forcing.h_phi, forcing.h_z),
                              reference):
-            assert np.array_equal(comp.values, ref)
+            assert np.array_equal(comp, ref)
         state = mms.sample_state(sol, g, t)
-        assert np.array_equal(state.u_phi.values, sol.u_phi.val(rho, z, t))
+        assert np.array_equal(state.u_phi, sol.u_phi.val(rho, z, t))
 
 
 def _assert_same(actual, expected, rtol):
@@ -204,14 +213,14 @@ def test_separable_sampling_matches_meshgrid(kind):
     state = mms.sample_state(sol, g, t)
     for name, fld in (("u_rho", sol.u_rho), ("u_phi", sol.u_phi),
                       ("u_z", sol.u_z), ("pressure", sol.p)):
-        _assert_same(getattr(state, name).values, fld.val(rho, z, t), rtol)
+        _assert_same(getattr(state, name), fld.val(rho, z, t), rtol)
     forcing = mms.forcing_for(sol, nu, g, t)
     if sol.homogeneous_nu is not None and math.isinf(sol.homogeneous_nu):
         reference = (np.zeros(g.shape),) * 3
     else:
         reference = mms.forcing_components(sol, nu, rho, z, t)
     for comp, ref in zip((forcing.h_rho, forcing.h_phi, forcing.h_z), reference):
-        _assert_same(comp.values, ref, rtol)
+        _assert_same(comp, ref, rtol)
 
 
 def test_forcing_callable_remembers_two_times(monkeypatch):

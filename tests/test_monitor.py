@@ -13,7 +13,7 @@ from axiswirl.errors import (
 )
 from axiswirl.exponents import derive_exponents
 from axiswirl.fields import velocity_grad_l2, zero_state
-from axiswirl.grid import ScalarSample, build_grid, serrin_accumulate
+from axiswirl.grid import build_grid, serrin_accumulate
 from axiswirl.monitor import (
     DiagnosticsRecord,
     MonitorConfig,
@@ -326,8 +326,8 @@ def test_serrin_running_is_serrin_accumulate(forced_taylor, triple):
                                   forcing_at=forced_taylor["forcing"])
     acc, expected = 0.0, [0.0]
     for prev, nxt in zip(traj.checkpoints, traj.checkpoints[1:]):
-        neg = ScalarSample(negative_part(prev.u_rho.values), g)
-        acc = serrin_accumulate(acc, neg, e.a, e.b, e.gamma,
+        neg = negative_part(prev.u_rho)
+        acc = serrin_accumulate(acc, neg, g, e.a, e.b, e.gamma,
                                 nxt.time - prev.time)
         expected.append(acc)
     assert expected[-1] > 0.0

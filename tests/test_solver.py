@@ -15,7 +15,7 @@ from axiswirl.fields import (
     zero_state,
     ForcingFields,
 )
-from axiswirl.grid import ScalarSample, build_grid
+from axiswirl.grid import build_grid
 from axiswirl.solver import (
     SimConfig,
     cfl_limits,
@@ -32,7 +32,7 @@ from axiswirl import mms, solver
 
 def _div_norm(v):
     g = v.grid
-    return float(np.sqrt(np.sum(g.rho * divergence(v).values ** 2)))
+    return float(np.sqrt(np.sum(g.rho * divergence(v) ** 2)))
 
 
 @pytest.fixture()
@@ -53,10 +53,10 @@ def test_projection_removes_divergence(taylor_state):
 def test_projection_idempotent(taylor_state):
     once, _ = project(taylor_state)
     twice, _ = project(once)
-    scale = max(np.max(np.abs(once.u_rho.values)), np.max(np.abs(once.u_z.values)))
+    scale = max(np.max(np.abs(once.u_rho)), np.max(np.abs(once.u_z)))
     drift = max(
-        np.max(np.abs(twice.u_rho.values - once.u_rho.values)),
-        np.max(np.abs(twice.u_z.values - once.u_z.values)),
+        np.max(np.abs(twice.u_rho - once.u_rho)),
+        np.max(np.abs(twice.u_z - once.u_z)),
     )
     assert drift <= 1e-12 * scale
 
@@ -70,8 +70,8 @@ def test_projection_annihilates_gradients():
     v = zero_state(g).replace_fields(u_rho=cr, u_z=cz)
     projected, _ = project(v)
     residual = max(
-        np.max(np.abs(projected.u_rho.values)),
-        np.max(np.abs(projected.u_z.values)),
+        np.max(np.abs(projected.u_rho)),
+        np.max(np.abs(projected.u_z)),
     )
     assert residual <= 1e-8 * scale
 
@@ -83,7 +83,7 @@ def test_projection_never_increases_energy(taylor_state):
 
 def test_projection_preserves_swirl(taylor_state):
     projected, _ = project(taylor_state)
-    assert np.array_equal(projected.u_phi.values, taylor_state.u_phi.values)
+    assert np.array_equal(projected.u_phi, taylor_state.u_phi)
 
 
 def test_cfl_limits_and_violation(taylor_state):
@@ -125,9 +125,7 @@ def test_run_truncates_on_blowup():
         h = np.zeros(g.shape)
         if t > 5e-3:
             h[3, 3] = np.nan
-        return ForcingFields(
-            ScalarSample(h, g), ScalarSample(h, g), ScalarSample(h, g)
-        )
+        return ForcingFields(g, h, h, h)
 
     cfg = SimConfig(nu=0.1, t_end=0.05, dt=1e-3)
     traj = run(cfg, mms.sample_state(sol, g, 0.0), forcing_at=poisoned)
@@ -135,7 +133,7 @@ def test_run_truncates_on_blowup():
     assert "blow-up" in traj.failure_reason
     # the truncated checkpoint is kept as blow-up data
     last = traj.checkpoints[-1]
-    assert not np.all(np.isfinite(last.u_phi.values))
+    assert not np.all(np.isfinite(last.u_phi))
 
 
 def test_run_bounds_the_step_count(monkeypatch):
@@ -154,8 +152,8 @@ def test_run_bounds_the_step_count(monkeypatch):
     with pytest.raises(ConfigurationError):
         run(SimConfig(t_end=0.4 * limit * 10.5), state)
     # the flow's CFL limit needs more: truncated before the first step
-    fast = state.replace_fields(u_rho=state.u_rho.values * 1e6,
-                                u_z=state.u_z.values * 1e6)
+    fast = state.replace_fields(u_rho=state.u_rho * 1e6,
+                                u_z=state.u_z * 1e6)
     traj = run(SimConfig(t_end=0.4 * limit), fast)
     assert traj.failed and traj.step_count == 0
     assert len(traj.checkpoints) == 1 and "CFL" in traj.failure_reason
@@ -217,10 +215,10 @@ def test_projection_properties(g, seed):
     assert iters == 1 and rel <= 1e-10
     assert kinetic_energy(once) <= kinetic_energy(v) * (1 + 1e-13)
     twice, _ = project(once)
-    scale = max(np.max(np.abs(once.u_rho.values)), np.max(np.abs(once.u_z.values)))
+    scale = max(np.max(np.abs(once.u_rho)), np.max(np.abs(once.u_z)))
     drift = max(
-        np.max(np.abs(twice.u_rho.values - once.u_rho.values)),
-        np.max(np.abs(twice.u_z.values - once.u_z.values)),
+        np.max(np.abs(twice.u_rho - once.u_rho)),
+        np.max(np.abs(twice.u_z - once.u_z)),
     )
     assert drift <= 1e-12 * scale
 
@@ -231,8 +229,8 @@ def test_projection_annihilates_random_gradients(g, seed):
     scale = max(np.max(np.abs(cr)), np.max(np.abs(cz)))
     projected, _ = project(zero_state(g).replace_fields(u_rho=cr, u_z=cz))
     residual = max(
-        np.max(np.abs(projected.u_rho.values)),
-        np.max(np.abs(projected.u_z.values)),
+        np.max(np.abs(projected.u_rho)),
+        np.max(np.abs(projected.u_z)),
     )
     assert residual <= 1e-10 * scale
 
@@ -284,7 +282,7 @@ def test_time_order_on_a_fixed_grid(kind):
                    forcing_at=mms.forcing_callable(sol, 0.1, g))
         assert not traj.failed, traj.failure_reason
         s = traj.checkpoints[-1]
-        return np.stack([s.u_rho.values, s.u_phi.values, s.u_z.values])
+        return np.stack([s.u_rho, s.u_phi, s.u_z])
 
     ref = final(T / 128)
     errs = [float(np.max(np.abs(final(T / m) - ref))) for m in (4, 8, 16)]
@@ -302,7 +300,7 @@ def test_viscous_solve_inverts_the_implicit_operator(g, c, seed):
     v = zero_state(g).replace_fields(u_rho=x[:, 0], u_phi=x[:, 1], u_z=x[:, 2])
     # viscous_rhs(v, c) is c L x for the L the step treats implicitly
     for i, cl in enumerate(viscous_rhs(v, c)):
-        residual = x[:, i] - cl.values - b[i]
+        residual = x[:, i] - cl - b[i]
         assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(b[i]))
 
 
@@ -336,7 +334,7 @@ def test_slow_decaying_swirl_follows_the_analytic_decay():
         steps.add(traj.step_count)
         s = traj.checkpoints[-1]
         exact = sol.u_phi.val(g.rho, g.z_centers[None, :], s.time)
-        err = np.max(np.abs(s.u_phi.values - exact))
+        err = np.max(np.abs(s.u_phi - exact))
         assert err <= 0.02 * np.max(np.abs(exact)), (amplitude, err)
     assert len(steps) == 1
 
@@ -375,10 +373,10 @@ def test_stage_projection_makes_the_step_insensitive_to_the_initial_pressure():
     assert traj.step_count == 1
     t = traj.checkpoints[-1].time
     exact = sol.u_phi.val(g.rho, g.z_centers[None, :], t)
-    increment = exact - s0.u_phi.values
-    got = traj.checkpoints[-1].u_phi.values - s0.u_phi.values
-    others = max(np.max(np.abs(traj.checkpoints[-1].u_rho.values)),
-                 np.max(np.abs(traj.checkpoints[-1].u_z.values)))
+    increment = exact - s0.u_phi
+    got = traj.checkpoints[-1].u_phi - s0.u_phi
+    others = max(np.max(np.abs(traj.checkpoints[-1].u_rho)),
+                 np.max(np.abs(traj.checkpoints[-1].u_z)))
     worst = max(np.max(np.abs(got - increment)), others)
     h = 1.0 / 64  # the benchmark's h = 1/n
     assert worst <= 25.0 * h**2 * np.max(np.abs(increment))
