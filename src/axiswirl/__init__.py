@@ -4,15 +4,14 @@ trajectories."""
 
 __version__ = "0.1.0"
 
-from .grid import CylGrid, build_grid, integrate, weighted_lq_norm, serrin_accumulate
+from .grid import CylGrid, build_grid, moment, serrin_advance
 from .exponents import ExponentSet, check_admissible, derive_exponents, holder_young_pairs
 
 __all__ = [
     "CylGrid",
     "build_grid",
-    "integrate",
-    "weighted_lq_norm",
-    "serrin_accumulate",
+    "moment",
+    "serrin_advance",
     "ExponentSet",
     "check_admissible",
     "derive_exponents",

@@ -5,10 +5,6 @@ class ConfigurationError(ValueError):
     """Invalid grid/solver/scenario configuration."""
 
 
-class NumericError(ArithmeticError):
-    """Non-finite data where finite values are required."""
-
-
 class ContractViolation(ValueError):
     """Caller broke a documented precondition."""
 

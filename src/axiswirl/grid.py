@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation, NumericError
+from .errors import ConfigurationError, ContractViolation
 from .records import Frozen
 
 TWO_PI = 2.0 * math.pi
@@ -66,10 +66,6 @@ class CylGrid(Frozen):
     def rho(self):
         """rho broadcast to grid shape, column vector (n_rho, 1)."""
         return self.rho_centers[:, None]
-
-    @property
-    def volume(self):
-        return math.pi * self.rho_max**2 * (self.z_max - self.z_min)
 
     def zeros(self):
         return np.zeros(self.shape)
@@ -125,35 +121,6 @@ def power(x: float, y: float) -> float:
         return math.inf
 
 
-def _integrand(values, grid: CylGrid):
-    """values as an array, which a quadrature needs in the grid's shape."""
-    v = np.asarray(values)
-    if v.shape != grid.shape:
-        raise ContractViolation(
-            f"integrand shape {v.shape} does not match grid {grid.shape}")
-    return v
-
-
-def integrate(values, grid: CylGrid) -> float:
-    """Midpoint-rule integral over the cylinder, measure 2*pi*rho drho dz."""
-    v = _integrand(values, grid)
-    if not np.all(np.isfinite(v)):
-        raise NumericError("non-finite samples in integrand")
-    return moment(v, grid)
-
-
-def weighted_lq_norm(values, grid: CylGrid, q: float,
-                     gamma: float = 0.0) -> float:
-    """(integral |f * rho^gamma|^q dx)^(1/q) of the field values;
-    gamma = 0 is the plain Lq norm."""
-    if q < 1.0:
-        raise ContractViolation(f"q must be >= 1, got {q}")
-    v = _integrand(values, grid)
-    if not np.all(np.isfinite(v)):
-        raise NumericError("non-finite samples")
-    return moment(np.abs(v) ** q, grid, q * gamma) ** (1.0 / q)
-
-
 def serrin_advance(prev, spatial, a, b, dt) -> float:
     """The running weighted Serrin integral after one more interval of
     length dt whose spatial factor is spatial = integral |f rho^gamma|^a
@@ -165,17 +132,3 @@ def serrin_advance(prev, spatial, a, b, dt) -> float:
         raise ContractViolation("dt must be nonnegative")
     return float(prev) + float(dt) * power(spatial, b / a)
 
-
-def serrin_accumulate(prev, f_neg, grid: CylGrid, a, b, gamma, dt) -> float:
-    """Advance the running weighted Serrin integral by one interval; f_neg
-    is the field of the negative part, values >= 0.
-
-    For finite b this accumulates dt * (integral |f * rho^gamma|^a dx)^(b/a);
-    for b = inf it keeps the running supremum of the spatial norm
-    (integral ...)^(1/a).  The finished accumulator raised to 1/b is the
-    weighted space-time norm.
-    """
-    v = _integrand(f_neg, grid)
-    if np.any(v < 0.0):
-        raise ContractViolation("negative entries in the negative-part field")
-    return serrin_advance(prev, moment(v**a, grid, a * gamma), a, b, dt)

@@ -462,6 +462,9 @@ def convergence_order(sol: ManufacturedSolution, grids, quantity="solver",
     Delta = min(d_rho, d_z): log2 of the error ratio over log2 of the
     Delta ratio, which is exactly 1 on a doubling.
     """
+    if not (math.isfinite(nu) and nu > 0.0):
+        raise ConfigurationError(f"nu must be a positive finite number, "
+                                 f"got {nu}")
     if len(grids) < 2:
         raise ConfigurationError("need at least two grid levels")
     deltas = [min(g.d_rho, g.d_z) for g in grids]

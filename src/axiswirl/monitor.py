@@ -196,18 +196,6 @@ def serrin_factors(u_neg: np.ndarray, grid: CylGrid, e: ExponentSet):
     return serrin, power(serrin, e.theta), _integ(sums, grid, e.a * e.gamma)
 
 
-def serrin_integrand(v: VelocityState, e: ExponentSet) -> float:
-    """integral (u_rho^-)^alpha rho^beta dx, the spatial factor of d(t)."""
-    return serrin_factors(negative_part(v.u_rho), v.grid, e)[0]
-
-
-def d_of_t(v: VelocityState, m: MonitorConfig) -> float:
-    """Growth coefficient d(t) = q + c_grow * (integral (u_rho^-)^alpha
-    rho^beta dx)^theta; equals q exactly when u_rho >= 0 everywhere."""
-    return m.growth(serrin_factors(negative_part(v.u_rho), v.grid,
-                                   m.exponents)[1])
-
-
 def transport_cancellation(v: VelocityState, q: int) -> float:
     """Discrete value of integral u_rho d_rho(u_phi^q) + u_z d_z(u_phi^q),
     which vanishes for divergence-free fields; O(Delta^2) on projected

@@ -62,7 +62,7 @@ from .fields import (
     viscous_rhs,
     zero_forcing,
 )
-from .grid import CylGrid, integrate
+from .grid import CylGrid, moment
 
 
 class SimConfig:
@@ -190,10 +190,10 @@ def solve_pressure_poisson(b, grid: CylGrid):
 
 @functools.lru_cache(maxsize=16)
 def _viscous_basis(grid: CylGrid):
-    """(w, w_inv, q, lam) with L x = w ((w_inv x q) * lam) q^T for u_rho,
-    u_phi and u_z (axis 0 of w, w_inv and lam).  L is viscous_rhs / nu:
-    the 3-point radial diffusion with the no-slip wall ghost, d_zz, and
-    -1/rho^2 for the odd components u_rho and u_phi.  The tridiagonal
+    """(q, (odd, even)) with L x = w ((w_inv x q) * lam) q^T, where
+    (w, w_inv, lam) is odd for u_rho and u_phi and even for u_z.  L is
+    viscous_rhs / nu: the 3-point radial diffusion with the no-slip wall
+    ghost, d_zz, and -1/rho^2 for the odd components.  The tridiagonal
     radial block is symmetric under d_0 = 1,
     d_{i+1} = d_i sqrt(a_{i,i+1} / a_{i+1,i}); the wall ghost makes its
     last row differ from the sqrt(rho) scaling.  lam <= 0, so
@@ -202,20 +202,24 @@ def _viscous_basis(grid: CylGrid):
     a = radial_diffusion(np.eye(n_rho), grid, NOSLIP)
     d = np.cumprod(np.concatenate(
         [[1.0], np.sqrt(np.diagonal(a, 1) / np.diagonal(a, -1))]))
-    odd = _radial_basis(a - np.diag(1.0 / grid.rho_centers**2), d)
-    even = _radial_basis(a, d)
-    w, w_inv, lam = (np.stack(x) for x in zip(odd, odd, even))
     q, k = _z_basis(n_z)
     d_zz = -4.0 * np.sin(np.pi * k / n_z) ** 2 / grid.d_z**2
-    return _read_only(w, w_inv, q, lam[:, :, None] + d_zz)
+    bases = []
+    for block in (a - np.diag(1.0 / grid.rho_centers**2), a):
+        w, w_inv, lam = _radial_basis(block, d)
+        bases.append(_read_only(w, w_inv, lam[:, None] + d_zz))
+    return q, tuple(bases)
 
 
 def viscous_solve(rhs, grid: CylGrid, c: float):
     """Solve (I - c L) x = rhs for the three velocity components at once;
     rhs and x have shape (n_rho, 3, n_z), components u_rho, u_phi, u_z."""
-    w, w_inv, q, lam = _viscous_basis(grid)
-    y = (w_inv @ rhs.transpose(1, 0, 2) @ q) / (1.0 - c * lam)
-    return (w @ y @ q.T).transpose(1, 0, 2)
+    q, bases = _viscous_basis(grid)
+    r = rhs.transpose(1, 0, 2)
+    # one odd basis applied to both odd components by broadcasting
+    x = [w @ ((w_inv @ part @ q) / (1.0 - c * lam)) @ q.T
+         for (w, w_inv, lam), part in zip(bases, (r[:2], r[2:]))]
+    return np.concatenate(x).transpose(1, 0, 2)
 
 
 def project(v: VelocityState, dt=None):
@@ -416,4 +420,4 @@ def run(cfg: SimConfig, initial: VelocityState, forcing_at=None) -> Trajectory:
 
 def kinetic_energy(v: VelocityState) -> float:
     sq = v.u_rho**2 + v.u_phi**2 + v.u_z**2
-    return 0.5 * integrate(sq, v.grid)
+    return 0.5 * moment(sq, v.grid)

@@ -11,9 +11,9 @@ import numpy as np
 
 from axiswirl.cli import OUTPUT_ROOT_ENV, SCHEMA_VERSION, run_scenario
 from axiswirl.exponents import check_admissible, derive_exponents, holder_young_pairs
-from axiswirl.fields import div_adjoint, divergence, curl_axisym, zero_state
-from axiswirl.grid import build_grid, integrate, serrin_accumulate
-from axiswirl.monitor import MonitorConfig, d_of_t, monitor_for, collect_diagnostics, transport_cancellation
+from axiswirl.fields import div_adjoint, divergence, curl_axisym, zero_forcing, zero_state
+from axiswirl.grid import build_grid, moment, serrin_advance
+from axiswirl.monitor import MonitorConfig, checkpoint_view, monitor_for, collect_diagnostics, transport_cancellation
 from axiswirl.solver import SimConfig, kinetic_energy, project, run
 from axiswirl import mms
 from tests.conftest import NU, SUB_CHECKS
@@ -95,13 +95,13 @@ def test_criterion_03_quadrature():
     ok = True
     for n_rho, n_z in ((2, 2), (9, 5), (32, 32), (128, 128), (77, 13)):
         g = build_grid(n_rho, n_z)
-        vol = integrate(np.ones(g.shape), g)
+        vol = moment(np.ones(g.shape), g)
         ok &= abs(vol - FOUR_PI) <= 1e-12 * FOUR_PI
     exact = 2.0 * math.pi * 8.0 / 3.0
     errs = []
     for n in (8, 16, 32):
         g = build_grid(n, 4)
-        errs.append(abs(integrate(np.broadcast_to(g.rho, g.shape), g) - exact))
+        errs.append(abs(moment(np.broadcast_to(g.rho, g.shape), g) - exact))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     ok &= all(o >= 1.9 for o in orders)
     _verdict(3, ok, "volume 4*pi within 1e-12 on any grid; "
@@ -211,12 +211,12 @@ def test_criterion_10_growth_coefficient_contract(exp640):
     for amp in (0.0, 0.4, 1.7):
         v = zero_state(g).replace_fields(
             u_rho=amp * rho * (1.0 - (rho / 2.0) ** 2) * (1.1 + np.cos(z)))
-        ok &= d_of_t(v, m) == float(m.q)
+        ok &= checkpoint_view(v, zero_forcing(g), m).d_t == float(m.q)
     c = 0.7
     f = np.full(g.shape, c)
     acc = 0.0
     for _ in range(40):
-        acc = serrin_accumulate(acc, f, g, 6.0, 4.0, 0.0, 0.005)
+        acc = serrin_advance(acc, moment(f**6.0, g, 0.0), 6.0, 4.0, 0.005)
     exact = 0.2 * (c**6 * FOUR_PI) ** (4.0 / 6.0)
     ok &= abs(acc - exact) <= 1e-10 * exact
     _verdict(10, ok, "d(t) = q exactly for nonnegative radial flow; constant-"

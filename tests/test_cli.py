@@ -1,6 +1,7 @@
 """Command-line surface: schema validation, artifacts, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from axiswirl.cli import (
     OUTPUT_ROOT_ENV,
@@ -28,8 +30,9 @@ from axiswirl.cli import (
     write_checkpoint,
 )
 from axiswirl.errors import ConfigurationError
+from axiswirl.fields import zero_state
 from axiswirl.grid import MAX_CELLS, build_grid
-from axiswirl.solver import SimConfig
+from axiswirl.solver import SimConfig, Trajectory
 from axiswirl import mms
 
 
@@ -115,18 +118,58 @@ def test_validate_rejects_solver_numbers(solver, path):
 
 # --- checkpoints --------------------------------------------------------------
 
-def test_checkpoint_round_trip(tmp_path):
-    sol = mms.make_solution("taylor_vortex_swirl", {})
-    g = build_grid(12, 10)
-    state = mms.sample_state(sol, g, 0.3)
-    path = str(tmp_path / "ck.bin")
-    write_checkpoint(path, state)
-    back = read_checkpoint(path)
+_FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-310, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _states(draw):
+    g = build_grid(draw(st.integers(2, 16)), draw(st.integers(2, 16)),
+                   rho_max=draw(st.floats(1e-3, 1e3)),
+                   z_min=draw(st.floats(-1e3, 0.0, exclude_max=True)),
+                   z_max=draw(st.floats(1e-3, 1e3)))
+    fields = draw(hnp.arrays(np.float64, (4, *g.shape), elements=_FINITE))
+    return zero_state(g).replace_fields(*fields, time=draw(_FINITE))
+
+
+@settings(max_examples=60, deadline=None)
+@given(state=_states())
+def test_checkpoint_round_trip(state):
+    # the grid, the time and every field bit for bit, so the hash as well
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "ck.bin")
+        write_checkpoint(path, state)
+        back = read_checkpoint(path)
+    assert back.grid == state.grid
     assert back.time == state.time
-    assert back.grid.shape == g.shape
     for name in ("u_rho", "u_phi", "u_z", "pressure"):
-        assert np.array_equal(getattr(back, name),
-                              getattr(state, name))
+        assert getattr(back, name).tobytes() == getattr(state, name).tobytes()
+    assert (Trajectory([back]).checkpoint_hash(0)
+            == Trajectory([state]).checkpoint_hash(0))
+
+
+def test_manifest_checkpoint_hashes_are_over_the_fields(tmp_path, monkeypatch):
+    # SHA-256 of u_rho, u_phi, u_z and p as float64 in (n_rho, n_z)
+    # row-major order; neither the file's hash nor its rho-fastest payload's
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    assert run_scenario(_write(tmp_path, _scenario(
+        grid={"n_rho": 12, "n_z": 6},
+        output={"directory": "out", "write_checkpoints": True}))) == 0
+    outdir = tmp_path / "out"
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    paths = sorted(outdir.glob("checkpoint_*.bin"))
+    assert len(paths) == len(manifest["checkpoint_hashes"]) > 1
+    for path, recorded in zip(paths, manifest["checkpoint_hashes"]):
+        s = read_checkpoint(str(path))
+        fields = [np.asarray(getattr(s, n), dtype=np.float64)
+                  for n in ("u_rho", "u_phi", "u_z", "pressure")]
+        assert recorded == hashlib.sha256(
+            b"".join(f.tobytes(order="C") for f in fields)).hexdigest()
+        raw = path.read_bytes()
+        payload = raw[raw.index(b"\n") + 1:]
+        assert recorded not in (hashlib.sha256(raw).hexdigest(),
+                                hashlib.sha256(payload).hexdigest())
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):

@@ -111,6 +111,18 @@ def test_convergence_study_validation():
         mms.convergence_order(sol, [build_grid(8, 8), build_grid(8, 8)])
 
 
+@pytest.mark.parametrize("nu", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("quantity", ["solver", "operator", "curl",
+                                      "divergence", "lopsided_curl"])
+def test_convergence_order_rejects_nu(quantity, nu):
+    # at entry, for every quantity: not a ZeroDivisionError in the solver
+    # study's dt, a ContractViolation from viscous_rhs, or silently ignored
+    sol = mms.make_solution("taylor_vortex_swirl", {})
+    with pytest.raises(ConfigurationError, match="nu must be a positive"):
+        mms.convergence_order(sol, mms.grid_levels(8, 2), quantity=quantity,
+                              nu=nu)
+
+
 def test_grid_levels():
     grids = mms.grid_levels(8, 3)
     assert [g.n_rho for g in grids] == [8, 16, 32]

@@ -12,22 +12,22 @@ from axiswirl.errors import (
     InadmissibleExponents,
 )
 from axiswirl.exponents import derive_exponents
-from axiswirl.fields import velocity_grad_l2, zero_state
-from axiswirl.grid import build_grid, serrin_accumulate
+from axiswirl.fields import velocity_grad_l2, zero_forcing, zero_state
+from axiswirl.grid import build_grid, moment, serrin_advance
 from axiswirl.monitor import (
     DiagnosticsRecord,
     MonitorConfig,
     _integ,
     blowup_indicator,
     calibrate_sobolev,
+    checkpoint_view,
     collect_diagnostics,
-    d_of_t,
     evaluate_checks,
     gronwall_envelope,
     margin_columns,
     monitor_for,
     negative_part,
-    serrin_integrand,
+    serrin_factors,
     transport_cancellation,
     weighted_vorticity_budget,
 )
@@ -74,7 +74,7 @@ def test_d_of_t_equals_q_for_nonnegative_radial_flow(m640):
     v = zero_state(g).replace_fields(
         u_rho=rho * (1.0 - (rho / 2.0) ** 2), u_phi=0.3 * rho
     )
-    assert d_of_t(v, m640) == float(m640.q)
+    assert checkpoint_view(v, zero_forcing(g), m640).d_t == float(m640.q)
 
 
 def test_d_of_t_closed_form(exp640):
@@ -82,20 +82,22 @@ def test_d_of_t_closed_form(exp640):
     # the exact cylinder volume, so d = q + c_grow * (4*pi)^{2/3}
     g = build_grid(16, 8)
     v = zero_state(g).replace_fields(u_rho=np.full(g.shape, -1.0))
-    m1 = MonitorConfig(exponents=exp640, nu=0.1, c_sob=0.09, c_grow=1.0)
-    assert d_of_t(v, m1) == pytest.approx(4.0 + FOUR_PI ** (2.0 / 3.0), rel=1e-13)
-    m2 = MonitorConfig(exponents=exp640, nu=0.1, c_sob=0.09, c_grow=2.5)
-    assert d_of_t(v, m2) - 4.0 == pytest.approx(2.5 * (d_of_t(v, m1) - 4.0),
-                                                rel=1e-12)
+    d1, d2 = (checkpoint_view(v, zero_forcing(g), MonitorConfig(
+        exponents=exp640, nu=0.1, c_sob=0.09, c_grow=c)).d_t for c in (1.0, 2.5))
+    assert d1 == pytest.approx(4.0 + FOUR_PI ** (2.0 / 3.0), rel=1e-13)
+    assert d2 - 4.0 == pytest.approx(2.5 * (d1 - 4.0), rel=1e-12)
 
 
-def test_serrin_integrand_only_sees_negative_part(exp640):
+def test_serrin_integrand_only_sees_negative_part(m640):
     g = build_grid(16, 8)
     rho, _ = g.meshgrid()
-    up = zero_state(g).replace_fields(u_rho=np.abs(np.sin(rho)))
-    assert serrin_integrand(up, exp640) == 0.0
-    down = zero_state(g).replace_fields(u_rho=-np.full(g.shape, 0.5))
-    assert serrin_integrand(down, exp640) == pytest.approx(
+
+    def serrin(u_rho):
+        v = zero_state(g).replace_fields(u_rho=u_rho)
+        return checkpoint_view(v, zero_forcing(g), m640).serrin
+
+    assert serrin(np.abs(np.sin(rho))) == 0.0
+    assert serrin(-np.full(g.shape, 0.5)) == pytest.approx(
         0.5**6 * FOUR_PI, rel=1e-12
     )
 
@@ -317,8 +319,9 @@ def test_blowup_indicator_on_regular_run(audit_run):
                          ids=["beta_is_a_gamma", "beta_3_a_gamma_0"])
 def test_serrin_running_is_serrin_accumulate(forced_taylor, triple):
     # the view's one z-sum of (u_rho^-)^alpha feeds the running integral;
-    # it must agree with serrin_accumulate on the same checkpoints, both
-    # where the d(t) moment beta equals a*gamma and where it does not
+    # it must agree with serrin_advance fed a separate moment of each
+    # checkpoint's (u_rho^-)^a, both where the d(t) moment beta equals
+    # a*gamma and where it does not
     e = derive_exponents(*triple)
     g, traj = forced_taylor["grid"], forced_taylor["traj"]
     m = monitor_for(g, e, 0.1)
@@ -326,9 +329,8 @@ def test_serrin_running_is_serrin_accumulate(forced_taylor, triple):
                                   forcing_at=forced_taylor["forcing"])
     acc, expected = 0.0, [0.0]
     for prev, nxt in zip(traj.checkpoints, traj.checkpoints[1:]):
-        neg = negative_part(prev.u_rho)
-        acc = serrin_accumulate(acc, neg, g, e.a, e.b, e.gamma,
-                                nxt.time - prev.time)
+        spatial = moment(negative_part(prev.u_rho) ** e.a, g, e.a * e.gamma)
+        acc = serrin_advance(acc, spatial, e.a, e.b, nxt.time - prev.time)
         expected.append(acc)
     assert expected[-1] > 0.0
     assert len(records) == len(expected)
@@ -337,15 +339,17 @@ def test_serrin_running_is_serrin_accumulate(forced_taylor, triple):
 
 
 def test_d_of_t_is_the_monitors_d_t(forced_taylor):
-    # d_of_t and serrin_integrand are the functions the monitor's records
-    # are made of, exactly, on states with a negative radial part
+    # the records hold d(t) = q + c_grow S^theta of the Serrin factor S,
+    # exactly, on states with a negative radial part
     g, traj = forced_taylor["grid"], forced_taylor["traj"]
     m = monitor_for(g, derive_exponents(8.0, 8.0, 0.0), 0.1)
     records = collect_diagnostics(traj.checkpoints, m,
                                   forcing_at=forced_taylor["forcing"])
-    assert all(serrin_integrand(v, m.exponents) > 0.0
-               for v in traj.checkpoints)
-    assert [r.d_t for r in records] == [d_of_t(v, m) for v in traj.checkpoints]
+    factors = [serrin_factors(negative_part(v.u_rho), g, m.exponents)
+               for v in traj.checkpoints]
+    assert all(serrin > 0.0 for serrin, _, _ in factors)
+    assert [r.d_t for r in records] == [m.q + m.c_grow * serrin_theta
+                                        for _, serrin_theta, _ in factors]
 
 
 def test_gradient_overflow_is_a_truncated_record(exp640):
