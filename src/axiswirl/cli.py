@@ -435,11 +435,7 @@ def run_scenario(path) -> int:
     # overflow in a blowing-up run is an expected outcome (a truncated
     # trajectory or record), not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            traj = run(sim, state, forcing_at=forcing)
-        except ConfigurationError as exc:  # a step count run refuses
-            print(f"error: $.solver: {exc}", file=sys.stderr)
-            return 2
+        # the monitor first: a setting it rejects fails before the solve
         try:
             mcfg = monitor_for(g, exps, sim.nu, **cfg["monitor"])
         except InadmissibleExponents as exc:  # the absorption constants
@@ -450,6 +446,11 @@ def run_scenario(path) -> int:
             # validate_scenario has checked every $.monitor value; what is
             # left is nu^3, which the quartic budget divides by
             print(f"error: $.solver.nu: {exc}", file=sys.stderr)
+            return 2
+        try:
+            traj = run(sim, state, forcing_at=forcing)
+        except ConfigurationError as exc:  # a step count run refuses
+            print(f"error: $.solver: {exc}", file=sys.stderr)
             return 2
         records = collect_diagnostics(traj.checkpoints, mcfg,
                                       forcing_at=forcing)

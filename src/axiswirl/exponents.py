@@ -27,8 +27,6 @@ import math
 from .errors import InadmissibleExponents
 from .records import Frozen
 
-INF = math.inf
-
 
 class ExponentSet(Frozen):
     __slots__ = ("a", "b", "gamma", "p_hold", "s", "alpha", "beta", "theta",

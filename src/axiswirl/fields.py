@@ -17,11 +17,10 @@ from .records import Frozen
 
 ODD = "odd"
 EVEN = "even"
-# wall modes: "noslip" mirrors through zero at the wall face, "neumann"
-# copies, "extrap" extrapolates linearly (diagnostic gradients of fields
-# that do not vanish at the wall)
+# wall modes: "noslip" mirrors through zero at the wall face, "extrap"
+# extrapolates linearly (diagnostic gradients of fields that do not
+# vanish at the wall)
 NOSLIP = "noslip"
-NEUMANN = "neumann"
 EXTRAP = "extrap"
 
 
@@ -65,15 +64,12 @@ class VorticityFields(Frozen):
 
 
 class ForcingFields(Frozen):
-    """The momentum forcing h and, where given, the vorticity forcing g."""
+    """The momentum forcing h."""
 
-    __slots__ = ("grid", "h_rho", "h_phi", "h_z", "g_rho", "g_phi", "g_z")
+    __slots__ = ("grid", "h_rho", "h_phi", "h_z")
 
-    def __init__(self, grid: CylGrid, h_rho, h_phi, h_z, g_rho=None,
-                 g_phi=None, g_z=None):
-        self._freeze(grid, *(_sample(f, grid) for f in (h_rho, h_phi, h_z)),
-                     *(None if f is None else _sample(f, grid)
-                       for f in (g_rho, g_phi, g_z)))
+    def __init__(self, grid: CylGrid, h_rho, h_phi, h_z):
+        self._freeze(grid, *(_sample(f, grid) for f in (h_rho, h_phi, h_z)))
 
 
 def zero_state(grid: CylGrid, time=0.0) -> VelocityState:
@@ -106,8 +102,6 @@ def _wall_ghost(f, wall):
     order."""
     if wall == NOSLIP:
         return f[-2:-1] / 3.0 - 2.0 * f[-1:]
-    if wall == NEUMANN:
-        return f[-1:]
     if wall == EXTRAP:
         return 2.0 * f[-1:] - f[-2:-1]
     raise ContractViolation(f"unknown wall mode {wall!r}")
@@ -161,9 +155,15 @@ def radial_diffusion(f, grid: CylGrid, wall=NOSLIP):
     return np.diff(flux, axis=0) / (grid.rho * grid.d_rho**2)
 
 
-def swirl_laplacian(f, grid: CylGrid):
-    """Viscous operator for odd-parity components: radial diffusion + d_zz - f/rho^2."""
-    return radial_diffusion(f, grid) + d_zz(f, grid) - f / grid.rho**2
+def laplacian(f, grid: CylGrid, parity, wall=NOSLIP):
+    """The cylindrical viscous operator: radial diffusion + d_zz, minus
+    f/rho^2 for the odd-parity components (u_rho, u_phi, w_rho, w_phi)."""
+    lap = radial_diffusion(f, grid, wall) + d_zz(f, grid)
+    if parity == ODD:
+        return lap - f / grid.rho**2
+    if parity == EVEN:
+        return lap
+    raise ContractViolation(f"unknown axis parity {parity!r}")
 
 
 # --- spec operators -----------------------------------------------------
@@ -242,40 +242,24 @@ def explicit_rhs(v: VelocityState, f: ForcingFields):
 
 
 def viscous_rhs(v: VelocityState, nu: float):
-    """nu times the cylindrical viscous operators: swirl_laplacian for the
-    odd components u_rho and u_phi, radial diffusion + d_zz for u_z.  The
-    time step treats these implicitly (solver.viscous_solve inverts
-    I - c L for exactly this L)."""
+    """nu times the laplacian of each velocity component.  The time step
+    treats these implicitly (solver.viscous_solve inverts I - c L for
+    exactly this L)."""
     if not nu > 0.0:
         raise ContractViolation(f"nu must be positive, got {nu}")
     g = v.grid
-    uz = v.u_z
-    return (
-        nu * swirl_laplacian(v.u_rho, g),
-        nu * swirl_laplacian(v.u_phi, g),
-        nu * (radial_diffusion(uz, g, NOSLIP) + d_zz(uz, g)),
-    )
-
-
-def momentum_rhs(v: VelocityState, f: ForcingFields, nu: float):
-    """Full tendencies of the cylindrical system, for operator studies:
-    explicit_rhs plus viscous_rhs plus the centred gradient of the stored
-    pressure field."""
-    g = v.grid
-    p = v.pressure
-    grad_p = (d_rho(p, g, EVEN, NEUMANN), np.zeros_like(p), d_z(p, g))
-    return tuple(e + d - gp
-                 for e, d, gp in zip(explicit_rhs(v, f), viscous_rhs(v, nu),
-                                     grad_p))
+    return (nu * laplacian(v.u_rho, g, ODD), nu * laplacian(v.u_phi, g, ODD),
+            nu * laplacian(v.u_z, g, EVEN))
 
 
 def vorticity_transport_residual(v: VelocityState, w: VorticityFields,
-                                 dw_dt: VorticityFields, g_force: ForcingFields,
-                                 nu: float):
+                                 dw_dt: VorticityFields,
+                                 g_force: VorticityFields, nu: float):
     """(left - right) of the three vorticity transport equations.
 
     dw_dt is the caller-supplied time derivative (finite difference of
     consecutive checkpoints); omitting it is a contract violation.
+    g_force is the vorticity forcing, the curl of the momentum forcing h.
     Ghosts at the wall use linear extrapolation since vorticity need not
     vanish there.
     """
@@ -285,32 +269,25 @@ def vorticity_transport_residual(v: VelocityState, w: VorticityFields,
     rho = g.rho
     ur, uh, uz = v.u_rho, v.u_phi, v.u_z
     wr, wh, wz = w.w_rho, w.w_phi, w.w_z
-    gr, gh, gz = (0.0 if x is None else x
-                  for x in (g_force.g_rho, g_force.g_phi, g_force.g_z))
+    gr, gh, gz = g_force.w_rho, g_force.w_phi, g_force.w_z
 
     def drho(fv, parity):
         return d_rho(fv, g, parity, EXTRAP)
 
-    def visc_odd(fv):
-        return radial_diffusion(fv, g, EXTRAP) + d_zz(fv, g) - fv / rho**2
-
-    def visc_even(fv):
-        return radial_diffusion(fv, g, EXTRAP) + d_zz(fv, g)
-
     r_rho = (
         dw_dt.w_rho + ur * drho(wr, ODD) + uz * d_z(wr, g)
         - wr * d_rho(ur, g, ODD) - wz * d_z(ur, g)
-        - gr - nu * visc_odd(wr)
+        - gr - nu * laplacian(wr, g, ODD, EXTRAP)
     )
     r_phi = (
         dw_dt.w_phi + ur * drho(wh, ODD) + uz * d_z(wh, g)
         - (ur / rho) * wh + 2.0 * (uh / rho) * wr
-        - gh - nu * visc_odd(wh)
+        - gh - nu * laplacian(wh, g, ODD, EXTRAP)
     )
     r_z = (
         dw_dt.w_z + ur * drho(wz, EVEN) + uz * d_z(wz, g)
         - wr * d_rho(uz, g, EVEN) - wz * d_z(uz, g)
-        - gz - nu * visc_even(wz)
+        - gz - nu * laplacian(wz, g, EVEN, EXTRAP)
     )
     return r_rho, r_phi, r_z
 

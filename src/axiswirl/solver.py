@@ -324,9 +324,8 @@ def step(state: VelocityState, cfg: SimConfig, dt: float, forcing_at=None):
     # components stacked on axis 1: the (n_rho, 3, n_z) layout of
     # viscous_solve
     u0 = np.stack((state.u_rho, state.u_phi, state.u_z), axis=1)
-    # the pressure gradient is D* p, the form the projection removes: the
-    # centred gradient of momentum_rhs leaves forced flows first order in
-    # time
+    # the pressure gradient is D* p, the form the projection removes: a
+    # centred gradient leaves forced flows first order in time
     cr, cz = div_adjoint(state.pressure, g)
     common = np.stack(viscous_rhs(state, cfg.nu), axis=1) + np.stack(
         [cr, np.zeros_like(cr), cz], axis=1)
@@ -364,7 +363,9 @@ def run(cfg: SimConfig, initial: VelocityState, forcing_at=None) -> Trajectory:
     """Integrate from t_start to t_end, checkpointing every stride steps.
 
     The automatic dt (cfg.dt None) is cfl_safety times the smallest of
-    cfl_limits and viscous_dt_limit, shortened to divide the interval.
+    cfl_limits and viscous_dt_limit.  Either dt is then shortened to
+    span / n, n the fewest steps of at most dt (to a relative 1e-12), so
+    the last step lands on t_end.
     Deterministic for a fixed config.  Blow-up (non-finite fields) and
     CFL rejection truncate the trajectory with a failure marker instead
     of raising.
@@ -395,9 +396,8 @@ def run(cfg: SimConfig, initial: VelocityState, forcing_at=None) -> Trajectory:
             [state], failed=True, dt=dt, projection_info=[info],
             failure_reason=f"the flow's CFL limits give dt = {dt:.6g}, "
                            f"{steps:.6g} steps, more than {MAX_STEPS}")
-    if cfg.dt is None:
-        dt = span / max(1, int(np.ceil(steps)))
-    n_steps = max(1, int(round(span / dt)))
+    n_steps = max(1, math.ceil(steps * (1.0 - 1e-12)))
+    dt = span / n_steps
     traj = Trajectory([state], dt=dt, projection_info=[info])
     for i in range(n_steps):
         try:

@@ -486,9 +486,10 @@ def test_run_scenario_rejects_before_solving(tmp_path, monkeypatch, capsys,
 
 # Valid to the schema, so validate_scenario passes them: the step count
 # depends on the initial state, and the monitor's constants on the
-# calibrated c_sob.  Rejected once the solver or the monitor meets them.
+# calibrated c_sob.  Rejected once the monitor, which is built before the
+# solve, or the solver meets them; nu^3 overflows for the huge nu.
 @pytest.mark.parametrize("solver,monitor,path", [
-    ({"nu": 1e300}, {}, "$.solver"),
+    ({"nu": 1e300}, {}, "$.solver.nu"),
     ({"cfl_safety": 1e-320}, {}, "$.solver"),
     ({"dt": 1e-320}, {}, "$.solver"),
     ({"nu": 1e-320}, {}, "$.solver.nu"),
@@ -504,6 +505,21 @@ def test_run_scenario_rejects_unrunnable_solver_settings(
     assert run_scenario(_write(tmp_path, doc)) == 2
     assert f"error: {path}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()  # rejected before any output
+
+
+def test_run_scenario_builds_the_monitor_before_solving(tmp_path, monkeypatch,
+                                                        capsys):
+    # nu^3 underflows, which only the monitor rejects: the scenario fails
+    # without a single step
+    doc = _scenario(grid={"n_rho": 16, "n_z": 16},
+                    solver={"nu": 1e-300, "t_end": 2.0})
+    validate_scenario(doc)
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    with mock.patch("axiswirl.solver.step") as step:
+        assert run_scenario(_write(tmp_path, doc)) == 2
+    assert step.call_count == 0
+    assert "error: $.solver.nu:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("content", [

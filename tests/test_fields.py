@@ -21,8 +21,10 @@ from axiswirl.fields import (
     div_adjoint,
     div_from_components,
     divergence,
-    momentum_rhs,
+    explicit_rhs,
+    laplacian,
     radial_diffusion,
+    viscous_rhs,
     vorticity_transport_residual,
     velocity_grad_l2,
     zero_forcing,
@@ -101,20 +103,23 @@ def test_divergence_of_linear_radial_field():
     assert np.max(np.abs(div[:-1] - 2.0)) <= 1e-12
 
 
-def test_divergence_adjoint_identity():
-    """<D u, phi>_rho == <u, D* phi>_rho for arbitrary fields: the exact
-    summation-by-parts property the projection relies on."""
-    g = build_grid(17, 9, rho_max=1.7, z_min=-0.3, z_max=0.9)
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        ur = rng.normal(size=g.shape)
-        uz = rng.normal(size=g.shape)
-        phi = rng.normal(size=g.shape)
-        lhs = float(np.sum(g.rho * div_from_components(ur, uz, g) * phi))
-        cr, cz = div_adjoint(phi, g)
-        rhs = float(np.sum(g.rho * (ur * cr + uz * cz)))
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        assert abs(lhs - rhs) <= 1e-12 * scale
+@given(n_rho=st.integers(2, 64), n_z=st.integers(2, 64),
+       rho_max=st.floats(0.1, 10.0), z_min=st.floats(-5.0, 5.0),
+       length=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_divergence_adjoint_identity(n_rho, n_z, rho_max, z_min, length,
+                                     seed):
+    """<D u, phi>_rho == <u, D* phi>_rho for arbitrary fields on any grid,
+    odd cell counts included: the exact summation-by-parts property the
+    projection relies on."""
+    g = build_grid(n_rho, n_z, rho_max=rho_max, z_min=z_min,
+                   z_max=z_min + length)
+    rng = np.random.default_rng(seed)
+    ur, uz, phi = rng.normal(size=(3, *g.shape))
+    lhs = float(np.sum(g.rho * div_from_components(ur, uz, g) * phi))
+    cr, cz = div_adjoint(phi, g)
+    rhs = float(np.sum(g.rho * (ur * cr + uz * cz)))
+    scale = max(abs(lhs), abs(rhs), 1.0)
+    assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 def test_radial_diffusion_quadratic_exact():
@@ -127,10 +132,16 @@ def test_radial_diffusion_quadratic_exact():
     assert np.max(np.abs(got[:-1] - 4.0)) <= 1e-11
 
 
-def test_momentum_rhs_requires_positive_nu():
-    v, g = _taylor_state(8)
+def test_viscous_rhs_requires_positive_nu():
+    v, _ = _taylor_state(8)
     with pytest.raises(ContractViolation):
-        momentum_rhs(v, zero_forcing(g), 0.0)
+        viscous_rhs(v, 0.0)
+
+
+def test_laplacian_rejects_unknown_parity():
+    v, g = _taylor_state(8)
+    with pytest.raises(ContractViolation, match="parity"):
+        laplacian(v.u_z, g, "none")
 
 
 def test_mis_shaped_components_are_rejected():
@@ -139,17 +150,17 @@ def test_mis_shaped_components_are_rejected():
     for make in (lambda: VelocityState(g, ok, ok, bad, ok, 0.0),
                  lambda: zero_state(g).replace_fields(pressure=bad),
                  lambda: ForcingFields(g, ok, bad, ok),
-                 lambda: ForcingFields(g, ok, ok, ok, g_z=bad)):
+                 lambda: VorticityFields(g, ok, ok, bad)):
         with pytest.raises(ConfigurationError, match="does not match grid"):
             make()
 
 
-def test_momentum_rhs_forcing_passthrough():
+def test_explicit_rhs_forcing_passthrough():
     g = build_grid(8, 8)
     v = zero_state(g)
     h = np.full(g.shape, 2.5)
     f = ForcingFields(g, h, h, h)
-    du = momentum_rhs(v, f, 0.1)
+    du = explicit_rhs(v, f)
     for comp in du:
         assert np.max(np.abs(comp - 2.5)) <= 1e-13
 
@@ -158,7 +169,8 @@ def test_vorticity_transport_requires_rate():
     v, g = _taylor_state(8)
     w = curl_axisym(v)
     with pytest.raises(ContractViolation):
-        vorticity_transport_residual(v, w, None, zero_forcing(g), 0.1)
+        vorticity_transport_residual(v, w, None, curl_axisym(zero_state(g)),
+                                     0.1)
 
 
 def test_vorticity_transport_residual_small_on_analytic_flow():
@@ -177,7 +189,8 @@ def test_vorticity_transport_residual_small_on_analytic_flow():
         (w1.w_phi - w0.w_phi) / dt,
         (w1.w_z - w0.w_z) / dt,
     )
-    res = vorticity_transport_residual(v0, w0, rate, zero_forcing(g), nu)
+    res = vorticity_transport_residual(v0, w0, rate,
+                                       curl_axisym(zero_state(g)), nu)
     # interior rows; the residual stacks two second-order stencils so the
     # band is a generous multiple of Delta^2
     interior = slice(1, -2)
@@ -230,10 +243,8 @@ def test_vorticity_transport_residual_converges_on_forced_taylor():
         h = mms.forcing_for(sol, nu, g, t)
         gc = curl_axisym(zero_state(g).replace_fields(
             u_rho=h.h_rho, u_phi=h.h_phi, u_z=h.h_z))
-        force = ForcingFields(g, h.h_rho, h.h_phi, h.h_z,
-                              gc.w_rho, gc.w_phi, gc.w_z)
         r_phi = vorticity_transport_residual(
-            mms.sample_state(sol, g, t), w, rate, force, nu)[1]
+            mms.sample_state(sol, g, t), w, rate, gc, nu)[1]
         wt = g.cell_weight[rows]
         res.append(math.sqrt(np.sum(wt * r_phi[rows] ** 2)
                              / np.sum(wt * rate.w_phi[rows] ** 2)))
@@ -241,13 +252,14 @@ def test_vorticity_transport_residual_converges_on_forced_taylor():
     assert all(o >= 1.8 for o in orders), (res, orders)
 
 
-def test_momentum_rhs_balances_rigid_rotation():
-    # u_phi = rho with p = rho^2 / 2 is steady: the centred pressure
-    # gradient of momentum_rhs matches the centrifugal term exactly, and
-    # the swirl Laplacian of rho vanishes (the wall row, whose no-slip
-    # ghost this flow does not satisfy, excluded)
+def test_tendencies_balance_rigid_rotation():
+    # u_phi = rho with p = rho^2 / 2 is steady: the explicit and viscous
+    # tendencies add up to the pressure gradient (rho, 0, 0), since the
+    # centrifugal term is rho and the laplacian of rho vanishes (the wall
+    # row, whose no-slip ghost this flow does not satisfy, excluded)
     g = build_grid(16, 8)
     rho = np.broadcast_to(g.rho, g.shape)
     v = zero_state(g).replace_fields(u_phi=rho.copy(), pressure=0.5 * rho**2)
-    for comp in momentum_rhs(v, zero_forcing(g), 0.1):
-        assert np.max(np.abs(comp[:-1])) <= 1e-12
+    tend = map(np.add, explicit_rhs(v, zero_forcing(g)), viscous_rhs(v, 0.1))
+    for comp, grad_p in zip(tend, (rho, 0.0, 0.0)):
+        assert np.max(np.abs(comp - grad_p)[:-1]) <= 1e-12

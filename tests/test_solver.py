@@ -186,6 +186,21 @@ def test_run_records_every_projection():
     assert all(it == 1 and rel <= 1e-10 for it, rel in traj.projection_info)
 
 
+@pytest.mark.parametrize("dt,steps", [(0.03, 4), (0.04, 3), (0.05, 2),
+                                      (0.06, 2)])
+def test_run_ends_on_t_end(dt, steps):
+    # a given dt that does not divide [t_start, t_end] is shortened to the
+    # fewest equal steps that do, so the run neither stops short of t_end
+    # nor steps past it
+    g = build_grid(8, 8)
+    state = mms.sample_state(mms.make_solution("taylor_vortex_swirl", {}), g,
+                             0.0)
+    traj = run(SimConfig(t_end=0.1, dt=dt), state)
+    assert not traj.failed and traj.step_count == steps
+    assert traj.dt == 0.1 / steps <= dt
+    assert traj.checkpoints[-1].time == pytest.approx(0.1, rel=1e-14)
+
+
 # --- properties on random grids ---------------------------------------------
 
 @st.composite
