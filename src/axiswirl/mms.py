@@ -13,12 +13,12 @@ exponentially and is exact to rounding for |x| <= 12 (Trefethen & Weideman
 2014, SIAM Rev. 56).  No scipy at run time.  The decaying swirl's
 pressure is in closed form in J0 and J1 (_swirl_pressure_profile).
 
-Every term is coef * exp(-mu t) * F(rho) * G(z).  On a grid, F and its
-derivatives are sampled once on the radial axis rho (n_rho, 1) and G and
-its derivatives once on z (1, n_z), the first time the solution meets
-that grid (ManufacturedSolution.on_grid); every later state or forcing
-on it is (coef * exp(-mu t) * F) * G, and only that product takes the
-grid shape.
+A solution is made on one grid and solves the equations on its domain
+(PARAMS holds each kind's other parameters).  Every term is
+coef * exp(-mu t) * F(rho) * G(z): F and G and their derivatives are
+sampled on the axes rho (n_rho, 1) and z (1, n_z) when the solution is
+made, and only the product (coef * exp(-mu t) * F) * G of a state or a
+forcing takes the grid shape.
 """
 
 from __future__ import annotations
@@ -120,283 +120,226 @@ def _swirl_pressure_profile(lam):
 
 
 class Term:
-    """coef * exp(-mu t) * F(rho) * G(z), G in {1, sin(k z), cos(k z)}."""
+    """coef * exp(-mu t) * F(rho) * G(z), holding F, G and their first two
+    derivatives as samples on the grid's axes rho (n_rho, 1) and z (1, n_z)."""
 
-    __slots__ = ("radial", "mu", "z_kind", "k", "coef")
+    __slots__ = ("_fs", "_gs", "mu", "coef")
 
-    def __init__(self, radial: RadialProfile, mu: float = 0.0,
-                 z_kind: str = "const", k: float = 0.0, coef: float = 1.0):
-        self.radial = radial
+    def __init__(self, fs, gs, mu: float = 0.0, coef: float = 1.0):
+        self._fs = fs
+        self._gs = gs
         self.mu = mu
-        self.z_kind = z_kind
-        self.k = k
         self.coef = coef
 
-    def _f(self, rho, order):
-        return (self.radial.f, self.radial.df, self.radial.d2f)[order](rho)
-
-    def _g(self, z, order):
-        if self.z_kind == "const":
-            one = np.ones_like(z)
-            return one if order == 0 else np.zeros_like(z)
-        k = self.k
-        if self.z_kind == "sin":
-            seq = (np.sin(k * z), k * np.cos(k * z), -(k**2) * np.sin(k * z))
-        elif self.z_kind == "cos":
-            seq = (np.cos(k * z), -k * np.sin(k * z), -(k**2) * np.cos(k * z))
-        else:
-            raise ConfigurationError(f"unknown z_kind {self.z_kind!r}")
-        return seq[order]
-
-    def _parts(self, rho, z, t, r_order=0, z_order=0):
-        return (self.coef * math.exp(-self.mu * t) * self._f(rho, r_order)
-                * self._g(z, z_order))
-
-    def on(self, rho, z) -> SampledTerm:
-        return SampledTerm(self, rho, z)
-
-
-class SampledTerm(Term):
-    """A Term with F, G and their first two derivatives sampled once on
-    the axes rho, z.  Its methods take the same arguments as a Term's but
-    answer for those axes whatever rho and z they are given."""
-
-    __slots__ = ("_fs", "_gs")
-
-    def __init__(self, term: Term, rho, z):
-        super().__init__(term.radial, term.mu, term.z_kind, term.k, term.coef)
-        self._fs = tuple(term._f(rho, order) for order in range(3))
-        self._gs = tuple(term._g(z, order) for order in range(3))
-
-    def _f(self, rho, order):
-        return self._fs[order]
-
-    def _g(self, z, order):
-        return self._gs[order]
+    def _parts(self, t, r_order=0, z_order=0):
+        return (self.coef * math.exp(-self.mu * t) * self._fs[r_order]
+                * self._gs[z_order])
 
 
 class AnalyticField:
-    """Sum of separable terms, with all partials used by the assembly."""
+    """Sum of separable terms on one grid, with all partials used by the
+    assembly, each at time t."""
 
-    def __init__(self, terms=()):
+    def __init__(self, shape, terms=()):
+        self.shape = shape
         self.terms = list(terms)
 
-    def on(self, rho, z) -> AnalyticField:
-        """This field with every term sampled on the axes rho, z."""
-        return AnalyticField(term.on(rho, z) for term in self.terms)
-
-    def _sum(self, rho, z, t, r_order=0, z_order=0, rate=False):
+    def _sum(self, t, r_order=0, z_order=0, rate=False):
         """The sum of the terms' parts; rate gives d_t, -mu times each."""
         if not self.terms:
-            return np.zeros(np.broadcast(rho, z).shape)
+            return np.zeros(self.shape)
         if rate:
-            return sum(-term.mu * term._parts(rho, z, t) for term in self.terms)
-        return sum(term._parts(rho, z, t, r_order, z_order)
-                   for term in self.terms)
+            return sum(-term.mu * term._parts(t) for term in self.terms)
+        return sum(term._parts(t, r_order, z_order) for term in self.terms)
 
-    def val(self, rho, z, t):
-        return self._sum(rho, z, t)
+    def val(self, t):
+        return self._sum(t)
 
-    def d_t(self, rho, z, t):
-        return self._sum(rho, z, t, rate=True)
+    def d_t(self, t):
+        return self._sum(t, rate=True)
 
-    def d_rho(self, rho, z, t):
-        return self._sum(rho, z, t, r_order=1)
+    def d_rho(self, t):
+        return self._sum(t, r_order=1)
 
-    def d2_rho(self, rho, z, t):
-        return self._sum(rho, z, t, r_order=2)
+    def d2_rho(self, t):
+        return self._sum(t, r_order=2)
 
-    def d_z(self, rho, z, t):
-        return self._sum(rho, z, t, z_order=1)
+    def d_z(self, t):
+        return self._sum(t, z_order=1)
 
-    def d2_z(self, rho, z, t):
-        return self._sum(rho, z, t, z_order=2)
+    def d2_z(self, t):
+        return self._sum(t, z_order=2)
 
 
 class ManufacturedSolution:
-    __slots__ = ("kind", "params", "u_rho", "u_phi", "u_z", "p",
-                 "homogeneous_nu", "meta", "_on_grid")
+    """One manufactured solution on the grid it was made on."""
 
-    def __init__(self, kind: str, params: dict, u_rho: AnalyticField,
+    __slots__ = ("kind", "grid", "u_rho", "u_phi", "u_z", "p",
+                 "homogeneous_nu", "meta")
+
+    def __init__(self, kind: str, grid: CylGrid, u_rho: AnalyticField,
                  u_phi: AnalyticField, u_z: AnalyticField, p: AnalyticField,
                  homogeneous_nu: float | None = None, meta: dict | None = None):
         self.kind = kind
-        self.params = params
+        self.grid = grid
         self.u_rho = u_rho
         self.u_phi = u_phi
         self.u_z = u_z
         self.p = p
         self.homogeneous_nu = homogeneous_nu  # nu for which the forcing vanishes
         self.meta = {} if meta is None else meta
-        self._on_grid = {}
 
-    def on_grid(self, grid: CylGrid) -> ManufacturedSolution:
-        """This solution with every profile sampled on the grid's axes,
-        built the first time a grid (by equality) is asked for and then
-        kept.  Its fields answer for those axes only."""
-        sampled = self._on_grid.get(grid)
-        if sampled is None:
-            rho, z = _axes(grid)
-            sampled = self._on_grid[grid] = ManufacturedSolution(
-                self.kind, self.params,
-                *(f.on(rho, z) for f in (self.u_rho, self.u_phi, self.u_z,
-                                         self.p)),
-                homogeneous_nu=self.homogeneous_nu, meta=self.meta,
-            )
-        return sampled
-
-    def curl(self, rho, z, t):
+    def curl(self, t):
         """Analytic vorticity components."""
-        w_rho = -self.u_phi.d_z(rho, z, t)
-        w_phi = self.u_rho.d_z(rho, z, t) - self.u_z.d_rho(rho, z, t)
-        w_z = self.u_phi.d_rho(rho, z, t) + self.u_phi.val(rho, z, t) / rho
+        w_rho = -self.u_phi.d_z(t)
+        w_phi = self.u_rho.d_z(t) - self.u_z.d_rho(t)
+        w_z = self.u_phi.d_rho(t) + self.u_phi.val(t) / self.grid.rho
         return w_rho, w_phi, w_z
 
 
-KINDS = ("rigid_rotation", "decaying_swirl", "taylor_vortex_swirl")
+# Each kind's parameters and their defaults.  The domain is not among
+# them: a solution takes it from the grid it is made on.
+PARAMS = {
+    "rigid_rotation": {"omega": 1.0},
+    "decaying_swirl": {"amplitude": 1.0, "nu": 0.1},
+    "taylor_vortex_swirl": {"amplitude": 0.3, "swirl": 0.5, "swirl_z": 0.5,
+                            "p_amp": 0.2, "decay": 0.5},
+}
+KINDS = tuple(PARAMS)
 
 # the polynomial rho; coefficient arrays are lowest power first, and
 # np.convolve multiplies two of them
 _RHO = np.array([0.0, 1.0])
 
 
-def make_solution(kind, params=None) -> ManufacturedSolution:
-    params = dict(params or {})
+def make_solution(kind, params, grid: CylGrid) -> ManufacturedSolution:
+    """The solution of this kind on the grid's domain, PARAMS[kind]
+    filling the parameters that params leaves out."""
+    if kind not in PARAMS:
+        raise ConfigurationError(f"unknown manufactured solution kind {kind!r}")
+    for key in params or {}:
+        if key not in PARAMS[kind]:
+            raise ConfigurationError(f"{kind} takes no parameter {key!r}; "
+                                     f"it takes {sorted(PARAMS[kind])}")
+    params = {**PARAMS[kind], **(params or {})}
+    rho, z = grid.rho, grid.z_centers[None, :]
+    flat = (np.ones_like(z), np.zeros_like(z), np.zeros_like(z))  # G = 1
+    field = functools.partial(AnalyticField, grid.shape)
+
+    def term(radial: RadialProfile, g=flat, mu=0.0, coef=1.0):
+        fs = (radial.f(rho), radial.df(rho), radial.d2f(rho))
+        return Term(fs, g, mu, coef)
+
     if kind == "rigid_rotation":
-        omega = params.setdefault("omega", 1.0)
-        rho_max = params.setdefault("rho_max", 2.0)
-        u_phi = AnalyticField([Term(RadialProfile.from_coef([0.0, omega]))])
-        p = AnalyticField(
-            [Term(RadialProfile.from_coef([0.0, 0.0, 0.5 * omega**2]))])
-        return ManufacturedSolution(
-            kind, params, AnalyticField(), u_phi, AnalyticField(), p,
-            homogeneous_nu=math.inf, meta={"rho_max": rho_max},
-        )
+        omega = params["omega"]
+        u_phi = field([term(RadialProfile.from_coef([0.0, omega]))])
+        p = field([term(RadialProfile.from_coef([0.0, 0.0, 0.5 * omega**2]))])
+        return ManufacturedSolution(kind, grid, field(), u_phi, field(), p,
+                                    homogeneous_nu=math.inf)
     if kind == "decaying_swirl":
-        amp = params.setdefault("amplitude", 1.0)
-        nu = params.setdefault("nu", 0.1)
-        rho_max = params.setdefault("rho_max", 2.0)
-        lam = J11 / rho_max
+        amp = params["amplitude"]
+        nu = params["nu"]
+        lam = J11 / grid.rho_max
         mu = nu * lam**2
-        u_phi = AnalyticField([Term(_bessel_j1_profile(lam), mu=mu, coef=amp)])
-        p = AnalyticField([Term(_swirl_pressure_profile(lam), mu=2.0 * mu,
-                                coef=0.5 * amp * amp)])
+        u_phi = field([term(_bessel_j1_profile(lam), mu=mu, coef=amp)])
+        p = field([term(_swirl_pressure_profile(lam), mu=2.0 * mu,
+                        coef=0.5 * amp * amp)])
         return ManufacturedSolution(
-            kind, params, AnalyticField(), u_phi, AnalyticField(), p,
-            homogeneous_nu=nu, meta={"lambda": lam, "rho_max": rho_max},
+            kind, grid, field(), u_phi, field(), p,
+            homogeneous_nu=nu, meta={"lambda": lam},
         )
-    if kind == "taylor_vortex_swirl":
-        amp = params.setdefault("amplitude", 0.3)
-        swirl = params.setdefault("swirl", 0.5)
-        swirl_z = params.setdefault("swirl_z", 0.5)
-        p_amp = params.setdefault("p_amp", 0.2)
-        mu = params.setdefault("decay", 0.5)
-        rho_max = params.setdefault("rho_max", 2.0)
-        z_min = params.setdefault("z_min", 0.0)
-        z_max = params.setdefault("z_max", 1.0)
-        k = 2.0 * math.pi / (z_max - z_min)
-        # w(rho) = (1 - (rho/R)^2)^3: triple zero at the wall keeps the
-        # mirror-zero ghosts fourth-order accurate there
-        base = np.array([1.0, 0.0, -1.0 / rho_max**2])
-        w = np.convolve(np.convolve(base, base), base)
-        dw = w[1:] * np.arange(1, w.size)
-        rho_w = RadialProfile.from_coef(np.convolve(_RHO, w))
-        u_rho = AnalyticField([Term(
-            RadialProfile.from_coef(np.convolve([-k], np.convolve(_RHO, w))),
-            mu=mu, z_kind="cos", k=k, coef=amp)])
-        u_z = AnalyticField([Term(
-            RadialProfile.from_coef(np.convolve([2.0], w)
-                                    + np.convolve(_RHO, dw)),
-            mu=mu, z_kind="sin", k=k, coef=amp)])
-        u_phi = AnalyticField([
-            Term(rho_w, mu=mu, coef=swirl),
-            Term(rho_w, mu=mu, z_kind="cos", k=k, coef=swirl * swirl_z),
-        ])
-        p = AnalyticField([Term(
-            RadialProfile.from_coef(np.convolve(np.convolve(_RHO, _RHO), w)),
-            mu=2.0 * mu, z_kind="cos", k=k, coef=p_amp)])
-        return ManufacturedSolution(
-            kind, params, u_rho, u_phi, u_z, p, homogeneous_nu=None,
-            meta={"k": k, "rho_max": rho_max},
-        )
-    raise ConfigurationError(f"unknown manufactured solution kind {kind!r}")
+    amp = params["amplitude"]
+    swirl = params["swirl"]
+    swirl_z = params["swirl_z"]
+    p_amp = params["p_amp"]
+    mu = params["decay"]
+    k = 2.0 * math.pi / (grid.z_max - grid.z_min)
+    cos = (np.cos(k * z), -k * np.sin(k * z), -(k**2) * np.cos(k * z))
+    sin = (np.sin(k * z), k * np.cos(k * z), -(k**2) * np.sin(k * z))
+    # w(rho) = (1 - (rho/R)^2)^3: triple zero at the wall keeps the
+    # mirror-zero ghosts fourth-order accurate there
+    base = np.array([1.0, 0.0, -1.0 / grid.rho_max**2])
+    w = np.convolve(np.convolve(base, base), base)
+    dw = w[1:] * np.arange(1, w.size)
+    rho_w = RadialProfile.from_coef(np.convolve(_RHO, w))
+    u_rho = field([term(
+        RadialProfile.from_coef(np.convolve([-k], np.convolve(_RHO, w))),
+        cos, mu=mu, coef=amp)])
+    u_z = field([term(
+        RadialProfile.from_coef(np.convolve([2.0], w) + np.convolve(_RHO, dw)),
+        sin, mu=mu, coef=amp)])
+    u_phi = field([
+        term(rho_w, mu=mu, coef=swirl),
+        term(rho_w, cos, mu=mu, coef=swirl * swirl_z),
+    ])
+    p = field([term(
+        RadialProfile.from_coef(np.convolve(np.convolve(_RHO, _RHO), w)),
+        cos, mu=2.0 * mu, coef=p_amp)])
+    return ManufacturedSolution(kind, grid, u_rho, u_phi, u_z, p)
 
 
 # --- sampling and forcing -------------------------------------------------
 
-def _axes(grid: CylGrid):
-    """The separable sample points rho (n_rho, 1) and z (1, n_z); every
-    term ends in a rho-by-z product, so fields come out in grid shape."""
-    return grid.rho, grid.z_centers[None, :]
-
-
-def sample_state(sol: ManufacturedSolution, grid: CylGrid, t) -> VelocityState:
-    on = sol.on_grid(grid)
-    rho, z = _axes(grid)
+def sample_state(sol: ManufacturedSolution, t) -> VelocityState:
     return VelocityState(
-        grid, on.u_rho.val(rho, z, t), on.u_phi.val(rho, z, t),
-        on.u_z.val(rho, z, t), on.p.val(rho, z, t), float(t),
+        sol.grid, sol.u_rho.val(t), sol.u_phi.val(t), sol.u_z.val(t),
+        sol.p.val(t), float(t),
     )
 
 
-def forcing_components(sol: ManufacturedSolution, nu, rho, z, t):
+def forcing_components(sol: ManufacturedSolution, nu, t):
     """Analytic (h_rho, h_phi, h_z) closing the momentum equations."""
     ur, uh, uz, p = sol.u_rho, sol.u_phi, sol.u_z, sol.p
+    rho = sol.grid.rho
 
-    ur_v = ur.val(rho, z, t)
-    uh_v = uh.val(rho, z, t)
-    uz_v = uz.val(rho, z, t)
+    ur_v = ur.val(t)
+    uh_v = uh.val(t)
+    uz_v = uz.val(t)
 
     def visc(fieldv, v, odd):
-        lap = (
-            fieldv.d2_rho(rho, z, t) + fieldv.d_rho(rho, z, t) / rho
-            + fieldv.d2_z(rho, z, t)
-        )
+        lap = fieldv.d2_rho(t) + fieldv.d_rho(t) / rho + fieldv.d2_z(t)
         if odd:
             lap = lap - v / rho**2
         return lap
 
     h_rho = (
-        ur.d_t(rho, z, t)
-        + ur_v * ur.d_rho(rho, z, t) + uz_v * ur.d_z(rho, z, t)
-        - uh_v**2 / rho + p.d_rho(rho, z, t)
+        ur.d_t(t)
+        + ur_v * ur.d_rho(t) + uz_v * ur.d_z(t)
+        - uh_v**2 / rho + p.d_rho(t)
         - nu * visc(ur, ur_v, odd=True)
     )
     h_phi = (
-        uh.d_t(rho, z, t)
-        + ur_v * uh.d_rho(rho, z, t) + uz_v * uh.d_z(rho, z, t)
+        uh.d_t(t)
+        + ur_v * uh.d_rho(t) + uz_v * uh.d_z(t)
         + uh_v * ur_v / rho
         - nu * visc(uh, uh_v, odd=True)
     )
     h_z = (
-        uz.d_t(rho, z, t)
-        + ur_v * uz.d_rho(rho, z, t) + uz_v * uz.d_z(rho, z, t)
-        + p.d_z(rho, z, t)
+        uz.d_t(t)
+        + ur_v * uz.d_rho(t) + uz_v * uz.d_z(t)
+        + p.d_z(t)
         - nu * visc(uz, uz_v, odd=False)
     )
     return h_rho, h_phi, h_z
 
 
-def forcing_for(sol: ManufacturedSolution, nu, grid: CylGrid, t) -> ForcingFields:
-    """Forcing sampled on the grid at time t."""
+def forcing_for(sol: ManufacturedSolution, nu, t) -> ForcingFields:
+    """Forcing on the solution's grid at time t."""
     if sol.homogeneous_nu is not None and (
         math.isinf(sol.homogeneous_nu) or math.isclose(sol.homogeneous_nu, nu)
     ):
-        return zero_forcing(grid)
-    return ForcingFields(
-        grid, *forcing_components(sol.on_grid(grid), nu, *_axes(grid), t))
+        return zero_forcing(sol.grid)
+    return ForcingFields(sol.grid, *forcing_components(sol, nu, t))
 
 
-def forcing_callable(sol: ManufacturedSolution, nu, grid: CylGrid):
+def forcing_callable(sol: ManufacturedSolution, nu):
     """forcing_at(t) for the solver and the monitor.
 
     Remembers its last two times (the returned fields are shared, not
     copied): each Heun step asks again for the t + dt of the step before,
     and a caller may go back and forth between the two ends of a step.
     """
-    return functools.lru_cache(maxsize=2)(
-        lambda t: forcing_for(sol, nu, grid, t)
-    )
+    return functools.lru_cache(maxsize=2)(lambda t: forcing_for(sol, nu, t))
 
 
 # --- convergence studies --------------------------------------------------
@@ -432,9 +375,10 @@ def _l2_err(a, b, grid: CylGrid):
 _VELOCITY = ("u_rho", "u_phi", "u_z")
 
 
-def convergence_order(sol: ManufacturedSolution, grids, quantity="solver",
-                      nu=0.1, t_end=0.05):
-    """Refinement study; returns {"errors": [...], "orders": [...], ...}.
+def convergence_order(kind, grids, quantity="solver", nu=0.1, t_end=0.05,
+                      params=None):
+    """Refinement study of the solution kind (with params) made on each
+    grid; returns {"errors": [...], "orders": [...], ...}.
 
     quantity selects what is measured, at t = 0 unless stated:
       solver        end-time velocity error of a forced solver run from
@@ -462,34 +406,34 @@ def convergence_order(sol: ManufacturedSolution, grids, quantity="solver",
                                  "one before it")
     errors = []
     for grid in grids:
-        rho, z = _axes(grid)
-        state = sample_state(sol, grid, 0.0)
+        sol = make_solution(kind, params, grid)
+        state = sample_state(sol, 0.0)
         if quantity == "solver":
             dt = 0.1 * min(grid.d_rho, grid.d_z) ** 2 / nu
             cfg = SimConfig(nu=nu, t_end=t_end, dt=dt, checkpoint_stride=10**9)
-            traj = run(cfg, state, forcing_at=forcing_callable(sol, nu, grid))
+            traj = run(cfg, state, forcing_at=forcing_callable(sol, nu))
             if traj.failed:
                 raise ConfigurationError(f"solver failed: {traj.failure_reason}")
             final = traj.checkpoints[-1]
             err = max(_max_err(getattr(final, c),
-                               getattr(sol, c).val(rho, z, final.time))
+                               getattr(sol, c).val(final.time))
                       for c in _VELOCITY)
         elif quantity == "operator":
-            f = forcing_for(sol, nu, grid, 0.0)
+            f = forcing_for(sol, nu, 0.0)
             tend = map(np.add, explicit_rhs(state, f), viscous_rhs(state, nu))
-            grad_p = (sol.p.d_rho(rho, z, 0.0), 0.0, sol.p.d_z(rho, z, 0.0))
+            grad_p = (sol.p.d_rho(0.0), 0.0, sol.p.d_z(0.0))
             # volume-weighted L2: single boundary-adjacent rows carry
             # vanishing measure, matching the norm the time integration sees
-            err = max(_l2_err(x, getattr(sol, c).d_t(rho, z, 0.0) + gp, grid)
+            err = max(_l2_err(x, getattr(sol, c).d_t(0.0) + gp, grid)
                       for x, c, gp in zip(tend, _VELOCITY, grad_p))
         elif quantity == "curl":
             w = curl_axisym(state)
             err = max(map(_max_err, (w.w_rho, w.w_phi, w.w_z),
-                          sol.curl(rho, z, 0.0)))
+                          sol.curl(0.0)))
         elif quantity == "divergence":
             err = float(np.max(np.abs(_interior(divergence(state)))))
         elif quantity == "lopsided_curl":
-            _, _, wz = sol.curl(rho, z, 0.0)
+            _, _, wz = sol.curl(0.0)
             err = _max_err(lopsided_curl(state), wz)
         else:
             raise ConfigurationError(f"unknown quantity {quantity!r}")

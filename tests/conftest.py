@@ -32,23 +32,14 @@ def exp640():
 
 
 @pytest.fixture(scope="session")
-def decaying_sol():
-    return mms.make_solution("decaying_swirl", {"nu": NU})
-
-
-@pytest.fixture(scope="session")
-def taylor_sol():
-    return mms.make_solution("taylor_vortex_swirl", {})
-
-
-@pytest.fixture(scope="session")
-def audit_run(decaying_sol, exp640):
+def audit_run(exp640):
     """Unforced 200-step swirl run with full monitor diagnostics."""
     grid = build_grid(32, 8)
     dt = 9e-4
     cfg = SimConfig(nu=NU, t_start=0.0, t_end=200 * dt,
                     dt=dt, checkpoint_stride=1)
-    traj = run(cfg, mms.sample_state(decaying_sol, grid, 0.0))
+    sol = mms.make_solution("decaying_swirl", {"nu": NU}, grid)
+    traj = run(cfg, mms.sample_state(sol, 0.0))
     assert not traj.failed, traj.failure_reason
     monitor = monitor_for(grid, exp640, NU)
     records = collect_diagnostics(traj.checkpoints, monitor)
@@ -57,14 +48,15 @@ def audit_run(decaying_sol, exp640):
 
 
 @pytest.fixture(scope="session")
-def forced_taylor(taylor_sol, exp640):
+def forced_taylor(exp640):
     """Forced 50-step vortex-with-swirl run with full diagnostics."""
     grid = build_grid(24, 24)
     dt = 0.1 * min(grid.d_rho, grid.d_z) ** 2 / NU
     cfg = SimConfig(nu=NU, t_start=0.0, t_end=50 * dt,
                     dt=dt, checkpoint_stride=1)
-    forcing = mms.forcing_callable(taylor_sol, NU, grid)
-    traj = run(cfg, mms.sample_state(taylor_sol, grid, 0.0), forcing_at=forcing)
+    sol = mms.make_solution("taylor_vortex_swirl", {}, grid)
+    forcing = mms.forcing_callable(sol, NU)
+    traj = run(cfg, mms.sample_state(sol, 0.0), forcing_at=forcing)
     assert not traj.failed, traj.failure_reason
     monitor = monitor_for(grid, exp640, NU)
     records = collect_diagnostics(traj.checkpoints, monitor,
@@ -74,13 +66,14 @@ def forced_taylor(taylor_sol, exp640):
 
 
 @pytest.fixture(scope="session")
-def solver_study(decaying_sol):
+def solver_study():
     grids = mms.grid_levels(16, 3)
-    return mms.convergence_order(decaying_sol, grids, quantity="solver",
-                                 nu=NU, t_end=0.02)
+    return mms.convergence_order("decaying_swirl", grids, quantity="solver",
+                                 nu=NU, t_end=0.02, params={"nu": NU})
 
 
 @pytest.fixture(scope="session")
-def lopsided_study(taylor_sol):
+def lopsided_study():
     grids = mms.grid_levels(16, 3)
-    return mms.convergence_order(taylor_sol, grids, quantity="lopsided_curl")
+    return mms.convergence_order("taylor_vortex_swirl", grids,
+                                 quantity="lopsided_curl")

@@ -117,19 +117,19 @@ def test_criterion_04_operator_correctness():
         curl_axisym(rot).w_z[:-1] - 2.0))) <= 1e-12
     rad = zero_state(g).replace_fields(u_rho=rho.copy())
     ok &= float(np.max(np.abs(divergence(rad)[:-1] - 2.0))) <= 1e-12
-    sol = mms.make_solution("taylor_vortex_swirl", {})
+    kind = "taylor_vortex_swirl"
     grids = mms.grid_levels(12, 3)
-    curl_orders = mms.convergence_order(sol, grids, quantity="curl")["orders"]
-    div_orders = mms.convergence_order(sol, grids, quantity="divergence")["orders"]
+    curl_orders = mms.convergence_order(kind, grids, quantity="curl")["orders"]
+    div_orders = mms.convergence_order(kind, grids, quantity="divergence")["orders"]
     ok &= all(o >= 1.9 for o in curl_orders + div_orders)
     _verdict(4, ok, "rigid-rotation curl = 2 and linear-field divergence = 2 "
                     "within 1e-12; curl/divergence order >= 1.9")
 
 
 def test_criterion_05_projection():
-    sol = mms.make_solution("taylor_vortex_swirl", {})
     g = build_grid(32, 32)
-    v = mms.sample_state(sol, g, 0.0)
+    sol = mms.make_solution("taylor_vortex_swirl", {}, g)
+    v = mms.sample_state(sol, 0.0)
 
     def div_norm(s):
         return float(np.sqrt(np.sum(g.rho * divergence(s) ** 2)))
@@ -175,12 +175,12 @@ def test_criterion_07_solver_convergence(solver_study, lopsided_study):
 
 
 def test_criterion_08_transport_cancellation():
-    sol = mms.make_solution("taylor_vortex_swirl", {})
     constants = []
     ok = True
     for n in (12, 24, 48):
         g = build_grid(n, n)
-        v, _ = project(mms.sample_state(sol, g, 0.0))
+        sol = mms.make_solution("taylor_vortex_swirl", {}, g)
+        v, _ = project(mms.sample_state(sol, 0.0))
         delta = min(g.d_rho, g.d_z)
         tc = transport_cancellation(v, 4)
         ok &= abs(tc) <= 0.1 * delta**2
@@ -245,13 +245,13 @@ def test_criterion_12_eps_sequence_and_quartic_identity(audit_run, exp640):
         gaps = [abs(b - a) for a, b in zip(margins, margins[1:])]
         ok &= all(g1 < g0 for g0, g1 in zip(gaps, gaps[1:]))
 
-    sol = mms.make_solution("decaying_swirl", {"nu": NU})
     residuals = []
     for n in (16, 32, 64):
         g = build_grid(n, n)
+        sol = mms.make_solution("decaying_swirl", {"nu": NU}, g)
         dt = 0.1 * min(g.d_rho, g.d_z) ** 2 / NU
         cfg = SimConfig(nu=NU, t_end=5 * dt, dt=dt)
-        traj = run(cfg, mms.sample_state(sol, g, 0.0))
+        traj = run(cfg, mms.sample_state(sol, 0.0))
         records = collect_diagnostics(
             traj.checkpoints, monitor_for(g, exp640, NU))
         residuals.append(max(abs(r.margins["quartic_identity_residual"])

@@ -79,6 +79,16 @@ def test_validate_accepts_inf_b():
     assert math.isinf(cfg["exponents"]["b"])
 
 
+@pytest.mark.parametrize("spelling", ["inf", "Inf", "Infinity"])
+def test_schema_and_check_exponents_spell_infinite_b_alike(capsys, spelling):
+    cfg = validate_scenario(_scenario(
+        exponents={"a": 6, "b": spelling, "gamma": 0.1}))
+    assert cfg["exponents"]["b"] == math.inf
+    assert check_exponents_cmd("6", spelling, "0.1") == 0
+    block = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert block["b"] == math.inf and block["admissible"] is True
+
+
 @pytest.mark.parametrize("doc,path_fragment", [
     ({}, "$.schema_version"),
     (_scenario(schema_version=99), "$.schema_version"),
@@ -181,7 +191,7 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
 
 def test_checkpoint_rejects_non_finite_samples(tmp_path, monkeypatch, capsys):
     g = build_grid(8, 8)
-    state = mms.sample_state(mms.make_solution("taylor_vortex_swirl", {}), g, 0.0)
+    state = mms.sample_state(mms.make_solution("taylor_vortex_swirl", {}, g), 0.0)
     u_z = state.u_z.copy()
     u_z[2, 3] = np.nan
     path = str(tmp_path / "nan.bin")
@@ -216,7 +226,7 @@ def test_checkpoint_rejects_malformed_header(tmp_path, monkeypatch, capsys,
                                              edit, key):
     path = str(tmp_path / "bad.bin")
     write_checkpoint(path, mms.sample_state(
-        mms.make_solution("taylor_vortex_swirl", {}), build_grid(8, 8), 0.0))
+        mms.make_solution("taylor_vortex_swirl", {}, build_grid(8, 8)), 0.0))
     _edit_header(path, edit)
     with pytest.raises(ConfigurationError) as exc:
         read_checkpoint(path)
@@ -554,7 +564,7 @@ def test_file_initial_state_must_match_the_scenario_grid(tmp_path, monkeypatch,
     path = str(tmp_path / "small.bin")
     small = build_grid(8, 8)
     write_checkpoint(path, mms.sample_state(
-        mms.make_solution("taylor_vortex_swirl", {}), small, 0.0))
+        mms.make_solution("taylor_vortex_swirl", {}, small), 0.0))
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
     scenario = _write(tmp_path, _scenario(
         grid={"n_rho": 16, "n_z": 8},
@@ -611,8 +621,8 @@ def test_validate_scenario_fuzz(section, key, value):
 
 
 def _checkpoint_bytes():
-    state = mms.sample_state(mms.make_solution("taylor_vortex_swirl", {}),
-                             build_grid(4, 4), 0.25)
+    state = mms.sample_state(
+        mms.make_solution("taylor_vortex_swirl", {}, build_grid(4, 4)), 0.25)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ck.bin")
         write_checkpoint(path, state)
@@ -652,10 +662,17 @@ def test_read_checkpoint_fuzz(edits, keep):
     ("decaying_swirl", {"rho_max": 0}, "$.initial_data.params.rho_max"),
     ("decaying_swirl", {"rho_max": -1.5}, "$.initial_data.params.rho_max"),
     ("taylor_vortex_swirl", {"z_max": 0}, "$.initial_data.params.z_max"),
-    ("taylor_vortex_swirl", {"z_min": 2.0}, "$.initial_data.params.z_max"),
+    ("taylor_vortex_swirl", {"z_min": 2.0}, "$.initial_data.params.z_min"),
+    ("decaying_swirl", {"amplitud": 5}, "$.initial_data.params.amplitud"),
+    ("taylor_vortex_swirl", {"omega": 1.0}, "$.initial_data.params.omega"),
+    ("rigid_rotation", {"rho_max": 2.0}, "$.initial_data.params.rho_max"),
+    ("zero", {"amplitude": 1.0}, "$.initial_data.params.amplitude"),
+    ("file", {"nu": 0.1}, "$.initial_data.params.nu"),
 ])
 def test_manufactured_extents_are_validated(tmp_path, monkeypatch, capsys,
                                             kind, params, path):
+    # the extents are the grid's: a key that the kind does not take
+    # (zero and file take none) exits 2 at its own path
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
     doc = _scenario(initial_data={"kind": kind, "params": params})
     assert main(["run", _write(tmp_path, doc)]) == 2

@@ -35,9 +35,9 @@ from axiswirl import mms
 
 
 def _taylor_state(n):
-    sol = mms.make_solution("taylor_vortex_swirl", {})
     g = build_grid(n, n)
-    return mms.sample_state(sol, g, 0.0), g
+    sol = mms.make_solution("taylor_vortex_swirl", {}, g)
+    return mms.sample_state(sol, 0.0), g
 
 
 def test_d_rho_linear_odd_exact():
@@ -177,11 +177,11 @@ def test_vorticity_transport_residual_small_on_analytic_flow():
     """Pure swirl decay: the azimuthal/radial equations are trivially zero
     and the axial one reduces to viscous diffusion of w_z."""
     nu = 0.1
-    sol = mms.make_solution("decaying_swirl", {"nu": nu})
     g = build_grid(48, 4)
+    sol = mms.make_solution("decaying_swirl", {"nu": nu}, g)
     dt = 1e-4
-    v0 = mms.sample_state(sol, g, 0.0)
-    v1 = mms.sample_state(sol, g, dt)
+    v0 = mms.sample_state(sol, 0.0)
+    v1 = mms.sample_state(sol, dt)
     w0, w1 = curl_axisym(v0), curl_axisym(v1)
     rate = VorticityFields(
         g,
@@ -230,21 +230,21 @@ def test_vorticity_transport_residual_converges_on_forced_taylor():
     the omega_phi equation falls at second order on all but the two wall
     rows (a wrong sign leaves it at an O(1) fraction)."""
     nu, t, dt = 0.1, 0.1, 1e-4
-    sol = mms.make_solution("taylor_vortex_swirl", {})
     rows = slice(0, -2)
     res = []
     for n in (16, 32, 64):
         g = build_grid(n, n)
-        w0, w, w1 = (curl_axisym(mms.sample_state(sol, g, s))
+        sol = mms.make_solution("taylor_vortex_swirl", {}, g)
+        w0, w, w1 = (curl_axisym(mms.sample_state(sol, s))
                      for s in (t - dt, t, t + dt))
         rate = VorticityFields(g, *(
             (getattr(w1, c) - getattr(w0, c)) / (2.0 * dt)
             for c in ("w_rho", "w_phi", "w_z")))
-        h = mms.forcing_for(sol, nu, g, t)
+        h = mms.forcing_for(sol, nu, t)
         gc = curl_axisym(zero_state(g).replace_fields(
             u_rho=h.h_rho, u_phi=h.h_phi, u_z=h.h_z))
         r_phi = vorticity_transport_residual(
-            mms.sample_state(sol, g, t), w, rate, gc, nu)[1]
+            mms.sample_state(sol, t), w, rate, gc, nu)[1]
         wt = g.cell_weight[rows]
         res.append(math.sqrt(np.sum(wt * r_phi[rows] ** 2)
                              / np.sum(wt * rate.w_phi[rows] ** 2)))

@@ -1,5 +1,7 @@
 """Manufactured solutions and refinement studies."""
 
+import glob
+import json
 import math
 import os
 import subprocess
@@ -7,8 +9,9 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from axiswirl.cli import OUTPUT_ROOT_ENV, main, read_checkpoint
 from axiswirl.errors import ConfigurationError
 from axiswirl.fields import divergence
 from axiswirl.grid import build_grid
@@ -17,59 +20,55 @@ from axiswirl import mms, monitor
 
 
 def test_known_kinds():
+    g = build_grid(8, 8)
     for kind in mms.KINDS:
-        sol = mms.make_solution(kind, {})
+        sol = mms.make_solution(kind, {}, g)
         assert sol.kind == kind
     with pytest.raises(ConfigurationError):
-        mms.make_solution("nonsense", {})
+        mms.make_solution("nonsense", {}, g)
 
 
 def test_rigid_rotation_is_unforced():
-    sol = mms.make_solution("rigid_rotation", {"omega": 2.0})
     g = build_grid(16, 8)
-    f = mms.forcing_for(sol, 0.05, g, 0.0)
+    sol = mms.make_solution("rigid_rotation", {"omega": 2.0}, g)
+    f = mms.forcing_for(sol, 0.05, 0.0)
     for comp in (f.h_rho, f.h_phi, f.h_z):
         assert np.max(np.abs(comp)) == 0.0
 
 
 def test_decaying_swirl_forcing_matches_viscosity():
-    sol = mms.make_solution("decaying_swirl", {"nu": 0.1})
-    g = build_grid(16, 8)
-    matched = mms.forcing_for(sol, 0.1, g, 0.0)
+    sol = mms.make_solution("decaying_swirl", {"nu": 0.1}, build_grid(16, 8))
+    matched = mms.forcing_for(sol, 0.1, 0.0)
     assert np.max(np.abs(matched.h_phi)) == 0.0
-    mismatched = mms.forcing_for(sol, 0.2, g, 0.0)
+    mismatched = mms.forcing_for(sol, 0.2, 0.0)
     assert np.max(np.abs(mismatched.h_phi)) > 0.0
 
 
 def test_decaying_swirl_wall_and_decay():
-    sol = mms.make_solution("decaying_swirl", {"nu": 0.1})
+    sol = mms.make_solution("decaying_swirl", {"nu": 0.1}, build_grid(2, 2))
     lam = sol.meta["lambda"]
-    rho = np.array([[2.0]])
-    z = np.array([[0.0]])
     # J1 root at the wall: the swirl vanishes there
-    assert abs(sol.u_phi.val(rho, z, 0.0)) <= 1e-12
-    # exponential decay rate nu * lambda^2
-    v0 = sol.u_phi.val(np.array([[0.5]]), z, 0.0)
-    v1 = sol.u_phi.val(np.array([[0.5]]), z, 1.0)
+    assert abs(mms._bessel_j1_profile(lam).f(np.array([[2.0]]))) <= 1e-12
+    # exponential decay rate nu * lambda^2, at the cell centre rho = 0.5
+    v0 = sol.u_phi.val(0.0)[0, 0]
+    v1 = sol.u_phi.val(1.0)[0, 0]
     assert v1 / v0 == pytest.approx(math.exp(-0.1 * lam**2), rel=1e-12)
 
 
 def test_taylor_sampled_divergence_refines():
-    sol = mms.make_solution("taylor_vortex_swirl", {})
-    result = mms.convergence_order(sol, mms.grid_levels(12, 3),
+    result = mms.convergence_order("taylor_vortex_swirl", mms.grid_levels(12, 3),
                                    quantity="divergence")
     assert all(o >= 1.9 for o in result["orders"]), result
 
 
 def test_curl_convergence():
-    sol = mms.make_solution("taylor_vortex_swirl", {})
-    result = mms.convergence_order(sol, mms.grid_levels(12, 3), quantity="curl")
+    result = mms.convergence_order("taylor_vortex_swirl", mms.grid_levels(12, 3),
+                                   quantity="curl")
     assert all(o >= 1.9 for o in result["orders"]), result
 
 
 def test_operator_convergence():
-    sol = mms.make_solution("taylor_vortex_swirl", {})
-    result = mms.convergence_order(sol, mms.grid_levels(16, 3),
+    result = mms.convergence_order("taylor_vortex_swirl", mms.grid_levels(16, 3),
                                    quantity="operator", nu=0.1)
     assert all(o >= 1.9 for o in result["orders"]), result
 
@@ -82,10 +81,11 @@ def test_negative_control_first_order(lopsided_study):
     assert all(0.7 <= o <= 1.3 for o in lopsided_study["orders"]), lopsided_study
 
 
-def test_negative_control_first_order_on_non_doubling_levels(taylor_sol):
+def test_negative_control_first_order_on_non_doubling_levels():
     # levels 8, 12, 16 refine by 3/2 and 4/3, not by 2
     grids = [build_grid(n, n) for n in (8, 12, 16)]
-    study = mms.convergence_order(taylor_sol, grids, quantity="lopsided_curl")
+    study = mms.convergence_order("taylor_vortex_swirl", grids,
+                                  quantity="lopsided_curl")
     assert all(0.7 <= o <= 1.3 for o in study["orders"]), study
 
 
@@ -93,22 +93,21 @@ def test_taylor_divergence_free_analytically():
     # the stream-function construction makes (u_rho, u_z) exactly
     # divergence-free in the continuum; check the analytic identity
     # (1/rho) d(rho u_rho)/drho + d(u_z)/dz = 0 pointwise
-    sol = mms.make_solution("taylor_vortex_swirl", {})
     g = build_grid(20, 20)
-    rho, z = g.meshgrid()
-    div = (sol.u_rho.d_rho(rho, z, 0.1) + sol.u_rho.val(rho, z, 0.1) / rho
-           + sol.u_z.d_z(rho, z, 0.1))
+    sol = mms.make_solution("taylor_vortex_swirl", {}, g)
+    div = (sol.u_rho.d_rho(0.1) + sol.u_rho.val(0.1) / g.rho
+           + sol.u_z.d_z(0.1))
     assert np.max(np.abs(div)) <= 1e-12
 
 
 def test_convergence_study_validation():
-    sol = mms.make_solution("taylor_vortex_swirl", {})
+    kind = "taylor_vortex_swirl"
     with pytest.raises(ConfigurationError):
-        mms.convergence_order(sol, mms.grid_levels(8, 1))
+        mms.convergence_order(kind, mms.grid_levels(8, 1))
     with pytest.raises(ConfigurationError):
-        mms.convergence_order(sol, mms.grid_levels(8, 2), quantity="bogus")
+        mms.convergence_order(kind, mms.grid_levels(8, 2), quantity="bogus")
     with pytest.raises(ConfigurationError, match="finer"):
-        mms.convergence_order(sol, [build_grid(8, 8), build_grid(8, 8)])
+        mms.convergence_order(kind, [build_grid(8, 8), build_grid(8, 8)])
 
 
 @pytest.mark.parametrize("nu", [0.0, -1.0, math.nan])
@@ -117,10 +116,9 @@ def test_convergence_study_validation():
 def test_convergence_order_rejects_nu(quantity, nu):
     # at entry, for every quantity: not a ZeroDivisionError in the solver
     # study's dt, a ContractViolation from viscous_rhs, or silently ignored
-    sol = mms.make_solution("taylor_vortex_swirl", {})
     with pytest.raises(ConfigurationError, match="nu must be a positive"):
-        mms.convergence_order(sol, mms.grid_levels(8, 2), quantity=quantity,
-                              nu=nu)
+        mms.convergence_order("taylor_vortex_swirl", mms.grid_levels(8, 2),
+                              quantity=quantity, nu=nu)
 
 
 def test_grid_levels():
@@ -132,9 +130,8 @@ def test_grid_levels():
 def test_sampled_state_matches_analytic_curl_refinement():
     # the sampled discrete state feeds the monitor; its divergence must
     # already be small before projection on fine grids
-    sol = mms.make_solution("taylor_vortex_swirl", {})
     g = build_grid(64, 64)
-    v = mms.sample_state(sol, g, 0.0)
+    v = mms.sample_state(mms.make_solution("taylor_vortex_swirl", {}, g), 0.0)
     assert np.max(np.abs(divergence(v)[:-1])) <= 0.05
 
 
@@ -149,103 +146,180 @@ def test_bessel_quadrature_matches_scipy():
     x = np.concatenate([np.geomspace(1e-300, 1e-3, 200),
                         np.linspace(1e-3, 3.5, 3501)])
     assert np.max(np.abs(mms.J1(x) / special.j1(x) - 1.0)) <= 1e-14
-    lam = mms.make_solution("decaying_swirl", {"rho_max": 1.0}).meta["lambda"]
+    lam = mms.make_solution("decaying_swirl", {},
+                            build_grid(8, 2, rho_max=1.0)).meta["lambda"]
     assert lam == pytest.approx(special.jn_zeros(1, 1)[0], rel=1e-15)
 
 
 @given(amplitude=st.floats(1e-3, 1e3), rho_max=st.floats(0.1, 10.0))
 def test_swirl_pressure_closed_form_matches_quadrature(amplitude, rho_max):
     # p(rho) = integral_0^rho u_phi^2 / r dr, the defining integral
+    # the points lie off the grid, so the profiles are evaluated directly,
+    # each times its term's coef * exp(-mu t)
     integrate = pytest.importorskip("scipy.integrate")
-    sol = mms.make_solution("decaying_swirl", {"amplitude": amplitude,
-                                               "rho_max": rho_max})
+    sol = mms.make_solution("decaying_swirl", {"amplitude": amplitude},
+                            build_grid(8, 2, rho_max=rho_max))
+    lam = sol.meta["lambda"]
+    swirl, pressure = sol.u_phi.terms[0], sol.p.terms[0]
     t = 0.7
+
+    def at(term, profile, r):
+        return term.coef * math.exp(-term.mu * t) * profile.f(r)
+
     rho = np.linspace(0.0, rho_max, 9)[1:]
-    zero = np.zeros(1)
-    closed = sol.p.val(rho[:, None], zero[None, :], t)[:, 0]
+    closed = at(pressure, mms._swirl_pressure_profile(lam), rho)
 
     def integrand(r):
-        return float(sol.u_phi.val(np.array([[r]]), zero[None, :], t)[0, 0]) ** 2 / r
+        return float(at(swirl, mms._bessel_j1_profile(lam), r)) ** 2 / r
 
     ref = [integrate.quad(integrand, 0.0, r, epsabs=0.0, epsrel=1e-13)[0]
            for r in rho]
-    scale = amplitude**2 * math.exp(-2.0 * sol.u_phi.terms[0].mu * t)
+    scale = amplitude**2 * math.exp(-2.0 * swirl.mu * t)
     assert np.max(np.abs(closed - ref)) <= 1e-14 * scale
     # p(0) = 0, the lower limit of the integral
-    assert sol.p.val(np.array([[0.0]]), zero[None, :], t)[0, 0] == 0.0
+    assert at(pressure, mms._swirl_pressure_profile(lam), 0.0) == 0.0
 
 
 def test_swirl_pressure_balances_the_centrifugal_force():
     # one separable term: d_rho p = u_phi^2 / rho, p'' by central
     # differences of p', and no z-dependence
-    sol = mms.make_solution("decaying_swirl", {"amplitude": 1.3})
     g = build_grid(16, 8)
-    on = sol.on_grid(g)
-    rho, z = g.rho, g.z_centers[None, :]
+    sol = mms.make_solution("decaying_swirl", {"amplitude": 1.3}, g)
     for t in (0.0, 0.4):
-        centrifugal = on.u_phi.val(rho, z, t) ** 2 / rho
-        assert np.max(np.abs(on.p.d_rho(rho, z, t) - centrifugal)) \
+        centrifugal = sol.u_phi.val(t) ** 2 / g.rho
+        assert np.max(np.abs(sol.p.d_rho(t) - centrifugal)) \
             <= 1e-15 * np.max(centrifugal)
-        assert np.max(np.abs(on.p.d_z(rho, z, t))) == 0.0
+        assert np.max(np.abs(sol.p.d_z(t))) == 0.0
+    # off the grid, on the profile itself, times the term's coef at t = 0
+    profile = mms._swirl_pressure_profile(sol.meta["lambda"])
+    coef = sol.p.terms[0].coef
     r, h = np.linspace(0.05, 2.0, 40)[:, None], 1e-5
-    fd = (sol.p.d_rho(r + h, z, 0.0) - sol.p.d_rho(r - h, z, 0.0)) / (2 * h)
-    assert np.max(np.abs(sol.p.d2_rho(r, z, 0.0) - fd)) <= 1e-8
+    fd = coef * (profile.df(r + h) - profile.df(r - h)) / (2 * h)
+    assert np.max(np.abs(coef * profile.d2f(r) - fd)) <= 1e-8
 
 
-def test_forcing_on_a_second_grid_matches_its_reference():
-    # forcing_for samples the profiles once per grid: a second grid must get
-    # its own samples, not the first grid's
-    sol = mms.make_solution("taylor_vortex_swirl", {})
-    nu, t = 0.05, 0.3
-    for g in (build_grid(12, 10), build_grid(8, 6), build_grid(12, 10)):
-        rho, z = g.meshgrid()
-        forcing = mms.forcing_for(sol, nu, g, t)
-        reference = mms.forcing_components(sol, nu, rho, z, t)
-        for comp, ref in zip((forcing.h_rho, forcing.h_phi, forcing.h_z),
-                             reference):
-            assert np.array_equal(comp, ref)
-        state = mms.sample_state(sol, g, t)
-        assert np.array_equal(state.u_phi, sol.u_phi.val(rho, z, t))
+def _closed_form(kind, grid, t):
+    """(u_rho, u_phi, u_z, p) of kind at its default parameters on the
+    grid's cell centres, from the formulas with R = rho_max and
+    L = z_max - z_min of the grid (as perfbench/workloads.py writes them):
+
+    rigid_rotation:      u_phi = rho, p = rho^2 / 2.
+    decaying_swirl:      lam = j_{1,1} / R, e = exp(-0.1 lam^2 t),
+        u_phi = J1(lam rho) e, p = (1 - J0(lam rho)^2 - J1(lam rho)^2) e^2 / 2.
+    taylor_vortex_swirl: w = (1 - rho^2/R^2)^3, k = 2 pi / L, e = exp(-t/2),
+        u_rho = -0.3 k rho w cos(kz) e,  u_z = 0.3 (2w + rho w') sin(kz) e,
+        u_phi = 0.5 rho w (1 + 0.5 cos(kz)) e,  p = 0.2 rho^2 w cos(kz) e^2.
+    """
+    special = pytest.importorskip("scipy.special")
+    rho, z = grid.meshgrid()
+    big_r, length = grid.rho_max, grid.z_max - grid.z_min
+    zero = np.zeros_like(rho)
+    if kind == "rigid_rotation":
+        return zero, rho, zero, 0.5 * rho**2
+    if kind == "decaying_swirl":
+        lam = special.jn_zeros(1, 1)[0] / big_r
+        e = math.exp(-0.1 * lam**2 * t)
+        j0, j1 = special.j0(lam * rho), special.j1(lam * rho)
+        return zero, j1 * e, zero, 0.5 * (1.0 - j0**2 - j1**2) * e**2
+    k = 2.0 * math.pi / length
+    e = math.exp(-0.5 * t)
+    s = 1.0 - (rho / big_r) ** 2
+    w, dw = s**3, -6.0 * rho / big_r**2 * s**2
+    return (-0.3 * k * rho * w * np.cos(k * z) * e,
+            0.5 * rho * w * (1.0 + 0.5 * np.cos(k * z)) * e,
+            0.3 * (2.0 * w + rho * dw) * np.sin(k * z) * e,
+            0.2 * rho**2 * w * np.cos(k * z) * e**2)
 
 
-def _assert_same(actual, expected, rtol):
-    scale = np.max(np.abs(expected))
-    assert np.max(np.abs(actual - expected)) <= rtol * scale
+def _assert_close(actual, expected, rtol):
+    """Within rtol of expected's max-norm (exactly equal where that is 0)."""
+    assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("kind", mms.KINDS)
-def test_separable_sampling_matches_meshgrid(kind):
-    # bit-equal for the polynomial kinds: the per-point arithmetic is the
-    # same, only broadcast; the Bessel sums may reassociate
-    rtol = 1e-15 if kind == "decaying_swirl" else 0.0
-    sol = mms.make_solution(kind, {})
-    g = build_grid(12, 10)
-    rho, z = g.meshgrid()
-    t, nu = 0.3, 0.05
-    state = mms.sample_state(sol, g, t)
-    for name, fld in (("u_rho", sol.u_rho), ("u_phi", sol.u_phi),
-                      ("u_z", sol.u_z), ("pressure", sol.p)):
-        _assert_same(getattr(state, name), fld.val(rho, z, t), rtol)
-    forcing = mms.forcing_for(sol, nu, g, t)
-    if sol.homogeneous_nu is not None and math.isinf(sol.homogeneous_nu):
-        reference = (np.zeros(g.shape),) * 3
-    else:
-        reference = mms.forcing_components(sol, nu, rho, z, t)
-    for comp, ref in zip((forcing.h_rho, forcing.h_phi, forcing.h_z), reference):
-        _assert_same(comp, ref, rtol)
+@given(n_rho=st.integers(2, 16), n_z=st.integers(2, 16),
+       rho_max=st.floats(0.1, 10.0), z_min=st.floats(-5.0, 5.0),
+       length=st.floats(0.1, 10.0), t=st.floats(0.0, 2.0))
+@settings(max_examples=40)
+def test_sample_state_matches_closed_forms_on_any_domain(kind, n_rho, n_z,
+                                                         rho_max, z_min,
+                                                         length, t):
+    # a solution made on a grid solves the equations on that grid's domain
+    g = build_grid(n_rho, n_z, rho_max=rho_max, z_min=z_min,
+                   z_max=z_min + length)
+    sol = mms.make_solution(kind, {}, g)
+    state = mms.sample_state(sol, t)
+    assert state.grid == g and state.time == t
+    for name, ref in zip(("u_rho", "u_phi", "u_z", "pressure"),
+                         _closed_form(kind, g, t)):
+        _assert_close(getattr(state, name), ref, 1e-12)
+    if kind != "decaying_swirl":
+        return
+    # lam * rho_max = j_{1,1}: the swirl vanishes at the wall
+    special = pytest.importorskip("scipy.special")
+    lam = sol.meta["lambda"]
+    assert lam * rho_max == pytest.approx(special.jn_zeros(1, 1)[0], rel=1e-15)
+    assert abs(mms._bessel_j1_profile(lam).f(rho_max)) <= 1e-15
+    # off its own nu the swirl needs h_phi = (nu - 0.1) lam^2 u_phi, and
+    # the pressure balances the centrifugal force: h_rho = h_z = 0
+    h = mms.forcing_for(sol, 0.05, t)
+    _assert_close(h.h_phi, -0.05 * lam**2 * state.u_phi, 1e-12)
+    assert np.max(np.abs(h.h_rho)) <= 1e-14 * np.max(state.u_phi**2 / g.rho)
+    assert np.max(np.abs(h.h_z)) == 0.0
+
+
+@pytest.mark.parametrize("kind,grid,t_start,c", [
+    ("taylor_vortex_swirl", {"rho_max": 3.0, "z_min": 0.0, "z_max": 0.7},
+     0.0, 4.0),
+    ("decaying_swirl", {"rho_max": 1.0, "z_min": -1.0, "z_max": 1.0}, 0.0, 0.3),
+    ("taylor_vortex_swirl", {}, 1.0, 4.0),
+    ("taylor_vortex_swirl", {}, 4.0, 4.0),
+], ids=["taylor_wide_short", "swirl_narrow_centred", "taylor_t_start_1",
+        "taylor_t_start_4"])
+def test_manufactured_run_follows_its_solution(tmp_path, monkeypatch, kind,
+                                               grid, t_start, c):
+    # a manufactured run on any domain, from any t_start, ends within the
+    # bounds perfbench/checks.py sets on the default domain: relative
+    # max-norm velocity error C h^2, h = 1/n
+    n = 32
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    doc = {"schema_version": 1, "grid": {"n_rho": n, "n_z": n, **grid},
+           "solver": {"nu": 0.1, "t_start": t_start, "t_end": t_start + 0.05,
+                      "checkpoint_stride": 10**9},
+           "initial_data": {"kind": kind},
+           "forcing": {"kind": "manufactured"},
+           "output": {"directory": "out", "write_checkpoints": True}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 0
+    last = read_checkpoint(
+        sorted(glob.glob(str(tmp_path / "out" / "checkpoint_*.bin")))[-1])
+    assert last.time == pytest.approx(t_start + 0.05, rel=1e-12)
+    exact = _closed_form(kind, last.grid, last.time)[:3]
+    err = max(np.max(np.abs(getattr(last, name) - e))
+              for name, e in zip(("u_rho", "u_phi", "u_z"), exact))
+    assert err / max(np.max(np.abs(e)) for e in exact) <= c / n**2
+
+
+@pytest.mark.parametrize("kind", mms.KINDS)
+@pytest.mark.parametrize("key", ["rho_max", "z_min", "z_max", "amplitud"])
+def test_make_solution_takes_only_its_kinds_parameters(kind, key):
+    # the domain is the grid's: no kind takes an extent, nor a misspelling
+    with pytest.raises(ConfigurationError, match=repr(key)):
+        mms.make_solution(kind, {key: 1.0}, build_grid(8, 8))
 
 
 def test_forcing_callable_remembers_two_times(monkeypatch):
     calls = []
     real = mms.forcing_for
 
-    def counted(sol, nu, grid, t):
+    def counted(sol, nu, t):
         calls.append(t)
-        return real(sol, nu, grid, t)
+        return real(sol, nu, t)
 
     monkeypatch.setattr(mms, "forcing_for", counted)
-    sol = mms.make_solution("taylor_vortex_swirl", {})
-    forcing_at = mms.forcing_callable(sol, 0.1, build_grid(8, 8))
+    sol = mms.make_solution("taylor_vortex_swirl", {}, build_grid(8, 8))
+    forcing_at = mms.forcing_callable(sol, 0.1)
     # the Heun pattern: t, t + dt, then t + dt again on the next step
     for t in (0.0, 0.1, 0.1, 0.2, 0.2, 0.3):
         forcing_at(t)

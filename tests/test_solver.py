@@ -37,9 +37,9 @@ def _div_norm(v):
 
 @pytest.fixture()
 def taylor_state():
-    sol = mms.make_solution("taylor_vortex_swirl", {})
     g = build_grid(32, 32)
-    return mms.sample_state(sol, g, 0.0)
+    sol = mms.make_solution("taylor_vortex_swirl", {}, g)
+    return mms.sample_state(sol, 0.0)
 
 
 def test_projection_removes_divergence(taylor_state):
@@ -107,11 +107,11 @@ def test_sim_config_validation():
 
 
 def test_run_deterministic():
-    sol = mms.make_solution("decaying_swirl", {"nu": 0.1})
     g = build_grid(16, 8)
+    sol = mms.make_solution("decaying_swirl", {"nu": 0.1}, g)
     cfg = SimConfig(nu=0.1, t_end=0.02, dt=1e-3)
-    t1 = run(cfg, mms.sample_state(sol, g, 0.0))
-    t2 = run(cfg, mms.sample_state(sol, g, 0.0))
+    t1 = run(cfg, mms.sample_state(sol, 0.0))
+    t2 = run(cfg, mms.sample_state(sol, 0.0))
     assert len(t1.checkpoints) == len(t2.checkpoints)
     for i in range(len(t1.checkpoints)):
         assert t1.checkpoint_hash(i) == t2.checkpoint_hash(i)
@@ -119,7 +119,7 @@ def test_run_deterministic():
 
 def test_run_truncates_on_blowup():
     g = build_grid(12, 8)
-    sol = mms.make_solution("decaying_swirl", {"nu": 0.1})
+    sol = mms.make_solution("decaying_swirl", {"nu": 0.1}, g)
 
     def poisoned(t):
         h = np.zeros(g.shape)
@@ -128,7 +128,7 @@ def test_run_truncates_on_blowup():
         return ForcingFields(g, h, h, h)
 
     cfg = SimConfig(nu=0.1, t_end=0.05, dt=1e-3)
-    traj = run(cfg, mms.sample_state(sol, g, 0.0), forcing_at=poisoned)
+    traj = run(cfg, mms.sample_state(sol, 0.0), forcing_at=poisoned)
     assert traj.failed
     assert "blow-up" in traj.failure_reason
     # the truncated checkpoint is kept as blow-up data
@@ -139,8 +139,8 @@ def test_run_truncates_on_blowup():
 def test_run_bounds_the_step_count(monkeypatch):
     monkeypatch.setattr(solver, "MAX_STEPS", 10)
     g = build_grid(8, 8)
-    state = mms.sample_state(mms.make_solution("taylor_vortex_swirl", {}), g,
-                             0.0)
+    state = mms.sample_state(
+        mms.make_solution("taylor_vortex_swirl", {}, g), 0.0)
     # ten steps of a given dt run; eleven are refused before the first
     dt = 2.0**-10
     assert run(SimConfig(t_end=10 * dt, dt=dt), state).step_count == 10
@@ -176,11 +176,11 @@ def test_kinetic_energy_scaling():
 
 
 def test_run_records_every_projection():
-    sol = mms.make_solution("taylor_vortex_swirl", {})
     g = build_grid(12, 8)
+    sol = mms.make_solution("taylor_vortex_swirl", {}, g)
     cfg = SimConfig(nu=0.1, t_end=0.01, dt=1e-3,
                     checkpoint_stride=4)
-    traj = run(cfg, mms.sample_state(sol, g, 0.0))
+    traj = run(cfg, mms.sample_state(sol, 0.0))
     assert not traj.failed and traj.step_count == 10
     assert len(traj.projection_info) == traj.step_count + 1
     assert all(it == 1 and rel <= 1e-10 for it, rel in traj.projection_info)
@@ -193,8 +193,8 @@ def test_run_ends_on_t_end(dt, steps):
     # fewest equal steps that do, so the run neither stops short of t_end
     # nor steps past it
     g = build_grid(8, 8)
-    state = mms.sample_state(mms.make_solution("taylor_vortex_swirl", {}), g,
-                             0.0)
+    state = mms.sample_state(
+        mms.make_solution("taylor_vortex_swirl", {}, g), 0.0)
     traj = run(SimConfig(t_end=0.1, dt=dt), state)
     assert not traj.failed and traj.step_count == steps
     assert traj.dt == 0.1 / steps <= dt
@@ -286,15 +286,16 @@ def test_time_order_on_a_fixed_grid(kind):
     # on one 32^2 grid the spatial error cancels between runs, so the
     # differences to a T/128 reference measure the time error alone; the
     # largest step, T/4, is about twice the explicit diffusive limit
-    sol = mms.make_solution(kind, {"nu": 0.1} if kind == "decaying_swirl" else {})
     g = build_grid(32, 32)
+    sol = mms.make_solution(kind, {"nu": 0.1} if kind == "decaying_swirl" else {},
+                            g)
     T = 0.02
 
     def final(dt):
         cfg = SimConfig(nu=0.1, t_end=T, dt=dt,
                         checkpoint_stride=10**9)
-        traj = run(cfg, mms.sample_state(sol, g, 0.0),
-                   forcing_at=mms.forcing_callable(sol, 0.1, g))
+        traj = run(cfg, mms.sample_state(sol, 0.0),
+                   forcing_at=mms.forcing_callable(sol, 0.1))
         assert not traj.failed, traj.failure_reason
         s = traj.checkpoints[-1]
         return np.stack([s.u_rho, s.u_phi, s.u_z])
@@ -340,15 +341,15 @@ def test_slow_decaying_swirl_follows_the_analytic_decay():
     steps = set()
     for amplitude in (0.01, 1.0):
         sol = mms.make_solution("decaying_swirl",
-                                {"nu": 0.1, "amplitude": amplitude})
+                                {"nu": 0.1, "amplitude": amplitude}, g)
         traj = run(SimConfig(nu=0.1, t_end=10.0,
                              checkpoint_stride=10**9),
-                   mms.sample_state(sol, g, 0.0))
+                   mms.sample_state(sol, 0.0))
         assert not traj.failed, traj.failure_reason
         assert traj.dt <= 0.4 * viscous_dt_limit(g, 0.1)
         steps.add(traj.step_count)
         s = traj.checkpoints[-1]
-        exact = sol.u_phi.val(g.rho, g.z_centers[None, :], s.time)
+        exact = sol.u_phi.val(s.time)
         err = np.max(np.abs(s.u_phi - exact))
         assert err <= 0.02 * np.max(np.abs(exact)), (amplitude, err)
     assert len(steps) == 1
@@ -360,10 +361,11 @@ def test_slow_decaying_swirl_follows_the_analytic_decay():
     ("taylor_vortex_swirl", 32, 0.3, 2.0),
 ])
 def test_energy_nonincreasing_at_the_automatic_dt(kind, n, t_end, min_ratio):
-    sol = mms.make_solution(kind, {"nu": 0.1} if kind == "decaying_swirl" else {})
     g = build_grid(n, n)
+    sol = mms.make_solution(kind, {"nu": 0.1} if kind == "decaying_swirl" else {},
+                            g)
     traj = run(SimConfig(nu=0.1, t_end=t_end),
-               mms.sample_state(sol, g, 0.0))
+               mms.sample_state(sol, 0.0))
     assert not traj.failed and traj.step_count >= 10
     # beyond the explicit diffusive limit, which shrinks as 1/n^2 while the
     # automatic dt does not (4.7x at 16^2 and 42x at 48^2 for swirl)
@@ -381,13 +383,13 @@ def test_stage_projection_makes_the_step_insensitive_to_the_initial_pressure():
     # only the projection of the first stage keeps its splitting error
     # off the increment (62 h^2 without it, beyond the benchmark's
     # 25 h^2 bound; 14.5 h^2 with it, as from the analytic pressure)
-    sol = mms.make_solution("decaying_swirl", {"nu": 0.1})
     g = build_grid(64, 64)
-    s0 = mms.sample_state(sol, g, 0.0).replace_fields(pressure=np.zeros(g.shape))
+    sol = mms.make_solution("decaying_swirl", {"nu": 0.1}, g)
+    s0 = mms.sample_state(sol, 0.0).replace_fields(pressure=np.zeros(g.shape))
     traj = run(SimConfig(nu=0.1, t_end=0.012), s0)
     assert traj.step_count == 1
     t = traj.checkpoints[-1].time
-    exact = sol.u_phi.val(g.rho, g.z_centers[None, :], t)
+    exact = sol.u_phi.val(t)
     increment = exact - s0.u_phi
     got = traj.checkpoints[-1].u_phi - s0.u_phi
     others = max(np.max(np.abs(traj.checkpoints[-1].u_rho)),
