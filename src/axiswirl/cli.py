@@ -36,6 +36,7 @@ from .monitor import (
     DEFAULT_EPSILON_LIST,
     MonitorConfig,
     blowup_indicator,
+    calibrate_sobolev,
     collect_diagnostics,
     epsilon_sequence,
     evaluate_checks,
@@ -372,6 +373,12 @@ def _initial_state_and_forcing(cfg: dict, grid: CylGrid, nu: float):
                               f"{path} holds {state.grid}, but $.grid is {grid}")
         return state, None
     sol = mms.make_solution(kind, params, grid)
+    for end in ("t_start", "t_end"):
+        if not sol.finite_at(cfg["solver"][end]):
+            raise SchemaError(f"$.solver.{end}",
+                              f"the pressure's factor e^(-2 mu t) of "
+                              f"{kind!r} is not finite there for mu = "
+                              f"{sol.mu}")
     forcing = None
     if cfg["forcing"]["kind"] == "manufactured":
         forcing = mms.forcing_callable(sol, nu)
@@ -447,8 +454,14 @@ def run_scenario(path) -> int:
             return 2
         except ConfigurationError as exc:
             # validate_scenario has checked every $.monitor value; what is
-            # left is nu^3, which the quartic budget divides by
-            print(f"error: $.solver.nu: {exc}", file=sys.stderr)
+            # left is a q whose calibrated c_sob underflows to 0, and nu^3,
+            # which the quartic budget divides by
+            q, calibrated = cfg["monitor"]["q"], cfg["monitor"]["c_sob"] is None
+            if calibrated and not calibrate_sobolev(g, q) > 0.0:
+                print(f"error: $.monitor.q: calibration on $.grid gives no "
+                      f"positive c_sob for q = {q}", file=sys.stderr)
+            else:
+                print(f"error: $.solver.nu: {exc}", file=sys.stderr)
             return 2
         try:
             traj = run(sim, state, forcing_at=forcing)

@@ -14,11 +14,12 @@ exponentially and is exact to rounding for |x| <= 12 (Trefethen & Weideman
 pressure is in closed form in J0 and J1 (_swirl_pressure_profile).
 
 A solution is made on one grid and solves the equations on its domain
-(PARAMS holds each kind's other parameters).  Every term is
-coef * exp(-mu t) * F(rho) * G(z): F and G and their derivatives are
-sampled on the axes rho (n_rho, 1) and z (1, n_z) when the solution is
-made, and only the product (coef * exp(-mu t) * F) * G of a state or a
-forcing takes the grid shape.
+(PARAMS holds each kind's other parameters).  Its velocity decays by one
+factor e^{-mu t} and its pressure by e^{-2 mu t}: each field is its factor
+times a sum of terms coef * F(rho) * G(z), and the sum and its partials
+are sampled on the grid once, when the solution is made.  So the forcing
+is two fixed parts, h(t) = e^{-mu t} L + e^{-2 mu t} N, assembled once by
+forcing_callable; a call scales and adds them, and remembers nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractViolation
 from .fields import (
     ForcingFields,
     VelocityState,
@@ -119,62 +120,44 @@ def _swirl_pressure_profile(lam):
     return RadialProfile(f, df, d2f)
 
 
-class Term:
-    """coef * exp(-mu t) * F(rho) * G(z), holding F, G and their first two
-    derivatives as samples on the grid's axes rho (n_rho, 1) and z (1, n_z)."""
-
-    __slots__ = ("_fs", "_gs", "mu", "coef")
-
-    def __init__(self, fs, gs, mu: float = 0.0, coef: float = 1.0):
-        self._fs = fs
-        self._gs = gs
-        self.mu = mu
-        self.coef = coef
-
-    def _parts(self, t, r_order=0, z_order=0):
-        return (self.coef * math.exp(-self.mu * t) * self._fs[r_order]
-                * self._gs[z_order])
+# each sampled partial of a field: its orders (in rho, in z)
+_PARTIALS = {"val": (0, 0), "d_rho": (1, 0), "d2_rho": (2, 0),
+             "d_z": (0, 1), "d2_z": (0, 2)}
 
 
 class AnalyticField:
-    """Sum of separable terms on one grid, with all partials used by the
-    assembly, each at time t."""
+    """e^{-mu t} times a sum of terms coef * F(rho) * G(z); at0 maps each
+    name of _PARTIALS to that partial of the sum, sampled on one grid at
+    t = 0."""
 
-    def __init__(self, shape, terms=()):
-        self.shape = shape
-        self.terms = list(terms)
+    __slots__ = ("mu", "at0")
 
-    def _sum(self, t, r_order=0, z_order=0, rate=False):
-        """The sum of the terms' parts; rate gives d_t, -mu times each."""
-        if not self.terms:
-            return np.zeros(self.shape)
-        if rate:
-            return sum(-term.mu * term._parts(t) for term in self.terms)
-        return sum(term._parts(t, r_order, z_order) for term in self.terms)
+    def __init__(self, mu: float, at0: dict):
+        self.mu = mu
+        self.at0 = at0
+
+    def at(self, t, partial):
+        """The named partial (a key of _PARTIALS) at time t."""
+        return math.exp(-self.mu * t) * self.at0[partial]
 
     def val(self, t):
-        return self._sum(t)
+        return self.at(t, "val")
 
     def d_t(self, t):
-        return self._sum(t, rate=True)
+        return -self.mu * self.val(t)
 
     def d_rho(self, t):
-        return self._sum(t, r_order=1)
-
-    def d2_rho(self, t):
-        return self._sum(t, r_order=2)
+        return self.at(t, "d_rho")
 
     def d_z(self, t):
-        return self._sum(t, z_order=1)
-
-    def d2_z(self, t):
-        return self._sum(t, z_order=2)
+        return self.at(t, "d_z")
 
 
 class ManufacturedSolution:
-    """One manufactured solution on the grid it was made on."""
+    """One manufactured solution on the grid it was made on.  Its velocity
+    decays by e^{-mu t} and its pressure by e^{-2 mu t}."""
 
-    __slots__ = ("kind", "grid", "u_rho", "u_phi", "u_z", "p",
+    __slots__ = ("kind", "grid", "u_rho", "u_phi", "u_z", "p", "mu",
                  "homogeneous_nu", "meta")
 
     def __init__(self, kind: str, grid: CylGrid, u_rho: AnalyticField,
@@ -186,8 +169,24 @@ class ManufacturedSolution:
         self.u_phi = u_phi
         self.u_z = u_z
         self.p = p
+        self.mu = u_phi.mu
+        # the forcing's two parts rest on this: the linear terms decay
+        # with u, the quadratic ones and grad p twice as fast
+        if (u_rho.mu, u_z.mu, p.mu) != (self.mu, self.mu, 2.0 * self.mu):
+            raise ContractViolation(
+                f"{kind}: the velocity must decay at one rate mu and the "
+                f"pressure at 2 mu, got {u_rho.mu}, {u_phi.mu}, {u_z.mu} "
+                f"and {p.mu}")
         self.homogeneous_nu = homogeneous_nu  # nu for which the forcing vanishes
         self.meta = {} if meta is None else meta
+
+    def finite_at(self, t) -> bool:
+        """Whether the velocity's factor e^{-mu t} and the pressure's
+        e^{-2 mu t} are finite at t; the second overflows first."""
+        try:
+            return math.isfinite(math.exp(-self.p.mu * t))
+        except OverflowError:
+            return False
 
     def curl(self, t):
         """Analytic vorticity components."""
@@ -224,28 +223,37 @@ def make_solution(kind, params, grid: CylGrid) -> ManufacturedSolution:
     params = {**PARAMS[kind], **(params or {})}
     rho, z = grid.rho, grid.z_centers[None, :]
     flat = (np.ones_like(z), np.zeros_like(z), np.zeros_like(z))  # G = 1
-    field = functools.partial(AnalyticField, grid.shape)
 
-    def term(radial: RadialProfile, g=flat, mu=0.0, coef=1.0):
-        fs = (radial.f(rho), radial.df(rho), radial.d2f(rho))
-        return Term(fs, g, mu, coef)
+    def field(mu, *terms):
+        """The field e^{-mu t} sum coef * F * G of terms (coef, F, G), G as
+        (G, G', G'') on the z axis."""
+        fs = [(coef, (f.f(rho), f.df(rho), f.d2f(rho)), g)
+              for coef, f, g in terms]
+        # a coefficient that overflows (amplitude 1e300) samples as inf,
+        # and as nan where a factor is 0, as the run treats blow-up
+        with np.errstate(over="ignore", invalid="ignore"):
+            return AnalyticField(mu, {
+                name: sum(((coef * fr[r]) * g[zo] for coef, fr, g in fs),
+                          np.zeros(grid.shape))
+                for name, (r, zo) in _PARTIALS.items()})
 
     if kind == "rigid_rotation":
         omega = params["omega"]
-        u_phi = field([term(RadialProfile.from_coef([0.0, omega]))])
-        p = field([term(RadialProfile.from_coef([0.0, 0.0, 0.5 * omega**2]))])
-        return ManufacturedSolution(kind, grid, field(), u_phi, field(), p,
-                                    homogeneous_nu=math.inf)
+        u_phi = field(0.0, (1.0, RadialProfile.from_coef([0.0, omega]), flat))
+        p = field(0.0, (1.0, RadialProfile.from_coef(
+            [0.0, 0.0, 0.5 * omega**2]), flat))
+        return ManufacturedSolution(kind, grid, field(0.0), u_phi, field(0.0),
+                                    p, homogeneous_nu=math.inf)
     if kind == "decaying_swirl":
         amp = params["amplitude"]
         nu = params["nu"]
         lam = J11 / grid.rho_max
         mu = nu * lam**2
-        u_phi = field([term(_bessel_j1_profile(lam), mu=mu, coef=amp)])
-        p = field([term(_swirl_pressure_profile(lam), mu=2.0 * mu,
-                        coef=0.5 * amp * amp)])
+        u_phi = field(mu, (amp, _bessel_j1_profile(lam), flat))
+        p = field(2.0 * mu,
+                  (0.5 * amp * amp, _swirl_pressure_profile(lam), flat))
         return ManufacturedSolution(
-            kind, grid, field(), u_phi, field(), p,
+            kind, grid, field(mu), u_phi, field(mu), p,
             homogeneous_nu=nu, meta={"lambda": lam},
         )
     amp = params["amplitude"]
@@ -262,19 +270,13 @@ def make_solution(kind, params, grid: CylGrid) -> ManufacturedSolution:
     w = np.convolve(np.convolve(base, base), base)
     dw = w[1:] * np.arange(1, w.size)
     rho_w = RadialProfile.from_coef(np.convolve(_RHO, w))
-    u_rho = field([term(
-        RadialProfile.from_coef(np.convolve([-k], np.convolve(_RHO, w))),
-        cos, mu=mu, coef=amp)])
-    u_z = field([term(
-        RadialProfile.from_coef(np.convolve([2.0], w) + np.convolve(_RHO, dw)),
-        sin, mu=mu, coef=amp)])
-    u_phi = field([
-        term(rho_w, mu=mu, coef=swirl),
-        term(rho_w, cos, mu=mu, coef=swirl * swirl_z),
-    ])
-    p = field([term(
-        RadialProfile.from_coef(np.convolve(np.convolve(_RHO, _RHO), w)),
-        cos, mu=2.0 * mu, coef=p_amp)])
+    u_rho = field(mu, (amp, RadialProfile.from_coef(
+        np.convolve([-k], np.convolve(_RHO, w))), cos))
+    u_z = field(mu, (amp, RadialProfile.from_coef(
+        np.convolve([2.0], w) + np.convolve(_RHO, dw)), sin))
+    u_phi = field(mu, (swirl, rho_w, flat), (swirl * swirl_z, rho_w, cos))
+    p = field(2.0 * mu, (p_amp, RadialProfile.from_coef(
+        np.convolve(np.convolve(_RHO, _RHO), w)), cos))
     return ManufacturedSolution(kind, grid, u_rho, u_phi, u_z, p)
 
 
@@ -287,59 +289,48 @@ def sample_state(sol: ManufacturedSolution, t) -> VelocityState:
     )
 
 
-def forcing_components(sol: ManufacturedSolution, nu, t):
-    """Analytic (h_rho, h_phi, h_z) closing the momentum equations."""
-    ur, uh, uz, p = sol.u_rho, sol.u_phi, sol.u_z, sol.p
-    rho = sol.grid.rho
+def forcing_callable(sol: ManufacturedSolution, nu):
+    """forcing_at(t), the analytic (h_rho, h_phi, h_z) closing the momentum
+    equations, for the solver and the monitor.
 
-    ur_v = ur.val(t)
-    uh_v = uh.val(t)
-    uz_v = uz.val(t)
+    h(t) = e^{-mu t} L + e^{-2 mu t} N, both parts assembled here, once,
+    from the partials at t = 0: L = d_t u - nu Lap u (Lap the vector
+    Laplacian) is linear in u, and N, the advection and swirl terms and
+    grad p, is quadratic in u.
+    """
+    grid = sol.grid
+    if sol.homogeneous_nu is not None and (
+        math.isinf(sol.homogeneous_nu) or math.isclose(sol.homogeneous_nu, nu)
+    ):
+        zero = zero_forcing(grid)
+        return lambda t: zero
+    rho = grid.rho
+    ur, uh, uz = (f.at0 for f in (sol.u_rho, sol.u_phi, sol.u_z))
 
-    def visc(fieldv, v, odd):
-        lap = fieldv.d2_rho(t) + fieldv.d_rho(t) / rho + fieldv.d2_z(t)
+    def linear(f, odd):
+        lap = f["d2_rho"] + f["d_rho"] / rho + f["d2_z"]
         if odd:
-            lap = lap - v / rho**2
-        return lap
+            lap = lap - f["val"] / rho**2
+        return -sol.mu * f["val"] - nu * lap
 
-    h_rho = (
-        ur.d_t(t)
-        + ur_v * ur.d_rho(t) + uz_v * ur.d_z(t)
-        - uh_v**2 / rho + p.d_rho(t)
-        - nu * visc(ur, ur_v, odd=True)
-    )
-    h_phi = (
-        uh.d_t(t)
-        + ur_v * uh.d_rho(t) + uz_v * uh.d_z(t)
-        + uh_v * ur_v / rho
-        - nu * visc(uh, uh_v, odd=True)
-    )
-    h_z = (
-        uz.d_t(t)
-        + ur_v * uz.d_rho(t) + uz_v * uz.d_z(t)
-        + p.d_z(t)
-        - nu * visc(uz, uz_v, odd=False)
-    )
-    return h_rho, h_phi, h_z
+    def advection(f):
+        return ur["val"] * f["d_rho"] + uz["val"] * f["d_z"]
+
+    lin = (linear(ur, True), linear(uh, True), linear(uz, False))
+    quad = (advection(ur) - uh["val"]**2 / rho + sol.p.at0["d_rho"],
+            advection(uh) + uh["val"] * ur["val"] / rho,
+            advection(uz) + sol.p.at0["d_z"])
+
+    def forcing_at(t):
+        a, b = math.exp(-sol.mu * t), math.exp(-sol.p.mu * t)
+        return ForcingFields(grid, *(a * x + b * y for x, y in zip(lin, quad)))
+
+    return forcing_at
 
 
 def forcing_for(sol: ManufacturedSolution, nu, t) -> ForcingFields:
     """Forcing on the solution's grid at time t."""
-    if sol.homogeneous_nu is not None and (
-        math.isinf(sol.homogeneous_nu) or math.isclose(sol.homogeneous_nu, nu)
-    ):
-        return zero_forcing(sol.grid)
-    return ForcingFields(sol.grid, *forcing_components(sol, nu, t))
-
-
-def forcing_callable(sol: ManufacturedSolution, nu):
-    """forcing_at(t) for the solver and the monitor.
-
-    Remembers its last two times (the returned fields are shared, not
-    copied): each Heun step asks again for the t + dt of the step before,
-    and a caller may go back and forth between the two ends of a step.
-    """
-    return functools.lru_cache(maxsize=2)(lambda t: forcing_for(sol, nu, t))
+    return forcing_callable(sol, nu)(t)
 
 
 # --- convergence studies --------------------------------------------------

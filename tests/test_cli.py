@@ -497,15 +497,20 @@ def test_run_scenario_rejects_before_solving(tmp_path, monkeypatch, capsys,
 # Valid to the schema, so validate_scenario passes them: the step count
 # depends on the initial state, and the monitor's constants on the
 # calibrated c_sob.  Rejected once the monitor, which is built before the
-# solve, or the solver meets them; nu^3 overflows for the huge nu.
+# solve, or the solver meets them; nu^3 overflows for the huge nu, and
+# u^(q/2) underflows on every calibration probe for q = 1e20, so q, not
+# nu, is at fault unless c_sob is given.
 @pytest.mark.parametrize("solver,monitor,path", [
     ({"nu": 1e300}, {}, "$.solver.nu"),
     ({"cfl_safety": 1e-320}, {}, "$.solver"),
     ({"dt": 1e-320}, {}, "$.solver"),
     ({"nu": 1e-320}, {}, "$.solver.nu"),
     ({"nu": 1e-320, "dt": 1e-3}, {"c_grow": 1.0}, "$.solver.nu"),
+    ({}, {"q": 1e20}, "$.monitor.q"),
+    ({"nu": 1e300}, {"q": 1e20, "c_sob": 1.0}, "$.solver.nu"),
 ], ids=["nu_huge", "cfl_safety_tiny", "dt_tiny", "nu_tiny",
-        "nu_tiny_given_c_grow"])
+        "nu_tiny_given_c_grow", "q_calibrates_no_c_sob",
+        "nu_huge_given_c_sob"])
 def test_run_scenario_rejects_unrunnable_solver_settings(
         tmp_path, monkeypatch, capsys, solver, monitor, path):
     doc = _scenario(grid={"n_rho": 8, "n_z": 8},
@@ -529,6 +534,31 @@ def test_run_scenario_builds_the_monitor_before_solving(tmp_path, monkeypatch,
         assert run_scenario(_write(tmp_path, doc)) == 2
     assert step.call_count == 0
     assert "error: $.solver.nu:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("solver,initial_data,forcing,path", [
+    ({"t_start": -2000.0, "t_end": 0.01}, {"kind": "taylor_vortex_swirl"},
+     "manufactured", "$.solver.t_start"),
+    ({"t_start": 0.0, "t_end": 0.01},
+     {"kind": "taylor_vortex_swirl", "params": {"decay": -1e6}},
+     "manufactured", "$.solver.t_end"),
+    ({"t_start": -1e5, "t_end": 0.01}, {"kind": "decaying_swirl"}, "zero",
+     "$.solver.t_start"),
+], ids=["forced_taylor_early_start", "forced_taylor_growing",
+        "swirl_early_start"])
+def test_overflowing_time_factor_names_its_end(tmp_path, monkeypatch, capsys,
+                                               solver, initial_data, forcing,
+                                               path):
+    # e^(-mu t) or e^(-2 mu t) is not finite at one end of the run: exit 2
+    # naming that end, before any output, not an OverflowError
+    doc = _scenario(grid={"n_rho": 8, "n_z": 8}, solver=solver,
+                    initial_data=initial_data, forcing={"kind": forcing})
+    validate_scenario(doc)
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    assert main(["run", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

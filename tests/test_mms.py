@@ -155,16 +155,18 @@ def test_bessel_quadrature_matches_scipy():
 def test_swirl_pressure_closed_form_matches_quadrature(amplitude, rho_max):
     # p(rho) = integral_0^rho u_phi^2 / r dr, the defining integral
     # the points lie off the grid, so the profiles are evaluated directly,
-    # each times its term's coef * exp(-mu t)
+    # each times its coef (A and A^2 / 2) and its field's decay factor
     integrate = pytest.importorskip("scipy.integrate")
     sol = mms.make_solution("decaying_swirl", {"amplitude": amplitude},
                             build_grid(8, 2, rho_max=rho_max))
     lam = sol.meta["lambda"]
-    swirl, pressure = sol.u_phi.terms[0], sol.p.terms[0]
+    swirl = (amplitude, sol.u_phi)
+    pressure = (0.5 * amplitude * amplitude, sol.p)
     t = 0.7
 
     def at(term, profile, r):
-        return term.coef * math.exp(-term.mu * t) * profile.f(r)
+        coef, field = term
+        return coef * math.exp(-field.mu * t) * profile.f(r)
 
     rho = np.linspace(0.0, rho_max, 9)[1:]
     closed = at(pressure, mms._swirl_pressure_profile(lam), rho)
@@ -174,7 +176,7 @@ def test_swirl_pressure_closed_form_matches_quadrature(amplitude, rho_max):
 
     ref = [integrate.quad(integrand, 0.0, r, epsabs=0.0, epsrel=1e-13)[0]
            for r in rho]
-    scale = amplitude**2 * math.exp(-2.0 * swirl.mu * t)
+    scale = amplitude**2 * math.exp(-2.0 * sol.u_phi.mu * t)
     assert np.max(np.abs(closed - ref)) <= 1e-14 * scale
     # p(0) = 0, the lower limit of the integral
     assert at(pressure, mms._swirl_pressure_profile(lam), 0.0) == 0.0
@@ -190,9 +192,9 @@ def test_swirl_pressure_balances_the_centrifugal_force():
         assert np.max(np.abs(sol.p.d_rho(t) - centrifugal)) \
             <= 1e-15 * np.max(centrifugal)
         assert np.max(np.abs(sol.p.d_z(t))) == 0.0
-    # off the grid, on the profile itself, times the term's coef at t = 0
+    # off the grid, on the profile itself, times its coef A^2 / 2 at t = 0
     profile = mms._swirl_pressure_profile(sol.meta["lambda"])
-    coef = sol.p.terms[0].coef
+    coef = 0.5 * 1.3 * 1.3
     r, h = np.linspace(0.05, 2.0, 40)[:, None], 1e-5
     fd = coef * (profile.df(r + h) - profile.df(r - h)) / (2 * h)
     assert np.max(np.abs(coef * profile.d2f(r) - fd)) <= 1e-8
@@ -309,26 +311,36 @@ def test_make_solution_takes_only_its_kinds_parameters(kind, key):
         mms.make_solution(kind, {key: 1.0}, build_grid(8, 8))
 
 
-def test_forcing_callable_remembers_two_times(monkeypatch):
-    calls = []
-    real = mms.forcing_for
+@given(kind=st.sampled_from(mms.KINDS), n_rho=st.integers(2, 16),
+       n_z=st.integers(2, 16), rho_max=st.floats(0.1, 10.0),
+       z_min=st.floats(-5.0, 5.0), length=st.floats(0.1, 10.0),
+       nu=st.floats(1e-3, 10.0), t=st.floats(-2.0, 2.0))
+@settings(max_examples=60)
+def test_forcing_is_the_momentum_residual_at_t(kind, n_rho, n_z, rho_max,
+                                               z_min, length, nu, t):
+    # h = d_t u + (u . grad) u + swirl terms + grad p - nu Lap u, each
+    # term from the analytic partials at t, to rounding of the largest
+    g = build_grid(n_rho, n_z, rho_max=rho_max, z_min=z_min,
+                   z_max=z_min + length)
+    sol = mms.make_solution(kind, {}, g)
+    h = mms.forcing_callable(sol, nu)(t)
+    rho = g.rho
+    ur, uh, uz = (f.val(t) for f in (sol.u_rho, sol.u_phi, sol.u_z))
 
-    def counted(sol, nu, t):
-        calls.append(t)
-        return real(sol, nu, t)
+    def momentum(f, odd):
+        out = [f.d_t(t), ur * f.d_rho(t), uz * f.d_z(t),
+               -nu * f.at(t, "d2_rho"), -nu * f.d_rho(t) / rho,
+               -nu * f.at(t, "d2_z")]
+        return out + [nu * f.val(t) / rho**2] if odd else out
 
-    monkeypatch.setattr(mms, "forcing_for", counted)
-    sol = mms.make_solution("taylor_vortex_swirl", {}, build_grid(8, 8))
-    forcing_at = mms.forcing_callable(sol, 0.1)
-    # the Heun pattern: t, t + dt, then t + dt again on the next step
-    for t in (0.0, 0.1, 0.1, 0.2, 0.2, 0.3):
-        forcing_at(t)
-    assert calls == [0.0, 0.1, 0.2, 0.3]
-    # back to the start of the last step, then on
-    for t in (0.2, 0.3, 0.4, 0.2):
-        forcing_at(t)
-    assert calls == [0.0, 0.1, 0.2, 0.3, 0.4, 0.2]
-    assert forcing_at(0.2) is forcing_at(0.2)
+    residual = (
+        momentum(sol.u_rho, True) + [-uh**2 / rho, sol.p.d_rho(t)],
+        momentum(sol.u_phi, True) + [uh * ur / rho],
+        momentum(sol.u_z, False) + [sol.p.d_z(t)],
+    )
+    for actual, parts in zip((h.h_rho, h.h_phi, h.h_z), residual):
+        scale = max(float(np.max(np.abs(x))) for x in parts)
+        assert np.max(np.abs(actual - sum(parts))) <= 1e-13 * scale
 
 
 def test_monitor_evaluates_forcing_once_per_checkpoint(forced_taylor):
