@@ -1,0 +1,64 @@
+#!/usr/bin/env bash
+# Smoke runs of the installed `axiswirl` entry point, shared by every CI
+# job.  Scenario files and outputs go to $RUNNER_TEMP (a fresh temporary
+# directory when it is unset).
+#
+#   bash .github/smoke.sh
+set -euo pipefail
+tmp="${RUNNER_TEMP:-$(mktemp -d)}"
+
+# the installed entry point: a solver study that must PASS, the
+# first-order negative control that must FAIL, and two calls that
+# must exit 2 (levels that do not strictly increase, --nu 0)
+axiswirl check-exponents 6 4 0
+axiswirl mms taylor_vortex_swirl 8 16 32 | tail -n 1 | grep -q ': PASS$'
+axiswirl mms lopsided_curl 8 16 32 | tail -n 1 | grep -q ': FAIL$'
+code=0; axiswirl mms rigid_rotation 8 8 16 || code=$?
+test "$code" -eq 2
+code=0; axiswirl mms rigid_rotation 8 16 32 --nu 0 || code=$?
+test "$code" -eq 2
+
+# a manufactured solution takes its domain from $.grid: forced Taylor
+# on rho <= 3, z in [0, 0.7] must follow it and exit 0.  Its time
+# factor e^(-mu t) is finite from t_start 1.0, which must exit 0, and
+# overflows at t_start -2000, which must exit 2
+cat > "$tmp/wide-taylor.json" <<'JSON'
+{"schema_version": 1,
+ "grid": {"n_rho": 16, "n_z": 16, "rho_max": 3.0, "z_min": 0.0, "z_max": 0.7},
+ "solver": {"nu": 0.1, "t_end": 0.05},
+ "initial_data": {"kind": "taylor_vortex_swirl"},
+ "forcing": {"kind": "manufactured"},
+ "output": {"directory": "wide-taylor"}}
+JSON
+AXISWIRL_OUTPUT_ROOT="$tmp" axiswirl run "$tmp/wide-taylor.json"
+for start in 1.0 -2000; do
+  cat > "$tmp/late-taylor.json" <<JSON
+{"schema_version": 1,
+ "grid": {"n_rho": 16, "n_z": 16},
+ "solver": {"nu": 0.1, "t_start": $start, "t_end": 1.05},
+ "initial_data": {"kind": "taylor_vortex_swirl"},
+ "forcing": {"kind": "manufactured"},
+ "output": {"directory": "late-taylor"}}
+JSON
+  code=0; AXISWIRL_OUTPUT_ROOT="$tmp" axiswirl run "$tmp/late-taylor.json" || code=$?
+  if [ "$start" = 1.0 ]; then test "$code" -eq 0; else test "$code" -eq 2; fi
+done
+
+# a truncation by the monitor stops neither the solver nor the writer:
+# swirl growing as e^(20 t) with q = 100 overflows |u_phi|^(3q) at the
+# third checkpoint, and all 11 checkpoints are still written.  It exits
+# 4, not 0: the asserted quartic identity fails, because its band does
+# not grow with the flow (ROADMAP item 1)
+cat > "$tmp/overflowing-swirl.json" <<'JSON'
+{"schema_version": 1,
+ "grid": {"n_rho": 16, "n_z": 16},
+ "solver": {"nu": 0.1, "t_end": 0.05, "dt": 0.005},
+ "initial_data": {"kind": "taylor_vortex_swirl",
+                  "params": {"swirl": 20, "swirl_z": 0, "amplitude": 0, "decay": -20}},
+ "forcing": {"kind": "manufactured"},
+ "monitor": {"q": 100},
+ "output": {"directory": "overflowing-swirl", "write_checkpoints": true}}
+JSON
+code=0; AXISWIRL_OUTPUT_ROOT="$tmp" axiswirl run "$tmp/overflowing-swirl.json" || code=$?
+test "$code" -eq 4
+test "$(ls "$tmp"/overflowing-swirl/checkpoint_*.bin | wc -l)" -eq 11

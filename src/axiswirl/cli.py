@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import math
 import os
@@ -34,10 +35,10 @@ from .fields import zero_state
 from .grid import CylGrid, build_grid
 from .monitor import (
     DEFAULT_EPSILON_LIST,
+    Diagnostics,
     MonitorConfig,
     blowup_indicator,
     calibrate_sobolev,
-    collect_diagnostics,
     epsilon_sequence,
     evaluate_checks,
     margin_columns,
@@ -95,6 +96,15 @@ def write_checkpoint(path, state):
             # arrays are (n_rho, n_z); rho-fastest means rho varies within
             # a row of the serialized stream
             fh.write(np.ascontiguousarray(arr.T, dtype="<f8").tobytes())
+
+
+def state_hash(state):
+    """sha256 over the raw bytes of the state's fields, in checkpoint
+    order: the manifest's hash of one checkpoint."""
+    h = hashlib.sha256()
+    for name in _FIELD_NAMES:
+        h.update(np.ascontiguousarray(getattr(state, name)).tobytes())
+    return h.hexdigest()
 
 
 def _read_header(path, line, payload):
@@ -442,10 +452,21 @@ def run_scenario(path) -> int:
         print(f"error: $.initial_data: {exc}", file=sys.stderr)
         return 2
 
+    outdir = os.path.join(os.environ.get(OUTPUT_ROOT_ENV, "."),
+                          cfg["output"]["directory"])
     # overflow in a blowing-up run is an expected outcome (a truncated
     # trajectory or record), not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        # the monitor first: a setting it rejects fails before the solve
+        # the monitor first: a setting it rejects fails before the solve.
+        # validate_scenario has checked every $.monitor value; left are a
+        # q whose calibrated c_sob is 0 or inf, and nu^3, which the
+        # quartic budget divides by
+        q = cfg["monitor"]["q"]
+        if (cfg["monitor"]["c_sob"] is None
+                and not 0.0 < calibrate_sobolev(g, q) < math.inf):
+            print(f"error: $.monitor.q: calibration on $.grid gives no "
+                  f"positive finite c_sob for q = {q}", file=sys.stderr)
+            return 2
         try:
             mcfg = monitor_for(g, exps, sim.nu, **cfg["monitor"])
         except InadmissibleExponents as exc:  # the absorption constants
@@ -453,30 +474,35 @@ def run_scenario(path) -> int:
                   file=sys.stderr)
             return 2
         except ConfigurationError as exc:
-            # validate_scenario has checked every $.monitor value; what is
-            # left is a q whose calibrated c_sob underflows to 0, and nu^3,
-            # which the quartic budget divides by
-            q, calibrated = cfg["monitor"]["q"], cfg["monitor"]["c_sob"] is None
-            if calibrated and not calibrate_sobolev(g, q) > 0.0:
-                print(f"error: $.monitor.q: calibration on $.grid gives no "
-                      f"positive c_sob for q = {q}", file=sys.stderr)
-            else:
-                print(f"error: $.solver.nu: {exc}", file=sys.stderr)
+            print(f"error: $.solver.nu: {exc}", file=sys.stderr)
             return 2
+        diagnostics = Diagnostics(mcfg, forcing_at=forcing)
+        hashes = []
+
+        def observe(s):  # each checkpoint once: monitored, written, hashed
+            diagnostics.add(s)
+            if cfg["output"]["write_checkpoints"]:
+                if not hashes:  # run has accepted the settings
+                    os.makedirs(outdir, exist_ok=True)
+                write_checkpoint(
+                    os.path.join(outdir, f"checkpoint_{len(hashes):05d}.bin"), s
+                )
+            hashes.append(state_hash(s))
+
         try:
-            traj = run(sim, state, forcing_at=forcing)
+            traj = run(sim, state, forcing_at=forcing, observe=observe)
         except ConfigurationError as exc:  # a step count run refuses
             print(f"error: $.solver: {exc}", file=sys.stderr)
             return 2
-        records = collect_diagnostics(traj.checkpoints, mcfg,
-                                      forcing_at=forcing)
+        except OSError as exc:
+            print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
+            return 3
+        records = diagnostics.records
         checks = evaluate_checks(records, mcfg, g, traj.dt)
         blowup = blowup_indicator(records)
 
-    # created only now, so that a scenario rejected at any stage writes
-    # nothing
-    outdir = os.path.join(os.environ.get(OUTPUT_ROOT_ENV, "."),
-                          cfg["output"]["directory"])
+    # created only now, or at the first checkpoint written, so that a
+    # scenario rejected at any stage writes nothing
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
@@ -485,11 +511,6 @@ def run_scenario(path) -> int:
     try:
         write_diagnostics_csv(os.path.join(outdir, "diagnostics.csv"),
                               records, mcfg)
-        if cfg["output"]["write_checkpoints"]:
-            for i, s in enumerate(traj.checkpoints):
-                write_checkpoint(
-                    os.path.join(outdir, f"checkpoint_{i:05d}.bin"), s
-                )
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "package_version": __version__,
@@ -501,9 +522,7 @@ def run_scenario(path) -> int:
                 "c_grow": mcfg.c_grow,
                 "exponents": exps.as_dict(),
             },
-            "checkpoint_hashes": [
-                traj.checkpoint_hash(i) for i in range(len(traj.checkpoints))
-            ],
+            "checkpoint_hashes": hashes,
             "failed": traj.failed,
             "failure_reason": traj.failure_reason,
         }

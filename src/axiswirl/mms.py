@@ -405,7 +405,7 @@ def convergence_order(kind, grids, quantity="solver", nu=0.1, t_end=0.05,
             traj = run(cfg, state, forcing_at=forcing_callable(sol, nu))
             if traj.failed:
                 raise ConfigurationError(f"solver failed: {traj.failure_reason}")
-            final = traj.checkpoints[-1]
+            final = traj.final
             err = max(_max_err(getattr(final, c),
                                getattr(sol, c).val(final.time))
                       for c in _VELOCITY)

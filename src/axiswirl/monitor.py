@@ -8,9 +8,10 @@ epsilon-weighted azimuthal-vorticity budget and its epsilon -> 0 limit,
 the quartic swirl identity and its Young-absorbed inequality, the
 Gronwall envelope, and the blow-up indicator time series.  Every
 monitored integral is computed once per checkpoint (CheckpointView), as
-a radial moment of z-sums; the budgets are arithmetic on two views, and
-evaluate_checks turns their margins into the PASS / FAIL / REPORT-ONLY
-checks of a run.
+a radial moment of z-sums; the budgets are arithmetic on two views.
+Diagnostics folds the checkpoints into records one at a time, as the
+solver reaches them, and evaluate_checks turns the records' margins
+into the PASS / FAIL / REPORT-ONLY checks of a run.
 
 Two classes of checks are distinguished throughout:
 
@@ -497,34 +498,6 @@ class DiagnosticsRecord:
 _EXP_MAX = math.log(np.finfo(float).max)  # math.exp overflows beyond it
 
 
-def gronwall_envelope(records, m: MonitorConfig):
-    """Pointwise envelope exp(int d) * ||u_phi(t_start)||_q^q +
-    (t - t_start) * sup_s ||h_phi(s)||_q^q * exp(int d), with the d(t)
-    integral accumulated by the trapezoid rule over the records."""
-    if not records:
-        return []
-    t0 = records[0].time
-    n0 = power(records[0].swirl_q_norm, m.q)
-    out = []
-    int_d = 0.0
-    sup_h = 0.0
-    prev = None
-    for r in records:
-        if prev is not None:
-            int_d += 0.5 * (prev.d_t + r.d_t) * (r.time - prev.time)
-        sup_h = max(sup_h, power(r.forcing_q_norm, m.q))
-        base = n0 + (r.time - t0) * sup_h
-        # a zero base (no swirl, no forcing) gives 0 even when exp(int d)
-        # overflows to inf, where the product would be nan
-        if base == 0.0:
-            out.append(0.0)
-        else:
-            grow = math.exp(int_d) if int_d < _EXP_MAX else math.inf
-            out.append(grow * base)
-        prev = r
-    return out
-
-
 def blowup_indicator(records) -> dict:
     """Summary of the Step-4 quantities over a record sequence: the
     indicator F(t), the vorticity L2 norm and its running time integral,
@@ -566,46 +539,68 @@ def _view_or_blowup(v: VelocityState, f: ForcingFields, m: MonitorConfig):
     return view if all(math.isfinite(x) for x in values) else None
 
 
-def collect_diagnostics(checkpoints, m: MonitorConfig, forcing_at=None):
-    """Assemble the time-ordered DiagnosticsRecord sequence for a list of
-    checkpoints.
+class Diagnostics:
+    """The monitor as a fold over a run's checkpoints: add(state) appends
+    the DiagnosticsRecord of the next checkpoint, in time order, to
+    records.  forcing_at(t) -> ForcingFields defaults to zero forcing.
 
-    forcing_at(t) -> ForcingFields, called once per checkpoint; defaults
-    to zero forcing.  Each checkpoint is evaluated once (checkpoint_view);
-    its record and the budgets of both pairs it belongs to read that
-    view.  Margins for the interval (t_i, t_{i+1}) are stored on the later
-    record.  A checkpoint that is blow-up data (non-finite, or with
-    overflowing integrals) produces a terminal truncated record.
+    Each checkpoint is evaluated once (checkpoint_view), and only the
+    previous view is kept.  Margins for the interval (t_i, t_{i+1}) are
+    stored on the later record.  Blow-up data (non-finite, or with
+    overflowing integrals) gets a terminal truncated record: add ignores
+    every later state.  The running Serrin integral and the Gronwall
+    envelope exp(int d) * (||u_phi(t_start)||_q^q + (t - t_start) *
+    sup_s ||h_phi(s)||_q^q) advance with each record, int d by the
+    trapezoid rule.
     """
-    if not checkpoints:
-        return []
-    if forcing_at is None:
-        zf = zero_forcing(checkpoints[0].grid)
-        forcing_at = lambda t: zf  # noqa: E731
-    e = m.exponents
-    records = []
-    serrin = 0.0
-    prev = None
-    for v in checkpoints:
-        view = _view_or_blowup(v, forcing_at(v.time), m)
+
+    def __init__(self, m: MonitorConfig, forcing_at=None):
+        self.m = m
+        self.forcing_at = forcing_at
+        self.records = []
+        self._prev = None  # the previous checkpoint's view
+        # the running Serrin integral, int d, sup_s ||h_phi(s)||_q^q,
+        # t_start and ||u_phi(t_start)||_q^q
+        self._serrin = self._int_d = self._sup_h = self._t0 = self._n0 = 0.0
+
+    def add(self, v: VelocityState):
+        if self.records and self.records[-1].truncated:
+            return
+        m, prev = self.m, self._prev
+        f = zero_forcing(v.grid) if self.forcing_at is None \
+            else self.forcing_at(v.time)
+        view = _view_or_blowup(v, f, m)
         if view is None:
-            records.append(DiagnosticsRecord(time=v.time, serrin_running=serrin,
-                                             truncated=True))
-            break
+            self.records.append(DiagnosticsRecord(
+                time=v.time, serrin_running=self._serrin, truncated=True))
+            return
+        swirl_q_norm = view.swirl_power ** (1.0 / m.q)
+        forcing_q_norm = view.forcing_power ** (1.0 / m.q)
         margins = {}
-        if prev is not None:
-            serrin = serrin_advance(serrin, prev.serrin_spatial, e.a, e.b,
-                                    view.time - prev.time)
+        if prev is None:
+            self._t0, self._n0 = view.time, power(swirl_q_norm, m.q)
+        else:
+            e, dt = m.exponents, view.time - prev.time
+            self._serrin = serrin_advance(self._serrin, prev.serrin_spatial,
+                                          e.a, e.b, dt)
+            self._int_d += 0.5 * (prev.d_t + view.d_t) * dt
             margins = {**swirl_lq_budget(prev, view, m),
                        **quartic_swirl_budget(prev, view, m),
                        **vorticity_margin_sequence(prev, view, m)}
+        self._sup_h = max(self._sup_h, power(forcing_q_norm, m.q))
+        base = self._n0 + (view.time - self._t0) * self._sup_h
         wv = view.vort_energy[0.0]
-        records.append(DiagnosticsRecord(
+        self.records.append(DiagnosticsRecord(
             time=view.time,
-            swirl_q_norm=view.swirl_power ** (1.0 / m.q),
+            swirl_q_norm=swirl_q_norm,
             d_t=view.d_t,
-            serrin_running=serrin,
-            forcing_q_norm=view.forcing_power ** (1.0 / m.q),
+            serrin_running=self._serrin,
+            # a zero base (no swirl, no forcing) gives 0 even when
+            # exp(int d) overflows to inf, where the product would be nan
+            gronwall_envelope=0.0 if base == 0.0 else (
+                math.exp(self._int_d) if self._int_d < _EXP_MAX else math.inf
+            ) * base,
+            forcing_q_norm=forcing_q_norm,
             weighted_vort_energy=wv,
             quartic_swirl_r2=view.quartic_r2,
             quartic_swirl_r4=view.quartic_r4,
@@ -619,11 +614,7 @@ def collect_diagnostics(checkpoints, m: MonitorConfig, forcing_at=None):
             f_indicator=1.0 / (2.0 * m.nu**2) * view.quartic_r2 + wv,
             margins=margins,
         ))
-        prev = view
-    env = gronwall_envelope([r for r in records if not r.truncated], m)
-    for r, val in zip(records, env):
-        r.gronwall_envelope = val
-    return records
+        self._prev = view
 
 
 # --- check aggregation ----------------------------------------------------

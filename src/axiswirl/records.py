@@ -9,9 +9,10 @@ from __future__ import annotations
 
 class Frozen:
     """A record whose fields are set once, in __init__, by _freeze;
-    assigning or deleting a field afterwards raises AttributeError."""
+    assigning or deleting a field afterwards raises AttributeError.  A
+    record can be weakly referenced."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
     def _freeze(self, *values):
         """Set the fields, in __slots__ order, to values."""

@@ -44,7 +44,6 @@ viscous accuracy limit that depends on the domain, not on the grid
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 
 import numpy as np
@@ -92,31 +91,18 @@ class SimConfig:
 
 
 class Trajectory:
-    """Checkpoints of one run.  projection_info holds the (iterations,
-    rel_residual) of the initial projection and of every step, so
-    step_count + 1 entries; a step that blew up before its projection
-    records (0, nan)."""
+    """The outcome of one run: the last state it reached, the step dt,
+    the steps taken, and whether it was truncated and why."""
 
-    __slots__ = ("checkpoints", "failed", "failure_reason", "step_count",
-                 "dt", "projection_info")
+    __slots__ = ("final", "dt", "step_count", "failed", "failure_reason")
 
-    def __init__(self, checkpoints: list[VelocityState], failed: bool = False,
-                 failure_reason: str | None = None, step_count: int = 0,
-                 dt: float = 0.0,
-                 projection_info: list[tuple[int, float]] | None = None):
-        self.checkpoints = checkpoints
+    def __init__(self, final: VelocityState, dt: float, step_count: int = 0,
+                 failed: bool = False, failure_reason: str | None = None):
+        self.final = final
+        self.dt = dt
+        self.step_count = step_count
         self.failed = failed
         self.failure_reason = failure_reason
-        self.step_count = step_count
-        self.dt = dt
-        self.projection_info = [] if projection_info is None else projection_info
-
-    def checkpoint_hash(self, i):
-        s = self.checkpoints[i]
-        h = hashlib.sha256()
-        for f in (s.u_rho, s.u_phi, s.u_z, s.pressure):
-            h.update(np.ascontiguousarray(f).tobytes())
-        return h.hexdigest()
 
 
 # --- direct solves in a per-grid eigenbasis -----------------------------
@@ -227,18 +213,17 @@ def project(v: VelocityState, dt=None):
 
     The correction D* phi is the rho-weighted least-norm field removing
     the divergence, so the projection is orthogonal: it never increases
-    kinetic energy.  Returns (state, info) with info = (1, rel_residual),
-    rel_residual = ||b - D D* phi|| / ||b|| in the rho-weighted norm for
-    b = D u, i.e. the relative divergence left; info is (0, 0.0) when the
-    state is exactly divergence-free already.  With dt given, the
-    pressure field is incremented by -phi/dt (D* phi plays the role of
-    -grad phi).
+    kinetic energy.  Returns (state, rel) with rel = ||b - D D* phi|| /
+    ||b|| in the rho-weighted norm for b = D u, i.e. the relative
+    divergence left; rel is 0.0 when the state is exactly divergence-free
+    already.  With dt given, the pressure field is incremented by -phi/dt
+    (D* phi plays the role of -grad phi).
     """
     g = v.grid
     b = div_from_components(v.u_rho, v.u_z, g)
     bnorm = float(np.sqrt(np.sum(g.rho * b * b)))
     if bnorm == 0.0:
-        return v, (0, 0.0)
+        return v, 0.0
     phi = solve_pressure_poisson(b, g)
     cr, cz = div_adjoint(phi, g)
     p = v.pressure
@@ -248,7 +233,7 @@ def project(v: VelocityState, dt=None):
     u_z = v.u_z - cz
     left = div_from_components(u_rho, u_z, g)
     rel = float(np.sqrt(np.sum(g.rho * left * left))) / bnorm
-    return v.replace_fields(u_rho=u_rho, u_z=u_z, pressure=p), (1, rel)
+    return v.replace_fields(u_rho=u_rho, u_z=u_z, pressure=p), rel
 
 
 # --- time stepping -------------------------------------------------------
@@ -305,10 +290,10 @@ def step(state: VelocityState, cfg: SimConfig, dt: float, forcing_at=None):
     increment du over u^n; E is E(u^n) in the first stage and the mean
     of E(u^n) and E(projected first stage) in the second, and p^n is the
     stored pressure, which the final projection updates.  forcing_at(t) ->
-    ForcingFields; defaults to zero forcing.  Returns (state, projection
-    info).  Raises CflViolation when dt exceeds the stability contract.
-    A non-finite result is returned unprojected with info (0, nan); the
-    caller treats it as blow-up data.
+    ForcingFields; defaults to zero forcing.  Returns (state, rel) as
+    project does.  Raises CflViolation when dt exceeds the stability
+    contract.  A non-finite result is returned unprojected with rel nan;
+    the caller treats it as blow-up data.
     """
     g = state.grid
     if forcing_at is None:
@@ -336,7 +321,7 @@ def step(state: VelocityState, cfg: SimConfig, dt: float, forcing_at=None):
     u = u0 + viscous_solve(dt * (0.5 * (e0 + e1) + common), g, c)
     star = _with_velocity(state, u, t + dt)
     if not np.all(np.isfinite(u)):
-        return star, (0, np.nan)  # blow-up: caller truncates
+        return star, np.nan  # blow-up: caller truncates
     return project(star, dt=dt)
 
 
@@ -348,10 +333,9 @@ def _is_finite(state: VelocityState) -> bool:
 
 
 # Most steps a run takes.  A step costs about 1.6 ms even on an 8^2 grid
-# (2-vCPU VM), so 10^7 steps run for hours, and at checkpoint_stride 1
-# they keep 10^7 states (20 GB of samples at 8^2): a longer run comes from
-# a dt far below any accuracy or stability need (a huge nu, a tiny
-# cfl_safety or dt), not from a computation someone wants.
+# (2-vCPU VM), so 10^7 steps run for hours: a longer run comes from a dt
+# far below any accuracy or stability need (a huge nu, a tiny cfl_safety
+# or dt), not from a computation someone wants.
 MAX_STEPS = 10**7
 
 
@@ -359,25 +343,29 @@ def _step_count(span, dt):
     return span / dt if dt > 0.0 else math.inf
 
 
-def run(cfg: SimConfig, initial: VelocityState, forcing_at=None) -> Trajectory:
-    """Integrate from t_start to t_end, checkpointing every stride steps.
+def run(cfg: SimConfig, initial: VelocityState, forcing_at=None,
+        observe=None) -> Trajectory:
+    """Integrate from t_start to t_end, calling observe(state) on each
+    checkpoint in time order: the projected initial state, every
+    stride-th step, the last step and a blow-up state.  No state is kept.
 
     The automatic dt (cfg.dt None) is cfl_safety times the smallest of
     cfl_limits and viscous_dt_limit.  Either dt is then shortened to
     span / n, n the fewest steps of at most dt (to a relative 1e-12), so
     the last step lands on t_end.
     Deterministic for a fixed config.  Blow-up (non-finite fields) and
-    CFL rejection truncate the trajectory with a failure marker instead
-    of raising.
+    CFL rejection truncate the run with a failure marker instead of
+    raising.
 
     No run takes more than MAX_STEPS steps.  When the settings alone (the
     given dt, or cfl_safety times viscous_dt_limit) need more, run raises
-    ConfigurationError; when the flow's CFL limits need more, the
-    trajectory is truncated before the first step, like a blow-up.
+    ConfigurationError before it observes a state; when the flow's CFL
+    limits need more, the run is truncated before the first step.
     """
+    observe = observe or (lambda s: None)
     state = initial.replace_fields(time=cfg.t_start)
     # enforce the divergence invariant on the initial checkpoint
-    state, info = project(state)
+    state, _ = project(state)
     span = cfg.t_end - cfg.t_start
     if cfg.dt is not None:
         dt = least = cfg.dt
@@ -390,31 +378,32 @@ def run(cfg: SimConfig, initial: VelocityState, forcing_at=None) -> Trajectory:
             f"the solver settings give dt = {least:.6g}, "
             f"{_step_count(span, least):.6g} steps from t_start to t_end, "
             f"more than {MAX_STEPS}")
+    observe(state)
     steps = _step_count(span, dt)
     if not steps <= MAX_STEPS:
         return Trajectory(
-            [state], failed=True, dt=dt, projection_info=[info],
+            state, dt, failed=True,
             failure_reason=f"the flow's CFL limits give dt = {dt:.6g}, "
                            f"{steps:.6g} steps, more than {MAX_STEPS}")
     n_steps = max(1, math.ceil(steps * (1.0 - 1e-12)))
     dt = span / n_steps
-    traj = Trajectory([state], dt=dt, projection_info=[info])
+    traj = Trajectory(state, dt)
     for i in range(n_steps):
         try:
-            state, info = step(state, cfg, dt, forcing_at=forcing_at)
+            state, _ = step(state, cfg, dt, forcing_at=forcing_at)
         except CflViolation as exc:
             traj.failed = True
             traj.failure_reason = str(exc)
             break
+        traj.final = state
         traj.step_count = i + 1
-        traj.projection_info.append(info)
         if not _is_finite(state):
             traj.failed = True
             traj.failure_reason = f"blow-up: non-finite fields at t = {state.time}"
-            traj.checkpoints.append(state)
+            observe(state)
             break
         if (i + 1) % cfg.checkpoint_stride == 0 or i == n_steps - 1:
-            traj.checkpoints.append(state)
+            observe(state)
     return traj
 
 

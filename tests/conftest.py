@@ -11,7 +11,7 @@ from hypothesis import settings
 from axiswirl import mms
 from axiswirl.exponents import derive_exponents
 from axiswirl.grid import build_grid
-from axiswirl.monitor import collect_diagnostics, monitor_for
+from axiswirl.monitor import Diagnostics, monitor_for
 from axiswirl.solver import SimConfig, run
 
 # Property tests draw from a fixed seed and carry no per-example deadline,
@@ -24,6 +24,14 @@ NU = 0.1
 
 SUB_CHECKS = ("young_forcing", "holder_p", "young_eps1", "holder_s_half",
               "holder_inner", "young_eps2")
+
+
+def collect(states, m, forcing_at=None):
+    """The records of the monitor's fold over the given states."""
+    diagnostics = Diagnostics(m, forcing_at=forcing_at)
+    for v in states:
+        diagnostics.add(v)
+    return diagnostics.records
 
 
 @pytest.fixture(scope="session")
@@ -39,11 +47,12 @@ def audit_run(exp640):
     cfg = SimConfig(nu=NU, t_start=0.0, t_end=200 * dt,
                     dt=dt, checkpoint_stride=1)
     sol = mms.make_solution("decaying_swirl", {"nu": NU}, grid)
-    traj = run(cfg, mms.sample_state(sol, 0.0))
+    states = []
+    traj = run(cfg, mms.sample_state(sol, 0.0), observe=states.append)
     assert not traj.failed, traj.failure_reason
     monitor = monitor_for(grid, exp640, NU)
-    records = collect_diagnostics(traj.checkpoints, monitor)
-    return {"traj": traj, "grid": grid, "monitor": monitor,
+    records = collect(states, monitor)
+    return {"traj": traj, "states": states, "grid": grid, "monitor": monitor,
             "records": records, "dt": dt}
 
 
@@ -56,12 +65,13 @@ def forced_taylor(exp640):
                     dt=dt, checkpoint_stride=1)
     sol = mms.make_solution("taylor_vortex_swirl", {}, grid)
     forcing = mms.forcing_callable(sol, NU)
-    traj = run(cfg, mms.sample_state(sol, 0.0), forcing_at=forcing)
+    states = []
+    traj = run(cfg, mms.sample_state(sol, 0.0), forcing_at=forcing,
+               observe=states.append)
     assert not traj.failed, traj.failure_reason
     monitor = monitor_for(grid, exp640, NU)
-    records = collect_diagnostics(traj.checkpoints, monitor,
-                                  forcing_at=forcing)
-    return {"traj": traj, "grid": grid, "monitor": monitor,
+    records = collect(states, monitor, forcing_at=forcing)
+    return {"traj": traj, "states": states, "grid": grid, "monitor": monitor,
             "records": records, "forcing": forcing, "dt": dt}
 
 

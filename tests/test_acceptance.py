@@ -13,7 +13,7 @@ from axiswirl.cli import OUTPUT_ROOT_ENV, SCHEMA_VERSION, run_scenario
 from axiswirl.exponents import check_admissible, derive_exponents, holder_young_pairs
 from axiswirl.fields import div_adjoint, divergence, curl_axisym, zero_forcing, zero_state
 from axiswirl.grid import build_grid, moment, serrin_advance
-from axiswirl.monitor import MonitorConfig, checkpoint_view, monitor_for, collect_diagnostics, transport_cancellation
+from axiswirl.monitor import Diagnostics, MonitorConfig, checkpoint_view, monitor_for, transport_cancellation
 from axiswirl.solver import SimConfig, kinetic_energy, project, run
 from axiswirl import mms
 from tests.conftest import NU, SUB_CHECKS
@@ -158,7 +158,7 @@ def test_criterion_05_projection():
 
 
 def test_criterion_06_energy_audit(audit_run):
-    energies = [kinetic_energy(s) for s in audit_run["traj"].checkpoints]
+    energies = [kinetic_energy(s) for s in audit_run["states"]]
     ok = len(energies) == 201 and all(
         e1 - e0 <= 1e-10 * e0 for e0, e1 in zip(energies, energies[1:])
     )
@@ -251,11 +251,10 @@ def test_criterion_12_eps_sequence_and_quartic_identity(audit_run, exp640):
         sol = mms.make_solution("decaying_swirl", {"nu": NU}, g)
         dt = 0.1 * min(g.d_rho, g.d_z) ** 2 / NU
         cfg = SimConfig(nu=NU, t_end=5 * dt, dt=dt)
-        traj = run(cfg, mms.sample_state(sol, 0.0))
-        records = collect_diagnostics(
-            traj.checkpoints, monitor_for(g, exp640, NU))
+        diagnostics = Diagnostics(monitor_for(g, exp640, NU))
+        run(cfg, mms.sample_state(sol, 0.0), observe=diagnostics.add)
         residuals.append(max(abs(r.margins["quartic_identity_residual"])
-                             for r in records if r.margins))
+                             for r in diagnostics.records if r.margins))
     orders = [math.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
     ok &= all(o >= 1.0 for o in orders)
     _verdict(12, ok, f"vorticity margins converge as eps -> 0; quartic "

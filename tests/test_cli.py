@@ -25,6 +25,7 @@ from axiswirl.cli import (
     mms_cmd,
     read_checkpoint,
     run_scenario,
+    state_hash,
     sweep_cmd,
     validate_scenario,
     write_checkpoint,
@@ -32,7 +33,7 @@ from axiswirl.cli import (
 from axiswirl.errors import ConfigurationError
 from axiswirl.fields import zero_state
 from axiswirl.grid import MAX_CELLS, build_grid
-from axiswirl.solver import SimConfig, Trajectory
+from axiswirl.solver import SimConfig
 from axiswirl import mms
 
 
@@ -155,8 +156,7 @@ def test_checkpoint_round_trip(state):
     assert back.time == state.time
     for name in ("u_rho", "u_phi", "u_z", "pressure"):
         assert getattr(back, name).tobytes() == getattr(state, name).tobytes()
-    assert (Trajectory([back]).checkpoint_hash(0)
-            == Trajectory([state]).checkpoint_hash(0))
+    assert state_hash(back) == state_hash(state)
 
 
 def test_manifest_checkpoint_hashes_are_over_the_fields(tmp_path, monkeypatch):
@@ -498,28 +498,63 @@ def test_run_scenario_rejects_before_solving(tmp_path, monkeypatch, capsys,
 # depends on the initial state, and the monitor's constants on the
 # calibrated c_sob.  Rejected once the monitor, which is built before the
 # solve, or the solver meets them; nu^3 overflows for the huge nu, and
-# u^(q/2) underflows on every calibration probe for q = 1e20, so q, not
-# nu, is at fault unless c_sob is given.
-@pytest.mark.parametrize("solver,monitor,path", [
-    ({"nu": 1e300}, {}, "$.solver.nu"),
-    ({"cfl_safety": 1e-320}, {}, "$.solver"),
-    ({"dt": 1e-320}, {}, "$.solver"),
-    ({"nu": 1e-320}, {}, "$.solver.nu"),
-    ({"nu": 1e-320, "dt": 1e-3}, {"c_grow": 1.0}, "$.solver.nu"),
-    ({}, {"q": 1e20}, "$.monitor.q"),
-    ({"nu": 1e300}, {"q": 1e20, "c_sob": 1.0}, "$.solver.nu"),
+# u^(q/2) underflows on every calibration probe for q = 1e20 (overflows
+# for q = 400 where the probes reach 3.9, on rho_max 10), so q, not nu
+# or the exponents, is at fault unless c_sob is given.
+@pytest.mark.parametrize("solver,monitor,path,grid", [
+    ({"nu": 1e300}, {}, "$.solver.nu", {}),
+    ({"cfl_safety": 1e-320}, {}, "$.solver", {}),
+    ({"dt": 1e-320}, {}, "$.solver", {}),
+    ({"nu": 1e-320}, {}, "$.solver.nu", {}),
+    ({"nu": 1e-320, "dt": 1e-3}, {"c_grow": 1.0}, "$.solver.nu", {}),
+    ({}, {"q": 1e20}, "$.monitor.q", {}),
+    ({"nu": 1e300}, {"q": 1e20, "c_sob": 1.0}, "$.solver.nu", {}),
+    ({}, {"q": 400}, "$.monitor.q", {"rho_max": 10.0}),
 ], ids=["nu_huge", "cfl_safety_tiny", "dt_tiny", "nu_tiny",
         "nu_tiny_given_c_grow", "q_calibrates_no_c_sob",
-        "nu_huge_given_c_sob"])
+        "nu_huge_given_c_sob", "q_calibrates_an_infinite_c_sob"])
 def test_run_scenario_rejects_unrunnable_solver_settings(
-        tmp_path, monkeypatch, capsys, solver, monitor, path):
-    doc = _scenario(grid={"n_rho": 8, "n_z": 8},
+        tmp_path, monkeypatch, capsys, solver, monitor, path, grid):
+    doc = _scenario(grid={"n_rho": 8, "n_z": 8, **grid},
                     solver={"t_end": 0.01, **solver}, monitor=monitor)
     validate_scenario(doc)
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
     assert run_scenario(_write(tmp_path, doc)) == 2
     assert f"error: {path}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()  # rejected before any output
+
+
+def test_monitor_truncation_stops_neither_the_solver_nor_the_writer(
+        tmp_path, monkeypatch, capsys):
+    # swirl growing as e^(20 t) with q = 100: |u_phi|^(3q) overflows at
+    # the third checkpoint, whose record is truncated and ends the
+    # records; the solver still runs to t_end, and every checkpoint is
+    # written and hashed
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    doc = _scenario(
+        grid={"n_rho": 16, "n_z": 16},
+        solver={"nu": 0.1, "t_end": 0.05, "dt": 0.005},
+        initial_data={"kind": "taylor_vortex_swirl",
+                      "params": {"swirl": 20, "swirl_z": 0, "amplitude": 0,
+                                 "decay": -20}},
+        forcing={"kind": "manufactured"}, monitor={"q": 100},
+        output={"directory": "out", "write_checkpoints": True})
+    # exit 4: the quartic identity's band does not grow with the flow
+    assert run_scenario(_write(tmp_path, doc)) == 4
+    out = capsys.readouterr().out
+    assert "quartic_identity: FAIL" in out
+    assert "trajectory truncated" not in out
+    outdir = tmp_path / "out"
+    paths = sorted(outdir.glob("checkpoint_*.bin"))
+    assert len(paths) == 11
+    assert read_checkpoint(str(paths[-1])).time == pytest.approx(0.05)
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert len(manifest["checkpoint_hashes"]) == 11
+    assert manifest["failed"] is False and manifest["resolved"]["steps"] == 10
+    rows = (outdir / "diagnostics.csv").read_text().splitlines()
+    column = rows[0].split(",").index("truncated")
+    assert [r.split(",")[column] for r in rows[1:]] == ["0", "0", "1"]
+    assert json.loads((outdir / "report.json").read_text())["truncated"]
 
 
 def test_run_scenario_builds_the_monitor_before_solving(tmp_path, monkeypatch,

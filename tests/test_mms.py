@@ -15,8 +15,8 @@ from axiswirl.cli import OUTPUT_ROOT_ENV, main, read_checkpoint
 from axiswirl.errors import ConfigurationError
 from axiswirl.fields import divergence
 from axiswirl.grid import build_grid
-from axiswirl.monitor import collect_diagnostics
 from axiswirl import mms, monitor
+from tests.conftest import collect
 
 
 def test_known_kinds():
@@ -350,9 +350,8 @@ def test_monitor_evaluates_forcing_once_per_checkpoint(forced_taylor):
         times.append(t)
         return forced_taylor["forcing"](t)
 
-    checkpoints = forced_taylor["traj"].checkpoints[:4]
-    collect_diagnostics(checkpoints, forced_taylor["monitor"],
-                        forcing_at=forcing_at)
+    checkpoints = forced_taylor["states"][:4]
+    collect(checkpoints, forced_taylor["monitor"], forcing_at=forcing_at)
     assert times == [v.time for v in checkpoints]
 
 
@@ -365,9 +364,9 @@ def test_monitor_evaluates_curl_once_per_checkpoint(forced_taylor, monkeypatch):
         return real(v)
 
     monkeypatch.setattr(monitor, "curl_axisym", counted)
-    checkpoints = forced_taylor["traj"].checkpoints[:4]
-    collect_diagnostics(checkpoints, forced_taylor["monitor"],
-                        forcing_at=forced_taylor["forcing"])
+    checkpoints = forced_taylor["states"][:4]
+    collect(checkpoints, forced_taylor["monitor"],
+            forcing_at=forced_taylor["forcing"])
     assert calls == [v.time for v in checkpoints]
 
 

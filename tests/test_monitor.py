@@ -21,9 +21,7 @@ from axiswirl.monitor import (
     blowup_indicator,
     calibrate_sobolev,
     checkpoint_view,
-    collect_diagnostics,
     evaluate_checks,
-    gronwall_envelope,
     margin_columns,
     monitor_for,
     negative_part,
@@ -31,7 +29,7 @@ from axiswirl.monitor import (
     transport_cancellation,
     weighted_vorticity_budget,
 )
-from tests.conftest import SUB_CHECKS
+from tests.conftest import SUB_CHECKS, collect
 
 FOUR_PI = 4.0 * math.pi
 
@@ -150,7 +148,7 @@ def test_transport_cancellation_small_on_projected_states(forced_taylor):
 
 def test_transport_cancellation_rejects_odd_power(forced_taylor):
     with pytest.raises(ContractViolation):
-        transport_cancellation(forced_taylor["traj"].checkpoints[0], 3)
+        transport_cancellation(forced_taylor["states"][0], 3)
 
 
 def test_sub_margins_nonnegative(audit_run, forced_taylor):
@@ -172,7 +170,7 @@ def test_swirl_budget_nonnegative_on_reference_runs(audit_run, forced_taylor):
 
 
 def test_vorticity_budget_validation(audit_run):
-    ck = audit_run["traj"].checkpoints
+    ck = audit_run["states"]
     m = audit_run["monitor"]
     with pytest.raises(ContractViolation):
         weighted_vorticity_budget(ck[0], ck[1], m, eps=1.5)
@@ -208,36 +206,27 @@ def test_gronwall_envelope_dominates(audit_run):
 
 
 def test_gronwall_envelope_closed_form(m640):
-    # constant d and zero forcing: trapezoid integration of a constant is
-    # exact, so the envelope is exp(d * (t - t0)) * N0
-    def rec(t, d, n0):
-        return DiagnosticsRecord(
-            time=t, swirl_q_norm=n0 ** 0.25, d_t=d, serrin_running=0.0,
-            forcing_q_norm=0.0, weighted_vort_energy=0.0, quartic_swirl_r2=0.0,
-            quartic_swirl_r4=0.0, dissipation_swirl_grad=0.0,
-            dissipation_swirl_axis=0.0, dissipation_vort=0.0,
-            dissipation_quartic=0.0, grad_u_l2=0.0, vort_l2=0.0,
-            transport_cancellation=0.0, f_indicator=0.0,
-        )
-
-    records = [rec(0.1 * i, 4.0, 2.0) for i in range(5)]
-    env = gronwall_envelope(records, m640)
-    for i, val in enumerate(env):
-        assert val == pytest.approx(2.0 * math.exp(4.0 * 0.1 * i), rel=1e-12)
+    # constant d and zero forcing: with no radial velocity d = q exactly,
+    # and trapezoid integration of a constant is exact, so the envelope is
+    # exp(d * (t - t0)) * N0
+    g = build_grid(8, 8)
+    v = zero_state(g).replace_fields(u_phi=g.zeros() + 0.1)
+    records = collect([v.replace_fields(time=0.1 * i) for i in range(5)], m640)
+    n0 = records[0].swirl_q_norm ** 4
+    for i, r in enumerate(records):
+        assert r.d_t == 4.0
+        assert r.gronwall_envelope == pytest.approx(
+            n0 * math.exp(4.0 * 0.1 * i), rel=1e-12)
 
 
 def test_gronwall_envelope_of_a_swirl_free_state_is_zero(m640):
     # no swirl and no forcing, with exp(int d) overflowing: the envelope
     # is 0 * inf, whose value is 0, not nan
-    records = [DiagnosticsRecord(
-        time=0.1 * i, swirl_q_norm=0.0, d_t=1e308, serrin_running=0.0,
-        forcing_q_norm=0.0, weighted_vort_energy=0.0, quartic_swirl_r2=0.0,
-        quartic_swirl_r4=0.0, dissipation_swirl_grad=0.0,
-        dissipation_swirl_axis=0.0, dissipation_vort=0.0,
-        dissipation_quartic=0.0, grad_u_l2=0.0, vort_l2=0.0,
-        transport_cancellation=0.0, f_indicator=0.0,
-    ) for i in range(3)]
-    assert gronwall_envelope(records, m640) == [0.0, 0.0, 0.0]
+    g = build_grid(8, 8)
+    records = collect([zero_state(g, time=200.0 * i) for i in range(3)], m640)
+    # d = q: int d is 800 and 1600, where exp overflows
+    assert all(r.d_t == 4.0 for r in records)
+    assert [r.gronwall_envelope for r in records] == [0.0, 0.0, 0.0]
 
 def test_records_reject_negative_norms():
     with pytest.raises(ContractViolation):
@@ -298,7 +287,8 @@ def test_collect_diagnostics_truncates_on_nonfinite(exp640):
     bad_vals[2, 2] = np.nan
     bad = zero_state(g).replace_fields(u_phi=bad_vals, time=0.1)
     m = monitor_for(g, exp640, 0.1)
-    records = collect_diagnostics([good, bad], m)
+    records = collect([good, bad, good.replace_fields(time=0.2)], m)
+    # a truncated record is terminal: later states are ignored
     assert len(records) == 2
     assert records[-1].truncated
     report = blowup_indicator(records)
@@ -323,12 +313,12 @@ def test_serrin_running_is_serrin_accumulate(forced_taylor, triple):
     # checkpoint's (u_rho^-)^a, both where the d(t) moment beta equals
     # a*gamma and where it does not
     e = derive_exponents(*triple)
-    g, traj = forced_taylor["grid"], forced_taylor["traj"]
+    g = forced_taylor["grid"]
     m = monitor_for(g, e, 0.1)
-    records = collect_diagnostics(traj.checkpoints, m,
-                                  forcing_at=forced_taylor["forcing"])
+    states = forced_taylor["states"]
+    records = collect(states, m, forcing_at=forced_taylor["forcing"])
     acc, expected = 0.0, [0.0]
-    for prev, nxt in zip(traj.checkpoints, traj.checkpoints[1:]):
+    for prev, nxt in zip(states, states[1:]):
         spatial = moment(negative_part(prev.u_rho) ** e.a, g, e.a * e.gamma)
         acc = serrin_advance(acc, spatial, e.a, e.b, nxt.time - prev.time)
         expected.append(acc)
@@ -341,12 +331,11 @@ def test_serrin_running_is_serrin_accumulate(forced_taylor, triple):
 def test_d_of_t_is_the_monitors_d_t(forced_taylor):
     # the records hold d(t) = q + c_grow S^theta of the Serrin factor S,
     # exactly, on states with a negative radial part
-    g, traj = forced_taylor["grid"], forced_taylor["traj"]
+    g, states = forced_taylor["grid"], forced_taylor["states"]
     m = monitor_for(g, derive_exponents(8.0, 8.0, 0.0), 0.1)
-    records = collect_diagnostics(traj.checkpoints, m,
-                                  forcing_at=forced_taylor["forcing"])
+    records = collect(states, m, forcing_at=forced_taylor["forcing"])
     factors = [serrin_factors(negative_part(v.u_rho), g, m.exponents)
-               for v in traj.checkpoints]
+               for v in states]
     assert all(serrin > 0.0 for serrin, _, _ in factors)
     assert [r.d_t for r in records] == [m.q + m.c_grow * serrin_theta
                                         for _, serrin_theta, _ in factors]
@@ -361,7 +350,7 @@ def test_gradient_overflow_is_a_truncated_record(exp640):
     m = monitor_for(g, exp640, 0.1)
     with np.errstate(over="ignore"):
         assert velocity_grad_l2(v) == math.inf
-        records = collect_diagnostics([v], m)
+        records = collect([v], m)
     assert len(records) == 1 and records[0].truncated
     assert math.isnan(records[0].grad_u_l2)
 

@@ -1,11 +1,14 @@
 """Pressure projection and time integration."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from axiswirl.cli import state_hash
 from axiswirl.errors import CflViolation, ConfigurationError
 from axiswirl.fields import (
     div_adjoint,
@@ -44,10 +47,10 @@ def taylor_state():
 
 def test_projection_removes_divergence(taylor_state):
     before = _div_norm(taylor_state)
-    projected, (iters, rel) = project(taylor_state)
+    projected, rel = project(taylor_state)
     after = _div_norm(projected)
     assert after <= 1e-8 * before
-    assert iters > 0 and rel <= 1e-8
+    assert rel <= 1e-8
 
 
 def test_projection_idempotent(taylor_state):
@@ -110,11 +113,10 @@ def test_run_deterministic():
     g = build_grid(16, 8)
     sol = mms.make_solution("decaying_swirl", {"nu": 0.1}, g)
     cfg = SimConfig(nu=0.1, t_end=0.02, dt=1e-3)
-    t1 = run(cfg, mms.sample_state(sol, 0.0))
-    t2 = run(cfg, mms.sample_state(sol, 0.0))
-    assert len(t1.checkpoints) == len(t2.checkpoints)
-    for i in range(len(t1.checkpoints)):
-        assert t1.checkpoint_hash(i) == t2.checkpoint_hash(i)
+    h1, h2 = [], []
+    run(cfg, mms.sample_state(sol, 0.0), observe=lambda s: h1.append(state_hash(s)))
+    run(cfg, mms.sample_state(sol, 0.0), observe=lambda s: h2.append(state_hash(s)))
+    assert len(h1) == 21 and h1 == h2
 
 
 def test_run_truncates_on_blowup():
@@ -128,11 +130,14 @@ def test_run_truncates_on_blowup():
         return ForcingFields(g, h, h, h)
 
     cfg = SimConfig(nu=0.1, t_end=0.05, dt=1e-3)
-    traj = run(cfg, mms.sample_state(sol, 0.0), forcing_at=poisoned)
+    states = []
+    traj = run(cfg, mms.sample_state(sol, 0.0), forcing_at=poisoned,
+               observe=states.append)
     assert traj.failed
     assert "blow-up" in traj.failure_reason
-    # the truncated checkpoint is kept as blow-up data
-    last = traj.checkpoints[-1]
+    # the truncated checkpoint is observed as blow-up data
+    last = states[-1]
+    assert last is traj.final
     assert not np.all(np.isfinite(last.u_phi))
 
 
@@ -154,13 +159,14 @@ def test_run_bounds_the_step_count(monkeypatch):
     # the flow's CFL limit needs more: truncated before the first step
     fast = state.replace_fields(u_rho=state.u_rho * 1e6,
                                 u_z=state.u_z * 1e6)
-    traj = run(SimConfig(t_end=0.4 * limit), fast)
+    states = []
+    traj = run(SimConfig(t_end=0.4 * limit), fast, observe=states.append)
     assert traj.failed and traj.step_count == 0
-    assert len(traj.checkpoints) == 1 and "CFL" in traj.failure_reason
+    assert len(states) == 1 and "CFL" in traj.failure_reason
 
 
 def test_energy_nonincreasing_unforced(audit_run):
-    energies = [kinetic_energy(s) for s in audit_run["traj"].checkpoints]
+    energies = [kinetic_energy(s) for s in audit_run["states"]]
     assert len(energies) == 201
     for e0, e1 in zip(energies, energies[1:]):
         assert e1 - e0 <= 1e-10 * e0
@@ -175,15 +181,30 @@ def test_kinetic_energy_scaling():
     assert kinetic_energy(zero_state(g)) == 0.0
 
 
-def test_run_records_every_projection():
+def test_step_returns_its_projection_residual():
     g = build_grid(12, 8)
     sol = mms.make_solution("taylor_vortex_swirl", {}, g)
-    cfg = SimConfig(nu=0.1, t_end=0.01, dt=1e-3,
-                    checkpoint_stride=4)
-    traj = run(cfg, mms.sample_state(sol, 0.0))
-    assert not traj.failed and traj.step_count == 10
-    assert len(traj.projection_info) == traj.step_count + 1
-    assert all(it == 1 and rel <= 1e-10 for it, rel in traj.projection_info)
+    cfg = SimConfig(nu=0.1, t_end=0.01, dt=1e-3)
+    state, rel = project(mms.sample_state(sol, 0.0))
+    assert rel <= 1e-10
+    for _ in range(10):
+        state, rel = step(state, cfg, 1e-3)
+        assert rel <= 1e-10
+
+
+def test_run_holds_one_state():
+    # the observer keeps weak references only: once run returns, every
+    # observed state but the final one has been freed
+    g = build_grid(16, 16)
+    sol = mms.make_solution("taylor_vortex_swirl", {}, g)
+    refs = []
+    traj = run(SimConfig(nu=0.1, t_end=0.02, dt=1e-3),
+               mms.sample_state(sol, 0.0),
+               forcing_at=mms.forcing_callable(sol, 0.1),
+               observe=lambda s: refs.append(weakref.ref(s)))
+    assert not traj.failed and traj.step_count == 20 and len(refs) == 21
+    gc.collect()
+    assert [r() for r in refs if r() is not None] == [traj.final]
 
 
 @pytest.mark.parametrize("dt,steps", [(0.03, 4), (0.04, 3), (0.05, 2),
@@ -198,7 +219,7 @@ def test_run_ends_on_t_end(dt, steps):
     traj = run(SimConfig(t_end=0.1, dt=dt), state)
     assert not traj.failed and traj.step_count == steps
     assert traj.dt == 0.1 / steps <= dt
-    assert traj.checkpoints[-1].time == pytest.approx(0.1, rel=1e-14)
+    assert traj.final.time == pytest.approx(0.1, rel=1e-14)
 
 
 # --- properties on random grids ---------------------------------------------
@@ -225,9 +246,9 @@ def _random(g, seed, count):
 def test_projection_properties(g, seed):
     u_rho, u_phi, u_z = _random(g, seed, 3)
     v = zero_state(g).replace_fields(u_rho=u_rho, u_phi=u_phi, u_z=u_z)
-    once, (iters, rel) = project(v)
+    once, rel = project(v)
     assert _div_norm(once) <= 1e-10 * _div_norm(v)
-    assert iters == 1 and rel <= 1e-10
+    assert rel <= 1e-10
     assert kinetic_energy(once) <= kinetic_energy(v) * (1 + 1e-13)
     twice, _ = project(once)
     scale = max(np.max(np.abs(once.u_rho)), np.max(np.abs(once.u_z)))
@@ -297,7 +318,7 @@ def test_time_order_on_a_fixed_grid(kind):
         traj = run(cfg, mms.sample_state(sol, 0.0),
                    forcing_at=mms.forcing_callable(sol, 0.1))
         assert not traj.failed, traj.failure_reason
-        s = traj.checkpoints[-1]
+        s = traj.final
         return np.stack([s.u_rho, s.u_phi, s.u_z])
 
     ref = final(T / 128)
@@ -348,7 +369,7 @@ def test_slow_decaying_swirl_follows_the_analytic_decay():
         assert not traj.failed, traj.failure_reason
         assert traj.dt <= 0.4 * viscous_dt_limit(g, 0.1)
         steps.add(traj.step_count)
-        s = traj.checkpoints[-1]
+        s = traj.final
         exact = sol.u_phi.val(s.time)
         err = np.max(np.abs(s.u_phi - exact))
         assert err <= 0.02 * np.max(np.abs(exact)), (amplitude, err)
@@ -364,14 +385,15 @@ def test_energy_nonincreasing_at_the_automatic_dt(kind, n, t_end, min_ratio):
     g = build_grid(n, n)
     sol = mms.make_solution(kind, {"nu": 0.1} if kind == "decaying_swirl" else {},
                             g)
+    states = []
     traj = run(SimConfig(nu=0.1, t_end=t_end),
-               mms.sample_state(sol, 0.0))
+               mms.sample_state(sol, 0.0), observe=states.append)
     assert not traj.failed and traj.step_count >= 10
     # beyond the explicit diffusive limit, which shrinks as 1/n^2 while the
     # automatic dt does not (4.7x at 16^2 and 42x at 48^2 for swirl)
     diffusive = 0.25 * min(g.d_rho, g.d_z) ** 2 / 0.1
     assert traj.dt > min_ratio * diffusive
-    energies = [kinetic_energy(s) for s in traj.checkpoints]
+    energies = [kinetic_energy(s) for s in states]
     assert len(energies) == traj.step_count + 1
     for e0, e1 in zip(energies, energies[1:]):
         assert e1 - e0 <= 1e-10 * e0
@@ -388,12 +410,12 @@ def test_stage_projection_makes_the_step_insensitive_to_the_initial_pressure():
     s0 = mms.sample_state(sol, 0.0).replace_fields(pressure=np.zeros(g.shape))
     traj = run(SimConfig(nu=0.1, t_end=0.012), s0)
     assert traj.step_count == 1
-    t = traj.checkpoints[-1].time
+    t = traj.final.time
     exact = sol.u_phi.val(t)
     increment = exact - s0.u_phi
-    got = traj.checkpoints[-1].u_phi - s0.u_phi
-    others = max(np.max(np.abs(traj.checkpoints[-1].u_rho)),
-                 np.max(np.abs(traj.checkpoints[-1].u_z)))
+    got = traj.final.u_phi - s0.u_phi
+    others = max(np.max(np.abs(traj.final.u_rho)),
+                 np.max(np.abs(traj.final.u_z)))
     worst = max(np.max(np.abs(got - increment)), others)
     h = 1.0 / 64  # the benchmark's h = 1/n
     assert worst <= 25.0 * h**2 * np.max(np.abs(increment))
