@@ -62,3 +62,19 @@ JSON
 code=0; AXISWIRL_OUTPUT_ROOT="$tmp" axiswirl run "$tmp/overflowing-swirl.json" || code=$?
 test "$code" -eq 4
 test "$(ls "$tmp"/overflowing-swirl/checkpoint_*.bin | wc -l)" -eq 11
+
+# a rejected scenario exits 2 naming the field at fault and writes
+# nothing: a cfl_safety of 0 (solver.SimConfig's rule), and a c_sob of
+# 1e-320, which overflows eps2, the absorption term it divides
+# (monitor.MonitorConfig's rule)
+rejected() {  # rejected SECTION JSON PATH
+  printf '{"schema_version": 1, "grid": {"n_rho": 8, "n_z": 8}, "%s": %s, "output": {"directory": "rejected"}}\n' \
+    "$1" "$2" > "$tmp/rejected.json"
+  code=0
+  AXISWIRL_OUTPUT_ROOT="$tmp" axiswirl run "$tmp/rejected.json" 2> "$tmp/rejected.err" || code=$?
+  test "$code" -eq 2
+  grep -qF "error: $3:" "$tmp/rejected.err"
+  test ! -e "$tmp/rejected"
+}
+rejected solver '{"cfl_safety": 0}' '$.solver.cfl_safety'
+rejected monitor '{"c_sob": 1e-320}' '$.monitor.c_sob'

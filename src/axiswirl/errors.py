@@ -2,19 +2,24 @@
 
 
 class ConfigurationError(ValueError):
-    """Invalid grid/solver/scenario configuration."""
+    """Invalid grid/solver/scenario configuration.  field names the
+    argument at fault, or is None when the rule is on several at once."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class ContractViolation(ValueError):
     """Caller broke a documented precondition."""
 
 
-class InadmissibleExponents(ValueError):
+class InadmissibleExponents(ConfigurationError):
     """Exponent triple fails the admissibility conditions."""
 
-    def __init__(self, violations):
+    def __init__(self, violations, field=None):
         self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
+        super().__init__("; ".join(self.violations), field)
 
 
 class CflViolation(RuntimeError):

@@ -11,6 +11,7 @@ dot product with the radial cell weights.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -87,19 +88,24 @@ MAX_CELLS = 1024
 def build_grid(n_rho, n_z, rho_max=2.0, z_min=0.0, z_max=1.0) -> CylGrid:
     """Build an axis-offset cylindrical grid.
 
-    Raises ConfigurationError for counts outside [2, MAX_CELLS] or
-    degenerate extents.
+    Raises ConfigurationError for a count that is not an integer, counts
+    outside [2, MAX_CELLS] (naming no one field), or degenerate extents.
     """
-    if int(n_rho) != n_rho or int(n_z) != n_z:
-        raise ConfigurationError("cell counts must be integers")
+    for name, n in (("n_rho", n_rho), ("n_z", n_z)):
+        if not (isinstance(n, numbers.Integral)
+                or isinstance(n, float) and n.is_integer()):
+            raise ConfigurationError(f"{name} must be an integer, got {n!r}",
+                                     name)
     n_rho, n_z = int(n_rho), int(n_z)
     if not (2 <= n_rho <= MAX_CELLS and 2 <= n_z <= MAX_CELLS):
         raise ConfigurationError(
             f"need 2 <= n_rho, n_z <= {MAX_CELLS}, got ({n_rho}, {n_z})")
     if not (rho_max > 0.0):
-        raise ConfigurationError(f"rho_max must be positive, got {rho_max}")
+        raise ConfigurationError(f"rho_max must be positive, got {rho_max}",
+                                 "rho_max")
     if not (z_max > z_min):
-        raise ConfigurationError(f"need z_max > z_min, got ({z_min}, {z_max})")
+        raise ConfigurationError(f"need z_max > z_min, got ({z_min}, {z_max})",
+                                 "z_max")
     return CylGrid(n_rho, n_z, float(rho_max), float(z_min), float(z_max))
 
 

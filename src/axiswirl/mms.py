@@ -16,10 +16,11 @@ pressure is in closed form in J0 and J1 (_swirl_pressure_profile).
 A solution is made on one grid and solves the equations on its domain
 (PARAMS holds each kind's other parameters).  Its velocity decays by one
 factor e^{-mu t} and its pressure by e^{-2 mu t}: each field is its factor
-times a sum of terms coef * F(rho) * G(z), and the sum and its partials
-are sampled on the grid once, when the solution is made.  So the forcing
+times a sum of terms coef * F(rho) * G(z), and the sum and each of its
+partials is sampled on the grid once, when first read.  So the forcing
 is two fixed parts, h(t) = e^{-mu t} L + e^{-2 mu t} N, assembled once by
-forcing_callable; a call scales and adds them, and remembers nothing.
+forcing_callable (the only reader of the second partials); a call scales
+and adds them, and remembers nothing.
 """
 
 from __future__ import annotations
@@ -126,19 +127,41 @@ _PARTIALS = {"val": (0, 0), "d_rho": (1, 0), "d2_rho": (2, 0),
 
 
 class AnalyticField:
-    """e^{-mu t} times a sum of terms coef * F(rho) * G(z); at0 maps each
-    name of _PARTIALS to that partial of the sum, sampled on one grid at
-    t = 0."""
+    """e^{-mu t} times a sum of terms (coef, F, G), coef * F(rho) * G(z),
+    on one grid: F a RadialProfile and G as (G, G', G'') on the z axis.
+    at0 maps each partial sampled so far, by its name in _PARTIALS, to
+    that partial of the sum at t = 0; radial maps each radial order
+    sampled so far to F, F' or F'' of every term."""
 
-    __slots__ = ("mu", "at0")
+    __slots__ = ("mu", "terms", "grid", "at0", "radial")
 
-    def __init__(self, mu: float, at0: dict):
+    def __init__(self, mu: float, terms, grid: CylGrid):
         self.mu = mu
-        self.at0 = at0
+        self.terms = terms
+        self.grid = grid
+        self.at0 = {}
+        self.radial = {}
+
+    def sampled(self, partial):
+        """The named partial at t = 0, sampled at the first call."""
+        if partial not in self.at0:
+            r, zo = _PARTIALS[partial]
+            if r not in self.radial:
+                self.radial[r] = [(f.f, f.df, f.d2f)[r](self.grid.rho)
+                                  for _, f, _ in self.terms]
+            # a coefficient that overflows (amplitude 1e300) samples as
+            # inf, and as nan where a factor is 0, as the run treats
+            # blow-up
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.at0[partial] = sum(
+                    ((coef * fr) * g[zo]
+                     for (coef, _, g), fr in zip(self.terms, self.radial[r])),
+                    np.zeros(self.grid.shape))
+        return self.at0[partial]
 
     def at(self, t, partial):
         """The named partial (a key of _PARTIALS) at time t."""
-        return math.exp(-self.mu * t) * self.at0[partial]
+        return math.exp(-self.mu * t) * self.sampled(partial)
 
     def val(self, t):
         return self.at(t, "val")
@@ -211,31 +234,31 @@ KINDS = tuple(PARAMS)
 _RHO = np.array([0.0, 1.0])
 
 
+def solution_params(kind, params=None) -> dict:
+    """PARAMS[kind] with params in place of its defaults; a kind that
+    PARAMS does not list (a scenario's zero and file) takes none.  Raises
+    ConfigurationError naming the first key that the kind does not take."""
+    takes = PARAMS.get(kind, {})
+    for key in params or {}:
+        if key not in takes:
+            raise ConfigurationError(f"{kind!r} takes no parameter {key!r}; "
+                                     f"it takes {sorted(takes)}", key)
+    return {**takes, **(params or {})}
+
+
 def make_solution(kind, params, grid: CylGrid) -> ManufacturedSolution:
     """The solution of this kind on the grid's domain, PARAMS[kind]
-    filling the parameters that params leaves out."""
+    filling the parameters that params leaves out (solution_params).
+    Raises ConfigurationError naming kind or the parameter at fault."""
     if kind not in PARAMS:
-        raise ConfigurationError(f"unknown manufactured solution kind {kind!r}")
-    for key in params or {}:
-        if key not in PARAMS[kind]:
-            raise ConfigurationError(f"{kind} takes no parameter {key!r}; "
-                                     f"it takes {sorted(PARAMS[kind])}")
-    params = {**PARAMS[kind], **(params or {})}
-    rho, z = grid.rho, grid.z_centers[None, :]
+        raise ConfigurationError(
+            f"unknown manufactured solution kind {kind!r}", "kind")
+    params = solution_params(kind, params)
+    z = grid.z_centers[None, :]
     flat = (np.ones_like(z), np.zeros_like(z), np.zeros_like(z))  # G = 1
 
     def field(mu, *terms):
-        """The field e^{-mu t} sum coef * F * G of terms (coef, F, G), G as
-        (G, G', G'') on the z axis."""
-        fs = [(coef, (f.f(rho), f.df(rho), f.d2f(rho)), g)
-              for coef, f, g in terms]
-        # a coefficient that overflows (amplitude 1e300) samples as inf,
-        # and as nan where a factor is 0, as the run treats blow-up
-        with np.errstate(over="ignore", invalid="ignore"):
-            return AnalyticField(mu, {
-                name: sum(((coef * fr[r]) * g[zo] for coef, fr, g in fs),
-                          np.zeros(grid.shape))
-                for name, (r, zo) in _PARTIALS.items()})
+        return AnalyticField(mu, terms, grid)
 
     if kind == "rigid_rotation":
         omega = params["omega"]
@@ -305,21 +328,21 @@ def forcing_callable(sol: ManufacturedSolution, nu):
         zero = zero_forcing(grid)
         return lambda t: zero
     rho = grid.rho
-    ur, uh, uz = (f.at0 for f in (sol.u_rho, sol.u_phi, sol.u_z))
+    ur, uh, uz, p = (f.sampled for f in (sol.u_rho, sol.u_phi, sol.u_z, sol.p))
 
     def linear(f, odd):
-        lap = f["d2_rho"] + f["d_rho"] / rho + f["d2_z"]
+        lap = f("d2_rho") + f("d_rho") / rho + f("d2_z")
         if odd:
-            lap = lap - f["val"] / rho**2
-        return -sol.mu * f["val"] - nu * lap
+            lap = lap - f("val") / rho**2
+        return -sol.mu * f("val") - nu * lap
 
     def advection(f):
-        return ur["val"] * f["d_rho"] + uz["val"] * f["d_z"]
+        return ur("val") * f("d_rho") + uz("val") * f("d_z")
 
     lin = (linear(ur, True), linear(uh, True), linear(uz, False))
-    quad = (advection(ur) - uh["val"]**2 / rho + sol.p.at0["d_rho"],
-            advection(uh) + uh["val"] * ur["val"] / rho,
-            advection(uz) + sol.p.at0["d_z"])
+    quad = (advection(ur) - uh("val")**2 / rho + p("d_rho"),
+            advection(uh) + uh("val") * ur("val") / rho,
+            advection(uz) + p("d_z"))
 
     def forcing_at(t):
         a, b = math.exp(-sol.mu * t), math.exp(-sol.p.mu * t)
@@ -388,13 +411,14 @@ def convergence_order(kind, grids, quantity="solver", nu=0.1, t_end=0.05,
     """
     if not (math.isfinite(nu) and nu > 0.0):
         raise ConfigurationError(f"nu must be a positive finite number, "
-                                 f"got {nu}")
+                                 f"got {nu}", "nu")
     if len(grids) < 2:
-        raise ConfigurationError("need at least two grid levels")
+        raise ConfigurationError("need at least two grid levels", "grids")
     deltas = [min(g.d_rho, g.d_z) for g in grids]
     if any(not fine < coarse for coarse, fine in zip(deltas, deltas[1:])):
-        raise ConfigurationError("every grid level must be finer than the "
-                                 "one before it")
+        raise ConfigurationError("the grid levels must strictly increase: "
+                                 "each one finer than the one before it",
+                                 "grids")
     errors = []
     for grid in grids:
         sol = make_solution(kind, params, grid)

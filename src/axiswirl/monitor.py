@@ -56,16 +56,28 @@ from .records import Frozen
 DEFAULT_EPSILON_LIST = (0.4, 0.2, 0.1, 0.04, 0.0)
 
 
-def epsilon_sequence(values) -> tuple:
-    """values as floats, strictly decreasing in [0, 1) to the limit 0 (or
-    empty); ConfigurationError otherwise."""
-    eps = tuple(float(e) for e in values)
-    if any(not (0.0 <= e < 1.0) for e in eps):
-        raise ConfigurationError("every epsilon must lie in [0, 1)")
-    if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
-        raise ConfigurationError("epsilon_list must be strictly decreasing")
-    if eps and eps[-1] != 0.0:
-        raise ConfigurationError("epsilon_list must end with the limit value 0")
+def monitor_settings(q=4, epsilon_list=DEFAULT_EPSILON_LIST, c_grow=None,
+                     c_sob=None) -> tuple:
+    """The rules on the monitor's settings that hold whatever the
+    exponents, nu and grid: q an even integer >= 2, epsilon_list strictly
+    decreasing in [0, 1) to the limit 0 (or empty), and c_grow and c_sob,
+    where given, positive and finite.  Returns epsilon_list as a tuple of
+    floats; raises ConfigurationError naming the first setting, in that
+    order, that breaks its rule."""
+    if not (q >= 2 and q % 2 == 0):
+        raise ConfigurationError(f"q must be an even integer >= 2, got {q}",
+                                 "q")
+    eps = tuple(float(e) for e in epsilon_list)
+    if (any(not (0.0 <= e < 1.0) for e in eps)
+            or any(e2 >= e1 for e1, e2 in zip(eps, eps[1:]))
+            or eps and eps[-1] != 0.0):
+        raise ConfigurationError(
+            f"epsilon_list must strictly decrease within [0, 1) and end at "
+            f"the limit 0, got {list(eps)}", "epsilon_list")
+    for name, value in (("c_grow", c_grow), ("c_sob", c_sob)):
+        if value is not None and not (0.0 < value < math.inf):
+            raise ConfigurationError(
+                f"{name} must be positive and finite, got {value}", name)
     return eps
 
 
@@ -81,6 +93,14 @@ class MonitorConfig:
     c_grow defaults to the coefficient the absorption steps produce for
     the d(t) growth term; c3 bounds the absorbed vorticity-forcing term
     and defaults to 0 (exact for unforced vorticity).
+
+    Besides monitor_settings, the constructor holds the rules that join
+    the settings with the exponents and nu, and raises ConfigurationError
+    naming the argument at fault: nu when nu^3, which the quartic budget
+    divides by, is not a positive finite float; c_sob when eps2, the
+    term it divides, is not; and otherwise, for absorption constants (or
+    a default c_grow) that are not positive and finite,
+    InadmissibleExponents naming the exponents.
     """
 
     __slots__ = ("exponents", "nu", "c_sob", "q", "epsilon_list", "c_grow",
@@ -89,22 +109,16 @@ class MonitorConfig:
     def __init__(self, exponents: ExponentSet, nu: float, c_sob: float,
                  q: int = 4, epsilon_list: tuple = DEFAULT_EPSILON_LIST,
                  c_grow: float | None = None, c3: float = 0.0):
+        self.epsilon_list = monitor_settings(q, epsilon_list, c_grow, c_sob)
         self.exponents = exponents
         self.nu = nu
         self.c_sob = c_sob
         self.q = q
         self.c3 = c3
-        if self.q < 2 or self.q % 2 != 0:
-            raise ConfigurationError(f"q must be an even integer >= 2, got {self.q}")
-        # the quartic budget divides by nu**3, a float power that raises
-        # where it overflows
-        if not (self.nu > 0.0 and 0.0 < self.nu * self.nu * self.nu < math.inf):
+        if not (nu > 0.0 and 0.0 < nu * nu * nu < math.inf):
             raise ConfigurationError(
                 f"nu must be positive with nu^3 a positive finite number, "
-                f"got {self.nu}")
-        if not (self.c_sob > 0.0):
-            raise ConfigurationError(f"c_sob must be positive, got {self.c_sob}")
-        self.epsilon_list = epsilon_sequence(epsilon_list)
+                f"got {nu}", "nu")
         p, s, qf = exponents.p_hold, exponents.s, float(q)
         # eps1: q*eps1/p eats half of nu*q*I2; eps2: the Sobolev-embedded
         # term eats half of the nu*4(q-1)/q gradient dissipation
@@ -121,13 +135,13 @@ class MonitorConfig:
             c_grow = constants["c_grow"] = qf * (p - 1.0) * (s - 3.0) \
                 / (s * p) * self.young1 * self.young2
         if not all(0.0 < x < math.inf for x in constants.values()):
-            raise InadmissibleExponents([
-                "the absorption constants must be positive and finite, got "
-                + ", ".join(f"{k} = {x}" for k, x in constants.items())
-                + f" for p = {p}, s = {s}, nu = {nu} and c_sob = {c_sob}"])
-        if not (0.0 < c_grow < math.inf):
-            raise ConfigurationError(
-                f"c_grow must be positive and finite, got {c_grow}")
+            message = ("the absorption constants must be positive and "
+                       "finite, got " + ", ".join(
+                           f"{k} = {x}" for k, x in constants.items())
+                       + f" for p = {p}, s = {s}, nu = {nu} and c_sob = {c_sob}")
+            if 0.0 < self.young1 < math.inf and not 0.0 < self.eps2 < math.inf:
+                raise ConfigurationError(message, "c_sob")
+            raise InadmissibleExponents([message], "exponents")
         self.c_grow = c_grow
 
     def growth(self, serrin_theta: float) -> float:
@@ -156,10 +170,11 @@ def calibrate_sobolev(grid: CylGrid, q: int = 4) -> float:
     """Empirical constant c_sob with ||u||_{3q}^q <= c_sob * integral
     |grad(u^{q/2})|^2, taken as the max Rayleigh quotient over the
     fixed probe family (reported, not proven).  Memoised per (grid, q),
-    since a sweep calibrates the same grid once per scenario; a bad q
-    raises on every call (lru_cache keeps no exceptions)."""
-    if q < 2 or q % 2 != 0:
-        raise ConfigurationError(f"q must be an even integer >= 2, got {q}")
+    since a sweep calibrates the same grid once per scenario.  A q that
+    breaks monitor_settings, or for which the constant is 0 (every probe
+    power underflows) or inf (one overflows), raises ConfigurationError
+    naming q, on every call (lru_cache keeps no exceptions)."""
+    monitor_settings(q)
     parity = _swirl_power_parity(q // 2)
     best = 0.0
     for u in probe_fields(grid):
@@ -168,6 +183,9 @@ def calibrate_sobolev(grid: CylGrid, q: int = 4) -> float:
         den = _integ(grad_squared(w, grid, parity, NOSLIP), grid)
         if den > 0.0:
             best = max(best, num / den)
+    if not 0.0 < best < math.inf:
+        raise ConfigurationError(f"calibration on the grid gives no positive "
+                                 f"finite c_sob for q = {q}", "q")
     return best
 
 

@@ -66,7 +66,13 @@ from .grid import CylGrid, moment
 
 class SimConfig:
     """Viscosity and time-stepping settings of one run; the grid is the
-    initial state's.  __slots__ lists the fields in constructor order."""
+    initial state's.  __slots__ lists the fields in constructor order.
+
+    The constructor holds every rule on the settings by themselves: nu,
+    dt (when given) and cfl_safety positive, t_end above t_start, and
+    checkpoint_stride an integer >= 1 (kept as an int).  It raises
+    ConfigurationError naming the first field, in that order, that
+    breaks one; NaN breaks every rule."""
 
     __slots__ = ("nu", "t_start", "t_end", "dt", "cfl_safety",
                  "checkpoint_stride")
@@ -74,20 +80,25 @@ class SimConfig:
     def __init__(self, nu: float = 0.1, t_start: float = 0.0,
                  t_end: float = 0.1, dt: float | None = None,
                  cfl_safety: float = 0.4, checkpoint_stride: int = 1):
+        stride = checkpoint_stride
+        for field, value, ok, rule in (
+                ("nu", nu, nu > 0.0, "must be positive"),
+                ("t_end", t_end, t_end > t_start, "must exceed t_start"),
+                ("dt", dt, dt is None or dt > 0.0, "must be positive"),
+                ("cfl_safety", cfl_safety, cfl_safety > 0.0,
+                 "must be positive"),
+                ("checkpoint_stride", stride,
+                 stride >= 1 and float(stride).is_integer(),
+                 "must be an integer >= 1")):
+            if not ok:
+                raise ConfigurationError(f"{field} {rule}, got {value!r}",
+                                         field)
         self.nu = nu
         self.t_start = t_start
         self.t_end = t_end
         self.dt = dt
         self.cfl_safety = cfl_safety
-        self.checkpoint_stride = checkpoint_stride
-        if not (self.t_end > self.t_start):
-            raise ConfigurationError("t_end must exceed t_start")
-        if self.dt is not None and not (self.dt > 0.0):
-            raise ConfigurationError("dt must be positive")
-        if not (self.nu > 0.0):
-            raise ConfigurationError("nu must be positive")
-        if self.checkpoint_stride < 1:
-            raise ConfigurationError("checkpoint_stride must be >= 1")
+        self.checkpoint_stride = int(stride)
 
 
 class Trajectory:

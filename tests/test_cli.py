@@ -33,6 +33,7 @@ from axiswirl.cli import (
 from axiswirl.errors import ConfigurationError
 from axiswirl.fields import zero_state
 from axiswirl.grid import MAX_CELLS, build_grid
+from axiswirl.monitor import monitor_settings
 from axiswirl.solver import SimConfig
 from axiswirl import mms
 
@@ -500,7 +501,8 @@ def test_run_scenario_rejects_before_solving(tmp_path, monkeypatch, capsys,
 # solve, or the solver meets them; nu^3 overflows for the huge nu, and
 # u^(q/2) underflows on every calibration probe for q = 1e20 (overflows
 # for q = 400 where the probes reach 3.9, on rho_max 10), so q, not nu
-# or the exponents, is at fault unless c_sob is given.
+# or the exponents, is at fault unless c_sob is given.  A given c_sob of
+# 1e-320 overflows eps2, the absorption term it divides.
 @pytest.mark.parametrize("solver,monitor,path,grid", [
     ({"nu": 1e300}, {}, "$.solver.nu", {}),
     ({"cfl_safety": 1e-320}, {}, "$.solver", {}),
@@ -510,9 +512,11 @@ def test_run_scenario_rejects_before_solving(tmp_path, monkeypatch, capsys,
     ({}, {"q": 1e20}, "$.monitor.q", {}),
     ({"nu": 1e300}, {"q": 1e20, "c_sob": 1.0}, "$.solver.nu", {}),
     ({}, {"q": 400}, "$.monitor.q", {"rho_max": 10.0}),
+    ({}, {"c_sob": 1e-320}, "$.monitor.c_sob", {}),
 ], ids=["nu_huge", "cfl_safety_tiny", "dt_tiny", "nu_tiny",
         "nu_tiny_given_c_grow", "q_calibrates_no_c_sob",
-        "nu_huge_given_c_sob", "q_calibrates_an_infinite_c_sob"])
+        "nu_huge_given_c_sob", "q_calibrates_an_infinite_c_sob",
+        "c_sob_tiny"])
 def test_run_scenario_rejects_unrunnable_solver_settings(
         tmp_path, monkeypatch, capsys, solver, monitor, path, grid):
     doc = _scenario(grid={"n_rho": 8, "n_z": 8, **grid},
@@ -639,6 +643,48 @@ def test_file_initial_state_must_match_the_scenario_grid(tmp_path, monkeypatch,
     assert "$.initial_data.path" in err and path in err
     assert repr(small) in err and repr(build_grid(16, 8)) in err
     assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+# --- one owner per rule -----------------------------------------------------------
+
+_OWNED_NUMBER = (st.sampled_from([0, 1, 2, 3, 4, 16, -1, 1.5, 1e-320, 1e300, -0.0])
+                 | st.integers(-4, 40) | st.floats(-1e3, 1e3))
+_OWNED_FIELDS = {
+    "grid": ("n_rho", "n_z", "rho_max", "z_min", "z_max"),
+    "solver": ("nu", "t_start", "t_end", "dt", "cfl_safety",
+               "checkpoint_stride"),
+    "monitor": ("q", "c_grow", "c_sob", "c3"),
+}
+
+
+@given(sections=st.fixed_dictionaries({
+    name: st.dictionaries(st.sampled_from(keys), _OWNED_NUMBER)
+    for name, keys in _OWNED_FIELDS.items()}))
+@settings(max_examples=300, deadline=None)
+def test_validate_scenario_rejects_exactly_what_the_owners_reject(sections):
+    # finite numbers in $.grid, $.solver and $.monitor: validate_scenario
+    # rejects them exactly when the constructor that owns the section
+    # does, at the path of the field that the owner names (the section
+    # when it names none).  The owners' defaults are the schema's.
+    grid = {"n_rho": 16, "n_z": 8, **sections["grid"]}
+    monitor = {k: v for k, v in sections["monitor"].items() if k != "c3"}
+    expected = None
+    for path, owner, values in (("$.grid", build_grid, grid),
+                                ("$.solver", SimConfig, sections["solver"]),
+                                ("$.monitor", monitor_settings, monitor)):
+        try:
+            owner(**values)
+        except ConfigurationError as exc:
+            expected = path if exc.field is None else f"{path}.{exc.field}"
+            break
+    doc = _scenario(grid=grid, solver=sections["solver"],
+                    monitor=sections["monitor"])
+    if expected is None:
+        validate_scenario(doc)
+    else:
+        with pytest.raises(SchemaError) as exc:
+            validate_scenario(doc)
+        assert exc.value.path == expected
 
 
 # --- fuzzing: only the documented errors escape ------------------------------------

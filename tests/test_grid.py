@@ -79,6 +79,20 @@ def test_grid_validation(bad):
         build_grid(**bad)
 
 
+@pytest.mark.parametrize("bad,field", [
+    (dict(n_rho=4.5, n_z=4), "n_rho"),
+    (dict(n_rho=4, n_z="4"), "n_z"),
+    (dict(n_rho=1, n_z=4), None),
+    (dict(n_rho=4, n_z=4, rho_max=math.nan), "rho_max"),
+    (dict(n_rho=4, n_z=4, z_min=1.0, z_max=0.5), "z_max"),
+])
+def test_grid_names_the_argument_at_fault(bad, field):
+    # None: the bound on the cell counts holds both at once
+    with pytest.raises(ConfigurationError) as exc:
+        build_grid(**bad)
+    assert exc.value.field == field
+
+
 @pytest.mark.parametrize("n_rho,n_z", [(2, 2), (5, 3), (16, 16), (128, 128), (7, 31)])
 def test_volume_exact_on_any_grid(n_rho, n_z):
     g = build_grid(n_rho, n_z, rho_max=2.0, z_min=0.0, z_max=1.0)

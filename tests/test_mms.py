@@ -36,6 +36,29 @@ def test_rigid_rotation_is_unforced():
         assert np.max(np.abs(comp)) == 0.0
 
 
+def test_second_partials_are_sampled_for_the_forcing_only():
+    sol = mms.make_solution("decaying_swirl", {}, build_grid(8, 8))
+    fields = (sol.u_rho, sol.u_phi, sol.u_z, sol.p)
+    mms.sample_state(sol, 0.0)
+    assert all(set(f.at0) == {"val"} for f in fields)
+    mms.forcing_callable(sol, 0.2)  # nu 0.2: not the homogeneous 0.1
+    assert set(sol.u_phi.at0) == {"val", "d_rho", "d2_rho", "d_z", "d2_z"}
+    assert set(sol.p.at0) == {"val", "d_rho", "d_z"}  # no second partial
+    # sampled once: the forcing's reads are the samples kept
+    assert sol.u_phi.sampled("d2_rho") is sol.u_phi.at0["d2_rho"]
+
+
+@pytest.mark.parametrize("params,field", [
+    ({"amplitud": 5.0}, "amplitud"), ({"nu": 0.1}, "nu")])
+def test_taylor_params_name_the_key_at_fault(params, field):
+    with pytest.raises(ConfigurationError) as exc:
+        mms.make_solution("taylor_vortex_swirl", params, build_grid(8, 8))
+    assert exc.value.field == field
+    with pytest.raises(ConfigurationError) as exc:
+        mms.solution_params("zero", params)
+    assert exc.value.field == field
+
+
 def test_decaying_swirl_forcing_matches_viscosity():
     sol = mms.make_solution("decaying_swirl", {"nu": 0.1}, build_grid(16, 8))
     matched = mms.forcing_for(sol, 0.1, 0.0)

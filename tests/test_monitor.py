@@ -355,6 +355,38 @@ def test_gradient_overflow_is_a_truncated_record(exp640):
     assert math.isnan(records[0].grad_u_l2)
 
 
+@pytest.mark.parametrize("kwargs,field", [
+    ({"nu": 1e300}, "nu"),
+    ({"nu": 1e-320}, "nu"),
+    ({"c_sob": 1e-320}, "c_sob"),
+    ({"c_sob": math.inf}, "c_sob"),
+    ({"c_sob": -1.0}, "c_sob"),
+    ({"q": 3}, "q"),
+    ({"c_grow": 0.0}, "c_grow"),
+    ({"epsilon_list": (0.1, 0.2, 0.0)}, "epsilon_list"),
+], ids=["nu_cube_overflows", "nu_cube_underflows", "c_sob_overflows_eps2",
+        "c_sob_infinite", "c_sob_negative", "q_odd", "c_grow_zero",
+        "eps_increasing"])
+def test_monitor_config_names_the_argument_at_fault(exp640, kwargs, field):
+    with pytest.raises(ConfigurationError) as exc:
+        MonitorConfig(exponents=exp640, **{"nu": 0.1, "c_sob": 0.09, **kwargs})
+    assert exc.value.field == field
+    # a = b = 1000: the exponents, not c_sob, overflow eps1^(1/(1-p))
+    with pytest.raises(InadmissibleExponents) as exc:
+        MonitorConfig(exponents=derive_exponents(1000.0, 1000.0, 0.0),
+                      nu=0.1, c_sob=0.09)
+    assert exc.value.field == "exponents"
+
+
+def test_calibration_names_q_when_it_gives_no_constant():
+    # every probe power underflows for q = 1e20; overflow and invalid
+    # values are ignored, as in run_scenario
+    with pytest.raises(ConfigurationError) as exc, \
+            np.errstate(over="ignore", invalid="ignore"):
+        calibrate_sobolev(build_grid(8, 8), 10**20)
+    assert exc.value.field == "q"
+
+
 def test_absorption_constants_once_per_config(exp640):
     m = MonitorConfig(exponents=exp640, nu=0.1, c_sob=0.09)
     p, s = exp640.p_hold, exp640.s

@@ -109,6 +109,31 @@ def test_sim_config_validation():
         SimConfig(checkpoint_stride=0)
 
 
+@pytest.mark.parametrize("kwargs,field", [
+    ({"cfl_safety": 0.0}, "cfl_safety"),
+    ({"cfl_safety": -1.0}, "cfl_safety"),
+    ({"cfl_safety": math.nan}, "cfl_safety"),
+    ({"checkpoint_stride": 1.5}, "checkpoint_stride"),
+    ({"checkpoint_stride": math.nan}, "checkpoint_stride"),
+    ({"nu": math.nan}, "nu"),
+    ({"dt": math.nan}, "dt"),
+    ({"t_end": math.nan}, "t_end"),
+    ({"t_start": 1.0, "t_end": 0.5}, "t_end"),
+], ids=["cfl_zero", "cfl_negative", "cfl_nan", "stride_fractional",
+        "stride_nan", "nu_nan", "dt_nan", "t_end_nan", "t_end_early"])
+def test_sim_config_names_the_setting_at_fault(kwargs, field):
+    # rejected when built, not by run as a step count: cfl_safety -1 gave
+    # "dt = -0.115878, inf steps ... more than 10000000"
+    with pytest.raises(ConfigurationError) as exc:
+        SimConfig(**kwargs)
+    assert exc.value.field == field and field in str(exc.value)
+
+
+def test_sim_config_keeps_an_integral_stride_as_an_int():
+    stride = SimConfig(checkpoint_stride=3.0).checkpoint_stride
+    assert stride == 3 and type(stride) is int
+
+
 def test_run_deterministic():
     g = build_grid(16, 8)
     sol = mms.make_solution("decaying_swirl", {"nu": 0.1}, g)
