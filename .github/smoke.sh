@@ -64,9 +64,13 @@ test "$code" -eq 4
 test "$(ls "$tmp"/overflowing-swirl/checkpoint_*.bin | wc -l)" -eq 11
 
 # a rejected scenario exits 2 naming the field at fault and writes
-# nothing: a cfl_safety of 0 (solver.SimConfig's rule), and a c_sob of
+# nothing: a cfl_safety of 0 (solver.SimConfig's rule); a c_sob of
 # 1e-320, which overflows eps2, the absorption term it divides
-# (monitor.MonitorConfig's rule)
+# (monitor.MonitorConfig's rule); a dt of 0.01 at t = 1e15, where the
+# float spacing is 0.125, so a step does not advance the time
+# (solver.run's rule); a rho_max of 1e-300, whose spacing squared
+# underflows (grid.build_grid's rule); and a misspelt key
+# (cli.validate_scenario's rule)
 rejected() {  # rejected SECTION JSON PATH
   printf '{"schema_version": 1, "grid": {"n_rho": 8, "n_z": 8}, "%s": %s, "output": {"directory": "rejected"}}\n' \
     "$1" "$2" > "$tmp/rejected.json"
@@ -78,3 +82,6 @@ rejected() {  # rejected SECTION JSON PATH
 }
 rejected solver '{"cfl_safety": 0}' '$.solver.cfl_safety'
 rejected monitor '{"c_sob": 1e-320}' '$.monitor.c_sob'
+rejected solver '{"t_start": 1e15, "t_end": 1000000000000001, "dt": 0.01}' '$.solver'
+rejected grid '{"n_rho": 8, "n_z": 8, "rho_max": 1e-300}' '$.grid.rho_max'
+rejected solver '{"cfl_saftey": 0.1}' '$.solver.cfl_saftey'

@@ -209,22 +209,46 @@ def _as_float(val, path):
     return val
 
 
-def _numbers(doc, section, **defaults):
-    """The numbers of doc[section], as floats, with defaults filling the
-    keys it leaves out; a key whose default is None may also be null."""
-    path = f"$.{section}"
-    given = _expect(doc.get(section, {}), path, dict)
-    out = {}
-    for key, default in defaults.items():
-        val = given.get(key, default)
-        out[key] = None if val is None and default is None \
-            else _as_float(val, f"{path}.{key}")
-    return out
+# Every section of a scenario besides schema_version: its keys and their
+# defaults (README "Scenario files").  A number whose default is None may
+# also be null.
+_SCHEMA = {
+    "grid": {"n_rho": 32, "n_z": 32, "rho_max": 2.0, "z_min": 0.0,
+             "z_max": 1.0},
+    "solver": {"nu": 0.1, "t_start": 0.0, "t_end": 0.1, "dt": None,
+               "cfl_safety": 0.4, "checkpoint_stride": 1,
+               "projection_tol": 1e-10, "projection_max_iter": 20000},
+    "exponents": {"a": 6.0, "b": 4, "gamma": 0.0, "delta": None},
+    "monitor": {"q": 4, "epsilon_list": list(DEFAULT_EPSILON_LIST),
+                "c_grow": None, "c_sob": None, "c3": 0.0},
+    "initial_data": {"kind": "zero", "params": {}, "path": None},
+    "forcing": {"kind": "zero"},
+    "output": {"directory": "axiswirl-run", "write_checkpoints": False},
+}
 
 
-# arguments of the monitor that a scenario holds in other sections
+def _section(doc, name):
+    """doc[name] with _SCHEMA's defaults filling the keys it leaves out;
+    SchemaError at the path of a key that _SCHEMA does not list."""
+    given = _expect(doc.get(name, {}), f"$.{name}", dict)
+    for key in given:
+        if key not in _SCHEMA[name]:
+            raise SchemaError(f"$.{name}.{key}", f"unknown key; the keys "
+                              f"are {list(_SCHEMA[name])}")
+    return {**_SCHEMA[name], **given}
+
+
+def _numbers(section, name, keys):
+    """The keys of a section (_section) as floats, or None for a null
+    whose default is None."""
+    return {key: None if section[key] is None and _SCHEMA[name][key] is None
+            else _as_float(section[key], f"$.{name}.{key}") for key in keys}
+
+
+# arguments of the monitor and of make_solution held in other sections
 _BORROWED = {("$.monitor", "nu"): "$.solver.nu",
-             ("$.monitor", "exponents"): "$.exponents"}
+             ("$.monitor", "exponents"): "$.exponents",
+             ("$.grid", "nu"): "$.initial_data.params.nu"}
 
 
 def _owned(section, build, *args, **kwargs):
@@ -249,25 +273,28 @@ def validate_scenario(doc) -> dict:
     """Normalize a scenario document, filling defaults; raises SchemaError
     with the offending field path on the first violation.
 
-    Types, finiteness, enums and paths are checked here; every other rule
-    on a section is its owner's, called on it: build_grid, SimConfig,
-    derive_exponents, monitor_settings and mms.solution_params.  The
-    rules that join sections are met when run_scenario builds the
-    monitor and the run."""
+    Sections and keys (_SCHEMA), types, finiteness, enums and paths are
+    checked here; every other rule on a section is its owner's, called
+    on it: build_grid, SimConfig, derive_exponents, monitor_settings and
+    mms.solution_params (a kind's params keys).  The rules that join
+    sections are met when run_scenario builds the solution, the monitor
+    and the run."""
     _expect(doc, "$", dict)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError("$.schema_version",
                           f"must be {SCHEMA_VERSION}, got {doc.get('schema_version')!r}")
+    for name in doc:
+        if name != "schema_version" and name not in _SCHEMA:
+            raise SchemaError(f"$.{name}", f"unknown section; the sections "
+                                           f"are {list(_SCHEMA)}")
+    sec = {name: _section(doc, name) for name in _SCHEMA}
     out = {"schema_version": SCHEMA_VERSION}
 
-    grid = _numbers(doc, "grid", n_rho=32, n_z=32, rho_max=2.0, z_min=0.0,
-                    z_max=1.0)
+    grid = _numbers(sec["grid"], "grid", _SCHEMA["grid"])
     g = _owned("$.grid", build_grid, **grid)
     out["grid"] = {key: getattr(g, key) for key in grid}
 
-    solver = _numbers(doc, "solver", nu=0.1, t_start=0.0, t_end=0.1, dt=None,
-                      cfl_safety=0.4, checkpoint_stride=1,
-                      projection_tol=1e-10, projection_max_iter=20000)
+    solver = _numbers(sec["solver"], "solver", _SCHEMA["solver"])
     # type-checked for schema-v1 compatibility, then dropped: the pressure
     # solve is direct
     del solver["projection_tol"]
@@ -276,19 +303,17 @@ def validate_scenario(doc) -> dict:
     sim = _owned("$.solver", SimConfig, **solver)
     out["solver"] = {key: getattr(sim, key) for key in SimConfig.__slots__}
 
-    ex = _expect(doc.get("exponents", {}), "$.exponents", dict)
-    b = ex.get("b", 4)
+    b = sec["exponents"]["b"]
     out["exponents"] = {
-        **_numbers(doc, "exponents", a=6.0, gamma=0.0, delta=None),
+        **_numbers(sec["exponents"], "exponents", ("a", "gamma", "delta")),
         "b": math.inf if b in INF_SPELLINGS else _as_float(b, "$.exponents.b"),
     }
     _owned("$.exponents", derive_exponents, **out["exponents"])
 
-    mo = _expect(doc.get("monitor", {}), "$.monitor", dict)
-    eps = _expect(mo.get("epsilon_list", list(DEFAULT_EPSILON_LIST)),
-                  "$.monitor.epsilon_list", list)
+    eps = _expect(sec["monitor"]["epsilon_list"], "$.monitor.epsilon_list",
+                  list)
     out["monitor"] = {
-        **_numbers(doc, "monitor", q=4, c_grow=None, c_sob=None, c3=0.0),
+        **_numbers(sec["monitor"], "monitor", ("q", "c_grow", "c_sob", "c3")),
         "epsilon_list": [_as_float(e, f"$.monitor.epsilon_list[{i}]")
                          for i, e in enumerate(eps)],
     }
@@ -297,26 +322,25 @@ def validate_scenario(doc) -> dict:
            m["c_grow"], m["c_sob"])
     m["q"] = int(m["q"])
 
-    init = _expect(doc.get("initial_data", {"kind": "zero"}),
-                   "$.initial_data", dict)
-    kind = init.get("kind", "zero")
+    kind = sec["initial_data"]["kind"]
     if kind not in _INITIAL_KINDS:
         raise SchemaError("$.initial_data.kind",
                           f"must be one of {_INITIAL_KINDS}, got {kind!r}")
-    params = _expect(init.get("params", {}), "$.initial_data.params", dict)
+    # a copy: the default is _SCHEMA's own dict
+    params = dict(_expect(sec["initial_data"]["params"],
+                          "$.initial_data.params", dict))
     for key, val in params.items():
         _as_float(val, f"$.initial_data.params.{key}")
     _owned("$.initial_data.params", mms.solution_params, kind, params)
     out["initial_data"] = {"kind": kind, "params": params}
     if kind == "file":
-        path = init.get("path")
+        path = sec["initial_data"]["path"]
         if not isinstance(path, str) or not path or "\0" in path:
             raise SchemaError("$.initial_data.path", "a non-empty path without "
                               "NUL characters is required for kind 'file'")
         out["initial_data"]["path"] = path
 
-    forcing = _expect(doc.get("forcing", {"kind": "zero"}), "$.forcing", dict)
-    fkind = forcing.get("kind", "zero")
+    fkind = sec["forcing"]["kind"]
     if fkind not in _FORCING_KINDS:
         raise SchemaError("$.forcing.kind",
                           f"must be one of {_FORCING_KINDS}, got {fkind!r}")
@@ -325,14 +349,13 @@ def validate_scenario(doc) -> dict:
                           "manufactured forcing needs a manufactured initial kind")
     out["forcing"] = {"kind": fkind}
 
-    outp = _expect(doc.get("output", {}), "$.output", dict)
-    directory = outp.get("directory", "axiswirl-run")
+    directory = sec["output"]["directory"]
     if not isinstance(directory, str) or not directory or "\0" in directory:
         raise SchemaError("$.output.directory",
                           "must be a non-empty string without NUL characters")
     out["output"] = {
         "directory": directory,
-        "write_checkpoints": _expect(outp.get("write_checkpoints", False),
+        "write_checkpoints": _expect(sec["output"]["write_checkpoints"],
                                      "$.output.write_checkpoints", bool),
     }
     return out
@@ -352,7 +375,7 @@ def _initial_state_and_forcing(cfg: dict, grid: CylGrid, nu: float):
             raise SchemaError("$.initial_data.path",
                               f"{path} holds {state.grid}, but $.grid is {grid}")
         return state, None
-    sol = mms.make_solution(kind, params, grid)
+    sol = _owned("$.grid", mms.make_solution, kind, params, grid)
     for end in ("t_start", "t_end"):
         if not sol.finite_at(cfg["solver"][end]):
             raise SchemaError(f"$.solver.{end}",

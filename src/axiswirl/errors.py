@@ -21,10 +21,3 @@ class InadmissibleExponents(ConfigurationError):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations), field)
 
-
-class CflViolation(RuntimeError):
-    """Time step exceeds the stability limit."""
-
-    def __init__(self, message, suggested_dt):
-        super().__init__(message)
-        self.suggested_dt = suggested_dt

@@ -86,8 +86,9 @@ def derive_exponents(a, b, gamma, delta=None) -> ExponentSet:
     """Build the full ExponentSet for an admissible (a, b, gamma).
 
     Raises InadmissibleExponents when the admissibility conditions fail,
-    and for a = inf, which the d(t) construction does not support
-    (s would collapse to 3).
+    for a = inf, which the d(t) construction does not support (s would
+    collapse to 3), and for a delta given with a finite b, where p and s
+    do not depend on it (naming delta).
     """
     violations = check_admissible(a, b, gamma)
     if violations:
@@ -110,13 +111,16 @@ def derive_exponents(a, b, gamma, delta=None) -> ExponentSet:
         s = 3.0 + delta * a
         p = 2.0 * a / (2.0 * a - delta * a - 3.0)
     else:
+        if delta is not None:
+            raise InadmissibleExponents(
+                [f"delta is the slack of the b = inf branch; got {delta} "
+                 f"with b = {b}"], "delta")
         b = float(b)
+        # denom > 0 is equivalent to 3/a + 2/b < 2, which check_admissible
+        # enforces
         denom = 2.0 * a * b - 2.0 * a - 3.0 * b
-        # denom > 0 is equivalent to 3/a + 2/b < 2, already enforced
-        assert denom > 0.0, "denominator 2ab - 2a - 3b must be positive"
         p = 1.0 + (2.0 * a + 3.0 * b) / denom
         s = 2.0 * a / b + 3.0
-        delta = None
     alpha = s * p / (2.0 * (p - 1.0))
     beta = (2.0 - p) * s / (2.0 * (p - 1.0))
     theta = 2.0 / (s - 3.0)

@@ -89,7 +89,9 @@ def build_grid(n_rho, n_z, rho_max=2.0, z_min=0.0, z_max=1.0) -> CylGrid:
     """Build an axis-offset cylindrical grid.
 
     Raises ConfigurationError for a count that is not an integer, counts
-    outside [2, MAX_CELLS] (naming no one field), or degenerate extents.
+    outside [2, MAX_CELLS] (naming no one field), degenerate extents, a
+    spacing whose square or its reciprocal is not a finite nonzero float
+    (the operators divide by d^2), or cell weights that are not.
     """
     for name, n in (("n_rho", n_rho), ("n_z", n_z)):
         if not (isinstance(n, numbers.Integral)
@@ -106,7 +108,19 @@ def build_grid(n_rho, n_z, rho_max=2.0, z_min=0.0, z_max=1.0) -> CylGrid:
     if not (z_max > z_min):
         raise ConfigurationError(f"need z_max > z_min, got ({z_min}, {z_max})",
                                  "z_max")
-    return CylGrid(n_rho, n_z, float(rho_max), float(z_min), float(z_max))
+    for name, d in (("rho_max", rho_max / n_rho),
+                    ("z_max", (z_max - z_min) / n_z)):
+        if not (0.0 < d * d < math.inf and 1.0 / (d * d) < math.inf):
+            raise ConfigurationError(
+                f"{name} gives the spacing {d}, whose square or its "
+                f"reciprocal is not a finite nonzero float", name)
+    with np.errstate(over="ignore"):
+        grid = CylGrid(n_rho, n_z, float(rho_max), float(z_min), float(z_max))
+    w = grid.cell_weight
+    if not 0.0 < w[0, 0] <= w[-1, 0] < math.inf:
+        raise ConfigurationError(f"the cell weights 2 pi rho d_rho d_z span "
+                                 f"[{w[0, 0]}, {w[-1, 0]}], beyond the floats")
+    return grid
 
 
 def moment(vals, grid: CylGrid, k: float = 0.0) -> float:

@@ -40,7 +40,7 @@ from .fields import (
     viscous_rhs,
     zero_forcing,
 )
-from .grid import CylGrid, build_grid, moment
+from .grid import CylGrid, build_grid, moment, power
 from .solver import J11, SimConfig, run
 
 
@@ -246,10 +246,22 @@ def solution_params(kind, params=None) -> dict:
     return {**takes, **(params or {})}
 
 
+def _constant(value, name, field):
+    """value; ConfigurationError naming field if it is not positive finite."""
+    if not 0.0 < value < math.inf:
+        raise ConfigurationError(f"{name} = {value} leaves the floats "
+                                 f"on this domain", field)
+    return value
+
+
 def make_solution(kind, params, grid: CylGrid) -> ManufacturedSolution:
     """The solution of this kind on the grid's domain, PARAMS[kind]
     filling the parameters that params leaves out (solution_params).
-    Raises ConfigurationError naming kind or the parameter at fault."""
+    Raises ConfigurationError naming kind or the parameter at fault, or
+    the extent whose constant leaves the floats: rho_max^2 (the pressure
+    grows as rho^2), the swirl's lambda^2 (and its mu = nu lambda^2,
+    naming nu), the Taylor vortex's k^2 (z_max) and its coefficients,
+    up to 240 k / rho_max^6 in a second derivative."""
     if kind not in PARAMS:
         raise ConfigurationError(
             f"unknown manufactured solution kind {kind!r}", "kind")
@@ -260,18 +272,24 @@ def make_solution(kind, params, grid: CylGrid) -> ManufacturedSolution:
     def field(mu, *terms):
         return AnalyticField(mu, terms, grid)
 
+    if kind != "decaying_swirl":
+        rho_max_sq = _constant(power(grid.rho_max, 2), "rho_max^2", "rho_max")
     if kind == "rigid_rotation":
         omega = params["omega"]
         u_phi = field(0.0, (1.0, RadialProfile.from_coef([0.0, omega]), flat))
+        # an omega^2 that overflows gives an infinite pressure: blow-up data
         p = field(0.0, (1.0, RadialProfile.from_coef(
-            [0.0, 0.0, 0.5 * omega**2]), flat))
+            [0.0, 0.0, 0.5 * power(omega, 2)]), flat))
         return ManufacturedSolution(kind, grid, field(0.0), u_phi, field(0.0),
                                     p, homogeneous_nu=math.inf)
     if kind == "decaying_swirl":
         amp = params["amplitude"]
         nu = params["nu"]
         lam = J11 / grid.rho_max
-        mu = nu * lam**2
+        mu = nu * _constant(power(lam, 2), "lambda^2", "rho_max")
+        if not math.isfinite(mu):
+            raise ConfigurationError(f"the decay rate mu = nu lambda^2 = {mu} "
+                                     f"is not finite", "nu")
         u_phi = field(mu, (amp, _bessel_j1_profile(lam), flat))
         p = field(2.0 * mu,
                   (0.5 * amp * amp, _swirl_pressure_profile(lam), flat))
@@ -285,21 +303,30 @@ def make_solution(kind, params, grid: CylGrid) -> ManufacturedSolution:
     p_amp = params["p_amp"]
     mu = params["decay"]
     k = 2.0 * math.pi / (grid.z_max - grid.z_min)
-    cos = (np.cos(k * z), -k * np.sin(k * z), -(k**2) * np.cos(k * z))
-    sin = (np.sin(k * z), k * np.cos(k * z), -(k**2) * np.sin(k * z))
+    k_sq = _constant(power(k, 2), "k^2", "z_max")
+    cos = (np.cos(k * z), -k * np.sin(k * z), -k_sq * np.cos(k * z))
+    sin = (np.sin(k * z), k * np.cos(k * z), -k_sq * np.sin(k * z))
     # w(rho) = (1 - (rho/R)^2)^3: triple zero at the wall keeps the
     # mirror-zero ghosts fourth-order accurate there
-    base = np.array([1.0, 0.0, -1.0 / grid.rho_max**2])
-    w = np.convolve(np.convolve(base, base), base)
-    dw = w[1:] * np.arange(1, w.size)
-    rho_w = RadialProfile.from_coef(np.convolve(_RHO, w))
-    u_rho = field(mu, (amp, RadialProfile.from_coef(
-        np.convolve([-k], np.convolve(_RHO, w))), cos))
-    u_z = field(mu, (amp, RadialProfile.from_coef(
-        np.convolve([2.0], w) + np.convolve(_RHO, dw)), sin))
-    u_phi = field(mu, (swirl, rho_w, flat), (swirl * swirl_z, rho_w, cos))
-    p = field(2.0 * mu, (p_amp, RadialProfile.from_coef(
-        np.convolve(np.convolve(_RHO, _RHO), w)), cos))
+    base = np.array([1.0, 0.0, -1.0 / rho_max_sq])
+    # numpy may flag an overflow for a finite product near the limit
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.convolve(np.convolve(base, base), base)
+        dw = w[1:] * np.arange(1, w.size)
+        # the radial factors of u_rho, u_phi, u_z and p
+        coefs = (np.convolve([-k], np.convolve(_RHO, w)), np.convolve(_RHO, w),
+                 np.convolve([2.0], w) + np.convolve(_RHO, dw),
+                 np.convolve(np.convolve(_RHO, _RHO), w))
+        f_rho, f_phi, f_z, f_p = map(RadialProfile.from_coef, coefs)
+        # a second derivative's coefficients are the largest
+        if not all(np.all(np.isfinite(np.polyder(c[::-1], 2)))
+                   for c in coefs):
+            raise ConfigurationError("the Taylor vortex's coefficients "
+                                     "leave the floats", "rho_max")
+    u_rho = field(mu, (amp, f_rho, cos))
+    u_z = field(mu, (amp, f_z, sin))
+    u_phi = field(mu, (swirl, f_phi, flat), (swirl * swirl_z, f_phi, cos))
+    p = field(2.0 * mu, (p_amp, f_p, cos))
     return ManufacturedSolution(kind, grid, u_rho, u_phi, u_z, p)
 
 

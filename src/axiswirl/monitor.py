@@ -8,10 +8,12 @@ epsilon-weighted azimuthal-vorticity budget and its epsilon -> 0 limit,
 the quartic swirl identity and its Young-absorbed inequality, the
 Gronwall envelope, and the blow-up indicator time series.  Every
 monitored integral is computed once per checkpoint (CheckpointView), as
-a radial moment of z-sums; the budgets are arithmetic on two views.
-Diagnostics folds the checkpoints into records one at a time, as the
-solver reaches them, and evaluate_checks turns the records' margins
-into the PASS / FAIL / REPORT-ONLY checks of a run.
+a radial moment of z-sums; each budget is one function of two views and
+the pair's dt, which Diagnostics computes once per pair as it folds the
+checkpoints into records (solver.run makes their times increase, so
+dt > 0).  evaluate_checks turns the records' margins into the PASS /
+FAIL / REPORT-ONLY checks of a run.  The settings' rules are
+monitor_settings', met once, when the MonitorConfig is built.
 
 Two classes of checks are distinguished throughout:
 
@@ -218,9 +220,7 @@ def serrin_factors(u_neg: np.ndarray, grid: CylGrid, e: ExponentSet):
 def transport_cancellation(v: VelocityState, q: int) -> float:
     """Discrete value of integral u_rho d_rho(u_phi^q) + u_z d_z(u_phi^q),
     which vanishes for divergence-free fields; O(Delta^2) on projected
-    states."""
-    if q < 2 or q % 2 != 0:
-        raise ContractViolation(f"q must be an even integer >= 2, got {q}")
+    states.  q is an even integer >= 2 (monitor_settings)."""
     g = v.grid
     uq = v.u_phi ** q  # even power: even across the axis, 0 at wall
     val = v.u_rho * d_rho(uq, g, EVEN, NOSLIP) + v.u_z * d_z(uq, g)
@@ -343,27 +343,20 @@ def checkpoint_view(v: VelocityState, f: ForcingFields,
     )
 
 
-def _pair_dt(prev, nxt) -> float:
-    if nxt.time <= prev.time:
-        raise ContractViolation("checkpoints must be in increasing time order")
-    return nxt.time - prev.time
-
-
 # --- Step-1 budget --------------------------------------------------------
 
 def swirl_lq_budget(prev: CheckpointView, nxt: CheckpointView,
-                    m: MonitorConfig) -> dict:
+                    m: MonitorConfig, dt: float) -> dict:
     """Margin of the q-norm growth inequality across one checkpoint pair,
-    as margin columns: swirl_budget plus, for every intermediate
-    Holder/Young step, its margin and its scale (<name>_scale, for the
-    relative tolerance).
+    dt apart, as margin columns: swirl_budget plus, for every
+    intermediate Holder/Young step, its margin and its scale
+    (<name>_scale, for the relative tolerance).
 
     Instantaneous terms are those of the earlier state (forward
     difference in time).  The final margin depends on c_grow/c_sob and
     is reported; the six sub-margins are exact and must be >=
     -tolerance * scale.
     """
-    dt = _pair_dt(prev, nxt)
     q, nu = m.q, m.nu
     p, s = m.exponents.p_hold, m.exponents.s
     n_prev, h_q = prev.swirl_power, prev.forcing_power
@@ -411,42 +404,32 @@ def swirl_lq_budget(prev: CheckpointView, nxt: CheckpointView,
 
 # --- Step-2 budget --------------------------------------------------------
 
-def weighted_vorticity_budget(prev: CheckpointView, nxt: CheckpointView,
-                              m: MonitorConfig, eps: float) -> dict:
-    """Signed margin of the eps-weighted azimuthal-vorticity inequality,
-    as its margin column; eps = 0 evaluates the limit form directly (all
-    weights finite on the axis-offset grid).  eps must be one of the
-    views' epsilons.  The vorticity forcing enters only through the
-    absorbed constant c3.
+def vorticity_margin_sequence(prev: CheckpointView, nxt: CheckpointView,
+                              m: MonitorConfig, dt: float) -> dict:
+    """Signed margins of the eps-weighted azimuthal-vorticity inequality
+    across one checkpoint pair, dt apart, one column per configured
+    epsilon, ending at the limit 0 (evaluated directly: all weights are
+    finite on the axis-offset grid).  The vorticity forcing enters only
+    through the absorbed constant c3.
     """
-    if not (0.0 <= eps < 1.0):
-        raise ContractViolation(f"eps must lie in [0, 1), got {eps}")
-    dt = _pair_dt(prev, nxt)
     nu = m.nu
-    rate = (nxt.vort_energy[eps] - prev.vort_energy[eps]) / dt
-    quartic = 1.0 / (2.0 * nu) * prev.vort_quartic[eps]
-    radial = eps / 2.0 * prev.vort_radial[eps]
-    curvature = nu * eps / 2.0 * (eps - 2.0) * prev.vort_curvature[eps]
-    margin = (quartic + radial + curvature + m.c3) - (
-        rate + nu / 4.0 * prev.vort_diss[eps])
-    return {_vorticity_column(eps): margin}
-
-
-def vorticity_margin_sequence(prev, nxt, m: MonitorConfig) -> dict:
-    """Margin columns over the configured epsilon list, ending at the
-    limit 0."""
     out = {}
     for eps in m.epsilon_list:
-        out.update(weighted_vorticity_budget(prev, nxt, m, eps))
+        rate = (nxt.vort_energy[eps] - prev.vort_energy[eps]) / dt
+        quartic = 1.0 / (2.0 * nu) * prev.vort_quartic[eps]
+        radial = eps / 2.0 * prev.vort_radial[eps]
+        curvature = nu * eps / 2.0 * (eps - 2.0) * prev.vort_curvature[eps]
+        out[_vorticity_column(eps)] = (quartic + radial + curvature + m.c3) - (
+            rate + nu / 4.0 * prev.vort_diss[eps])
     return out
 
 
 # --- Step-3 budget --------------------------------------------------------
 
 def quartic_swirl_budget(prev: CheckpointView, nxt: CheckpointView,
-                         m: MonitorConfig) -> dict:
-    """Quartic swirl balance across one checkpoint pair, as margin
-    columns.
+                         m: MonitorConfig, dt: float) -> dict:
+    """Quartic swirl balance across one checkpoint pair, dt apart, as
+    margin columns.
 
     quartic_identity_residual is the defect of the exact quartic identity
     (an equality up to O(Delta_t + Delta^2) on smooth trajectories):
@@ -463,7 +446,6 @@ def quartic_swirl_budget(prev: CheckpointView, nxt: CheckpointView,
         - [(1/4) d/dt int u^4/rho^2 + (3/4) nu int |grad(u^2/rho)|^2
            + (nu/2) int u^4/rho^4].
     """
-    dt = _pair_dt(prev, nxt)
     nu = m.nu
     rate = 0.25 * (nxt.quartic_r2 - prev.quartic_r2) / dt
     residual = (rate + 1.5 * prev.quartic_transport
@@ -602,9 +584,9 @@ class Diagnostics:
             self._serrin = serrin_advance(self._serrin, prev.serrin_spatial,
                                           e.a, e.b, dt)
             self._int_d += 0.5 * (prev.d_t + view.d_t) * dt
-            margins = {**swirl_lq_budget(prev, view, m),
-                       **quartic_swirl_budget(prev, view, m),
-                       **vorticity_margin_sequence(prev, view, m)}
+            margins = {**swirl_lq_budget(prev, view, m, dt),
+                       **quartic_swirl_budget(prev, view, m, dt),
+                       **vorticity_margin_sequence(prev, view, m, dt)}
         self._sup_h = max(self._sup_h, power(forcing_q_norm, m.q))
         base = self._n0 + (view.time - self._t0) * self._sup_h
         wv = view.vort_energy[0.0]

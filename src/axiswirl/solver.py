@@ -39,6 +39,9 @@ advection and by the swirl sources (cfl_limits), not by the diffusive
 dt ~ Delta^2 / nu.  The automatic dt of `run` is also held below a
 viscous accuracy limit that depends on the domain, not on the grid
 (viscous_dt_limit).
+
+`step` is one IMEX step of the dt it is given; `run` holds every rule on
+the steps (count, time advance, CFL limits).
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import math
 
 import numpy as np
 
-from .errors import CflViolation, ConfigurationError
+from .errors import ConfigurationError
 from .fields import (
     NOSLIP,
     VelocityState,
@@ -103,17 +106,20 @@ class SimConfig:
 
 class Trajectory:
     """The outcome of one run: the last state it reached, the step dt,
-    the steps taken, and whether it was truncated and why."""
+    the steps taken, and why it was truncated (None if it was not)."""
 
-    __slots__ = ("final", "dt", "step_count", "failed", "failure_reason")
+    __slots__ = ("final", "dt", "step_count", "failure_reason")
 
-    def __init__(self, final: VelocityState, dt: float, step_count: int = 0,
-                 failed: bool = False, failure_reason: str | None = None):
+    def __init__(self, final: VelocityState, dt: float,
+                 failure_reason: str | None = None):
         self.final = final
         self.dt = dt
-        self.step_count = step_count
-        self.failed = failed
+        self.step_count = 0
         self.failure_reason = failure_reason
+
+    @property
+    def failed(self) -> bool:
+        return self.failure_reason is not None
 
 
 # --- direct solves in a per-grid eigenbasis -----------------------------
@@ -302,19 +308,14 @@ def step(state: VelocityState, cfg: SimConfig, dt: float, forcing_at=None):
     of E(u^n) and E(projected first stage) in the second, and p^n is the
     stored pressure, which the final projection updates.  forcing_at(t) ->
     ForcingFields; defaults to zero forcing.  Returns (state, rel) as
-    project does.  Raises CflViolation when dt exceeds the stability
-    contract.  A non-finite result is returned unprojected with rel nan;
-    the caller treats it as blow-up data.
+    project does.  dt is not checked against cfl_limits: run does that.
+    A non-finite result is returned unprojected with rel nan; the caller
+    treats it as blow-up data.
     """
     g = state.grid
     if forcing_at is None:
         zf = zero_forcing(g)
         forcing_at = lambda t: zf  # noqa: E731
-    limit = min(cfl_limits(state))
-    if dt > limit * (1.0 + 1e-12):
-        raise CflViolation(
-            f"dt = {dt} exceeds stability limit {limit}", suggested_dt=0.8 * limit
-        )
     t = state.time
     c = 0.5 * cfg.nu * dt
     # components stacked on axis 1: the (n_rho, 3, n_z) layout of
@@ -349,9 +350,27 @@ def _is_finite(state: VelocityState) -> bool:
 # or dt), not from a computation someone wants.
 MAX_STEPS = 10**7
 
+# A step rounds t + dt by at most 2^-53 |t + dt|, so over MAX_STEPS steps
+# |t| stays within 4e-9 of M = max(|t_start|, |t_end|), where the float
+# spacing is at most 2^-52 M (1 + 4e-9).  run shortens a dt above 2^-50 M
+# by less than half, so each step exceeds the spacing and advances the
+# time.  t + dt > t at both ends is not enough: a dt of half a spacing
+# rounds to even, and rounded times can drift past a power of 2, where
+# the spacing doubles.
+TIME_RESOLUTION = 2.0**-50
 
-def _step_count(span, dt):
-    return span / dt if dt > 0.0 else math.inf
+
+def _unusable(cfg: SimConfig, dt) -> str | None:
+    """Why dt cannot take the run from t_start to t_end, or None."""
+    steps = (cfg.t_end - cfg.t_start) / dt if dt > 0.0 else math.inf
+    if not steps <= MAX_STEPS:
+        return (f"dt = {dt:.6g}, {steps:.6g} steps from t_start to t_end, "
+                f"more than {MAX_STEPS}")
+    least = TIME_RESOLUTION * max(abs(cfg.t_start), abs(cfg.t_end))
+    if not dt > least:
+        return (f"dt = {dt:.6g}, a step that does not advance the time "
+                f"from t_start = {cfg.t_start:.17g}: it needs dt > {least:.6g}")
+    return None
 
 
 def run(cfg: SimConfig, initial: VelocityState, forcing_at=None,
@@ -364,52 +383,47 @@ def run(cfg: SimConfig, initial: VelocityState, forcing_at=None,
     cfl_limits and viscous_dt_limit.  Either dt is then shortened to
     span / n, n the fewest steps of at most dt (to a relative 1e-12), so
     the last step lands on t_end.
-    Deterministic for a fixed config.  Blow-up (non-finite fields) and
-    CFL rejection truncate the run with a failure marker instead of
-    raising.
+    Deterministic for a fixed config.  Blow-up (non-finite fields) and a
+    dt above the cfl_limits of the state about to be stepped (to a
+    relative 1e-12) truncate the run with a failure reason.
 
-    No run takes more than MAX_STEPS steps.  When the settings alone (the
-    given dt, or cfl_safety times viscous_dt_limit) need more, run raises
-    ConfigurationError before it observes a state; when the flow's CFL
-    limits need more, the run is truncated before the first step.
+    No run takes more than MAX_STEPS steps, or a step that does not
+    advance the time (TIME_RESOLUTION), so the observed times strictly
+    increase.  Settings alone (the given dt, or cfl_safety times
+    viscous_dt_limit) that break either rule raise ConfigurationError
+    before a state is observed; the flow's CFL limits that break one
+    truncate the run before the first step.
     """
     observe = observe or (lambda s: None)
     state = initial.replace_fields(time=cfg.t_start)
     # enforce the divergence invariant on the initial checkpoint
     state, _ = project(state)
-    span = cfg.t_end - cfg.t_start
     if cfg.dt is not None:
         dt = least = cfg.dt
     else:
         limit = viscous_dt_limit(state.grid, cfg.nu)
         least = cfg.cfl_safety * limit
         dt = cfg.cfl_safety * min(*cfl_limits(state), limit)
-    if not _step_count(span, least) <= MAX_STEPS:
-        raise ConfigurationError(
-            f"the solver settings give dt = {least:.6g}, "
-            f"{_step_count(span, least):.6g} steps from t_start to t_end, "
-            f"more than {MAX_STEPS}")
+    why = _unusable(cfg, least)
+    if why:
+        raise ConfigurationError(f"the solver settings give {why}")
     observe(state)
-    steps = _step_count(span, dt)
-    if not steps <= MAX_STEPS:
-        return Trajectory(
-            state, dt, failed=True,
-            failure_reason=f"the flow's CFL limits give dt = {dt:.6g}, "
-                           f"{steps:.6g} steps, more than {MAX_STEPS}")
-    n_steps = max(1, math.ceil(steps * (1.0 - 1e-12)))
+    why = _unusable(cfg, dt)
+    if why:
+        return Trajectory(state, dt, f"the flow's CFL limits give {why}")
+    span = cfg.t_end - cfg.t_start
+    n_steps = max(1, math.ceil(span / dt * (1.0 - 1e-12)))
     dt = span / n_steps
     traj = Trajectory(state, dt)
     for i in range(n_steps):
-        try:
-            state, _ = step(state, cfg, dt, forcing_at=forcing_at)
-        except CflViolation as exc:
-            traj.failed = True
-            traj.failure_reason = str(exc)
+        limit = min(cfl_limits(state))
+        if dt > limit * (1.0 + 1e-12):
+            traj.failure_reason = f"dt = {dt} exceeds stability limit {limit}"
             break
+        state, _ = step(state, cfg, dt, forcing_at=forcing_at)
         traj.final = state
         traj.step_count = i + 1
         if not _is_finite(state):
-            traj.failed = True
             traj.failure_reason = f"blow-up: non-finite fields at t = {state.time}"
             observe(state)
             break

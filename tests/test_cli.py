@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from axiswirl.cli import (
@@ -479,11 +479,14 @@ def test_import_freezes_the_import_heap_once():
     ({"monitor": {"c3": math.inf}}, "$.monitor.c3"),
     ({"output": {"directory": "out", "write_checkpoints": "false"}},
      "$.output.write_checkpoints"),
+    ({"exponents": {"a": 6, "b": 4, "gamma": 0, "delta": 123}},
+     "$.exponents.delta"),
 ], ids=["eps_not_number", "eps_increasing", "eps_no_limit", "eps_infinite",
         "c_sob_negative", "c_grow_zero", "c_grow_infinite", "n_rho_overflow",
         "b_overflow", "param_not_number", "param_nan", "path_nul", "directory_nul",
         "nu_infinite", "dt_infinite", "rho_max_infinite", "b_infinite_number",
-        "gamma_infinite", "c3_infinite", "write_checkpoints_string"])
+        "gamma_infinite", "c3_infinite", "write_checkpoints_string",
+        "delta_with_finite_b"])
 def test_run_scenario_rejects_before_solving(tmp_path, monkeypatch, capsys,
                                              over, path):
     with pytest.raises(SchemaError) as exc:
@@ -573,6 +576,23 @@ def test_run_scenario_builds_the_monitor_before_solving(tmp_path, monkeypatch,
         assert run_scenario(_write(tmp_path, doc)) == 2
     assert step.call_count == 0
     assert "error: $.solver.nu:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dt", [0.01, None], ids=["given", "automatic"])
+def test_a_step_that_does_not_advance_the_time_is_rejected(
+        tmp_path, monkeypatch, capsys, dt):
+    # the float spacing at 1e15 is 0.125, so t + dt == t for dt = 0.01
+    # and for the automatic 0.046: exit 2 before any output, not a
+    # monitor that meets two checkpoints at one time
+    doc = _scenario(grid={"n_rho": 8, "n_z": 8},
+                    solver={"t_start": 1e15, "t_end": 1e15 + 1, "dt": dt})
+    validate_scenario(doc)
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    assert main(["run", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: $.solver:")
+    assert "does not advance the time" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -731,6 +751,25 @@ def test_validate_scenario_fuzz(section, key, value):
         pass
 
 
+@given(section=st.sampled_from([None, *_SECTIONS]), key=st.text(max_size=8))
+@example(section="solver", key="cfl_saftey")
+@example(section=None, key="monitr")
+def test_unknown_keys_are_rejected_at_their_path(section, key):
+    # a misspelt key was ignored, and the run used the default
+    known = ("schema_version", *_SECTIONS) if section is None \
+        else _SECTIONS[section]
+    assume(key not in known)
+    doc = _scenario()
+    if section is None:
+        doc[key], path = {}, f"$.{key}"
+    else:
+        doc[section] = {**doc.get(section, {}), key: 0.1}
+        path = f"$.{section}.{key}"
+    with pytest.raises(SchemaError) as exc:
+        validate_scenario(doc)
+    assert exc.value.path == path
+
+
 def _checkpoint_bytes():
     state = mms.sample_state(
         mms.make_solution("taylor_vortex_swirl", {}, build_grid(4, 4)), 0.25)
@@ -798,6 +837,38 @@ def test_grid_extents_are_validated(grid, path):
     with pytest.raises(SchemaError) as exc:
         validate_scenario(_scenario(grid={"n_rho": 16, "n_z": 8, **grid}))
     assert exc.value.path == path
+
+
+@pytest.mark.parametrize("grid,initial_data,path", [
+    ({"rho_max": 1e-300}, {"kind": "decaying_swirl"}, "$.grid.rho_max"),
+    ({"rho_max": 1e-300}, {"kind": "taylor_vortex_swirl"}, "$.grid.rho_max"),
+    ({"z_max": 1e-300}, {"kind": "taylor_vortex_swirl"}, "$.grid.z_max"),
+    ({"rho_max": 1e-300}, {"kind": "rigid_rotation"}, "$.grid.rho_max"),
+    ({"z_min": -1e308, "z_max": 1e308}, {"kind": "decaying_swirl"},
+     "$.grid.z_max"),
+    # spacings that build_grid accepts, with a constant of the solution
+    # that leaves the floats: lambda^2, k^2, 1/rho_max^6, nu lambda^2
+    ({"n_rho": 2, "rho_max": 1.5e-154}, {"kind": "decaying_swirl"},
+     "$.grid.rho_max"),
+    ({"n_z": 2, "z_max": 1.5e-154}, {"kind": "taylor_vortex_swirl"},
+     "$.grid.z_max"),
+    ({"rho_max": 1e-52}, {"kind": "taylor_vortex_swirl"}, "$.grid.rho_max"),
+    ({}, {"kind": "decaying_swirl", "params": {"nu": 1e308}},
+     "$.initial_data.params.nu"),
+], ids=["swirl_rho_tiny", "taylor_rho_tiny", "taylor_z_tiny",
+        "rigid_rho_tiny", "swirl_z_overflow", "swirl_lambda_sq",
+        "taylor_k_sq", "taylor_coefficients", "swirl_decay_rate"])
+def test_extreme_domains_name_the_grid_field(tmp_path, monkeypatch, capsys,
+                                             grid, initial_data, path):
+    # each exited 1 with an OverflowError or ZeroDivisionError, or exited
+    # 2 naming $.monitor.q or $.solver.t_start
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    doc = _scenario(grid={"n_rho": 8, "n_z": 8, **grid},
+                    solver={"t_end": 0.01}, initial_data=initial_data)
+    assert main(["run", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_checkpoint_header_larger_than_its_file(tmp_path, monkeypatch, capsys):
@@ -928,7 +999,10 @@ def test_growth_integral_overflow_is_not_an_error(tmp_path, monkeypatch, capsys)
     # initial pressure
     ({"a": 6, "b": 4, "gamma": 0},
      {"kind": "decaying_swirl", "params": {"amplitude": 1e300}}),
-], ids=["serrin_power", "swirl_pressure"])
+    # omega^2 overflows (it raised OverflowError): an infinite pressure
+    ({"a": 6, "b": 4, "gamma": 0},
+     {"kind": "rigid_rotation", "params": {"omega": 1e200}}),
+], ids=["serrin_power", "swirl_pressure", "rigid_pressure"])
 def test_overflowing_powers_are_blow_up(tmp_path, monkeypatch, capsys,
                                         exponents, initial_data):
     # a truncated report and exit 0, not an OverflowError

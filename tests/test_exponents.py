@@ -64,6 +64,15 @@ def test_sup_branch_delta_ceiling():
         derive_exponents(6.0, math.inf, 0.0, delta=0.0)
 
 
+def test_delta_is_rejected_with_a_finite_b():
+    # p and s do not depend on delta for finite b: a given one is named,
+    # not dropped
+    with pytest.raises(InadmissibleExponents) as exc:
+        derive_exponents(6.0, 4.0, 0.0, delta=123.0)
+    assert exc.value.field == "delta" and "123" in str(exc.value)
+    assert derive_exponents(6.0, 4.0, 0.0).delta is None
+
+
 def test_a_infinite_unsupported():
     assert check_admissible(math.inf, 4.0, 0.0) == []
     with pytest.raises(InadmissibleExponents):

@@ -132,12 +132,6 @@ def test_radial_diffusion_quadratic_exact():
     assert np.max(np.abs(got[:-1] - 4.0)) <= 1e-11
 
 
-def test_viscous_rhs_requires_positive_nu():
-    v, _ = _taylor_state(8)
-    with pytest.raises(ContractViolation):
-        viscous_rhs(v, 0.0)
-
-
 def test_laplacian_rejects_unknown_parity():
     v, g = _taylor_state(8)
     with pytest.raises(ContractViolation, match="parity"):

@@ -85,6 +85,13 @@ def test_grid_validation(bad):
     (dict(n_rho=1, n_z=4), None),
     (dict(n_rho=4, n_z=4, rho_max=math.nan), "rho_max"),
     (dict(n_rho=4, n_z=4, z_min=1.0, z_max=0.5), "z_max"),
+    # spacings whose square or reciprocal square leaves the floats
+    (dict(n_rho=8, n_z=8, rho_max=1e-300), "rho_max"),
+    (dict(n_rho=8, n_z=8, rho_max=1e160), "rho_max"),
+    (dict(n_rho=8, n_z=8, z_max=1e-300), "z_max"),
+    (dict(n_rho=8, n_z=8, z_min=-1e308, z_max=1e308), "z_max"),
+    # finite spacings, but cell weights 2 pi rho d_rho d_z that overflow
+    (dict(n_rho=8, n_z=8, rho_max=1e155), None),
 ])
 def test_grid_names_the_argument_at_fault(bad, field):
     # None: the bound on the cell counts holds both at once

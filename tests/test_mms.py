@@ -334,6 +334,32 @@ def test_make_solution_takes_only_its_kinds_parameters(kind, key):
         mms.make_solution(kind, {key: 1.0}, build_grid(8, 8))
 
 
+# log-uniform over the positive floats (10^-300 to 10^300)
+_EXTENT = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@given(kind=st.sampled_from(mms.KINDS), n_rho=st.integers(2, 16),
+       n_z=st.integers(2, 16), rho_max=_EXTENT,
+       z_min=st.just(0.0) | _EXTENT | _EXTENT.map(lambda x: -x),
+       length=_EXTENT)
+@settings(max_examples=300)
+def test_extreme_extents_are_rejected_or_sampled_finite(kind, n_rho, n_z,
+                                                        rho_max, z_min,
+                                                        length):
+    # a domain whose spacings or whose solution's constants leave the
+    # floats is a ConfigurationError, never an OverflowError or a
+    # ZeroDivisionError; any other gives finite samples
+    try:
+        sol = mms.make_solution(kind, {}, build_grid(
+            n_rho, n_z, rho_max=rho_max, z_min=z_min, z_max=z_min + length))
+    except ConfigurationError as exc:
+        assert exc.field in (None, "rho_max", "z_max")
+        return
+    state = mms.sample_state(sol, 0.0)
+    for f in (state.u_rho, state.u_phi, state.u_z, state.pressure):
+        assert np.all(np.isfinite(f))
+
+
 @given(kind=st.sampled_from(mms.KINDS), n_rho=st.integers(2, 16),
        n_z=st.integers(2, 16), rho_max=st.floats(0.1, 10.0),
        z_min=st.floats(-5.0, 5.0), length=st.floats(0.1, 10.0),

@@ -6,10 +6,10 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from axiswirl.cli import state_hash
-from axiswirl.errors import CflViolation, ConfigurationError
+from axiswirl.errors import ConfigurationError
 from axiswirl.fields import (
     div_adjoint,
     div_from_components,
@@ -90,12 +90,19 @@ def test_projection_preserves_swirl(taylor_state):
 
 
 def test_cfl_limits_and_violation(taylor_state):
-    cfg = SimConfig(nu=0.1)
-    adv, dif = cfl_limits(taylor_state)
-    assert adv > 0 and dif > 0
-    with pytest.raises(CflViolation) as exc:
-        step(taylor_state, cfg, 10.0 * min(adv, dif))
-    assert exc.value.suggested_dt < min(adv, dif)
+    # run checks each step's dt against the state about to be stepped: a
+    # given dt ten times the limit truncates before the first step, with
+    # the initial state observed and the limit in the reason
+    projected, _ = project(taylor_state)
+    limit = min(cfl_limits(projected))
+    assert 0.0 < limit < math.inf
+    dt = 10.0 * limit
+    states = []
+    traj = run(SimConfig(nu=0.1, t_end=2.0 * dt, dt=dt), taylor_state,
+               observe=states.append)
+    assert traj.failed and traj.step_count == 0
+    assert traj.failure_reason == f"dt = {dt} exceeds stability limit {limit}"
+    assert len(states) == 1 and states[0].time == 0.0
 
 
 def test_sim_config_validation():
@@ -245,6 +252,38 @@ def test_run_ends_on_t_end(dt, steps):
     assert not traj.failed and traj.step_count == steps
     assert traj.dt == 0.1 / steps <= dt
     assert traj.final.time == pytest.approx(0.1, rel=1e-14)
+
+
+# log-uniform magnitudes from 1e-3 to 1e17, either sign
+_TIMES = st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-3.0, 17.0)).map(
+    lambda se: se[0] * 10.0**se[1])
+
+
+@given(t_start=_TIMES, span=st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
+       k=st.integers(1, 50))
+@settings(max_examples=60, deadline=None)
+# t + 0.02 == t at 1e15, where the float spacing is 0.125
+@example(1e15, 1.0, 50)
+# a dt of half a float spacing: t_start + dt rounds up to an even
+# mantissa, which then never advances
+@example(2.0**52 + 1, 2.0, 4)
+# t + dt > t at both ends, but the rounded times run ahead of t_end past
+# 2^53, where the spacing doubles to 2 > 2 dt
+@example(2.0**53 - 10, 9.0, 15)
+def test_run_observes_strictly_increasing_times(t_start, span, k):
+    # a run either refuses its settings before it observes a state, or
+    # every step advances the time
+    observed = []
+    try:
+        cfg = SimConfig(t_start=t_start, t_end=t_start + span,
+                        dt=(t_start + span - t_start) / k)
+        traj = run(cfg, zero_state(build_grid(4, 4)),
+                   observe=lambda s: observed.append(s.time))
+    except ConfigurationError:
+        assert observed == []
+        return
+    assert not traj.failed and len(observed) == traj.step_count + 1
+    assert all(t1 > t0 for t0, t1 in zip(observed, observed[1:])), observed
 
 
 # --- properties on random grids ---------------------------------------------
