@@ -8,8 +8,9 @@ set -euo pipefail
 tmp="${RUNNER_TEMP:-$(mktemp -d)}"
 
 # the installed entry point: a solver study that must PASS, the
-# first-order negative control that must FAIL, and two calls that
-# must exit 2 (levels that do not strictly increase, --nu 0)
+# first-order negative control that must FAIL, and three calls that
+# must exit 2 (levels that do not strictly increase, --nu 0, and
+# --nu 1e6, whose dt = 0.1 Delta^2 / nu needs more than 10^7 steps)
 axiswirl check-exponents 6 4 0
 axiswirl mms taylor_vortex_swirl 8 16 32 | tail -n 1 | grep -q ': PASS$'
 axiswirl mms lopsided_curl 8 16 32 | tail -n 1 | grep -q ': FAIL$'
@@ -17,6 +18,9 @@ code=0; axiswirl mms rigid_rotation 8 8 16 || code=$?
 test "$code" -eq 2
 code=0; axiswirl mms rigid_rotation 8 16 32 --nu 0 || code=$?
 test "$code" -eq 2
+code=0; axiswirl mms decaying_swirl 8 16 32 --nu 1e6 2> "$tmp/mms.err" || code=$?
+test "$code" -eq 2
+grep -q '^error: --nu:' "$tmp/mms.err"
 
 # a manufactured solution takes its domain from $.grid: forced Taylor
 # on rho <= 3, z in [0, 0.7] must follow it and exit 0.  Its time
@@ -69,8 +73,9 @@ test "$(ls "$tmp"/overflowing-swirl/checkpoint_*.bin | wc -l)" -eq 11
 # (monitor.MonitorConfig's rule); a dt of 0.01 at t = 1e15, where the
 # float spacing is 0.125, so a step does not advance the time
 # (solver.run's rule); a rho_max of 1e-300, whose spacing squared
-# underflows (grid.build_grid's rule); and a misspelt key
-# (cli.validate_scenario's rule)
+# underflows (grid.build_grid's rule); a misspelt key and a checkpoint
+# path that is not a regular file (cli.validate_scenario's and
+# cli.read_checkpoint's rules)
 rejected() {  # rejected SECTION JSON PATH
   printf '{"schema_version": 1, "grid": {"n_rho": 8, "n_z": 8}, "%s": %s, "output": {"directory": "rejected"}}\n' \
     "$1" "$2" > "$tmp/rejected.json"
@@ -85,3 +90,30 @@ rejected monitor '{"c_sob": 1e-320}' '$.monitor.c_sob'
 rejected solver '{"t_start": 1e15, "t_end": 1000000000000001, "dt": 0.01}' '$.solver'
 rejected grid '{"n_rho": 8, "n_z": 8, "rho_max": 1e-300}' '$.grid.rho_max'
 rejected solver '{"cfl_saftey": 0.1}' '$.solver.cfl_saftey'
+rejected initial_data '{"kind": "file", "path": "/dev/zero"}' '$.initial_data.path'
+
+# an output directory that would leave $AXISWIRL_OUTPUT_ROOT exits 2 and
+# writes nothing, there or outside
+mkdir -p "$tmp/root"
+cat > "$tmp/escaping.json" <<'JSON'
+{"schema_version": 1,
+ "grid": {"n_rho": 8, "n_z": 8},
+ "output": {"directory": "../escaped"}}
+JSON
+code=0
+AXISWIRL_OUTPUT_ROOT="$tmp/root" axiswirl run "$tmp/escaping.json" 2> "$tmp/escaping.err" || code=$?
+test "$code" -eq 2
+grep -qF 'error: $.output.directory:' "$tmp/escaping.err"
+test ! -e "$tmp/escaped"
+test -z "$(ls -A "$tmp/root")"
+
+# the Sobolev calibration scales its probes to the domain: the decaying
+# swirl on rho_max 1e100 must exit 0
+cat > "$tmp/huge-domain.json" <<'JSON'
+{"schema_version": 1,
+ "grid": {"n_rho": 8, "n_z": 8, "rho_max": 1e100},
+ "solver": {"t_end": 0.01},
+ "initial_data": {"kind": "decaying_swirl"},
+ "output": {"directory": "huge-domain"}}
+JSON
+AXISWIRL_OUTPUT_ROOT="$tmp" axiswirl run "$tmp/huge-domain.json"

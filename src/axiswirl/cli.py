@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -114,7 +115,8 @@ def _read_header(path, line, payload):
     ConfigurationError naming the file and the offending key.
     """
     try:
-        header = json.loads(line)
+        # a line cut at MAX_HEADER_BYTES is no header
+        header = json.loads(line) if line.endswith(b"\n") else None
     except ValueError:
         header = None
     if not isinstance(header, dict) or header.get("format") != "axiswirl-checkpoint":
@@ -166,9 +168,25 @@ def _read_header(path, line, payload):
     return grid, time, names
 
 
+# the longest header line read_checkpoint reads; write_checkpoint writes
+# at most about 310 bytes
+MAX_HEADER_BYTES = 65536
+
+
+def _is_regular_file(path) -> bool:
+    """Whether path is a regular file, by os.stat, which opens nothing: a
+    FIFO would block an open, and a device like /dev/zero never ends.
+    OSError (a missing file, say) as os.stat raises it."""
+    return stat.S_ISREG(os.stat(path).st_mode)
+
+
 def read_checkpoint(path):
+    """The state a checkpoint file holds.  ConfigurationError for a file
+    that is not one, naming path when it is not a regular file."""
+    if not _is_regular_file(path):
+        raise ConfigurationError(f"{path}: not a regular file", "path")
     with open(path, "rb") as fh:
-        line = fh.readline()
+        line = fh.readline(MAX_HEADER_BYTES)
         payload = os.fstat(fh.fileno()).st_size - len(line)
         grid, time, names = _read_header(path, line, payload)
         n = grid.n_rho * grid.n_z
@@ -353,6 +371,12 @@ def validate_scenario(doc) -> dict:
     if not isinstance(directory, str) or not directory or "\0" in directory:
         raise SchemaError("$.output.directory",
                           "must be a non-empty string without NUL characters")
+    # os.path.join drops the root for an absolute path, and .. leaves it
+    if os.path.isabs(directory) or os.pardir in directory.split(os.sep):
+        raise SchemaError("$.output.directory",
+                          f"must be a relative path without {os.pardir!r} "
+                          f"components, to stay under ${OUTPUT_ROOT_ENV}, "
+                          f"got {directory!r}")
     out["output"] = {
         "directory": directory,
         "write_checkpoints": _expect(sec["output"]["write_checkpoints"],
@@ -391,8 +415,6 @@ def _initial_state_and_forcing(cfg: dict, grid: CylGrid, nu: float):
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "1" if x else "0"
-    if x is None:
-        return "nan"
     return "%.17g" % x
 
 
@@ -423,6 +445,8 @@ def run_scenario(path) -> int:
 
 
 def _run_scenario(path) -> int:
+    if not _is_regular_file(path):
+        raise OSError(f"{path}: not a regular file")
     with open(path) as fh:
         try:
             doc = json.load(fh)

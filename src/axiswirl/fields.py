@@ -227,8 +227,9 @@ def curl_axisym(v: VelocityState) -> VorticityFields:
 def explicit_rhs(v: VelocityState, f: ForcingFields):
     """The tendencies (du_rho/dt, du_phi/dt, du_z/dt) the time step treats
     explicitly, apart from the pressure gradient: advection, the swirl
-    terms +-u_phi^2/rho and u_phi*u_rho/rho, and the forcing.  The step
-    adds the pressure gradient in the form its projection removes
+    terms +-u_phi^2/rho and u_phi*u_rho/rho, and the forcing, as one
+    (3, n_rho, n_z) array (solver.viscous_solve's layout).  The step adds
+    the pressure gradient in the form its projection removes
     (solver.step)."""
     g = v.grid
     rho = g.rho
@@ -238,17 +239,18 @@ def explicit_rhs(v: VelocityState, f: ForcingFields):
     du_phi = (-(ur * d_rho(uh, g, ODD) + uz * d_z(uh, g)) - uh * ur / rho
               + f.h_phi)
     du_z = -(ur * d_rho(uz, g, EVEN) + uz * d_z(uz, g)) + f.h_z
-    return du_rho, du_phi, du_z
+    return np.stack((du_rho, du_phi, du_z))
 
 
 def viscous_rhs(v: VelocityState, nu: float):
-    """nu times the laplacian of each velocity component.  The time step
-    treats these implicitly (solver.viscous_solve inverts I - c L for
-    exactly this L).  nu > 0 is SimConfig's rule (convergence_order's
-    for its studies)."""
+    """nu times the laplacian of each velocity component, as one
+    (3, n_rho, n_z) array like explicit_rhs.  The time step treats these
+    implicitly (solver.viscous_solve inverts I - c L for exactly this L).
+    nu > 0 is SimConfig's rule (convergence_order's for its studies)."""
     g = v.grid
-    return (nu * laplacian(v.u_rho, g, ODD), nu * laplacian(v.u_phi, g, ODD),
-            nu * laplacian(v.u_z, g, EVEN))
+    return nu * np.stack((laplacian(v.u_rho, g, ODD),
+                          laplacian(v.u_phi, g, ODD),
+                          laplacian(v.u_z, g, EVEN)))
 
 
 def vorticity_transport_residual(v: VelocityState, w: VorticityFields,

@@ -452,8 +452,15 @@ def convergence_order(kind, grids, quantity="solver", nu=0.1, t_end=0.05,
         state = sample_state(sol, 0.0)
         if quantity == "solver":
             dt = 0.1 * min(grid.d_rho, grid.d_z) ** 2 / nu
-            cfg = SimConfig(nu=nu, t_end=t_end, dt=dt, checkpoint_stride=10**9)
-            traj = run(cfg, state, forcing_at=forcing_callable(sol, nu))
+            # on the default domain even 1024^2 cells (MAX_CELLS) take
+            # 52 429 steps at nu = 0.1: a dt or a step count that the
+            # solver refuses is nu's fault
+            try:
+                cfg = SimConfig(nu=nu, t_end=t_end, dt=dt,
+                                checkpoint_stride=10**9)
+                traj = run(cfg, state, forcing_at=forcing_callable(sol, nu))
+            except ConfigurationError as exc:
+                raise ConfigurationError(str(exc), "nu") from None
             if traj.failed:
                 raise ConfigurationError(f"solver failed: {traj.failure_reason}")
             final = traj.final
@@ -462,7 +469,7 @@ def convergence_order(kind, grids, quantity="solver", nu=0.1, t_end=0.05,
                       for c in _VELOCITY)
         elif quantity == "operator":
             f = forcing_for(sol, nu, 0.0)
-            tend = map(np.add, explicit_rhs(state, f), viscous_rhs(state, nu))
+            tend = explicit_rhs(state, f) + viscous_rhs(state, nu)
             grad_p = (sol.p.d_rho(0.0), 0.0, sol.p.d_z(0.0))
             # volume-weighted L2: single boundary-adjacent rows carry
             # vanishing measure, matching the norm the time integration sees

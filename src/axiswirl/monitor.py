@@ -175,12 +175,18 @@ def calibrate_sobolev(grid: CylGrid, q: int = 4) -> float:
     since a sweep calibrates the same grid once per scenario.  A q that
     breaks monitor_settings, or for which the constant is 0 (every probe
     power underflows) or inf (one overflows), raises ConfigurationError
-    naming q, on every call (lru_cache keeps no exceptions)."""
+    naming q, on every call (lru_cache keeps no exceptions).
+
+    The probes grow with rho_max, but a scaled probe s u has the same
+    quotient (both sides scale as s^q), so each is scaled by the power of
+    two that is 1 for rho_max in [2, 4): exact, and it keeps the powers
+    of a large or a small domain in range."""
     monitor_settings(q)
     parity = _swirl_power_parity(q // 2)
+    scale = 2 - math.frexp(grid.rho_max)[1]
     best = 0.0
     for u in probe_fields(grid):
-        w = u ** (q // 2)
+        w = np.ldexp(u, scale) ** (q // 2)
         num = _integ(np.abs(w) ** 6, grid) ** (1.0 / 3.0)
         den = _integ(grad_squared(w, grid, parity, NOSLIP), grid)
         if den > 0.0:

@@ -216,13 +216,13 @@ def _viscous_basis(grid: CylGrid):
 
 def viscous_solve(rhs, grid: CylGrid, c: float):
     """Solve (I - c L) x = rhs for the three velocity components at once;
-    rhs and x have shape (n_rho, 3, n_z), components u_rho, u_phi, u_z."""
+    rhs and x have shape (3, n_rho, n_z), components u_rho, u_phi, u_z,
+    the layout of explicit_rhs and viscous_rhs."""
     q, bases = _viscous_basis(grid)
-    r = rhs.transpose(1, 0, 2)
     # one odd basis applied to both odd components by broadcasting
-    x = [w @ ((w_inv @ part @ q) / (1.0 - c * lam)) @ q.T
-         for (w, w_inv, lam), part in zip(bases, (r[:2], r[2:]))]
-    return np.concatenate(x).transpose(1, 0, 2)
+    return np.concatenate([w @ ((w_inv @ part @ q) / (1.0 - c * lam)) @ q.T
+                           for (w, w_inv, lam), part
+                           in zip(bases, (rhs[:2], rhs[2:]))])
 
 
 def project(v: VelocityState, dt=None):
@@ -294,10 +294,6 @@ def viscous_dt_limit(grid: CylGrid, nu: float) -> float:
     return 0.5 / (nu * lam1_sq)
 
 
-def _with_velocity(v: VelocityState, u, time):
-    return v.replace_fields(u_rho=u[:, 0], u_phi=u[:, 1], u_z=u[:, 2], time=time)
-
-
 def step(state: VelocityState, cfg: SimConfig, dt: float, forcing_at=None):
     """One IMEX step: Heun for explicit_rhs, Crank-Nicolson for
     viscous_rhs, and a projection after each stage.
@@ -306,11 +302,12 @@ def step(state: VelocityState, cfg: SimConfig, dt: float, forcing_at=None):
     (I - c L) du = dt (E + D* p^n + nu L u^n), c = nu dt / 2, for the
     increment du over u^n; E is E(u^n) in the first stage and the mean
     of E(u^n) and E(projected first stage) in the second, and p^n is the
-    stored pressure, which the final projection updates.  forcing_at(t) ->
-    ForcingFields; defaults to zero forcing.  Returns (state, rel) as
-    project does.  dt is not checked against cfl_limits: run does that.
-    A non-finite result is returned unprojected with rel nan; the caller
-    treats it as blow-up data.
+    stored pressure, which the final projection updates.  u, E, nu L u
+    and du are (3, n_rho, n_z) arrays, viscous_solve's layout.
+    forcing_at(t) -> ForcingFields; defaults to zero forcing.  Returns
+    (state, rel) as project does.  dt is not checked against cfl_limits:
+    run does that.  A non-finite result is returned unprojected with rel
+    nan; the caller treats it as blow-up data.
     """
     g = state.grid
     if forcing_at is None:
@@ -318,20 +315,17 @@ def step(state: VelocityState, cfg: SimConfig, dt: float, forcing_at=None):
         forcing_at = lambda t: zf  # noqa: E731
     t = state.time
     c = 0.5 * cfg.nu * dt
-    # components stacked on axis 1: the (n_rho, 3, n_z) layout of
-    # viscous_solve
-    u0 = np.stack((state.u_rho, state.u_phi, state.u_z), axis=1)
+    u0 = np.stack((state.u_rho, state.u_phi, state.u_z))
     # the pressure gradient is D* p, the form the projection removes: a
     # centred gradient leaves forced flows first order in time
     cr, cz = div_adjoint(state.pressure, g)
-    common = np.stack(viscous_rhs(state, cfg.nu), axis=1) + np.stack(
-        [cr, np.zeros_like(cr), cz], axis=1)
-    e0 = np.stack(explicit_rhs(state, forcing_at(t)), axis=1)
-    mid, _ = project(_with_velocity(
-        state, u0 + viscous_solve(dt * (e0 + common), g, c), t + dt))
-    e1 = np.stack(explicit_rhs(mid, forcing_at(t + dt)), axis=1)
+    common = viscous_rhs(state, cfg.nu) + np.stack((cr, np.zeros_like(cr), cz))
+    e0 = explicit_rhs(state, forcing_at(t))
+    mid, _ = project(state.replace_fields(
+        *(u0 + viscous_solve(dt * (e0 + common), g, c)), time=t + dt))
+    e1 = explicit_rhs(mid, forcing_at(t + dt))
     u = u0 + viscous_solve(dt * (0.5 * (e0 + e1) + common), g, c)
-    star = _with_velocity(state, u, t + dt)
+    star = state.replace_fields(*u, time=t + dt)
     if not np.all(np.isfinite(u)):
         return star, np.nan  # blow-up: caller truncates
     return project(star, dt=dt)

@@ -105,6 +105,8 @@ def test_schema_and_check_exponents_spell_infinite_b_alike(capsys, spelling):
     (_scenario(initial_data={"kind": "zero"},
                forcing={"kind": "manufactured"}), "$.forcing.kind"),
     (_scenario(output={"directory": ""}), "$.output.directory"),
+    (_scenario(output={"directory": "/abs_out"}), "$.output.directory"),
+    (_scenario(output={"directory": "a/../b"}), "$.output.directory"),
 ])
 def test_validate_rejects(doc, path_fragment):
     with pytest.raises(SchemaError) as exc:
@@ -412,6 +414,7 @@ def test_mms_cmd_validation(capsys):
     ("decaying_swirl", "0"), ("decaying_swirl", "inf"),
     ("rigid_rotation", "0"), ("rigid_rotation", "-1"), ("rigid_rotation", "nan"),
     ("taylor_vortex_swirl", "-1"), ("lopsided_curl", "0"),
+    ("decaying_swirl", "1e6"),
 ])
 def test_mms_nu_must_be_positive_and_finite(capsys, kind, nu):
     assert main(["mms", kind, "8", "16", "32", f"--nu={nu}"]) == 2
@@ -502,10 +505,11 @@ def test_run_scenario_rejects_before_solving(tmp_path, monkeypatch, capsys,
 # depends on the initial state, and the monitor's constants on the
 # calibrated c_sob.  Rejected once the monitor, which is built before the
 # solve, or the solver meets them; nu^3 overflows for the huge nu, and
-# u^(q/2) underflows on every calibration probe for q = 1e20 (overflows
-# for q = 400 where the probes reach 3.9, on rho_max 10), so q, not nu
-# or the exponents, is at fault unless c_sob is given.  A given c_sob of
-# 1e-320 overflows eps2, the absorption term it divides.
+# u^(q/2) underflows on every calibration probe for q = 1e20, so q, not
+# nu or the exponents, is at fault unless c_sob is given.  A given c_sob
+# of 1e-320 overflows eps2, the absorption term it divides.  On
+# rho_max 1e-150 the calibration serves, and the viscous dt limit
+# (~rho_max^2) asks for too many steps.
 @pytest.mark.parametrize("solver,monitor,path,grid", [
     ({"nu": 1e300}, {}, "$.solver.nu", {}),
     ({"cfl_safety": 1e-320}, {}, "$.solver", {}),
@@ -514,11 +518,11 @@ def test_run_scenario_rejects_before_solving(tmp_path, monkeypatch, capsys,
     ({"nu": 1e-320, "dt": 1e-3}, {"c_grow": 1.0}, "$.solver.nu", {}),
     ({}, {"q": 1e20}, "$.monitor.q", {}),
     ({"nu": 1e300}, {"q": 1e20, "c_sob": 1.0}, "$.solver.nu", {}),
-    ({}, {"q": 400}, "$.monitor.q", {"rho_max": 10.0}),
+    ({}, {}, "$.solver", {"rho_max": 1e-150}),
     ({}, {"c_sob": 1e-320}, "$.monitor.c_sob", {}),
 ], ids=["nu_huge", "cfl_safety_tiny", "dt_tiny", "nu_tiny",
         "nu_tiny_given_c_grow", "q_calibrates_no_c_sob",
-        "nu_huge_given_c_sob", "q_calibrates_an_infinite_c_sob",
+        "nu_huge_given_c_sob", "rho_max_tiny_takes_too_many_steps",
         "c_sob_tiny"])
 def test_run_scenario_rejects_unrunnable_solver_settings(
         tmp_path, monkeypatch, capsys, solver, monitor, path, grid):
@@ -529,6 +533,22 @@ def test_run_scenario_rejects_unrunnable_solver_settings(
     assert run_scenario(_write(tmp_path, doc)) == 2
     assert f"error: {path}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()  # rejected before any output
+
+
+@pytest.mark.parametrize("grid,monitor", [
+    ({"rho_max": 1e100}, {}),
+    ({"rho_max": 10.0}, {"q": 400}),
+], ids=["rho_max_huge", "q_400_on_rho_max_10"])
+def test_calibration_serves_large_domains_and_powers(tmp_path, monkeypatch,
+                                                     grid, monitor):
+    # the probes grow with rho_max, and their powers overflowed before
+    # each probe was scaled to the domain: both exited 2 at $.monitor.q
+    doc = _scenario(grid={"n_rho": 8, "n_z": 8, **grid},
+                    solver={"t_end": 0.01}, monitor=monitor)
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    assert run_scenario(_write(tmp_path, doc)) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert 0.0 < manifest["resolved"]["c_sob"] < math.inf
 
 
 def test_monitor_truncation_stops_neither_the_solver_nor_the_writer(
@@ -663,6 +683,125 @@ def test_file_initial_state_must_match_the_scenario_grid(tmp_path, monkeypatch,
     assert "$.initial_data.path" in err and path in err
     assert repr(small) in err and repr(build_grid(16, 8)) in err
     assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+def test_the_default_scenario_runs_at_rest(tmp_path, monkeypatch):
+    # the schema's defaults: zero initial data and zero forcing
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    doc = {"schema_version": SCHEMA_VERSION, "grid": {"n_rho": 8, "n_z": 8}}
+    assert run_scenario(_write(tmp_path, doc)) == 0
+    lines = (tmp_path / "axiswirl-run" / "diagnostics.csv").read_text()
+    header, *rows = [line.split(",") for line in lines.splitlines()]
+    norms = [i for i, c in enumerate(header) if c.endswith(("_norm", "_l2"))]
+    assert len(norms) == 4 and len(rows) > 1
+    assert all(float(row[i]) == 0.0 for row in rows for i in norms)
+
+
+def test_a_run_restarts_from_its_last_checkpoint(tmp_path, monkeypatch):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    grid = {"n_rho": 16, "n_z": 8}
+    first = _scenario(grid=grid, solver={"t_end": 0.01, "dt": 2e-3},
+                      initial_data={"kind": "taylor_vortex_swirl"},
+                      output={"directory": "first", "write_checkpoints": True})
+    assert run_scenario(_write(tmp_path, first, "first.json")) == 0
+    last = sorted((tmp_path / "first").glob("checkpoint_*.bin"))[-1]
+    saved = read_checkpoint(str(last))
+    assert saved.time == pytest.approx(0.01)
+    restart = _scenario(grid=grid,
+                        solver={"t_start": 0.01, "t_end": 0.02, "dt": 2e-3},
+                        initial_data={"kind": "file", "path": str(last)},
+                        output={"directory": "restart",
+                                "write_checkpoints": True})
+    assert run_scenario(_write(tmp_path, restart, "restart.json")) == 0
+    resumed = read_checkpoint(str(tmp_path / "restart" / "checkpoint_00000.bin"))
+    assert resumed.time == saved.time
+    # the run projects its initial state again (ROADMAP item 8), which
+    # moves a projected state by rounding only
+    for name in ("u_rho", "u_phi", "u_z", "pressure"):
+        a, b = getattr(resumed, name), getattr(saved, name)
+        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b)), name
+
+
+@pytest.mark.parametrize("directory", ["absolute", "../../dotdot",
+                                       "inside/../../dotdot"])
+def test_output_directory_stays_under_the_root(tmp_path, monkeypatch, capsys,
+                                               directory):
+    root = tmp_path / "a" / "root"
+    root.mkdir(parents=True)
+    if directory == "absolute":
+        directory = str(tmp_path / "abs_out")
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(root))
+    scenario = _write(tmp_path, _scenario(
+        grid={"n_rho": 8, "n_z": 8}, output={"directory": directory}))
+    assert run_scenario(scenario) == 2
+    assert "error: $.output.directory:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "a", "root", "scenario.json"]
+
+
+def _main_in_a_child(cwd, *argv):
+    """main(argv) in a child process, under a timeout and a 1.5 GB
+    address-space limit: a read that blocks or never ends fails the test
+    instead of hanging it or taking the machine's memory.  One BLAS
+    thread, since each thread's buffers count against the limit."""
+    src = os.path.dirname(os.path.dirname(mms.__file__))
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1500 * 2**20,) * 2); "
+            "import axiswirl.cli as cli; sys.exit(cli.main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    env[OUTPUT_ROOT_ENV] = str(cwd)
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("target", ["fifo", "/dev/zero"])
+def test_a_checkpoint_path_must_be_a_regular_file(tmp_path, target):
+    # os.stat opens nothing, so a FIFO cannot block the run, and
+    # /dev/zero is not read: both exit 2 naming the path
+    if target == "fifo":
+        target = str(tmp_path / "fifo")
+        os.mkfifo(target)
+    scenario = _write(tmp_path, _scenario(
+        grid={"n_rho": 8, "n_z": 8},
+        initial_data={"kind": "file", "path": target}))
+    result = _main_in_a_child(tmp_path, "run", scenario)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == (f"error: $.initial_data.path: {target}: "
+                             f"not a regular file\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("target", ["fifo", "/dev/zero"])
+def test_a_scenario_must_be_a_regular_file(tmp_path, target):
+    # an I/O error, like a missing scenario file; in a sweep too, where
+    # the other scenarios still run
+    if target == "fifo":
+        target = str(tmp_path / "fifo")
+        os.mkfifo(target)
+    result = _main_in_a_child(tmp_path, "run", target)
+    assert result.returncode == 3, result.stderr
+    assert "not a regular file" in result.stderr
+    sweep_dir = tmp_path / "sweep"
+    sweep_dir.mkdir()
+    os.symlink(target, sweep_dir / "a.json")
+    _write(sweep_dir, _scenario(grid={"n_rho": 8, "n_z": 8}), "b.json")
+    result = _main_in_a_child(tmp_path, "sweep", str(sweep_dir))
+    assert result.returncode == 3, result.stderr
+    assert "a.json: exit 3" in result.stdout
+    assert "b.json: exit 0" in result.stdout
+
+
+@pytest.mark.parametrize("end", [b"", b"\n"],
+                         ids=["no_newline", "newline_past_64_KiB"])
+def test_a_checkpoint_header_is_at_most_64_KiB(tmp_path, end):
+    # a valid header padded past 64 KiB, with no newline (and so no
+    # payload) or with its newline and payload after the padding
+    path = tmp_path / "long.bin"
+    write_checkpoint(str(path), zero_state(build_grid(2, 2)))
+    header, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header + b" " * 65536 + (end + payload if end else b""))
+    with pytest.raises(ConfigurationError, match="not a checkpoint file"):
+        read_checkpoint(str(path))
 
 
 # --- one owner per rule -----------------------------------------------------------

@@ -397,11 +397,11 @@ def test_time_order_on_a_fixed_grid(kind):
 @example(build_grid(128, 128), 10.0, 128)
 def test_viscous_solve_inverts_the_implicit_operator(g, c, seed):
     b = _random(g, seed, 3)
-    x = viscous_solve(np.stack(list(b), axis=1), g, c)
-    v = zero_state(g).replace_fields(u_rho=x[:, 0], u_phi=x[:, 1], u_z=x[:, 2])
+    x = viscous_solve(b, g, c)
+    v = zero_state(g).replace_fields(*x)
     # viscous_rhs(v, c) is c L x for the L the step treats implicitly
     for i, cl in enumerate(viscous_rhs(v, c)):
-        residual = x[:, i] - cl - b[i]
+        residual = x[i] - cl - b[i]
         assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(b[i]))
 
 
