@@ -63,23 +63,14 @@ class VorticityFields(Frozen):
         self._freeze(grid, *(_sample(f, grid) for f in (w_rho, w_phi, w_z)))
 
 
-class ForcingFields(Frozen):
-    """The momentum forcing h."""
-
-    __slots__ = ("grid", "h_rho", "h_phi", "h_z")
-
-    def __init__(self, grid: CylGrid, h_rho, h_phi, h_z):
-        self._freeze(grid, *(_sample(f, grid) for f in (h_rho, h_phi, h_z)))
-
-
 def zero_state(grid: CylGrid, time=0.0) -> VelocityState:
     z = grid.zeros()
     return VelocityState(grid, z, z.copy(), z.copy(), z.copy(), time)
 
 
-def zero_forcing(grid: CylGrid) -> ForcingFields:
-    z = grid.zeros()
-    return ForcingFields(grid, z, z.copy(), z.copy())
+def zero_forcing(grid: CylGrid) -> np.ndarray:
+    """The momentum forcing h = 0, in explicit_rhs's layout."""
+    return np.zeros((3, *grid.shape))
 
 
 # --- ghost construction -------------------------------------------------
@@ -224,22 +215,21 @@ def curl_axisym(v: VelocityState) -> VorticityFields:
     return VorticityFields(g, w_rho, w_phi, w_z)
 
 
-def explicit_rhs(v: VelocityState, f: ForcingFields):
+def explicit_rhs(v: VelocityState, f):
     """The tendencies (du_rho/dt, du_phi/dt, du_z/dt) the time step treats
     explicitly, apart from the pressure gradient: advection, the swirl
-    terms +-u_phi^2/rho and u_phi*u_rho/rho, and the forcing, as one
-    (3, n_rho, n_z) array (solver.viscous_solve's layout).  The step adds
-    the pressure gradient in the form its projection removes
-    (solver.step)."""
+    terms +-u_phi^2/rho and u_phi*u_rho/rho, and the forcing f = (h_rho,
+    h_phi, h_z), as one (3, n_rho, n_z) array (solver.viscous_solve's
+    layout, which f shares).  The step adds the pressure gradient in the
+    form its projection removes (solver.step)."""
     g = v.grid
     rho = g.rho
     ur, uh, uz = v.u_rho, v.u_phi, v.u_z
-    du_rho = (-(ur * d_rho(ur, g, ODD) + uz * d_z(ur, g)) + uh**2 / rho
-              + f.h_rho)
-    du_phi = (-(ur * d_rho(uh, g, ODD) + uz * d_z(uh, g)) - uh * ur / rho
-              + f.h_phi)
-    du_z = -(ur * d_rho(uz, g, EVEN) + uz * d_z(uz, g)) + f.h_z
-    return np.stack((du_rho, du_phi, du_z))
+    out = np.stack((-(ur * d_rho(ur, g, ODD) + uz * d_z(ur, g)) + uh**2 / rho,
+                    -(ur * d_rho(uh, g, ODD) + uz * d_z(uh, g)) - uh * ur / rho,
+                    -(ur * d_rho(uz, g, EVEN) + uz * d_z(uz, g))))
+    out += f
+    return out
 
 
 def viscous_rhs(v: VelocityState, nu: float):

@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
 from .fields import (
-    ForcingFields,
     VelocityState,
     curl_axisym,
     divergence,
@@ -340,13 +339,15 @@ def sample_state(sol: ManufacturedSolution, t) -> VelocityState:
 
 
 def forcing_callable(sol: ManufacturedSolution, nu):
-    """forcing_at(t), the analytic (h_rho, h_phi, h_z) closing the momentum
-    equations, for the solver and the monitor.
+    """forcing_at(t), the analytic forcing h closing the momentum
+    equations, for the solver and the monitor: one (3, n_rho, n_z) array
+    (h_rho, h_phi, h_z), the layout of fields.explicit_rhs.
 
-    h(t) = e^{-mu t} L + e^{-2 mu t} N, both parts assembled here, once,
+    h(t) = e^{-mu t} L + e^{-2 mu t} N, both parts stacked here, once,
     from the partials at t = 0: L = d_t u - nu Lap u (Lap the vector
     Laplacian) is linear in u, and N, the advection and swirl terms and
-    grad p, is quadratic in u.
+    grad p, is quadratic in u.  A part that overflows (a swirl of 1e308)
+    holds inf or nan, which the run treats as blow-up.
     """
     grid = sol.grid
     if sol.homogeneous_nu is not None and (
@@ -366,21 +367,13 @@ def forcing_callable(sol: ManufacturedSolution, nu):
     def advection(f):
         return ur("val") * f("d_rho") + uz("val") * f("d_z")
 
-    lin = (linear(ur, True), linear(uh, True), linear(uz, False))
-    quad = (advection(ur) - uh("val")**2 / rho + p("d_rho"),
-            advection(uh) + uh("val") * ur("val") / rho,
-            advection(uz) + p("d_z"))
-
-    def forcing_at(t):
-        a, b = math.exp(-sol.mu * t), math.exp(-sol.p.mu * t)
-        return ForcingFields(grid, *(a * x + b * y for x, y in zip(lin, quad)))
-
-    return forcing_at
-
-
-def forcing_for(sol: ManufacturedSolution, nu, t) -> ForcingFields:
-    """Forcing on the solution's grid at time t."""
-    return forcing_callable(sol, nu)(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lin = np.stack((linear(ur, True), linear(uh, True), linear(uz, False)))
+        quad = np.stack((advection(ur) - uh("val")**2 / rho + p("d_rho"),
+                         advection(uh) + uh("val") * ur("val") / rho,
+                         advection(uz) + p("d_z")))
+    mu, mu_p = sol.mu, sol.p.mu
+    return lambda t: math.exp(-mu * t) * lin + math.exp(-mu_p * t) * quad
 
 
 # --- convergence studies --------------------------------------------------
@@ -468,8 +461,8 @@ def convergence_order(kind, grids, quantity="solver", nu=0.1, t_end=0.05,
                                getattr(sol, c).val(final.time))
                       for c in _VELOCITY)
         elif quantity == "operator":
-            f = forcing_for(sol, nu, 0.0)
-            tend = explicit_rhs(state, f) + viscous_rhs(state, nu)
+            tend = (explicit_rhs(state, forcing_callable(sol, nu)(0.0))
+                    + viscous_rhs(state, nu))
             grad_p = (sol.p.d_rho(0.0), 0.0, sol.p.d_z(0.0))
             # volume-weighted L2: single boundary-adjacent rows carry
             # vanishing measure, matching the norm the time integration sees

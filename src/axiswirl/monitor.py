@@ -39,7 +39,6 @@ from .fields import (
     EXTRAP,
     NOSLIP,
     ODD,
-    ForcingFields,
     VelocityState,
     curl_axisym,
     d_rho,
@@ -286,17 +285,18 @@ class CheckpointView(Frozen):
         self._freeze(*(values[name] for name in self.__slots__))
 
 
-def checkpoint_view(v: VelocityState, f: ForcingFields,
+def checkpoint_view(v: VelocityState, f,
                     m: MonitorConfig) -> CheckpointView:
     """Evaluate every monitored integral of one finite state and the
-    forcing at its time.  Each distinct power of u_phi is summed over z
+    forcing f = (h_rho, h_phi, h_z) at its time, of which only h_phi
+    enters.  Each distinct power of u_phi is summed over z
     once; an integral of that power against rho^k is then one length-n_rho
     dot product, shared by all its readers.  A power that overflows is
     inf, never an exception."""
     g = v.grid
     q, e = m.q, m.exponents
     p, s = e.p_hold, e.s
-    ur, uh, h = v.u_rho, v.u_phi, f.h_phi
+    ur, uh, h = v.u_rho, v.u_phi, f[1]
     un = negative_part(ur)
     u_abs = np.abs(uh)
     powers = {j: u_abs**j for j in {q, 4, q * s / (s - 2.0), 3 * q}}
@@ -532,7 +532,7 @@ def blowup_indicator(records) -> dict:
     return report
 
 
-def _view_or_blowup(v: VelocityState, f: ForcingFields, m: MonitorConfig):
+def _view_or_blowup(v: VelocityState, f, m: MonitorConfig):
     """checkpoint_view of v, or None when v is blow-up data: non-finite
     fields, or finite fields whose squares and powers overflow in any
     number the view holds."""
@@ -548,7 +548,8 @@ def _view_or_blowup(v: VelocityState, f: ForcingFields, m: MonitorConfig):
 class Diagnostics:
     """The monitor as a fold over a run's checkpoints: add(state) appends
     the DiagnosticsRecord of the next checkpoint, in time order, to
-    records.  forcing_at(t) -> ForcingFields defaults to zero forcing.
+    records.  forcing_at(t) returns the forcing h as one (3, n_rho,
+    n_z) array (mms.forcing_callable); it defaults to zero forcing.
 
     Each checkpoint is evaluated once (checkpoint_view), and only the
     previous view is kept.  Margins for the interval (t_i, t_{i+1}) are

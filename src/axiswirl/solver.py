@@ -303,11 +303,11 @@ def step(state: VelocityState, cfg: SimConfig, dt: float, forcing_at=None):
     increment du over u^n; E is E(u^n) in the first stage and the mean
     of E(u^n) and E(projected first stage) in the second, and p^n is the
     stored pressure, which the final projection updates.  u, E, nu L u
-    and du are (3, n_rho, n_z) arrays, viscous_solve's layout.
-    forcing_at(t) -> ForcingFields; defaults to zero forcing.  Returns
-    (state, rel) as project does.  dt is not checked against cfl_limits:
-    run does that.  A non-finite result is returned unprojected with rel
-    nan; the caller treats it as blow-up data.
+    and du are (3, n_rho, n_z) arrays, viscous_solve's layout, as is the
+    forcing h = forcing_at(t), which defaults to zero.  Returns (state,
+    rel) as project does.  dt is not checked against cfl_limits: run
+    does that.  A non-finite result is returned unprojected with rel nan;
+    the caller treats it as blow-up data.
     """
     g = state.grid
     if forcing_at is None:

@@ -11,7 +11,6 @@ from axiswirl.fields import (
     EVEN,
     EXTRAP,
     ODD,
-    ForcingFields,
     VelocityState,
     VorticityFields,
     curl_axisym,
@@ -143,7 +142,6 @@ def test_mis_shaped_components_are_rejected():
     ok, bad = np.zeros(g.shape), np.ones((3, 3))
     for make in (lambda: VelocityState(g, ok, ok, bad, ok, 0.0),
                  lambda: zero_state(g).replace_fields(pressure=bad),
-                 lambda: ForcingFields(g, ok, bad, ok),
                  lambda: VorticityFields(g, ok, ok, bad)):
         with pytest.raises(ConfigurationError, match="does not match grid"):
             make()
@@ -152,9 +150,7 @@ def test_mis_shaped_components_are_rejected():
 def test_explicit_rhs_forcing_passthrough():
     g = build_grid(8, 8)
     v = zero_state(g)
-    h = np.full(g.shape, 2.5)
-    f = ForcingFields(g, h, h, h)
-    du = explicit_rhs(v, f)
+    du = explicit_rhs(v, np.full((3, *g.shape), 2.5))
     for comp in du:
         assert np.max(np.abs(comp - 2.5)) <= 1e-13
 
@@ -234,9 +230,8 @@ def test_vorticity_transport_residual_converges_on_forced_taylor():
         rate = VorticityFields(g, *(
             (getattr(w1, c) - getattr(w0, c)) / (2.0 * dt)
             for c in ("w_rho", "w_phi", "w_z")))
-        h = mms.forcing_for(sol, nu, t)
-        gc = curl_axisym(zero_state(g).replace_fields(
-            u_rho=h.h_rho, u_phi=h.h_phi, u_z=h.h_z))
+        h = mms.forcing_callable(sol, nu)(t)
+        gc = curl_axisym(zero_state(g).replace_fields(*h))
         r_phi = vorticity_transport_residual(
             mms.sample_state(sol, t), w, rate, gc, nu)[1]
         wt = g.cell_weight[rows]

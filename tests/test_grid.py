@@ -36,7 +36,7 @@ def test_equal_grids_compare_and_hash_on_their_parameters():
     # a state on one grid may be stepped and monitored with a forcing on
     # a distinct but equal grid
     on_a, on_b = (mms.make_solution("taylor_vortex_swirl", {}, g) for g in (a, b))
-    forcing = mms.forcing_for(on_b, 0.1, 0.0)
+    forcing = mms.forcing_callable(on_b, 0.1)(0.0)
     state, _ = step(mms.sample_state(on_a, 0.0), SimConfig(nu=0.1), 1e-3,
                     forcing_at=lambda t: forcing)
     assert state.grid == b and np.all(np.isfinite(state.u_phi))
