@@ -7,11 +7,14 @@
 set -euo pipefail
 tmp="${RUNNER_TEMP:-$(mktemp -d)}"
 
-# the installed entry point: a solver study that must PASS, the
-# first-order negative control that must FAIL, and three calls that
-# must exit 2 (levels that do not strictly increase, --nu 0, and
-# --nu 1e6, whose dt = 0.1 Delta^2 / nu needs more than 10^7 steps)
+# the installed entry point: an admissible triple, and one whose
+# s = 2a/b + 3 rounds to 3, which must be inadmissible and exit 0; a
+# solver study that must PASS, the first-order negative control that
+# must FAIL, and three calls that must exit 2 (levels that do not
+# strictly increase, --nu 0, and --nu 1e6, whose dt = 0.1 Delta^2 / nu
+# needs more than 10^7 steps)
 axiswirl check-exponents 6 4 0
+axiswirl check-exponents 6 6e16 0 | grep -q '^verdict: inadmissible$'
 axiswirl mms taylor_vortex_swirl 8 16 32 | tail -n 1 | grep -q ': PASS$'
 axiswirl mms lopsided_curl 8 16 32 | tail -n 1 | grep -q ': FAIL$'
 code=0; axiswirl mms rigid_rotation 8 8 16 || code=$?
@@ -51,8 +54,8 @@ done
 # a truncation by the monitor stops neither the solver nor the writer:
 # swirl growing as e^(20 t) with q = 100 overflows |u_phi|^(3q) at the
 # third checkpoint, and all 11 checkpoints are still written.  It exits
-# 4, not 0: the asserted quartic identity fails, because its band does
-# not grow with the flow (ROADMAP item 1)
+# 0: the asserted quartic identity's band is relative to the size of
+# its terms, so it grows with the flow
 cat > "$tmp/overflowing-swirl.json" <<'JSON'
 {"schema_version": 1,
  "grid": {"n_rho": 16, "n_z": 16},
@@ -63,8 +66,7 @@ cat > "$tmp/overflowing-swirl.json" <<'JSON'
  "monitor": {"q": 100},
  "output": {"directory": "overflowing-swirl", "write_checkpoints": true}}
 JSON
-code=0; AXISWIRL_OUTPUT_ROOT="$tmp" axiswirl run "$tmp/overflowing-swirl.json" || code=$?
-test "$code" -eq 4
+AXISWIRL_OUTPUT_ROOT="$tmp" axiswirl run "$tmp/overflowing-swirl.json"
 test "$(ls "$tmp"/overflowing-swirl/checkpoint_*.bin | wc -l)" -eq 11
 
 # a rejected scenario exits 2 naming the field at fault and writes
@@ -73,9 +75,11 @@ test "$(ls "$tmp"/overflowing-swirl/checkpoint_*.bin | wc -l)" -eq 11
 # (monitor.MonitorConfig's rule); a dt of 0.01 at t = 1e15, where the
 # float spacing is 0.125, so a step does not advance the time
 # (solver.run's rule); a rho_max of 1e-300, whose spacing squared
-# underflows (grid.build_grid's rule); a misspelt key and a checkpoint
-# path that is not a regular file (cli.validate_scenario's and
-# cli.read_checkpoint's rules)
+# underflows, and one of 1e150, whose rho d_rho^2 overflows
+# (grid.build_grid's rules); a b of 1e300, which rounds s = 2a/b + 3 to
+# exactly 3 (exponents.derive_exponents's rule); a misspelt key and a
+# checkpoint path that is not a regular file (cli.validate_scenario's
+# and cli.read_checkpoint's rules)
 rejected() {  # rejected SECTION JSON PATH
   printf '{"schema_version": 1, "grid": {"n_rho": 8, "n_z": 8}, "%s": %s, "output": {"directory": "rejected"}}\n' \
     "$1" "$2" > "$tmp/rejected.json"
@@ -89,6 +93,8 @@ rejected solver '{"cfl_safety": 0}' '$.solver.cfl_safety'
 rejected monitor '{"c_sob": 1e-320}' '$.monitor.c_sob'
 rejected solver '{"t_start": 1e15, "t_end": 1000000000000001, "dt": 0.01}' '$.solver'
 rejected grid '{"n_rho": 8, "n_z": 8, "rho_max": 1e-300}' '$.grid.rho_max'
+rejected grid '{"n_rho": 8, "n_z": 8, "rho_max": 1e150}' '$.grid.rho_max'
+rejected exponents '{"a": 6, "b": 1e300, "gamma": 0}' '$.exponents.b'
 rejected solver '{"cfl_saftey": 0.1}' '$.solver.cfl_saftey'
 rejected initial_data '{"kind": "file", "path": "/dev/zero"}' '$.initial_data.path'
 
@@ -117,3 +123,15 @@ cat > "$tmp/huge-domain.json" <<'JSON'
  "output": {"directory": "huge-domain"}}
 JSON
 AXISWIRL_OUTPUT_ROOT="$tmp" axiswirl run "$tmp/huge-domain.json"
+
+# blow-up data is no warning: a rigid rotation with omega 1e308, whose
+# radial polynomial overflows, must exit 0 with nothing on stderr
+cat > "$tmp/fast-rotation.json" <<'JSON'
+{"schema_version": 1,
+ "grid": {"n_rho": 8, "n_z": 8},
+ "solver": {"t_end": 0.01},
+ "initial_data": {"kind": "rigid_rotation", "params": {"omega": 1e308}},
+ "output": {"directory": "fast-rotation"}}
+JSON
+AXISWIRL_OUTPUT_ROOT="$tmp" axiswirl run "$tmp/fast-rotation.json" 2> "$tmp/fast-rotation.err"
+test ! -s "$tmp/fast-rotation.err"

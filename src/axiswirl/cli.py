@@ -456,6 +456,10 @@ def _run_scenario(path) -> int:
     g = build_grid(**cfg["grid"])
     sim = SimConfig(**cfg["solver"])
     exps = derive_exponents(**cfg["exponents"])
+    # the monitor first: a setting it rejects (nu^3 that leaves the
+    # floats, say) fails before the solution, its forcing and the solve
+    mcfg = _owned("$.monitor", monitor_for, g, exps, sim.nu,
+                  **cfg["monitor"])
     state, forcing = _initial_state_and_forcing(cfg, g, sim.nu)
 
     outdir = os.path.join(os.environ.get(OUTPUT_ROOT_ENV, "."),
@@ -463,9 +467,6 @@ def _run_scenario(path) -> int:
     # overflow in a blowing-up run is an expected outcome (a truncated
     # trajectory or record), not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        # the monitor first: a setting it rejects fails before the solve
-        mcfg = _owned("$.monitor", monitor_for, g, exps, sim.nu,
-                      **cfg["monitor"])
         diagnostics = Diagnostics(mcfg, forcing_at=forcing)
         hashes = []
 
@@ -483,7 +484,7 @@ def _run_scenario(path) -> int:
         traj = _owned("$.solver", run, sim, state, forcing_at=forcing,
                       observe=observe)
         records = diagnostics.records
-        checks = evaluate_checks(records, mcfg, g, traj.dt)
+        checks = evaluate_checks(records, mcfg, g)
         blowup = blowup_indicator(records)
 
     # created only now, or at the first checkpoint written, so that a

@@ -87,8 +87,11 @@ def derive_exponents(a, b, gamma, delta=None) -> ExponentSet:
 
     Raises InadmissibleExponents when the admissibility conditions fail,
     for a = inf, which the d(t) construction does not support (s would
-    collapse to 3), and for a delta given with a finite b, where p and s
-    do not depend on it (naming delta).
+    collapse to 3), for a delta given with a finite b, where p and s
+    do not depend on it (naming delta), and where s - 3 or p - 1, which
+    theta and alpha divide by, is not a positive float: s - 3 names b
+    (b = 1e300 rounds s to exactly 3), or delta on the b = inf branch
+    (gamma when delta is derived from it); p - 1 names no one field.
     """
     violations = check_admissible(a, b, gamma)
     if violations:
@@ -101,7 +104,8 @@ def derive_exponents(a, b, gamma, delta=None) -> ExponentSet:
     a = float(a)
     gamma = float(gamma)
     if math.isinf(b):
-        if delta is None:
+        derived = delta is None
+        if derived:
             delta = 1.0 - gamma - 3.0 / a
         ceiling = (2.0 * a - 3.0) / a
         if not (0.0 < delta < ceiling):
@@ -110,6 +114,7 @@ def derive_exponents(a, b, gamma, delta=None) -> ExponentSet:
             )
         s = 3.0 + delta * a
         p = 2.0 * a / (2.0 * a - delta * a - 3.0)
+        field = "gamma" if derived else "delta"
     else:
         if delta is not None:
             raise InadmissibleExponents(
@@ -121,6 +126,14 @@ def derive_exponents(a, b, gamma, delta=None) -> ExponentSet:
         denom = 2.0 * a * b - 2.0 * a - 3.0 * b
         p = 1.0 + (2.0 * a + 3.0 * b) / denom
         s = 2.0 * a / b + 3.0
+        field = "b"
+    if not 0.0 < s - 3.0 < math.inf:
+        raise InadmissibleExponents(
+            [f"s - 3 must be a positive float, got {s - 3.0} (s = {s})"],
+            field)
+    if not 0.0 < p - 1.0 < math.inf:
+        raise InadmissibleExponents(
+            [f"p - 1 must be a positive float, got {p - 1.0} (p = {p})"])
     alpha = s * p / (2.0 * (p - 1.0))
     beta = (2.0 - p) * s / (2.0 * (p - 1.0))
     theta = 2.0 / (s - 3.0)

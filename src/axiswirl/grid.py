@@ -91,7 +91,9 @@ def build_grid(n_rho, n_z, rho_max=2.0, z_min=0.0, z_max=1.0) -> CylGrid:
     Raises ConfigurationError for a count that is not an integer, counts
     outside [2, MAX_CELLS] (naming no one field), degenerate extents, a
     spacing whose square or its reciprocal is not a finite nonzero float
-    (the operators divide by d^2), or cell weights that are not.
+    (the operators divide by d^2), cell weights that are not, or a
+    rho d_rho^2 that is not (fields.radial_diffusion divides by it,
+    naming rho_max: 1e150 overflows it, 1e-150 underflows it).
     """
     for name, n in (("n_rho", n_rho), ("n_z", n_z)):
         if not (isinstance(n, numbers.Integral)
@@ -116,10 +118,16 @@ def build_grid(n_rho, n_z, rho_max=2.0, z_min=0.0, z_max=1.0) -> CylGrid:
                 f"reciprocal is not a finite nonzero float", name)
     with np.errstate(over="ignore"):
         grid = CylGrid(n_rho, n_z, float(rho_max), float(z_min), float(z_max))
+        # the radial diffusion's divisor, about rho_max^3 / n_rho^2
+        r = grid.rho_centers * grid.d_rho**2
     w = grid.cell_weight
     if not 0.0 < w[0, 0] <= w[-1, 0] < math.inf:
         raise ConfigurationError(f"the cell weights 2 pi rho d_rho d_z span "
                                  f"[{w[0, 0]}, {w[-1, 0]}], beyond the floats")
+    if not 0.0 < r[0] <= r[-1] < math.inf:
+        raise ConfigurationError(f"rho_max gives rho d_rho^2 in [{r[0]}, "
+                                 f"{r[-1]}], which the radial diffusion "
+                                 f"divides by, beyond the floats", "rho_max")
     return grid
 
 

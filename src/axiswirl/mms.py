@@ -145,13 +145,13 @@ class AnalyticField:
         """The named partial at t = 0, sampled at the first call."""
         if partial not in self.at0:
             r, zo = _PARTIALS[partial]
-            if r not in self.radial:
-                self.radial[r] = [(f.f, f.df, f.d2f)[r](self.grid.rho)
-                                  for _, f, _ in self.terms]
-            # a coefficient that overflows (amplitude 1e300) samples as
-            # inf, and as nan where a factor is 0, as the run treats
-            # blow-up
+            # a coefficient that overflows (amplitude 1e300, or omega
+            # 1e308 in a radial polynomial) samples as inf, and as nan
+            # where a factor is 0, as the run treats blow-up
             with np.errstate(over="ignore", invalid="ignore"):
+                if r not in self.radial:
+                    self.radial[r] = [(f.f, f.df, f.d2f)[r](self.grid.rho)
+                                      for _, f, _ in self.terms]
                 self.at0[partial] = sum(
                     ((coef * fr) * g[zo]
                      for (coef, _, g), fr in zip(self.terms, self.radial[r])),
@@ -257,10 +257,11 @@ def make_solution(kind, params, grid: CylGrid) -> ManufacturedSolution:
     """The solution of this kind on the grid's domain, PARAMS[kind]
     filling the parameters that params leaves out (solution_params).
     Raises ConfigurationError naming kind or the parameter at fault, or
-    the extent whose constant leaves the floats: rho_max^2 (the pressure
-    grows as rho^2), the swirl's lambda^2 (and its mu = nu lambda^2,
-    naming nu), the Taylor vortex's k^2 (z_max) and its coefficients,
-    up to 240 k / rho_max^6 in a second derivative."""
+    the extent whose constant leaves the floats: the swirl's mu = nu
+    lambda^2 (naming nu), the Taylor vortex's k^2 (z_max) and its
+    coefficients, up to 240 k / rho_max^6 in a second derivative.
+    build_grid's rho d_rho^2 rule keeps rho_max^2 and the swirl's
+    lambda^2 = (j_{1,1} / rho_max)^2 in range."""
     if kind not in PARAMS:
         raise ConfigurationError(
             f"unknown manufactured solution kind {kind!r}", "kind")
@@ -271,8 +272,6 @@ def make_solution(kind, params, grid: CylGrid) -> ManufacturedSolution:
     def field(mu, *terms):
         return AnalyticField(mu, terms, grid)
 
-    if kind != "decaying_swirl":
-        rho_max_sq = _constant(power(grid.rho_max, 2), "rho_max^2", "rho_max")
     if kind == "rigid_rotation":
         omega = params["omega"]
         u_phi = field(0.0, (1.0, RadialProfile.from_coef([0.0, omega]), flat))
@@ -285,7 +284,7 @@ def make_solution(kind, params, grid: CylGrid) -> ManufacturedSolution:
         amp = params["amplitude"]
         nu = params["nu"]
         lam = J11 / grid.rho_max
-        mu = nu * _constant(power(lam, 2), "lambda^2", "rho_max")
+        mu = nu * lam**2
         if not math.isfinite(mu):
             raise ConfigurationError(f"the decay rate mu = nu lambda^2 = {mu} "
                                      f"is not finite", "nu")
@@ -307,7 +306,7 @@ def make_solution(kind, params, grid: CylGrid) -> ManufacturedSolution:
     sin = (np.sin(k * z), k * np.cos(k * z), -k_sq * np.sin(k * z))
     # w(rho) = (1 - (rho/R)^2)^3: triple zero at the wall keeps the
     # mirror-zero ghosts fourth-order accurate there
-    base = np.array([1.0, 0.0, -1.0 / rho_max_sq])
+    base = np.array([1.0, 0.0, -1.0 / grid.rho_max**2])
     # numpy may flag an overflow for a finite product near the limit
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.convolve(np.convolve(base, base), base)

@@ -179,15 +179,17 @@ def calibrate_sobolev(grid: CylGrid, q: int = 4) -> float:
     The probes grow with rho_max, but a scaled probe s u has the same
     quotient (both sides scale as s^q), so each is scaled by the power of
     two that is 1 for rho_max in [2, 4): exact, and it keeps the powers
-    of a large or a small domain in range."""
+    of a large or a small domain in range; those of a large q overflow to
+    inf, without a warning."""
     monitor_settings(q)
     parity = _swirl_power_parity(q // 2)
     scale = 2 - math.frexp(grid.rho_max)[1]
     best = 0.0
     for u in probe_fields(grid):
-        w = np.ldexp(u, scale) ** (q // 2)
-        num = _integ(np.abs(w) ** 6, grid) ** (1.0 / 3.0)
-        den = _integ(grad_squared(w, grid, parity, NOSLIP), grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.ldexp(u, scale) ** (q // 2)
+            num = _integ(np.abs(w) ** 6, grid) ** (1.0 / 3.0)
+            den = _integ(grad_squared(w, grid, parity, NOSLIP), grid)
         if den > 0.0:
             best = max(best, num / den)
     if not 0.0 < best < math.inf:
@@ -438,15 +440,22 @@ def quartic_swirl_budget(prev: CheckpointView, nxt: CheckpointView,
     margin columns.
 
     quartic_identity_residual is the defect of the exact quartic identity
-    (an equality up to O(Delta_t + Delta^2) on smooth trajectories):
+    (an equality up to O(dt^2 + Delta^2) on smooth trajectories):
 
         (1/4) d/dt int u^4/rho^2 + (3/2) int u_rho u^4/rho^3
         + 3 nu int [(d_rho u)^2 + (d_z u)^2] u^2/rho^2
-        = int h u^3/rho^2.
+        = int h u^3/rho^2,
+
+    with the rate a difference over the pair and the other three terms
+    the means of their values at its two ends (the trapezoidal rule,
+    second order in dt as Crank-Nicolson is).  Its scale,
+    quartic_identity_residual_scale, is the sum of the magnitudes of the
+    four terms, so the residual is measured against the size of what it
+    balances.
 
     quartic_budget is the signed Young-absorbed inequality with the
     explicit constant 27/(4 nu^3) on the forcing term (reported, not
-    asserted):
+    asserted), with the terms of the earlier state:
 
         [(3/2) int u^4 u_rho^- /rho^3 + 27/(4 nu^3) int rho^4 h^4]
         - [(1/4) d/dt int u^4/rho^2 + (3/4) nu int |grad(u^2/rho)|^2
@@ -454,13 +463,17 @@ def quartic_swirl_budget(prev: CheckpointView, nxt: CheckpointView,
     """
     nu = m.nu
     rate = 0.25 * (nxt.quartic_r2 - prev.quartic_r2) / dt
-    residual = (rate + 1.5 * prev.quartic_transport
-                + 3.0 * nu * prev.quartic_grad - prev.quartic_forcing)
+    terms = (rate,
+             0.75 * (prev.quartic_transport + nxt.quartic_transport),
+             1.5 * nu * (prev.quartic_grad + nxt.quartic_grad),
+             -0.5 * (prev.quartic_forcing + nxt.quartic_forcing))
     margin = (1.5 * prev.quartic_source
               + 27.0 / (4.0 * nu**3) * prev.quartic_young) - (
         rate + 0.75 * nu * prev.quartic_diss + 0.5 * nu * prev.quartic_r4
     )
-    return {"quartic_budget": margin, "quartic_identity_residual": residual}
+    return {"quartic_budget": margin,
+            "quartic_identity_residual": sum(terms),
+            "quartic_identity_residual_scale": sum(map(abs, terms))}
 
 
 # --- Gronwall envelope and records ----------------------------------------
@@ -627,9 +640,10 @@ class Diagnostics:
 # --- check aggregation ----------------------------------------------------
 
 # Tolerances of the asserted checks: the relative rounding allowance of
-# the exact Holder/Young sub-steps, the constants c of the O(dt + Delta^2)
-# quartic-identity band and of the O(Delta^2) transport band, and the
-# relative slack of Gronwall dominance.
+# the exact Holder/Young sub-steps, the constant c of the quartic
+# identity's band c (Delta^2 + dt^2) relative to the size of its terms,
+# the constant of the O(Delta^2) transport band, and the relative slack
+# of Gronwall dominance.
 SUB_MARGIN_REL = 1e-12
 IDENTITY_BAND = 100.0
 TRANSPORT_BAND = 100.0
@@ -670,14 +684,15 @@ def _asserted_check(name, samples, worst_of, start, tolerance) -> dict:
             "asserted": True}
 
 
-def evaluate_checks(records, m: MonitorConfig, grid: CylGrid,
-                    dt: float) -> list[dict]:
+def evaluate_checks(records, m: MonitorConfig, grid: CylGrid) -> list[dict]:
     """Aggregate per-record margins into PASS / FAIL / REPORT-ONLY checks.
 
     Asserted: the exact Holder/Young sub-steps (margin >= -SUB_MARGIN_REL
-    * scale), the quartic identity residual (O(dt + Delta^2) band), and
-    transport cancellation (O(Delta^2) band).  Everything involving
-    c_grow, c_sob, or c3 is report-only.  dt is the solver step.
+    * scale), the quartic identity residual (|residual| <= IDENTITY_BAND
+    * (Delta^2 + dt^2) * its scale, dt the pair's, from the two records'
+    times; the margin is the worst |residual| / scale / (Delta^2 + dt^2)),
+    and transport cancellation (O(Delta^2) band).  Everything involving
+    c_grow, c_sob, or c3 is report-only.
     """
     finite = [r for r in records if not r.truncated]
     live = [r for r in finite if r.margins]
@@ -690,18 +705,23 @@ def evaluate_checks(records, m: MonitorConfig, grid: CylGrid,
                               np.min, 0.0, SUB_MARGIN_REL)
               for name in _SUB_CHECKS]
 
-    delta = min(grid.d_rho, grid.d_z)
-    band = IDENTITY_BAND * (dt + delta**2)
+    delta_sq = min(grid.d_rho, grid.d_z) ** 2
 
-    def identity(r):
+    def identity(prev, r):
         res = abs(r.margins["quartic_identity_residual"])
-        scale = max(r.quartic_swirl_r2, 1.0)
-        return res / scale, res <= band * scale
+        scale = r.margins["quartic_identity_residual_scale"]
+        allowed = delta_sq + (r.time - prev.time) ** 2
+        # res <= scale, so a zero scale is a zero residual
+        return ((res / scale if scale else 0.0) / allowed,
+                res <= IDENTITY_BAND * allowed * scale)
 
-    checks.append(_asserted_check("quartic_identity", map(identity, live),
-                                  np.max, 0.0, band))
+    # every finite record after the first is live, and follows its pair's
+    # first record
+    checks.append(_asserted_check("quartic_identity",
+                                  map(identity, finite, finite[1:]),
+                                  np.max, 0.0, IDENTITY_BAND))
 
-    tband = TRANSPORT_BAND * delta**2
+    tband = TRANSPORT_BAND * delta_sq
 
     def transport(r):
         val = abs(r.transport_cancellation)

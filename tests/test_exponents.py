@@ -94,6 +94,24 @@ def test_inadmissible_triples(a, b, gamma):
         derive_exponents(a, b, gamma)
 
 
+@pytest.mark.parametrize("a,b,gamma,delta,field", [
+    (6.0, 1e300, 0.0, None, "b"),            # s = 2a/b + 3 rounds to 3
+    (6.0, 6e16, 0.0, None, "b"),
+    (6.0, math.inf, 0.0, 1e-300, "delta"),   # s = 3 + delta a rounds to 3
+    (1e308, math.inf, -0.9, None, "gamma"),  # delta a overflows: s = inf
+    (1e17, 1e17, 0.0, None, None),           # p = 1 + 5e17 / 2e34 rounds to 1
+    (1e17, math.inf, 0.0, 1e-17, None),
+])
+def test_exponents_at_the_edge_of_the_floats(a, b, gamma, delta, field):
+    # admissible, but theta = 2/(s - 3) or alpha = s p / (2(p - 1)) would
+    # divide by zero (a ZeroDivisionError at b = 1e300)
+    assert check_admissible(a, b, gamma) == []
+    with pytest.raises(InadmissibleExponents) as exc:
+        derive_exponents(a, b, gamma, delta)
+    assert exc.value.field == field
+    assert "must be a positive float" in str(exc.value)
+
+
 def test_conjugate_pairs():
     for a, b, gamma in [(6.0, 4.0, 0.0), (9.0, 6.0, 0.2), (4.0, 30.0, 0.0),
                         (6.0, math.inf, 0.1)]:

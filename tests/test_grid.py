@@ -92,6 +92,10 @@ def test_grid_validation(bad):
     (dict(n_rho=8, n_z=8, z_min=-1e308, z_max=1e308), "z_max"),
     # finite spacings, but cell weights 2 pi rho d_rho d_z that overflow
     (dict(n_rho=8, n_z=8, rho_max=1e155), None),
+    # finite spacings and weights, but a rho d_rho^2 that underflows or
+    # overflows
+    (dict(n_rho=8, n_z=8, rho_max=1e-150), "rho_max"),
+    (dict(n_rho=8, n_z=8, rho_max=1e150), "rho_max"),
 ])
 def test_grid_names_the_argument_at_fault(bad, field):
     # None: the bound on the cell counts holds both at once

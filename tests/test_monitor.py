@@ -1,20 +1,29 @@
 """Estimate monitor: growth coefficient, budgets, envelope, indicator."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from axiswirl import mms
 from axiswirl.errors import (
     ConfigurationError,
     ContractViolation,
     InadmissibleExponents,
 )
 from axiswirl.exponents import derive_exponents
-from axiswirl.fields import velocity_grad_l2, zero_forcing, zero_state
+from axiswirl.fields import (
+    explicit_rhs,
+    velocity_grad_l2,
+    zero_forcing,
+    zero_state,
+)
 from axiswirl.grid import build_grid, moment, serrin_advance
 from axiswirl.monitor import (
+    IDENTITY_BAND,
+    Diagnostics,
     DiagnosticsRecord,
     MonitorConfig,
     _integ,
@@ -27,6 +36,7 @@ from axiswirl.monitor import (
     negative_part,
     serrin_factors,
 )
+from axiswirl.solver import SimConfig, run
 from tests.conftest import SUB_CHECKS, collect
 
 FOUR_PI = 4.0 * math.pi
@@ -182,6 +192,48 @@ def test_quartic_identity_residual_band(audit_run):
         assert abs(r.margins["quartic_identity_residual"]) <= band * scale
 
 
+def _quartic_identity(n, amplitude, exp640):
+    """The quartic_identity check of unforced Taylor with amplitude =
+    swirl, on n x n cells to t_end 0.1 with the automatic dt."""
+    g = build_grid(n, n)
+    sol = mms.make_solution("taylor_vortex_swirl",
+                            {"amplitude": amplitude, "swirl": amplitude}, g)
+    m = monitor_for(g, exp640, 0.1)
+    diagnostics = Diagnostics(m)
+    traj = run(SimConfig(nu=0.1, t_end=0.1), mms.sample_state(sol, 0.0),
+               observe=diagnostics.add)
+    assert not traj.failed, traj.failure_reason
+    checks = evaluate_checks(diagnostics.records, m, g)
+    return next(c for c in checks if c["name"] == "quartic_identity")
+
+
+def _halved_swirl_coupling(v, f):
+    """explicit_rhs with half its -u_phi u_rho / rho term."""
+    out = explicit_rhs(v, f)
+    out[1] += 0.5 * v.u_phi * v.u_rho / v.grid.rho
+    return out
+
+
+@pytest.mark.parametrize("amplitude", [0.3, 1.0])
+def test_quartic_identity_fails_a_wrong_swirl_coupling(exp640, amplitude):
+    # the step's own scheme passes with room (3.7 and 1.5 of the band's
+    # 100); halving one term of the u_phi equation fails it (126 and 206)
+    check = _quartic_identity(32, amplitude, exp640)
+    assert check["status"] == "PASS" and check["tolerance"] == IDENTITY_BAND
+    assert check["margin"] < 0.1 * IDENTITY_BAND
+    with mock.patch("axiswirl.solver.explicit_rhs", _halved_swirl_coupling):
+        check = _quartic_identity(32, amplitude, exp640)
+    assert check["status"] == "FAIL" and check["margin"] > IDENTITY_BAND
+
+
+def test_quartic_identity_passes_a_fast_resolved_flow(exp640):
+    # amplitude = swirl = 10 failed the first-order band 100 (dt +
+    # Delta^2) max(int u^4 / rho^2, 1) by 4.1x at 16^2, and by more under
+    # refinement; the trapezoidal residual reads 21 of the band's 100
+    check = _quartic_identity(16, 10.0, exp640)
+    assert check["status"] == "PASS" and check["margin"] < 0.5 * IDENTITY_BAND
+
+
 def test_gronwall_envelope_dominates(audit_run):
     m = audit_run["monitor"]
     for r in audit_run["records"]:
@@ -228,20 +280,21 @@ def _checks_of(m, grid, nan_field=None):
     # a first record and one pair record, all margins 0 and scales 1,
     # with the named record field or margin set to nan
     margins = {name: 0.0 for name in margin_columns(m)}
-    margins.update({name + "_scale": 1.0 for name in SUB_CHECKS})
+    margins.update({name + "_scale": 1.0
+                    for name in (*SUB_CHECKS, "quartic_identity_residual")})
     values = dict(swirl_q_norm=1.0, grad_u_l2=0.0, quartic_swirl_r2=0.0,
                   transport_cancellation=0.0, gronwall_envelope=1.0)
     if nan_field is not None:
         (margins if nan_field in margins else values)[nan_field] = math.nan
     records = [DiagnosticsRecord(time=0.0, **values),
                DiagnosticsRecord(time=0.1, margins=margins, **values)]
-    return {c["name"]: c for c in evaluate_checks(records, m, grid, 0.01)}
+    return {c["name"]: c for c in evaluate_checks(records, m, grid)}
 
 
 @pytest.mark.parametrize("nan_field,check", [
     *((name, name) for name in SUB_CHECKS),
     ("quartic_identity_residual", "quartic_identity"),
-    ("quartic_swirl_r2", "quartic_identity"),
+    ("quartic_identity_residual_scale", "quartic_identity"),
     ("transport_cancellation", "transport_cancellation"),
     ("grad_u_l2", "transport_cancellation"),
 ])
