@@ -104,8 +104,8 @@ def derive_exponents(a, b, gamma, delta=None) -> ExponentSet:
     a = float(a)
     gamma = float(gamma)
     if math.isinf(b):
-        derived = delta is None
-        if derived:
+        field = "delta" if delta is not None else "gamma"
+        if delta is None:
             delta = 1.0 - gamma - 3.0 / a
         ceiling = (2.0 * a - 3.0) / a
         if not (0.0 < delta < ceiling):
@@ -114,7 +114,6 @@ def derive_exponents(a, b, gamma, delta=None) -> ExponentSet:
             )
         s = 3.0 + delta * a
         p = 2.0 * a / (2.0 * a - delta * a - 3.0)
-        field = "gamma" if derived else "delta"
     else:
         if delta is not None:
             raise InadmissibleExponents(

@@ -1337,8 +1337,8 @@ def _write_fuzzed_checkpoint(path, doc, which):
         os.truncate(path, os.path.getsize(path) - 8 * grid.n_z)
 
 
-@given(_fuzzed_scenarios())
 @settings(max_examples=40)
+@given(_fuzzed_scenarios())
 def test_every_fuzzed_scenario_meets_the_exit_code_contract(draw):
     # exit 0 or 4 with a clean stderr, or exit 2 or 3 with one error line
     # (2 naming the field's path) and no artifact
