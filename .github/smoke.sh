@@ -69,6 +69,47 @@ JSON
 AXISWIRL_OUTPUT_ROOT="$tmp" axiswirl run "$tmp/overflowing-swirl.json"
 test "$(ls "$tmp"/overflowing-swirl/checkpoint_*.bin | wc -l)" -eq 11
 
+# a run restarts from its last checkpoint through the writer and the
+# reader: that must exit 0.  The same file with a header declaring
+# float32 samples over its float64 payload would load as wrong data, so
+# it must exit 2 at $.initial_data
+cat > "$tmp/checkpointed.json" <<'JSON'
+{"schema_version": 1,
+ "grid": {"n_rho": 8, "n_z": 8},
+ "solver": {"t_end": 0.01},
+ "initial_data": {"kind": "taylor_vortex_swirl"},
+ "forcing": {"kind": "manufactured"},
+ "output": {"directory": "checkpointed", "write_checkpoints": true}}
+JSON
+AXISWIRL_OUTPUT_ROOT="$tmp" axiswirl run "$tmp/checkpointed.json"
+last="$(ls "$tmp"/checkpointed/checkpoint_*.bin | tail -n 1)"
+python3 - "$last" "$tmp/float32.bin" <<'PY'
+import sys
+with open(sys.argv[1], "rb") as fh:
+    header, payload = fh.readline(), fh.read()
+assert b'"dtype": "<f8"' in header, header
+with open(sys.argv[2], "wb") as fh:
+    fh.write(header.replace(b'"dtype": "<f8"', b'"dtype": "<f4"') + payload)
+PY
+for ckpt in "$last" "$tmp/float32.bin"; do
+  cat > "$tmp/restart.json" <<JSON
+{"schema_version": 1,
+ "grid": {"n_rho": 8, "n_z": 8},
+ "solver": {"t_end": 0.01},
+ "initial_data": {"kind": "file", "path": "$ckpt"},
+ "output": {"directory": "restart"}}
+JSON
+  rm -rf "$tmp/restart"
+  code=0
+  AXISWIRL_OUTPUT_ROOT="$tmp" axiswirl run "$tmp/restart.json" 2> "$tmp/restart.err" || code=$?
+  if [ "$ckpt" = "$last" ]; then
+    test "$code" -eq 0
+  else
+    test "$code" -eq 2
+    grep -qF 'error: $.initial_data:' "$tmp/restart.err"
+  fi
+done
+
 # a rejected scenario exits 2 naming the field at fault and writes
 # nothing: a cfl_safety of 0 (solver.SimConfig's rule); a c_sob of
 # 1e-320, which overflows eps2, the absorption term it divides
@@ -77,7 +118,9 @@ test "$(ls "$tmp"/overflowing-swirl/checkpoint_*.bin | wc -l)" -eq 11
 # (solver.run's rule); a rho_max of 1e-300, whose spacing squared
 # underflows, and one of 1e150, whose rho d_rho^2 overflows
 # (grid.build_grid's rules); a b of 1e300, which rounds s = 2a/b + 3 to
-# exactly 3 (exponents.derive_exponents's rule); a misspelt key and a
+# exactly 3, and a given delta above the slack 1 - gamma - 3/a, which
+# would weight d(t) more strongly than the hypothesis controls
+# (exponents.derive_exponents's rules); a misspelt key and a
 # checkpoint path that is not a regular file (cli.validate_scenario's
 # and cli.read_checkpoint's rules)
 rejected() {  # rejected SECTION JSON PATH
@@ -95,6 +138,7 @@ rejected solver '{"t_start": 1e15, "t_end": 1000000000000001, "dt": 0.01}' '$.so
 rejected grid '{"n_rho": 8, "n_z": 8, "rho_max": 1e-300}' '$.grid.rho_max'
 rejected grid '{"n_rho": 8, "n_z": 8, "rho_max": 1e150}' '$.grid.rho_max'
 rejected exponents '{"a": 6, "b": 1e300, "gamma": 0}' '$.exponents.b'
+rejected exponents '{"a": 6, "b": "inf", "gamma": 0, "delta": 1.0}' '$.exponents.delta'
 rejected solver '{"cfl_saftey": 0.1}' '$.solver.cfl_saftey'
 rejected initial_data '{"kind": "file", "path": "/dev/zero"}' '$.initial_data.path'
 

@@ -63,6 +63,8 @@ OUTPUT_ROOT_ENV = "AXISWIRL_OUTPUT_ROOT"
 INF_SPELLINGS = ("inf", "Inf", "Infinity")
 
 _FIELD_NAMES = ("u_rho", "u_phi", "u_z", "pressure")
+# the one sample layout a checkpoint is written and read in
+_LAYOUT = {"dtype": "<f8", "order": "rho-fastest"}
 
 
 class SchemaError(ConfigurationError):
@@ -86,24 +88,23 @@ def write_checkpoint(path, state):
         },
         "time": state.time,
         "fields": list(_FIELD_NAMES),
-        "dtype": "<f8",
-        "order": "rho-fastest",
+        **_LAYOUT,
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for name in _FIELD_NAMES:
-            arr = getattr(state, name)
-            # arrays are (n_rho, n_z); rho-fastest means rho varies within
-            # a row of the serialized stream
-            fh.write(np.ascontiguousarray(arr.T, dtype="<f8").tobytes())
+        for arr in (state.u, state.pressure):
+            # each field is (n_rho, n_z); rho-fastest means rho varies
+            # within a row of the serialized stream
+            fh.write(np.ascontiguousarray(arr.swapaxes(-1, -2),
+                                          dtype="<f8").tobytes())
 
 
 def state_hash(state):
     """sha256 over the raw bytes of the state's fields, in checkpoint
-    order: the manifest's hash of one checkpoint."""
-    h = hashlib.sha256()
-    for name in _FIELD_NAMES:
-        h.update(np.ascontiguousarray(getattr(state, name)).tobytes())
+    order: u's three rows, then the pressure, each (n_rho, n_z) in C
+    order.  The manifest's hash of one checkpoint."""
+    h = hashlib.sha256(state.u.tobytes())
+    h.update(state.pressure.tobytes())
     return h.hexdigest()
 
 
@@ -111,8 +112,10 @@ def _read_header(path, line, payload):
     """Parse a checkpoint header line into (grid, time, field names).
 
     payload is the number of bytes after the header line.  Any malformed
-    header, or one declaring more samples than the payload holds, raises
-    ConfigurationError naming the file and the offending key.
+    header, one declaring a sample layout other than _LAYOUT (a header
+    without dtype or order is read as _LAYOUT), or one declaring more
+    samples than the payload holds, raises ConfigurationError naming the
+    file and the offending key.
     """
     try:
         # a line cut at MAX_HEADER_BYTES is no header
@@ -123,8 +126,12 @@ def _read_header(path, line, payload):
         raise ConfigurationError(f"{path}: not a checkpoint file")
     if header.get("version") != CHECKPOINT_VERSION:
         raise ConfigurationError(
-            f"{path}: unsupported checkpoint version {header.get('version')}"
-        )
+            f"{path}: header key version: expected {CHECKPOINT_VERSION}, "
+            f"got {header.get('version')!r}")
+    for name, want in _LAYOUT.items():
+        if header.get(name, want) != want:
+            raise ConfigurationError(f"{path}: header key {name}: expected "
+                                     f"{want!r}, got {header[name]!r}")
 
     def key(section, name, where):
         if not isinstance(section, dict) or name not in section:

@@ -55,8 +55,8 @@ def check_admissible(a, b, gamma) -> list[str]:
 
     Finite b: a in (3/2, inf], b in (1, inf), 3/a + 2/b + gamma <= 1 and
     3/a + 2/b < 2.  b = inf uses the supremum-branch conditions
-    3/a + gamma < 1 and gamma > -1 (the latter keeps the slack delta
-    below its ceiling (2a-3)/a).
+    3/a + gamma < 1 and gamma > -1 (the latter keeps the slack
+    delta <= 1 - gamma - 3/a below (2a-3)/a, so p stays finite).
     """
     violations = []
     if not (a > 1.5):
@@ -88,7 +88,9 @@ def derive_exponents(a, b, gamma, delta=None) -> ExponentSet:
     Raises InadmissibleExponents when the admissibility conditions fail,
     for a = inf, which the d(t) construction does not support (s would
     collapse to 3), for a delta given with a finite b, where p and s
-    do not depend on it (naming delta), and where s - 3 or p - 1, which
+    do not depend on it (naming delta), for a delta outside
+    (0, 1 - gamma - 3/a], the range where beta >= a gamma (naming delta
+    when given, gamma when derived), and where s - 3 or p - 1, which
     theta and alpha divide by, is not a positive float: s - 3 names b
     (b = 1e300 rounds s to exactly 3), or delta on the b = inf branch
     (gamma when delta is derived from it); p - 1 names no one field.
@@ -105,13 +107,15 @@ def derive_exponents(a, b, gamma, delta=None) -> ExponentSet:
     gamma = float(gamma)
     if math.isinf(b):
         field = "delta" if delta is not None else "gamma"
+        # beta = a (1 - delta - 3/a) >= a gamma exactly up to the slack,
+        # which is also the derived delta, bit for bit
+        slack = 1.0 - gamma - 3.0 / a
         if delta is None:
-            delta = 1.0 - gamma - 3.0 / a
-        ceiling = (2.0 * a - 3.0) / a
-        if not (0.0 < delta < ceiling):
+            delta = slack
+        if not (0.0 < delta <= slack):
             raise InadmissibleExponents(
-                [f"delta must lie in (0, {ceiling}), got {delta}"]
-            )
+                [f"delta must lie in (0, 1 - gamma - 3/a] = (0, {slack}], "
+                 f"got {delta}"], field)
         s = 3.0 + delta * a
         p = 2.0 * a / (2.0 * a - delta * a - 3.0)
     else:

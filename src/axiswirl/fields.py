@@ -24,11 +24,11 @@ NOSLIP = "noslip"
 EXTRAP = "extrap"
 
 
-def _sample(values, grid: CylGrid):
-    """values as a float64 array of the grid's shape; ConfigurationError
-    for any other shape."""
+def _sample(values, grid: CylGrid, *lead):
+    """values as a float64 array of shape (*lead, *grid.shape);
+    ConfigurationError for any other shape."""
     v = np.asarray(values, dtype=float)
-    if v.shape != grid.shape:
+    if v.shape != (*lead, *grid.shape):
         raise ConfigurationError(
             f"sample shape {v.shape} does not match grid {grid.shape}"
         )
@@ -36,21 +36,28 @@ def _sample(values, grid: CylGrid):
 
 
 class VelocityState(Frozen):
-    """The velocity components and the pressure at one time."""
+    """The velocity and the pressure at one time.  The velocity u is one
+    (3, n_rho, n_z) array (u_rho, u_phi, u_z), the layout of explicit_rhs,
+    viscous_rhs and the forcing; u_rho, u_phi and u_z are its rows."""
 
-    __slots__ = ("grid", "u_rho", "u_phi", "u_z", "pressure", "time")
+    __slots__ = ("grid", "u", "pressure", "time")
 
-    def __init__(self, grid: CylGrid, u_rho, u_phi, u_z, pressure,
-                 time: float):
-        self._freeze(grid, *(_sample(f, grid)
-                             for f in (u_rho, u_phi, u_z, pressure)), time)
+    def __init__(self, grid: CylGrid, u, pressure, time: float):
+        self._freeze(grid, _sample(u, grid, 3), _sample(pressure, grid), time)
+
+    u_rho = property(lambda self: self.u[0])
+    u_phi = property(lambda self: self.u[1])
+    u_z = property(lambda self: self.u[2])
 
     def replace_fields(self, u_rho=None, u_phi=None, u_z=None, pressure=None, time=None):
+        """A copy with the given fields replaced; a replaced component
+        is checked, then stacked into a new u."""
+        parts = (u_rho, u_phi, u_z)
+        u = self.u if all(x is None for x in parts) else np.stack(
+            [old if new is None else _sample(new, self.grid)
+             for old, new in zip(self.u, parts)])
         return VelocityState(
-            self.grid,
-            self.u_rho if u_rho is None else u_rho,
-            self.u_phi if u_phi is None else u_phi,
-            self.u_z if u_z is None else u_z,
+            self.grid, u,
             self.pressure if pressure is None else pressure,
             self.time if time is None else float(time),
         )
@@ -64,8 +71,7 @@ class VorticityFields(Frozen):
 
 
 def zero_state(grid: CylGrid, time=0.0) -> VelocityState:
-    z = grid.zeros()
-    return VelocityState(grid, z, z.copy(), z.copy(), z.copy(), time)
+    return VelocityState(grid, np.zeros((3, *grid.shape)), grid.zeros(), time)
 
 
 def zero_forcing(grid: CylGrid) -> np.ndarray:
@@ -224,7 +230,7 @@ def explicit_rhs(v: VelocityState, f):
     form its projection removes (solver.step)."""
     g = v.grid
     rho = g.rho
-    ur, uh, uz = v.u_rho, v.u_phi, v.u_z
+    ur, uh, uz = v.u
     out = np.stack((-(ur * d_rho(ur, g, ODD) + uz * d_z(ur, g)) + uh**2 / rho,
                     -(ur * d_rho(uh, g, ODD) + uz * d_z(uh, g)) - uh * ur / rho,
                     -(ur * d_rho(uz, g, EVEN) + uz * d_z(uz, g))))
@@ -258,7 +264,7 @@ def vorticity_transport_residual(v: VelocityState, w: VorticityFields,
         raise ContractViolation("dw_dt is required (difference consecutive states)")
     g = v.grid
     rho = g.rho
-    ur, uh, uz = v.u_rho, v.u_phi, v.u_z
+    ur, uh, uz = v.u
     wr, wh, wz = w.w_rho, w.w_phi, w.w_z
     gr, gh, gz = g_force.w_rho, g_force.w_phi, g_force.w_z
 
@@ -295,7 +301,7 @@ def velocity_grad_l2(v: VelocityState) -> float:
     terms (u_rho^2 + u_phi^2)/rho^2.  inf where the squares overflow.
     """
     g = v.grid
-    ur, uh, uz = v.u_rho, v.u_phi, v.u_z
+    ur, uh, uz = v.u
     sq = (
         grad_squared(ur, g, ODD) + grad_squared(uh, g, ODD)
         + grad_squared(uz, g, EVEN) + (ur**2 + uh**2) / g.rho**2

@@ -331,10 +331,8 @@ def make_solution(kind, params, grid: CylGrid) -> ManufacturedSolution:
 # --- sampling and forcing -------------------------------------------------
 
 def sample_state(sol: ManufacturedSolution, t) -> VelocityState:
-    return VelocityState(
-        sol.grid, sol.u_rho.val(t), sol.u_phi.val(t), sol.u_z.val(t),
-        sol.p.val(t), float(t),
-    )
+    u = np.stack([f.val(t) for f in (sol.u_rho, sol.u_phi, sol.u_z)])
+    return VelocityState(sol.grid, u, sol.p.val(t), float(t))
 
 
 def forcing_callable(sol: ManufacturedSolution, nu):
@@ -405,9 +403,6 @@ def _l2_err(a, b, grid: CylGrid):
     return math.sqrt(moment(d * d, grid))
 
 
-_VELOCITY = ("u_rho", "u_phi", "u_z")
-
-
 def convergence_order(kind, grids, quantity="solver", nu=0.1, t_end=0.05,
                       params=None):
     """Refinement study of the solution kind (with params) made on each
@@ -441,6 +436,7 @@ def convergence_order(kind, grids, quantity="solver", nu=0.1, t_end=0.05,
     errors = []
     for grid in grids:
         sol = make_solution(kind, params, grid)
+        velocity = (sol.u_rho, sol.u_phi, sol.u_z)
         state = sample_state(sol, 0.0)
         if quantity == "solver":
             dt = 0.1 * min(grid.d_rho, grid.d_z) ** 2 / nu
@@ -456,17 +452,16 @@ def convergence_order(kind, grids, quantity="solver", nu=0.1, t_end=0.05,
             if traj.failed:
                 raise ConfigurationError(f"solver failed: {traj.failure_reason}")
             final = traj.final
-            err = max(_max_err(getattr(final, c),
-                               getattr(sol, c).val(final.time))
-                      for c in _VELOCITY)
+            err = max(_max_err(x, f.val(final.time))
+                      for x, f in zip(final.u, velocity))
         elif quantity == "operator":
             tend = (explicit_rhs(state, forcing_callable(sol, nu)(0.0))
                     + viscous_rhs(state, nu))
             grad_p = (sol.p.d_rho(0.0), 0.0, sol.p.d_z(0.0))
             # volume-weighted L2: single boundary-adjacent rows carry
             # vanishing measure, matching the norm the time integration sees
-            err = max(_l2_err(x, getattr(sol, c).d_t(0.0) + gp, grid)
-                      for x, c, gp in zip(tend, _VELOCITY, grad_p))
+            err = max(_l2_err(x, f.d_t(0.0) + gp, grid)
+                      for x, f, gp in zip(tend, velocity, grad_p))
         elif quantity == "curl":
             w = curl_axisym(state)
             err = max(map(_max_err, (w.w_rho, w.w_phi, w.w_z),

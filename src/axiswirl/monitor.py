@@ -549,7 +549,7 @@ def _view_or_blowup(v: VelocityState, f, m: MonitorConfig):
     """checkpoint_view of v, or None when v is blow-up data: non-finite
     fields, or finite fields whose squares and powers overflow in any
     number the view holds."""
-    if not all(np.all(np.isfinite(s)) for s in (v.u_rho, v.u_phi, v.u_z)):
+    if not np.all(np.isfinite(v.u)):
         return None
     view = checkpoint_view(v, f, m)
     values = [getattr(view, name) for name in view.__slots__]

@@ -234,7 +234,8 @@ def project(v: VelocityState, dt=None):
     ||b|| in the rho-weighted norm for b = D u, i.e. the relative
     divergence left; rel is 0.0 when the state is exactly divergence-free
     already.  With dt given, the pressure field is incremented by -phi/dt
-    (D* phi plays the role of -grad phi).
+    (D* phi plays the role of -grad phi).  The corrected velocity is a
+    new u; v is not written.
     """
     g = v.grid
     b = div_from_components(v.u_rho, v.u_z, g)
@@ -246,11 +247,12 @@ def project(v: VelocityState, dt=None):
     p = v.pressure
     if dt is not None:
         p = p - phi / dt
-    u_rho = v.u_rho - cr
-    u_z = v.u_z - cz
-    left = div_from_components(u_rho, u_z, g)
+    u = v.u.copy()
+    u[0] -= cr
+    u[2] -= cz
+    left = div_from_components(u[0], u[2], g)
     rel = float(np.sqrt(np.sum(g.rho * left * left))) / bnorm
-    return v.replace_fields(u_rho=u_rho, u_z=u_z, pressure=p), rel
+    return VelocityState(g, u, p, v.time), rel
 
 
 # --- time stepping -------------------------------------------------------
@@ -302,9 +304,10 @@ def step(state: VelocityState, cfg: SimConfig, dt: float, forcing_at=None):
     (I - c L) du = dt (E + D* p^n + nu L u^n), c = nu dt / 2, for the
     increment du over u^n; E is E(u^n) in the first stage and the mean
     of E(u^n) and E(projected first stage) in the second, and p^n is the
-    stored pressure, which the final projection updates.  u, E, nu L u
-    and du are (3, n_rho, n_z) arrays, viscous_solve's layout, as is the
-    forcing h = forcing_at(t), which defaults to zero.  Returns (state,
+    stored pressure, which the final projection updates.  u^n = state.u,
+    E, nu L u and du are (3, n_rho, n_z) arrays, viscous_solve's layout,
+    as is the forcing h = forcing_at(t), which defaults to zero; each
+    stage's u^n + du is the u of its state, uncopied.  Returns (state,
     rel) as project does.  dt is not checked against cfl_limits: run
     does that.  A non-finite result is returned unprojected with rel nan;
     the caller treats it as blow-up data.
@@ -315,27 +318,20 @@ def step(state: VelocityState, cfg: SimConfig, dt: float, forcing_at=None):
         forcing_at = lambda t: zf  # noqa: E731
     t = state.time
     c = 0.5 * cfg.nu * dt
-    u0 = np.stack((state.u_rho, state.u_phi, state.u_z))
     # the pressure gradient is D* p, the form the projection removes: a
     # centred gradient leaves forced flows first order in time
     cr, cz = div_adjoint(state.pressure, g)
     common = viscous_rhs(state, cfg.nu) + np.stack((cr, np.zeros_like(cr), cz))
     e0 = explicit_rhs(state, forcing_at(t))
-    mid, _ = project(state.replace_fields(
-        *(u0 + viscous_solve(dt * (e0 + common), g, c)), time=t + dt))
+    mid, _ = project(VelocityState(
+        g, state.u + viscous_solve(dt * (e0 + common), g, c),
+        state.pressure, t + dt))
     e1 = explicit_rhs(mid, forcing_at(t + dt))
-    u = u0 + viscous_solve(dt * (0.5 * (e0 + e1) + common), g, c)
-    star = state.replace_fields(*u, time=t + dt)
+    u = state.u + viscous_solve(dt * (0.5 * (e0 + e1) + common), g, c)
+    star = VelocityState(g, u, state.pressure, t + dt)
     if not np.all(np.isfinite(u)):
         return star, np.nan  # blow-up: caller truncates
     return project(star, dt=dt)
-
-
-def _is_finite(state: VelocityState) -> bool:
-    return all(
-        np.all(np.isfinite(f))
-        for f in (state.u_rho, state.u_phi, state.u_z, state.pressure)
-    )
 
 
 # Most steps a run takes.  A step costs about 1.6 ms even on an 8^2 grid
@@ -417,7 +413,8 @@ def run(cfg: SimConfig, initial: VelocityState, forcing_at=None,
         state, _ = step(state, cfg, dt, forcing_at=forcing_at)
         traj.final = state
         traj.step_count = i + 1
-        if not _is_finite(state):
+        if not (np.all(np.isfinite(state.u))
+                and np.all(np.isfinite(state.pressure))):
             traj.failure_reason = f"blow-up: non-finite fields at t = {state.time}"
             observe(state)
             break
@@ -427,5 +424,4 @@ def run(cfg: SimConfig, initial: VelocityState, forcing_at=None,
 
 
 def kinetic_energy(v: VelocityState) -> float:
-    sq = v.u_rho**2 + v.u_phi**2 + v.u_z**2
-    return 0.5 * moment(sq, v.grid)
+    return 0.5 * moment(np.sum(v.u**2, axis=0), v.grid)

@@ -225,7 +225,13 @@ def _edit_header(path, edit):
     (lambda h: h.update(fields=["u_rho", "vorticity"]), "fields"),
     (lambda h: h["grid"].pop("n_z"), "grid.n_z"),
     (lambda h: h.update(time="abc"), "time"),
-], ids=["unknown_field", "missing_n_z", "non_numeric_time"])
+    (lambda h: h.update(version=2), "version"),
+    (lambda h: h["grid"].update(n_rho=1), "grid"),  # build_grid refuses it
+    # samples in another layout would load as wrong data
+    (lambda h: h.update(dtype="<f4"), "dtype"),
+    (lambda h: h.update(order="z-fastest"), "order"),
+], ids=["unknown_field", "missing_n_z", "non_numeric_time", "version",
+        "grid_refused", "dtype", "order"])
 def test_checkpoint_rejects_malformed_header(tmp_path, monkeypatch, capsys,
                                              edit, key):
     path = str(tmp_path / "bad.bin")
@@ -496,6 +502,9 @@ def test_import_freezes_the_import_heap_once():
      "$.output.write_checkpoints"),
     ({"exponents": {"a": 6, "b": 4, "gamma": 0, "delta": 123}},
      "$.exponents.delta"),
+    # beta = a (1 - delta - 3/a) would fall below a gamma = 0
+    ({"exponents": {"a": 6, "b": "inf", "gamma": 0, "delta": 1.0}},
+     "$.exponents.delta"),
     # admissible, but s - 3 or p - 1, which theta and alpha divide by, is
     # no positive float (three raised ZeroDivisionError)
     ({"exponents": {"a": 6, "b": 1e300, "gamma": 0}}, "$.exponents.b"),
@@ -509,7 +518,7 @@ def test_import_freezes_the_import_heap_once():
         "b_overflow", "param_not_number", "param_nan", "path_nul", "directory_nul",
         "nu_infinite", "dt_infinite", "rho_max_infinite", "b_infinite_number",
         "gamma_infinite", "c3_infinite", "write_checkpoints_string",
-        "delta_with_finite_b", "s_rounds_to_3", "s_rounds_to_3_given_delta",
+        "delta_with_finite_b", "delta_above_slack", "s_rounds_to_3", "s_rounds_to_3_given_delta",
         "s_overflows", "p_rounds_to_1"])
 def test_run_scenario_rejects_before_solving(tmp_path, monkeypatch, capsys,
                                              over, path):

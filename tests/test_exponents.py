@@ -58,10 +58,14 @@ def test_oracle_sup_branch():
 
 
 def test_sup_branch_delta_ceiling():
-    with pytest.raises(InadmissibleExponents):
-        derive_exponents(6.0, math.inf, 0.0, delta=2.0)
-    with pytest.raises(InadmissibleExponents):
-        derive_exponents(6.0, math.inf, 0.0, delta=0.0)
+    # beta = a (1 - delta - 3/a) falls below a gamma once delta exceeds
+    # the slack 1 - gamma - 3/a = 1/2 (a = 6, gamma = 0)
+    for delta in (2.0, 0.0, 1.0, math.nextafter(0.5, 1.0)):
+        with pytest.raises(InadmissibleExponents) as exc:
+            derive_exponents(6.0, math.inf, 0.0, delta=delta)
+        assert exc.value.field == "delta"
+    for delta in (0.5, 0.25):
+        assert derive_exponents(6.0, math.inf, 0.0, delta=delta).beta >= 0.0
 
 
 def test_delta_is_rejected_with_a_finite_b():

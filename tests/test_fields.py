@@ -140,7 +140,8 @@ def test_laplacian_rejects_unknown_parity():
 def test_mis_shaped_components_are_rejected():
     g = build_grid(4, 4)
     ok, bad = np.zeros(g.shape), np.ones((3, 3))
-    for make in (lambda: VelocityState(g, ok, ok, bad, ok, 0.0),
+    for make in (lambda: VelocityState(g, np.ones((3, 3, 3)), ok, 0.0),
+                 lambda: zero_state(g).replace_fields(u_z=bad),
                  lambda: zero_state(g).replace_fields(pressure=bad),
                  lambda: VorticityFields(g, ok, ok, bad)):
         with pytest.raises(ConfigurationError, match="does not match grid"):
