@@ -204,7 +204,7 @@ def read_checkpoint(path):
                 raise ConfigurationError(f"{path}: truncated field {name}")
             fields[name] = np.frombuffer(raw, dtype="<f8").reshape(
                 grid.n_z, grid.n_rho
-            ).T.copy()
+            ).T
             if not np.all(np.isfinite(fields[name])):
                 raise ConfigurationError(
                     f"{path}: non-finite samples in field {name}"

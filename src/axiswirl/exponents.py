@@ -56,7 +56,9 @@ def check_admissible(a, b, gamma) -> list[str]:
     Finite b: a in (3/2, inf], b in (1, inf), 3/a + 2/b + gamma <= 1 and
     3/a + 2/b < 2.  b = inf uses the supremum-branch conditions
     3/a + gamma < 1 and gamma > -1 (the latter keeps the slack
-    delta <= 1 - gamma - 3/a below (2a-3)/a, so p stays finite).
+    delta <= 1 - gamma - 3/a below (2a-3)/a, where p's denominator
+    vanishes, in exact arithmetic; derive_exponents checks the rounded
+    denominator).
     """
     violations = []
     if not (a > 1.5):
@@ -82,6 +84,18 @@ def check_admissible(a, b, gamma) -> list[str]:
     return violations
 
 
+def _check_denominator(denom, field):
+    """Reject a denominator of p that is not positive (NaN where delta*a
+    overflows).  It is positive in exact arithmetic for exponents
+    check_admissible accepts (3/a + 2/b < 2 for finite b, gamma > -1 for
+    b = inf), but the rounded one can vanish: 3/a + 2/b can round below
+    2 while 2ab - 2a - 3b rounds to 0."""
+    if not denom > 0.0:
+        raise InadmissibleExponents(
+            [f"the denominator of p must be a positive float, got {denom}"],
+            field)
+
+
 def derive_exponents(a, b, gamma, delta=None) -> ExponentSet:
     """Build the full ExponentSet for an admissible (a, b, gamma).
 
@@ -90,10 +104,12 @@ def derive_exponents(a, b, gamma, delta=None) -> ExponentSet:
     collapse to 3), for a delta given with a finite b, where p and s
     do not depend on it (naming delta), for a delta outside
     (0, 1 - gamma - 3/a], the range where beta >= a gamma (naming delta
-    when given, gamma when derived), and where s - 3 or p - 1, which
-    theta and alpha divide by, is not a positive float: s - 3 names b
-    (b = 1e300 rounds s to exactly 3), or delta on the b = inf branch
-    (gamma when delta is derived from it); p - 1 names no one field.
+    when given, gamma when derived), where p's denominator rounds to a
+    non-positive float (the same fields; none for finite b), and where
+    s - 3 or p - 1, which theta and alpha divide by, is not a positive
+    float: s - 3 names b (b = 1e300 rounds s to exactly 3), or delta on
+    the b = inf branch (gamma when delta is derived from it); p - 1
+    names no one field.
     """
     violations = check_admissible(a, b, gamma)
     if violations:
@@ -116,17 +132,18 @@ def derive_exponents(a, b, gamma, delta=None) -> ExponentSet:
             raise InadmissibleExponents(
                 [f"delta must lie in (0, 1 - gamma - 3/a] = (0, {slack}], "
                  f"got {delta}"], field)
+        denom = 2.0 * a - delta * a - 3.0
+        _check_denominator(denom, field)
         s = 3.0 + delta * a
-        p = 2.0 * a / (2.0 * a - delta * a - 3.0)
+        p = 2.0 * a / denom
     else:
         if delta is not None:
             raise InadmissibleExponents(
                 [f"delta is the slack of the b = inf branch; got {delta} "
                  f"with b = {b}"], "delta")
         b = float(b)
-        # denom > 0 is equivalent to 3/a + 2/b < 2, which check_admissible
-        # enforces
         denom = 2.0 * a * b - 2.0 * a - 3.0 * b
+        _check_denominator(denom, None)
         p = 1.0 + (2.0 * a + 3.0 * b) / denom
         s = 2.0 * a / b + 3.0
         field = "b"

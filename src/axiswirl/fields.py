@@ -25,9 +25,10 @@ EXTRAP = "extrap"
 
 
 def _sample(values, grid: CylGrid, *lead):
-    """values as a float64 array of shape (*lead, *grid.shape);
-    ConfigurationError for any other shape."""
-    v = np.asarray(values, dtype=float)
+    """values as a C-ordered float64 array of shape (*lead, *grid.shape),
+    copied only when values is not one already; ConfigurationError for
+    any other shape."""
+    v = np.asarray(values, dtype=float, order="C")
     if v.shape != (*lead, *grid.shape):
         raise ConfigurationError(
             f"sample shape {v.shape} does not match grid {grid.shape}"

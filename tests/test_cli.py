@@ -513,13 +513,22 @@ def test_import_freezes_the_import_heap_once():
     ({"exponents": {"a": 1e308, "b": "inf", "gamma": -0.9}},
      "$.exponents.gamma"),
     ({"exponents": {"a": 1e17, "b": 1e17, "gamma": 0}}, "$.exponents"),
+    # admissible, but p's denominator rounds to 0: 1 - gamma rounds to 2
+    # (b = inf), or 3/a + 2/b rounds below 2 (finite b)
+    ({"exponents": {"a": 6, "b": "inf", "gamma": math.nextafter(-1.0, 0.0)}},
+     "$.exponents.gamma"),
+    ({"exponents": {"a": 6, "b": "inf", "gamma": math.nextafter(-1.0, 0.0),
+                    "delta": 1.5}}, "$.exponents.delta"),
+    ({"exponents": {"a": 1.6697886776570008, "b": 9.834511350811216,
+                    "gamma": -5}}, "$.exponents"),
 ], ids=["eps_not_number", "eps_increasing", "eps_no_limit", "eps_infinite",
         "c_sob_negative", "c_grow_zero", "c_grow_infinite", "n_rho_overflow",
         "b_overflow", "param_not_number", "param_nan", "path_nul", "directory_nul",
         "nu_infinite", "dt_infinite", "rho_max_infinite", "b_infinite_number",
         "gamma_infinite", "c3_infinite", "write_checkpoints_string",
         "delta_with_finite_b", "delta_above_slack", "s_rounds_to_3", "s_rounds_to_3_given_delta",
-        "s_overflows", "p_rounds_to_1"])
+        "s_overflows", "p_rounds_to_1", "p_denominator_zero",
+        "p_denominator_zero_given_delta", "p_denominator_zero_finite_b"])
 def test_run_scenario_rejects_before_solving(tmp_path, monkeypatch, capsys,
                                              over, path):
     with pytest.raises(SchemaError) as exc:

@@ -116,6 +116,23 @@ def test_exponents_at_the_edge_of_the_floats(a, b, gamma, delta, field):
     assert "must be a positive float" in str(exc.value)
 
 
+@pytest.mark.parametrize("a,b,gamma,delta,field", [
+    (6.0, math.inf, math.nextafter(-1.0, 0.0), None, "gamma"),
+    (6.0, math.inf, math.nextafter(-1.0, 0.0), 1.5, "delta"),
+    (1.6697886776570008, 9.834511350811216, -5.0, None, None),
+])
+def test_a_denominator_of_p_that_rounds_to_zero(a, b, gamma, delta, field):
+    # admissible, and p's denominator is positive in exact arithmetic,
+    # but 1 - gamma rounds to 2, so delta = 1.5 = (2a - 3)/a gives
+    # 2a - delta a - 3 = 0, and 3/a + 2/b rounds below 2 while
+    # 2ab - 2a - 3b rounds to 0 (each a ZeroDivisionError unchecked)
+    assert check_admissible(a, b, gamma) == []
+    with pytest.raises(InadmissibleExponents) as exc:
+        derive_exponents(a, b, gamma, delta)
+    assert exc.value.field == field
+    assert "denominator of p must be a positive float" in str(exc.value)
+
+
 def test_conjugate_pairs():
     for a, b, gamma in [(6.0, 4.0, 0.0), (9.0, 6.0, 0.2), (4.0, 30.0, 0.0),
                         (6.0, math.inf, 0.1)]:
