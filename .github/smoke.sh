@@ -14,7 +14,7 @@ tmp="${RUNNER_TEMP:-$(mktemp -d)}"
 # strictly increase, --nu 0, and --nu 1e6, whose dt = 0.1 Delta^2 / nu
 # needs more than 10^7 steps)
 axiswirl check-exponents 6 4 0
-axiswirl check-exponents 6 6e16 0 | grep -q '^verdict: inadmissible$'
+axiswirl check-exponents 6 6e16 0 | grep '^verdict: inadmissible$' >/dev/null
 axiswirl mms taylor_vortex_swirl 8 16 32 | tail -n 1 | grep -q ': PASS$'
 axiswirl mms lopsided_curl 8 16 32 | tail -n 1 | grep -q ': FAIL$'
 code=0; axiswirl mms rigid_rotation 8 8 16 || code=$?

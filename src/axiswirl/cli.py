@@ -440,7 +440,10 @@ def run_scenario(path) -> int:
     """Execute one scenario file; returns the process exit status.  Every
     rejection of the scenario is a SchemaError naming the path of the
     field at fault and exits 2, every I/O error exits 3, and neither
-    leaves an artifact."""
+    leaves an artifact.  The one exception is a closed standard output:
+    the summary lines go there only after every artifact is written, so
+    a run (or a sweep, through main) whose stdout closes exits 3 with
+    its artifacts in place."""
     try:
         return _run_scenario(path)
     except ConfigurationError as exc:
@@ -681,18 +684,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return run_scenario(args.scenario)
-        if args.command == "check-exponents":
-            return check_exponents_cmd(args.a, args.b, args.gamma)
-        if args.command == "mms":
-            return mms_cmd(args.kind, args.levels, nu=args.nu,
+            code = run_scenario(args.scenario)
+        elif args.command == "check-exponents":
+            code = check_exponents_cmd(args.a, args.b, args.gamma)
+        elif args.command == "mms":
+            code = mms_cmd(args.kind, args.levels, nu=args.nu,
                            outdir=args.outdir)
-        if args.command == "sweep":
-            return sweep_cmd(args.directory)
+        else:
+            code = sweep_cmd(args.directory)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
     except AssertionError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
         return 4
-    return 0
+    except BrokenPipeError:
+        # the reader of stdout has gone; point fd 1 at devnull so that
+        # the interpreter's own flush at exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed", file=sys.stderr)
+        return 3
+    return code
 
 
 if __name__ == "__main__":

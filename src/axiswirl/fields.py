@@ -1,7 +1,9 @@
 """Velocity/vorticity fields and the cylindrical differential operators.
 
 Fields are plain float64 arrays, cell-centered on a CylGrid, shape
-(n_rho, n_z), axis 0 radial; the records that group them hold the grid.
+(n_rho, n_z), axis 0 radial; a triple (velocity, forcing, vorticity) is
+one (3, n_rho, n_z) array, and the state that groups the velocity and
+the pressure holds the grid.
 Radial ghosts encode the axis regularity parities (u_rho, u_phi, w_rho,
 w_phi odd across rho = 0; u_z, p, w_z even) and the no-slip wall at
 rho = rho_max via mirror-zero ghosts.  z is periodic.
@@ -62,13 +64,6 @@ class VelocityState(Frozen):
             self.pressure if pressure is None else pressure,
             self.time if time is None else float(time),
         )
-
-
-class VorticityFields(Frozen):
-    __slots__ = ("grid", "w_rho", "w_phi", "w_z")
-
-    def __init__(self, grid: CylGrid, w_rho, w_phi, w_z):
-        self._freeze(grid, *(_sample(f, grid) for f in (w_rho, w_phi, w_z)))
 
 
 def zero_state(grid: CylGrid, time=0.0) -> VelocityState:
@@ -213,13 +208,15 @@ def radial_div_adjoint(phi, grid: CylGrid):
     return -(dphi[1:] + dphi[:-1]) / (2.0 * grid.rho * grid.d_rho)
 
 
-def curl_axisym(v: VelocityState) -> VorticityFields:
-    """w_rho = -d_z u_phi, w_phi = d_z u_rho - d_rho u_z, w_z = (1/rho) d_rho(rho u_phi)."""
+def curl_axisym(v: VelocityState) -> np.ndarray:
+    """The vorticity w = curl u as one (3, n_rho, n_z) array (w_rho, w_phi,
+    w_z), the layout of a state's u: w_rho = -d_z u_phi, w_phi = d_z u_rho
+    - d_rho u_z, w_z = (1/rho) d_rho(rho u_phi)."""
     g = v.grid
-    w_rho = -d_z(v.u_phi, g)
-    w_phi = d_z(v.u_rho, g) - d_rho(v.u_z, g, EVEN, NOSLIP)
-    w_z = d_rho(v.u_phi, g, ODD, NOSLIP) + v.u_phi / g.rho
-    return VorticityFields(g, w_rho, w_phi, w_z)
+    ur, uh, uz = v.u
+    return np.stack((-d_z(uh, g),
+                     d_z(ur, g) - d_rho(uz, g, EVEN, NOSLIP),
+                     d_rho(uh, g, ODD, NOSLIP) + uh / g.rho))
 
 
 def explicit_rhs(v: VelocityState, f):
@@ -250,10 +247,11 @@ def viscous_rhs(v: VelocityState, nu: float):
                           laplacian(v.u_z, g, EVEN)))
 
 
-def vorticity_transport_residual(v: VelocityState, w: VorticityFields,
-                                 dw_dt: VorticityFields,
-                                 g_force: VorticityFields, nu: float):
-    """(left - right) of the three vorticity transport equations.
+def vorticity_transport_residual(v: VelocityState, w, dw_dt, g_force,
+                                 nu: float) -> np.ndarray:
+    """(left - right) of the three vorticity transport equations, as one
+    (3, n_rho, n_z) array like each of w, dw_dt and g_force (curl_axisym's
+    layout).
 
     dw_dt is the caller-supplied time derivative (finite difference of
     consecutive checkpoints); omitting it is a contract violation.
@@ -266,28 +264,28 @@ def vorticity_transport_residual(v: VelocityState, w: VorticityFields,
     g = v.grid
     rho = g.rho
     ur, uh, uz = v.u
-    wr, wh, wz = w.w_rho, w.w_phi, w.w_z
-    gr, gh, gz = g_force.w_rho, g_force.w_phi, g_force.w_z
+    wr, wh, wz = w
+    gr, gh, gz = g_force
 
     def drho(fv, parity):
         return d_rho(fv, g, parity, EXTRAP)
 
     r_rho = (
-        dw_dt.w_rho + ur * drho(wr, ODD) + uz * d_z(wr, g)
+        dw_dt[0] + ur * drho(wr, ODD) + uz * d_z(wr, g)
         - wr * d_rho(ur, g, ODD) - wz * d_z(ur, g)
         - gr - nu * laplacian(wr, g, ODD, EXTRAP)
     )
     r_phi = (
-        dw_dt.w_phi + ur * drho(wh, ODD) + uz * d_z(wh, g)
+        dw_dt[1] + ur * drho(wh, ODD) + uz * d_z(wh, g)
         - (ur / rho) * wh + 2.0 * (uh / rho) * wr
         - gh - nu * laplacian(wh, g, ODD, EXTRAP)
     )
     r_z = (
-        dw_dt.w_z + ur * drho(wz, EVEN) + uz * d_z(wz, g)
+        dw_dt[2] + ur * drho(wz, EVEN) + uz * d_z(wz, g)
         - wr * d_rho(uz, g, EVEN) - wz * d_z(uz, g)
         - gz - nu * laplacian(wz, g, EVEN, EXTRAP)
     )
-    return r_rho, r_phi, r_z
+    return np.stack((r_rho, r_phi, r_z))
 
 
 def grad_squared(f, grid: CylGrid, parity, wall=NOSLIP):

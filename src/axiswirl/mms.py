@@ -2,9 +2,10 @@
 
 Each solution is a set of closed-form cylindrical velocity components
 plus the forcing that makes them solve the momentum equations exactly.
-Radial profiles are polynomials, held as coefficient arrays and evaluated
-with np.polyval (derivatives by np.polyder), or Bessel functions with
-hand-coded derivative identities; no symbolic-differentiation dependency.
+A radial factor is the triple (F, F', F'') of functions of rho: a
+polynomial, evaluated with np.polyval (derivatives by np.polyder), or a
+Bessel function with hand-coded derivative identities; no
+symbolic-differentiation dependency.
 
 J0 and J1 are Bessel's integrals, J0(x) = (1/pi) int_0^pi cos(x sin t) dt
 and J1(x) = (1/pi) int_0^pi sin t sin(x sin t) dt, by the midpoint rule on
@@ -30,7 +31,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation
+from .errors import ConfigurationError
 from .fields import (
     VelocityState,
     curl_axisym,
@@ -59,27 +60,19 @@ def J1(x):
                    axis=-1)
 
 
-class RadialProfile:
-    """A radial factor with exact first and second derivatives."""
-
-    __slots__ = ("f", "df", "d2f")
-
-    def __init__(self, f, df, d2f):
-        self.f, self.df, self.d2f = f, df, d2f
-
-    @classmethod
-    def from_coef(cls, coef):
-        """The polynomial sum_j coef[j] rho^j.  The coefficients are lowest
-        power first, the order in which np.convolve multiplies two
-        polynomials; np.polyval takes them highest first."""
-        c = np.asarray(coef, dtype=float)[::-1]
-        d1 = np.polyder(c)
-        return cls(*(functools.partial(np.polyval, p)
-                     for p in (c, d1, np.polyder(d1))))
+def _polynomial(coef):
+    """(F, F', F'') of the polynomial F = sum_j coef[j] rho^j.  The
+    coefficients are lowest power first, the order in which np.convolve
+    multiplies two polynomials; np.polyval takes them highest first."""
+    c = np.asarray(coef, dtype=float)[::-1]
+    d1 = np.polyder(c)
+    return tuple(functools.partial(np.polyval, p)
+                 for p in (c, d1, np.polyder(d1)))
 
 
 def _bessel_j1_profile(lam):
-    """J1(lam*rho) with derivatives from J1' = J0 - J1/x and the Bessel ODE."""
+    """(F, F', F'') of F = J1(lam*rho), with derivatives from
+    J1' = J0 - J1/x and the Bessel ODE."""
 
     def f(rho):
         return J1(lam * rho)
@@ -94,11 +87,11 @@ def _bessel_j1_profile(lam):
         jp = J0(x) - j1x / x
         return lam**2 * ((1.0 - x**2) * j1x - x * jp) / x**2
 
-    return RadialProfile(f, df, d2f)
+    return f, df, d2f
 
 
 def _swirl_pressure_profile(lam):
-    """F = 1 - J0(lam rho)^2 - J1(lam rho)^2 with F(0) = 0: since
+    """(F, F', F'') of F = 1 - J0(lam rho)^2 - J1(lam rho)^2, F(0) = 0: since
     d/dx (J0^2 + J1^2) = -2 J1^2 / x (Watson 1944, A Treatise on the
     Theory of Bessel Functions, 2nd ed.), F' = 2 J1(lam rho)^2 / rho, so
     the pressure (A^2/2) e^{-2 mu t} F of the swirl u_phi = A e^{-mu t}
@@ -117,7 +110,7 @@ def _swirl_pressure_profile(lam):
         j1x = J1(x)
         return 2.0 * j1x * (2.0 * x * J0(x) - 3.0 * j1x) / rho**2
 
-    return RadialProfile(f, df, d2f)
+    return f, df, d2f
 
 
 # each sampled partial of a field: its orders (in rho, in z)
@@ -127,7 +120,8 @@ _PARTIALS = {"val": (0, 0), "d_rho": (1, 0), "d2_rho": (2, 0),
 
 class AnalyticField:
     """e^{-mu t} times a sum of terms (coef, F, G), coef * F(rho) * G(z),
-    on one grid: F a RadialProfile and G as (G, G', G'') on the z axis.
+    on one grid: F as the functions (F, F', F'') of rho and G as the
+    samples (G, G', G'') on the z axis.
     at0 maps each partial sampled so far, by its name in _PARTIALS, to
     that partial of the sum at t = 0; radial maps each radial order
     sampled so far to F, F' or F'' of every term."""
@@ -150,7 +144,7 @@ class AnalyticField:
             # where a factor is 0, as the run treats blow-up
             with np.errstate(over="ignore", invalid="ignore"):
                 if r not in self.radial:
-                    self.radial[r] = [(f.f, f.df, f.d2f)[r](self.grid.rho)
+                    self.radial[r] = [f[r](self.grid.rho)
                                       for _, f, _ in self.terms]
                 self.at0[partial] = sum(
                     ((coef * fr) * g[zo]
@@ -176,29 +170,24 @@ class AnalyticField:
 
 
 class ManufacturedSolution:
-    """One manufactured solution on the grid it was made on.  Its velocity
-    decays by e^{-mu t} and its pressure by e^{-2 mu t}."""
+    """One manufactured solution on the grid it was made on, from the
+    term lists (coef, F, G) of u_rho, u_phi, u_z and p (AnalyticField's
+    terms).  Its velocity decays by e^{-mu t} and its pressure by
+    e^{-2 mu t}: the forcing's two parts rest on this, the linear terms
+    decaying with u, the quadratic ones and grad p twice as fast."""
 
     __slots__ = ("kind", "grid", "u_rho", "u_phi", "u_z", "p", "mu",
                  "homogeneous_nu", "meta")
 
-    def __init__(self, kind: str, grid: CylGrid, u_rho: AnalyticField,
-                 u_phi: AnalyticField, u_z: AnalyticField, p: AnalyticField,
-                 homogeneous_nu: float | None = None, meta: dict | None = None):
+    def __init__(self, kind: str, grid: CylGrid, mu: float, u_rho, u_phi,
+                 u_z, p, homogeneous_nu: float | None = None,
+                 meta: dict | None = None):
         self.kind = kind
         self.grid = grid
-        self.u_rho = u_rho
-        self.u_phi = u_phi
-        self.u_z = u_z
-        self.p = p
-        self.mu = u_phi.mu
-        # the forcing's two parts rest on this: the linear terms decay
-        # with u, the quadratic ones and grad p twice as fast
-        if (u_rho.mu, u_z.mu, p.mu) != (self.mu, self.mu, 2.0 * self.mu):
-            raise ContractViolation(
-                f"{kind}: the velocity must decay at one rate mu and the "
-                f"pressure at 2 mu, got {u_rho.mu}, {u_phi.mu}, {u_z.mu} "
-                f"and {p.mu}")
+        self.mu = mu
+        self.u_rho, self.u_phi, self.u_z = (AnalyticField(mu, terms, grid)
+                                            for terms in (u_rho, u_phi, u_z))
+        self.p = AnalyticField(2.0 * mu, p, grid)
         self.homogeneous_nu = homogeneous_nu  # nu for which the forcing vanishes
         self.meta = {} if meta is None else meta
 
@@ -211,11 +200,12 @@ class ManufacturedSolution:
             return False
 
     def curl(self, t):
-        """Analytic vorticity components."""
-        w_rho = -self.u_phi.d_z(t)
-        w_phi = self.u_rho.d_z(t) - self.u_z.d_rho(t)
-        w_z = self.u_phi.d_rho(t) + self.u_phi.val(t) / self.grid.rho
-        return w_rho, w_phi, w_z
+        """The analytic vorticity in curl_axisym's layout, one
+        (3, n_rho, n_z) array (w_rho, w_phi, w_z)."""
+        uh = self.u_phi
+        return np.stack((-uh.d_z(t),
+                         self.u_rho.d_z(t) - self.u_z.d_rho(t),
+                         uh.d_rho(t) + uh.val(t) / self.grid.rho))
 
 
 # Each kind's parameters and their defaults.  The domain is not among
@@ -269,17 +259,13 @@ def make_solution(kind, params, grid: CylGrid) -> ManufacturedSolution:
     z = grid.z_centers[None, :]
     flat = (np.ones_like(z), np.zeros_like(z), np.zeros_like(z))  # G = 1
 
-    def field(mu, *terms):
-        return AnalyticField(mu, terms, grid)
-
     if kind == "rigid_rotation":
         omega = params["omega"]
-        u_phi = field(0.0, (1.0, RadialProfile.from_coef([0.0, omega]), flat))
+        u_phi = ((1.0, _polynomial([0.0, omega]), flat),)
         # an omega^2 that overflows gives an infinite pressure: blow-up data
-        p = field(0.0, (1.0, RadialProfile.from_coef(
-            [0.0, 0.0, 0.5 * power(omega, 2)]), flat))
-        return ManufacturedSolution(kind, grid, field(0.0), u_phi, field(0.0),
-                                    p, homogeneous_nu=math.inf)
+        p = ((1.0, _polynomial([0.0, 0.0, 0.5 * power(omega, 2)]), flat),)
+        return ManufacturedSolution(kind, grid, 0.0, (), u_phi, (), p,
+                                    homogeneous_nu=math.inf)
     if kind == "decaying_swirl":
         amp = params["amplitude"]
         nu = params["nu"]
@@ -288,13 +274,10 @@ def make_solution(kind, params, grid: CylGrid) -> ManufacturedSolution:
         if not math.isfinite(mu):
             raise ConfigurationError(f"the decay rate mu = nu lambda^2 = {mu} "
                                      f"is not finite", "nu")
-        u_phi = field(mu, (amp, _bessel_j1_profile(lam), flat))
-        p = field(2.0 * mu,
-                  (0.5 * amp * amp, _swirl_pressure_profile(lam), flat))
-        return ManufacturedSolution(
-            kind, grid, field(mu), u_phi, field(mu), p,
-            homogeneous_nu=nu, meta={"lambda": lam},
-        )
+        u_phi = ((amp, _bessel_j1_profile(lam), flat),)
+        p = ((0.5 * amp * amp, _swirl_pressure_profile(lam), flat),)
+        return ManufacturedSolution(kind, grid, mu, (), u_phi, (), p,
+                                    homogeneous_nu=nu, meta={"lambda": lam})
     amp = params["amplitude"]
     swirl = params["swirl"]
     swirl_z = params["swirl_z"]
@@ -315,17 +298,15 @@ def make_solution(kind, params, grid: CylGrid) -> ManufacturedSolution:
         coefs = (np.convolve([-k], np.convolve(_RHO, w)), np.convolve(_RHO, w),
                  np.convolve([2.0], w) + np.convolve(_RHO, dw),
                  np.convolve(np.convolve(_RHO, _RHO), w))
-        f_rho, f_phi, f_z, f_p = map(RadialProfile.from_coef, coefs)
+        f_rho, f_phi, f_z, f_p = map(_polynomial, coefs)
         # a second derivative's coefficients are the largest
         if not all(np.all(np.isfinite(np.polyder(c[::-1], 2)))
                    for c in coefs):
             raise ConfigurationError("the Taylor vortex's coefficients "
                                      "leave the floats", "rho_max")
-    u_rho = field(mu, (amp, f_rho, cos))
-    u_z = field(mu, (amp, f_z, sin))
-    u_phi = field(mu, (swirl, f_phi, flat), (swirl * swirl_z, f_phi, cos))
-    p = field(2.0 * mu, (p_amp, f_p, cos))
-    return ManufacturedSolution(kind, grid, u_rho, u_phi, u_z, p)
+    u_phi = ((swirl, f_phi, flat), (swirl * swirl_z, f_phi, cos))
+    return ManufacturedSolution(kind, grid, mu, ((amp, f_rho, cos),), u_phi,
+                                ((amp, f_z, sin),), ((p_amp, f_p, cos),))
 
 
 # --- sampling and forcing -------------------------------------------------
@@ -388,9 +369,10 @@ def lopsided_curl(v: VelocityState) -> np.ndarray:
 
 
 def _interior(arr):
-    """Drop the outermost radial ring (wall ghosts are boundary-condition
-    dependent and excluded from operator exactness measures)."""
-    return arr[:-1, :]
+    """Drop the outermost radial ring, the second-to-last axis of a field
+    or of a stacked triple (wall ghosts are boundary-condition dependent
+    and excluded from operator exactness measures)."""
+    return arr[..., :-1, :]
 
 
 def _max_err(a, b):
@@ -436,7 +418,6 @@ def convergence_order(kind, grids, quantity="solver", nu=0.1, t_end=0.05,
     errors = []
     for grid in grids:
         sol = make_solution(kind, params, grid)
-        velocity = (sol.u_rho, sol.u_phi, sol.u_z)
         state = sample_state(sol, 0.0)
         if quantity == "solver":
             dt = 0.1 * min(grid.d_rho, grid.d_z) ** 2 / nu
@@ -452,25 +433,22 @@ def convergence_order(kind, grids, quantity="solver", nu=0.1, t_end=0.05,
             if traj.failed:
                 raise ConfigurationError(f"solver failed: {traj.failure_reason}")
             final = traj.final
-            err = max(_max_err(x, f.val(final.time))
-                      for x, f in zip(final.u, velocity))
+            err = _max_err(final.u, sample_state(sol, final.time).u)
         elif quantity == "operator":
             tend = (explicit_rhs(state, forcing_callable(sol, nu)(0.0))
                     + viscous_rhs(state, nu))
+            velocity = (sol.u_rho, sol.u_phi, sol.u_z)
             grad_p = (sol.p.d_rho(0.0), 0.0, sol.p.d_z(0.0))
             # volume-weighted L2: single boundary-adjacent rows carry
             # vanishing measure, matching the norm the time integration sees
             err = max(_l2_err(x, f.d_t(0.0) + gp, grid)
                       for x, f, gp in zip(tend, velocity, grad_p))
         elif quantity == "curl":
-            w = curl_axisym(state)
-            err = max(map(_max_err, (w.w_rho, w.w_phi, w.w_z),
-                          sol.curl(0.0)))
+            err = _max_err(curl_axisym(state), sol.curl(0.0))
         elif quantity == "divergence":
             err = float(np.max(np.abs(_interior(divergence(state)))))
         elif quantity == "lopsided_curl":
-            _, _, wz = sol.curl(0.0)
-            err = _max_err(lopsided_curl(state), wz)
+            err = _max_err(lopsided_curl(state), sol.curl(0.0)[2])
         else:
             raise ConfigurationError(f"unknown quantity {quantity!r}")
         errors.append(err)

@@ -306,7 +306,7 @@ def checkpoint_view(v: VelocityState, f,
     power_moment = functools.cache(lambda j, k: _integ(power_sums[j], g, k))
     uq, u4, u2 = powers[q], powers[4], uh**2
     w = curl_axisym(v)
-    wh = w.w_phi
+    wh = w[1]
     w2 = wh**2
     w2_sums, ur_w2_sums = w2.sum(axis=1), (np.abs(ur) * w2).sum(axis=1)
     h_abs = np.abs(h)
@@ -344,7 +344,7 @@ def checkpoint_view(v: VelocityState, f,
         vort_quartic={x: power_moment(4, x - 4.0) for x in epsilons},
         vort_radial={x: _integ(ur_w2_sums, g, x - 3.0) for x in epsilons},
         vort_curvature={x: _integ(w2_sums, g, x - 4.0) for x in epsilons},
-        vort_l2=math.sqrt(_integ(w.w_rho**2 + w.w_z**2, g)
+        vort_l2=math.sqrt(_integ(w[0]**2 + w[2]**2, g)
                           + _integ(w2_sums, g)),
         grad_u_l2=velocity_grad_l2(v),
         transport=transport_cancellation(v, q),

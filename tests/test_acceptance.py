@@ -114,7 +114,7 @@ def test_criterion_04_operator_correctness():
     rho = np.broadcast_to(g.rho, g.shape)
     rot = zero_state(g).replace_fields(u_phi=rho)
     ok &= float(np.max(np.abs(
-        curl_axisym(rot).w_z[:-1] - 2.0))) <= 1e-12
+        curl_axisym(rot)[2][:-1] - 2.0))) <= 1e-12
     rad = zero_state(g).replace_fields(u_rho=rho.copy())
     ok &= float(np.max(np.abs(divergence(rad)[:-1] - 2.0))) <= 1e-12
     kind = "taylor_vortex_swirl"

@@ -474,6 +474,41 @@ def test_import_freezes_the_import_heap_once():
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+@pytest.mark.parametrize("command", ["check-exponents", "run"])
+def test_a_closed_stdout_exits_3(tmp_path, command, unbuffered):
+    # stdout is a pipe whose reader has gone (as under `| head -c 1`).
+    # Unbuffered, a print meets it; buffered, main's flush does.  Either
+    # way the program exits 3 with one error line, and a run has written
+    # its artifacts first
+    doc = _scenario(grid={"n_rho": 8, "n_z": 8},
+                    solver={"nu": 0.1, "t_end": 2e-3, "dt": 1e-3},
+                    output={"directory": "out", "write_checkpoints": True})
+    argv = (["run", _write(tmp_path, doc)] if command == "run"
+            else ["check-exponents", "6", "4", "0"])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update({"PYTHONPATH": os.path.dirname(os.path.dirname(mms.__file__)),
+                OUTPUT_ROOT_ENV: str(tmp_path)})
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "axiswirl.cli", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 3, result.stderr
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert result.stderr.startswith("error: "), result.stderr
+    if command == "run":
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "checkpoint_00000.bin", "checkpoint_00001.bin",
+            "checkpoint_00002.bin", "diagnostics.csv", "manifest.json",
+            "report.json", "report.txt"]
+
+
 # --- exit-code contract -----------------------------------------------------------
 
 @pytest.mark.parametrize("over,path", [

@@ -12,7 +12,6 @@ from axiswirl.fields import (
     EXTRAP,
     ODD,
     VelocityState,
-    VorticityFields,
     curl_axisym,
     d_rho,
     d_z,
@@ -85,11 +84,11 @@ def test_rigid_rotation_curl_exact():
     omega = 1.0
     u_phi = omega * np.broadcast_to(g.rho, g.shape)
     v = zero_state(g).replace_fields(u_phi=u_phi)
-    w = curl_axisym(v)
+    w_rho, w_phi, w_z = curl_axisym(v)
     # interior cells (the wall row uses the homogeneous-Dirichlet ghost)
-    assert np.max(np.abs(w.w_z[:-1] - 2.0 * omega)) <= 1e-12
-    assert np.max(np.abs(w.w_rho)) <= 1e-13
-    assert np.max(np.abs(w.w_phi)) <= 1e-13
+    assert np.max(np.abs(w_z[:-1] - 2.0 * omega)) <= 1e-12
+    assert np.max(np.abs(w_rho)) <= 1e-13
+    assert np.max(np.abs(w_phi)) <= 1e-13
 
 
 def test_divergence_of_linear_radial_field():
@@ -142,8 +141,7 @@ def test_mis_shaped_components_are_rejected():
     ok, bad = np.zeros(g.shape), np.ones((3, 3))
     for make in (lambda: VelocityState(g, np.ones((3, 3, 3)), ok, 0.0),
                  lambda: zero_state(g).replace_fields(u_z=bad),
-                 lambda: zero_state(g).replace_fields(pressure=bad),
-                 lambda: VorticityFields(g, ok, ok, bad)):
+                 lambda: zero_state(g).replace_fields(pressure=bad)):
         with pytest.raises(ConfigurationError, match="does not match grid"):
             make()
 
@@ -174,12 +172,7 @@ def test_vorticity_transport_residual_small_on_analytic_flow():
     v0 = mms.sample_state(sol, 0.0)
     v1 = mms.sample_state(sol, dt)
     w0, w1 = curl_axisym(v0), curl_axisym(v1)
-    rate = VorticityFields(
-        g,
-        (w1.w_rho - w0.w_rho) / dt,
-        (w1.w_phi - w0.w_phi) / dt,
-        (w1.w_z - w0.w_z) / dt,
-    )
+    rate = (w1 - w0) / dt
     res = vorticity_transport_residual(v0, w0, rate,
                                        curl_axisym(zero_state(g)), nu)
     # interior rows; the residual stacks two second-order stencils so the
@@ -228,16 +221,14 @@ def test_vorticity_transport_residual_converges_on_forced_taylor():
         sol = mms.make_solution("taylor_vortex_swirl", {}, g)
         w0, w, w1 = (curl_axisym(mms.sample_state(sol, s))
                      for s in (t - dt, t, t + dt))
-        rate = VorticityFields(g, *(
-            (getattr(w1, c) - getattr(w0, c)) / (2.0 * dt)
-            for c in ("w_rho", "w_phi", "w_z")))
+        rate = (w1 - w0) / (2.0 * dt)
         h = mms.forcing_callable(sol, nu)(t)
         gc = curl_axisym(zero_state(g).replace_fields(*h))
         r_phi = vorticity_transport_residual(
             mms.sample_state(sol, t), w, rate, gc, nu)[1]
         wt = g.cell_weight[rows]
         res.append(math.sqrt(np.sum(wt * r_phi[rows] ** 2)
-                             / np.sum(wt * rate.w_phi[rows] ** 2)))
+                             / np.sum(wt * rate[1][rows] ** 2)))
     orders = [math.log2(res[i] / res[i + 1]) for i in range(2)]
     assert all(o >= 1.8 for o in orders), (res, orders)
 

@@ -70,7 +70,7 @@ def test_decaying_swirl_wall_and_decay():
     sol = mms.make_solution("decaying_swirl", {"nu": 0.1}, build_grid(2, 2))
     lam = sol.meta["lambda"]
     # J1 root at the wall: the swirl vanishes there
-    assert abs(mms._bessel_j1_profile(lam).f(np.array([[2.0]]))) <= 1e-12
+    assert abs(mms._bessel_j1_profile(lam)[0](np.array([[2.0]]))) <= 1e-12
     # exponential decay rate nu * lambda^2, at the cell centre rho = 0.5
     v0 = sol.u_phi.val(0.0)[0, 0]
     v1 = sol.u_phi.val(1.0)[0, 0]
@@ -188,7 +188,7 @@ def test_swirl_pressure_closed_form_matches_quadrature(amplitude, rho_max):
 
     def at(term, profile, r):
         coef, field = term
-        return coef * math.exp(-field.mu * t) * profile.f(r)
+        return coef * math.exp(-field.mu * t) * profile[0](r)
 
     rho = np.linspace(0.0, rho_max, 9)[1:]
     closed = at(pressure, mms._swirl_pressure_profile(lam), rho)
@@ -218,8 +218,8 @@ def test_swirl_pressure_balances_the_centrifugal_force():
     profile = mms._swirl_pressure_profile(sol.meta["lambda"])
     coef = 0.5 * 1.3 * 1.3
     r, h = np.linspace(0.05, 2.0, 40)[:, None], 1e-5
-    fd = coef * (profile.df(r + h) - profile.df(r - h)) / (2 * h)
-    assert np.max(np.abs(coef * profile.d2f(r) - fd)) <= 1e-8
+    fd = coef * (profile[1](r + h) - profile[1](r - h)) / (2 * h)
+    assert np.max(np.abs(coef * profile[2](r) - fd)) <= 1e-8
 
 
 def _closed_form(kind, grid, t):
@@ -283,7 +283,7 @@ def test_sample_state_matches_closed_forms_on_any_domain(kind, n_rho, n_z,
     special = pytest.importorskip("scipy.special")
     lam = sol.meta["lambda"]
     assert lam * rho_max == pytest.approx(special.jn_zeros(1, 1)[0], rel=1e-15)
-    assert abs(mms._bessel_j1_profile(lam).f(rho_max)) <= 1e-15
+    assert abs(mms._bessel_j1_profile(lam)[0](rho_max)) <= 1e-15
     # off its own nu the swirl needs h_phi = (nu - 0.1) lam^2 u_phi, and
     # the pressure balances the centrifugal force: h_rho = h_z = 0
     h_rho, h_phi, h_z = mms.forcing_callable(sol, 0.05)(t)
