@@ -142,6 +142,24 @@ rejected exponents '{"a": 6, "b": "inf", "gamma": 0, "delta": 1.0}' '$.exponents
 rejected solver '{"cfl_saftey": 0.1}' '$.solver.cfl_saftey'
 rejected initial_data '{"kind": "file", "path": "/dev/zero"}' '$.initial_data.path'
 
+# JSON nested past the decoder's recursion limit is malformed JSON, not
+# a traceback: a restart from the checkpoint above with a header line of
+# 5000 nested arrays exits 2 at $.initial_data, and a scenario file of
+# 100000 nested arrays exits 2 at $.
+python3 - "$last" "$tmp/nested.bin" <<'PY'
+import sys
+with open(sys.argv[1], "rb") as fh:
+    payload = fh.read().split(b"\n", 1)[1]
+with open(sys.argv[2], "wb") as fh:
+    fh.write(b"[" * 5000 + b"]" * 5000 + b"\n" + payload)
+PY
+rejected initial_data "{\"kind\": \"file\", \"path\": \"$tmp/nested.bin\"}" '$.initial_data'
+python3 -c 'print("[" * 100000 + "]" * 100000)' > "$tmp/nested.json"
+code=0
+axiswirl run "$tmp/nested.json" 2> "$tmp/nested.err" || code=$?
+test "$code" -eq 2
+grep -qF 'error: $.: invalid JSON' "$tmp/nested.err"
+
 # an output directory that would leave $AXISWIRL_OUTPUT_ROOT exits 2 and
 # writes nothing, there or outside
 mkdir -p "$tmp/root"

@@ -120,7 +120,7 @@ def _read_header(path, line, payload):
     try:
         # a line cut at MAX_HEADER_BYTES is no header
         header = json.loads(line) if line.endswith(b"\n") else None
-    except ValueError:
+    except (ValueError, RecursionError):  # RecursionError: nested too deep
         header = None
     if not isinstance(header, dict) or header.get("format") != "axiswirl-checkpoint":
         raise ConfigurationError(f"{path}: not a checkpoint file")
@@ -441,26 +441,34 @@ def run_scenario(path) -> int:
     rejection of the scenario is a SchemaError naming the path of the
     field at fault and exits 2, every I/O error exits 3, and neither
     leaves an artifact.  The one exception is a closed standard output:
-    the summary lines go there only after every artifact is written, so
-    a run (or a sweep, through main) whose stdout closes exits 3 with
-    its artifacts in place."""
+    the summary lines go there only after every artifact is written, and
+    outside the handlers of those errors, so the BrokenPipeError of a
+    closed stdout reaches the caller (main, or sweep_cmd, which runs the
+    other scenarios) with the artifacts in place."""
     try:
-        return _run_scenario(path)
+        code, lines = _run_scenario(path)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: cannot read or write a file: {exc}", file=sys.stderr)
         return 3
+    for line in lines:
+        print(line)
+    return code
 
 
-def _run_scenario(path) -> int:
+def _run_scenario(path):
+    """(exit status, summary lines) of one scenario whose artifacts are
+    written."""
     if not _is_regular_file(path):
         raise OSError(f"{path}: not a regular file")
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # also undecodable text and oversized integers
+        # ValueError also for undecodable text and oversized integers,
+        # RecursionError for arrays or objects nested too deep
+        except (ValueError, RecursionError) as exc:
             raise SchemaError("$.", f"invalid JSON: {exc}") from None
     cfg = validate_scenario(doc)
     g = build_grid(**cfg["grid"])
@@ -540,11 +548,10 @@ def _run_scenario(path) -> int:
             fh.write(f"blowup.{k} = {blowup[k]}\n")
 
     failed_checks = [c for c in checks if c["asserted"] and c["status"] == "FAIL"]
-    for c in checks:
-        print(f"{c['name']}: {c['status']}")
+    lines = [f"{c['name']}: {c['status']}" for c in checks]
     if traj.failed:
-        print(f"trajectory truncated: {traj.failure_reason}")
-    return 0 if not failed_checks else 4
+        lines.append(f"trajectory truncated: {traj.failure_reason}")
+    return (0 if not failed_checks else 4), lines
 
 
 # --- other subcommands ------------------------------------------------------
@@ -649,7 +656,15 @@ def sweep_cmd(directory) -> int:
     if not names:
         print("error: no scenario files in sweep directory", file=sys.stderr)
         return 2
-    codes = [run_scenario(os.path.join(directory, n)) for n in names]
+    codes = []
+    for name in names:
+        try:
+            codes.append(run_scenario(os.path.join(directory, name)))
+        except BrokenPipeError:
+            # stdout has closed, after this scenario's artifacts: run the
+            # rest; the lines below (or main's flush) meet the closed pipe
+            # again, and main reports it once
+            codes.append(3)
     for name, code in zip(names, codes):
         print(f"{name}: exit {code}")
     return 0 if all(c == 0 for c in codes) else max(codes)
@@ -657,8 +672,19 @@ def sweep_cmd(directory) -> int:
 
 # --- entry point ------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that --help flushes its text and lets a
+    failed write raise, so that main reports a closed stdout (argparse's
+    print_help drops the error, or leaves it to the flush at exit)."""
+
+    def print_help(self, file=None):
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="axiswirl",
         description="axisymmetric swirl solver and regularity-estimate monitor",
     )
@@ -681,8 +707,8 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="run every scenario in a directory")
     p_sweep.add_argument("directory")
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "run":
             code = run_scenario(args.scenario)
         elif args.command == "check-exponents":

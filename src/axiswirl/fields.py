@@ -19,6 +19,8 @@ from .records import Frozen
 
 ODD = "odd"
 EVEN = "even"
+# the axis parities of a velocity or vorticity triple's rows (rho, phi, z)
+PARITIES = (ODD, ODD, EVEN)
 # wall modes: "noslip" mirrors through zero at the wall face, "extrap"
 # extrapolates linearly (diagnostic gradients of fields that do not
 # vanish at the wall)
@@ -208,15 +210,21 @@ def radial_div_adjoint(phi, grid: CylGrid):
     return -(dphi[1:] + dphi[:-1]) / (2.0 * grid.rho * grid.d_rho)
 
 
-def curl_axisym(v: VelocityState) -> np.ndarray:
-    """The vorticity w = curl u as one (3, n_rho, n_z) array (w_rho, w_phi,
-    w_z), the layout of a state's u: w_rho = -d_z u_phi, w_phi = d_z u_rho
-    - d_rho u_z, w_z = (1/rho) d_rho(rho u_phi)."""
+def velocity_gradient(v: VelocityState):
+    """(dr, dz): the tuples of d_rho and d_z of (u_rho, u_phi, u_z), with
+    the axis PARITIES and the no-slip wall ghost.  The step, the curl,
+    ||grad u||, the vorticity residual and the monitor all read these."""
     g = v.grid
-    ur, uh, uz = v.u
-    return np.stack((-d_z(uh, g),
-                     d_z(ur, g) - d_rho(uz, g, EVEN, NOSLIP),
-                     d_rho(uh, g, ODD, NOSLIP) + uh / g.rho))
+    return (tuple(d_rho(x, g, par) for x, par in zip(v.u, PARITIES)),
+            tuple(d_z(x, g) for x in v.u))
+
+
+def curl_axisym(v: VelocityState, grad) -> np.ndarray:
+    """The vorticity w = curl u as one (3, n_rho, n_z) array (w_rho, w_phi,
+    w_z), u's layout, from grad = velocity_gradient(v): w_rho = -d_z u_phi,
+    w_phi = d_z u_rho - d_rho u_z, w_z = (1/rho) d_rho(rho u_phi)."""
+    dr, dz = grad
+    return np.stack((-dz[1], dz[0] - dr[2], dr[1] + v.u_phi / v.grid.rho))
 
 
 def explicit_rhs(v: VelocityState, f):
@@ -226,12 +234,12 @@ def explicit_rhs(v: VelocityState, f):
     h_phi, h_z), as one (3, n_rho, n_z) array (solver.viscous_solve's
     layout, which f shares).  The step adds the pressure gradient in the
     form its projection removes (solver.step)."""
-    g = v.grid
-    rho = g.rho
+    rho = v.grid.rho
     ur, uh, uz = v.u
-    out = np.stack((-(ur * d_rho(ur, g, ODD) + uz * d_z(ur, g)) + uh**2 / rho,
-                    -(ur * d_rho(uh, g, ODD) + uz * d_z(uh, g)) - uh * ur / rho,
-                    -(ur * d_rho(uz, g, EVEN) + uz * d_z(uz, g))))
+    dr, dz = velocity_gradient(v)
+    out = np.stack((-(ur * dr[0] + uz * dz[0]) + uh**2 / rho,
+                    -(ur * dr[1] + uz * dz[1]) - uh * ur / rho,
+                    -(ur * dr[2] + uz * dz[2])))
     out += f
     return out
 
@@ -241,10 +249,8 @@ def viscous_rhs(v: VelocityState, nu: float):
     (3, n_rho, n_z) array like explicit_rhs.  The time step treats these
     implicitly (solver.viscous_solve inverts I - c L for exactly this L).
     nu > 0 is SimConfig's rule (convergence_order's for its studies)."""
-    g = v.grid
-    return nu * np.stack((laplacian(v.u_rho, g, ODD),
-                          laplacian(v.u_phi, g, ODD),
-                          laplacian(v.u_z, g, EVEN)))
+    return nu * np.stack([laplacian(x, v.grid, par)
+                          for x, par in zip(v.u, PARITIES)])
 
 
 def vorticity_transport_residual(v: VelocityState, w, dw_dt, g_force,
@@ -262,30 +268,18 @@ def vorticity_transport_residual(v: VelocityState, w, dw_dt, g_force,
     if dw_dt is None:
         raise ContractViolation("dw_dt is required (difference consecutive states)")
     g = v.grid
-    rho = g.rho
     ur, uh, uz = v.u
     wr, wh, wz = w
-    gr, gh, gz = g_force
-
-    def drho(fv, parity):
-        return d_rho(fv, g, parity, EXTRAP)
-
-    r_rho = (
-        dw_dt[0] + ur * drho(wr, ODD) + uz * d_z(wr, g)
-        - wr * d_rho(ur, g, ODD) - wz * d_z(ur, g)
-        - gr - nu * laplacian(wr, g, ODD, EXTRAP)
-    )
-    r_phi = (
-        dw_dt[1] + ur * drho(wh, ODD) + uz * d_z(wh, g)
-        - (ur / rho) * wh + 2.0 * (uh / rho) * wr
-        - gh - nu * laplacian(wh, g, ODD, EXTRAP)
-    )
-    r_z = (
-        dw_dt[2] + ur * drho(wz, EVEN) + uz * d_z(wz, g)
-        - wr * d_rho(uz, g, EVEN) - wz * d_z(uz, g)
-        - gz - nu * laplacian(wz, g, EVEN, EXTRAP)
-    )
-    return np.stack((r_rho, r_phi, r_z))
+    dr, dz = velocity_gradient(v)
+    transport = np.stack([ur * d_rho(x, g, par, EXTRAP) + uz * d_z(x, g)
+                          for x, par in zip(w, PARITIES)])
+    # stretching, and the swirl terms (u_rho / rho) w_phi - 2 (u_phi / rho) w_rho
+    stretch = np.stack((wr * dr[0] + wz * dz[0],
+                        (ur / g.rho) * wh - 2.0 * (uh / g.rho) * wr,
+                        wr * dr[2] + wz * dz[2]))
+    viscous = np.stack([laplacian(x, g, par, EXTRAP)
+                        for x, par in zip(w, PARITIES)])
+    return dw_dt + transport - stretch - g_force - nu * viscous
 
 
 def grad_squared(f, grid: CylGrid, parity, wall=NOSLIP):
@@ -293,16 +287,12 @@ def grad_squared(f, grid: CylGrid, parity, wall=NOSLIP):
     return d_rho(f, grid, parity, wall) ** 2 + d_z(f, grid) ** 2
 
 
-def velocity_grad_l2(v: VelocityState) -> float:
-    """L2 norm of the axisymmetric velocity gradient tensor.
-
-    |Du|^2 = sum of squared component derivatives plus the curvature
-    terms (u_rho^2 + u_phi^2)/rho^2.  inf where the squares overflow.
-    """
-    g = v.grid
-    ur, uh, uz = v.u
-    sq = (
-        grad_squared(ur, g, ODD) + grad_squared(uh, g, ODD)
-        + grad_squared(uz, g, EVEN) + (ur**2 + uh**2) / g.rho**2
-    )
-    return moment(sq, g) ** 0.5
+def velocity_grad_l2(v: VelocityState, grad) -> float:
+    """L2 norm of the axisymmetric velocity gradient tensor, from grad =
+    velocity_gradient(v): |Du|^2 = sum of squared component derivatives
+    plus the curvature terms (u_rho^2 + u_phi^2)/rho^2.  inf where the
+    squares overflow."""
+    ur, uh, _ = v.u
+    sq = (sum(r**2 + z**2 for r, z in zip(*grad))
+          + (ur**2 + uh**2) / v.grid.rho**2)
+    return moment(sq, v.grid) ** 0.5

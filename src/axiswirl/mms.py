@@ -37,6 +37,7 @@ from .fields import (
     curl_axisym,
     divergence,
     explicit_rhs,
+    velocity_gradient,
     viscous_rhs,
     zero_forcing,
 )
@@ -444,7 +445,8 @@ def convergence_order(kind, grids, quantity="solver", nu=0.1, t_end=0.05,
             err = max(_l2_err(x, f.d_t(0.0) + gp, grid)
                       for x, f, gp in zip(tend, velocity, grad_p))
         elif quantity == "curl":
-            err = _max_err(curl_axisym(state), sol.curl(0.0))
+            err = _max_err(curl_axisym(state, velocity_gradient(state)),
+                           sol.curl(0.0))
         elif quantity == "divergence":
             err = float(np.max(np.abs(_interior(divergence(state)))))
         elif quantity == "lopsided_curl":

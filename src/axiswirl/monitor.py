@@ -45,6 +45,7 @@ from .fields import (
     d_z,
     grad_squared,
     velocity_grad_l2,
+    velocity_gradient,
     zero_forcing,
 )
 from .grid import CylGrid, power, serrin_advance
@@ -299,13 +300,19 @@ def checkpoint_view(v: VelocityState, f,
     q, e = m.q, m.exponents
     p, s = e.p_hold, e.s
     ur, uh, h = v.u_rho, v.u_phi, f[1]
+    u2 = uh**2
+    # the one differentiation of v, dropped before the powers of u_phi are
+    # formed so that its six arrays stay out of the view's peak memory
+    grad = velocity_gradient(v)
+    w, grad_u_l2 = curl_axisym(v, grad), velocity_grad_l2(v, grad)
+    quartic_grad = _integ((grad[0][1]**2 + grad[1][1]**2) * u2, g, -2.0)
+    del grad
     un = negative_part(ur)
     u_abs = np.abs(uh)
     powers = {j: u_abs**j for j in {q, 4, q * s / (s - 2.0), 3 * q}}
     power_sums = {j: x.sum(axis=1) for j, x in powers.items()}
     power_moment = functools.cache(lambda j, k: _integ(power_sums[j], g, k))
-    uq, u4, u2 = powers[q], powers[4], uh**2
-    w = curl_axisym(v)
+    uq, u4 = powers[q], powers[4]
     wh = w[1]
     w2 = wh**2
     w2_sums, ur_w2_sums = w2.sum(axis=1), (np.abs(ur) * w2).sum(axis=1)
@@ -333,7 +340,7 @@ def checkpoint_view(v: VelocityState, f,
         # u_phi^2 / rho is odd^2 / odd: odd across the axis
         quartic_diss=_integ(grad_squared(u2 / g.rho, g, ODD, NOSLIP), g),
         quartic_transport=_integ(ur * u4, g, -3.0),
-        quartic_grad=_integ(grad_squared(uh, g, ODD, NOSLIP) * u2, g, -2.0),
+        quartic_grad=quartic_grad,
         quartic_forcing=_integ(h * uh**3, g, -2.0),
         quartic_source=_integ(u4 * un, g, -3.0),
         quartic_young=_integ(h**4, g, 4.0),
@@ -346,7 +353,7 @@ def checkpoint_view(v: VelocityState, f,
         vort_curvature={x: _integ(w2_sums, g, x - 4.0) for x in epsilons},
         vort_l2=math.sqrt(_integ(w[0]**2 + w[2]**2, g)
                           + _integ(w2_sums, g)),
-        grad_u_l2=velocity_grad_l2(v),
+        grad_u_l2=grad_u_l2,
         transport=transport_cancellation(v, q),
     )
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from axiswirl.cli import OUTPUT_ROOT_ENV, SCHEMA_VERSION, run_scenario
 from axiswirl.exponents import check_admissible, derive_exponents, holder_young_pairs
-from axiswirl.fields import div_adjoint, divergence, curl_axisym, zero_forcing, zero_state
+from axiswirl.fields import div_adjoint, divergence, curl_axisym, velocity_gradient, zero_forcing, zero_state
 from axiswirl.grid import build_grid, moment, serrin_advance
 from axiswirl.monitor import Diagnostics, MonitorConfig, checkpoint_view, monitor_for, transport_cancellation
 from axiswirl.solver import SimConfig, kinetic_energy, project, run
@@ -114,7 +114,7 @@ def test_criterion_04_operator_correctness():
     rho = np.broadcast_to(g.rho, g.shape)
     rot = zero_state(g).replace_fields(u_phi=rho)
     ok &= float(np.max(np.abs(
-        curl_axisym(rot)[2][:-1] - 2.0))) <= 1e-12
+        curl_axisym(rot, velocity_gradient(rot))[2][:-1] - 2.0))) <= 1e-12
     rad = zero_state(g).replace_fields(u_rho=rho.copy())
     ok &= float(np.max(np.abs(divergence(rad)[:-1] - 2.0))) <= 1e-12
     kind = "taylor_vortex_swirl"

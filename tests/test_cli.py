@@ -475,17 +475,31 @@ def test_import_freezes_the_import_heap_once():
 
 
 @pytest.mark.parametrize("unbuffered", [None, "1"])
-@pytest.mark.parametrize("command", ["check-exponents", "run"])
+@pytest.mark.parametrize("command", ["check-exponents", "run", "--help",
+                                     "run --help", "sweep"],
+                         ids=["check-exponents", "run", "help", "run_help",
+                              "sweep"])
 def test_a_closed_stdout_exits_3(tmp_path, command, unbuffered):
     # stdout is a pipe whose reader has gone (as under `| head -c 1`).
-    # Unbuffered, a print meets it; buffered, main's flush does.  Either
-    # way the program exits 3 with one error line, and a run has written
-    # its artifacts first
+    # Unbuffered, a print meets it; buffered, main's flush does (--help
+    # flushes its own text).  Either way the program exits 3 with one
+    # error line, and a run, or each scenario of a sweep, has written its
+    # artifacts first
     doc = _scenario(grid={"n_rho": 8, "n_z": 8},
                     solver={"nu": 0.1, "t_end": 2e-3, "dt": 1e-3},
                     output={"directory": "out", "write_checkpoints": True})
-    argv = (["run", _write(tmp_path, doc)] if command == "run"
-            else ["check-exponents", "6", "4", "0"])
+    if command == "sweep":
+        (tmp_path / "sweep").mkdir()
+        for name in ("a", "b"):
+            doc["output"]["directory"] = name
+            _write(tmp_path / "sweep", doc, f"{name}.json")
+        argv = ["sweep", str(tmp_path / "sweep")]
+    elif command == "run":
+        argv = ["run", _write(tmp_path, doc)]
+    elif command == "check-exponents":
+        argv = ["check-exponents", "6", "4", "0"]
+    else:
+        argv = command.split()
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env.update({"PYTHONPATH": os.path.dirname(os.path.dirname(mms.__file__)),
                 OUTPUT_ROOT_ENV: str(tmp_path)})
@@ -500,13 +514,12 @@ def test_a_closed_stdout_exits_3(tmp_path, command, unbuffered):
     finally:
         os.close(write_end)
     assert result.returncode == 3, result.stderr
-    assert len(result.stderr.splitlines()) == 1, result.stderr
-    assert result.stderr.startswith("error: "), result.stderr
-    if command == "run":
-        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
-            "checkpoint_00000.bin", "checkpoint_00001.bin",
-            "checkpoint_00002.bin", "diagnostics.csv", "manifest.json",
-            "report.json", "report.txt"]
+    assert result.stderr == "error: standard output closed\n", result.stderr
+    artifacts = ["checkpoint_00000.bin", "checkpoint_00001.bin",
+                 "checkpoint_00002.bin", "diagnostics.csv", "manifest.json",
+                 "report.json", "report.txt"]
+    for out in {"run": ["out"], "sweep": ["a", "b"]}.get(command, []):
+        assert sorted(p.name for p in (tmp_path / out).iterdir()) == artifacts
 
 
 # --- exit-code contract -----------------------------------------------------------
@@ -763,12 +776,13 @@ def test_overflowing_time_factor_names_its_end(tmp_path, monkeypatch, capsys,
 @pytest.mark.parametrize("content", [
     b"\xff\xfe{}",
     b'{"schema_version": ' + b"1" * 5000 + b"}",
-], ids=["not_utf8", "integer_too_long"])
+    b"[" * 100000 + b"]" * 100000,
+], ids=["not_utf8", "integer_too_long", "nested_too_deep"])
 def test_run_scenario_rejects_unreadable_json(tmp_path, capsys, content):
     path = tmp_path / "scenario.json"
     path.write_bytes(content)
     assert run_scenario(str(path)) == 2
-    assert "invalid JSON" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: $.: invalid JSON")
 
 
 def test_sweep_reports_every_scenario_on_monitor_errors(tmp_path, monkeypatch,
@@ -921,6 +935,26 @@ def test_a_checkpoint_header_is_at_most_64_KiB(tmp_path, end):
     path.write_bytes(header + b" " * 65536 + (end + payload if end else b""))
     with pytest.raises(ConfigurationError, match="not a checkpoint file"):
         read_checkpoint(str(path))
+
+
+def test_a_checkpoint_header_nested_too_deep_is_no_header(tmp_path,
+                                                         monkeypatch, capsys):
+    # 5000 nested arrays, well inside 64 KiB, are past the JSON decoder's
+    # recursion limit: a restart from the file exits 2 at $.initial_data
+    path = tmp_path / "nested.bin"
+    write_checkpoint(str(path), zero_state(build_grid(8, 8)))
+    payload = path.read_bytes().split(b"\n", 1)[1]
+    path.write_bytes(b"[" * 5000 + b"]" * 5000 + b"\n" + payload)
+    with pytest.raises(ConfigurationError, match="not a checkpoint file"):
+        read_checkpoint(str(path))
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    scenario = _write(tmp_path, _scenario(
+        grid={"n_rho": 8, "n_z": 8},
+        initial_data={"kind": "file", "path": str(path)}))
+    assert main(["run", scenario]) == 2
+    assert capsys.readouterr().err == (
+        f"error: $.initial_data: {path}: not a checkpoint file\n")
+    assert not (tmp_path / "out").exists()
 
 
 # --- one owner per rule -----------------------------------------------------------

@@ -25,11 +25,20 @@ from axiswirl.fields import (
     viscous_rhs,
     vorticity_transport_residual,
     velocity_grad_l2,
+    velocity_gradient,
     zero_forcing,
     zero_state,
 )
 from axiswirl.grid import build_grid
 from axiswirl import mms
+
+
+def _curl(v):
+    return curl_axisym(v, velocity_gradient(v))
+
+
+def _grad_l2(v):
+    return velocity_grad_l2(v, velocity_gradient(v))
 
 
 def _taylor_state(n):
@@ -84,7 +93,7 @@ def test_rigid_rotation_curl_exact():
     omega = 1.0
     u_phi = omega * np.broadcast_to(g.rho, g.shape)
     v = zero_state(g).replace_fields(u_phi=u_phi)
-    w_rho, w_phi, w_z = curl_axisym(v)
+    w_rho, w_phi, w_z = _curl(v)
     # interior cells (the wall row uses the homogeneous-Dirichlet ghost)
     assert np.max(np.abs(w_z[:-1] - 2.0 * omega)) <= 1e-12
     assert np.max(np.abs(w_rho)) <= 1e-13
@@ -156,9 +165,9 @@ def test_explicit_rhs_forcing_passthrough():
 
 def test_vorticity_transport_requires_rate():
     v, g = _taylor_state(8)
-    w = curl_axisym(v)
+    w = _curl(v)
     with pytest.raises(ContractViolation):
-        vorticity_transport_residual(v, w, None, curl_axisym(zero_state(g)),
+        vorticity_transport_residual(v, w, None, _curl(zero_state(g)),
                                      0.1)
 
 
@@ -171,10 +180,10 @@ def test_vorticity_transport_residual_small_on_analytic_flow():
     dt = 1e-4
     v0 = mms.sample_state(sol, 0.0)
     v1 = mms.sample_state(sol, dt)
-    w0, w1 = curl_axisym(v0), curl_axisym(v1)
+    w0, w1 = _curl(v0), _curl(v1)
     rate = (w1 - w0) / dt
     res = vorticity_transport_residual(v0, w0, rate,
-                                       curl_axisym(zero_state(g)), nu)
+                                       _curl(zero_state(g)), nu)
     # interior rows; the residual stacks two second-order stencils so the
     # band is a generous multiple of Delta^2
     interior = slice(1, -2)
@@ -184,14 +193,14 @@ def test_vorticity_transport_residual_small_on_analytic_flow():
 
 def test_velocity_grad_l2():
     g = build_grid(16, 8)
-    assert velocity_grad_l2(zero_state(g)) == 0.0
+    assert _grad_l2(zero_state(g)) == 0.0
     v, _ = _taylor_state(16)
-    val = velocity_grad_l2(v)
+    val = _grad_l2(v)
     assert val > 0.0
     doubled = v.replace_fields(
         u_rho=2 * v.u_rho, u_phi=2 * v.u_phi, u_z=2 * v.u_z
     )
-    assert velocity_grad_l2(doubled) == pytest.approx(2.0 * val, rel=1e-12)
+    assert _grad_l2(doubled) == pytest.approx(2.0 * val, rel=1e-12)
 
 
 def test_radial_diffusion_extrap_exact():
@@ -219,11 +228,11 @@ def test_vorticity_transport_residual_converges_on_forced_taylor():
     for n in (16, 32, 64):
         g = build_grid(n, n)
         sol = mms.make_solution("taylor_vortex_swirl", {}, g)
-        w0, w, w1 = (curl_axisym(mms.sample_state(sol, s))
+        w0, w, w1 = (_curl(mms.sample_state(sol, s))
                      for s in (t - dt, t, t + dt))
         rate = (w1 - w0) / (2.0 * dt)
         h = mms.forcing_callable(sol, nu)(t)
-        gc = curl_axisym(zero_state(g).replace_fields(*h))
+        gc = _curl(zero_state(g).replace_fields(*h))
         r_phi = vorticity_transport_residual(
             mms.sample_state(sol, t), w, rate, gc, nu)[1]
         wt = g.cell_weight[rows]

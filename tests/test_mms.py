@@ -403,19 +403,36 @@ def test_monitor_evaluates_forcing_once_per_checkpoint(forced_taylor):
     assert times == [v.time for v in checkpoints]
 
 
-def test_monitor_evaluates_curl_once_per_checkpoint(forced_taylor, monkeypatch):
+def _checkpoints_calling(name, forced_taylor, monkeypatch):
+    """The times of the states that monitor.<name> is called on while four
+    checkpoints are collected, and those of the checkpoints."""
     calls = []
-    real = monitor.curl_axisym
+    real = getattr(monitor, name)
 
-    def counted(v):
+    def counted(v, *grad):
         calls.append(v.time)
-        return real(v)
+        return real(v, *grad)
 
-    monkeypatch.setattr(monitor, "curl_axisym", counted)
+    monkeypatch.setattr(monitor, name, counted)
     checkpoints = forced_taylor["states"][:4]
     collect(checkpoints, forced_taylor["monitor"],
             forcing_at=forced_taylor["forcing"])
-    assert calls == [v.time for v in checkpoints]
+    return calls, [v.time for v in checkpoints]
+
+
+def test_monitor_evaluates_curl_once_per_checkpoint(forced_taylor, monkeypatch):
+    calls, times = _checkpoints_calling("curl_axisym", forced_taylor,
+                                        monkeypatch)
+    assert calls == times
+
+
+def test_monitor_differentiates_the_velocity_once_per_checkpoint(
+        forced_taylor, monkeypatch):
+    # one velocity_gradient per view, for the curl, ||grad u|| and the
+    # quartic gradient term
+    calls, times = _checkpoints_calling("velocity_gradient", forced_taylor,
+                                        monkeypatch)
+    assert calls == times
 
 
 def test_import_generates_no_code():
