@@ -17,11 +17,12 @@ pressure is in closed form in J0 and J1 (_swirl_pressure_profile).
 A solution is made on one grid and solves the equations on its domain
 (PARAMS holds each kind's other parameters).  Its velocity decays by one
 factor e^{-mu t} and its pressure by e^{-2 mu t}: each field is its factor
-times a sum of terms coef * F(rho) * G(z), and the sum and each of its
-partials is sampled on the grid once, when first read.  So the forcing
-is two fixed parts, h(t) = e^{-mu t} L + e^{-2 mu t} N, assembled once by
-forcing_callable (the only reader of the second partials); a call scales
-and adds them, and remembers nothing.
+times a sum of terms coef * F(rho) * G(z).  Each partial of the sums is
+sampled on the grid once, when first read, as one (3, n_rho, n_z)
+velocity and a pressure.  So the forcing is two fixed parts,
+h(t) = e^{-mu t} L + e^{-2 mu t} N, assembled once by forcing_callable
+(the only reader of the second partials); a call scales and adds them,
+and remembers nothing.
 """
 
 from __future__ import annotations
@@ -114,71 +115,22 @@ def _swirl_pressure_profile(lam):
     return f, df, d2f
 
 
-# each sampled partial of a field: its orders (in rho, in z)
+# each sampled partial: its orders (in rho, in z)
 _PARTIALS = {"val": (0, 0), "d_rho": (1, 0), "d2_rho": (2, 0),
              "d_z": (0, 1), "d2_z": (0, 2)}
 
 
-class AnalyticField:
-    """e^{-mu t} times a sum of terms (coef, F, G), coef * F(rho) * G(z),
-    on one grid: F as the functions (F, F', F'') of rho and G as the
-    samples (G, G', G'') on the z axis.
-    at0 maps each partial sampled so far, by its name in _PARTIALS, to
-    that partial of the sum at t = 0; radial maps each radial order
-    sampled so far to F, F' or F'' of every term."""
-
-    __slots__ = ("mu", "terms", "grid", "at0", "radial")
-
-    def __init__(self, mu: float, terms, grid: CylGrid):
-        self.mu = mu
-        self.terms = terms
-        self.grid = grid
-        self.at0 = {}
-        self.radial = {}
-
-    def sampled(self, partial):
-        """The named partial at t = 0, sampled at the first call."""
-        if partial not in self.at0:
-            r, zo = _PARTIALS[partial]
-            # a coefficient that overflows (amplitude 1e300, or omega
-            # 1e308 in a radial polynomial) samples as inf, and as nan
-            # where a factor is 0, as the run treats blow-up
-            with np.errstate(over="ignore", invalid="ignore"):
-                if r not in self.radial:
-                    self.radial[r] = [f[r](self.grid.rho)
-                                      for _, f, _ in self.terms]
-                self.at0[partial] = sum(
-                    ((coef * fr) * g[zo]
-                     for (coef, _, g), fr in zip(self.terms, self.radial[r])),
-                    np.zeros(self.grid.shape))
-        return self.at0[partial]
-
-    def at(self, t, partial):
-        """The named partial (a key of _PARTIALS) at time t."""
-        return math.exp(-self.mu * t) * self.sampled(partial)
-
-    def val(self, t):
-        return self.at(t, "val")
-
-    def d_t(self, t):
-        return -self.mu * self.val(t)
-
-    def d_rho(self, t):
-        return self.at(t, "d_rho")
-
-    def d_z(self, t):
-        return self.at(t, "d_z")
-
-
 class ManufacturedSolution:
-    """One manufactured solution on the grid it was made on, from the
-    term lists (coef, F, G) of u_rho, u_phi, u_z and p (AnalyticField's
-    terms).  Its velocity decays by e^{-mu t} and its pressure by
-    e^{-2 mu t}: the forcing's two parts rest on this, the linear terms
-    decaying with u, the quadratic ones and grad p twice as fast."""
+    """One manufactured solution on the grid it was made on.  terms holds
+    the term lists of u_rho, u_phi, u_z and p; a term (coef, F, G) is
+    coef * F(rho) * G(z), F the functions (F, F', F'') of rho and G the
+    samples (G, G', G'') on the z axis.  The velocity decays by e^{-mu t}
+    and the pressure by e^{-2 mu t}, on which the forcing's two parts
+    rest.  at0 maps each partial sampled so far, by its name in
+    _PARTIALS, to (velocity, pressure) at t = 0."""
 
-    __slots__ = ("kind", "grid", "u_rho", "u_phi", "u_z", "p", "mu",
-                 "homogeneous_nu", "meta")
+    __slots__ = ("kind", "grid", "mu", "terms", "at0", "homogeneous_nu",
+                 "meta")
 
     def __init__(self, kind: str, grid: CylGrid, mu: float, u_rho, u_phi,
                  u_z, p, homogeneous_nu: float | None = None,
@@ -186,27 +138,57 @@ class ManufacturedSolution:
         self.kind = kind
         self.grid = grid
         self.mu = mu
-        self.u_rho, self.u_phi, self.u_z = (AnalyticField(mu, terms, grid)
-                                            for terms in (u_rho, u_phi, u_z))
-        self.p = AnalyticField(2.0 * mu, p, grid)
+        self.terms = (u_rho, u_phi, u_z, p)
+        self.at0 = {}
         self.homogeneous_nu = homogeneous_nu  # nu for which the forcing vanishes
         self.meta = {} if meta is None else meta
+
+    def sampled(self, partial):
+        """(velocity, pressure): the named partial at t = 0, the velocity
+        one (3, n_rho, n_z) array (u_rho, u_phi, u_z), sampled at the
+        first call."""
+        if partial not in self.at0:
+            r, zo = _PARTIALS[partial]
+            # np.full: each page faults once, a page of np.zeros twice
+            u = np.full((3, *self.grid.shape), 0.0)
+            # nothing reads the pressure's second partials: they are None
+            p = np.full(self.grid.shape, 0.0) if r + zo < 2 else None
+            radial = {}  # each radial factor's F^(r), which terms may share
+            # a coefficient that overflows (amplitude 1e300, or omega
+            # 1e308 in a radial polynomial) samples as inf, and as nan
+            # where a factor is 0, as the run treats blow-up
+            with np.errstate(over="ignore", invalid="ignore"):
+                for field, terms in zip(u if p is None else (*u, p),
+                                        self.terms):
+                    for coef, f, g in terms:
+                        if f not in radial:
+                            radial[f] = f[r](self.grid.rho)
+                        field += (coef * radial[f]) * g[zo]
+            self.at0[partial] = u, p
+        return self.at0[partial]
+
+    def velocity(self, t, partial="val"):
+        """The named partial of (u_rho, u_phi, u_z) at time t."""
+        return math.exp(-self.mu * t) * self.sampled(partial)[0]
+
+    def pressure(self, t, partial="val"):
+        """The named partial of p at time t."""
+        return math.exp(-2.0 * self.mu * t) * self.sampled(partial)[1]
 
     def finite_at(self, t) -> bool:
         """Whether the velocity's factor e^{-mu t} and the pressure's
         e^{-2 mu t} are finite at t; the second overflows first."""
         try:
-            return math.isfinite(math.exp(-self.p.mu * t))
+            return math.isfinite(math.exp(-2.0 * self.mu * t))
         except OverflowError:
             return False
 
     def curl(self, t):
         """The analytic vorticity in curl_axisym's layout, one
         (3, n_rho, n_z) array (w_rho, w_phi, w_z)."""
-        uh = self.u_phi
-        return np.stack((-uh.d_z(t),
-                         self.u_rho.d_z(t) - self.u_z.d_rho(t),
-                         uh.d_rho(t) + uh.val(t) / self.grid.rho))
+        dr, dz = self.velocity(t, "d_rho"), self.velocity(t, "d_z")
+        return np.stack((-dz[1], dz[0] - dr[2],
+                         dr[1] + self.velocity(t)[1] / self.grid.rho))
 
 
 # Each kind's parameters and their defaults.  The domain is not among
@@ -300,9 +282,9 @@ def make_solution(kind, params, grid: CylGrid) -> ManufacturedSolution:
                  np.convolve([2.0], w) + np.convolve(_RHO, dw),
                  np.convolve(np.convolve(_RHO, _RHO), w))
         f_rho, f_phi, f_z, f_p = map(_polynomial, coefs)
-        # a second derivative's coefficients are the largest
-        if not all(np.all(np.isfinite(np.polyder(c[::-1], 2)))
-                   for c in coefs):
+        # F'' (polyval's partial f[2]) has the largest coefficients
+        if not all(np.all(np.isfinite(f[2].args[0]))
+                   for f in (f_rho, f_phi, f_z, f_p)):
             raise ConfigurationError("the Taylor vortex's coefficients "
                                      "leave the floats", "rho_max")
     u_phi = ((swirl, f_phi, flat), (swirl * swirl_z, f_phi, cos))
@@ -313,8 +295,7 @@ def make_solution(kind, params, grid: CylGrid) -> ManufacturedSolution:
 # --- sampling and forcing -------------------------------------------------
 
 def sample_state(sol: ManufacturedSolution, t) -> VelocityState:
-    u = np.stack([f.val(t) for f in (sol.u_rho, sol.u_phi, sol.u_z)])
-    return VelocityState(sol.grid, u, sol.p.val(t), float(t))
+    return VelocityState(sol.grid, sol.velocity(t), sol.pressure(t), float(t))
 
 
 def forcing_callable(sol: ManufacturedSolution, nu):
@@ -335,24 +316,18 @@ def forcing_callable(sol: ManufacturedSolution, nu):
         zero = zero_forcing(grid)
         return lambda t: zero
     rho = grid.rho
-    ur, uh, uz, p = (f.sampled for f in (sol.u_rho, sol.u_phi, sol.u_z, sol.p))
-
-    def linear(f, odd):
-        lap = f("d2_rho") + f("d_rho") / rho + f("d2_z")
-        if odd:
-            lap = lap - f("val") / rho**2
-        return -sol.mu * f("val") - nu * lap
-
-    def advection(f):
-        return ur("val") * f("d_rho") + uz("val") * f("d_z")
-
+    u, _ = sol.sampled("val")
+    (dr, p_rho), (dz, p_z) = sol.sampled("d_rho"), sol.sampled("d_z")
     with np.errstate(over="ignore", invalid="ignore"):
-        lin = np.stack((linear(ur, True), linear(uh, True), linear(uz, False)))
-        quad = np.stack((advection(ur) - uh("val")**2 / rho + p("d_rho"),
-                         advection(uh) + uh("val") * ur("val") / rho,
-                         advection(uz) + p("d_z")))
-    mu, mu_p = sol.mu, sol.p.mu
-    return lambda t: math.exp(-mu * t) * lin + math.exp(-mu_p * t) * quad
+        lap = sol.sampled("d2_rho")[0] + dr / rho + sol.sampled("d2_z")[0]
+        lap[:2] -= u[:2] / rho**2  # u_rho and u_phi are odd in rho
+        lin = -sol.mu * u - nu * lap
+        adv = u[0] * dr + u[2] * dz
+        quad = np.stack((adv[0] - u[1]**2 / rho + p_rho,
+                         adv[1] + u[1] * u[0] / rho,
+                         adv[2] + p_z))
+    mu = sol.mu
+    return lambda t: math.exp(-mu * t) * lin + math.exp(-2.0 * mu * t) * quad
 
 
 # --- convergence studies --------------------------------------------------
@@ -438,12 +413,13 @@ def convergence_order(kind, grids, quantity="solver", nu=0.1, t_end=0.05,
         elif quantity == "operator":
             tend = (explicit_rhs(state, forcing_callable(sol, nu)(0.0))
                     + viscous_rhs(state, nu))
-            velocity = (sol.u_rho, sol.u_phi, sol.u_z)
-            grad_p = (sol.p.d_rho(0.0), 0.0, sol.p.d_z(0.0))
+            d_t = -sol.mu * sol.velocity(0.0)
+            grad_p = (sol.pressure(0.0, "d_rho"), 0.0,
+                      sol.pressure(0.0, "d_z"))
             # volume-weighted L2: single boundary-adjacent rows carry
             # vanishing measure, matching the norm the time integration sees
-            err = max(_l2_err(x, f.d_t(0.0) + gp, grid)
-                      for x, f, gp in zip(tend, velocity, grad_p))
+            err = max(_l2_err(x, dtx + gp, grid)
+                      for x, dtx, gp in zip(tend, d_t, grad_p))
         elif quantity == "curl":
             err = _max_err(curl_axisym(state, velocity_gradient(state)),
                            sol.curl(0.0))

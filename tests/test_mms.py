@@ -36,15 +36,22 @@ def test_rigid_rotation_is_unforced():
 
 
 def test_second_partials_are_sampled_for_the_forcing_only():
-    sol = mms.make_solution("decaying_swirl", {}, build_grid(8, 8))
-    fields = (sol.u_rho, sol.u_phi, sol.u_z, sol.p)
+    g = build_grid(8, 8)
+    sol = mms.make_solution("decaying_swirl", {}, g)
     mms.sample_state(sol, 0.0)
-    assert all(set(f.at0) == {"val"} for f in fields)
+    assert set(sol.at0) == {"val"}
+    u, p = sol.at0["val"]
+    assert u.shape == (3, *g.shape) and p.shape == g.shape
     mms.forcing_callable(sol, 0.2)  # nu 0.2: not the homogeneous 0.1
-    assert set(sol.u_phi.at0) == {"val", "d_rho", "d2_rho", "d_z", "d2_z"}
-    assert set(sol.p.at0) == {"val", "d_rho", "d_z"}  # no second partial
-    # sampled once: the forcing's reads are the samples kept
-    assert sol.u_phi.sampled("d2_rho") is sol.u_phi.at0["d2_rho"]
+    assert set(sol.at0) == {"val", "d_rho", "d2_rho", "d_z", "d2_z"}
+    # the pressure's second partials are not sampled
+    assert [sol.at0[k][1] is None for k in ("d_rho", "d2_rho", "d_z", "d2_z")] \
+        == [False, True, False, True]
+    # sampled once: a second read returns the arrays kept
+    kept = dict(sol.at0)
+    mms.forcing_callable(sol, 0.2)
+    assert all(sol.at0[k] is v and sol.sampled(k) is v
+               for k, v in kept.items())
 
 
 @pytest.mark.parametrize("params,field", [
@@ -72,8 +79,8 @@ def test_decaying_swirl_wall_and_decay():
     # J1 root at the wall: the swirl vanishes there
     assert abs(mms._bessel_j1_profile(lam)[0](np.array([[2.0]]))) <= 1e-12
     # exponential decay rate nu * lambda^2, at the cell centre rho = 0.5
-    v0 = sol.u_phi.val(0.0)[0, 0]
-    v1 = sol.u_phi.val(1.0)[0, 0]
+    v0 = sol.velocity(0.0)[1, 0, 0]
+    v1 = sol.velocity(1.0)[1, 0, 0]
     assert v1 / v0 == pytest.approx(math.exp(-0.1 * lam**2), rel=1e-12)
 
 
@@ -117,8 +124,8 @@ def test_taylor_divergence_free_analytically():
     # (1/rho) d(rho u_rho)/drho + d(u_z)/dz = 0 pointwise
     g = build_grid(20, 20)
     sol = mms.make_solution("taylor_vortex_swirl", {}, g)
-    div = (sol.u_rho.d_rho(0.1) + sol.u_rho.val(0.1) / g.rho
-           + sol.u_z.d_z(0.1))
+    div = (sol.velocity(0.1, "d_rho")[0] + sol.velocity(0.1)[0] / g.rho
+           + sol.velocity(0.1, "d_z")[2])
     assert np.max(np.abs(div)) <= 1e-12
 
 
@@ -182,13 +189,13 @@ def test_swirl_pressure_closed_form_matches_quadrature(amplitude, rho_max):
     sol = mms.make_solution("decaying_swirl", {"amplitude": amplitude},
                             build_grid(8, 2, rho_max=rho_max))
     lam = sol.meta["lambda"]
-    swirl = (amplitude, sol.u_phi)
-    pressure = (0.5 * amplitude * amplitude, sol.p)
+    swirl = (amplitude, sol.mu)
+    pressure = (0.5 * amplitude * amplitude, 2.0 * sol.mu)
     t = 0.7
 
     def at(term, profile, r):
-        coef, field = term
-        return coef * math.exp(-field.mu * t) * profile[0](r)
+        coef, mu = term
+        return coef * math.exp(-mu * t) * profile[0](r)
 
     rho = np.linspace(0.0, rho_max, 9)[1:]
     closed = at(pressure, mms._swirl_pressure_profile(lam), rho)
@@ -198,7 +205,7 @@ def test_swirl_pressure_closed_form_matches_quadrature(amplitude, rho_max):
 
     ref = [integrate.quad(integrand, 0.0, r, epsabs=0.0, epsrel=1e-13)[0]
            for r in rho]
-    scale = amplitude**2 * math.exp(-2.0 * sol.u_phi.mu * t)
+    scale = amplitude**2 * math.exp(-2.0 * sol.mu * t)
     assert np.max(np.abs(closed - ref)) <= 1e-14 * scale
     # p(0) = 0, the lower limit of the integral
     assert at(pressure, mms._swirl_pressure_profile(lam), 0.0) == 0.0
@@ -210,10 +217,10 @@ def test_swirl_pressure_balances_the_centrifugal_force():
     g = build_grid(16, 8)
     sol = mms.make_solution("decaying_swirl", {"amplitude": 1.3}, g)
     for t in (0.0, 0.4):
-        centrifugal = sol.u_phi.val(t) ** 2 / g.rho
-        assert np.max(np.abs(sol.p.d_rho(t) - centrifugal)) \
+        centrifugal = sol.velocity(t)[1] ** 2 / g.rho
+        assert np.max(np.abs(sol.pressure(t, "d_rho") - centrifugal)) \
             <= 1e-15 * np.max(centrifugal)
-        assert np.max(np.abs(sol.p.d_z(t))) == 0.0
+        assert np.max(np.abs(sol.pressure(t, "d_z"))) == 0.0
     # off the grid, on the profile itself, times its coef A^2 / 2 at t = 0
     profile = mms._swirl_pressure_profile(sol.meta["lambda"])
     coef = 0.5 * 1.3 * 1.3
@@ -373,18 +380,20 @@ def test_forcing_is_the_momentum_residual_at_t(kind, n_rho, n_z, rho_max,
     sol = mms.make_solution(kind, {}, g)
     h = mms.forcing_callable(sol, nu)(t)
     rho = g.rho
-    ur, uh, uz = (f.val(t) for f in (sol.u_rho, sol.u_phi, sol.u_z))
+    u = sol.velocity(t)
+    ur, uh, uz = u
+    d = {k: sol.velocity(t, k) for k in ("d_rho", "d2_rho", "d_z", "d2_z")}
 
-    def momentum(f, odd):
-        out = [f.d_t(t), ur * f.d_rho(t), uz * f.d_z(t),
-               -nu * f.at(t, "d2_rho"), -nu * f.d_rho(t) / rho,
-               -nu * f.at(t, "d2_z")]
-        return out + [nu * f.val(t) / rho**2] if odd else out
+    def momentum(i, odd):
+        out = [-sol.mu * u[i], ur * d["d_rho"][i], uz * d["d_z"][i],
+               -nu * d["d2_rho"][i], -nu * d["d_rho"][i] / rho,
+               -nu * d["d2_z"][i]]
+        return out + [nu * u[i] / rho**2] if odd else out
 
     residual = (
-        momentum(sol.u_rho, True) + [-uh**2 / rho, sol.p.d_rho(t)],
-        momentum(sol.u_phi, True) + [uh * ur / rho],
-        momentum(sol.u_z, False) + [sol.p.d_z(t)],
+        momentum(0, True) + [-uh**2 / rho, sol.pressure(t, "d_rho")],
+        momentum(1, True) + [uh * ur / rho],
+        momentum(2, False) + [sol.pressure(t, "d_z")],
     )
     for actual, parts in zip(h, residual):
         scale = max(float(np.max(np.abs(x))) for x in parts)
