@@ -10,9 +10,11 @@ tmp="${RUNNER_TEMP:-$(mktemp -d)}"
 # the installed entry point: an admissible triple, and one whose
 # s = 2a/b + 3 rounds to 3, which must be inadmissible and exit 0; a
 # solver study that must PASS, the first-order negative control that
-# must FAIL, and three calls that must exit 2 (levels that do not
-# strictly increase, --nu 0, and --nu 1e6, whose dt = 0.1 Delta^2 / nu
-# needs more than 10^7 steps)
+# must FAIL, rigid rotation on 8 12 16 cells, whose errors are 0 or
+# rounding, which must exit 0, and four calls that must exit 2 (levels
+# that do not strictly increase, --nu 0, --nu 1e6, whose
+# dt = 0.1 Delta^2 / nu needs more than 10^7 steps, and --nu 1e-4, whose
+# dt is beyond the solver's stability limit, both naming --nu)
 axiswirl check-exponents 6 4 0
 axiswirl check-exponents 6 6e16 0 | grep '^verdict: inadmissible$' >/dev/null
 axiswirl mms taylor_vortex_swirl 8 16 32 | tail -n 1 | grep -q ': PASS$'
@@ -22,6 +24,11 @@ test "$code" -eq 2
 code=0; axiswirl mms rigid_rotation 8 16 32 --nu 0 || code=$?
 test "$code" -eq 2
 code=0; axiswirl mms decaying_swirl 8 16 32 --nu 1e6 2> "$tmp/mms.err" || code=$?
+test "$code" -eq 2
+grep -q '^error: --nu:' "$tmp/mms.err"
+axiswirl mms rigid_rotation 8 12 16 >/dev/null
+code=0
+axiswirl mms taylor_vortex_swirl 16 32 64 --nu 1e-4 2> "$tmp/mms.err" || code=$?
 test "$code" -eq 2
 grep -q '^error: --nu:' "$tmp/mms.err"
 

@@ -172,7 +172,7 @@ class ManufacturedSolution:
         return math.exp(-self.mu * t) * self.sampled(partial)[0]
 
     def pressure(self, t, partial="val"):
-        """The named partial of p at time t."""
+        """The named partial of p at time t (not a second partial)."""
         return math.exp(-2.0 * self.mu * t) * self.sampled(partial)[1]
 
     def finite_at(self, t) -> bool:
@@ -319,13 +319,19 @@ def forcing_callable(sol: ManufacturedSolution, nu):
     u, _ = sol.sampled("val")
     (dr, p_rho), (dz, p_z) = sol.sampled("d_rho"), sol.sampled("d_z")
     with np.errstate(over="ignore", invalid="ignore"):
-        lap = sol.sampled("d2_rho")[0] + dr / rho + sol.sampled("d2_z")[0]
+        # each sum in its order, in place: few temporaries live at once
+        quad = u[0] * dr
+        quad += u[2] * dz
+        quad[0] -= u[1]**2 / rho
+        quad[0] += p_rho
+        quad[1] += u[1] * u[0] / rho
+        quad[2] += p_z
+        lap = sol.sampled("d2_rho")[0] + dr / rho
+        lap += sol.sampled("d2_z")[0]
         lap[:2] -= u[:2] / rho**2  # u_rho and u_phi are odd in rho
-        lin = -sol.mu * u - nu * lap
-        adv = u[0] * dr + u[2] * dz
-        quad = np.stack((adv[0] - u[1]**2 / rho + p_rho,
-                         adv[1] + u[1] * u[0] / rho,
-                         adv[2] + p_z))
+        lap *= nu
+        lin = -sol.mu * u
+        lin -= lap
     mu = sol.mu
     return lambda t: math.exp(-mu * t) * lin + math.exp(-2.0 * mu * t) * quad
 
@@ -379,7 +385,9 @@ def convergence_order(kind, grids, quantity="solver", nu=0.1, t_end=0.05,
 
     The order of a pair of levels is p for errors that scale as Delta^p,
     Delta = min(d_rho, d_z): log2 of the error ratio over log2 of the
-    Delta ratio, which is exactly 1 on a doubling.
+    Delta ratio, which is exactly 1 on a doubling; inf where the finer
+    error is 0, and -inf where only the coarser one is (an exact flow's
+    errors are 0 or rounding).
     """
     if not (math.isfinite(nu) and nu > 0.0):
         raise ConfigurationError(f"nu must be a positive finite number, "
@@ -399,15 +407,16 @@ def convergence_order(kind, grids, quantity="solver", nu=0.1, t_end=0.05,
             dt = 0.1 * min(grid.d_rho, grid.d_z) ** 2 / nu
             # on the default domain even 1024^2 cells (MAX_CELLS) take
             # 52 429 steps at nu = 0.1: a dt or a step count that the
-            # solver refuses is nu's fault
+            # solver refuses, or a run that fails at that dt, is nu's fault
             try:
                 cfg = SimConfig(nu=nu, t_end=t_end, dt=dt,
                                 checkpoint_stride=10**9)
                 traj = run(cfg, state, forcing_at=forcing_callable(sol, nu))
+                if traj.failed:
+                    raise ConfigurationError(
+                        f"solver failed: {traj.failure_reason}")
             except ConfigurationError as exc:
                 raise ConfigurationError(str(exc), "nu") from None
-            if traj.failed:
-                raise ConfigurationError(f"solver failed: {traj.failure_reason}")
             final = traj.final
             err = _max_err(final.u, sample_state(sol, final.time).u)
         elif quantity == "operator":
@@ -430,11 +439,9 @@ def convergence_order(kind, grids, quantity="solver", nu=0.1, t_end=0.05,
         else:
             raise ConfigurationError(f"unknown quantity {quantity!r}")
         errors.append(err)
-    orders = [
-        math.log2(errors[i] / errors[i + 1]) / math.log2(deltas[i] / deltas[i + 1])
-        if errors[i + 1] > 0 else math.inf
-        for i in range(len(errors) - 1)
-    ]
+    ratios = [c / f if f > 0 else math.inf for c, f in zip(errors, errors[1:])]
+    orders = [-math.inf if r == 0 else math.log2(r) / math.log2(dc / df)
+              for r, dc, df in zip(ratios, deltas, deltas[1:])]
     return {"quantity": quantity, "errors": errors, "orders": orders}
 
 

@@ -440,6 +440,28 @@ def test_mms_nu_must_be_positive_and_finite(capsys, kind, nu):
     assert "--nu" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("levels", [[8, 12, 16], [2, 3, 4], [8, 9, 10]])
+def test_mms_order_over_a_coarser_zero_error_is_minus_inf(capsys, levels):
+    # rigid rotation's operator errors are 0 or rounding: a level whose
+    # error is 0 before one with a rounding error has no log2 ratio
+    assert mms_cmd("rigid_rotation", levels) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()  # a header, a row per level, orders
+    assert lines[1].split(",")[2] == "0" and lines[2].endswith(",-inf")
+    assert lines[-1].startswith("orders: [-inf, ") and lines[-1].endswith("FAIL")
+
+
+def test_mms_solver_failure_names_nu(capsys):
+    # the study's dt = 0.1 Delta^2 / nu: a small nu takes one step of
+    # t_end, beyond the stability limit, at every level
+    assert main(["mms", "taylor_vortex_swirl", "16", "32", "64",
+                 "--nu", "1e-4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --nu: solver failed: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 def test_mms_cmd_negative_control(tmp_path, capsys):
     code = mms_cmd("lopsided_curl", [8, 16, 32], outdir=str(tmp_path))
     assert code == 0
