@@ -488,19 +488,31 @@ def _run_scenario(path):
         diagnostics = Diagnostics(mcfg, forcing_at=forcing)
         hashes = []
 
-        def observe(s):  # each checkpoint once: monitored, written, hashed
+        def keep(s):  # each checkpoint once: monitored, written, hashed
             diagnostics.add(s)
             if cfg["output"]["write_checkpoints"]:
                 if not hashes:  # run has accepted the settings
                     os.makedirs(outdir, exist_ok=True)
-                write_checkpoint(
-                    os.path.join(outdir, f"checkpoint_{len(hashes):05d}.bin"), s
-                )
+                name = f"checkpoint_{len(hashes):05d}.bin"
+                write_checkpoint(os.path.join(outdir, name), s)
             hashes.append(state_hash(s))
 
-        # a step count that run refuses names $.solver
-        traj = _owned("$.solver", run, sim, state, forcing_at=forcing,
-                      observe=observe)
+        steps = run(sim, state, forcing_at=forcing)
+        # run checks its settings at the first next(): a step count that
+        # it refuses names $.solver
+        state, dt, _ = _owned("$.solver", next, steps)
+        taken = 0
+        while True:  # the initial state, every stride-th and the last step
+            if taken % sim.checkpoint_stride == 0:
+                keep(state)
+            try:
+                state, dt, _ = next(steps)
+            except StopIteration as end:
+                failure = end.value
+                break
+            taken += 1
+        if taken % sim.checkpoint_stride:
+            keep(state)
         records = diagnostics.records
         checks = evaluate_checks(records, mcfg, g)
         blowup = blowup_indicator(records)
@@ -515,15 +527,15 @@ def _run_scenario(path):
         "package_version": __version__,
         "scenario": cfg,
         "resolved": {
-            "dt": traj.dt,
-            "steps": traj.step_count,
+            "dt": dt,
+            "steps": taken,
             "c_sob": mcfg.c_sob,
             "c_grow": mcfg.c_grow,
             "exponents": exps.as_dict(),
         },
         "checkpoint_hashes": hashes,
-        "failed": traj.failed,
-        "failure_reason": traj.failure_reason,
+        "failed": failure is not None,
+        "failure_reason": failure,
     }
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -531,8 +543,8 @@ def _run_scenario(path):
     report = {
         "checks": checks,
         "blowup_indicator": blowup,
-        "truncated": bool(traj.failed or blowup["truncated"]),
-        "failure_reason": traj.failure_reason,
+        "truncated": bool(failure is not None or blowup["truncated"]),
+        "failure_reason": failure,
     }
     with open(os.path.join(outdir, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -542,15 +554,15 @@ def _run_scenario(path):
             tol = "-" if c["tolerance"] is None else _fmt(c["tolerance"])
             fh.write(f"{c['name']:<28} {c['status']:<12} "
                      f"margin={_fmt(c['margin'])} tol={tol}\n")
-        if traj.failed:
-            fh.write(f"trajectory truncated: {traj.failure_reason}\n")
+        if failure is not None:
+            fh.write(f"trajectory truncated: {failure}\n")
         for k in sorted(blowup):
             fh.write(f"blowup.{k} = {blowup[k]}\n")
 
     failed_checks = [c for c in checks if c["asserted"] and c["status"] == "FAIL"]
     lines = [f"{c['name']}: {c['status']}" for c in checks]
-    if traj.failed:
-        lines.append(f"trajectory truncated: {traj.failure_reason}")
+    if failure is not None:
+        lines.append(f"trajectory truncated: {failure}")
     return (0 if not failed_checks else 4), lines
 
 

@@ -409,15 +409,16 @@ def convergence_order(kind, grids, quantity="solver", nu=0.1, t_end=0.05,
             # 52 429 steps at nu = 0.1: a dt or a step count that the
             # solver refuses, or a run that fails at that dt, is nu's fault
             try:
-                cfg = SimConfig(nu=nu, t_end=t_end, dt=dt,
-                                checkpoint_stride=10**9)
-                traj = run(cfg, state, forcing_at=forcing_callable(sol, nu))
-                if traj.failed:
-                    raise ConfigurationError(
-                        f"solver failed: {traj.failure_reason}")
+                steps = run(SimConfig(nu=nu, t_end=t_end, dt=dt), state,
+                            forcing_at=forcing_callable(sol, nu))
+                while True:
+                    final, _, _ = next(steps)
+            except StopIteration as end:
+                failure = end.value
             except ConfigurationError as exc:
                 raise ConfigurationError(str(exc), "nu") from None
-            final = traj.final
+            if failure is not None:
+                raise ConfigurationError(f"solver failed: {failure}", "nu")
             err = _max_err(final.u, sample_state(sol, final.time).u)
         elif quantity == "operator":
             tend = (explicit_rhs(state, forcing_callable(sol, nu)(0.0))

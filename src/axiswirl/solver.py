@@ -12,7 +12,11 @@ divergence-free space.
 The pressure is incremental (Brown, Cortez & Minion 2001, J. Comput.
 Phys. 168): both stages carry the gradient D* p of the stored pressure,
 and the final projection updates it to p - phi/dt.  Without it the
-splitting is first order in time.  The projection of the first stage
+splitting is first order in time.  The stored pressure, and so a
+checkpoint's, is the pressure half a step back, at t - dt/2 for a
+velocity at t (the staggering of an incremental projection with
+Crank-Nicolson): it is second-order accurate there, but only
+first-order accurate against p(t).  The projection of the first stage
 keeps a centrifugal source that the stored pressure does not balance (a
 zero initial pressure, say) from leaving a first-order splitting error.
 
@@ -41,7 +45,8 @@ viscous accuracy limit that depends on the domain, not on the grid
 (viscous_dt_limit).
 
 `step` is one IMEX step of the dt it is given; `run` holds every rule on
-the steps (count, time advance, CFL limits).
+the steps (count, time advance, CFL limits) and yields each step's state
+as it reaches it.
 """
 
 from __future__ import annotations
@@ -69,7 +74,9 @@ from .grid import CylGrid, moment
 
 class SimConfig:
     """Viscosity and time-stepping settings of one run; the grid is the
-    initial state's.  __slots__ lists the fields in constructor order.
+    initial state's.  run does not read checkpoint_stride: the command
+    line keeps every stride-th step.  __slots__ lists the fields in
+    constructor order.
 
     The constructor holds every rule on the settings by themselves: nu,
     dt (when given) and cfl_safety positive, t_end above t_start, and
@@ -102,24 +109,6 @@ class SimConfig:
         self.dt = dt
         self.cfl_safety = cfl_safety
         self.checkpoint_stride = int(stride)
-
-
-class Trajectory:
-    """The outcome of one run: the last state it reached, the step dt,
-    the steps taken, and why it was truncated (None if it was not)."""
-
-    __slots__ = ("final", "dt", "step_count", "failure_reason")
-
-    def __init__(self, final: VelocityState, dt: float,
-                 failure_reason: str | None = None):
-        self.final = final
-        self.dt = dt
-        self.step_count = 0
-        self.failure_reason = failure_reason
-
-    @property
-    def failed(self) -> bool:
-        return self.failure_reason is not None
 
 
 # --- direct solves in a per-grid eigenbasis -----------------------------
@@ -363,31 +352,31 @@ def _unusable(cfg: SimConfig, dt) -> str | None:
     return None
 
 
-def run(cfg: SimConfig, initial: VelocityState, forcing_at=None,
-        observe=None) -> Trajectory:
-    """Integrate from t_start to t_end, calling observe(state) on each
-    checkpoint in time order: the projected initial state, every
-    stride-th step, the last step and a blow-up state.  No state is kept.
+def run(cfg: SimConfig, initial: VelocityState, forcing_at=None):
+    """Integrate from t_start to t_end: a generator of (state, dt, rel)
+    for the projected initial state, then for each step's state, with
+    the step dt (the initial state's is that of the steps to come) and
+    project's rel.  Its value when it ends (StopIteration.value) is why
+    the run was truncated, or None at t_end.  No state is kept.
 
     The automatic dt (cfg.dt None) is cfl_safety times the smallest of
     cfl_limits and viscous_dt_limit.  Either dt is then shortened to
     span / n, n the fewest steps of at most dt (to a relative 1e-12), so
     the last step lands on t_end.
-    Deterministic for a fixed config.  Blow-up (non-finite fields) and a
-    dt above the cfl_limits of the state about to be stepped (to a
-    relative 1e-12) truncate the run with a failure reason.
+    Deterministic for a fixed config.  Blow-up (non-finite fields) ends
+    the run after the state that has them, and a dt above the cfl_limits
+    of the state about to be stepped (to a relative 1e-12) before that
+    step, each with a failure reason.
 
     No run takes more than MAX_STEPS steps, or a step that does not
-    advance the time (TIME_RESOLUTION), so the observed times strictly
+    advance the time (TIME_RESOLUTION), so the yielded times strictly
     increase.  Settings alone (the given dt, or cfl_safety times
-    viscous_dt_limit) that break either rule raise ConfigurationError
-    before a state is observed; the flow's CFL limits that break one
-    truncate the run before the first step.
+    viscous_dt_limit) that break either rule raise ConfigurationError at
+    the first next(), before a state is yielded; the flow's CFL limits
+    that break one end the run after the initial state.
     """
-    observe = observe or (lambda s: None)
-    state = initial.replace_fields(time=cfg.t_start)
-    # enforce the divergence invariant on the initial checkpoint
-    state, _ = project(state)
+    # enforce the divergence invariant on the initial state
+    state, rel = project(initial.replace_fields(time=cfg.t_start))
     if cfg.dt is not None:
         dt = least = cfg.dt
     else:
@@ -397,30 +386,23 @@ def run(cfg: SimConfig, initial: VelocityState, forcing_at=None,
     why = _unusable(cfg, least)
     if why:
         raise ConfigurationError(f"the solver settings give {why}")
-    observe(state)
     why = _unusable(cfg, dt)
     if why:
-        return Trajectory(state, dt, f"the flow's CFL limits give {why}")
+        yield state, dt, rel
+        return f"the flow's CFL limits give {why}"
     span = cfg.t_end - cfg.t_start
     n_steps = max(1, math.ceil(span / dt * (1.0 - 1e-12)))
     dt = span / n_steps
-    traj = Trajectory(state, dt)
-    for i in range(n_steps):
+    yield state, dt, rel
+    for _ in range(n_steps):
         limit = min(cfl_limits(state))
         if dt > limit * (1.0 + 1e-12):
-            traj.failure_reason = f"dt = {dt} exceeds stability limit {limit}"
-            break
-        state, _ = step(state, cfg, dt, forcing_at=forcing_at)
-        traj.final = state
-        traj.step_count = i + 1
+            return f"dt = {dt} exceeds stability limit {limit}"
+        state, rel = step(state, cfg, dt, forcing_at=forcing_at)
+        yield state, dt, rel
         if not (np.all(np.isfinite(state.u))
                 and np.all(np.isfinite(state.pressure))):
-            traj.failure_reason = f"blow-up: non-finite fields at t = {state.time}"
-            observe(state)
-            break
-        if (i + 1) % cfg.checkpoint_stride == 0 or i == n_steps - 1:
-            observe(state)
-    return traj
+            return f"blow-up: non-finite fields at t = {state.time}"
 
 
 def kinetic_energy(v: VelocityState) -> float:

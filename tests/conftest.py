@@ -26,6 +26,18 @@ SUB_CHECKS = ("young_forcing", "holder_p", "young_eps1", "holder_s_half",
               "holder_inner", "young_eps2")
 
 
+def run_through(cfg, initial, forcing_at=None):
+    """(states, dt, failure reason) of solver.run: every state it yields,
+    the step dt, and its value when it ends."""
+    states, steps = [], run(cfg, initial, forcing_at=forcing_at)
+    while True:
+        try:
+            state, dt, _ = next(steps)
+        except StopIteration as end:
+            return states, dt, end.value
+        states.append(state)
+
+
 def collect(states, m, forcing_at=None):
     """The records of the monitor's fold over the given states."""
     diagnostics = Diagnostics(m, forcing_at=forcing_at)
@@ -44,15 +56,13 @@ def audit_run(exp640):
     """Unforced 200-step swirl run with full monitor diagnostics."""
     grid = build_grid(32, 8)
     dt = 9e-4
-    cfg = SimConfig(nu=NU, t_start=0.0, t_end=200 * dt,
-                    dt=dt, checkpoint_stride=1)
+    cfg = SimConfig(nu=NU, t_start=0.0, t_end=200 * dt, dt=dt)
     sol = mms.make_solution("decaying_swirl", {"nu": NU}, grid)
-    states = []
-    traj = run(cfg, mms.sample_state(sol, 0.0), observe=states.append)
-    assert not traj.failed, traj.failure_reason
+    states, _, failure = run_through(cfg, mms.sample_state(sol, 0.0))
+    assert failure is None, failure
     monitor = monitor_for(grid, exp640, NU)
     records = collect(states, monitor)
-    return {"traj": traj, "states": states, "grid": grid, "monitor": monitor,
+    return {"states": states, "grid": grid, "monitor": monitor,
             "records": records, "dt": dt}
 
 
@@ -61,17 +71,15 @@ def forced_taylor(exp640):
     """Forced 50-step vortex-with-swirl run with full diagnostics."""
     grid = build_grid(24, 24)
     dt = 0.1 * min(grid.d_rho, grid.d_z) ** 2 / NU
-    cfg = SimConfig(nu=NU, t_start=0.0, t_end=50 * dt,
-                    dt=dt, checkpoint_stride=1)
+    cfg = SimConfig(nu=NU, t_start=0.0, t_end=50 * dt, dt=dt)
     sol = mms.make_solution("taylor_vortex_swirl", {}, grid)
     forcing = mms.forcing_callable(sol, NU)
-    states = []
-    traj = run(cfg, mms.sample_state(sol, 0.0), forcing_at=forcing,
-               observe=states.append)
-    assert not traj.failed, traj.failure_reason
+    states, _, failure = run_through(cfg, mms.sample_state(sol, 0.0),
+                                     forcing_at=forcing)
+    assert failure is None, failure
     monitor = monitor_for(grid, exp640, NU)
     records = collect(states, monitor, forcing_at=forcing)
-    return {"traj": traj, "states": states, "grid": grid, "monitor": monitor,
+    return {"states": states, "grid": grid, "monitor": monitor,
             "records": records, "forcing": forcing, "dt": dt}
 
 

@@ -252,7 +252,8 @@ def test_criterion_12_eps_sequence_and_quartic_identity(audit_run, exp640):
         dt = 0.1 * min(g.d_rho, g.d_z) ** 2 / NU
         cfg = SimConfig(nu=NU, t_end=5 * dt, dt=dt)
         diagnostics = Diagnostics(monitor_for(g, exp640, NU))
-        run(cfg, mms.sample_state(sol, 0.0), observe=diagnostics.add)
+        for s, _, _ in run(cfg, mms.sample_state(sol, 0.0)):
+            diagnostics.add(s)
         residuals.append(max(abs(r.margins["quartic_identity_residual"])
                              for r in diagnostics.records if r.margins))
     orders = [math.log2(residuals[i] / residuals[i + 1]) for i in range(2)]

@@ -377,6 +377,54 @@ def test_sweep_reports_every_scenario(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "good" / "diagnostics.csv").is_file()
 
 
+def test_sweep_calls_run_through_the_cli_binding(tmp_path, monkeypatch,
+                                                 capsys):
+    # perfbench/child.py timestamps the start of time integration by
+    # replacing axiswirl.cli.run: each scenario must call run once,
+    # looked up there when it is called
+    calls = []
+    solver_run = cli.run
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solver_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", counted)
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    sweep_dir = tmp_path / "sweep"
+    sweep_dir.mkdir()
+    for i in range(2):
+        _write(sweep_dir, _scenario(output={"directory": f"s{i}"}), f"s{i}.json")
+    assert main(["sweep", str(sweep_dir)]) == 0
+    assert len(calls) == 2
+
+
+@given(n=st.integers(1, 12), k=st.integers(1, 15))
+@example(n=5, k=10**9)  # perfbench's NEVER: a stride longer than any run
+@settings(max_examples=25, deadline=None)
+def test_run_checkpoints_the_initial_every_stride_th_and_the_last_step(n, k):
+    # n steps of a given dt at checkpoint_stride k write the initial
+    # state, every k-th step and the last step, each once, in time order
+    dt = 2.0**-10
+    doc = _scenario(grid={"n_rho": 8, "n_z": 8},
+                    solver={"t_end": n * dt, "dt": dt, "checkpoint_stride": k},
+                    output={"directory": "out", "write_checkpoints": True})
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {OUTPUT_ROOT_ENV: tmp}):
+        scenario = _write(pathlib.Path(tmp), doc)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", scenario]) == 0
+        out = pathlib.Path(tmp) / "out"
+        times = [read_checkpoint(str(p)).time
+                 for p in sorted(out.glob("checkpoint_*.bin"))]
+        manifest = json.loads((out / "manifest.json").read_text())
+    want = sorted({*range(0, n + 1, k), n})
+    assert [round(t / dt) for t in times] == want
+    assert all(t1 > t0 for t0, t1 in zip(times, times[1:])), times
+    assert manifest["resolved"]["steps"] == n
+    assert len(manifest["checkpoint_hashes"]) == len(want)
+
+
 # --- exponent and convergence subcommands --------------------------------------
 
 def test_check_exponents_admissible(capsys):

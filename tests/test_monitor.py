@@ -24,7 +24,6 @@ from axiswirl.fields import (
 from axiswirl.grid import build_grid, moment, serrin_advance
 from axiswirl.monitor import (
     IDENTITY_BAND,
-    Diagnostics,
     DiagnosticsRecord,
     MonitorConfig,
     _integ,
@@ -37,8 +36,8 @@ from axiswirl.monitor import (
     negative_part,
     serrin_factors,
 )
-from axiswirl.solver import SimConfig, run
-from tests.conftest import SUB_CHECKS, collect
+from axiswirl.solver import SimConfig
+from tests.conftest import SUB_CHECKS, collect, run_through
 
 FOUR_PI = 4.0 * math.pi
 
@@ -200,11 +199,10 @@ def _quartic_identity(n, amplitude, exp640):
     sol = mms.make_solution("taylor_vortex_swirl",
                             {"amplitude": amplitude, "swirl": amplitude}, g)
     m = monitor_for(g, exp640, 0.1)
-    diagnostics = Diagnostics(m)
-    traj = run(SimConfig(nu=0.1, t_end=0.1), mms.sample_state(sol, 0.0),
-               observe=diagnostics.add)
-    assert not traj.failed, traj.failure_reason
-    checks = evaluate_checks(diagnostics.records, m, g)
+    states, _, failure = run_through(SimConfig(nu=0.1, t_end=0.1),
+                                     mms.sample_state(sol, 0.0))
+    assert failure is None, failure
+    checks = evaluate_checks(collect(states, m), m, g)
     return next(c for c in checks if c["name"] == "quartic_identity")
 
 

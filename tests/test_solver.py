@@ -30,6 +30,7 @@ from axiswirl.solver import (
     viscous_solve,
 )
 from axiswirl import mms, solver
+from tests.conftest import run_through
 
 
 def _div_norm(v):
@@ -91,16 +92,14 @@ def test_projection_preserves_swirl(taylor_state):
 def test_cfl_limits_and_violation(taylor_state):
     # run checks each step's dt against the state about to be stepped: a
     # given dt ten times the limit truncates before the first step, with
-    # the initial state observed and the limit in the reason
+    # the initial state yielded and the limit in the reason
     projected, _ = project(taylor_state)
     limit = min(cfl_limits(projected))
     assert 0.0 < limit < math.inf
     dt = 10.0 * limit
-    states = []
-    traj = run(SimConfig(nu=0.1, t_end=2.0 * dt, dt=dt), taylor_state,
-               observe=states.append)
-    assert traj.failed and traj.step_count == 0
-    assert traj.failure_reason == f"dt = {dt} exceeds stability limit {limit}"
+    states, _, failure = run_through(SimConfig(nu=0.1, t_end=2.0 * dt, dt=dt),
+                                     taylor_state)
+    assert failure == f"dt = {dt} exceeds stability limit {limit}"
     assert len(states) == 1 and states[0].time == 0.0
 
 
@@ -144,9 +143,8 @@ def test_run_deterministic():
     g = build_grid(16, 8)
     sol = mms.make_solution("decaying_swirl", {"nu": 0.1}, g)
     cfg = SimConfig(nu=0.1, t_end=0.02, dt=1e-3)
-    h1, h2 = [], []
-    run(cfg, mms.sample_state(sol, 0.0), observe=lambda s: h1.append(state_hash(s)))
-    run(cfg, mms.sample_state(sol, 0.0), observe=lambda s: h2.append(state_hash(s)))
+    h1, h2 = ([state_hash(s) for s, _, _ in run(cfg, mms.sample_state(sol, 0.0))]
+              for _ in range(2))
     assert len(h1) == 21 and h1 == h2
 
 
@@ -161,15 +159,11 @@ def test_run_truncates_on_blowup():
         return h
 
     cfg = SimConfig(nu=0.1, t_end=0.05, dt=1e-3)
-    states = []
-    traj = run(cfg, mms.sample_state(sol, 0.0), forcing_at=poisoned,
-               observe=states.append)
-    assert traj.failed
-    assert "blow-up" in traj.failure_reason
-    # the truncated checkpoint is observed as blow-up data
-    last = states[-1]
-    assert last is traj.final
-    assert not np.all(np.isfinite(last.u_phi))
+    states, _, failure = run_through(cfg, mms.sample_state(sol, 0.0),
+                                     forcing_at=poisoned)
+    assert "blow-up" in failure
+    # the truncated state is yielded as blow-up data
+    assert not np.all(np.isfinite(states[-1].u_phi))
 
 
 def test_run_bounds_the_step_count(monkeypatch):
@@ -179,21 +173,19 @@ def test_run_bounds_the_step_count(monkeypatch):
         mms.make_solution("taylor_vortex_swirl", {}, g), 0.0)
     # ten steps of a given dt run; eleven are refused before the first
     dt = 2.0**-10
-    assert run(SimConfig(t_end=10 * dt, dt=dt), state).step_count == 10
+    assert len(run_through(SimConfig(t_end=10 * dt, dt=dt), state)[0]) == 11
     with pytest.raises(ConfigurationError, match="more than 10"):
-        run(SimConfig(t_end=11 * dt, dt=dt), state)
+        next(run(SimConfig(t_end=11 * dt, dt=dt), state))
     # the automatic dt: cfl_safety times the viscous limit alone needs
     # more than ten steps
     limit = viscous_dt_limit(g, 0.1)
     with pytest.raises(ConfigurationError):
-        run(SimConfig(t_end=0.4 * limit * 10.5), state)
+        next(run(SimConfig(t_end=0.4 * limit * 10.5), state))
     # the flow's CFL limit needs more: truncated before the first step
     fast = state.replace_fields(u_rho=state.u_rho * 1e6,
                                 u_z=state.u_z * 1e6)
-    states = []
-    traj = run(SimConfig(t_end=0.4 * limit), fast, observe=states.append)
-    assert traj.failed and traj.step_count == 0
-    assert len(states) == 1 and "CFL" in traj.failure_reason
+    states, _, failure = run_through(SimConfig(t_end=0.4 * limit), fast)
+    assert len(states) == 1 and "CFL" in failure
 
 
 def test_energy_nonincreasing_unforced(audit_run):
@@ -224,18 +216,18 @@ def test_step_returns_its_projection_residual():
 
 
 def test_run_holds_one_state():
-    # the observer keeps weak references only: once run returns, every
-    # observed state but the final one has been freed
+    # the loop keeps weak references only: once the run has ended, every
+    # yielded state but the last one has been freed
     g = build_grid(16, 16)
     sol = mms.make_solution("taylor_vortex_swirl", {}, g)
     refs = []
-    traj = run(SimConfig(nu=0.1, t_end=0.02, dt=1e-3),
-               mms.sample_state(sol, 0.0),
-               forcing_at=mms.forcing_callable(sol, 0.1),
-               observe=lambda s: refs.append(weakref.ref(s)))
-    assert not traj.failed and traj.step_count == 20 and len(refs) == 21
+    for s, _, _ in run(SimConfig(nu=0.1, t_end=0.02, dt=1e-3),
+                       mms.sample_state(sol, 0.0),
+                       forcing_at=mms.forcing_callable(sol, 0.1)):
+        refs.append(weakref.ref(s))
+    assert len(refs) == 21 and s.time == pytest.approx(0.02, rel=1e-14)
     gc.collect()
-    assert [r() for r in refs if r() is not None] == [traj.final]
+    assert [r() for r in refs if r() is not None] == [s]
 
 
 @pytest.mark.parametrize("dt,steps", [(0.03, 4), (0.04, 3), (0.05, 2),
@@ -247,10 +239,10 @@ def test_run_ends_on_t_end(dt, steps):
     g = build_grid(8, 8)
     state = mms.sample_state(
         mms.make_solution("taylor_vortex_swirl", {}, g), 0.0)
-    traj = run(SimConfig(t_end=0.1, dt=dt), state)
-    assert not traj.failed and traj.step_count == steps
-    assert traj.dt == 0.1 / steps <= dt
-    assert traj.final.time == pytest.approx(0.1, rel=1e-14)
+    states, used, failure = run_through(SimConfig(t_end=0.1, dt=dt), state)
+    assert failure is None and len(states) == steps + 1
+    assert used == 0.1 / steps <= dt
+    assert states[-1].time == pytest.approx(0.1, rel=1e-14)
 
 
 # log-uniform magnitudes from 1e-3 to 1e17, either sign
@@ -270,18 +262,18 @@ _TIMES = st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-3.0, 17.0)).map(
 # 2^53, where the spacing doubles to 2 > 2 dt
 @example(2.0**53 - 10, 9.0, 15)
 def test_run_observes_strictly_increasing_times(t_start, span, k):
-    # a run either refuses its settings before it observes a state, or
-    # every step advances the time
+    # a run either refuses its settings before it yields a state, or
+    # takes its k steps, each of which advances the time
     observed = []
     try:
         cfg = SimConfig(t_start=t_start, t_end=t_start + span,
                         dt=(t_start + span - t_start) / k)
-        traj = run(cfg, zero_state(build_grid(4, 4)),
-                   observe=lambda s: observed.append(s.time))
+        for s, _, _ in run(cfg, zero_state(build_grid(4, 4))):
+            observed.append(s.time)
     except ConfigurationError:
         assert observed == []
         return
-    assert not traj.failed and len(observed) == traj.step_count + 1
+    assert len(observed) == k + 1
     assert all(t1 > t0 for t0, t1 in zip(observed, observed[1:])), observed
 
 
@@ -376,12 +368,11 @@ def test_time_order_on_a_fixed_grid(kind):
     T = 0.02
 
     def final(dt):
-        cfg = SimConfig(nu=0.1, t_end=T, dt=dt,
-                        checkpoint_stride=10**9)
-        traj = run(cfg, mms.sample_state(sol, 0.0),
-                   forcing_at=mms.forcing_callable(sol, 0.1))
-        assert not traj.failed, traj.failure_reason
-        s = traj.final
+        states, _, failure = run_through(
+            SimConfig(nu=0.1, t_end=T, dt=dt), mms.sample_state(sol, 0.0),
+            forcing_at=mms.forcing_callable(sol, 0.1))
+        assert failure is None, failure
+        s = states[-1]
         return np.stack([s.u_rho, s.u_phi, s.u_z])
 
     ref = final(T / 128)
@@ -426,13 +417,12 @@ def test_slow_decaying_swirl_follows_the_analytic_decay():
     for amplitude in (0.01, 1.0):
         sol = mms.make_solution("decaying_swirl",
                                 {"nu": 0.1, "amplitude": amplitude}, g)
-        traj = run(SimConfig(nu=0.1, t_end=10.0,
-                             checkpoint_stride=10**9),
-                   mms.sample_state(sol, 0.0))
-        assert not traj.failed, traj.failure_reason
-        assert traj.dt <= 0.4 * viscous_dt_limit(g, 0.1)
-        steps.add(traj.step_count)
-        s = traj.final
+        states, dt, failure = run_through(SimConfig(nu=0.1, t_end=10.0),
+                                          mms.sample_state(sol, 0.0))
+        assert failure is None, failure
+        assert dt <= 0.4 * viscous_dt_limit(g, 0.1)
+        steps.add(len(states) - 1)
+        s = states[-1]
         exact = sol.velocity(s.time)[1]
         err = np.max(np.abs(s.u_phi - exact))
         assert err <= 0.02 * np.max(np.abs(exact)), (amplitude, err)
@@ -448,16 +438,14 @@ def test_energy_nonincreasing_at_the_automatic_dt(kind, n, t_end, min_ratio):
     g = build_grid(n, n)
     sol = mms.make_solution(kind, {"nu": 0.1} if kind == "decaying_swirl" else {},
                             g)
-    states = []
-    traj = run(SimConfig(nu=0.1, t_end=t_end),
-               mms.sample_state(sol, 0.0), observe=states.append)
-    assert not traj.failed and traj.step_count >= 10
+    states, dt, failure = run_through(SimConfig(nu=0.1, t_end=t_end),
+                                      mms.sample_state(sol, 0.0))
+    assert failure is None and len(states) >= 11
     # beyond the explicit diffusive limit, which shrinks as 1/n^2 while the
     # automatic dt does not (4.7x at 16^2 and 42x at 48^2 for swirl)
     diffusive = 0.25 * min(g.d_rho, g.d_z) ** 2 / 0.1
-    assert traj.dt > min_ratio * diffusive
+    assert dt > min_ratio * diffusive
     energies = [kinetic_energy(s) for s in states]
-    assert len(energies) == traj.step_count + 1
     for e0, e1 in zip(energies, energies[1:]):
         assert e1 - e0 <= 1e-10 * e0
 
@@ -471,14 +459,13 @@ def test_stage_projection_makes_the_step_insensitive_to_the_initial_pressure():
     g = build_grid(64, 64)
     sol = mms.make_solution("decaying_swirl", {"nu": 0.1}, g)
     s0 = mms.sample_state(sol, 0.0).replace_fields(pressure=np.zeros(g.shape))
-    traj = run(SimConfig(nu=0.1, t_end=0.012), s0)
-    assert traj.step_count == 1
-    t = traj.final.time
-    exact = sol.velocity(t)[1]
+    states, _, _ = run_through(SimConfig(nu=0.1, t_end=0.012), s0)
+    assert len(states) == 2
+    final = states[-1]
+    exact = sol.velocity(final.time)[1]
     increment = exact - s0.u_phi
-    got = traj.final.u_phi - s0.u_phi
-    others = max(np.max(np.abs(traj.final.u_rho)),
-                 np.max(np.abs(traj.final.u_z)))
+    got = final.u_phi - s0.u_phi
+    others = max(np.max(np.abs(final.u_rho)), np.max(np.abs(final.u_z)))
     worst = max(np.max(np.abs(got - increment)), others)
     h = 1.0 / 64  # the benchmark's h = 1/n
     assert worst <= 25.0 * h**2 * np.max(np.abs(increment))
