@@ -78,8 +78,9 @@ test "$(ls "$tmp"/overflowing-swirl/checkpoint_*.bin | wc -l)" -eq 11
 
 # a run restarts from its last checkpoint through the writer and the
 # reader: that must exit 0.  The same file with a header declaring
-# float32 samples over its float64 payload would load as wrong data, so
-# it must exit 2 at $.initial_data
+# float32 samples over its float64 payload, or a 4 x 4 grid over its
+# 8 x 8 samples (restarted on 4 x 4 cells, so that the grids agree),
+# would load as wrong data, so each must exit 2 at $.initial_data
 cat > "$tmp/checkpointed.json" <<'JSON'
 {"schema_version": 1,
  "grid": {"n_rho": 8, "n_z": 8},
@@ -90,18 +91,25 @@ cat > "$tmp/checkpointed.json" <<'JSON'
 JSON
 AXISWIRL_OUTPUT_ROOT="$tmp" axiswirl run "$tmp/checkpointed.json"
 last="$(ls "$tmp"/checkpointed/checkpoint_*.bin | tail -n 1)"
-python3 - "$last" "$tmp/float32.bin" <<'PY'
-import sys
+python3 - "$last" "$tmp/float32.bin" "$tmp/4x4.bin" <<'PY'
+import json, sys
 with open(sys.argv[1], "rb") as fh:
     header, payload = fh.readline(), fh.read()
 assert b'"dtype": "<f8"' in header, header
 with open(sys.argv[2], "wb") as fh:
     fh.write(header.replace(b'"dtype": "<f8"', b'"dtype": "<f4"') + payload)
+doc = json.loads(header)
+doc["grid"].update(n_rho=4, n_z=4)
+with open(sys.argv[3], "wb") as fh:
+    fh.write(json.dumps(doc).encode() + b"\n" + payload)
 PY
-for ckpt in "$last" "$tmp/float32.bin"; do
+ckpts=("$last" "$tmp/float32.bin" "$tmp/4x4.bin")
+cells=(8 8 4)
+for i in 0 1 2; do
+  ckpt="${ckpts[$i]}"
   cat > "$tmp/restart.json" <<JSON
 {"schema_version": 1,
- "grid": {"n_rho": 8, "n_z": 8},
+ "grid": {"n_rho": ${cells[$i]}, "n_z": ${cells[$i]}},
  "solver": {"t_end": 0.01},
  "initial_data": {"kind": "file", "path": "$ckpt"},
  "output": {"directory": "restart"}}

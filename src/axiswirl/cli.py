@@ -113,9 +113,9 @@ def _read_header(path, line, payload):
 
     payload is the number of bytes after the header line.  Any malformed
     header, one declaring a sample layout other than _LAYOUT (a header
-    without dtype or order is read as _LAYOUT), or one declaring more
-    samples than the payload holds, raises ConfigurationError naming the
-    file and the offending key.
+    without dtype or order is read as _LAYOUT), one naming a field
+    twice, or one declaring other than the samples the payload holds,
+    raises ConfigurationError naming the file and the offending key.
     """
     try:
         # a line cut at MAX_HEADER_BYTES is no header
@@ -140,10 +140,11 @@ def _read_header(path, line, payload):
 
     names = key(header, "fields", "fields")
     if (not isinstance(names, list) or not names
-            or any(n not in _FIELD_NAMES for n in names)):
+            or any(n not in _FIELD_NAMES for n in names)
+            or len(set(names)) < len(names)):
         raise ConfigurationError(
-            f"{path}: header key fields: expected names from {_FIELD_NAMES}, "
-            f"got {names!r}"
+            f"{path}: header key fields: expected distinct names from "
+            f"{_FIELD_NAMES}, got {names!r}"
         )
     gd = key(header, "grid", "grid")
     args = [key(gd, k, f"grid.{k}")
@@ -154,7 +155,7 @@ def _read_header(path, line, payload):
               for n in args[:2]]
     if all(type(n) is int for n in counts):
         declared = 8 * counts[0] * counts[1] * len(names)
-        if declared > payload:
+        if declared != payload:
             raise ConfigurationError(
                 f"{path}: header key grid: {counts[0]} x {counts[1]} cells "
                 f"need {declared} bytes of samples, the file holds {payload}"
@@ -500,13 +501,13 @@ def _run_scenario(path):
         steps = run(sim, state, forcing_at=forcing)
         # run checks its settings at the first next(): a step count that
         # it refuses names $.solver
-        state, dt, _ = _owned("$.solver", next, steps)
+        state, dt = _owned("$.solver", next, steps)
         taken = 0
         while True:  # the initial state, every stride-th and the last step
             if taken % sim.checkpoint_stride == 0:
                 keep(state)
             try:
-                state, dt, _ = next(steps)
+                state, dt = next(steps)
             except StopIteration as end:
                 failure = end.value
                 break

@@ -10,8 +10,9 @@ class ConfigurationError(ValueError):
         self.field = field
 
 
-class ContractViolation(ValueError):
-    """Caller broke a documented precondition."""
+class ContractViolation(AssertionError):
+    """Caller broke a documented precondition: an internal fault, which
+    the command line reports as a failed assertion (exit 4)."""
 
 
 class InadmissibleExponents(ConfigurationError):

@@ -412,7 +412,7 @@ def convergence_order(kind, grids, quantity="solver", nu=0.1, t_end=0.05,
                 steps = run(SimConfig(nu=nu, t_end=t_end, dt=dt), state,
                             forcing_at=forcing_callable(sol, nu))
                 while True:
-                    final, _, _ = next(steps)
+                    final, _ = next(steps)
             except StopIteration as end:
                 failure = end.value
             except ConfigurationError as exc:

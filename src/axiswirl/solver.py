@@ -219,18 +219,15 @@ def project(v: VelocityState, dt=None):
 
     The correction D* phi is the rho-weighted least-norm field removing
     the divergence, so the projection is orthogonal: it never increases
-    kinetic energy.  Returns (state, rel) with rel = ||b - D D* phi|| /
-    ||b|| in the rho-weighted norm for b = D u, i.e. the relative
-    divergence left; rel is 0.0 when the state is exactly divergence-free
-    already.  With dt given, the pressure field is incremented by -phi/dt
-    (D* phi plays the role of -grad phi).  The corrected velocity is a
-    new u; v is not written.
+    kinetic energy.  Returns the projected state, or v itself when it is
+    exactly divergence-free already.  With dt given, the pressure field
+    is incremented by -phi/dt (D* phi plays the role of -grad phi).  The
+    corrected velocity is a new u; v is not written.
     """
     g = v.grid
     b = div_from_components(v.u_rho, v.u_z, g)
-    bnorm = float(np.sqrt(np.sum(g.rho * b * b)))
-    if bnorm == 0.0:
-        return v, 0.0
+    if np.sum(g.rho * b * b) == 0.0:  # NaN falls through
+        return v
     phi = solve_pressure_poisson(b, g)
     cr, cz = div_adjoint(phi, g)
     p = v.pressure
@@ -239,9 +236,7 @@ def project(v: VelocityState, dt=None):
     u = v.u.copy()
     u[0] -= cr
     u[2] -= cz
-    left = div_from_components(u[0], u[2], g)
-    rel = float(np.sqrt(np.sum(g.rho * left * left))) / bnorm
-    return VelocityState(g, u, p, v.time), rel
+    return VelocityState(g, u, p, v.time)
 
 
 # --- time stepping -------------------------------------------------------
@@ -285,7 +280,7 @@ def viscous_dt_limit(grid: CylGrid, nu: float) -> float:
     return 0.5 / (nu * lam1_sq)
 
 
-def step(state: VelocityState, cfg: SimConfig, dt: float, forcing_at=None):
+def step(state: VelocityState, nu: float, dt: float, forcing_at=None):
     """One IMEX step: Heun for explicit_rhs, Crank-Nicolson for
     viscous_rhs, and a projection after each stage.
 
@@ -296,30 +291,30 @@ def step(state: VelocityState, cfg: SimConfig, dt: float, forcing_at=None):
     stored pressure, which the final projection updates.  u^n = state.u,
     E, nu L u and du are (3, n_rho, n_z) arrays, viscous_solve's layout,
     as is the forcing h = forcing_at(t), which defaults to zero; each
-    stage's u^n + du is the u of its state, uncopied.  Returns (state,
-    rel) as project does.  dt is not checked against cfl_limits: run
-    does that.  A non-finite result is returned unprojected with rel nan;
-    the caller treats it as blow-up data.
+    stage's u^n + du is the u of its state, uncopied.  Returns the
+    stepped state.  dt is not checked against cfl_limits: run does that.
+    A non-finite result is returned unprojected; the caller treats it as
+    blow-up data.
     """
     g = state.grid
     if forcing_at is None:
         zf = zero_forcing(g)
         forcing_at = lambda t: zf  # noqa: E731
     t = state.time
-    c = 0.5 * cfg.nu * dt
+    c = 0.5 * nu * dt
     # the pressure gradient is D* p, the form the projection removes: a
     # centred gradient leaves forced flows first order in time
     cr, cz = div_adjoint(state.pressure, g)
-    common = viscous_rhs(state, cfg.nu) + np.stack((cr, np.zeros_like(cr), cz))
+    common = viscous_rhs(state, nu) + np.stack((cr, np.zeros_like(cr), cz))
     e0 = explicit_rhs(state, forcing_at(t))
-    mid, _ = project(VelocityState(
+    mid = project(VelocityState(
         g, state.u + viscous_solve(dt * (e0 + common), g, c),
         state.pressure, t + dt))
     e1 = explicit_rhs(mid, forcing_at(t + dt))
     u = state.u + viscous_solve(dt * (0.5 * (e0 + e1) + common), g, c)
     star = VelocityState(g, u, state.pressure, t + dt)
     if not np.all(np.isfinite(u)):
-        return star, np.nan  # blow-up: caller truncates
+        return star  # blow-up: run truncates
     return project(star, dt=dt)
 
 
@@ -353,11 +348,11 @@ def _unusable(cfg: SimConfig, dt) -> str | None:
 
 
 def run(cfg: SimConfig, initial: VelocityState, forcing_at=None):
-    """Integrate from t_start to t_end: a generator of (state, dt, rel)
-    for the projected initial state, then for each step's state, with
-    the step dt (the initial state's is that of the steps to come) and
-    project's rel.  Its value when it ends (StopIteration.value) is why
-    the run was truncated, or None at t_end.  No state is kept.
+    """Integrate from t_start to t_end: a generator of (state, dt) for
+    the projected initial state, then for each step's state, with the
+    step dt (the initial state's is that of the steps to come).  Its
+    value when it ends (StopIteration.value) is why the run was
+    truncated, or None at t_end.  No state is kept.
 
     The automatic dt (cfg.dt None) is cfl_safety times the smallest of
     cfl_limits and viscous_dt_limit.  Either dt is then shortened to
@@ -376,7 +371,7 @@ def run(cfg: SimConfig, initial: VelocityState, forcing_at=None):
     that break one end the run after the initial state.
     """
     # enforce the divergence invariant on the initial state
-    state, rel = project(initial.replace_fields(time=cfg.t_start))
+    state = project(initial.replace_fields(time=cfg.t_start))
     if cfg.dt is not None:
         dt = least = cfg.dt
     else:
@@ -388,18 +383,18 @@ def run(cfg: SimConfig, initial: VelocityState, forcing_at=None):
         raise ConfigurationError(f"the solver settings give {why}")
     why = _unusable(cfg, dt)
     if why:
-        yield state, dt, rel
+        yield state, dt
         return f"the flow's CFL limits give {why}"
     span = cfg.t_end - cfg.t_start
     n_steps = max(1, math.ceil(span / dt * (1.0 - 1e-12)))
     dt = span / n_steps
-    yield state, dt, rel
+    yield state, dt
     for _ in range(n_steps):
         limit = min(cfl_limits(state))
         if dt > limit * (1.0 + 1e-12):
             return f"dt = {dt} exceeds stability limit {limit}"
-        state, rel = step(state, cfg, dt, forcing_at=forcing_at)
-        yield state, dt, rel
+        state = step(state, cfg.nu, dt, forcing_at=forcing_at)
+        yield state, dt
         if not (np.all(np.isfinite(state.u))
                 and np.all(np.isfinite(state.pressure))):
             return f"blow-up: non-finite fields at t = {state.time}"

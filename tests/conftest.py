@@ -32,7 +32,7 @@ def run_through(cfg, initial, forcing_at=None):
     states, steps = [], run(cfg, initial, forcing_at=forcing_at)
     while True:
         try:
-            state, dt, _ = next(steps)
+            state, dt = next(steps)
         except StopIteration as end:
             return states, dt, end.value
         states.append(state)

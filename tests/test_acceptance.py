@@ -135,10 +135,10 @@ def test_criterion_05_projection():
         return float(np.sqrt(np.sum(g.rho * divergence(s) ** 2)))
 
     before = div_norm(v)
-    once, _ = project(v)
+    once = project(v)
     ok = div_norm(once) <= 1e-8 * before
 
-    twice, _ = project(once)
+    twice = project(once)
     scale = max(np.max(np.abs(once.u_rho)), np.max(np.abs(once.u_z)))
     drift = max(
         np.max(np.abs(twice.u_rho - once.u_rho)),
@@ -150,7 +150,7 @@ def test_criterion_05_projection():
     phi = np.cos(2.0 * math.pi * z) * (1.0 - (rho / 2.0) ** 2) ** 2 + 0.3 * rho**2
     cr, cz = div_adjoint(phi, g)
     gscale = max(np.max(np.abs(cr)), np.max(np.abs(cz)))
-    gp, _ = project(zero_state(g).replace_fields(u_rho=cr, u_z=cz))
+    gp = project(zero_state(g).replace_fields(u_rho=cr, u_z=cz))
     ok &= max(np.max(np.abs(gp.u_rho)),
               np.max(np.abs(gp.u_z))) <= 1e-8 * gscale
     _verdict(5, ok, "projection: relative divergence <= 1e-8, idempotent "
@@ -180,7 +180,7 @@ def test_criterion_08_transport_cancellation():
     for n in (12, 24, 48):
         g = build_grid(n, n)
         sol = mms.make_solution("taylor_vortex_swirl", {}, g)
-        v, _ = project(mms.sample_state(sol, 0.0))
+        v = project(mms.sample_state(sol, 0.0))
         delta = min(g.d_rho, g.d_z)
         tc = transport_cancellation(v, 4)
         ok &= abs(tc) <= 0.1 * delta**2
@@ -252,7 +252,7 @@ def test_criterion_12_eps_sequence_and_quartic_identity(audit_run, exp640):
         dt = 0.1 * min(g.d_rho, g.d_z) ** 2 / NU
         cfg = SimConfig(nu=NU, t_end=5 * dt, dt=dt)
         diagnostics = Diagnostics(monitor_for(g, exp640, NU))
-        for s, _, _ in run(cfg, mms.sample_state(sol, 0.0)):
+        for s, _ in run(cfg, mms.sample_state(sol, 0.0)):
             diagnostics.add(s)
         residuals.append(max(abs(r.margins["quartic_identity_residual"])
                              for r in diagnostics.records if r.margins))

@@ -31,7 +31,7 @@ from axiswirl.cli import (
     validate_scenario,
     write_checkpoint,
 )
-from axiswirl.errors import ConfigurationError
+from axiswirl.errors import ConfigurationError, ContractViolation
 from axiswirl.fields import zero_state
 from axiswirl.grid import MAX_CELLS, build_grid
 from axiswirl.monitor import monitor_settings
@@ -223,15 +223,22 @@ def _edit_header(path, edit):
 
 @pytest.mark.parametrize("edit,key", [
     (lambda h: h.update(fields=["u_rho", "vorticity"]), "fields"),
+    # the later block of a field named twice won
+    (lambda h: h.update(fields=["u_rho", "u_phi", "u_rho", "pressure"]),
+     "fields"),
     (lambda h: h["grid"].pop("n_z"), "grid.n_z"),
     (lambda h: h.update(time="abc"), "time"),
     (lambda h: h.update(version=2), "version"),
     (lambda h: h["grid"].update(n_rho=1), "grid"),  # build_grid refuses it
+    # 8^2 samples under a 4^2 header were read as each field's first
+    # quarter
+    (lambda h: h["grid"].update(n_rho=4, n_z=4), "grid"),
     # samples in another layout would load as wrong data
     (lambda h: h.update(dtype="<f4"), "dtype"),
     (lambda h: h.update(order="z-fastest"), "order"),
-], ids=["unknown_field", "missing_n_z", "non_numeric_time", "version",
-        "grid_refused", "dtype", "order"])
+], ids=["unknown_field", "field_named_twice", "missing_n_z",
+        "non_numeric_time", "version", "grid_refused",
+        "payload_larger_than_declared", "dtype", "order"])
 def test_checkpoint_rejects_malformed_header(tmp_path, monkeypatch, capsys,
                                              edit, key):
     path = str(tmp_path / "bad.bin")
@@ -246,7 +253,10 @@ def test_checkpoint_rejects_malformed_header(tmp_path, monkeypatch, capsys,
         grid={"n_rho": 8, "n_z": 8},
         initial_data={"kind": "file", "path": path}))
     assert run_scenario(scenario) == 2
-    assert f"header key {key}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: $.initial_data: ") and path in err
+    assert f"header key {key}" in err
+    assert not (tmp_path / "out").exists()
 
 
 # --- scenario runs ------------------------------------------------------------
@@ -1258,6 +1268,21 @@ def test_checkpoint_header_larger_than_its_file(tmp_path, monkeypatch, capsys):
     assert "header key grid" in capsys.readouterr().err
 
 
+def test_a_contract_violation_is_an_internal_failure(tmp_path, monkeypatch,
+                                                     capsys):
+    # no input reaches one: a broken precondition inside the package is
+    # a failed assertion (exit 4), not a traceback with exit 1
+    def broken(*args):
+        raise ContractViolation("dt must be nonnegative")
+
+    monkeypatch.setattr("axiswirl.monitor.serrin_advance", broken)
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    doc = _scenario(grid={"n_rho": 8, "n_z": 8}, solver={"t_end": 0.01})
+    assert main(["run", _write(tmp_path, doc)]) == 4
+    assert capsys.readouterr().err == (
+        "internal assertion failed: dt must be nonnegative\n")
+
+
 def test_overflowing_state_is_blow_up(tmp_path, monkeypatch, capsys):
     # finite samples whose squares overflow: a truncated record, exit 0
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
@@ -1432,7 +1457,7 @@ def test_mms_levels_must_strictly_increase(capsys, levels):
 # precision, every spelling of infinity, null and true.
 _EXTREMES = (0, 1e-320, -1e-320, 1e-150, 1e150, 1e308, -1e308, 2**53 + 1,
              math.inf, "inf", "Inf", "Infinity", None, True)
-_CHECKPOINTS = ("written", "truncated", "foreign")
+_CHECKPOINTS = ("written", "truncated", "oversized", "foreign")
 
 
 @st.composite
@@ -1469,8 +1494,9 @@ def _fuzzed_scenarios(draw):
 def _write_fuzzed_checkpoint(path, doc, which):
     """A checkpoint on the scenario's grid (the default grid where the
     draw left none it can build): written by write_checkpoint, that file
-    cut in its payload, or a foreign one, written by hand as another
-    program would, of a velocity that is not divergence-free."""
+    cut in its payload or with a column of samples appended, or a foreign
+    one, written by hand as another program would, of a velocity that is
+    not divergence-free."""
     try:
         grid = build_grid(**{k: v for k, v in doc["grid"].items()
                              if k in ("n_rho", "n_z")})
@@ -1492,6 +1518,9 @@ def _write_fuzzed_checkpoint(path, doc, which):
     write_checkpoint(path, state)
     if which == "truncated":
         os.truncate(path, os.path.getsize(path) - 8 * grid.n_z)
+    elif which == "oversized":
+        with open(path, "ab") as fh:
+            fh.write(bytes(8 * grid.n_z))
 
 
 @settings(max_examples=40)

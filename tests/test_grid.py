@@ -11,7 +11,7 @@ from axiswirl.exponents import derive_exponents
 from axiswirl.fields import zero_forcing, zero_state
 from axiswirl.grid import MAX_CELLS, build_grid, moment, serrin_advance
 from axiswirl.monitor import checkpoint_view, monitor_for, negative_part
-from axiswirl.solver import SimConfig, kinetic_energy, step
+from axiswirl.solver import kinetic_energy, step
 
 FOUR_PI = 4.0 * math.pi
 
@@ -37,8 +37,8 @@ def test_equal_grids_compare_and_hash_on_their_parameters():
     # a distinct but equal grid
     on_a, on_b = (mms.make_solution("taylor_vortex_swirl", {}, g) for g in (a, b))
     forcing = mms.forcing_callable(on_b, 0.1)(0.0)
-    state, _ = step(mms.sample_state(on_a, 0.0), SimConfig(nu=0.1), 1e-3,
-                    forcing_at=lambda t: forcing)
+    state = step(mms.sample_state(on_a, 0.0), 0.1, 1e-3,
+                 forcing_at=lambda t: forcing)
     assert state.grid == b and np.all(np.isfinite(state.u_phi))
     m = monitor_for(a, derive_exponents(6.0, 4.0, 0.0), 0.1)
     assert math.isfinite(checkpoint_view(state, forcing, m).forcing_power)
