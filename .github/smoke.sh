@@ -7,16 +7,22 @@
 set -euo pipefail
 tmp="${RUNNER_TEMP:-$(mktemp -d)}"
 
-# the installed entry point: an admissible triple, and one whose
-# s = 2a/b + 3 rounds to 3, which must be inadmissible and exit 0; a
-# solver study that must PASS, the first-order negative control that
-# must FAIL, rigid rotation on 8 12 16 cells, whose errors are 0 or
-# rounding, which must exit 0, and four calls that must exit 2 (levels
-# that do not strictly increase, --nu 0, --nu 1e6, whose
-# dt = 0.1 Delta^2 / nu needs more than 10^7 steps, and --nu 1e-4, whose
-# dt is beyond the solver's stability limit, both naming --nu)
+# the installed entry point: an admissible triple, one whose
+# s = 2a/b + 3 rounds to 3, which must be inadmissible and exit 0, and
+# (40, 3, -0.5), whose printed alpha must equal a = 40 exactly (dividing
+# by p - 1 gave 39.99999999999999); a solver study that must PASS, the
+# first-order negative control that must FAIL, rigid rotation on 8 12 16
+# cells, whose errors are 0 or rounding, which must exit 0, and four
+# calls that must exit 2 (levels that do not strictly increase, --nu 0,
+# --nu 1e6, whose dt = 0.1 Delta^2 / nu needs more than 10^7 steps, and
+# --nu 1e-4, whose dt is beyond the solver's stability limit, both
+# naming --nu)
 axiswirl check-exponents 6 4 0
 axiswirl check-exponents 6 6e16 0 | grep '^verdict: inadmissible$' >/dev/null
+axiswirl check-exponents 40 3 -0.5 | tail -n 1 | python3 -c '
+import json, sys
+e = json.load(sys.stdin)["exponents"]
+assert e["alpha"] == e["a"] == 40.0, e'
 axiswirl mms taylor_vortex_swirl 8 16 32 | tail -n 1 | grep -q ': PASS$'
 axiswirl mms lopsided_curl 8 16 32 | tail -n 1 | grep -q ': FAIL$'
 code=0; axiswirl mms rigid_rotation 8 8 16 || code=$?

@@ -595,17 +595,15 @@ def check_exponents_cmd(a_text, b_text, g_text) -> int:
             print(f"  {v}")
         block.update(admissible=False, violations=exc.violations)
     else:
-        block.update(admissible=True, violations=[])
+        exponents, pairs = e.as_dict(), holder_young_pairs(e)
+        block.update(admissible=True, violations=[], exponents=exponents,
+                     pairs=[{"name": n, "x": x, "y": y} for n, x, y in pairs])
         print("verdict: admissible")
-        for key, val in e.as_dict().items():
+        for key, val in exponents.items():
             print(f"  {key:<6} = {val}")
         print("  conjugate pairs (1/x + 1/y = 1):")
-        for name, x, y in holder_young_pairs(e):
+        for name, x, y in pairs:
             print(f"    {name:<16} ({x:.12g}, {y:.12g})")
-        block["exponents"] = e.as_dict()
-        block["pairs"] = [
-            {"name": n, "x": x, "y": y} for n, x, y in holder_young_pairs(e)
-        ]
     print(json.dumps(block, sort_keys=True, default=str))
     return 0
 

@@ -2,22 +2,28 @@
 
 The monitored condition is integrability of the negative radial velocity
 part in the weighted space-time norm with exponents (a, b) and radial
-weight rho^gamma.  From (a, b) two auxiliary exponents are built,
+weight rho^gamma.  From (a, b) one auxiliary exponent is built,
 
-    p = 1 + (2a + 3b) / (2ab - 2a - 3b),        s = 2a/b + 3,
+    s = 2a/b + 3,
 
 and for b = inf (running-supremum branch)
 
-    p = 2a / (2a - delta*a - 3),                s = 3 + delta*a,
+    s = 3 + delta*a,
 
-with delta such that 3/a + gamma = 1 - delta.  The derived quantities
+with delta such that 3/a + gamma = 1 - delta.  The rest follow from a
+and s in closed form:
 
-    alpha = s*p / (2(p-1))   (power of the negative part inside d(t))
-    beta  = (2-p)*s / (2(p-1))   (power of the rho weight inside d(t))
+    p     = 2a / (2a - s)    (Holder exponent of the swirl-norm estimate)
+    alpha = a                (power of the negative part inside d(t))
+    beta  = a - s            (power of the rho weight inside d(t))
     theta = 2 / (s-3)        (outer time exponent)
 
-satisfy alpha = a, theta = b/a (finite b) and beta >= a*gamma with
-equality exactly on the boundary 3/a + 2/b + gamma = 1.
+These are the construction's alpha = s*p / (2(p-1)) and
+beta = (2-p)*s / (2(p-1)) with p - 1 = s / (2a - s) cancelled, so
+alpha = a holds bit for bit; p - 1 is still checked, because the
+monitor's Holder exponent p/(p-1) divides by it.  theta = b/a (finite
+b), and beta >= a*gamma with equality exactly on the boundary
+3/a + 2/b + gamma = 1.
 """
 
 from __future__ import annotations
@@ -29,12 +35,15 @@ from .records import Frozen
 
 
 class ExponentSet(Frozen):
-    __slots__ = ("a", "b", "gamma", "p_hold", "s", "alpha", "beta", "theta",
-                 "delta")
+    __slots__ = ("a", "b", "gamma", "p_hold", "s", "beta", "theta", "delta")
 
-    def __init__(self, a, b, gamma, p_hold, s, alpha, beta, theta,
-                 delta=None):
-        self._freeze(a, b, gamma, p_hold, s, alpha, beta, theta, delta)
+    def __init__(self, a, b, gamma, p_hold, s, beta, theta, delta=None):
+        self._freeze(a, b, gamma, p_hold, s, beta, theta, delta)
+
+    @property
+    def alpha(self):
+        """The power of u_rho^- inside d(t): a, by construction."""
+        return self.a
 
     def as_dict(self):
         return {
@@ -84,32 +93,20 @@ def check_admissible(a, b, gamma) -> list[str]:
     return violations
 
 
-def _check_denominator(denom, field):
-    """Reject a denominator of p that is not positive (NaN where delta*a
-    overflows).  It is positive in exact arithmetic for exponents
-    check_admissible accepts (3/a + 2/b < 2 for finite b, gamma > -1 for
-    b = inf), but the rounded one can vanish: 3/a + 2/b can round below
-    2 while 2ab - 2a - 3b rounds to 0."""
-    if not denom > 0.0:
-        raise InadmissibleExponents(
-            [f"the denominator of p must be a positive float, got {denom}"],
-            field)
-
-
 def derive_exponents(a, b, gamma, delta=None) -> ExponentSet:
     """Build the full ExponentSet for an admissible (a, b, gamma).
 
     Raises InadmissibleExponents when the admissibility conditions fail,
     for a = inf, which the d(t) construction does not support (s would
-    collapse to 3), for a delta given with a finite b, where p and s
-    do not depend on it (naming delta), for a delta outside
-    (0, 1 - gamma - 3/a], the range where beta >= a gamma (naming delta
-    when given, gamma when derived), where p's denominator rounds to a
-    non-positive float (the same fields; none for finite b), and where
-    s - 3 or p - 1, which theta and alpha divide by, is not a positive
-    float: s - 3 names b (b = 1e300 rounds s to exactly 3), or delta on
-    the b = inf branch (gamma when delta is derived from it); p - 1
-    names no one field.
+    collapse to 3), for a delta given with a finite b, where s does not
+    depend on it (naming delta), for a delta outside (0, 1 - gamma - 3/a],
+    the range where beta >= a gamma (naming delta when given, gamma when
+    derived), and where p's denominator 2a - s, s - 3 or p - 1, which p,
+    theta and the monitor's Holder exponents divide by, is not a positive
+    float.  2a - s and s - 3 name delta on the b = inf branch (gamma when
+    delta is derived from it); for finite b, 2a - s names no one field
+    (3/a + 2/b can round below 2 while 2a - s rounds to 0) and s - 3
+    names b (b = 1e300 rounds s to exactly 3); p - 1 names no one field.
     """
     violations = check_admissible(a, b, gamma)
     if violations:
@@ -122,7 +119,7 @@ def derive_exponents(a, b, gamma, delta=None) -> ExponentSet:
     a = float(a)
     gamma = float(gamma)
     if math.isinf(b):
-        field = "delta" if delta is not None else "gamma"
+        field = denom_field = "delta" if delta is not None else "gamma"
         # beta = a (1 - delta - 3/a) >= a gamma exactly up to the slack,
         # which is also the derived delta, bit for bit
         slack = 1.0 - gamma - 3.0 / a
@@ -132,32 +129,33 @@ def derive_exponents(a, b, gamma, delta=None) -> ExponentSet:
             raise InadmissibleExponents(
                 [f"delta must lie in (0, 1 - gamma - 3/a] = (0, {slack}], "
                  f"got {delta}"], field)
-        denom = 2.0 * a - delta * a - 3.0
-        _check_denominator(denom, field)
         s = 3.0 + delta * a
-        p = 2.0 * a / denom
     else:
         if delta is not None:
             raise InadmissibleExponents(
                 [f"delta is the slack of the b = inf branch; got {delta} "
                  f"with b = {b}"], "delta")
         b = float(b)
-        denom = 2.0 * a * b - 2.0 * a - 3.0 * b
-        _check_denominator(denom, None)
-        p = 1.0 + (2.0 * a + 3.0 * b) / denom
         s = 2.0 * a / b + 3.0
-        field = "b"
+        field, denom_field = "b", None
+    # positive in exact arithmetic for admissible exponents (3/a + 2/b < 2
+    # for finite b, gamma > -1 for b = inf), but the rounded one can
+    # vanish, and is -inf or NaN where delta*a overflows
+    denom = 2.0 * a - s
+    if not denom > 0.0:
+        raise InadmissibleExponents(
+            [f"the denominator of p must be a positive float, got {denom}"],
+            denom_field)
     if not 0.0 < s - 3.0 < math.inf:
         raise InadmissibleExponents(
             [f"s - 3 must be a positive float, got {s - 3.0} (s = {s})"],
             field)
+    p = 2.0 * a / denom
     if not 0.0 < p - 1.0 < math.inf:
         raise InadmissibleExponents(
             [f"p - 1 must be a positive float, got {p - 1.0} (p = {p})"])
-    alpha = s * p / (2.0 * (p - 1.0))
-    beta = (2.0 - p) * s / (2.0 * (p - 1.0))
-    theta = 2.0 / (s - 3.0)
-    return ExponentSet(a, float(b), gamma, p, s, alpha, beta, theta, delta)
+    return ExponentSet(a, float(b), gamma, p, s, a - s, 2.0 / (s - 3.0),
+                       delta)
 
 
 def holder_young_pairs(e: ExponentSet) -> list[tuple[str, float, float]]:

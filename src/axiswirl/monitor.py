@@ -218,9 +218,9 @@ def negative_part(u_rho: np.ndarray) -> np.ndarray:
 def serrin_factors(u_neg: np.ndarray, grid: CylGrid, e: ExponentSet):
     """(S, S^theta, spatial) for u_neg = u_rho^-: S = integral
     u_neg^alpha rho^beta dx, the factor of d(t), and spatial = integral
-    (u_neg rho^gamma)^a dx, the running integral's.  Since alpha = a, one
-    z-sum of u_neg^alpha gives both.  A power that overflows is inf."""
-    sums = (u_neg ** e.alpha).sum(axis=1)
+    (u_neg rho^gamma)^a dx, the running integral's.  alpha is a, so one
+    z-sum of u_neg^a gives both.  A power that overflows is inf."""
+    sums = (u_neg ** e.a).sum(axis=1)
     serrin = _integ(sums, grid, e.beta)
     return serrin, power(serrin, e.theta), _integ(sums, grid, e.a * e.gamma)
 
@@ -294,8 +294,7 @@ def checkpoint_view(v: VelocityState, f,
     forcing f = (h_rho, h_phi, h_z) at its time, of which only h_phi
     enters.  Each distinct power of u_phi is summed over z
     once; an integral of that power against rho^k is then one length-n_rho
-    dot product, shared by all its readers.  A power that overflows is
-    inf, never an exception."""
+    dot product.  A power that overflows is inf, never an exception."""
     g = v.grid
     q, e = m.q, m.exponents
     p, s = e.p_hold, e.s
@@ -311,7 +310,6 @@ def checkpoint_view(v: VelocityState, f,
     u_abs = np.abs(uh)
     powers = {j: u_abs**j for j in {q, 4, q * s / (s - 2.0), 3 * q}}
     power_sums = {j: x.sum(axis=1) for j, x in powers.items()}
-    power_moment = functools.cache(lambda j, k: _integ(power_sums[j], g, k))
     uq, u4 = powers[q], powers[4]
     wh = w[1]
     w2 = wh**2
@@ -321,7 +319,7 @@ def checkpoint_view(v: VelocityState, f,
     serrin, serrin_theta, serrin_spatial = serrin_factors(un, g, e)
     return CheckpointView(
         time=v.time,
-        swirl_power=power_moment(q, 0.0),
+        swirl_power=_integ(power_sums[q], g),
         forcing_power=_integ(h_abs**q, g),
         serrin=serrin,
         serrin_theta=serrin_theta,
@@ -329,14 +327,14 @@ def checkpoint_view(v: VelocityState, f,
         d_t=m.growth(serrin_theta),
         swirl_grad_diss=_integ(grad_squared(
             uh ** (q // 2), g, _swirl_power_parity(q // 2), NOSLIP), g),
-        swirl_axis_diss=power_moment(q, -2.0),
+        swirl_axis_diss=_integ(power_sums[q], g, -2.0),
         young_forcing_lhs=_integ(h_abs * u_abs ** (q - 1), g),
         holder_lhs=_integ(un * uq, g, -1.0),
         holder_y1=_integ(un ** (p / (p - 1.0)) * uq, g, (2.0 - p) / (p - 1.0)),
-        swirl_mid_power=power_moment(q * s / (s - 2.0), 0.0),
-        swirl_3q_power=power_moment(3 * q, 0.0),
-        quartic_r2=power_moment(4, -2.0),
-        quartic_r4=power_moment(4, -4.0),
+        swirl_mid_power=_integ(power_sums[q * s / (s - 2.0)], g),
+        swirl_3q_power=_integ(power_sums[3 * q], g),
+        quartic_r2=_integ(power_sums[4], g, -2.0),
+        quartic_r4=_integ(power_sums[4], g, -4.0),
         # u_phi^2 / rho is odd^2 / odd: odd across the axis
         quartic_diss=_integ(grad_squared(u2 / g.rho, g, ODD, NOSLIP), g),
         quartic_transport=_integ(ur * u4, g, -3.0),
@@ -348,7 +346,7 @@ def checkpoint_view(v: VelocityState, f,
         # omega_phi / rho^{1-eps} is odd/odd-like: even across the axis
         vort_diss={x: _integ(grad_squared(wh / g.rho ** (1.0 - x), g, EVEN,
                                           EXTRAP), g, -x) for x in epsilons},
-        vort_quartic={x: power_moment(4, x - 4.0) for x in epsilons},
+        vort_quartic={x: _integ(power_sums[4], g, x - 4.0) for x in epsilons},
         vort_radial={x: _integ(ur_w2_sums, g, x - 3.0) for x in epsilons},
         vort_curvature={x: _integ(w2_sums, g, x - 4.0) for x in epsilons},
         vort_l2=math.sqrt(_integ(w[0]**2 + w[2]**2, g)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, reject, strategies as st
 
 from axiswirl.errors import InadmissibleExponents
 from axiswirl.exponents import (
@@ -164,3 +165,31 @@ def test_as_dict_round_trip():
     d = e.as_dict()
     assert d["p"] == e.p_hold and d["alpha"] == e.alpha
     assert d["delta"] is None
+
+
+@pytest.mark.parametrize("a,b,gamma", [
+    *((10.0 ** k, 10.0 ** k, 0.0) for k in range(6, 17)),
+    (40.0, 3.0, -0.5),
+])
+def test_alpha_is_a_exactly(a, b, gamma):
+    # alpha = s p / (2 (p - 1)) cancelled in p - 1: a = b = 1e9 gave
+    # 1000000008.58, 1e16 12.6% above a, and (40, 3, -0.5) 39.99999999999999
+    assert derive_exponents(a, b, gamma).alpha == a
+
+
+@given(a=st.floats(1.5, 1e16, exclude_min=True),
+       b=st.one_of(st.floats(1.0, 1e16, exclude_min=True), st.just(math.inf)),
+       u=st.floats(0.0, 1.0))
+def test_exponents_in_closed_form(a, b, u):
+    # gamma in [slack - |slack| - 1, slack], where slack is the largest
+    # admissible gamma: down to -1 on the b = inf branch, whose floor it is
+    slack = 1.0 - 3.0 / a - (0.0 if math.isinf(b) else 2.0 / b)
+    gamma = slack - u * (abs(slack) + 1.0)
+    assume(check_admissible(a, b, gamma) == [])
+    try:
+        e = derive_exponents(a, b, gamma)
+    except InadmissibleExponents:
+        reject()  # 2a - s, s - 3 or p - 1 rounds to 0: see the tests above
+    s = 3.0 + e.delta * a if math.isinf(b) else 2.0 * a / b + 3.0
+    assert e.s == s and e.theta == 2.0 / (s - 3.0)
+    assert e.alpha == a and e.beta == a - s
