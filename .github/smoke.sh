@@ -96,6 +96,14 @@ cat > "$tmp/checkpointed.json" <<'JSON'
  "output": {"directory": "checkpointed", "write_checkpoints": true}}
 JSON
 AXISWIRL_OUTPUT_ROOT="$tmp" axiswirl run "$tmp/checkpointed.json"
+# the manifest's hash of each checkpoint, in order, is the sha256 of its
+# payload, the bytes after the header line
+diff <(for ck in "$tmp"/checkpointed/checkpoint_*.bin; do
+         tail -n +2 "$ck" | sha256sum | cut -d' ' -f1
+       done) \
+     <(python3 -c 'import json, sys
+print(*json.load(sys.stdin)["checkpoint_hashes"], sep="\n")' \
+         < "$tmp/checkpointed/manifest.json")
 last="$(ls "$tmp"/checkpointed/checkpoint_*.bin | tail -n 1)"
 python3 - "$last" "$tmp/float32.bin" "$tmp/4x4.bin" <<'PY'
 import json, sys

@@ -12,8 +12,8 @@ flag), 2 configuration/validation error, 3 I/O error, 4 internal
 assertion failure.
 
 All artifacts are deterministic: CSV numbers use 17 significant digits,
-checkpoint files are a one-line JSON header plus raw little-endian
-float64 arrays in rho-fastest row-major order.
+and a checkpoint is a one-line JSON header plus its payload (_payload),
+the little-endian float64 samples that its manifest hash covers.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError, InadmissibleExponents
 from .exponents import derive_exponents, holder_young_pairs
-from .fields import zero_state
+from .fields import VelocityState, zero_state
 from .grid import CylGrid, build_grid
 from .monitor import (
     DEFAULT_EPSILON_LIST,
@@ -77,6 +77,13 @@ class SchemaError(ConfigurationError):
 
 # --- checkpoint persistence -----------------------------------------------
 
+def _payload(state):
+    """The bytes of a checkpoint after its header line, as two C-ordered
+    arrays: u's three rows, then the pressure, each rho-fastest."""
+    return (np.ascontiguousarray(state.u.swapaxes(-1, -2), dtype="<f8"),
+            np.ascontiguousarray(state.pressure.T, dtype="<f8"))
+
+
 def write_checkpoint(path, state):
     g = state.grid
     header = {
@@ -92,29 +99,26 @@ def write_checkpoint(path, state):
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for arr in (state.u, state.pressure):
-            # each field is (n_rho, n_z); rho-fastest means rho varies
-            # within a row of the serialized stream
-            fh.write(np.ascontiguousarray(arr.swapaxes(-1, -2),
-                                          dtype="<f8").tobytes())
+        for arr in _payload(state):
+            fh.write(arr)
 
 
 def state_hash(state):
-    """sha256 over the raw bytes of the state's fields, in checkpoint
-    order: u's three rows, then the pressure, each (n_rho, n_z) in C
-    order.  The manifest's hash of one checkpoint."""
-    h = hashlib.sha256(state.u.tobytes())
-    h.update(state.pressure.tobytes())
+    """The manifest's hash of a checkpoint: sha256 over its payload, as
+    `tail -n +2 FILE | sha256sum` computes it from the written file."""
+    h = hashlib.sha256()
+    for arr in _payload(state):
+        h.update(arr)
     return h.hexdigest()
 
 
 def _read_header(path, line, payload):
-    """Parse a checkpoint header line into (grid, time, field names).
+    """Parse a checkpoint header line into (grid, time).
 
-    payload is the number of bytes after the header line.  Any malformed
-    header, one declaring a sample layout other than _LAYOUT (a header
-    without dtype or order is read as _LAYOUT), one naming a field
-    twice, or one declaring other than the samples the payload holds,
+    payload is the number of bytes after the header line.  A malformed
+    header, or one declaring a sample layout other than _LAYOUT (a
+    header without dtype or order is read as _LAYOUT), fields other than
+    _FIELD_NAMES in order, or other samples than the payload holds,
     raises ConfigurationError naming the file and the offending key.
     """
     try:
@@ -139,13 +143,9 @@ def _read_header(path, line, payload):
         return section[name]
 
     names = key(header, "fields", "fields")
-    if (not isinstance(names, list) or not names
-            or any(n not in _FIELD_NAMES for n in names)
-            or len(set(names)) < len(names)):
-        raise ConfigurationError(
-            f"{path}: header key fields: expected distinct names from "
-            f"{_FIELD_NAMES}, got {names!r}"
-        )
+    if names != list(_FIELD_NAMES):
+        raise ConfigurationError(f"{path}: header key fields: expected "
+                                 f"{list(_FIELD_NAMES)}, got {names!r}")
     gd = key(header, "grid", "grid")
     args = [key(gd, k, f"grid.{k}")
             for k in ("n_rho", "n_z", "rho_max", "z_min", "z_max")]
@@ -154,7 +154,7 @@ def _read_header(path, line, payload):
     counts = [int(n) if isinstance(n, float) and n.is_integer() else n
               for n in args[:2]]
     if all(type(n) is int for n in counts):
-        declared = 8 * counts[0] * counts[1] * len(names)
+        declared = 8 * counts[0] * counts[1] * len(_FIELD_NAMES)
         if declared != payload:
             raise ConfigurationError(
                 f"{path}: header key grid: {counts[0]} x {counts[1]} cells "
@@ -173,7 +173,7 @@ def _read_header(path, line, payload):
         raise ConfigurationError(
             f"{path}: header key time: expected a finite number, got {time!r}"
         )
-    return grid, time, names
+    return grid, time
 
 
 # the longest header line read_checkpoint reads; write_checkpoint writes
@@ -196,21 +196,17 @@ def read_checkpoint(path):
     with open(path, "rb") as fh:
         line = fh.readline(MAX_HEADER_BYTES)
         payload = os.fstat(fh.fileno()).st_size - len(line)
-        grid, time, names = _read_header(path, line, payload)
-        n = grid.n_rho * grid.n_z
-        fields = {}
-        for name in names:
-            raw = fh.read(8 * n)
-            if len(raw) != 8 * n:
-                raise ConfigurationError(f"{path}: truncated field {name}")
-            fields[name] = np.frombuffer(raw, dtype="<f8").reshape(
-                grid.n_z, grid.n_rho
-            ).T
-            if not np.all(np.isfinite(fields[name])):
-                raise ConfigurationError(
-                    f"{path}: non-finite samples in field {name}"
-                )
-    return zero_state(grid).replace_fields(time=time, **fields)
+        grid, time = _read_header(path, line, payload)
+        raw = fh.read(payload)
+    if len(raw) != payload:  # the file shrank after its size was read
+        raise ConfigurationError(f"{path}: truncated payload")
+    fields = np.frombuffer(raw, dtype="<f8").reshape(
+        len(_FIELD_NAMES), grid.n_z, grid.n_rho).swapaxes(-1, -2)
+    for name, field in zip(_FIELD_NAMES, fields):
+        if not np.all(np.isfinite(field)):
+            raise ConfigurationError(
+                f"{path}: non-finite samples in field {name}")
+    return VelocityState(grid, fields[:3], fields[3], float(time))
 
 
 # --- scenario schema --------------------------------------------------------

@@ -74,7 +74,7 @@ def check_admissible(a, b, gamma) -> list[str]:
         violations.append(f"a must lie in (3/2, inf], got {a}")
         return violations
     inv_a = 0.0 if math.isinf(a) else 1.0 / a
-    if math.isinf(b):
+    if b == math.inf:
         if not (3.0 * inv_a + gamma < 1.0):
             violations.append(
                 f"3/a + gamma must be < 1 for b = inf, got {3.0 * inv_a + gamma}"
@@ -118,7 +118,7 @@ def derive_exponents(a, b, gamma, delta=None) -> ExponentSet:
         )
     a = float(a)
     gamma = float(gamma)
-    if math.isinf(b):
+    if b == math.inf:
         field = denom_field = "delta" if delta is not None else "gamma"
         # beta = a (1 - delta - 3/a) >= a gamma exactly up to the slack,
         # which is also the derived delta, bit for bit

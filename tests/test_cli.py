@@ -31,7 +31,12 @@ from axiswirl.cli import (
     validate_scenario,
     write_checkpoint,
 )
-from axiswirl.errors import ConfigurationError, ContractViolation
+from axiswirl.errors import (
+    ConfigurationError,
+    ContractViolation,
+    InadmissibleExponents,
+)
+from axiswirl.exponents import check_admissible, derive_exponents
 from axiswirl.fields import zero_state
 from axiswirl.grid import MAX_CELLS, build_grid
 from axiswirl.monitor import monitor_settings
@@ -156,16 +161,20 @@ def test_checkpoint_round_trip(state):
         path = os.path.join(d, "ck.bin")
         write_checkpoint(path, state)
         back = read_checkpoint(path)
+        raw = pathlib.Path(path).read_bytes()
     assert back.grid == state.grid
     assert back.time == state.time
     for name in ("u_rho", "u_phi", "u_z", "pressure"):
         assert getattr(back, name).tobytes() == getattr(state, name).tobytes()
     assert state_hash(back) == state_hash(state)
+    # the hash is over the payload, as `tail -n +2 ck.bin | sha256sum`
+    assert state_hash(state) == hashlib.sha256(
+        raw[raw.index(b"\n") + 1:]).hexdigest()
 
 
 def test_manifest_checkpoint_hashes_are_over_the_fields(tmp_path, monkeypatch):
-    # SHA-256 of u_rho, u_phi, u_z and p as float64 in (n_rho, n_z)
-    # row-major order; neither the file's hash nor its rho-fastest payload's
+    # SHA-256 of the file's payload: u_rho, u_phi, u_z and p as
+    # little-endian float64, each rho-fastest
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
     assert run_scenario(_write(tmp_path, _scenario(
         grid={"n_rho": 12, "n_z": 6},
@@ -175,15 +184,10 @@ def test_manifest_checkpoint_hashes_are_over_the_fields(tmp_path, monkeypatch):
     paths = sorted(outdir.glob("checkpoint_*.bin"))
     assert len(paths) == len(manifest["checkpoint_hashes"]) > 1
     for path, recorded in zip(paths, manifest["checkpoint_hashes"]):
-        s = read_checkpoint(str(path))
-        fields = [np.asarray(getattr(s, n), dtype=np.float64)
-                  for n in ("u_rho", "u_phi", "u_z", "pressure")]
-        assert recorded == hashlib.sha256(
-            b"".join(f.tobytes(order="C") for f in fields)).hexdigest()
         raw = path.read_bytes()
         payload = raw[raw.index(b"\n") + 1:]
-        assert recorded not in (hashlib.sha256(raw).hexdigest(),
-                                hashlib.sha256(payload).hexdigest())
+        assert recorded == hashlib.sha256(payload).hexdigest()
+        assert recorded == state_hash(read_checkpoint(str(path)))
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):
@@ -256,6 +260,35 @@ def test_checkpoint_rejects_malformed_header(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: $.initial_data: ") and path in err
     assert f"header key {key}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fields", [
+    ["u_rho"],
+    ["u_phi", "u_rho", "u_z", "pressure"],
+    ["u_rho", "u_phi", "u_z", "u_z"],
+], ids=["subset", "permutation", "field_repeated"])
+def test_checkpoint_header_lists_the_four_fields_in_order(
+        tmp_path, monkeypatch, capsys, fields):
+    # a subset loaded with zeros for the fields it left out, and a
+    # permutation loaded each block as the field it named; no writer
+    # writes either
+    path = str(tmp_path / "bad.bin")
+    write_checkpoint(path, mms.sample_state(
+        mms.make_solution("taylor_vortex_swirl", {}, build_grid(8, 8)), 0.0))
+    _edit_header(path, lambda h: h.update(fields=fields))
+    # the payload holds as many fields as the header names
+    os.truncate(path, os.path.getsize(path) - 8 * 64 * (4 - len(fields)))
+    with pytest.raises(ConfigurationError) as exc:
+        read_checkpoint(path)
+    assert path in str(exc.value) and "header key fields" in str(exc.value)
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    scenario = _write(tmp_path, _scenario(
+        grid={"n_rho": 8, "n_z": 8},
+        initial_data={"kind": "file", "path": path}))
+    assert main(["run", scenario]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: $.initial_data: ") and path in err
     assert not (tmp_path / "out").exists()
 
 
@@ -458,6 +491,18 @@ def test_check_exponents_inadmissible(capsys):
     out = capsys.readouterr().out
     assert "verdict: inadmissible" in out
     assert check_exponents_cmd("6", "nope", "0") == 2
+
+
+def test_check_exponents_negative_infinite_b(capsys):
+    # b = -inf took the b = inf branch and was admissible
+    assert check_admissible(6, -math.inf, 0) == [
+        "b must lie in (1, inf], got -inf"]
+    with pytest.raises(InadmissibleExponents):
+        derive_exponents(6, -math.inf, 0)
+    assert check_exponents_cmd("6", "-inf", "0") == 0
+    out = capsys.readouterr().out
+    assert "verdict: inadmissible" in out
+    assert json.loads(out.strip().splitlines()[-1])["admissible"] is False
 
 
 def test_check_exponents_unsupported_infinite_a(capsys):
@@ -1256,7 +1301,7 @@ def test_checkpoint_header_larger_than_its_file(tmp_path, monkeypatch, capsys):
     header = {"format": "axiswirl-checkpoint", "version": 1,
               "grid": {"n_rho": 10**6, "n_z": 10**6, "rho_max": 2.0,
                        "z_min": 0.0, "z_max": 1.0},
-              "time": 0.0, "fields": ["u_rho"]}
+              "time": 0.0, "fields": ["u_rho", "u_phi", "u_z", "pressure"]}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n" + bytes(64))
     with pytest.raises(ConfigurationError) as exc:
@@ -1506,14 +1551,16 @@ def _write_fuzzed_checkpoint(path, doc, which):
         mms.make_solution("taylor_vortex_swirl", {}, grid), 0.0)
     if which == "foreign":
         header = {"version": 1, "format": "axiswirl-checkpoint",
-                  "fields": ["u_phi", "u_rho"], "time": 0.0,
+                  "fields": ["u_rho", "u_phi", "u_z", "pressure"],
+                  "time": 0.0,
                   "grid": {"n_rho": grid.n_rho, "n_z": grid.n_z,
                            "rho_max": 2.0, "z_min": 0.0, "z_max": 1.0},
                   "dtype": "<f8", "order": "rho-fastest"}
         with open(path, "wb") as fh:
             fh.write(json.dumps(header).encode() + b"\n")
-            fh.write(np.ascontiguousarray(state.u_phi.T).tobytes())
-            fh.write(np.ones(grid.shape).tobytes())
+            for field in (np.ones(grid.shape), state.u_phi, state.u_z,
+                          state.pressure):
+                fh.write(np.ascontiguousarray(field.T, dtype="<f8").tobytes())
         return
     write_checkpoint(path, state)
     if which == "truncated":
