@@ -8,7 +8,8 @@ set -euo pipefail
 tmp="${RUNNER_TEMP:-$(mktemp -d)}"
 
 # the installed entry point: an admissible triple, one whose
-# s = 2a/b + 3 rounds to 3, which must be inadmissible and exit 0, and
+# s = 2a/b + 3 rounds to 3 and one with gamma = -inf, each of which must
+# be inadmissible and exit 0, and
 # (40, 3, -0.5), whose printed alpha must equal a = 40 exactly (dividing
 # by p - 1 gave 39.99999999999999); a solver study that must PASS, the
 # first-order negative control that must FAIL, rigid rotation on 8 12 16
@@ -19,6 +20,7 @@ tmp="${RUNNER_TEMP:-$(mktemp -d)}"
 # naming --nu)
 axiswirl check-exponents 6 4 0
 axiswirl check-exponents 6 6e16 0 | grep '^verdict: inadmissible$' >/dev/null
+axiswirl check-exponents -- 6 4 -inf | grep '^verdict: inadmissible$' >/dev/null
 axiswirl check-exponents 40 3 -0.5 | tail -n 1 | python3 -c '
 import json, sys
 e = json.load(sys.stdin)["exponents"]
@@ -39,7 +41,9 @@ test "$code" -eq 2
 grep -q '^error: --nu:' "$tmp/mms.err"
 
 # a manufactured solution takes its domain from $.grid: forced Taylor
-# on rho <= 3, z in [0, 0.7] must follow it and exit 0.  Its time
+# on rho <= 3, z in [0, 0.7] must follow it and exit 0, and each asserted
+# check of its report must PASS exactly when its margin is within its
+# tolerance, with every Holder/Young sub-step margin positive.  Its time
 # factor e^(-mu t) is finite from t_start 1.0, which must exit 0, and
 # overflows at t_start -2000, which must exit 2
 cat > "$tmp/wide-taylor.json" <<'JSON'
@@ -51,6 +55,20 @@ cat > "$tmp/wide-taylor.json" <<'JSON'
  "output": {"directory": "wide-taylor"}}
 JSON
 AXISWIRL_OUTPUT_ROOT="$tmp" axiswirl run "$tmp/wide-taylor.json"
+python3 - "$tmp/wide-taylor/report.json" <<'PY'
+import json, sys
+with open(sys.argv[1]) as fh:
+    checks = [c for c in json.load(fh)["checks"] if c["asserted"]]
+upper = ("quartic_identity", "transport_cancellation")
+for c in checks:
+    m, tol = c["margin"], c["tolerance"]
+    within = m <= tol if c["name"] in upper else m >= -tol
+    assert (c["status"] == "PASS") == within, c
+subs = ("young_forcing", "holder_p", "young_eps1", "holder_s_half",
+        "holder_inner", "young_eps2")
+assert all(c["margin"] > 0.0 for c in checks if c["name"] in subs), checks
+assert len([c for c in checks if c["name"] in subs]) == len(subs), checks
+PY
 for start in 1.0 -2000; do
   cat > "$tmp/late-taylor.json" <<JSON
 {"schema_version": 1,

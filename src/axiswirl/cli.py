@@ -59,7 +59,7 @@ gc.freeze()
 SCHEMA_VERSION = 1
 CHECKPOINT_VERSION = 1
 OUTPUT_ROOT_ENV = "AXISWIRL_OUTPUT_ROOT"
-# b = infinity, as $.exponents.b and as check-exponents' arguments spell it
+# b = infinity, as $.exponents.b spells it (float() reads these too)
 INF_SPELLINGS = ("inf", "Inf", "Infinity")
 
 _FIELD_NAMES = ("u_rho", "u_phi", "u_z", "pressure")
@@ -566,8 +566,6 @@ def _run_scenario(path):
 # --- other subcommands ------------------------------------------------------
 
 def _parse_exponent(text, name):
-    if text in INF_SPELLINGS:
-        return math.inf
     try:
         return float(text)
     except ValueError:

@@ -62,9 +62,9 @@ class ExponentSet(Frozen):
 def check_admissible(a, b, gamma) -> list[str]:
     """Return the list of violated admissibility conditions (empty = admissible).
 
-    Finite b: a in (3/2, inf], b in (1, inf), 3/a + 2/b + gamma <= 1 and
-    3/a + 2/b < 2.  b = inf uses the supremum-branch conditions
-    3/a + gamma < 1 and gamma > -1 (the latter keeps the slack
+    Finite b: a in (3/2, inf], b in (1, inf), gamma finite, 3/a + 2/b +
+    gamma <= 1 and 3/a + 2/b < 2.  b = inf uses the supremum-branch
+    conditions 3/a + gamma < 1 and gamma > -1 (the latter keeps the slack
     delta <= 1 - gamma - 3/a below (2a-3)/a, where p's denominator
     vanishes, in exact arithmetic; derive_exponents checks the rounded
     denominator).
@@ -84,6 +84,9 @@ def check_admissible(a, b, gamma) -> list[str]:
         return violations
     if not (b > 1.0):
         violations.append(f"b must lie in (1, inf], got {b}")
+        return violations
+    if not math.isfinite(gamma):
+        violations.append(f"gamma must be finite, got {gamma}")
         return violations
     serrin = 3.0 * inv_a + 2.0 / b
     if not (serrin + gamma <= 1.0):

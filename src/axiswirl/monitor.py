@@ -675,39 +675,40 @@ def margin_columns(m: MonitorConfig) -> list[str]:
             + [_vorticity_column(e) for e in m.epsilon_list])
 
 
-def _asserted_check(name, samples, worst_of, start, tolerance) -> dict:
-    """PASS when every (value, passed) sample passed; the reported margin
-    folds start and the values with worst_of (np.min or np.max), so a NaN
-    value is the reported margin.  Each predicate is written so that a
-    NaN fails it."""
-    values, ok = [start], True
-    for value, passed in samples:
-        values.append(value)
-        ok = ok and passed
+def _asserted_check(name, values, tolerance, at_most=False) -> dict:
+    """One asserted check of values in its tolerance's units: PASS when
+    every value is at most tolerance (at_most) or else at least
+    -tolerance.  The reported margin is the worst value, 0 for none; a
+    NaN value is the worst, and fails."""
+    values = list(values)
+    worst = float((np.max if at_most else np.min)(values)) if values else 0.0
+    ok = worst <= tolerance if at_most else worst >= -tolerance
     return {"name": name, "status": "PASS" if ok else "FAIL",
-            "margin": float(worst_of(values)), "tolerance": tolerance,
-            "asserted": True}
+            "margin": worst, "tolerance": tolerance, "asserted": True}
 
 
 def evaluate_checks(records, m: MonitorConfig, grid: CylGrid) -> list[dict]:
     """Aggregate per-record margins into PASS / FAIL / REPORT-ONLY checks.
 
-    Asserted: the exact Holder/Young sub-steps (margin >= -SUB_MARGIN_REL
-    * scale), the quartic identity residual (|residual| <= IDENTITY_BAND
-    * (Delta^2 + dt^2) * its scale, dt the pair's, from the two records'
-    times; the margin is the worst |residual| / scale / (Delta^2 + dt^2)),
-    and transport cancellation (O(Delta^2) band).  Everything involving
-    c_grow, c_sob, or c3 is report-only.
+    Each asserted check is one _asserted_check of these values: for the
+    exact Holder/Young sub-steps, margin / scale per pair (at least
+    -SUB_MARGIN_REL); for the quartic identity, |residual| / scale /
+    (Delta^2 + dt^2) per pair, dt the pair's (at most IDENTITY_BAND); for
+    transport cancellation, |transport| / ((1 + ||grad u||) (1 +
+    ||u_phi||_q^q)) per record (at most TRANSPORT_BAND * Delta^2); and
+    for Gronwall dominance, (envelope - ||u_phi||_q^q) / ||u_phi||_q^q
+    per record after the first, whose envelope is that norm (at least
+    -ENVELOPE_REL).  Everything involving c_grow, c_sob, or c3 is
+    report-only.
     """
     finite = [r for r in records if not r.truncated]
     live = [r for r in finite if r.margins]
 
     def sub_step(r, name):
-        mg, sc = r.margins[name], r.margins[name + "_scale"]
-        return mg, mg >= -SUB_MARGIN_REL * max(sc, 1e-300)
+        return r.margins[name] / max(r.margins[name + "_scale"], 1e-300)
 
     checks = [_asserted_check(name, (sub_step(r, name) for r in live),
-                              np.min, 0.0, SUB_MARGIN_REL)
+                              SUB_MARGIN_REL)
               for name in _SUB_CHECKS]
 
     delta_sq = min(grid.d_rho, grid.d_z) ** 2
@@ -715,26 +716,23 @@ def evaluate_checks(records, m: MonitorConfig, grid: CylGrid) -> list[dict]:
     def identity(prev, r):
         res = abs(r.margins["quartic_identity_residual"])
         scale = r.margins["quartic_identity_residual_scale"]
-        allowed = delta_sq + (r.time - prev.time) ** 2
         # res <= scale, so a zero scale is a zero residual
-        return ((res / scale if scale else 0.0) / allowed,
-                res <= IDENTITY_BAND * allowed * scale)
+        return (res / scale if scale else 0.0) \
+            / (delta_sq + (r.time - prev.time) ** 2)
 
     # every finite record after the first is live, and follows its pair's
     # first record
     checks.append(_asserted_check("quartic_identity",
                                   map(identity, finite, finite[1:]),
-                                  np.max, 0.0, IDENTITY_BAND))
-
-    tband = TRANSPORT_BAND * delta_sq
+                                  IDENTITY_BAND, at_most=True))
 
     def transport(r):
-        val = abs(r.transport_cancellation)
-        scale = (1.0 + r.grad_u_l2) * (1.0 + power(r.swirl_q_norm, m.q))
-        return val / scale, val <= tband * scale
+        return abs(r.transport_cancellation) / (
+            (1.0 + r.grad_u_l2) * (1.0 + power(r.swirl_q_norm, m.q)))
 
     checks.append(_asserted_check("transport_cancellation",
-                                  map(transport, finite), np.max, 0.0, tband))
+                                  map(transport, finite),
+                                  TRANSPORT_BAND * delta_sq, at_most=True))
 
     for name in ["swirl_budget", "quartic_budget"] + [
         _vorticity_column(e) for e in m.epsilon_list
@@ -746,20 +744,13 @@ def evaluate_checks(records, m: MonitorConfig, grid: CylGrid) -> list[dict]:
             "tolerance": None, "asserted": False,
         })
 
-    # Gronwall dominance: asserted only when its premise (all swirl
-    # margins nonnegative) holds on the run
     def dominance(r):
-        slack = (r.gronwall_envelope
-                 - power(r.swirl_q_norm, m.q) * (1.0 - ENVELOPE_REL))
-        return slack, slack >= 0.0
+        norm = power(r.swirl_q_norm, m.q)
+        return (r.gronwall_envelope - norm) / norm if norm else 0.0
 
-    gronwall = _asserted_check(
-        "gronwall_dominance",
-        (dominance(r) for r in finite if not math.isnan(r.gronwall_envelope)),
-        np.min, math.inf, ENVELOPE_REL,
-    )
-    if gronwall["margin"] == math.inf:
-        gronwall["margin"] = math.nan
+    gronwall = _asserted_check("gronwall_dominance",
+                               map(dominance, finite[1:]), ENVELOPE_REL)
+    # asserted only when its premise (all swirl margins nonnegative) holds
     if not (live and all(r.margins["swirl_budget"] >= 0.0 for r in live)):
         gronwall.update(status="REPORT-ONLY", asserted=False)
     checks.append(gronwall)

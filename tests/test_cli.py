@@ -505,6 +505,18 @@ def test_check_exponents_negative_infinite_b(capsys):
     assert json.loads(out.strip().splitlines()[-1])["admissible"] is False
 
 
+def test_check_exponents_negative_infinite_gamma(capsys):
+    # gamma = -inf met 3/a + 2/b + gamma <= 1 and was admissible
+    assert check_admissible(6, 4, -math.inf) == [
+        "gamma must be finite, got -inf"]
+    with pytest.raises(InadmissibleExponents):
+        derive_exponents(6, 4, -math.inf)
+    assert main(["check-exponents", "--", "6", "4", "-inf"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("verdict: inadmissible\n")
+    assert json.loads(out.strip().splitlines()[-1])["admissible"] is False
+
+
 def test_check_exponents_unsupported_infinite_a(capsys):
     # admissible for the criterion, rejected by the d(t) construction
     assert check_exponents_cmd("inf", "4", "0") == 0

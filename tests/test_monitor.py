@@ -296,12 +296,74 @@ def _checks_of(m, grid, nan_field=None):
     ("quartic_identity_residual_scale", "quartic_identity"),
     ("transport_cancellation", "transport_cancellation"),
     ("grad_u_l2", "transport_cancellation"),
+    ("gronwall_envelope", "gronwall_dominance"),
 ])
 def test_nan_margin_fails_its_check(m640, nan_field, check):
     g = build_grid(8, 8)
     assert all(c["status"] != "FAIL" for c in _checks_of(m640, g).values())
     c = _checks_of(m640, g, nan_field)[check]
     assert c["status"] == "FAIL" and math.isnan(c["margin"])
+
+
+# every asserted check but these two must be at least -tolerance
+_AT_MOST_TOLERANCE = ("quartic_identity", "transport_cancellation")
+
+
+def _within(check):
+    m, tol = check["margin"], check["tolerance"]
+    return m <= tol if check["name"] in _AT_MOST_TOLERANCE else m >= -tol
+
+
+_maybe_nan = st.one_of(st.floats(-1e6, 1e6), st.just(math.nan))
+_size = st.one_of(st.floats(0.0, 1e6), st.just(math.nan))
+
+
+@given(pairs=st.lists(st.fixed_dictionaries({
+    "margins": st.fixed_dictionaries(
+        {name: _maybe_nan for name in (*SUB_CHECKS, "quartic_identity_residual")}
+        | {name + "_scale": _size
+           for name in (*SUB_CHECKS, "quartic_identity_residual")}),
+    "values": st.fixed_dictionaries({
+        "swirl_q_norm": _size, "grad_u_l2": _size,
+        "transport_cancellation": _maybe_nan, "gronwall_envelope": _size}),
+}), min_size=1, max_size=4))
+def test_asserted_checks_pass_exactly_within_tolerance(exp640, pairs):
+    # a first record and one record per pair, the swirl budget margins 0
+    # so that Gronwall dominance is asserted
+    m = MonitorConfig(exponents=exp640, nu=0.1, c_sob=0.09)
+    records = [DiagnosticsRecord(time=0.0, **pairs[0]["values"])]
+    for i, pair in enumerate(pairs, 1):
+        margins = {name: 0.0 for name in margin_columns(m)} | pair["margins"]
+        records.append(DiagnosticsRecord(time=0.1 * i, margins=margins,
+                                         **pair["values"]))
+    asserted = [c for c in evaluate_checks(records, m, build_grid(8, 8))
+                if c["asserted"]]
+    assert len(asserted) == len(SUB_CHECKS) + 3
+    for c in asserted:
+        assert (c["status"] == "PASS") == _within(c), c
+
+
+def test_sub_step_margin_is_the_worst_relative_margin(forced_taylor):
+    checks = {c["name"]: c for c in evaluate_checks(
+        forced_taylor["records"], forced_taylor["monitor"],
+        forced_taylor["grid"])}
+    pairs = forced_taylor["records"][1:]
+    for name in SUB_CHECKS:
+        worst = min(r.margins[name] / r.margins[name + "_scale"] for r in pairs)
+        assert checks[name]["margin"] == worst > 0.0, name
+        assert checks[name]["status"] == "PASS"
+
+
+def test_checks_without_values_report_zero(m640):
+    # one record: no pair, so no sub-step, identity or dominance value,
+    # and dominance is not asserted
+    values = dict(swirl_q_norm=1.0, grad_u_l2=0.0, quartic_swirl_r2=0.0,
+                  transport_cancellation=0.0, gronwall_envelope=1.0)
+    checks = {c["name"]: c for c in evaluate_checks(
+        [DiagnosticsRecord(time=0.0, **values)], m640, build_grid(8, 8))}
+    for name in (*SUB_CHECKS, "quartic_identity", "gronwall_dominance"):
+        assert checks[name]["margin"] == 0.0, name
+    assert checks["gronwall_dominance"]["status"] == "REPORT-ONLY"
 
 
 def test_collect_diagnostics_structure(audit_run):
