@@ -7,6 +7,18 @@
 set -euo pipefail
 tmp="${RUNNER_TEMP:-$(mktemp -d)}"
 
+# a strict JSON parser: each FILE must parse with no NaN, Infinity or
+# -Infinity token in it
+strict_json() {  # strict_json FILE...
+  python3 -c '
+import json, sys
+def refuse(token):
+    raise ValueError(f"not strict JSON: {token}")
+for path in sys.argv[1:]:
+    with open(path) as fh:
+        json.load(fh, parse_constant=refuse)' "$@"
+}
+
 # the installed entry point: an admissible triple, one whose
 # s = 2a/b + 3 rounds to 3 and one with gamma = -inf, each of which must
 # be inadmissible and exit 0, and
@@ -25,6 +37,22 @@ axiswirl check-exponents 40 3 -0.5 | tail -n 1 | python3 -c '
 import json, sys
 e = json.load(sys.stdin)["exponents"]
 assert e["alpha"] == e["a"] == 40.0, e'
+# every JSON line of check-exponents is strict JSON, with the value
+# after each triple in it: a NaN is null, and an infinity the string
+# "inf" or "-inf"
+while read -r a b g value; do
+  axiswirl check-exponents -- "$a" "$b" "$g" | tail -n 1 > "$tmp/exponents.json"
+  strict_json "$tmp/exponents.json"
+  grep -qF -- "$value" "$tmp/exponents.json"
+done <<'TRIPLES'
+6 4 0 "admissible": true
+6 6e16 0 "admissible": false
+6 4 -inf "gamma": "-inf"
+40 3 -0.5 "alpha": 40.0
+nan 4 0 "a": null
+6 inf 0 "b": "inf"
+inf 4 0 "a": "inf"
+TRIPLES
 axiswirl mms taylor_vortex_swirl 8 16 32 | tail -n 1 | grep -q ': PASS$'
 axiswirl mms lopsided_curl 8 16 32 | tail -n 1 | grep -q ': FAIL$'
 code=0; axiswirl mms rigid_rotation 8 8 16 || code=$?
@@ -244,3 +272,30 @@ cat > "$tmp/fast-rotation.json" <<'JSON'
 JSON
 AXISWIRL_OUTPUT_ROOT="$tmp" axiswirl run "$tmp/fast-rotation.json" 2> "$tmp/fast-rotation.err"
 test ! -s "$tmp/fast-rotation.err"
+
+# the supremum-in-time branch: a run with b = inf writes "inf" into its
+# manifest, and the manifest's scenario block, run again as it stands
+# (under another output root), writes the same diagnostics.csv
+cat > "$tmp/sup-b.json" <<'JSON'
+{"schema_version": 1,
+ "grid": {"n_rho": 8, "n_z": 8},
+ "solver": {"t_end": 0.01},
+ "exponents": {"a": 6, "b": "inf", "gamma": 0.1},
+ "initial_data": {"kind": "taylor_vortex_swirl"},
+ "forcing": {"kind": "manufactured"},
+ "output": {"directory": "sup-b"}}
+JSON
+AXISWIRL_OUTPUT_ROOT="$tmp" axiswirl run "$tmp/sup-b.json"
+python3 -c 'import json, sys
+json.dump(json.load(sys.stdin)["scenario"], sys.stdout)' \
+  < "$tmp/sup-b/manifest.json" > "$tmp/sup-b-replay.json"
+mkdir -p "$tmp/replay"
+AXISWIRL_OUTPUT_ROOT="$tmp/replay" axiswirl run "$tmp/sup-b-replay.json"
+cmp "$tmp/sup-b/diagnostics.csv" "$tmp/replay/sup-b/diagnostics.csv"
+
+# every JSON artifact the runs above wrote is strict JSON: the manifest
+# and report of eight runs, huge-domain and fast-rotation among them,
+# whose reports hold values that do not exist (null)
+mapfile -t artifacts < <(find "$tmp" -name manifest.json -o -name report.json)
+test "${#artifacts[@]}" -eq 16
+strict_json "${artifacts[@]}"

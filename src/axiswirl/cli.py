@@ -12,8 +12,9 @@ flag), 2 configuration/validation error, 3 I/O error, 4 internal
 assertion failure.
 
 All artifacts are deterministic: CSV numbers use 17 significant digits,
-and a checkpoint is a one-line JSON header plus its payload (_payload),
-the little-endian float64 samples that its manifest hash covers.
+JSON is strict (_json_number spells a non-finite number), and a
+checkpoint is a one-line JSON header plus its payload (_payload), the
+little-endian float64 samples that its manifest hash covers.
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ gc.freeze()
 SCHEMA_VERSION = 1
 CHECKPOINT_VERSION = 1
 OUTPUT_ROOT_ENV = "AXISWIRL_OUTPUT_ROOT"
-# b = infinity, as $.exponents.b spells it (float() reads these too)
-INF_SPELLINGS = ("inf", "Inf", "Infinity")
 
 _FIELD_NAMES = ("u_rho", "u_phi", "u_z", "pressure")
 # the one sample layout a checkpoint is written and read in
@@ -73,6 +72,30 @@ class SchemaError(ConfigurationError):
     def __init__(self, path, message):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+def _json_number(val):
+    """The one JSON spelling of a non-finite number, which strict JSON has
+    no token for.  Written, a float NaN is null, +-inf is "inf" or "-inf"
+    and a finite float itself.  Read, a string is the float that float()
+    reads ("INF" and "+infinity" are inf too), or itself if it reads none."""
+    if isinstance(val, float):
+        return val if math.isfinite(val) else None if val != val else str(val)
+    try:
+        return float(val) if isinstance(val, str) else val
+    except ValueError:
+        return val
+
+
+def _dumps(obj, **kwargs):
+    """obj as strict JSON, keys sorted, each float as _json_number writes it."""
+    def spelt(x):
+        if isinstance(x, dict):
+            return {k: spelt(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [spelt(v) for v in x]
+        return _json_number(x) if isinstance(x, float) else x
+    return json.dumps(spelt(obj), allow_nan=False, sort_keys=True, **kwargs)
 
 
 # --- checkpoint persistence -----------------------------------------------
@@ -98,7 +121,7 @@ def write_checkpoint(path, state):
         **_LAYOUT,
     }
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        fh.write(_dumps(header).encode() + b"\n")
         for arr in _payload(state):
             fh.write(arr)
 
@@ -238,8 +261,7 @@ _SCHEMA = {
     "grid": {"n_rho": 32, "n_z": 32, "rho_max": 2.0, "z_min": 0.0,
              "z_max": 1.0},
     "solver": {"nu": 0.1, "t_start": 0.0, "t_end": 0.1, "dt": None,
-               "cfl_safety": 0.4, "checkpoint_stride": 1,
-               "projection_tol": 1e-10, "projection_max_iter": 20000},
+               "cfl_safety": 0.4, "checkpoint_stride": 1},
     "exponents": {"a": 6.0, "b": 4, "gamma": 0.0, "delta": None},
     "monitor": {"q": 4, "epsilon_list": list(DEFAULT_EPSILON_LIST),
                 "c_grow": None, "c_sob": None, "c3": 0.0},
@@ -317,18 +339,14 @@ def validate_scenario(doc) -> dict:
     out["grid"] = {key: getattr(g, key) for key in grid}
 
     solver = _numbers(sec["solver"], "solver", _SCHEMA["solver"])
-    # type-checked for schema-v1 compatibility, then dropped: the pressure
-    # solve is direct
-    del solver["projection_tol"]
-    if not solver.pop("projection_max_iter").is_integer():
-        raise SchemaError("$.solver.projection_max_iter", "expected an integer")
     sim = _owned("$.solver", SimConfig, **solver)
     out["solver"] = {key: getattr(sim, key) for key in SimConfig.__slots__}
 
-    b = sec["exponents"]["b"]
+    b = sec["exponents"]["b"]  # b = inf is a string: _json_number reads it
     out["exponents"] = {
         **_numbers(sec["exponents"], "exponents", ("a", "gamma", "delta")),
-        "b": math.inf if b in INF_SPELLINGS else _as_float(b, "$.exponents.b"),
+        "b": math.inf if _json_number(b) == math.inf
+        else _as_float(b, "$.exponents.b"),
     }
     _owned("$.exponents", derive_exponents, **out["exponents"])
 
@@ -535,8 +553,7 @@ def _run_scenario(path):
         "failure_reason": failure,
     }
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_dumps(manifest, indent=2) + "\n")
     report = {
         "checks": checks,
         "blowup_indicator": blowup,
@@ -544,8 +561,7 @@ def _run_scenario(path):
         "failure_reason": failure,
     }
     with open(os.path.join(outdir, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_dumps(report, indent=2) + "\n")
     with open(os.path.join(outdir, "report.txt"), "w") as fh:
         for c in checks:
             tol = "-" if c["tolerance"] is None else _fmt(c["tolerance"])
@@ -565,21 +581,12 @@ def _run_scenario(path):
 
 # --- other subcommands ------------------------------------------------------
 
-def _parse_exponent(text, name):
-    try:
-        return float(text)
-    except ValueError:
-        raise SchemaError(name, f"malformed number {text!r}")
-
-
 def check_exponents_cmd(a_text, b_text, g_text) -> int:
-    try:
-        a = _parse_exponent(a_text, "a")
-        b = _parse_exponent(b_text, "b")
-        gamma = _parse_exponent(g_text, "gamma")
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    a, b, gamma = map(_json_number, (a_text, b_text, g_text))
+    for name, val in zip(("a", "b", "gamma"), (a, b, gamma)):
+        if isinstance(val, str):  # no number, by $.exponents.b's rule
+            print(f"error: {name}: malformed number {val!r}", file=sys.stderr)
+            return 2
     block = {"a": a, "b": b, "gamma": gamma}
     try:
         e = derive_exponents(a, b, gamma)
@@ -598,7 +605,7 @@ def check_exponents_cmd(a_text, b_text, g_text) -> int:
         print("  conjugate pairs (1/x + 1/y = 1):")
         for name, x, y in pairs:
             print(f"    {name:<16} ({x:.12g}, {y:.12g})")
-    print(json.dumps(block, sort_keys=True, default=str))
+    print(_dumps(block))
     return 0
 
 

@@ -63,6 +63,22 @@ def _write(tmp_path, doc, name="scenario.json"):
     return str(p)
 
 
+def _refuse(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+def _strict(text):
+    """JSON text parsed strictly: a NaN, Infinity or -Infinity token
+    raises ValueError, as JavaScript's JSON.parse refuses them."""
+    return json.loads(text, parse_constant=_refuse)
+
+
+def _artifacts(outdir):
+    """(report, manifest) of a run, each parsed by _strict."""
+    return tuple(_strict((outdir / name).read_text())
+                 for name in ("report.json", "manifest.json"))
+
+
 # --- schema -----------------------------------------------------------------
 
 def test_validate_fills_defaults():
@@ -87,14 +103,16 @@ def test_validate_accepts_inf_b():
     assert math.isinf(cfg["exponents"]["b"])
 
 
-@pytest.mark.parametrize("spelling", ["inf", "Inf", "Infinity"])
+@pytest.mark.parametrize("spelling", ["inf", "Inf", "Infinity", "INF",
+                                      "+inf", "infinity"])
 def test_schema_and_check_exponents_spell_infinite_b_alike(capsys, spelling):
+    # a string is b = inf exactly when float() reads it as inf
     cfg = validate_scenario(_scenario(
         exponents={"a": 6, "b": spelling, "gamma": 0.1}))
     assert cfg["exponents"]["b"] == math.inf
     assert check_exponents_cmd("6", spelling, "0.1") == 0
-    block = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert block["b"] == math.inf and block["admissible"] is True
+    block = _strict(capsys.readouterr().out.strip().splitlines()[-1])
+    assert block["b"] == "inf" and block["admissible"] is True
 
 
 @pytest.mark.parametrize("doc,path_fragment", [
@@ -113,6 +131,10 @@ def test_schema_and_check_exponents_spell_infinite_b_alike(capsys, spelling):
     (_scenario(output={"directory": ""}), "$.output.directory"),
     (_scenario(output={"directory": "/abs_out"}), "$.output.directory"),
     (_scenario(output={"directory": "a/../b"}), "$.output.directory"),
+    # float() reads these, but not as inf
+    (_scenario(exponents={"a": 6, "b": "-inf", "gamma": 0}), "$.exponents.b"),
+    (_scenario(exponents={"a": 6, "b": "nan", "gamma": 0}), "$.exponents.b"),
+    (_scenario(exponents={"a": 6, "b": "4", "gamma": 0}), "$.exponents.b"),
 ])
 def test_validate_rejects(doc, path_fragment):
     with pytest.raises(SchemaError) as exc:
@@ -180,7 +202,7 @@ def test_manifest_checkpoint_hashes_are_over_the_fields(tmp_path, monkeypatch):
         grid={"n_rho": 12, "n_z": 6},
         output={"directory": "out", "write_checkpoints": True}))) == 0
     outdir = tmp_path / "out"
-    manifest = json.loads((outdir / "manifest.json").read_text())
+    manifest = _strict((outdir / "manifest.json").read_text())
     paths = sorted(outdir.glob("checkpoint_*.bin"))
     assert len(paths) == len(manifest["checkpoint_hashes"]) > 1
     for path, recorded in zip(paths, manifest["checkpoint_hashes"]):
@@ -218,7 +240,7 @@ def test_checkpoint_rejects_non_finite_samples(tmp_path, monkeypatch, capsys):
 def _edit_header(path, edit):
     """Rewrite the JSON header line of a checkpoint file through edit()."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline())
+        header = _strict(fh.readline())
         payload = fh.read()
     edit(header)
     with open(path, "wb") as fh:
@@ -307,7 +329,7 @@ def test_run_scenario_success(tmp_path, monkeypatch, capsys):
     assert (outdir / "manifest.json").is_file()
     assert (outdir / "report.json").is_file()
     assert (outdir / "report.txt").is_file()
-    manifest = json.loads((outdir / "manifest.json").read_text())
+    manifest = _strict((outdir / "manifest.json").read_text())
     assert manifest["failed"] is False
     assert len(manifest["checkpoint_hashes"]) == len(
         list(outdir.glob("checkpoint_*.bin"))
@@ -382,12 +404,26 @@ def test_run_scenario_rejects_bad_solver_numbers(tmp_path, monkeypatch, capsys,
     assert f"$.solver.{key}" in capsys.readouterr().err
 
 
-def test_run_scenario_ignores_projection_knobs(tmp_path, monkeypatch):
-    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
-    doc = _scenario(solver={"nu": 0.1, "t_end": 0.01, "dt": 1e-3,
-                            "projection_max_iter": 1},
-                    initial_data={"kind": "taylor_vortex_swirl"})
-    assert run_scenario(_write(tmp_path, doc)) == 0
+def test_a_manifest_with_infinite_b_re_runs(tmp_path, monkeypatch):
+    # the manifest wrote b = inf as an Infinity token, which the schema
+    # refused, so its scenario block could not be run again
+    doc = _scenario(exponents={"a": 6, "b": "inf", "gamma": 0.1},
+                    output={"directory": "out", "write_checkpoints": True})
+    runs = []
+    for name in ("first", "again"):
+        root = tmp_path / name
+        root.mkdir()
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(root))
+        assert run_scenario(_write(root, doc)) == 0
+        manifest = _strict((root / "out" / "manifest.json").read_text())
+        runs.append((manifest, (root / "out" / "diagnostics.csv").read_bytes()))
+        doc = manifest["scenario"]
+    (first, csv), (again, csv_again) = runs
+    assert first["scenario"]["exponents"]["b"] == "inf"
+    assert first["resolved"]["exponents"]["b"] == "inf"
+    assert again["scenario"] == first["scenario"]
+    assert again["checkpoint_hashes"] == first["checkpoint_hashes"]
+    assert csv_again == csv
 
 
 def test_sweep(tmp_path, monkeypatch, capsys):
@@ -460,7 +496,7 @@ def test_run_checkpoints_the_initial_every_stride_th_and_the_last_step(n, k):
         out = pathlib.Path(tmp) / "out"
         times = [read_checkpoint(str(p)).time
                  for p in sorted(out.glob("checkpoint_*.bin"))]
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = _strict((out / "manifest.json").read_text())
     want = sorted({*range(0, n + 1, k), n})
     assert [round(t / dt) for t in times] == want
     assert all(t1 > t0 for t0, t1 in zip(times, times[1:])), times
@@ -474,7 +510,7 @@ def test_check_exponents_admissible(capsys):
     assert check_exponents_cmd("6", "4", "0") == 0
     out = capsys.readouterr().out
     assert "verdict: admissible" in out
-    block = json.loads(out.strip().splitlines()[-1])
+    block = _strict(out.strip().splitlines()[-1])
     assert block["admissible"] is True
     assert block["exponents"]["alpha"] == pytest.approx(6.0)
 
@@ -482,8 +518,10 @@ def test_check_exponents_admissible(capsys):
 def test_check_exponents_sup_branch(capsys):
     assert check_exponents_cmd("6", "inf", "0") == 0
     out = capsys.readouterr().out
-    block = json.loads(out.strip().splitlines()[-1])
+    block = _strict(out.strip().splitlines()[-1])
     assert block["exponents"]["delta"] == pytest.approx(0.5)
+    # b was an Infinity token
+    assert block["b"] == block["exponents"]["b"] == "inf"
 
 
 def test_check_exponents_inadmissible(capsys):
@@ -491,6 +529,10 @@ def test_check_exponents_inadmissible(capsys):
     out = capsys.readouterr().out
     assert "verdict: inadmissible" in out
     assert check_exponents_cmd("6", "nope", "0") == 2
+    # a NaN a was a NaN token
+    assert check_exponents_cmd("nan", "4", "0") == 0
+    block = _strict(capsys.readouterr().out.strip().splitlines()[-1])
+    assert block["a"] is None and block["admissible"] is False
 
 
 def test_check_exponents_negative_infinite_b(capsys):
@@ -502,7 +544,7 @@ def test_check_exponents_negative_infinite_b(capsys):
     assert check_exponents_cmd("6", "-inf", "0") == 0
     out = capsys.readouterr().out
     assert "verdict: inadmissible" in out
-    assert json.loads(out.strip().splitlines()[-1])["admissible"] is False
+    assert _strict(out.strip().splitlines()[-1])["admissible"] is False
 
 
 def test_check_exponents_negative_infinite_gamma(capsys):
@@ -514,7 +556,7 @@ def test_check_exponents_negative_infinite_gamma(capsys):
     assert main(["check-exponents", "--", "6", "4", "-inf"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("verdict: inadmissible\n")
-    assert json.loads(out.strip().splitlines()[-1])["admissible"] is False
+    assert _strict(out.strip().splitlines()[-1])["admissible"] is False
 
 
 def test_check_exponents_unsupported_infinite_a(capsys):
@@ -522,8 +564,8 @@ def test_check_exponents_unsupported_infinite_a(capsys):
     assert check_exponents_cmd("inf", "4", "0") == 0
     out = capsys.readouterr().out
     assert "verdict: inadmissible" in out
-    block = json.loads(out.strip().splitlines()[-1])
-    assert block["admissible"] is False
+    block = _strict(out.strip().splitlines()[-1])
+    assert block["admissible"] is False and block["a"] == "inf"
     assert block["violations"]
 
 
@@ -534,7 +576,7 @@ def test_check_exponents_where_s_rounds_to_3(capsys, b):
     assert main(["check-exponents", "6", b, "0"]) == 0
     captured = capsys.readouterr()
     assert "verdict: inadmissible" in captured.out and captured.err == ""
-    block = json.loads(captured.out.strip().splitlines()[-1])
+    block = _strict(captured.out.strip().splitlines()[-1])
     assert block["admissible"] is False
 
 
@@ -772,7 +814,7 @@ def test_calibration_serves_large_domains_and_powers(tmp_path, monkeypatch,
                     solver={"t_end": 0.01}, monitor=monitor)
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
     assert run_scenario(_write(tmp_path, doc)) == 0
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    manifest = _strict((tmp_path / "out" / "manifest.json").read_text())
     assert 0.0 < manifest["resolved"]["c_sob"] < math.inf
 
 
@@ -802,13 +844,13 @@ def test_monitor_truncation_stops_neither_the_solver_nor_the_writer(
     paths = sorted(outdir.glob("checkpoint_*.bin"))
     assert len(paths) == 11
     assert read_checkpoint(str(paths[-1])).time == pytest.approx(0.05)
-    manifest = json.loads((outdir / "manifest.json").read_text())
+    manifest = _strict((outdir / "manifest.json").read_text())
     assert len(manifest["checkpoint_hashes"]) == 11
     assert manifest["failed"] is False and manifest["resolved"]["steps"] == 10
     rows = (outdir / "diagnostics.csv").read_text().splitlines()
     column = rows[0].split(",").index("truncated")
     assert [r.split(",")[column] for r in rows[1:]] == ["0", "0", "1"]
-    assert json.loads((outdir / "report.json").read_text())["truncated"]
+    assert _strict((outdir / "report.json").read_text())["truncated"]
 
 
 def test_run_scenario_builds_the_monitor_before_solving(tmp_path, monkeypatch,
@@ -861,7 +903,7 @@ def test_overflowing_inputs_leave_a_clean_stderr(tmp_path, doc, code):
     assert result.returncode == code, result.stderr
     if code == 0:
         assert result.stderr == ""
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        report, _ = _artifacts(tmp_path / "out")
         assert report["truncated"] is True
     else:
         assert result.stderr.startswith("error: $.solver.nu: ")
@@ -1141,7 +1183,7 @@ def test_validate_scenario_rejects_exactly_what_the_owners_reject(sections):
 _SECTIONS = {
     "grid": ("n_rho", "n_z", "rho_max", "z_min", "z_max"),
     "solver": ("nu", "t_start", "t_end", "dt", "cfl_safety",
-               "checkpoint_stride", "projection_tol", "projection_max_iter"),
+               "checkpoint_stride"),
     "exponents": ("a", "b", "gamma", "delta"),
     "monitor": ("q", "epsilon_list", "c_grow", "c_sob", "c3"),
     "initial_data": ("kind", "params", "path"),
@@ -1165,24 +1207,47 @@ _PLAUSIBLE = (
 )
 
 
-@pytest.mark.parametrize("section,key", [
-    (name, key) for name, keys in _SECTIONS.items() for key in (None, *keys)
-])
+_FIELDS = [(name, key) for name, keys in _SECTIONS.items()
+           for key in (None, *keys)]
+
+
+def _with_field(section, key, value):
+    """A valid scenario with one field (key None: the whole section)
+    replaced."""
+    doc = _scenario()
+    doc[section] = value if key is None else {**doc.get(section, {}), key: value}
+    return doc
+
+
+@pytest.mark.parametrize("section,key", _FIELDS)
 @given(value=_PLAUSIBLE | _JSON)
 @settings(max_examples=40)
 def test_validate_scenario_fuzz(section, key, value):
-    # one field (key None: the whole section) of a valid scenario replaced
-    doc = _scenario()
-    doc[section] = value if key is None else {**doc.get(section, {}), key: value}
     try:
-        validate_scenario(doc)
+        validate_scenario(_with_field(section, key, value))
     except ConfigurationError:  # SchemaError included
         pass
+
+
+@given(field=st.sampled_from(_FIELDS), value=_PLAUSIBLE | _JSON)
+@example(field=("exponents", "b"), value="INF")
+@settings(max_examples=300)
+def test_a_normalized_scenario_replays(field, value):
+    # a manifest's scenario block is the normalized scenario, written as
+    # strict JSON: validated again, it is the same scenario
+    try:
+        cfg = validate_scenario(_with_field(*field, value))
+    except ConfigurationError:
+        return
+    assert validate_scenario(_strict(cli._dumps(cfg))) == cfg
 
 
 @given(section=st.sampled_from([None, *_SECTIONS]), key=st.text(max_size=8))
 @example(section="solver", key="cfl_saftey")
 @example(section=None, key="monitr")
+# keys of an iterative pressure solve, which is direct
+@example(section="solver", key="projection_tol")
+@example(section="solver", key="projection_max_iter")
 def test_unknown_keys_are_rejected_at_their_path(section, key):
     # a misspelt key was ignored, and the run used the default
     known = ("schema_version", *_SECTIONS) if section is None \
@@ -1348,7 +1413,7 @@ def test_overflowing_state_is_blow_up(tmp_path, monkeypatch, capsys):
                                   "params": {"amplitude": 1e300}})
     assert main(["run", _write(tmp_path, doc)]) == 0
     assert capsys.readouterr().err == ""
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    report, _ = _artifacts(tmp_path / "out")
     assert report["truncated"] is True
     rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
     header = rows[0].split(",")
@@ -1366,7 +1431,7 @@ def test_overflowing_swirl_powers_are_blow_up(tmp_path, monkeypatch, capsys):
                                   "params": {"swirl": 1e30}})
     assert main(["run", _write(tmp_path, doc)]) == 0
     assert capsys.readouterr().err == ""
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    report, _ = _artifacts(tmp_path / "out")
     assert report["blowup_indicator"]["truncated"] is True
     rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
     assert len(rows) == 2 and rows[1].split(",")[rows[0].split(",").index(
@@ -1463,7 +1528,7 @@ def test_overflowing_powers_are_blow_up(tmp_path, monkeypatch, capsys,
                     exponents=exponents, initial_data=initial_data)
     assert main(["run", _write(tmp_path, doc)]) == 0
     assert capsys.readouterr().err == ""
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    report, _ = _artifacts(tmp_path / "out")
     assert report["truncated"] is True
 
 
@@ -1599,9 +1664,9 @@ def test_every_fuzzed_scenario_meets_the_exit_code_contract(draw):
         assert code in (0, 2, 3, 4), (code, err)
         if code in (0, 4):
             assert err == "", err
-            # a fuzzed directory may be "inf", a valid name
-            outdir = os.path.join(tmp, doc["output"]["directory"])
-            assert os.path.isfile(os.path.join(outdir, "report.json"))
+            # both artifacts, as strict JSON (a fuzzed directory may be
+            # "inf", a valid name)
+            _artifacts(pathlib.Path(tmp, doc["output"]["directory"]))
         else:
             assert err.count("\n") == 1 and err.startswith(
                 "error: $." if code == 2 else "error: "), err
