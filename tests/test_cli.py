@@ -404,6 +404,19 @@ def test_run_scenario_rejects_bad_solver_numbers(tmp_path, monkeypatch, capsys,
     assert f"$.solver.{key}" in capsys.readouterr().err
 
 
+def test_run_scenario_rejects_projection_knobs(tmp_path, monkeypatch, capsys):
+    # the pressure solve is direct: a run ignored these keys, and now a
+    # file that names one is refused at that key, before any output
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    for key, value in (("projection_max_iter", 1), ("projection_tol", 1e-8)):
+        doc = _scenario(solver={"nu": 0.1, "t_end": 0.01, "dt": 1e-3,
+                                key: value},
+                        initial_data={"kind": "taylor_vortex_swirl"})
+        assert run_scenario(_write(tmp_path, doc)) == 2
+        assert f"$.solver.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def test_a_manifest_with_infinite_b_re_runs(tmp_path, monkeypatch):
     # the manifest wrote b = inf as an Infinity token, which the schema
     # refused, so its scenario block could not be run again
