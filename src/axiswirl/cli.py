@@ -172,21 +172,16 @@ def _read_header(path, line, payload):
     gd = key(header, "grid", "grid")
     args = [key(gd, k, f"grid.{k}")
             for k in ("n_rho", "n_z", "rho_max", "z_min", "z_max")]
-    # compare the declared sample count with the file before the grid
-    # allocates anything; non-integral counts are left to build_grid
-    counts = [int(n) if isinstance(n, float) and n.is_integer() else n
-              for n in args[:2]]
-    if all(type(n) is int for n in counts):
-        declared = 8 * counts[0] * counts[1] * len(_FIELD_NAMES)
-        if declared != payload:
-            raise ConfigurationError(
-                f"{path}: header key grid: {counts[0]} x {counts[1]} cells "
-                f"need {declared} bytes of samples, the file holds {payload}"
-            )
     try:
+        # build_grid refuses counts above MAX_CELLS before it allocates
         grid = build_grid(*args)
     except (TypeError, ValueError) as exc:  # ConfigurationError among them
         raise ConfigurationError(f"{path}: header key grid: {exc}") from None
+    declared = 8 * grid.n_rho * grid.n_z * len(_FIELD_NAMES)
+    if declared != payload:
+        raise ConfigurationError(
+            f"{path}: header key grid: {grid.n_rho} x {grid.n_z} cells need "
+            f"{declared} bytes of samples, the file holds {payload}")
     time = key(header, "time", "time")
     try:
         finite = not isinstance(time, bool) and math.isfinite(time)

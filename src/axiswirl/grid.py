@@ -135,9 +135,14 @@ def moment(vals, grid: CylGrid, k: float = 0.0) -> float:
     """Midpoint integral of vals * rho^k over the cylinder: the z-sums of
     vals, then one dot product with the radial cell weight times rho^k.
     vals is a grid field or its z-sums (shape (n_rho,)).  Overflowed
-    samples give an inf or nan integral."""
+    samples give an inf or nan integral.  Where the weight overflows (a
+    huge domain, a high power), a zero z-sum adds 0, not 0 * inf = nan."""
     col = vals.sum(axis=1) if vals.ndim == 2 else vals
-    return float(col @ (grid.cell_weight[:, 0] * grid.rho_centers ** k))
+    weight = grid.cell_weight[:, 0] * grid.rho_centers ** k
+    if np.isinf(weight).any():
+        keep = col != 0.0
+        col, weight = col[keep], weight[keep]
+    return float(col @ weight)
 
 
 def power(x: float, y: float) -> float:

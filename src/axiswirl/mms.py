@@ -17,12 +17,12 @@ pressure is in closed form in J0 and J1 (_swirl_pressure_profile).
 A solution is made on one grid and solves the equations on its domain
 (PARAMS holds each kind's other parameters).  Its velocity decays by one
 factor e^{-mu t} and its pressure by e^{-2 mu t}: each field is its factor
-times a sum of terms coef * F(rho) * G(z).  Each partial of the sums is
-sampled on the grid once, when first read, as one (3, n_rho, n_z)
-velocity and a pressure.  So the forcing is two fixed parts,
-h(t) = e^{-mu t} L + e^{-2 mu t} N, assembled once by forcing_callable
-(the only reader of the second partials); a call scales and adds them,
-and remembers nothing.
+times a sum of terms coef * F(rho) * G(z).  A partial of the velocity
+(one (3, n_rho, n_z) array) or of the pressure is summed on the grid
+each time it is read, and nothing is kept.  So the forcing is two fixed
+parts, h(t) = e^{-mu t} L + e^{-2 mu t} N, assembled once by
+forcing_callable from the partials at t = 0; a call scales and adds
+them.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def _swirl_pressure_profile(lam):
     return f, df, d2f
 
 
-# each sampled partial: its orders (in rho, in z)
+# each partial: its orders (in rho, in z)
 _PARTIALS = {"val": (0, 0), "d_rho": (1, 0), "d2_rho": (2, 0),
              "d_z": (0, 1), "d2_z": (0, 2)}
 
@@ -126,11 +126,9 @@ class ManufacturedSolution:
     coef * F(rho) * G(z), F the functions (F, F', F'') of rho and G the
     samples (G, G', G'') on the z axis.  The velocity decays by e^{-mu t}
     and the pressure by e^{-2 mu t}, on which the forcing's two parts
-    rest.  at0 maps each partial sampled so far, by its name in
-    _PARTIALS, to (velocity, pressure) at t = 0."""
+    rest.  A partial, named as in _PARTIALS, is sampled when it is read."""
 
-    __slots__ = ("kind", "grid", "mu", "terms", "at0", "homogeneous_nu",
-                 "meta")
+    __slots__ = ("kind", "grid", "mu", "terms", "homogeneous_nu", "meta")
 
     def __init__(self, kind: str, grid: CylGrid, mu: float, u_rho, u_phi,
                  u_z, p, homogeneous_nu: float | None = None,
@@ -139,41 +137,32 @@ class ManufacturedSolution:
         self.grid = grid
         self.mu = mu
         self.terms = (u_rho, u_phi, u_z, p)
-        self.at0 = {}
         self.homogeneous_nu = homogeneous_nu  # nu for which the forcing vanishes
         self.meta = {} if meta is None else meta
 
-    def sampled(self, partial):
-        """(velocity, pressure): the named partial at t = 0, the velocity
-        one (3, n_rho, n_z) array (u_rho, u_phi, u_z), sampled at the
-        first call."""
-        if partial not in self.at0:
-            r, zo = _PARTIALS[partial]
-            # np.full: each page faults once, a page of np.zeros twice
-            u = np.full((3, *self.grid.shape), 0.0)
-            # nothing reads the pressure's second partials: they are None
-            p = np.full(self.grid.shape, 0.0) if r + zo < 2 else None
-            radial = {}  # each radial factor's F^(r), which terms may share
-            # a coefficient that overflows (amplitude 1e300, or omega
-            # 1e308 in a radial polynomial) samples as inf, and as nan
-            # where a factor is 0, as the run treats blow-up
-            with np.errstate(over="ignore", invalid="ignore"):
-                for field, terms in zip(u if p is None else (*u, p),
-                                        self.terms):
-                    for coef, f, g in terms:
-                        if f not in radial:
-                            radial[f] = f[r](self.grid.rho)
-                        field += (coef * radial[f]) * g[zo]
-            self.at0[partial] = u, p
-        return self.at0[partial]
+    def _sum(self, terms, partial):
+        """The named partial at t = 0 of each field whose term list is in
+        terms, one (len(terms), n_rho, n_z) array."""
+        r, zo = _PARTIALS[partial]
+        # np.full: each page faults once, a page of np.zeros twice
+        out = np.full((len(terms), *self.grid.shape), 0.0)
+        # a coefficient that overflows (amplitude 1e300, or omega 1e308 in
+        # a radial polynomial) samples as inf, and as nan where a factor
+        # is 0, as the run treats blow-up
+        with np.errstate(over="ignore", invalid="ignore"):
+            for field, field_terms in zip(out, terms):
+                for coef, f, g in field_terms:
+                    field += (coef * f[r](self.grid.rho)) * g[zo]
+        return out
 
     def velocity(self, t, partial="val"):
         """The named partial of (u_rho, u_phi, u_z) at time t."""
-        return math.exp(-self.mu * t) * self.sampled(partial)[0]
+        return math.exp(-self.mu * t) * self._sum(self.terms[:3], partial)
 
     def pressure(self, t, partial="val"):
-        """The named partial of p at time t (not a second partial)."""
-        return math.exp(-2.0 * self.mu * t) * self.sampled(partial)[1]
+        """The named partial of p at time t."""
+        p = self._sum(self.terms[3:], partial)[0]
+        return math.exp(-2.0 * self.mu * t) * p
 
     def finite_at(self, t) -> bool:
         """Whether the velocity's factor e^{-mu t} and the pressure's
@@ -316,18 +305,17 @@ def forcing_callable(sol: ManufacturedSolution, nu):
         zero = zero_forcing(grid)
         return lambda t: zero
     rho = grid.rho
-    u, _ = sol.sampled("val")
-    (dr, p_rho), (dz, p_z) = sol.sampled("d_rho"), sol.sampled("d_z")
+    u, dr, dz = (sol.velocity(0.0, k) for k in ("val", "d_rho", "d_z"))
     with np.errstate(over="ignore", invalid="ignore"):
         # each sum in its order, in place: few temporaries live at once
         quad = u[0] * dr
         quad += u[2] * dz
         quad[0] -= u[1]**2 / rho
-        quad[0] += p_rho
+        quad[0] += sol.pressure(0.0, "d_rho")
         quad[1] += u[1] * u[0] / rho
-        quad[2] += p_z
-        lap = sol.sampled("d2_rho")[0] + dr / rho
-        lap += sol.sampled("d2_z")[0]
+        quad[2] += sol.pressure(0.0, "d_z")
+        lap = sol.velocity(0.0, "d2_rho") + dr / rho
+        lap += sol.velocity(0.0, "d2_z")
         lap[:2] -= u[:2] / rho**2  # u_rho and u_phi are odd in rho
         lap *= nu
         lin = -sol.mu * u

@@ -831,6 +831,34 @@ def test_calibration_serves_large_domains_and_powers(tmp_path, monkeypatch,
     assert 0.0 < manifest["resolved"]["c_sob"] < math.inf
 
 
+@pytest.mark.parametrize("exponents", [
+    {"a": 6, "b": 4, "gamma": 0},
+    {"a": 40, "b": 3, "gamma": -0.5},
+], ids=["default", "beta_10"])
+def test_a_zero_integrand_on_a_huge_domain_is_no_blow_up(
+        tmp_path, monkeypatch, exponents):
+    # on rho_max 1e100 the weights of the unforced swirl's zero integrands
+    # overflow: rho^4 of int h^4 rho^4 (h = 0), and, for (40, 3, -0.5),
+    # rho^beta with beta = a - s ~ 10.3 of int (u_rho^-)^a rho^beta
+    # (u_rho = 0).  Each integrated to nan, which truncated the first record
+    doc = _scenario(grid={"n_rho": 8, "n_z": 8, "rho_max": 1e100},
+                    solver={"t_end": 0.01}, exponents=exponents)
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    assert run_scenario(_write(tmp_path, doc)) == 0
+    outdir = tmp_path / "out"
+    report, _ = _artifacts(outdir)
+    assert report["blowup_indicator"]["last_finite_time"] == 0.01
+    assert report["blowup_indicator"]["truncated"] is False
+    header, *rows = (outdir / "diagnostics.csv").read_text().splitlines()
+    assert len(rows) == 2
+    # a record's own columns run up to truncated; the budgets after them
+    # are over a pair of records, so the first record has none (nan)
+    own = header.split(",").index("truncated")
+    first, last = (list(map(float, r.split(","))) for r in rows)
+    assert all(map(math.isfinite, first[:own] + last))
+    assert first[own] == last[own] == 0.0
+
+
 def test_monitor_truncation_stops_neither_the_solver_nor_the_writer(
         tmp_path, monkeypatch, capsys):
     # swirl growing as e^(20 t) with q = 100: |u_phi|^(3q) overflows at

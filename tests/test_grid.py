@@ -206,3 +206,17 @@ def test_serrin_accumulate_overflow_is_inf():
     g = build_grid(8, 4)
     f = np.full(g.shape, 1e20)
     assert serrin_advance(0.0, moment(f**4.0, g), 4.0, 100.0, 1e-6) == math.inf
+
+
+def test_a_zero_sample_adds_zero_under_an_overflowing_weight():
+    # on rho_max 1e100 the weight cell_weight * rho^4 overflows to inf:
+    # zeros integrate to 0, not 0 * inf = nan, and a nonzero sample there
+    # still gives inf
+    g = build_grid(8, 8, rho_max=1e100)
+    one = np.zeros(g.shape)
+    one[-1, 3] = 1.0
+    with np.errstate(over="ignore"):
+        assert np.isinf(g.cell_weight[:, 0] * g.rho_centers ** 4.0).any()
+        assert moment(np.zeros(g.shape), g, 4.0) == 0.0
+        assert moment(np.zeros(g.n_rho), g, 4.0) == 0.0
+        assert moment(one, g, 4.0) == math.inf
