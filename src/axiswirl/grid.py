@@ -139,10 +139,7 @@ def moment(vals, grid: CylGrid, k: float = 0.0) -> float:
     huge domain, a high power), a zero z-sum adds 0, not 0 * inf = nan."""
     col = vals.sum(axis=1) if vals.ndim == 2 else vals
     weight = grid.cell_weight[:, 0] * grid.rho_centers ** k
-    if np.isinf(weight).any():
-        keep = col != 0.0
-        col, weight = col[keep], weight[keep]
-    return float(col @ weight)
+    return float(col @ np.where(col == 0.0, 0.0, weight))
 
 
 def power(x: float, y: float) -> float:

@@ -815,37 +815,27 @@ def test_run_scenario_rejects_unrunnable_solver_settings(
     assert not (tmp_path / "out").exists()  # rejected before any output
 
 
-@pytest.mark.parametrize("grid,monitor", [
-    ({"rho_max": 1e100}, {}),
-    ({"rho_max": 10.0}, {"q": 400}),
-], ids=["rho_max_huge", "q_400_on_rho_max_10"])
+@pytest.mark.parametrize("grid,monitor,exponents", [
+    ({"rho_max": 1e100}, {}, {"a": 6, "b": 4, "gamma": 0}),
+    ({"rho_max": 10.0}, {"q": 400}, {"a": 6, "b": 4, "gamma": 0}),
+    ({"rho_max": 1e100}, {}, {"a": 40, "b": 3, "gamma": -0.5}),
+], ids=["rho_max_huge", "q_400_on_rho_max_10", "rho_max_huge_beta_10"])
 def test_calibration_serves_large_domains_and_powers(tmp_path, monkeypatch,
-                                                     grid, monitor):
+                                                     grid, monitor, exponents):
     # the probes grow with rho_max, and their powers overflowed before
-    # each probe was scaled to the domain: both exited 2 at $.monitor.q
-    doc = _scenario(grid={"n_rho": 8, "n_z": 8, **grid},
-                    solver={"t_end": 0.01}, monitor=monitor)
-    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
-    assert run_scenario(_write(tmp_path, doc)) == 0
-    manifest = _strict((tmp_path / "out" / "manifest.json").read_text())
-    assert 0.0 < manifest["resolved"]["c_sob"] < math.inf
-
-
-@pytest.mark.parametrize("exponents", [
-    {"a": 6, "b": 4, "gamma": 0},
-    {"a": 40, "b": 3, "gamma": -0.5},
-], ids=["default", "beta_10"])
-def test_a_zero_integrand_on_a_huge_domain_is_no_blow_up(
-        tmp_path, monkeypatch, exponents):
-    # on rho_max 1e100 the weights of the unforced swirl's zero integrands
+    # each probe was scaled to the domain: both exited 2 at $.monitor.q.
+    # On rho_max 1e100 the weights of the unforced swirl's zero integrands
     # overflow: rho^4 of int h^4 rho^4 (h = 0), and, for (40, 3, -0.5),
     # rho^beta with beta = a - s ~ 10.3 of int (u_rho^-)^a rho^beta
     # (u_rho = 0).  Each integrated to nan, which truncated the first record
-    doc = _scenario(grid={"n_rho": 8, "n_z": 8, "rho_max": 1e100},
-                    solver={"t_end": 0.01}, exponents=exponents)
+    doc = _scenario(grid={"n_rho": 8, "n_z": 8, **grid},
+                    solver={"t_end": 0.01}, monitor=monitor,
+                    exponents=exponents)
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
     assert run_scenario(_write(tmp_path, doc)) == 0
     outdir = tmp_path / "out"
+    manifest = _strict((outdir / "manifest.json").read_text())
+    assert 0.0 < manifest["resolved"]["c_sob"] < math.inf
     report, _ = _artifacts(outdir)
     assert report["blowup_indicator"]["last_finite_time"] == 0.01
     assert report["blowup_indicator"]["truncated"] is False
