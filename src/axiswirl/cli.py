@@ -108,6 +108,8 @@ def _payload(state):
 
 
 def write_checkpoint(path, state):
+    """Write state's checkpoint to path; returns its manifest hash
+    (state_hash), taken over the arrays it wrote."""
     g = state.grid
     header = {
         "format": "axiswirl-checkpoint",
@@ -120,10 +122,13 @@ def write_checkpoint(path, state):
         "fields": list(_FIELD_NAMES),
         **_LAYOUT,
     }
+    h = hashlib.sha256()
     with open(path, "wb") as fh:
         fh.write(_dumps(header).encode() + b"\n")
         for arr in _payload(state):
             fh.write(arr)
+            h.update(arr)
+    return h.hexdigest()
 
 
 def state_hash(state):
@@ -504,8 +509,9 @@ def _run_scenario(path):
                 if not hashes:  # run has accepted the settings
                     os.makedirs(outdir, exist_ok=True)
                 name = f"checkpoint_{len(hashes):05d}.bin"
-                write_checkpoint(os.path.join(outdir, name), s)
-            hashes.append(state_hash(s))
+                hashes.append(write_checkpoint(os.path.join(outdir, name), s))
+            else:
+                hashes.append(state_hash(s))
 
         steps = run(sim, state, forcing_at=forcing)
         # run checks its settings at the first next(): a step count that

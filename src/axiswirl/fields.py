@@ -137,23 +137,23 @@ def d_zz(f, grid: CylGrid):
     return out
 
 
-def radial_diffusion(f, grid: CylGrid, wall=NOSLIP):
+def radial_diffusion(f, grid: CylGrid):
     """(1/rho) d/drho (rho df/drho) in conservative flux form.
 
     The axis face sits at rho = 0 and carries zero flux, so no axis ghost
-    is needed; the wall face flux uses the wall ghost.
+    is needed; the wall face flux uses the no-slip wall ghost.
     """
     faces = np.arange(grid.n_rho + 1) * grid.d_rho  # face radii, axis..wall
-    fx = np.concatenate([f, _wall_ghost(f, wall)], axis=0)
+    fx = np.concatenate([f, _wall_ghost(f, NOSLIP)], axis=0)
     diffs = np.diff(fx, axis=0)
     flux = np.concatenate([np.zeros_like(f[0:1]), faces[1:, None] * diffs], axis=0)
     return np.diff(flux, axis=0) / (grid.rho * grid.d_rho**2)
 
 
-def laplacian(f, grid: CylGrid, parity, wall=NOSLIP):
+def laplacian(f, grid: CylGrid, parity):
     """The cylindrical viscous operator: radial diffusion + d_zz, minus
-    f/rho^2 for the odd-parity components (u_rho, u_phi, w_rho, w_phi)."""
-    lap = radial_diffusion(f, grid, wall) + d_zz(f, grid)
+    f/rho^2 for the odd-parity components (u_rho, u_phi)."""
+    lap = radial_diffusion(f, grid) + d_zz(f, grid)
     if parity == ODD:
         return lap - f / grid.rho**2
     if parity == EVEN:
@@ -213,7 +213,7 @@ def radial_div_adjoint(phi, grid: CylGrid):
 def velocity_gradient(v: VelocityState):
     """(dr, dz): the tuples of d_rho and d_z of (u_rho, u_phi, u_z), with
     the axis PARITIES and the no-slip wall ghost.  The step, the curl,
-    ||grad u||, the vorticity residual and the monitor all read these."""
+    ||grad u|| and the monitor all read these."""
     g = v.grid
     return (tuple(d_rho(x, g, par) for x, par in zip(v.u, PARITIES)),
             tuple(d_z(x, g) for x in v.u))
@@ -251,35 +251,6 @@ def viscous_rhs(v: VelocityState, nu: float):
     nu > 0 is SimConfig's rule (convergence_order's for its studies)."""
     return nu * np.stack([laplacian(x, v.grid, par)
                           for x, par in zip(v.u, PARITIES)])
-
-
-def vorticity_transport_residual(v: VelocityState, w, dw_dt, g_force,
-                                 nu: float) -> np.ndarray:
-    """(left - right) of the three vorticity transport equations, as one
-    (3, n_rho, n_z) array like each of w, dw_dt and g_force (curl_axisym's
-    layout).
-
-    dw_dt is the caller-supplied time derivative (finite difference of
-    consecutive checkpoints); omitting it is a contract violation.
-    g_force is the vorticity forcing, the curl of the momentum forcing h.
-    Ghosts at the wall use linear extrapolation since vorticity need not
-    vanish there.
-    """
-    if dw_dt is None:
-        raise ContractViolation("dw_dt is required (difference consecutive states)")
-    g = v.grid
-    ur, uh, uz = v.u
-    wr, wh, wz = w
-    dr, dz = velocity_gradient(v)
-    transport = np.stack([ur * d_rho(x, g, par, EXTRAP) + uz * d_z(x, g)
-                          for x, par in zip(w, PARITIES)])
-    # stretching, and the swirl terms (u_rho / rho) w_phi - 2 (u_phi / rho) w_rho
-    stretch = np.stack((wr * dr[0] + wz * dz[0],
-                        (ur / g.rho) * wh - 2.0 * (uh / g.rho) * wr,
-                        wr * dr[2] + wz * dz[2]))
-    viscous = np.stack([laplacian(x, g, par, EXTRAP)
-                        for x, par in zip(w, PARITIES)])
-    return dw_dt + transport - stretch - g_force - nu * viscous
 
 
 def grad_squared(f, grid: CylGrid, parity, wall=NOSLIP):

@@ -77,11 +77,12 @@ class CylGrid(Frozen):
 
 
 # Most cells along either axis.  The solver keeps dense per-grid bases of
-# 8 n_rho^2 + n_z^2 doubles, built with eigh in O(n^3) time.  Measured at
-# 1024 x 1024 on a 2-vCPU VM: the bases take 0.68 s and 215 MB peak RSS,
-# and `axiswirl run` of one decaying-swirl step 2.4 s and 480 MB.  Each
-# doubling of n multiplies that memory by about 4 and the time by 8, so
-# a finer grid would fail for lack of memory on a small machine.
+# 6 n_rho^2 + 3 n_rho n_z + n_z^2 doubles, built with eigh in O(n^3) time.
+# Measured at 1024 x 1024 on a 2-vCPU VM: the bases take 0.68 s and 215 MB
+# peak RSS, and `axiswirl run` of one decaying-swirl step 2.4 s and
+# 480 MB.  Each doubling of n multiplies that memory by about 4 and the
+# time by 8, so a finer grid would fail for lack of memory on a small
+# machine.
 MAX_CELLS = 1024
 
 

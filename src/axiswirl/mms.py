@@ -128,17 +128,15 @@ class ManufacturedSolution:
     and the pressure by e^{-2 mu t}, on which the forcing's two parts
     rest.  A partial, named as in _PARTIALS, is sampled when it is read."""
 
-    __slots__ = ("kind", "grid", "mu", "terms", "homogeneous_nu", "meta")
+    __slots__ = ("kind", "grid", "mu", "terms", "homogeneous_nu")
 
     def __init__(self, kind: str, grid: CylGrid, mu: float, u_rho, u_phi,
-                 u_z, p, homogeneous_nu: float | None = None,
-                 meta: dict | None = None):
+                 u_z, p, homogeneous_nu: float | None = None):
         self.kind = kind
         self.grid = grid
         self.mu = mu
         self.terms = (u_rho, u_phi, u_z, p)
         self.homogeneous_nu = homogeneous_nu  # nu for which the forcing vanishes
-        self.meta = {} if meta is None else meta
 
     def _sum(self, terms, partial):
         """The named partial at t = 0 of each field whose term list is in
@@ -249,7 +247,7 @@ def make_solution(kind, params, grid: CylGrid) -> ManufacturedSolution:
         u_phi = ((amp, _bessel_j1_profile(lam), flat),)
         p = ((0.5 * amp * amp, _swirl_pressure_profile(lam), flat),)
         return ManufacturedSolution(kind, grid, mu, (), u_phi, (), p,
-                                    homogeneous_nu=nu, meta={"lambda": lam})
+                                    homogeneous_nu=nu)
     amp = params["amplitude"]
     swirl = params["swirl"]
     swirl_z = params["swirl_z"]

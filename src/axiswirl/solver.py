@@ -58,7 +58,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fields import (
-    NOSLIP,
     VelocityState,
     div_adjoint,
     div_from_components,
@@ -191,7 +190,7 @@ def _viscous_basis(grid: CylGrid):
     last row differ from the sqrt(rho) scaling.  lam <= 0, so
     1 - c lam >= 1 for c > 0."""
     n_rho, n_z = grid.shape
-    a = radial_diffusion(np.eye(n_rho), grid, NOSLIP)
+    a = radial_diffusion(np.eye(n_rho), grid)
     d = np.cumprod(np.concatenate(
         [[1.0], np.sqrt(np.diagonal(a, 1) / np.diagonal(a, -1))]))
     q, k = _z_basis(n_z)

@@ -181,7 +181,7 @@ def test_checkpoint_round_trip(state):
     # the grid, the time and every field bit for bit, so the hash as well
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "ck.bin")
-        write_checkpoint(path, state)
+        written = write_checkpoint(path, state)
         back = read_checkpoint(path)
         raw = pathlib.Path(path).read_bytes()
     assert back.grid == state.grid
@@ -189,8 +189,9 @@ def test_checkpoint_round_trip(state):
     for name in ("u_rho", "u_phi", "u_z", "pressure"):
         assert getattr(back, name).tobytes() == getattr(state, name).tobytes()
     assert state_hash(back) == state_hash(state)
-    # the hash is over the payload, as `tail -n +2 ck.bin | sha256sum`
-    assert state_hash(state) == hashlib.sha256(
+    # the hash is over the payload, as `tail -n +2 ck.bin | sha256sum`,
+    # and the writer returns it
+    assert written == state_hash(state) == hashlib.sha256(
         raw[raw.index(b"\n") + 1:]).hexdigest()
 
 

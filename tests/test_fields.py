@@ -23,7 +23,6 @@ from axiswirl.fields import (
     laplacian,
     radial_diffusion,
     viscous_rhs,
-    vorticity_transport_residual,
     velocity_grad_l2,
     velocity_gradient,
     zero_forcing,
@@ -61,6 +60,16 @@ def test_d_rho_constant_even_exact():
     f = np.full(g.shape, 3.0)
     df = d_rho(f, g, EVEN)
     assert np.max(np.abs(df[:-1])) <= 1e-13
+
+
+def test_d_rho_extrap_exact():
+    # the linearly extrapolated wall ghost reproduces any linear field, so
+    # f = 1 + 3 rho gives 3 on every row but the axis row, the wall row
+    # included
+    g = build_grid(16, 4)
+    f = 1.0 + 3.0 * np.broadcast_to(g.rho, g.shape)
+    df = d_rho(f, g, EVEN, EXTRAP)
+    assert np.max(np.abs(df[1:] - 3.0)) <= 1e-13
 
 
 def test_d_z_trig_accuracy():
@@ -163,34 +172,6 @@ def test_explicit_rhs_forcing_passthrough():
         assert np.max(np.abs(comp - 2.5)) <= 1e-13
 
 
-def test_vorticity_transport_requires_rate():
-    v, g = _taylor_state(8)
-    w = _curl(v)
-    with pytest.raises(ContractViolation):
-        vorticity_transport_residual(v, w, None, _curl(zero_state(g)),
-                                     0.1)
-
-
-def test_vorticity_transport_residual_small_on_analytic_flow():
-    """Pure swirl decay: the azimuthal/radial equations are trivially zero
-    and the axial one reduces to viscous diffusion of w_z."""
-    nu = 0.1
-    g = build_grid(48, 4)
-    sol = mms.make_solution("decaying_swirl", {"nu": nu}, g)
-    dt = 1e-4
-    v0 = mms.sample_state(sol, 0.0)
-    v1 = mms.sample_state(sol, dt)
-    w0, w1 = _curl(v0), _curl(v1)
-    rate = (w1 - w0) / dt
-    res = vorticity_transport_residual(v0, w0, rate,
-                                       _curl(zero_state(g)), nu)
-    # interior rows; the residual stacks two second-order stencils so the
-    # band is a generous multiple of Delta^2
-    interior = slice(1, -2)
-    for comp in res:
-        assert np.max(np.abs(comp[interior])) <= 50.0 * g.d_rho**2
-
-
 def test_velocity_grad_l2():
     g = build_grid(16, 8)
     assert _grad_l2(zero_state(g)) == 0.0
@@ -201,45 +182,6 @@ def test_velocity_grad_l2():
         u_rho=2 * v.u_rho, u_phi=2 * v.u_phi, u_z=2 * v.u_z
     )
     assert _grad_l2(doubled) == pytest.approx(2.0 * val, rel=1e-12)
-
-
-def test_radial_diffusion_extrap_exact():
-    # the linearly extrapolated wall ghost reproduces any linear field, so
-    # f = 1 + 3 rho gives 3/rho on every row, the wall row included; on
-    # rho^2 the interior rows are exact as in the no-slip mode
-    g = build_grid(64, 4)
-    r = np.broadcast_to(g.rho, g.shape)
-    got = radial_diffusion(1.0 + 3.0 * r, g, EXTRAP)
-    assert np.max(np.abs(got - 3.0 / r)) <= 1e-11 * np.max(3.0 / r)
-    got = radial_diffusion(r**2, g, EXTRAP)
-    assert np.max(np.abs(got[:-1] - 4.0)) <= 1e-11
-
-
-def test_vorticity_transport_residual_converges_on_forced_taylor():
-    """Forced Taylor vortex with swirl: omega_rho = -d_z u_phi is nonzero,
-    so the swirl-stretching term 2 (u_phi / rho) omega_rho of the
-    omega_phi equation is exercised.  With the analytic rate (centred in
-    time) and g = discrete curl of the forcing, the relative residual of
-    the omega_phi equation falls at second order on all but the two wall
-    rows (a wrong sign leaves it at an O(1) fraction)."""
-    nu, t, dt = 0.1, 0.1, 1e-4
-    rows = slice(0, -2)
-    res = []
-    for n in (16, 32, 64):
-        g = build_grid(n, n)
-        sol = mms.make_solution("taylor_vortex_swirl", {}, g)
-        w0, w, w1 = (_curl(mms.sample_state(sol, s))
-                     for s in (t - dt, t, t + dt))
-        rate = (w1 - w0) / (2.0 * dt)
-        h = mms.forcing_callable(sol, nu)(t)
-        gc = _curl(zero_state(g).replace_fields(*h))
-        r_phi = vorticity_transport_residual(
-            mms.sample_state(sol, t), w, rate, gc, nu)[1]
-        wt = g.cell_weight[rows]
-        res.append(math.sqrt(np.sum(wt * r_phi[rows] ** 2)
-                             / np.sum(wt * rate[1][rows] ** 2)))
-    orders = [math.log2(res[i] / res[i + 1]) for i in range(2)]
-    assert all(o >= 1.8 for o in orders), (res, orders)
 
 
 def test_tendencies_balance_rigid_rotation():

@@ -15,6 +15,7 @@ from axiswirl.cli import OUTPUT_ROOT_ENV, main, read_checkpoint
 from axiswirl.errors import ConfigurationError
 from axiswirl.fields import divergence
 from axiswirl.grid import build_grid
+from axiswirl.solver import J11
 from axiswirl import mms, monitor
 from tests.conftest import collect
 
@@ -56,7 +57,7 @@ def test_decaying_swirl_forcing_matches_viscosity():
 
 def test_decaying_swirl_wall_and_decay():
     sol = mms.make_solution("decaying_swirl", {"nu": 0.1}, build_grid(2, 2))
-    lam = sol.meta["lambda"]
+    lam = J11 / sol.grid.rho_max
     # J1 root at the wall: the swirl vanishes there
     assert abs(mms._bessel_j1_profile(lam)[0](np.array([[2.0]]))) <= 1e-12
     # exponential decay rate nu * lambda^2, at the cell centre rho = 0.5
@@ -166,9 +167,7 @@ def test_bessel_quadrature_matches_scipy():
     x = np.concatenate([np.geomspace(1e-300, 1e-3, 200),
                         np.linspace(1e-3, 3.5, 3501)])
     assert np.max(np.abs(mms.J1(x) / special.j1(x) - 1.0)) <= 1e-14
-    lam = mms.make_solution("decaying_swirl", {},
-                            build_grid(8, 2, rho_max=1.0)).meta["lambda"]
-    assert lam == pytest.approx(special.jn_zeros(1, 1)[0], rel=1e-15)
+    assert J11 == pytest.approx(special.jn_zeros(1, 1)[0], rel=1e-15)
 
 
 @given(amplitude=st.floats(1e-3, 1e3), rho_max=st.floats(0.1, 10.0))
@@ -179,7 +178,7 @@ def test_swirl_pressure_closed_form_matches_quadrature(amplitude, rho_max):
     integrate = pytest.importorskip("scipy.integrate")
     sol = mms.make_solution("decaying_swirl", {"amplitude": amplitude},
                             build_grid(8, 2, rho_max=rho_max))
-    lam = sol.meta["lambda"]
+    lam = J11 / rho_max
     swirl = (amplitude, sol.mu)
     pressure = (0.5 * amplitude * amplitude, 2.0 * sol.mu)
     t = 0.7
@@ -213,7 +212,7 @@ def test_swirl_pressure_balances_the_centrifugal_force():
             <= 1e-15 * np.max(centrifugal)
         assert np.max(np.abs(sol.pressure(t, "d_z"))) == 0.0
     # off the grid, on the profile itself, times its coef A^2 / 2 at t = 0
-    profile = mms._swirl_pressure_profile(sol.meta["lambda"])
+    profile = mms._swirl_pressure_profile(J11 / g.rho_max)
     coef = 0.5 * 1.3 * 1.3
     r, h = np.linspace(0.05, 2.0, 40)[:, None], 1e-5
     fd = coef * (profile[1](r + h) - profile[1](r - h)) / (2 * h)
@@ -277,10 +276,8 @@ def test_sample_state_matches_closed_forms_on_any_domain(kind, n_rho, n_z,
         _assert_close(getattr(state, name), ref, 1e-12)
     if kind != "decaying_swirl":
         return
-    # lam * rho_max = j_{1,1}: the swirl vanishes at the wall
-    special = pytest.importorskip("scipy.special")
-    lam = sol.meta["lambda"]
-    assert lam * rho_max == pytest.approx(special.jn_zeros(1, 1)[0], rel=1e-15)
+    # lam = j_{1,1} / rho_max: the swirl vanishes at the wall
+    lam = J11 / rho_max
     assert abs(mms._bessel_j1_profile(lam)[0](rho_max)) <= 1e-15
     # off its own nu the swirl needs h_phi = (nu - 0.1) lam^2 u_phi, and
     # the pressure balances the centrifugal force: h_rho = h_z = 0
