@@ -132,7 +132,8 @@ test "$(ls "$tmp"/overflowing-swirl/checkpoint_*.bin | wc -l)" -eq 11
 # reader: that must exit 0.  The same file with a header declaring
 # float32 samples over its float64 payload, or a 4 x 4 grid over its
 # 8 x 8 samples (restarted on 4 x 4 cells, so that the grids agree),
-# would load as wrong data, so each must exit 2 at $.initial_data
+# would load as wrong data, and one without its dtype is not the
+# writer's header, so each must exit 2 at $.initial_data
 cat > "$tmp/checkpointed.json" <<'JSON'
 {"schema_version": 1,
  "grid": {"n_rho": 8, "n_z": 8},
@@ -151,7 +152,7 @@ diff <(for ck in "$tmp"/checkpointed/checkpoint_*.bin; do
 print(*json.load(sys.stdin)["checkpoint_hashes"], sep="\n")' \
          < "$tmp/checkpointed/manifest.json")
 last="$(ls "$tmp"/checkpointed/checkpoint_*.bin | tail -n 1)"
-python3 - "$last" "$tmp/float32.bin" "$tmp/4x4.bin" <<'PY'
+python3 - "$last" "$tmp/float32.bin" "$tmp/4x4.bin" "$tmp/no-dtype.bin" <<'PY'
 import json, sys
 with open(sys.argv[1], "rb") as fh:
     header, payload = fh.readline(), fh.read()
@@ -162,10 +163,14 @@ doc = json.loads(header)
 doc["grid"].update(n_rho=4, n_z=4)
 with open(sys.argv[3], "wb") as fh:
     fh.write(json.dumps(doc).encode() + b"\n" + payload)
+doc = json.loads(header)
+del doc["dtype"]
+with open(sys.argv[4], "wb") as fh:
+    fh.write(json.dumps(doc).encode() + b"\n" + payload)
 PY
-ckpts=("$last" "$tmp/float32.bin" "$tmp/4x4.bin")
-cells=(8 8 4)
-for i in 0 1 2; do
+ckpts=("$last" "$tmp/float32.bin" "$tmp/4x4.bin" "$tmp/no-dtype.bin")
+cells=(8 8 4 8)
+for i in 0 1 2 3; do
   ckpt="${ckpts[$i]}"
   cat > "$tmp/restart.json" <<JSON
 {"schema_version": 1,

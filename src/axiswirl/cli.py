@@ -58,12 +58,13 @@ from . import mms
 gc.freeze()
 
 SCHEMA_VERSION = 1
-CHECKPOINT_VERSION = 1
 OUTPUT_ROOT_ENV = "AXISWIRL_OUTPUT_ROOT"
 
 _FIELD_NAMES = ("u_rho", "u_phi", "u_z", "pressure")
-# the one sample layout a checkpoint is written and read in
-_LAYOUT = {"dtype": "<f8", "order": "rho-fastest"}
+# every checkpoint header's keys besides its grid and time, as written
+# and as the reader requires them
+_HEADER = {"format": "axiswirl-checkpoint", "version": 1, "dtype": "<f8",
+           "order": "rho-fastest", "fields": list(_FIELD_NAMES)}
 
 
 class SchemaError(ConfigurationError):
@@ -112,15 +113,12 @@ def write_checkpoint(path, state):
     (state_hash), taken over the arrays it wrote."""
     g = state.grid
     header = {
-        "format": "axiswirl-checkpoint",
-        "version": CHECKPOINT_VERSION,
+        **_HEADER,
         "grid": {
             "n_rho": g.n_rho, "n_z": g.n_z, "rho_max": g.rho_max,
             "z_min": g.z_min, "z_max": g.z_max,
         },
         "time": state.time,
-        "fields": list(_FIELD_NAMES),
-        **_LAYOUT,
     }
     h = hashlib.sha256()
     with open(path, "wb") as fh:
@@ -144,36 +142,27 @@ def _read_header(path, line, payload):
     """Parse a checkpoint header line into (grid, time).
 
     payload is the number of bytes after the header line.  A malformed
-    header, or one declaring a sample layout other than _LAYOUT (a
-    header without dtype or order is read as _LAYOUT), fields other than
-    _FIELD_NAMES in order, or other samples than the payload holds,
-    raises ConfigurationError naming the file and the offending key.
+    header, one whose value of a _HEADER key is not the writer's, or one
+    declaring other samples than the payload holds, raises
+    ConfigurationError naming the file and the offending key.
     """
     try:
         # a line cut at MAX_HEADER_BYTES is no header
         header = json.loads(line) if line.endswith(b"\n") else None
     except (ValueError, RecursionError):  # RecursionError: nested too deep
         header = None
-    if not isinstance(header, dict) or header.get("format") != "axiswirl-checkpoint":
+    if not isinstance(header, dict) or header.get("format") != _HEADER["format"]:
         raise ConfigurationError(f"{path}: not a checkpoint file")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise ConfigurationError(
-            f"{path}: header key version: expected {CHECKPOINT_VERSION}, "
-            f"got {header.get('version')!r}")
-    for name, want in _LAYOUT.items():
-        if header.get(name, want) != want:
+    for name, want in _HEADER.items():
+        if header.get(name) != want:
             raise ConfigurationError(f"{path}: header key {name}: expected "
-                                     f"{want!r}, got {header[name]!r}")
+                                     f"{want!r}, got {header.get(name)!r}")
 
     def key(section, name, where):
         if not isinstance(section, dict) or name not in section:
             raise ConfigurationError(f"{path}: header key {where} is missing")
         return section[name]
 
-    names = key(header, "fields", "fields")
-    if names != list(_FIELD_NAMES):
-        raise ConfigurationError(f"{path}: header key fields: expected "
-                                 f"{list(_FIELD_NAMES)}, got {names!r}")
     gd = key(header, "grid", "grid")
     args = [key(gd, k, f"grid.{k}")
             for k in ("n_rho", "n_z", "rho_max", "z_min", "z_max")]
@@ -308,8 +297,7 @@ def _owned(section, build, *args, **kwargs):
         raise SchemaError(path, str(exc)) from None
 
 
-_INITIAL_KINDS = ("zero", "rigid_rotation", "taylor_vortex_swirl",
-                  "decaying_swirl", "file")
+_INITIAL_KINDS = ("zero", *mms.KINDS, "file")
 _FORCING_KINDS = ("zero", "manufactured")
 
 
@@ -384,7 +372,7 @@ def validate_scenario(doc) -> dict:
     if fkind not in _FORCING_KINDS:
         raise SchemaError("$.forcing.kind",
                           f"must be one of {_FORCING_KINDS}, got {fkind!r}")
-    if fkind == "manufactured" and kind in ("zero", "file"):
+    if fkind == "manufactured" and kind not in mms.KINDS:
         raise SchemaError("$.forcing.kind",
                           "manufactured forcing needs a manufactured initial kind")
     out["forcing"] = {"kind": fkind}
@@ -506,17 +494,18 @@ def _run_scenario(path):
         def keep(s):  # each checkpoint once: monitored, written, hashed
             diagnostics.add(s)
             if cfg["output"]["write_checkpoints"]:
-                if not hashes:  # run has accepted the settings
-                    os.makedirs(outdir, exist_ok=True)
                 name = f"checkpoint_{len(hashes):05d}.bin"
                 hashes.append(write_checkpoint(os.path.join(outdir, name), s))
             else:
                 hashes.append(state_hash(s))
 
-        steps = run(sim, state, forcing_at=forcing)
-        # run checks its settings at the first next(): a step count that
-        # it refuses names $.solver
-        state, dt = _owned("$.solver", next, steps)
+        # run refuses settings that break its step rules when called
+        # ($.solver), the last rejection a scenario can meet: the
+        # directory is created after it, so a rejected scenario writes
+        # nothing
+        steps = _owned("$.solver", run, sim, state, forcing_at=forcing)
+        os.makedirs(outdir, exist_ok=True)
+        state, dt = next(steps)
         taken = 0
         while True:  # the initial state, every stride-th and the last step
             if taken % sim.checkpoint_stride == 0:
@@ -533,9 +522,6 @@ def _run_scenario(path):
         checks = evaluate_checks(records, mcfg, g)
         blowup = blowup_indicator(records)
 
-    # created only now, or at the first checkpoint written, so that a
-    # scenario rejected at any stage writes nothing
-    os.makedirs(outdir, exist_ok=True)
     write_diagnostics_csv(os.path.join(outdir, "diagnostics.csv"), records,
                           mcfg)
     manifest = {

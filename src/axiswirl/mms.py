@@ -128,11 +128,10 @@ class ManufacturedSolution:
     and the pressure by e^{-2 mu t}, on which the forcing's two parts
     rest.  A partial, named as in _PARTIALS, is sampled when it is read."""
 
-    __slots__ = ("kind", "grid", "mu", "terms", "homogeneous_nu")
+    __slots__ = ("grid", "mu", "terms", "homogeneous_nu")
 
-    def __init__(self, kind: str, grid: CylGrid, mu: float, u_rho, u_phi,
-                 u_z, p, homogeneous_nu: float | None = None):
-        self.kind = kind
+    def __init__(self, grid: CylGrid, mu: float, u_rho, u_phi, u_z, p,
+                 homogeneous_nu: float | None = None):
         self.grid = grid
         self.mu = mu
         self.terms = (u_rho, u_phi, u_z, p)
@@ -234,7 +233,7 @@ def make_solution(kind, params, grid: CylGrid) -> ManufacturedSolution:
         u_phi = ((1.0, _polynomial([0.0, omega]), flat),)
         # an omega^2 that overflows gives an infinite pressure: blow-up data
         p = ((1.0, _polynomial([0.0, 0.0, 0.5 * power(omega, 2)]), flat),)
-        return ManufacturedSolution(kind, grid, 0.0, (), u_phi, (), p,
+        return ManufacturedSolution(grid, 0.0, (), u_phi, (), p,
                                     homogeneous_nu=math.inf)
     if kind == "decaying_swirl":
         amp = params["amplitude"]
@@ -246,7 +245,7 @@ def make_solution(kind, params, grid: CylGrid) -> ManufacturedSolution:
                                      f"is not finite", "nu")
         u_phi = ((amp, _bessel_j1_profile(lam), flat),)
         p = ((0.5 * amp * amp, _swirl_pressure_profile(lam), flat),)
-        return ManufacturedSolution(kind, grid, mu, (), u_phi, (), p,
+        return ManufacturedSolution(grid, mu, (), u_phi, (), p,
                                     homogeneous_nu=nu)
     amp = params["amplitude"]
     swirl = params["swirl"]
@@ -275,7 +274,7 @@ def make_solution(kind, params, grid: CylGrid) -> ManufacturedSolution:
             raise ConfigurationError("the Taylor vortex's coefficients "
                                      "leave the floats", "rho_max")
     u_phi = ((swirl, f_phi, flat), (swirl * swirl_z, f_phi, cos))
-    return ManufacturedSolution(kind, grid, mu, ((amp, f_rho, cos),), u_phi,
+    return ManufacturedSolution(grid, mu, ((amp, f_rho, cos),), u_phi,
                                 ((amp, f_z, sin),), ((p_amp, f_p, cos),))
 
 

@@ -45,8 +45,8 @@ viscous accuracy limit that depends on the domain, not on the grid
 (viscous_dt_limit).
 
 `step` is one IMEX step of the dt it is given; `run` holds every rule on
-the steps (count, time advance, CFL limits) and yields each step's state
-as it reaches it.
+the steps (count, time advance, CFL limits), refuses settings that break
+one when it is called, and yields each step's state as it reaches it.
 """
 
 from __future__ import annotations
@@ -347,10 +347,10 @@ def _unusable(cfg: SimConfig, dt) -> str | None:
 
 
 def run(cfg: SimConfig, initial: VelocityState, forcing_at=None):
-    """Integrate from t_start to t_end: a generator of (state, dt) for
-    the projected initial state, then for each step's state, with the
-    step dt (the initial state's is that of the steps to come).  Its
-    value when it ends (StopIteration.value) is why the run was
+    """Integrate from t_start to t_end: returns a generator of (state,
+    dt) for the projected initial state, then for each step's state,
+    with the step dt (the initial state's is that of the steps to come).
+    Its value when it ends (StopIteration.value) is why the run was
     truncated, or None at t_end.  No state is kept.
 
     The automatic dt (cfg.dt None) is cfl_safety times the smallest of
@@ -365,9 +365,9 @@ def run(cfg: SimConfig, initial: VelocityState, forcing_at=None):
     No run takes more than MAX_STEPS steps, or a step that does not
     advance the time (TIME_RESOLUTION), so the yielded times strictly
     increase.  Settings alone (the given dt, or cfl_safety times
-    viscous_dt_limit) that break either rule raise ConfigurationError at
-    the first next(), before a state is yielded; the flow's CFL limits
-    that break one end the run after the initial state.
+    viscous_dt_limit) that break either rule raise ConfigurationError
+    when run is called, before it returns the generator; the flow's CFL
+    limits that break one end the run after the initial state.
     """
     # enforce the divergence invariant on the initial state
     state = project(initial.replace_fields(time=cfg.t_start))
@@ -380,6 +380,12 @@ def run(cfg: SimConfig, initial: VelocityState, forcing_at=None):
     why = _unusable(cfg, least)
     if why:
         raise ConfigurationError(f"the solver settings give {why}")
+    return _steps(cfg, state, dt, forcing_at)
+
+
+def _steps(cfg: SimConfig, state: VelocityState, dt, forcing_at):
+    """run's generator, from the projected initial state and the dt that
+    run picked for it."""
     why = _unusable(cfg, dt)
     if why:
         yield state, dt

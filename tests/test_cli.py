@@ -263,9 +263,13 @@ def _edit_header(path, edit):
     # samples in another layout would load as wrong data
     (lambda h: h.update(dtype="<f4"), "dtype"),
     (lambda h: h.update(order="z-fastest"), "order"),
+    # no writer leaves them out: a header without them is not the writer's
+    (lambda h: h.pop("dtype"), "dtype"),
+    (lambda h: h.pop("order"), "order"),
 ], ids=["unknown_field", "field_named_twice", "missing_n_z",
         "non_numeric_time", "version", "grid_refused",
-        "payload_larger_than_declared", "dtype", "order"])
+        "payload_larger_than_declared", "dtype", "order", "dtype_missing",
+        "order_missing"])
 def test_checkpoint_rejects_malformed_header(tmp_path, monkeypatch, capsys,
                                              edit, key):
     path = str(tmp_path / "bad.bin")
@@ -1410,7 +1414,8 @@ def test_checkpoint_header_larger_than_its_file(tmp_path, monkeypatch, capsys):
     header = {"format": "axiswirl-checkpoint", "version": 1,
               "grid": {"n_rho": 10**6, "n_z": 10**6, "rho_max": 2.0,
                        "z_min": 0.0, "z_max": 1.0},
-              "time": 0.0, "fields": ["u_rho", "u_phi", "u_z", "pressure"]}
+              "time": 0.0, "fields": ["u_rho", "u_phi", "u_z", "pressure"],
+              "dtype": "<f8", "order": "rho-fastest"}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n" + bytes(64))
     with pytest.raises(ConfigurationError) as exc:

@@ -23,8 +23,7 @@ from tests.conftest import collect
 def test_known_kinds():
     g = build_grid(8, 8)
     for kind in mms.KINDS:
-        sol = mms.make_solution(kind, {}, g)
-        assert sol.kind == kind
+        mms.make_solution(kind, {}, g)
     with pytest.raises(ConfigurationError):
         mms.make_solution("nonsense", {}, g)
 

@@ -187,6 +187,17 @@ def test_run_bounds_the_step_count(monkeypatch):
     assert len(states) == 1 and "CFL" in failure
 
 
+def test_run_refuses_its_settings_when_called(monkeypatch):
+    # the refusal comes from run itself, before a generator exists: a
+    # caller maps it to the settings with no next() to wrap
+    monkeypatch.setattr(solver, "MAX_STEPS", 10)
+    state = mms.sample_state(
+        mms.make_solution("taylor_vortex_swirl", {}, build_grid(8, 8)), 0.0)
+    dt = 2.0**-10
+    with pytest.raises(ConfigurationError, match="more than 10"):
+        run(SimConfig(t_end=11 * dt, dt=dt), state)
+
+
 def test_energy_nonincreasing_unforced(audit_run):
     energies = [kinetic_energy(s) for s in audit_run["states"]]
     assert len(energies) == 201
