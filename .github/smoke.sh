@@ -304,9 +304,28 @@ mkdir -p "$tmp/replay"
 AXISWIRL_OUTPUT_ROOT="$tmp/replay" axiswirl run "$tmp/sup-b-replay.json"
 cmp "$tmp/sup-b/diagnostics.csv" "$tmp/replay/sup-b/diagnostics.csv"
 
+# artifacts do not depend on the BLAS thread count: forced Taylor at
+# 16^2 run with one OpenBLAS thread and with two must write the same
+# diagnostics.csv and manifest.json (whose hashes cover every state kept)
+cat > "$tmp/threads.json" <<'JSON'
+{"schema_version": 1,
+ "grid": {"n_rho": 16, "n_z": 16},
+ "solver": {"t_end": 0.01},
+ "initial_data": {"kind": "taylor_vortex_swirl"},
+ "forcing": {"kind": "manufactured"},
+ "output": {"directory": "threads"}}
+JSON
+for n in 1 2; do
+  mkdir -p "$tmp/threads-$n"
+  OPENBLAS_NUM_THREADS=$n AXISWIRL_OUTPUT_ROOT="$tmp/threads-$n" axiswirl run "$tmp/threads.json"
+done
+for f in diagnostics.csv manifest.json; do
+  cmp "$tmp/threads-1/threads/$f" "$tmp/threads-2/threads/$f"
+done
+
 # every JSON artifact the runs above wrote is strict JSON: the manifest
-# and report of eight runs, fast-rotation among them, whose report
-# holds values that do not exist (null)
+# and report of ten runs, fast-rotation among them, whose report holds
+# values that do not exist (null)
 mapfile -t artifacts < <(find "$tmp" -name manifest.json -o -name report.json)
-test "${#artifacts[@]}" -eq 16
+test "${#artifacts[@]}" -eq 20
 strict_json "${artifacts[@]}"

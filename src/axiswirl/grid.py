@@ -10,6 +10,7 @@ dot product with the radial cell weights.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 
@@ -132,15 +133,23 @@ def build_grid(n_rho, n_z, rho_max=2.0, z_min=0.0, z_max=1.0) -> CylGrid:
     return grid
 
 
+@functools.lru_cache(maxsize=256)
+def weight_row(grid: CylGrid, k: float) -> np.ndarray:
+    """The radial cell weight times rho^k, shape (n_rho,), computed once
+    per (grid, k) and read-only.  A weight that overflows is inf."""
+    row = grid.cell_weight[:, 0] * grid.rho_centers ** k
+    row.setflags(write=False)
+    return row
+
+
 def moment(vals, grid: CylGrid, k: float = 0.0) -> float:
     """Midpoint integral of vals * rho^k over the cylinder: the z-sums of
-    vals, then one dot product with the radial cell weight times rho^k.
-    vals is a grid field or its z-sums (shape (n_rho,)).  Overflowed
-    samples give an inf or nan integral.  Where the weight overflows (a
-    huge domain, a high power), a zero z-sum adds 0, not 0 * inf = nan."""
+    vals, then one dot product with weight_row(grid, k).  vals is a grid
+    field or its z-sums (shape (n_rho,)).  Overflowed samples give an inf
+    or nan integral.  Where the weight overflows (a huge domain, a high
+    power), a zero z-sum adds 0, not 0 * inf = nan."""
     col = vals.sum(axis=1) if vals.ndim == 2 else vals
-    weight = grid.cell_weight[:, 0] * grid.rho_centers ** k
-    return float(col @ np.where(col == 0.0, 0.0, weight))
+    return float(col @ np.where(col == 0.0, 0.0, weight_row(grid, k)))
 
 
 def power(x: float, y: float) -> float:

@@ -7,12 +7,13 @@ swirl-norm budget with all of its intermediate Holder/Young steps, the
 epsilon-weighted azimuthal-vorticity budget and its epsilon -> 0 limit,
 the quartic swirl identity and its Young-absorbed inequality, the
 Gronwall envelope, and the blow-up indicator time series.  Every
-monitored integral is computed once per checkpoint (CheckpointView), as
-a radial moment of z-sums; each budget is one function of two views and
-the pair's dt, which Diagnostics computes once per pair as it folds the
-checkpoints into records (solver.run makes their times increase, so
-dt > 0).  evaluate_checks turns the records' margins into the PASS /
-FAIL / REPORT-ONLY checks of a run.  The settings' rules are
+monitored integral is a row of checkpoint_view's table, evaluated once
+per checkpoint as a radial moment of z-sums; every linear budget is a
+list of terms for the one balance rule; each budget is one function of
+two views and the pair's dt, which Diagnostics computes once per pair
+as it folds the checkpoints into records (solver.run makes their times
+increase, so dt > 0).  evaluate_checks turns the records' margins into
+the PASS / FAIL / REPORT-ONLY checks of a run.  The settings' rules are
 monitor_settings', met once, when the MonitorConfig is built.
 
 Two classes of checks are distinguished throughout:
@@ -50,7 +51,6 @@ from .fields import (
 )
 from .grid import CylGrid, power, serrin_advance
 from .grid import moment as _integ  # the package's one midpoint rule
-from .records import Frozen
 
 
 # --- configuration --------------------------------------------------------
@@ -241,62 +241,29 @@ def _swirl_power_parity(q_half: int):
 
 # --- per-checkpoint view --------------------------------------------------
 
-class CheckpointView(Frozen):
-    """Every integral that the record of one checkpoint and the budgets of
-    the pair starting at it read, evaluated once by checkpoint_view from
-    the state and the forcing h at the checkpoint's time (u = u_phi).  The
-    eps-keyed dicts hold one entry per configured epsilon (0 for an empty
-    list).  Built with one keyword argument per field."""
+class CheckpointView(dict):
+    """The integrals of one checkpoint by name, as checkpoint_view
+    evaluates them; a string name reads as an attribute too."""
 
-    __slots__ = (
-        "time",
-        "swirl_power",  # integral u^q
-        "forcing_power",  # integral |h|^q
-        "serrin",  # S = integral (u_rho^-)^alpha rho^beta
-        "serrin_theta",  # S^theta
-        "serrin_spatial",  # integral (u_rho^- rho^gamma)^a
-        "d_t",
-        "swirl_grad_diss",  # integral |grad(u^{q/2})|^2
-        "swirl_axis_diss",  # integral u^q / rho^2
-        "young_forcing_lhs",  # integral |h| |u|^{q-1}
-        "holder_lhs",  # integral u_rho^- u^q / rho
-        "holder_y1",  # integral (u_rho^-)^{p/(p-1)} u^q rho^{(2-p)/(p-1)}
-        "swirl_mid_power",  # integral |u|^{qs/(s-2)}
-        "swirl_3q_power",  # integral |u|^{3q}
-        "quartic_r2",  # integral u^4 / rho^2
-        "quartic_r4",  # integral u^4 / rho^4
-        "quartic_diss",  # integral |grad(u^2 / rho)|^2
-        "quartic_transport",  # integral u_rho u^4 / rho^3
-        "quartic_grad",  # integral |grad u|^2 u^2 / rho^2
-        "quartic_forcing",  # integral h u^3 / rho^2
-        "quartic_source",  # integral u_rho^- u^4 / rho^3
-        "quartic_young",  # integral rho^4 h^4
-        "vort_energy",  # (1/2) integral omega_phi^2 / rho^{2-eps}
-        "vort_diss",  # integral |grad(omega_phi / rho^{1-eps})|^2 rho^{-eps}
-        "vort_quartic",  # integral u^4 / rho^{4-eps}
-        "vort_radial",  # integral |u_rho| omega_phi^2 / rho^{3-eps}
-        "vort_curvature",  # integral omega_phi^2 / rho^{4-eps}
-        "vort_l2",
-        "grad_u_l2",
-        "transport",
-    )
+    __slots__ = ()
 
-    def __init__(self, **values):
-        if values.keys() != set(self.__slots__):
-            raise TypeError("CheckpointView fields differ in "
-                            f"{sorted(values.keys() ^ set(self.__slots__))}")
-        self._freeze(*(values[name] for name in self.__slots__))
+    def __getattr__(self, name):
+        try:
+            return self[name]
+        except KeyError:
+            raise AttributeError(name) from None
 
 
 def checkpoint_view(v: VelocityState, f,
                     m: MonitorConfig) -> CheckpointView:
     """Evaluate every monitored integral of one finite state and the
-    forcing f = (h_rho, h_phi, h_z) at its time, of which only h_phi
-    enters.  Each distinct power of u_phi is summed over z
-    once; an integral of that power against rho^k is then one length-n_rho
-    dot product.  A power that overflows is inf, never an exception."""
-    g = v.grid
-    q, e = m.q, m.exponents
+    forcing f = (h_rho, h_phi, h_z) at its time (h = h_phi; u = u_phi).
+    Each integral is a row (name, z-sums, k) of one table: the moment of
+    the z-sums of its integrand against rho^k, each z-sum formed once.
+    An eps-weighted row gives one integral per configured epsilon (0 for
+    an empty list), named (name, eps).  The numbers derived from the rows
+    follow them.  A power that overflows is inf, never an exception."""
+    g, q, e = v.grid, m.q, m.exponents
     p, s = e.p_hold, e.s
     ur, uh, h = v.u_rho, v.u_phi, f[1]
     u2 = uh**2
@@ -304,56 +271,82 @@ def checkpoint_view(v: VelocityState, f,
     # formed so that its six arrays stay out of the view's peak memory
     grad = velocity_gradient(v)
     w, grad_u_l2 = curl_axisym(v, grad), velocity_grad_l2(v, grad)
-    quartic_grad = _integ((grad[0][1]**2 + grad[1][1]**2) * u2, g, -2.0)
+    grad_u2 = ((grad[0][1]**2 + grad[1][1]**2) * u2).sum(axis=1)
     del grad
-    un = negative_part(ur)
-    u_abs = np.abs(uh)
+    un, u_abs, h_abs, wh = negative_part(ur), np.abs(uh), np.abs(h), w[1]
     powers = {j: u_abs**j for j in {q, 4, q * s / (s - 2.0), 3 * q}}
-    power_sums = {j: x.sum(axis=1) for j, x in powers.items()}
+    sums = {j: x.sum(axis=1) for j, x in powers.items()}
     uq, u4 = powers[q], powers[4]
-    wh = w[1]
     w2 = wh**2
     w2_sums, ur_w2_sums = w2.sum(axis=1), (np.abs(ur) * w2).sum(axis=1)
-    h_abs = np.abs(h)
-    epsilons = m.epsilon_list or (0.0,)
-    serrin, serrin_theta, serrin_spatial = serrin_factors(un, g, e)
-    return CheckpointView(
-        time=v.time,
-        swirl_power=_integ(power_sums[q], g),
-        forcing_power=_integ(h_abs**q, g),
-        serrin=serrin,
-        serrin_theta=serrin_theta,
-        serrin_spatial=serrin_spatial,
-        d_t=m.growth(serrin_theta),
-        swirl_grad_diss=_integ(grad_squared(
-            uh ** (q // 2), g, _swirl_power_parity(q // 2), NOSLIP), g),
-        swirl_axis_diss=_integ(power_sums[q], g, -2.0),
-        young_forcing_lhs=_integ(h_abs * u_abs ** (q - 1), g),
-        holder_lhs=_integ(un * uq, g, -1.0),
-        holder_y1=_integ(un ** (p / (p - 1.0)) * uq, g, (2.0 - p) / (p - 1.0)),
-        swirl_mid_power=_integ(power_sums[q * s / (s - 2.0)], g),
-        swirl_3q_power=_integ(power_sums[3 * q], g),
-        quartic_r2=_integ(power_sums[4], g, -2.0),
-        quartic_r4=_integ(power_sums[4], g, -4.0),
-        # u_phi^2 / rho is odd^2 / odd: odd across the axis
-        quartic_diss=_integ(grad_squared(u2 / g.rho, g, ODD, NOSLIP), g),
-        quartic_transport=_integ(ur * u4, g, -3.0),
-        quartic_grad=quartic_grad,
-        quartic_forcing=_integ(h * uh**3, g, -2.0),
-        quartic_source=_integ(u4 * un, g, -3.0),
-        quartic_young=_integ(h**4, g, 4.0),
-        vort_energy={x: 0.5 * _integ(w2_sums, g, x - 2.0) for x in epsilons},
+    swirl_diss = grad_squared(uh ** (q // 2), g, _swirl_power_parity(q // 2),
+                              NOSLIP).sum(axis=1)
+    # u^2 / rho is odd^2 / odd: odd across the axis
+    quartic_diss = grad_squared(u2 / g.rho, g, ODD, NOSLIP).sum(axis=1)
+    rows = [
+        ("swirl_power", sums[q], 0.0),
+        ("forcing_power", (h_abs**q).sum(axis=1), 0.0),
+        ("swirl_grad_diss", swirl_diss, 0.0),
+        ("swirl_axis_diss", sums[q], -2.0),
+        ("young_forcing_lhs", (h_abs * u_abs ** (q - 1)).sum(axis=1), 0.0),
+        ("holder_lhs", (un * uq).sum(axis=1), -1.0),
+        ("holder_y1", (un ** (p / (p - 1.0)) * uq).sum(axis=1),
+         (2.0 - p) / (p - 1.0)),
+        ("swirl_mid_power", sums[q * s / (s - 2.0)], 0.0),
+        ("swirl_3q_power", sums[3 * q], 0.0),
+        ("quartic_r2", sums[4], -2.0),
+        ("quartic_r4", sums[4], -4.0),
+        ("quartic_diss", quartic_diss, 0.0),
+        ("quartic_transport", (ur * u4).sum(axis=1), -3.0),
+        ("quartic_grad", grad_u2, -2.0),
+        ("quartic_forcing", (h * uh**3).sum(axis=1), -2.0),
+        ("quartic_source", (u4 * un).sum(axis=1), -3.0),
+        ("quartic_young", (h**4).sum(axis=1), 4.0),
+        ("vort_rz_sq", (w[0]**2 + w[2]**2).sum(axis=1), 0.0),
+        ("vort_phi_sq", w2_sums, 0.0),
+    ]
+    for x in m.epsilon_list or (0.0,):
         # omega_phi / rho^{1-eps} is odd/odd-like: even across the axis
-        vort_diss={x: _integ(grad_squared(wh / g.rho ** (1.0 - x), g, EVEN,
-                                          EXTRAP), g, -x) for x in epsilons},
-        vort_quartic={x: _integ(power_sums[4], g, x - 4.0) for x in epsilons},
-        vort_radial={x: _integ(ur_w2_sums, g, x - 3.0) for x in epsilons},
-        vort_curvature={x: _integ(w2_sums, g, x - 4.0) for x in epsilons},
-        vort_l2=math.sqrt(_integ(w[0]**2 + w[2]**2, g)
-                          + _integ(w2_sums, g)),
-        grad_u_l2=grad_u_l2,
-        transport=transport_cancellation(v, q),
-    )
+        vort_diss = grad_squared(wh / g.rho ** (1.0 - x), g, EVEN, EXTRAP)
+        rows += [(("vort_enstrophy", x), w2_sums, x - 2.0),
+                 (("vort_diss", x), vort_diss.sum(axis=1), -x),
+                 (("vort_quartic", x), sums[4], x - 4.0),
+                 (("vort_radial", x), ur_w2_sums, x - 3.0),
+                 (("vort_curvature", x), w2_sums, x - 4.0)]
+    view = CheckpointView({name: _integ(col, g, k) for name, col, k in rows})
+    serrin, serrin_theta, serrin_spatial = serrin_factors(un, g, e)
+    d_t = m.growth(serrin_theta)
+    view.update(
+        time=v.time, serrin=serrin, serrin_theta=serrin_theta,
+        serrin_spatial=serrin_spatial, d_t=d_t,
+        swirl_growth=d_t * view["swirl_power"],
+        vort_l2=math.sqrt(view["vort_rz_sq"] + view["vort_phi_sq"]),
+        grad_u_l2=grad_u_l2, transport=transport_cancellation(v, q))
+    return view
+
+
+# --- the balance rule -----------------------------------------------------
+
+def balance(left, right, prev: CheckpointView, nxt: CheckpointView,
+            dt: float) -> tuple:
+    """(residual, scale) of a balance across a pair of views, dt apart.
+    A term (c, field, evaluation) is c times the field's rate over the
+    pair ("rate"), its trapezoid mean ("trapezoid") or its value at the
+    pair's start ("start"); with field None it is c.  The residual is the
+    left terms summed minus the right terms summed, each side in order,
+    and the scale the sum of the magnitudes of all the terms."""
+    def term(c, name, how):
+        if name is None:
+            return c
+        if how == "rate":
+            return c * (nxt[name] - prev[name]) / dt
+        if how == "trapezoid":
+            return c / 2.0 * (prev[name] + nxt[name])
+        return c * prev[name]
+
+    lhs, rhs = [term(*t) for t in left], [term(*t) for t in right]
+    return (sum(lhs[1:], lhs[0]) - sum(rhs[1:], rhs[0]),
+            sum(map(abs, lhs + rhs)))
 
 
 # --- Step-1 budget --------------------------------------------------------
@@ -374,11 +367,11 @@ def swirl_lq_budget(prev: CheckpointView, nxt: CheckpointView,
     p, s = m.exponents.p_hold, m.exponents.s
     n_prev, h_q = prev.swirl_power, prev.forcing_power
     s_pow = prev.serrin ** (2.0 / s)  # S^{2/s}
-    out = {"swirl_budget": (h_q + prev.d_t * n_prev) - (
-        (nxt.swirl_power - n_prev) / dt
-        + nu * (2.0 * (q - 1.0) / q) * prev.swirl_grad_diss
-        + nu * q / 2.0 * prev.swirl_axis_diss
-    )}
+    out = {"swirl_budget": balance(
+        [(1.0, "forcing_power", "start"), (1.0, "swirl_growth", "start")],
+        [(1.0, "swirl_power", "rate"),
+         (nu * (2.0 * (q - 1.0) / q), "swirl_grad_diss", "start"),
+         (nu * q / 2.0, "swirl_axis_diss", "start")], prev, nxt, dt)[0]}
 
     def record(name, lhs, rhs):
         out[name] = rhs - lhs
@@ -425,16 +418,14 @@ def vorticity_margin_sequence(prev: CheckpointView, nxt: CheckpointView,
     finite on the axis-offset grid).  The vorticity forcing enters only
     through the absorbed constant c3.
     """
-    nu = m.nu
-    out = {}
-    for eps in m.epsilon_list:
-        rate = (nxt.vort_energy[eps] - prev.vort_energy[eps]) / dt
-        quartic = 1.0 / (2.0 * nu) * prev.vort_quartic[eps]
-        radial = eps / 2.0 * prev.vort_radial[eps]
-        curvature = nu * eps / 2.0 * (eps - 2.0) * prev.vort_curvature[eps]
-        out[_vorticity_column(eps)] = (quartic + radial + curvature + m.c3) - (
-            rate + nu / 4.0 * prev.vort_diss[eps])
-    return out
+    return {_vorticity_column(eps): balance(
+        [(1.0 / (2.0 * m.nu), ("vort_quartic", eps), "start"),
+         (eps / 2.0, ("vort_radial", eps), "start"),
+         (m.nu * eps / 2.0 * (eps - 2.0), ("vort_curvature", eps), "start"),
+         (m.c3, None, "start")],
+        [(0.5, ("vort_enstrophy", eps), "rate"),
+         (m.nu / 4.0, ("vort_diss", eps), "start")], prev, nxt, dt)[0]
+        for eps in m.epsilon_list}
 
 
 # --- Step-3 budget --------------------------------------------------------
@@ -467,18 +458,19 @@ def quartic_swirl_budget(prev: CheckpointView, nxt: CheckpointView,
            + (nu/2) int u^4/rho^4].
     """
     nu = m.nu
-    rate = 0.25 * (nxt.quartic_r2 - prev.quartic_r2) / dt
-    terms = (rate,
-             0.75 * (prev.quartic_transport + nxt.quartic_transport),
-             1.5 * nu * (prev.quartic_grad + nxt.quartic_grad),
-             -0.5 * (prev.quartic_forcing + nxt.quartic_forcing))
-    margin = (1.5 * prev.quartic_source
-              + 27.0 / (4.0 * nu**3) * prev.quartic_young) - (
-        rate + 0.75 * nu * prev.quartic_diss + 0.5 * nu * prev.quartic_r4
-    )
+    rate = (0.25, "quartic_r2", "rate")
+    residual, scale = balance(
+        [rate, (1.5, "quartic_transport", "trapezoid"),
+         (3.0 * nu, "quartic_grad", "trapezoid")],
+        [(1.0, "quartic_forcing", "trapezoid")], prev, nxt, dt)
+    margin, _ = balance(
+        [(1.5, "quartic_source", "start"),
+         (27.0 / (4.0 * nu**3), "quartic_young", "start")],
+        [rate, (0.75 * nu, "quartic_diss", "start"),
+         (0.5 * nu, "quartic_r4", "start")], prev, nxt, dt)
     return {"quartic_budget": margin,
-            "quartic_identity_residual": sum(terms),
-            "quartic_identity_residual_scale": sum(map(abs, terms))}
+            "quartic_identity_residual": residual,
+            "quartic_identity_residual_scale": scale}
 
 
 # --- Gronwall envelope and records ----------------------------------------
@@ -490,7 +482,9 @@ class DiagnosticsRecord:
     at this checkpoint and are absent (NaN / empty) on the first record
     of a trajectory; a truncated record leaves its values at NaN.
     Built with keyword arguments; a value not given is NaN.  __slots__
-    lists the fields in diagnostics.csv column order.
+    lists the fields in diagnostics.csv column order, then the margins
+    and swirl_power, the view's integral u_phi^q, which the checks read
+    and no column holds.
     """
 
     __slots__ = ("time", "swirl_q_norm", "d_t", "serrin_running",
@@ -499,7 +493,7 @@ class DiagnosticsRecord:
                  "dissipation_swirl_grad", "dissipation_swirl_axis",
                  "dissipation_vort", "dissipation_quartic", "grad_u_l2",
                  "vort_l2", "transport_cancellation", "f_indicator",
-                 "truncated", "margins")
+                 "truncated", "margins", "swirl_power")
 
     def __init__(self, time: float, truncated: bool = False,
                  margins: dict | None = None, **values):
@@ -507,7 +501,7 @@ class DiagnosticsRecord:
         if unknown:
             raise TypeError(f"DiagnosticsRecord has no fields {sorted(unknown)}")
         self.time = time
-        for name in self.__slots__[1:-2]:  # between time and truncated
+        for name in (*self.__slots__[1:-3], "swirl_power"):
             setattr(self, name, values.get(name, math.nan))
         self.truncated = truncated
         self.margins = {} if margins is None else margins
@@ -557,10 +551,7 @@ def _view_or_blowup(v: VelocityState, f, m: MonitorConfig):
     if not np.all(np.isfinite(v.u)):
         return None
     view = checkpoint_view(v, f, m)
-    values = [getattr(view, name) for name in view.__slots__]
-    values = [x for val in values
-              for x in (val.values() if isinstance(val, dict) else (val,))]
-    return view if all(math.isfinite(x) for x in values) else None
+    return view if all(map(math.isfinite, view.values())) else None
 
 
 class Diagnostics:
@@ -574,9 +565,9 @@ class Diagnostics:
     stored on the later record.  Blow-up data (non-finite, or with
     overflowing integrals) gets a terminal truncated record: add ignores
     every later state.  The running Serrin integral and the Gronwall
-    envelope exp(int d) * (||u_phi(t_start)||_q^q + (t - t_start) *
-    sup_s ||h_phi(s)||_q^q) advance with each record, int d by the
-    trapezoid rule.
+    envelope exp(int d) * (int u_phi(t_start)^q + (t - t_start) * sup_s
+    int |h_phi(s)|^q), the view's swirl_power and forcing_power, advance
+    with each record, int d by the trapezoid rule.
     """
 
     def __init__(self, m: MonitorConfig, forcing_at=None):
@@ -584,8 +575,8 @@ class Diagnostics:
         self.forcing_at = forcing_at
         self.records = []
         self._prev = None  # the previous checkpoint's view
-        # the running Serrin integral, int d, sup_s ||h_phi(s)||_q^q,
-        # t_start and ||u_phi(t_start)||_q^q
+        # the running Serrin integral, int d, sup_s int |h_phi(s)|^q,
+        # t_start and int u_phi(t_start)^q
         self._serrin = self._int_d = self._sup_h = self._t0 = self._n0 = 0.0
 
     def add(self, v: VelocityState):
@@ -599,11 +590,9 @@ class Diagnostics:
             self.records.append(DiagnosticsRecord(
                 time=v.time, serrin_running=self._serrin, truncated=True))
             return
-        swirl_q_norm = view.swirl_power ** (1.0 / m.q)
-        forcing_q_norm = view.forcing_power ** (1.0 / m.q)
         margins = {}
         if prev is None:
-            self._t0, self._n0 = view.time, power(swirl_q_norm, m.q)
+            self._t0, self._n0 = view.time, view.swirl_power
         else:
             e, dt = m.exponents, view.time - prev.time
             self._serrin = serrin_advance(self._serrin, prev.serrin_spatial,
@@ -612,12 +601,12 @@ class Diagnostics:
             margins = {**swirl_lq_budget(prev, view, m, dt),
                        **quartic_swirl_budget(prev, view, m, dt),
                        **vorticity_margin_sequence(prev, view, m, dt)}
-        self._sup_h = max(self._sup_h, power(forcing_q_norm, m.q))
+        self._sup_h = max(self._sup_h, view.forcing_power)
         base = self._n0 + (view.time - self._t0) * self._sup_h
-        wv = view.vort_energy[0.0]
+        wv = 0.5 * view["vort_enstrophy", 0.0]
         self.records.append(DiagnosticsRecord(
             time=view.time,
-            swirl_q_norm=swirl_q_norm,
+            swirl_q_norm=view.swirl_power ** (1.0 / m.q),
             d_t=view.d_t,
             serrin_running=self._serrin,
             # a zero base (no swirl, no forcing) gives 0 even when
@@ -625,19 +614,20 @@ class Diagnostics:
             gronwall_envelope=0.0 if base == 0.0 else (
                 math.exp(self._int_d) if self._int_d < _EXP_MAX else math.inf
             ) * base,
-            forcing_q_norm=forcing_q_norm,
+            forcing_q_norm=view.forcing_power ** (1.0 / m.q),
             weighted_vort_energy=wv,
             quartic_swirl_r2=view.quartic_r2,
             quartic_swirl_r4=view.quartic_r4,
             dissipation_swirl_grad=view.swirl_grad_diss,
             dissipation_swirl_axis=view.swirl_axis_diss,
-            dissipation_vort=view.vort_diss[0.0],
+            dissipation_vort=view["vort_diss", 0.0],
             dissipation_quartic=view.quartic_diss,
             grad_u_l2=view.grad_u_l2,
             vort_l2=view.vort_l2,
             transport_cancellation=view.transport,
             f_indicator=1.0 / (2.0 * m.nu**2) * view.quartic_r2 + wv,
             margins=margins,
+            swirl_power=view.swirl_power,
         ))
         self._prev = view
 
@@ -665,7 +655,7 @@ def _vorticity_column(eps: float) -> str:
 def record_columns() -> list[str]:
     """Names of the DiagnosticsRecord fields written to diagnostics.csv,
     in column order; the margin columns follow them."""
-    return [name for name in DiagnosticsRecord.__slots__ if name != "margins"]
+    return list(DiagnosticsRecord.__slots__[:-2])
 
 
 def margin_columns(m: MonitorConfig) -> list[str]:
@@ -694,11 +684,11 @@ def evaluate_checks(records, m: MonitorConfig, grid: CylGrid) -> list[dict]:
     exact Holder/Young sub-steps, margin / scale per pair (at least
     -SUB_MARGIN_REL); for the quartic identity, |residual| / scale /
     (Delta^2 + dt^2) per pair, dt the pair's (at most IDENTITY_BAND); for
-    transport cancellation, |transport| / ((1 + ||grad u||) (1 +
-    ||u_phi||_q^q)) per record (at most TRANSPORT_BAND * Delta^2); and
-    for Gronwall dominance, (envelope - ||u_phi||_q^q) / ||u_phi||_q^q
-    per record after the first, whose envelope is that norm (at least
-    -ENVELOPE_REL).  Everything involving c_grow, c_sob, or c3 is
+    transport cancellation, |transport| / ((1 + ||grad u||) (1 + N)) per
+    record (at most TRANSPORT_BAND * Delta^2); and for Gronwall
+    dominance, (envelope - N) / N per record after the first, whose
+    envelope is N (at least -ENVELOPE_REL); N = int u_phi^q is the
+    record's swirl_power.  Everything involving c_grow, c_sob, or c3 is
     report-only.
     """
     finite = [r for r in records if not r.truncated]
@@ -728,7 +718,7 @@ def evaluate_checks(records, m: MonitorConfig, grid: CylGrid) -> list[dict]:
 
     def transport(r):
         return abs(r.transport_cancellation) / (
-            (1.0 + r.grad_u_l2) * (1.0 + power(r.swirl_q_norm, m.q)))
+            (1.0 + r.grad_u_l2) * (1.0 + r.swirl_power))
 
     checks.append(_asserted_check("transport_cancellation",
                                   map(transport, finite),
@@ -745,7 +735,7 @@ def evaluate_checks(records, m: MonitorConfig, grid: CylGrid) -> list[dict]:
         })
 
     def dominance(r):
-        norm = power(r.swirl_q_norm, m.q)
+        norm = r.swirl_power
         return (r.gronwall_envelope - norm) / norm if norm else 0.0
 
     gronwall = _asserted_check("gronwall_dominance",

@@ -1,16 +1,20 @@
 """Mesh construction and cylindrical quadrature."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from axiswirl import mms
 from axiswirl.errors import ConfigurationError, ContractViolation
 from axiswirl.exponents import derive_exponents
 from axiswirl.fields import zero_forcing, zero_state
-from axiswirl.grid import MAX_CELLS, build_grid, moment, serrin_advance
-from axiswirl.monitor import checkpoint_view, monitor_for, negative_part
+from axiswirl.grid import (MAX_CELLS, build_grid, moment, serrin_advance,
+                           weight_row)
+from axiswirl.monitor import (DEFAULT_EPSILON_LIST, checkpoint_view,
+                              monitor_for, negative_part)
 from axiswirl.solver import kinetic_energy, step
 
 FOUR_PI = 4.0 * math.pi
@@ -220,3 +224,36 @@ def test_a_zero_sample_adds_zero_under_an_overflowing_weight():
         assert moment(np.zeros(g.shape), g, 4.0) == 0.0
         assert moment(np.zeros(g.n_rho), g, 4.0) == 0.0
         assert moment(one, g, 4.0) == math.inf
+
+
+# the radial powers of the monitor's view: -4 ... 4, eps - 2 and eps - 4
+# for the default epsilons, and the Holder weight (2 - p) / (p - 1)
+_VIEW_POWERS = sorted(
+    {float(k) for k in range(-4, 5)}
+    | {x - d for x in DEFAULT_EPSILON_LIST for d in (2.0, 4.0)}
+    | {(2.0 - e.p_hold) / (e.p_hold - 1.0)
+       for e in (derive_exponents(6.0, 4.0, 0.0),
+                 derive_exponents(8.0, 8.0, 0.25))})
+
+
+@given(n_rho=st.integers(2, 16), n_z=st.integers(2, 16),
+       rho_max=st.one_of(st.floats(0.1, 10.0), st.just(1e100)),
+       k=st.sampled_from(_VIEW_POWERS), zeros=st.integers(0, 16),
+       seed=st.integers(0, 2**32 - 1))
+def test_moment_reads_a_cached_read_only_weight_row(n_rho, n_z, rho_max, k,
+                                                    zeros, seed):
+    # the cached row gives every bit of the weight computed anew, also
+    # where rho_max 1e100 overflows it and a zero z-sum must add 0
+    g = build_grid(n_rho, n_z, rho_max=rho_max)
+    col = np.random.default_rng(seed).standard_normal(n_rho)
+    col[:zeros] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        fresh = g.cell_weight[:, 0] * g.rho_centers ** k
+        direct = float(col @ np.where(col == 0.0, 0.0, fresh))
+        assert struct.pack("<d", moment(col, g, k)) \
+            == struct.pack("<d", direct)
+    row = weight_row(g, k)
+    assert row is weight_row(build_grid(n_rho, n_z, rho_max=rho_max), k)
+    assert not row.flags.writeable
+    with pytest.raises(ValueError):
+        row[0] = 0.0

@@ -281,7 +281,7 @@ def _checks_of(m, grid, nan_field=None):
     margins = {name: 0.0 for name in margin_columns(m)}
     margins.update({name + "_scale": 1.0
                     for name in (*SUB_CHECKS, "quartic_identity_residual")})
-    values = dict(swirl_q_norm=1.0, grad_u_l2=0.0, quartic_swirl_r2=0.0,
+    values = dict(swirl_power=1.0, grad_u_l2=0.0, quartic_swirl_r2=0.0,
                   transport_cancellation=0.0, gronwall_envelope=1.0)
     if nan_field is not None:
         (margins if nan_field in margins else values)[nan_field] = math.nan
@@ -296,6 +296,7 @@ def _checks_of(m, grid, nan_field=None):
     ("quartic_identity_residual_scale", "quartic_identity"),
     ("transport_cancellation", "transport_cancellation"),
     ("grad_u_l2", "transport_cancellation"),
+    ("swirl_power", "transport_cancellation"),
     ("gronwall_envelope", "gronwall_dominance"),
 ])
 def test_nan_margin_fails_its_check(m640, nan_field, check):
@@ -324,7 +325,7 @@ _size = st.one_of(st.floats(0.0, 1e6), st.just(math.nan))
         | {name + "_scale": _size
            for name in (*SUB_CHECKS, "quartic_identity_residual")}),
     "values": st.fixed_dictionaries({
-        "swirl_q_norm": _size, "grad_u_l2": _size,
+        "swirl_power": _size, "grad_u_l2": _size,
         "transport_cancellation": _maybe_nan, "gronwall_envelope": _size}),
 }), min_size=1, max_size=4))
 def test_asserted_checks_pass_exactly_within_tolerance(exp640, pairs):
@@ -357,7 +358,7 @@ def test_sub_step_margin_is_the_worst_relative_margin(forced_taylor):
 def test_checks_without_values_report_zero(m640):
     # one record: no pair, so no sub-step, identity or dominance value,
     # and dominance is not asserted
-    values = dict(swirl_q_norm=1.0, grad_u_l2=0.0, quartic_swirl_r2=0.0,
+    values = dict(swirl_power=1.0, grad_u_l2=0.0, quartic_swirl_r2=0.0,
                   transport_cancellation=0.0, gronwall_envelope=1.0)
     checks = {c["name"]: c for c in evaluate_checks(
         [DiagnosticsRecord(time=0.0, **values)], m640, build_grid(8, 8))}
@@ -497,3 +498,16 @@ def test_absorption_constants_once_per_config(exp640):
         with pytest.raises(InadmissibleExponents) as exc:
             MonitorConfig(exponents=e, nu=0.1, c_sob=0.09, c_grow=c_grow)
         assert f"p = {e.p_hold}, s = {e.s}, nu = 0.1" in str(exc.value)
+
+
+def test_gronwall_base_is_the_views_swirl_power(exp640):
+    # the envelope's base is the view's integral u_phi^q itself, not its
+    # q-th root raised to q again, which is 1-2 ulp off on this state
+    g = build_grid(32, 32)
+    sol = mms.make_solution("taylor_vortex_swirl", {}, g)
+    forcing = mms.forcing_callable(sol, 0.1)
+    v = mms.sample_state(sol, 0.0)
+    m = monitor_for(g, exp640, 0.1)
+    first = collect([v], m, forcing_at=forcing)[0]
+    assert first.gronwall_envelope \
+        == checkpoint_view(v, forcing(0.0), m).swirl_power
