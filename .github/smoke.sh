@@ -323,9 +323,31 @@ for f in diagnostics.csv manifest.json; do
   cmp "$tmp/threads-1/threads/$f" "$tmp/threads-2/threads/$f"
 done
 
+# a negative swirl: forced Taylor with swirl -0.5, whose u_phi is
+# negative everywhere, at q 4 and at q 6 must exit 0 with every asserted
+# check PASS and strict JSON artifacts
+for q in 4 6; do
+  cat > "$tmp/negative-swirl-$q.json" <<JSON
+{"schema_version": 1,
+ "grid": {"n_rho": 16, "n_z": 16},
+ "solver": {"t_end": 0.01, "dt": 0.005},
+ "initial_data": {"kind": "taylor_vortex_swirl", "params": {"swirl": -0.5}},
+ "forcing": {"kind": "manufactured"},
+ "monitor": {"q": $q},
+ "output": {"directory": "negative-swirl-$q"}}
+JSON
+  AXISWIRL_OUTPUT_ROOT="$tmp" axiswirl run "$tmp/negative-swirl-$q.json"
+  strict_json "$tmp/negative-swirl-$q/manifest.json" \
+              "$tmp/negative-swirl-$q/report.json"
+  python3 -c 'import json, sys
+checks = [c for c in json.load(sys.stdin)["checks"] if c["asserted"]]
+assert checks and all(c["status"] == "PASS" for c in checks), checks' \
+    < "$tmp/negative-swirl-$q/report.json"
+done
+
 # every JSON artifact the runs above wrote is strict JSON: the manifest
-# and report of ten runs, fast-rotation among them, whose report holds
+# and report of twelve runs, fast-rotation among them, whose report holds
 # values that do not exist (null)
 mapfile -t artifacts < <(find "$tmp" -name manifest.json -o -name report.json)
-test "${#artifacts[@]}" -eq 20
+test "${#artifacts[@]}" -eq 24
 strict_json "${artifacts[@]}"

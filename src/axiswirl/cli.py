@@ -36,6 +36,7 @@ from .exponents import derive_exponents, holder_young_pairs
 from .fields import VelocityState, zero_state
 from .grid import CylGrid, build_grid
 from .monitor import (
+    COLUMNS,
     DEFAULT_EPSILON_LIST,
     Diagnostics,
     MonitorConfig,
@@ -44,7 +45,6 @@ from .monitor import (
     margin_columns,
     monitor_for,
     monitor_settings,
-    record_columns,
 )
 from .solver import SimConfig, run
 from . import mms
@@ -429,10 +429,10 @@ def _fmt(x) -> str:
 
 
 def write_diagnostics_csv(path, records, m: MonitorConfig):
-    columns, margins = record_columns(), margin_columns(m)
-    lines = [",".join([*columns, *margins])]
+    margins = margin_columns(m)
+    lines = [",".join([*COLUMNS, *margins])]
     for r in records:
-        vals = [_fmt(getattr(r, c)) for c in columns]
+        vals = [_fmt(getattr(r, c)) for c in COLUMNS]
         vals += [_fmt(r.margins.get(c, math.nan)) for c in margins]
         lines.append(",".join(vals))
     with open(path, "w") as fh:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .grid import CylGrid, moment
+from .grid import CylGrid
 from .records import Frozen
 
 ODD = "odd"
@@ -212,8 +212,8 @@ def radial_div_adjoint(phi, grid: CylGrid):
 
 def velocity_gradient(v: VelocityState):
     """(dr, dz): the tuples of d_rho and d_z of (u_rho, u_phi, u_z), with
-    the axis PARITIES and the no-slip wall ghost.  The step, the curl,
-    ||grad u|| and the monitor all read these."""
+    the axis PARITIES and the no-slip wall ghost.  The step, the curl
+    and the monitor's ||grad u|| read these."""
     g = v.grid
     return (tuple(d_rho(x, g, par) for x, par in zip(v.u, PARITIES)),
             tuple(d_z(x, g) for x in v.u))
@@ -256,14 +256,3 @@ def viscous_rhs(v: VelocityState, nu: float):
 def grad_squared(f, grid: CylGrid, parity, wall=NOSLIP):
     """(d_rho f)^2 + (d_z f)^2 with the given ghost conventions."""
     return d_rho(f, grid, parity, wall) ** 2 + d_z(f, grid) ** 2
-
-
-def velocity_grad_l2(v: VelocityState, grad) -> float:
-    """L2 norm of the axisymmetric velocity gradient tensor, from grad =
-    velocity_gradient(v): |Du|^2 = sum of squared component derivatives
-    plus the curvature terms (u_rho^2 + u_phi^2)/rho^2.  inf where the
-    squares overflow."""
-    ur, uh, _ = v.u
-    sq = (sum(r**2 + z**2 for r, z in zip(*grad))
-          + (ur**2 + uh**2) / v.grid.rho**2)
-    return moment(sq, v.grid) ** 0.5

@@ -45,7 +45,6 @@ from .fields import (
     d_rho,
     d_z,
     grad_squared,
-    velocity_grad_l2,
     velocity_gradient,
     zero_forcing,
 )
@@ -183,14 +182,13 @@ def calibrate_sobolev(grid: CylGrid, q: int = 4) -> float:
     of a large or a small domain in range; those of a large q overflow to
     inf, without a warning."""
     monitor_settings(q)
-    parity = _swirl_power_parity(q // 2)
     scale = 2 - math.frexp(grid.rho_max)[1]
     best = 0.0
-    for u in probe_fields(grid):
+    for probe in probe_fields(grid):
         with np.errstate(over="ignore", invalid="ignore"):
-            w = np.ldexp(u, scale) ** (q // 2)
-            num = _integ(np.abs(w) ** 6, grid) ** (1.0 / 3.0)
-            den = _integ(grad_squared(w, grid, parity, NOSLIP), grid)
+            u = np.ldexp(probe, scale)
+            num = _integ(np.abs(u ** (q // 2)) ** 6, grid) ** (1.0 / 3.0)
+            den = _integ(swirl_grad_squared(u, grid, q), grid)
         if den > 0.0:
             best = max(best, num / den)
     if not 0.0 < best < math.inf:
@@ -215,28 +213,28 @@ def negative_part(u_rho: np.ndarray) -> np.ndarray:
     return np.maximum(-u_rho, 0.0)
 
 
-def serrin_factors(u_neg: np.ndarray, grid: CylGrid, e: ExponentSet):
-    """(S, S^theta, spatial) for u_neg = u_rho^-: S = integral
-    u_neg^alpha rho^beta dx, the factor of d(t), and spatial = integral
-    (u_neg rho^gamma)^a dx, the running integral's.  alpha is a, so one
-    z-sum of u_neg^a gives both.  A power that overflows is inf."""
-    sums = (u_neg ** e.a).sum(axis=1)
-    serrin = _integ(sums, grid, e.beta)
-    return serrin, power(serrin, e.theta), _integ(sums, grid, e.a * e.gamma)
+def swirl_grad_squared(u: np.ndarray, grid: CylGrid, q: int) -> np.ndarray:
+    """|grad(u^{q/2})|^2 for a swirl u (odd across the axis, so u^{q/2} is
+    odd for odd q/2) with the no-slip wall ghost: the integrand of the
+    swirl budget's gradient dissipation and of calibrate_sobolev's
+    denominator, so that c_sob bounds the functional the budget uses."""
+    half = q // 2
+    return grad_squared(u ** half, grid, ODD if half % 2 else EVEN, NOSLIP)
+
+
+def _transport_integrand(v: VelocityState, uq: np.ndarray) -> np.ndarray:
+    """u_rho d_rho(uq) + u_z d_z(uq) for uq = |u_phi|^q, an even power:
+    even across the axis, 0 at the wall."""
+    g = v.grid
+    return v.u_rho * d_rho(uq, g, EVEN, NOSLIP) + v.u_z * d_z(uq, g)
 
 
 def transport_cancellation(v: VelocityState, q: int) -> float:
     """Discrete value of integral u_rho d_rho(u_phi^q) + u_z d_z(u_phi^q),
     which vanishes for divergence-free fields; O(Delta^2) on projected
-    states.  q is an even integer >= 2 (monitor_settings)."""
-    g = v.grid
-    uq = v.u_phi ** q  # even power: even across the axis, 0 at wall
-    val = v.u_rho * d_rho(uq, g, EVEN, NOSLIP) + v.u_z * d_z(uq, g)
-    return _integ(val, g)
-
-
-def _swirl_power_parity(q_half: int):
-    return ODD if q_half % 2 == 1 else EVEN
+    states.  q is an even integer >= 2 (monitor_settings).  The same
+    number as checkpoint_view's transport_cancellation row."""
+    return _integ(_transport_integrand(v, np.abs(v.u_phi) ** q), v.grid)
 
 
 # --- per-checkpoint view --------------------------------------------------
@@ -260,8 +258,9 @@ def checkpoint_view(v: VelocityState, f,
     forcing f = (h_rho, h_phi, h_z) at its time (h = h_phi; u = u_phi).
     Each integral is a row (name, z-sums, k) of one table: the moment of
     the z-sums of its integrand against rho^k, each z-sum formed once.
-    An eps-weighted row gives one integral per configured epsilon (0 for
-    an empty list), named (name, eps).  The numbers derived from the rows
+    A row that is a diagnostics.csv column bears the column's name.  An
+    eps-weighted row gives one integral per configured epsilon (0 for an
+    empty list), named (name, eps).  The numbers derived from the rows
     follow them.  A power that overflows is inf, never an exception."""
     g, q, e = v.grid, m.q, m.exponents
     p, s = e.p_hold, e.s
@@ -270,33 +269,43 @@ def checkpoint_view(v: VelocityState, f,
     # the one differentiation of v, dropped before the powers of u_phi are
     # formed so that its six arrays stay out of the view's peak memory
     grad = velocity_gradient(v)
-    w, grad_u_l2 = curl_axisym(v, grad), velocity_grad_l2(v, grad)
+    w = curl_axisym(v, grad)
+    # |grad u|^2: the squared component derivatives plus the curvature
+    # terms (u_rho^2 + u_phi^2)/rho^2
+    grad_sq = (sum(r**2 + z**2 for r, z in zip(*grad))
+               + (ur**2 + u2) / g.rho**2).sum(axis=1)
     grad_u2 = ((grad[0][1]**2 + grad[1][1]**2) * u2).sum(axis=1)
     del grad
     un, u_abs, h_abs, wh = negative_part(ur), np.abs(uh), np.abs(h), w[1]
     powers = {j: u_abs**j for j in {q, 4, q * s / (s - 2.0), 3 * q}}
     sums = {j: x.sum(axis=1) for j, x in powers.items()}
     uq, u4 = powers[q], powers[4]
+    # alpha is a: one z-sum of (u_rho^-)^a gives both Serrin factors
+    un_sums = (un ** e.a).sum(axis=1)
     w2 = wh**2
     w2_sums, ur_w2_sums = w2.sum(axis=1), (np.abs(ur) * w2).sum(axis=1)
-    swirl_diss = grad_squared(uh ** (q // 2), g, _swirl_power_parity(q // 2),
-                              NOSLIP).sum(axis=1)
     # u^2 / rho is odd^2 / odd: odd across the axis
     quartic_diss = grad_squared(u2 / g.rho, g, ODD, NOSLIP).sum(axis=1)
     rows = [
+        ("serrin", un_sums, e.beta),
+        ("serrin_spatial", un_sums, e.a * e.gamma),
+        ("grad_u_sq", grad_sq, 0.0),
+        ("transport_cancellation", _transport_integrand(v, uq).sum(axis=1),
+         0.0),
         ("swirl_power", sums[q], 0.0),
         ("forcing_power", (h_abs**q).sum(axis=1), 0.0),
-        ("swirl_grad_diss", swirl_diss, 0.0),
-        ("swirl_axis_diss", sums[q], -2.0),
+        ("dissipation_swirl_grad", swirl_grad_squared(uh, g, q).sum(axis=1),
+         0.0),
+        ("dissipation_swirl_axis", sums[q], -2.0),
         ("young_forcing_lhs", (h_abs * u_abs ** (q - 1)).sum(axis=1), 0.0),
         ("holder_lhs", (un * uq).sum(axis=1), -1.0),
         ("holder_y1", (un ** (p / (p - 1.0)) * uq).sum(axis=1),
          (2.0 - p) / (p - 1.0)),
         ("swirl_mid_power", sums[q * s / (s - 2.0)], 0.0),
         ("swirl_3q_power", sums[3 * q], 0.0),
-        ("quartic_r2", sums[4], -2.0),
-        ("quartic_r4", sums[4], -4.0),
-        ("quartic_diss", quartic_diss, 0.0),
+        ("quartic_swirl_r2", sums[4], -2.0),
+        ("quartic_swirl_r4", sums[4], -4.0),
+        ("dissipation_quartic", quartic_diss, 0.0),
         ("quartic_transport", (ur * u4).sum(axis=1), -3.0),
         ("quartic_grad", grad_u2, -2.0),
         ("quartic_forcing", (h * uh**3).sum(axis=1), -2.0),
@@ -314,14 +323,13 @@ def checkpoint_view(v: VelocityState, f,
                  (("vort_radial", x), ur_w2_sums, x - 3.0),
                  (("vort_curvature", x), w2_sums, x - 4.0)]
     view = CheckpointView({name: _integ(col, g, k) for name, col, k in rows})
-    serrin, serrin_theta, serrin_spatial = serrin_factors(un, g, e)
+    serrin_theta = power(view["serrin"], e.theta)
     d_t = m.growth(serrin_theta)
     view.update(
-        time=v.time, serrin=serrin, serrin_theta=serrin_theta,
-        serrin_spatial=serrin_spatial, d_t=d_t,
+        time=v.time, serrin_theta=serrin_theta, d_t=d_t,
         swirl_growth=d_t * view["swirl_power"],
         vort_l2=math.sqrt(view["vort_rz_sq"] + view["vort_phi_sq"]),
-        grad_u_l2=grad_u_l2, transport=transport_cancellation(v, q))
+        grad_u_l2=view["grad_u_sq"] ** 0.5)
     return view
 
 
@@ -370,8 +378,8 @@ def swirl_lq_budget(prev: CheckpointView, nxt: CheckpointView,
     out = {"swirl_budget": balance(
         [(1.0, "forcing_power", "start"), (1.0, "swirl_growth", "start")],
         [(1.0, "swirl_power", "rate"),
-         (nu * (2.0 * (q - 1.0) / q), "swirl_grad_diss", "start"),
-         (nu * q / 2.0, "swirl_axis_diss", "start")], prev, nxt, dt)[0]}
+         (nu * (2.0 * (q - 1.0) / q), "dissipation_swirl_grad", "start"),
+         (nu * q / 2.0, "dissipation_swirl_axis", "start")], prev, nxt, dt)[0]}
 
     def record(name, lhs, rhs):
         out[name] = rhs - lhs
@@ -382,7 +390,7 @@ def swirl_lq_budget(prev: CheckpointView, nxt: CheckpointView,
     record("young_forcing", prev.young_forcing_lhs,
            (1.0 / q) * ((q - 1.0) / q) ** (q - 1) * h_q + n_prev)
 
-    y1, i2 = prev.holder_y1, prev.swirl_axis_diss
+    y1, i2 = prev.holder_y1, prev.dissipation_swirl_axis
     holder = y1 ** ((p - 1.0) / p) * i2 ** (1.0 / p)
     record("holder_p", prev.holder_lhs, holder)
 
@@ -458,7 +466,7 @@ def quartic_swirl_budget(prev: CheckpointView, nxt: CheckpointView,
            + (nu/2) int u^4/rho^4].
     """
     nu = m.nu
-    rate = (0.25, "quartic_r2", "rate")
+    rate = (0.25, "quartic_swirl_r2", "rate")
     residual, scale = balance(
         [rate, (1.5, "quartic_transport", "trapezoid"),
          (3.0 * nu, "quartic_grad", "trapezoid")],
@@ -466,8 +474,8 @@ def quartic_swirl_budget(prev: CheckpointView, nxt: CheckpointView,
     margin, _ = balance(
         [(1.5, "quartic_source", "start"),
          (27.0 / (4.0 * nu**3), "quartic_young", "start")],
-        [rate, (0.75 * nu, "quartic_diss", "start"),
-         (0.5 * nu, "quartic_r4", "start")], prev, nxt, dt)
+        [rate, (0.75 * nu, "dissipation_quartic", "start"),
+         (0.5 * nu, "quartic_swirl_r4", "start")], prev, nxt, dt)
     return {"quartic_budget": margin,
             "quartic_identity_residual": residual,
             "quartic_identity_residual_scale": scale}
@@ -475,35 +483,40 @@ def quartic_swirl_budget(prev: CheckpointView, nxt: CheckpointView,
 
 # --- Gronwall envelope and records ----------------------------------------
 
+# The diagnostics.csv columns of a record, in order; the margin columns
+# follow them.  A number that a checkpoint view holds under a column's
+# name is that column's value, Diagnostics.add derives seven more, and
+# truncated marks blow-up data.
+COLUMNS = ("time", "swirl_q_norm", "d_t", "serrin_running",
+           "gronwall_envelope", "forcing_q_norm", "weighted_vort_energy",
+           "quartic_swirl_r2", "quartic_swirl_r4", "dissipation_swirl_grad",
+           "dissipation_swirl_axis", "dissipation_vort", "dissipation_quartic",
+           "grad_u_l2", "vort_l2", "transport_cancellation", "f_indicator",
+           "truncated")
+# a record's fields but its margins: the columns, and the view's integral
+# u_phi^q, which the checks read and no column holds
+_FIELDS = (*COLUMNS, "swirl_power")
+
+
 class DiagnosticsRecord:
     """One row of monitor output per checkpoint.
 
     Pair-based quantities (margins, rates) describe the interval ending
     at this checkpoint and are absent (NaN / empty) on the first record
     of a trajectory; a truncated record leaves its values at NaN.
-    Built with keyword arguments; a value not given is NaN.  __slots__
-    lists the fields in diagnostics.csv column order, then the margins
-    and swirl_power, the view's integral u_phi^q, which the checks read
-    and no column holds.
+    Built with keyword arguments; a value not given is NaN.
     """
 
-    __slots__ = ("time", "swirl_q_norm", "d_t", "serrin_running",
-                 "gronwall_envelope", "forcing_q_norm", "weighted_vort_energy",
-                 "quartic_swirl_r2", "quartic_swirl_r4",
-                 "dissipation_swirl_grad", "dissipation_swirl_axis",
-                 "dissipation_vort", "dissipation_quartic", "grad_u_l2",
-                 "vort_l2", "transport_cancellation", "f_indicator",
-                 "truncated", "margins", "swirl_power")
+    __slots__ = (*_FIELDS, "margins")
 
     def __init__(self, time: float, truncated: bool = False,
                  margins: dict | None = None, **values):
-        unknown = values.keys() - set(self.__slots__)
+        unknown = values.keys() - set(_FIELDS)
         if unknown:
             raise TypeError(f"DiagnosticsRecord has no fields {sorted(unknown)}")
-        self.time = time
-        for name in (*self.__slots__[1:-3], "swirl_power"):
+        values.update(time=time, truncated=truncated)
+        for name in _FIELDS:
             setattr(self, name, values.get(name, math.nan))
-        self.truncated = truncated
         self.margins = {} if margins is None else margins
         for name in ("swirl_q_norm", "serrin_running", "weighted_vort_energy",
                      "quartic_swirl_r2", "quartic_swirl_r4", "grad_u_l2",
@@ -605,9 +618,8 @@ class Diagnostics:
         base = self._n0 + (view.time - self._t0) * self._sup_h
         wv = 0.5 * view["vort_enstrophy", 0.0]
         self.records.append(DiagnosticsRecord(
-            time=view.time,
+            **{name: view[name] for name in _FIELDS if name in view},
             swirl_q_norm=view.swirl_power ** (1.0 / m.q),
-            d_t=view.d_t,
             serrin_running=self._serrin,
             # a zero base (no swirl, no forcing) gives 0 even when
             # exp(int d) overflows to inf, where the product would be nan
@@ -616,18 +628,9 @@ class Diagnostics:
             ) * base,
             forcing_q_norm=view.forcing_power ** (1.0 / m.q),
             weighted_vort_energy=wv,
-            quartic_swirl_r2=view.quartic_r2,
-            quartic_swirl_r4=view.quartic_r4,
-            dissipation_swirl_grad=view.swirl_grad_diss,
-            dissipation_swirl_axis=view.swirl_axis_diss,
             dissipation_vort=view["vort_diss", 0.0],
-            dissipation_quartic=view.quartic_diss,
-            grad_u_l2=view.grad_u_l2,
-            vort_l2=view.vort_l2,
-            transport_cancellation=view.transport,
-            f_indicator=1.0 / (2.0 * m.nu**2) * view.quartic_r2 + wv,
+            f_indicator=1.0 / (2.0 * m.nu**2) * view.quartic_swirl_r2 + wv,
             margins=margins,
-            swirl_power=view.swirl_power,
         ))
         self._prev = view
 
@@ -650,12 +653,6 @@ _SUB_CHECKS = ("young_forcing", "holder_p", "young_eps1", "holder_s_half",
 
 def _vorticity_column(eps: float) -> str:
     return f"vorticity_budget_eps_{eps:g}"
-
-
-def record_columns() -> list[str]:
-    """Names of the DiagnosticsRecord fields written to diagnostics.csv,
-    in column order; the margin columns follow them."""
-    return list(DiagnosticsRecord.__slots__[:-2])
 
 
 def margin_columns(m: MonitorConfig) -> list[str]:

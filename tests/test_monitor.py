@@ -16,7 +16,6 @@ from axiswirl.errors import (
 from axiswirl.exponents import derive_exponents
 from axiswirl.fields import (
     explicit_rhs,
-    velocity_grad_l2,
     velocity_gradient,
     zero_forcing,
     zero_state,
@@ -34,7 +33,7 @@ from axiswirl.monitor import (
     margin_columns,
     monitor_for,
     negative_part,
-    serrin_factors,
+    transport_cancellation,
 )
 from axiswirl.solver import SimConfig
 from tests.conftest import SUB_CHECKS, collect, run_through
@@ -433,11 +432,12 @@ def test_d_of_t_is_the_monitors_d_t(forced_taylor):
     g, states = forced_taylor["grid"], forced_taylor["states"]
     m = monitor_for(g, derive_exponents(8.0, 8.0, 0.0), 0.1)
     records = collect(states, m, forcing_at=forced_taylor["forcing"])
-    factors = [serrin_factors(negative_part(v.u_rho), g, m.exponents)
-               for v in states]
-    assert all(serrin > 0.0 for serrin, _, _ in factors)
-    assert [r.d_t for r in records] == [m.q + m.c_grow * serrin_theta
-                                        for _, serrin_theta, _ in factors]
+    e = m.exponents
+    serrin = [moment(negative_part(v.u_rho) ** e.a, g, e.beta)
+              for v in states]
+    assert all(x > 0.0 for x in serrin)
+    assert [r.d_t for r in records] == [m.q + m.c_grow * x ** e.theta
+                                        for x in serrin]
 
 
 def test_gradient_overflow_is_a_truncated_record(exp640):
@@ -448,10 +448,39 @@ def test_gradient_overflow_is_a_truncated_record(exp640):
     v = zero_state(g).replace_fields(u_rho=g.zeros() + 1e154, time=0.0)
     m = monitor_for(g, exp640, 0.1)
     with np.errstate(over="ignore"):
-        assert velocity_grad_l2(v, velocity_gradient(v)) == math.inf
+        assert checkpoint_view(v, zero_forcing(g), m).grad_u_l2 == math.inf
         records = collect([v], m)
     assert len(records) == 1 and records[0].truncated
     assert math.isnan(records[0].grad_u_l2)
+
+
+@pytest.mark.parametrize("triple", [(6.0, 4.0, 0.0), (8.0, 8.0, 0.0)],
+                         ids=["a6_b4", "a8_b8"])
+@given(n_rho=st.integers(4, 16), n_z=st.integers(4, 16),
+       rho_max=st.floats(0.5, 4.0), q=st.sampled_from([4, 6, 8]),
+       seed=st.integers(0, 2**32 - 1))
+def test_view_rows_are_their_one_definition(triple, n_rho, n_z, rho_max, q,
+                                            seed):
+    # random states with u_phi and u_rho of both signs: the Serrin
+    # factors, ||grad u|| and the transport integral of the view are
+    # those of their definitions, bit for bit.  beta is a*gamma in the
+    # first triple and not in the second; |u_phi|^q and u_phi^q can differ
+    # in the last bit where u_phi < 0, so the transport row and
+    # transport_cancellation must form the same power
+    e = derive_exponents(*triple)
+    g = build_grid(n_rho, n_z, rho_max=rho_max)
+    v = zero_state(g).replace_fields(
+        *np.random.default_rng(seed).standard_normal((3, *g.shape)))
+    m = MonitorConfig(exponents=e, nu=0.1, c_sob=0.09, q=q)
+    view = checkpoint_view(v, zero_forcing(g), m)
+    un_a = negative_part(v.u_rho) ** e.a
+    assert view.serrin == moment(un_a, g, e.beta)
+    assert view.serrin_spatial == moment(un_a, g, e.a * e.gamma)
+    grad = velocity_gradient(v)
+    sq = (sum(r**2 + z**2 for r, z in zip(*grad))
+          + (v.u_rho**2 + v.u_phi**2) / g.rho**2)
+    assert view.grad_u_l2 == moment(sq, g) ** 0.5
+    assert view.transport_cancellation == transport_cancellation(v, q)
 
 
 @pytest.mark.parametrize("kwargs,field", [
