@@ -273,7 +273,10 @@ assert b["last_finite_time"] == 0.01 and b["truncated"] is False, b' \
   < "$tmp/huge-domain/report.json"
 
 # blow-up data is no warning: a rigid rotation with omega 1e308, whose
-# radial polynomial overflows, must exit 0 with nothing on stderr
+# radial polynomial overflows, must exit 0 with nothing on stderr.  The
+# solver's truncation reaches the artifacts: the manifest is marked
+# failed with the CFL reason, and the last line of stdout names the
+# truncation
 cat > "$tmp/fast-rotation.json" <<'JSON'
 {"schema_version": 1,
  "grid": {"n_rho": 8, "n_z": 8},
@@ -281,8 +284,17 @@ cat > "$tmp/fast-rotation.json" <<'JSON'
  "initial_data": {"kind": "rigid_rotation", "params": {"omega": 1e308}},
  "output": {"directory": "fast-rotation"}}
 JSON
-AXISWIRL_OUTPUT_ROOT="$tmp" axiswirl run "$tmp/fast-rotation.json" 2> "$tmp/fast-rotation.err"
+AXISWIRL_OUTPUT_ROOT="$tmp" axiswirl run "$tmp/fast-rotation.json" 2> "$tmp/fast-rotation.err" \
+  | tee "$tmp/fast-rotation.out"
 test ! -s "$tmp/fast-rotation.err"
+tail -n 1 "$tmp/fast-rotation.out" | grep -q '^trajectory truncated: '
+python3 - "$tmp/fast-rotation/manifest.json" <<'PY'
+import json, sys
+with open(sys.argv[1]) as fh:
+    m = json.load(fh)
+assert m["failed"] is True, m
+assert m["failure_reason"].startswith("the flow's CFL limits give"), m
+PY
 
 # the supremum-in-time branch: a run with b = inf writes "inf" into its
 # manifest, and the manifest's scenario block, run again as it stands

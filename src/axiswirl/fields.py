@@ -6,26 +6,40 @@ one (3, n_rho, n_z) array, and the state that groups the velocity and
 the pressure holds the grid.
 Radial ghosts encode the axis regularity parities (u_rho, u_phi, w_rho,
 w_phi odd across rho = 0; u_z, p, w_z even) and the no-slip wall at
-rho = rho_max via mirror-zero ghosts.  z is periodic.
+rho = rho_max.  Each ghost rule is the function that makes its ghost row.
+z is periodic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation
+from .errors import ConfigurationError
 from .grid import CylGrid
 from .records import Frozen
 
-ODD = "odd"
-EVEN = "even"
-# the axis parities of a velocity or vorticity triple's rows (rho, phi, z)
+# The axis parities: each makes the ghost row below the axis from the
+# first row.  PARITIES are those of a velocity or vorticity triple's rows
+# (rho, phi, z).
+ODD = np.negative
+EVEN = np.positive
 PARITIES = (ODD, ODD, EVEN)
-# wall modes: "noslip" mirrors through zero at the wall face, "extrap"
-# extrapolates linearly (diagnostic gradients of fields that do not
-# vanish at the wall)
-NOSLIP = "noslip"
-EXTRAP = "extrap"
+
+
+# The wall rules: each makes the ghost row half a cell past the wall face
+# from the last two rows.
+
+def NOSLIP(f):
+    """The quadratic through the last two cells and the zero wall value:
+    third order in the ghost value, so wall-adjacent derivative rows stay
+    second order."""
+    return f[-2:-1] / 3.0 - 2.0 * f[-1:]
+
+
+def EXTRAP(f):
+    """Linear extrapolation, for the diagnostic gradients of fields that
+    do not vanish at the wall."""
+    return 2.0 * f[-1:] - f[-2:-1]
 
 
 def _sample(values, grid: CylGrid, *lead):
@@ -77,33 +91,10 @@ def zero_forcing(grid: CylGrid) -> np.ndarray:
     return np.zeros((3, *grid.shape))
 
 
-# --- ghost construction -------------------------------------------------
-
-def _pad_rho(f, parity, wall):
-    """Return f with one ghost row below the axis and one beyond the wall."""
-    if parity == ODD:
-        lo = -f[0:1]
-    elif parity == EVEN:
-        lo = f[0:1]
-    else:
-        raise ContractViolation(f"unknown axis parity {parity!r}")
-    return np.concatenate([lo, f, _wall_ghost(f, wall)], axis=0)
-
-
-def _wall_ghost(f, wall):
-    """Ghost row half a cell past the wall face.  NOSLIP evaluates the
-    quadratic through the last two cells and the zero wall value: third
-    order in the ghost value, so wall-adjacent derivative rows stay second
-    order."""
-    if wall == NOSLIP:
-        return f[-2:-1] / 3.0 - 2.0 * f[-1:]
-    if wall == EXTRAP:
-        return 2.0 * f[-1:] - f[-2:-1]
-    raise ContractViolation(f"unknown wall mode {wall!r}")
-
+# --- stencils -----------------------------------------------------------
 
 def d_rho(f, grid: CylGrid, parity, wall=NOSLIP):
-    fp = _pad_rho(f, parity, wall)
+    fp = np.concatenate([parity(f[0:1]), f, wall(f)])
     return (fp[2:] - fp[:-2]) / (2.0 * grid.d_rho)
 
 
@@ -143,10 +134,9 @@ def radial_diffusion(f, grid: CylGrid):
     The axis face sits at rho = 0 and carries zero flux, so no axis ghost
     is needed; the wall face flux uses the no-slip wall ghost.
     """
-    faces = np.arange(grid.n_rho + 1) * grid.d_rho  # face radii, axis..wall
-    fx = np.concatenate([f, _wall_ghost(f, NOSLIP)], axis=0)
-    diffs = np.diff(fx, axis=0)
-    flux = np.concatenate([np.zeros_like(f[0:1]), faces[1:, None] * diffs], axis=0)
+    diffs = np.diff(np.concatenate([f, NOSLIP(f)]), axis=0)
+    flux = np.concatenate([np.zeros_like(f[0:1]),
+                           grid.rho_faces[1:, None] * diffs])
     return np.diff(flux, axis=0) / (grid.rho * grid.d_rho**2)
 
 
@@ -154,11 +144,7 @@ def laplacian(f, grid: CylGrid, parity):
     """The cylindrical viscous operator: radial diffusion + d_zz, minus
     f/rho^2 for the odd-parity components (u_rho, u_phi)."""
     lap = radial_diffusion(f, grid) + d_zz(f, grid)
-    if parity == ODD:
-        return lap - f / grid.rho**2
-    if parity == EVEN:
-        return lap
-    raise ContractViolation(f"unknown axis parity {parity!r}")
+    return lap - f / grid.rho**2 if parity is ODD else lap
 
 
 # --- spec operators -----------------------------------------------------
@@ -184,8 +170,7 @@ def radial_div(u_rho, grid: CylGrid):
     """Radial part of the divergence, (1/rho) d_rho(rho u_rho) in face-flux
     form.  Acts along axis 0 only, so any array of n_rho rows is accepted
     (the pressure solver applies it to the columns of an identity matrix)."""
-    faces = (np.arange(grid.n_rho - 1) + 1.0) * grid.d_rho  # interior faces
-    flux = faces[:, None] * 0.5 * (u_rho[:-1] + u_rho[1:])
+    flux = grid.rho_faces[1:-1, None] * 0.5 * (u_rho[:-1] + u_rho[1:])
     zero = np.zeros_like(u_rho[0:1])
     flux = np.concatenate([zero, flux, zero], axis=0)  # axis and wall faces
     return np.diff(flux, axis=0) / (grid.rho * grid.d_rho)
@@ -203,8 +188,7 @@ def div_adjoint(phi, grid: CylGrid):
 def radial_div_adjoint(phi, grid: CylGrid):
     """Radial component of D*, the rho-weighted adjoint of radial_div;
     acts along axis 0 only, like radial_div."""
-    faces = (np.arange(grid.n_rho - 1) + 1.0) * grid.d_rho
-    dphi = faces[:, None] * (phi[1:] - phi[:-1])
+    dphi = grid.rho_faces[1:-1, None] * (phi[1:] - phi[:-1])
     zero = np.zeros_like(phi[0:1])
     dphi = np.concatenate([zero, dphi, zero], axis=0)
     return -(dphi[1:] + dphi[:-1]) / (2.0 * grid.rho * grid.d_rho)

@@ -27,23 +27,28 @@ class CylGrid(Frozen):
 
     Arrays over the grid have shape (n_rho, n_z); axis 0 is radial.
     Equality, hash and repr use the five parameters only; the fields
-    after them are derived.  cell_weight is the quadrature weight
-    2*pi*rho_j*d_rho*d_z per cell, shape (n_rho, 1).
+    after them are derived.  rho_faces holds the n_rho + 1 face radii
+    j*d_rho, axis to wall, of the radial flux forms.  cell_weight is the
+    quadrature weight 2*pi*rho_j*d_rho*d_z per cell, shape (n_rho, 1).
+    delta = min(d_rho, d_z) is the spacing that the time step, the
+    monitor's identity band and the convergence studies scale with, and
+    k_z = 2*pi/(z_max - z_min) the fundamental z-wavenumber.
     """
 
-    __slots__ = ("n_rho", "n_z", "rho_max", "z_min", "z_max",
-                 "d_rho", "d_z", "rho_centers", "z_centers", "cell_weight")
+    __slots__ = ("n_rho", "n_z", "rho_max", "z_min", "z_max", "d_rho", "d_z",
+                 "rho_centers", "rho_faces", "z_centers", "cell_weight")
 
     def __init__(self, n_rho, n_z, rho_max, z_min, z_max):
         d_rho = rho_max / n_rho
         d_z = (z_max - z_min) / n_z
         rho = (np.arange(n_rho) + 0.5) * d_rho
+        faces = np.arange(n_rho + 1) * d_rho
         zc = z_min + (np.arange(n_z) + 0.5) * d_z
         weight = TWO_PI * rho[:, None] * d_rho * d_z
-        for arr in (rho, zc, weight):
+        for arr in (rho, faces, zc, weight):
             arr.setflags(write=False)
-        self._freeze(n_rho, n_z, rho_max, z_min, z_max, d_rho, d_z, rho, zc,
-                     weight)
+        self._freeze(n_rho, n_z, rho_max, z_min, z_max, d_rho, d_z, rho,
+                     faces, zc, weight)
 
     def _params(self):
         return (self.n_rho, self.n_z, self.rho_max, self.z_min, self.z_max)
@@ -63,6 +68,14 @@ class CylGrid(Frozen):
     @property
     def shape(self):
         return (self.n_rho, self.n_z)
+
+    @property
+    def delta(self):
+        return min(self.d_rho, self.d_z)
+
+    @property
+    def k_z(self):
+        return TWO_PI / (self.z_max - self.z_min)
 
     @property
     def rho(self):

@@ -252,7 +252,7 @@ def make_solution(kind, params, grid: CylGrid) -> ManufacturedSolution:
     swirl_z = params["swirl_z"]
     p_amp = params["p_amp"]
     mu = params["decay"]
-    k = 2.0 * math.pi / (grid.z_max - grid.z_min)
+    k = grid.k_z
     k_sq = _constant(power(k, 2), "k^2", "z_max")
     cos = (np.cos(k * z), -k * np.sin(k * z), -k_sq * np.cos(k * z))
     sin = (np.sin(k * z), k * np.cos(k * z), -k_sq * np.sin(k * z))
@@ -369,7 +369,7 @@ def convergence_order(kind, grids, quantity="solver", nu=0.1, t_end=0.05,
       lopsided_curl the first-order negative-control stencil
 
     The order of a pair of levels is p for errors that scale as Delta^p,
-    Delta = min(d_rho, d_z): log2 of the error ratio over log2 of the
+    Delta = grid.delta: log2 of the error ratio over log2 of the
     Delta ratio, which is exactly 1 on a doubling; inf where the finer
     error is 0, and -inf where only the coarser one is (an exact flow's
     errors are 0 or rounding).
@@ -379,7 +379,7 @@ def convergence_order(kind, grids, quantity="solver", nu=0.1, t_end=0.05,
                                  f"got {nu}", "nu")
     if len(grids) < 2:
         raise ConfigurationError("need at least two grid levels", "grids")
-    deltas = [min(g.d_rho, g.d_z) for g in grids]
+    deltas = [g.delta for g in grids]
     if any(not fine < coarse for coarse, fine in zip(deltas, deltas[1:])):
         raise ConfigurationError("the grid levels must strictly increase: "
                                  "each one finer than the one before it",
@@ -389,7 +389,7 @@ def convergence_order(kind, grids, quantity="solver", nu=0.1, t_end=0.05,
         sol = make_solution(kind, params, grid)
         state = sample_state(sol, 0.0)
         if quantity == "solver":
-            dt = 0.1 * min(grid.d_rho, grid.d_z) ** 2 / nu
+            dt = 0.1 * grid.delta ** 2 / nu
             # on the default domain even 1024^2 cells (MAX_CELLS) take
             # 52 429 steps at nu = 0.1: a dt or a step count that the
             # solver refuses, or a run that fails at that dt, is nu's fault

@@ -698,7 +698,7 @@ def evaluate_checks(records, m: MonitorConfig, grid: CylGrid) -> list[dict]:
                               SUB_MARGIN_REL)
               for name in _SUB_CHECKS]
 
-    delta_sq = min(grid.d_rho, grid.d_z) ** 2
+    delta_sq = grid.delta ** 2
 
     def identity(prev, r):
         res = abs(r.margins["quartic_identity_residual"])

@@ -247,10 +247,9 @@ def cfl_limits(v: VelocityState):
     u_phi^2/rho and u_phi u_rho/rho sources.  The viscous terms are
     implicit and set no stability limit."""
     g = v.grid
-    delta = min(g.d_rho, g.d_z)
     umax = max(float(np.max(np.abs(v.u_rho))), float(np.max(np.abs(v.u_z))))
     rate = float(np.max(np.abs(v.u_phi) / g.rho))
-    adv = 0.5 * delta / umax if umax > 0.0 else np.inf
+    adv = 0.5 * g.delta / umax if umax > 0.0 else np.inf
     src = 0.5 / rate if rate > 0.0 else np.inf
     return adv, src
 
@@ -260,7 +259,7 @@ J11 = 3.8317059702075125  # first positive zero of J1
 
 def viscous_dt_limit(grid: CylGrid, nu: float) -> float:
     """Accuracy limit 0.5 / (nu lam1^2) of the Crank-Nicolson viscous
-    terms, lam1^2 = (j_{1,1} / rho_max)^2 + (2 pi / (z_max - z_min))^2.
+    terms, lam1^2 = (j_{1,1} / rho_max)^2 + k_z^2 (grid.k_z).
 
     Crank-Nicolson is stable at any dt but not L-stable: a mode that
     decays at the rate nu lam^2 is multiplied per step by
@@ -274,8 +273,7 @@ def viscous_dt_limit(grid: CylGrid, nu: float) -> float:
     x = 0.5 the per-step factor is 1.1% below exp(-x); at x = 0.2, the
     default cfl_safety 0.4, it is 0.07% below.  The limit depends on the
     domain, not on the grid spacing."""
-    k_z = 2.0 * np.pi / (grid.z_max - grid.z_min)
-    lam1_sq = (J11 / grid.rho_max) ** 2 + k_z**2
+    lam1_sq = (J11 / grid.rho_max) ** 2 + grid.k_z**2
     return 0.5 / (nu * lam1_sq)
 
 

@@ -361,6 +361,31 @@ def test_diagnostics_header(tmp_path, monkeypatch):
     ])
 
 
+def test_an_empty_epsilon_list_drops_only_the_vorticity_budgets(
+        tmp_path, monkeypatch):
+    # the view then keeps its eps = 0 rows for the vorticity norms, so
+    # every column that both runs write is the same bytes
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    columns = {}
+    for name, monitor in (("default", {}), ("empty", {"epsilon_list": []})):
+        doc = _scenario(grid={"n_rho": 8, "n_z": 8},
+                        solver={"nu": 0.1, "t_end": 0.02, "dt": 0.005},
+                        initial_data={"kind": "taylor_vortex_swirl"},
+                        forcing={"kind": "manufactured"}, monitor=monitor,
+                        output={"directory": name})
+        assert run_scenario(_write(tmp_path, doc, f"{name}.json")) == 0
+        rows = (tmp_path / name / "diagnostics.csv").read_text().splitlines()
+        columns[name] = dict(zip(rows[0].split(","),
+                                 zip(*(row.split(",") for row in rows[1:]))))
+    for name, kept in (("default", True), ("empty", False)):
+        report, _ = _artifacts(tmp_path / name)
+        assert any("vorticity" in c["name"] for c in report["checks"]) == kept
+        assert any(k.startswith("vorticity") for k in columns[name]) == kept
+    assert len(columns["empty"]["time"]) == 5
+    for key, values in columns["empty"].items():
+        assert columns["default"][key] == values, key
+
+
 def test_run_scenario_deterministic(tmp_path, monkeypatch):
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
     for name in ("r1", "r2"):

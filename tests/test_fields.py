@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from axiswirl.errors import ConfigurationError, ContractViolation
+from axiswirl.errors import ConfigurationError
 from axiswirl.fields import (
     EVEN,
     EXTRAP,
+    NOSLIP,
     ODD,
     VelocityState,
     curl_axisym,
@@ -20,8 +21,9 @@ from axiswirl.fields import (
     div_from_components,
     divergence,
     explicit_rhs,
-    laplacian,
     radial_diffusion,
+    radial_div,
+    radial_div_adjoint,
     viscous_rhs,
     velocity_gradient,
     zero_forcing,
@@ -100,6 +102,36 @@ def test_z_differences_equal_the_rolled_formulas(n_rho, n_z, length, seed):
                           -(up - down) / (2.0 * g.d_z))
 
 
+@given(st.integers(2, 40), st.integers(2, 8), st.floats(0.1, 10.0),
+       st.integers(0, 2**32 - 1))
+def test_ghost_and_face_rules_equal_their_formulas(n_rho, n_z, rho_max, seed):
+    # the ghost rules and the grid's face radii give the same bits as the
+    # hand-built pads and the face radii written out
+    g = build_grid(n_rho, n_z, rho_max)
+    f = np.random.default_rng(seed).standard_normal(g.shape)
+    below = {ODD: -f[0:1], EVEN: f[0:1]}
+    past = {NOSLIP: f[-2:-1] / 3.0 - 2.0 * f[-1:],
+            EXTRAP: 2.0 * f[-1:] - f[-2:-1]}
+    for parity, lo in below.items():
+        for wall, hi in past.items():
+            pad = np.concatenate([lo, f, hi])
+            assert np.array_equal(d_rho(f, g, parity, wall),
+                                  (pad[2:] - pad[:-2]) / (2.0 * g.d_rho))
+    inner = ((np.arange(n_rho - 1) + 1.0) * g.d_rho)[:, None]
+    zero = np.zeros((1, n_z))
+    flux = np.concatenate([zero, inner * 0.5 * (f[:-1] + f[1:]), zero])
+    assert np.array_equal(radial_div(f, g),
+                          np.diff(flux, axis=0) / (g.rho * g.d_rho))
+    dphi = np.concatenate([zero, inner * (f[1:] - f[:-1]), zero])
+    assert np.array_equal(radial_div_adjoint(f, g),
+                          -(dphi[1:] + dphi[:-1]) / (2.0 * g.rho * g.d_rho))
+    faces = np.arange(n_rho + 1) * g.d_rho
+    diffs = np.diff(np.concatenate([f, past[NOSLIP]]), axis=0)
+    flux = np.concatenate([zero, faces[1:, None] * diffs])
+    assert np.array_equal(radial_diffusion(f, g),
+                          np.diff(flux, axis=0) / (g.rho * g.d_rho**2))
+
+
 def test_rigid_rotation_curl_exact():
     g = build_grid(32, 8)
     omega = 1.0
@@ -149,12 +181,6 @@ def test_radial_diffusion_quadratic_exact():
     r = np.broadcast_to(g.rho, g.shape)
     got = radial_diffusion(r**2, g)
     assert np.max(np.abs(got[:-1] - 4.0)) <= 1e-11
-
-
-def test_laplacian_rejects_unknown_parity():
-    v, g = _taylor_state(8)
-    with pytest.raises(ContractViolation, match="parity"):
-        laplacian(v.u_z, g, "none")
 
 
 def test_mis_shaped_components_are_rejected():
